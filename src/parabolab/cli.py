@@ -252,7 +252,11 @@ def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
 
 def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
                 resume: bool = False) -> int:
-    """Full run pipeline; returns the exit code (artifacts are always written)."""
+    """Full run pipeline; returns the exit code.
+
+    The artifacts are always written, except that a run whose first window
+    collapses has no trajectory, time series or diagnostics to write.
+    """
     grid = cfgmod.build_grid(cfg)
     ec = cfgmod.exponent_config(cfg, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,17 +331,6 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         status = "blow_up"
         reason = str(exc)
 
-    traj, metas = _glue_windows(out_dir, fp.mu, fp.p)
-    ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
-    _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER,
-               _timeseries_rows(traj, bc, order))
-    diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
-    _emit_json(diagnostics, out_dir / "diagnostics.json")
-
-    final = traj.states[-1]
-    w = grid.trapezoid_weights()
-    mass0 = float(np.sum(w * traj.states[0].component(0)))
-    massT = float(np.sum(w * final.component(0)))
     summary = {
         "status": status,
         "exit_code": EXIT_OK if status == "ok" else EXIT_NONCONVERGENCE,
@@ -346,14 +339,32 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         "family": family,
         "seed": seed,
         "horizon": horizon,
-        "t_reached": float(traj.times[-1]),
-        "n_windows": len(metas),
-        "windows": windows_summaries or [m.get("window_summary") for m in metas],
-        "final_sup_norm": final.sup_norm(),
-        "final_l2_norm": lq_norm(final),
-        "mass_drift": abs(massT - mass0) / max(abs(mass0), 1e-300),
+        "t_reached": t0,
+        "n_windows": 0,
+        "windows": windows_summaries,
         "admissible": bool(adm["admissible"]),
     }
+    # a run whose first window collapsed has no trajectory to glue or measure
+    if _window_files(out_dir):
+        traj, metas = _glue_windows(out_dir, fp.mu, fp.p)
+        ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
+        _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER,
+                   _timeseries_rows(traj, bc, order))
+        diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
+        _emit_json(diagnostics, out_dir / "diagnostics.json")
+
+        final = traj.states[-1]
+        w = grid.trapezoid_weights()
+        mass0 = float(np.sum(w * traj.states[0].component(0)))
+        massT = float(np.sum(w * final.component(0)))
+        summary.update({
+            "t_reached": float(traj.times[-1]),
+            "n_windows": len(metas),
+            "windows": windows_summaries or [m.get("window_summary") for m in metas],
+            "final_sup_norm": final.sup_norm(),
+            "final_l2_norm": lq_norm(final),
+            "mass_drift": abs(massT - mass0) / max(abs(mass0), 1e-300),
+        })
     _emit_json(summary, out_dir / "summary.json")
     if status != "ok":
         print(f"run ended early: {reason}", file=sys.stderr)

@@ -79,6 +79,10 @@ class Grid:
         return mask
 
 
+class NonFiniteError(ValueError):
+    """A field would hold inf or nan values."""
+
+
 class GridFunction:
     """Nodal field on a Grid; values have shape ``grid.shape + (ncomp,)``."""
 
@@ -91,7 +95,7 @@ class GridFunction:
                 f"values shape {values.shape} does not match grid shape {grid.shape} + (ncomp,)"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("GridFunction values must be finite")
+            raise NonFiniteError("GridFunction values must be finite")
         self.grid = grid
         self.values = values
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .grids import BoundaryCondition, Grid, GridFunction
 
@@ -181,16 +181,18 @@ class LinearOperator:
         return float(defect / scale)
 
     def to_banded(self):
-        """(ab, (l, u)) in LAPACK banded storage."""
+        """(ab, (kl, ku)) in LAPACK ``gbtrf`` storage.
+
+        Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the top ``kl`` rows
+        are the fill space the LU factorization writes into.
+        """
         coo = self.matrix.tocoo()
-        if coo.nnz == 0:
-            return np.zeros((1, self.n_active)), (0, 0)
-        l = int(np.max(coo.row - coo.col).clip(min=0))
-        u = int(np.max(coo.col - coo.row).clip(min=0))
-        n = self.n_active
-        ab = np.zeros((l + u + 1, n))
-        ab[u + coo.row - coo.col, coo.col] = coo.data
-        return ab, (l, u)
+        offsets = coo.row - coo.col
+        kl = int(max(offsets.max(initial=0), 0))
+        ku = int(max(-offsets.min(initial=0), 0))
+        ab = np.zeros((2 * kl + ku + 1, self.n_active), order="F")
+        ab[kl + ku + offsets, coo.col] = coo.data
+        return ab, (kl, ku)
 
 
 def operator_from_full_matrix(grid: Grid, ncomp: int, bc: BoundaryCondition,
@@ -265,17 +267,37 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
     raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
 
 
+class BandedLU:
+    """LU factors of ``shift*I + scale*M`` for M in ``to_banded`` storage
+    (LAPACK gbtrf/gbtrs).
+
+    A zero pivot, or a solve that returns non-finite values, raises
+    SolverError.
+    """
+
+    __slots__ = ("lu", "piv", "kl", "ku")
+
+    def __init__(self, ab: np.ndarray, bands: tuple, scale: float = 1.0,
+                 shift: float = 0.0):
+        kl, ku = bands
+        a = scale * ab
+        a[kl + ku] += shift
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(a, kl, ku, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"banded LU failed: dgbtrf info {info} (zero pivot?)")
+        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise SolverError(f"banded solve failed: dgbtrs info {info} or non-finite values")
+        return x
+
+
 def solve_banded(op: LinearOperator, rhs: GridFunction) -> GridFunction:
-    """Direct banded solve op @ x = rhs (LAPACK gbsv)."""
-    b = op.restrict(rhs)
-    ab, (l, u) = op.to_banded()
-    try:
-        x = scipy.linalg.solve_banded((l, u), ab, b)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverError(f"banded solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("banded solve returned non-finite values (singular pivot?)")
-    return op.extend(x)
+    """Direct banded solve op @ x = rhs."""
+    ab, bands = op.to_banded()
+    return op.extend(BandedLU(ab, bands).solve(op.restrict(rhs)))
 
 
 class SpectralProxy:

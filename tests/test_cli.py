@@ -189,6 +189,31 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
     assert summary["t_reached"] == pytest.approx(0.49, abs=0.03)
 
 
+def test_run_non_finite_rhs_exits_3(tmp_path, capsys):
+    # f(1e40) = 1e360 overflows, so every window attempt fails and the first
+    # window collapses before any checkpoint exists
+    cfg = {
+        "problem": {"family": "reaction_diffusion", "ncomp": 1,
+                    "a": [[[1]]], "f": [[0] * 9 + [1]],
+                    "u_box": [[-1e300, 1e300]]},
+        "grid": {"dim": 1, "nodes": 9},
+        "exponents": {"p": 2, "q": 2, "mu": "9/10"},
+        "solver": {"window": 0.01, "time_steps": 4, "horizon": 0.02, "max_iter": 5},
+        "initial": {"kind": "constant", "value": 1e40},
+        "seed": 0,
+    }
+    cfg_path = write_cfg(tmp_path / "nonfinite.json", cfg)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
+    assert "non-finite right-hand side" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "blow_up"
+    assert summary["n_windows"] == 0
+    assert summary["t_reached"] == 0.0
+    assert not (out / "trajectory.npz").exists()
+
+
 def test_run_without_output_dir_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "noout.json", heat_cfg())
     assert main(["run", "--config", cfg]) == 4

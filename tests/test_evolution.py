@@ -10,23 +10,35 @@ vanishes on constants): the solution c/(1 - c t) hits the threshold M at
 t = (1/c)(1 - c/M).  With c = 2, M = 100 the crossing is at 0.49, and the
 Picard iteration on a window of length T converges iff T is below the
 existence time 1/c = 0.5, which forces the window halvings 1.0 -> 0.5 -> 0.25.
+
+The banded implicit Euler stepper is checked against scipy's sparse direct
+solve of I + dt*A, step by step, for frozen operators A(u) assembled at drawn
+states.  Steps stay at dt <= 1e-2 on small grids, where I + dt*A is well
+enough conditioned for the two solvers to agree to 1e-12.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from parabolab import evolution
 from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  FixedPointConfig, NonconvergenceError,
                                  StateConstraintError, continue_solution,
                                  fixed_point_solve, graded_times, kappa_shift,
                                  lipschitz_probe, omega_limit, picard_map,
                                  reference_solution)
-from parabolab.grids import Grid, GridFunction
-from parabolab.operators import eigendecompose, reference_operator
-from parabolab.problems import (PolynomialMap, ReactionDiffusionSpec,
-                                linear_heat_spec, rd_problem)
+from parabolab.grids import BoundaryCondition, Grid, GridFunction
+from parabolab.operators import (SolverError, eigendecompose,
+                                 operator_from_full_matrix, reference_operator)
+from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
+                                flow_problem, linear_heat_spec, rd_problem)
 
 MU, P = 0.9, 2.0
 
@@ -75,6 +87,8 @@ def test_config_validation():
         FixedPointConfig(window=0.1, time_steps=10, mu=0.4, p=2.0)  # mu <= 1/p
     with pytest.raises(ValueError):
         FixedPointConfig(window=0.1, time_steps=10, mu=MU, p=P, propagator="rk4")
+    with pytest.raises(ValueError):
+        FixedPointConfig(window=0.1, time_steps=10, mu=MU, p=P, max_halvings=-1)
     cfg = FixedPointConfig(window=0.1, time_steps=10, mu=MU, p=P)
     assert cfg.gamma() == pytest.approx(1.0 / (MU - 1.0 / P))
     assert FixedPointConfig(window=0.1, time_steps=10, mu=1.0, p=P).gamma() == 2.0
@@ -97,6 +111,66 @@ def test_euler_eigenmode_product_formula():
                            rtol=1e-12, atol=1e-13)
     # initial slope is -A u0 = -lambda u0
     assert np.allclose(traj.derivs[0].values, -lam * u0.values, rtol=1e-9)
+
+
+def _coupled_diffusion(grid):
+    # a(u) = [[1 + u0^2, u1/5], [u0/5, 1 + u1^2]]
+    terms = (((0, 0), (0, 0), 1.0), ((0, 0), (2, 0), 1.0), ((0, 1), (0, 1), 0.2),
+             ((1, 0), (1, 0), 0.2), ((1, 1), (0, 0), 1.0), ((1, 1), (0, 2), 1.0))
+    return rd_problem(ReactionDiffusionSpec(
+        grid=grid, ncomp=2, a=PolynomialMap(shape=(2, 2), nvars=2, terms=terms),
+        f=PolynomialMap.constant(np.zeros(2)), b=PolynomialMap.constant(np.zeros((2, 2, 2))),
+        u_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="coupled"))
+
+
+def _scalar_diffusion(grid):
+    return rd_problem(ReactionDiffusionSpec(
+        grid=grid, ncomp=1,
+        a=PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0)),
+        f=PolynomialMap.constant(np.zeros(1)), b=PolynomialMap.constant(np.zeros((1, 1, 1))),
+        u_box=np.array([[-2.0, 2.0]]), name="scalar"))
+
+
+ORACLE_CASES = {
+    "neumann-1d": (Grid(1, 17), 1, _scalar_diffusion),
+    "clamped-1d": (Grid(1, 17), 1, lambda g: flow_problem(FlowSpec(g, "willmore"))),
+    "neumann-2d-ncomp2": (Grid(2, 12), 2, _coupled_diffusion),
+    "clamped-2d": (Grid(2, 12), 1, lambda g: flow_problem(FlowSpec(g, "surface_diffusion"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_euler_stepper_matches_sparse_solve(case, data):
+    grid, ncomp, build = ORACLE_CASES[case]
+    # the state sets the coefficient fields of the frozen operator A(state)
+    state = data.draw(arrays(np.float64, grid.shape + (ncomp,),
+                             elements=st.floats(-1.0, 1.0)), label="state")
+    A = build(grid).assemble_A(GridFunction(grid, state))
+    dts = data.draw(st.lists(st.floats(1e-8, 1e-2), min_size=1, max_size=3), label="dts")
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    n = A.n_active
+    u0 = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)), label="u0")
+    rhs = list(data.draw(arrays(np.float64, (len(times), n), elements=st.floats(-1.0, 1.0)),
+                         label="rhs"))
+    got = evolution._EulerStepper(A, times).run(u0, rhs)
+    eye = scipy.sparse.identity(n, format="csc")
+    want = [u0]
+    for k, dt in enumerate(dts):
+        want.append(scipy.sparse.linalg.spsolve((eye + dt * A.matrix).tocsc(),
+                                                want[-1] + dt * rhs[k + 1]))
+    for x, y in zip(got, want):
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
+
+
+def test_euler_stepper_singular_step_raises():
+    # A = -I makes I + dt*A vanish at dt = 1
+    grid = Grid(1, 9)
+    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
+                                  -scipy.sparse.identity(grid.n_nodes))
+    with pytest.raises(SolverError):
+        evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
 
 
 def test_spectral_stepper_exact_exponential():
@@ -170,6 +244,31 @@ def test_hostile_window_halves_until_contraction():
     assert st.halvings == 2        # 1.0 and 0.5 exceed the existence time 0.5
     assert st.window == pytest.approx(0.25)
     assert all(f < 1.0 for f in st.contraction_factors)
+    assert len(st.halving_reasons) == 2
+    assert st.summary()["halving_reasons"] == list(st.halving_reasons)
+    assert all(r.startswith("contraction factor") for r in st.halving_reasons)
+
+
+def test_machinery_built_once_per_window_attempt(monkeypatch):
+    builds = []
+    original = evolution._build_machinery
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_build_machinery", counting)
+    grid, prob = square_problem()
+    cfg = FixedPointConfig(window=1.0, time_steps=20, mu=MU, p=P,
+                           max_iter=40, tol=1e-8, blowup_threshold=1e12)
+    st = fixed_point_solve(constant_state(grid, 2.0), prob, cfg)
+    assert st.halvings == 2
+    assert len(builds) == 1 + st.halvings
+    builds.clear()
+    grid, prob = heat_problem(24)
+    st = fixed_point_solve(eigenmode(grid, 1, amp=0.5)[0], prob,
+                           FixedPointConfig(window=0.02, time_steps=8, mu=MU, p=P))
+    assert st.halvings == 0 and len(builds) == 1
 
 
 def test_window_collapse_raises_nonconvergence():
