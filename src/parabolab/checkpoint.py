@@ -12,7 +12,6 @@ import json
 
 import numpy as np
 
-from .grids import Grid, GridFunction
 from .norms import WeightedTrajectory
 
 FORMAT_VERSION = "1"
@@ -30,8 +29,8 @@ def save_trajectory(path, traj: WeightedTrajectory, meta: dict | None = None) ->
         format_version=np.array(FORMAT_VERSION),
         meta=np.array(json.dumps(meta, sort_keys=True)),
         times=np.asarray(traj.times, dtype=float),
-        states=np.stack([s.values for s in traj.states]),
-        derivs=np.stack([d.values for d in traj.derivs]),
+        states=np.ascontiguousarray(traj.state_values),
+        derivs=np.ascontiguousarray(traj.deriv_values),
         dim=np.array(grid.dim),
         nodes=np.array(grid.nodes_per_axis),
         mu=np.array(float(traj.mu)),
@@ -55,10 +54,8 @@ def load_trajectory(path):
             raise CheckpointError(
                 f"checkpoint format {version!r} is not supported (expected {FORMAT_VERSION!r})"
             )
-        grid = Grid(int(data["dim"]), int(data["nodes"]))
-        states = tuple(GridFunction(grid, v.copy()) for v in data["states"])
-        derivs = tuple(GridFunction(grid, v.copy()) for v in data["derivs"])
-        traj = WeightedTrajectory(data["times"].copy(), states, derivs,
+        # the grid is read off the stacked arrays; dim and nodes repeat it
+        traj = WeightedTrajectory(data["times"], data["states"], data["derivs"],
                                   float(data["mu"]), float(data["p"]))
         meta = json.loads(str(data["meta"])) if "meta" in data.files else {}
     return traj, meta

@@ -33,8 +33,10 @@ from . import config as cfgmod
 from .evolution import NonconvergenceError, StateConstraintError, continue_solution, omega_limit
 from .exponents import admissibility_report
 from .grids import BoundaryCondition, Grid, GridFunction
-from .norms import E0mu_norm, E1mu_norm, WeightedTrajectory, lq_norm, smoothing_check, x1_norm
-from .operators import SolverError, derivative, eigendecompose, reference_operator
+from .norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, glue, lq_norms,
+                    smoothing_check, x1_norms)
+from .operators import (SolverError, derivative, derivative_values, eigendecompose,
+                        reference_operator)
 from .problems import ProblemSpecError, spectrum_positivity_check
 from .symbols import default_lambda_grid, ellipticity_scan, ls_scan
 
@@ -159,24 +161,23 @@ def cmd_symbol(args) -> int:
 def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int):
     grid = traj.grid
     w = grid.trapezoid_weights()
-    rows = []
-    for t, u in zip(traj.times, traj.states):
-        mass = float(np.sum(w * u.component(0)))
-        energy = 0.0
-        for axis in range(grid.dim):
-            sig = [0] * grid.dim
-            sig[axis] = 1
-            du = derivative(u, tuple(sig), bc).values
-            energy += 0.5 * float(np.sum(w[..., None] * du * du))
-        rows.append([
-            float(t),
-            u.sup_norm(),
-            lq_norm(u),
-            x1_norm(u, 2.0, order, bc),
-            mass,
-            energy,
-        ])
-    return rows
+    vals = traj.state_values
+    spatial = tuple(range(1, grid.dim + 1))
+    energy = 0.0
+    for axis in range(grid.dim):
+        sig = [0] * grid.dim
+        sig[axis] = 1
+        du = derivative_values(vals, grid, tuple(sig), bc)
+        energy = energy + 0.5 * np.sum(w[..., None] * du * du, axis=spatial + (-1,))
+    columns = [
+        traj.times,
+        np.max(np.abs(vals), axis=spatial + (-1,)),
+        lq_norms(vals, grid),
+        x1_norms(vals, grid, 2.0, order, bc),
+        np.sum(w * vals[..., 0], axis=spatial),
+        energy,
+    ]
+    return np.column_stack(columns).tolist()
 
 
 _TIMESERIES_HEADER = ["time", "sup_norm", "l2_norm", "x1_norm", "mass", "dirichlet_energy"]
@@ -191,30 +192,12 @@ def _glue_windows(out_dir: Path, mu: float, p: float):
     files = _window_files(out_dir)
     if not files:
         raise ckpt.CheckpointError(f"no window checkpoints under {out_dir}")
-    times: list = []
-    states: list = []
-    derivs: list = []
-    metas = []
-    for f in files:
-        traj, meta = ckpt.load_trajectory(f)
-        metas.append(meta)
-        t0 = float(meta.get("t_start", 0.0))
-        abs_times = (t0 + traj.times).tolist()
-        if times:
-            gap = abs(times[-1] - abs_times[0])
-            if gap > 1e-12 * max(1.0, abs(times[-1])):
-                raise ckpt.CheckpointError(
-                    f"window files do not abut: {times[-1]} vs {abs_times[0]}"
-                )
-            times.extend(abs_times[1:])
-            states.extend(traj.states[1:])
-            derivs.extend(traj.derivs[1:])
-        else:
-            times.extend(abs_times)
-            states.extend(traj.states)
-            derivs.extend(traj.derivs)
-    glued = WeightedTrajectory(np.array(times), tuple(states), tuple(derivs), mu, p)
-    return glued, metas
+    loaded = [ckpt.load_trajectory(f) for f in files]
+    try:
+        glued = glue([(float(meta.get("t_start", 0.0)), traj) for traj, meta in loaded], mu, p)
+    except ValueError as exc:
+        raise ckpt.CheckpointError(f"window files under {out_dir}: {exc}") from exc
+    return glued, [meta for _, meta in loaded]
 
 
 def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
@@ -235,8 +218,7 @@ def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
     out["norm_intervals"] = rows
     out["E1mu_total"] = E1mu_norm(traj, q=q, order=order, bc=bc)
     delta = diag.get("smoothing_delta", T / 2.0)
-    interior = [t for t in traj.times if delta / 2.0 < t < delta]
-    if interior:
+    if np.any((traj.times > delta / 2.0) & (traj.times < delta)):
         out["smoothing"] = smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
     if "omega_count" in diag or "omega_fraction" in diag:
         count = diag.get("omega_count", 8)
@@ -259,6 +241,13 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     """
     grid = cfgmod.build_grid(cfg)
     ec = cfgmod.exponent_config(cfg, grid)
+    fingerprint = cfgmod.config_fingerprint(cfg)
+    done = _window_files(out_dir) if resume else []
+    last_window = ckpt.load_trajectory(done[-1]) if done else None
+    if last_window and last_window[1].get("config_sha256") != fingerprint:
+        raise ckpt.CheckpointError(
+            f"cannot resume in {out_dir}: its window checkpoints were written under "
+            "another config (only solver.horizon and output may change)")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         se = cfgmod.structure_exponents(cfg, ec)
@@ -297,14 +286,12 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     t0 = 0.0
     u_start = cfgmod.build_initial(cfg, grid, problem.ncomp)
     start_index = 0
-    if resume:
-        files = _window_files(out_dir)
-        if files:
-            traj, meta = ckpt.load_trajectory(files[-1])
-            t0 = float(meta["t_start"]) + float(traj.times[-1])
-            u_start = traj.states[-1]
-            start_index = int(meta["index"]) + 1
-    else:
+    if last_window:
+        traj, meta = last_window
+        t0 = float(meta["t_start"]) + float(traj.times[-1])
+        u_start = traj.states[-1]
+        start_index = int(meta["index"]) + 1
+    elif not resume:
         for f in _window_files(out_dir):
             f.unlink()
 
@@ -313,6 +300,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         meta["index"] = start_index + idx
         meta["t_start"] = t_start
         meta["window_summary"] = wstate.summary()
+        meta["config_sha256"] = fingerprint
         ckpt.save_trajectory(out_dir / f"window_{start_index + idx:04d}.npz",
                              wstate.trajectory, meta)
 
@@ -348,22 +336,19 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     if _window_files(out_dir):
         traj, metas = _glue_windows(out_dir, fp.mu, fp.p)
         ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
-        _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER,
-                   _timeseries_rows(traj, bc, order))
+        rows = _timeseries_rows(traj, bc, order)
+        _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER, rows)
         diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
         _emit_json(diagnostics, out_dir / "diagnostics.json")
 
-        final = traj.states[-1]
-        w = grid.trapezoid_weights()
-        mass0 = float(np.sum(w * traj.states[0].component(0)))
-        massT = float(np.sum(w * final.component(0)))
+        first, last = (dict(zip(_TIMESERIES_HEADER, row)) for row in (rows[0], rows[-1]))
         summary.update({
-            "t_reached": float(traj.times[-1]),
+            "t_reached": last["time"],
             "n_windows": len(metas),
             "windows": windows_summaries or [m.get("window_summary") for m in metas],
-            "final_sup_norm": final.sup_norm(),
-            "final_l2_norm": lq_norm(final),
-            "mass_drift": abs(massT - mass0) / max(abs(mass0), 1e-300),
+            "final_sup_norm": last["sup_norm"],
+            "final_l2_norm": last["l2_norm"],
+            "mass_drift": abs(last["mass"] - first["mass"]) / max(abs(first["mass"]), 1e-300),
         })
     _emit_json(summary, out_dir / "summary.json")
     if status != "ok":
@@ -388,9 +373,9 @@ def cmd_run(args) -> int:
 def cmd_norms(args) -> int:
     traj, meta = ckpt.load_trajectory(args.checkpoint)
     if args.mu is not None or args.p is not None:
-        traj = WeightedTrajectory(traj.times, traj.states, traj.derivs,
-                                  args.mu if args.mu is not None else traj.mu,
-                                  args.p if args.p is not None else traj.p)
+        traj = dataclasses.replace(traj,
+                                   mu=args.mu if args.mu is not None else traj.mu,
+                                   p=args.p if args.p is not None else traj.p)
     order = 2 if meta.get("order", "second") == "second" else 4
     bc = BoundaryCondition(meta.get("bc", "neumann"))
     q = args.q
@@ -412,8 +397,7 @@ def cmd_norms(args) -> int:
         "mu": traj.mu, "p": traj.p, "q": q, "horizon": T,
         "E1mu_total": rows[-1][3],
     }
-    interior = [t for t in traj.times if delta / 2.0 < t < delta]
-    if interior:
+    if np.any((traj.times > delta / 2.0) & (traj.times < delta)):
         report["smoothing"] = smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
     else:
         report["smoothing"] = None
@@ -641,3 +625,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

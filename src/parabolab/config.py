@@ -15,6 +15,7 @@ Exponent values may be numbers or exact fraction strings such as ``"9/10"``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -210,6 +211,14 @@ def build_solver(cfg: dict, ec: ExponentConfig) -> FixedPointConfig:
         return FixedPointConfig(mu=float(ec.mu), p=float(ec.p), q=float(ec.q), **sec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
+
+
+def config_fingerprint(cfg: dict) -> str:
+    """sha256 of the canonical config JSON without ``solver.horizon`` and
+    ``output``, the two sections a resumed run may change."""
+    solver = {k: v for k, v in cfg["solver"].items() if k != "horizon"}
+    body = {k: v for k, v in cfg.items() if k != "output"} | {"solver": solver}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def horizon_of(cfg: dict) -> float:

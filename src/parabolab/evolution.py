@@ -18,6 +18,13 @@ gamma = max(1, 1/(mu - 1/p)); a spectral stepper (exact exponential plus a
 phi1 Duhamel term in the frozen operator's eigenbasis) is available for
 symmetric scalar operators and makes window gluing exact up to roundoff.
 
+A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
+steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
+scatters onto the grid once; the only loop over samples left is the Picard
+right-hand side, whose problem hooks take one GridFunction each.
+``continue_solution`` glues the windows' arrays and releases each window's
+trajectory once ``on_window`` has seen it.
+
 The stepping machinery is built once per window attempt and shared by the
 reference solve and every Picard iteration.  Implicit Euler factors each
 I + dt_k*A(u1) once, as one LAPACK banded LU (``operators.BandedLU``), in 1D
@@ -41,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
-from .norms import (E1mu_norm, WeightedTrajectory, difference, lq_norm, proxy_norm,
+from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
                     x1_norm)
 from .operators import (BandedLU, LinearOperator, SolverError, SpectralProxy,
                         eigendecompose, reference_operator)
@@ -142,12 +149,12 @@ class _EulerStepper:
         ab, bands = A0.to_banded()
         self.factors = [BandedLU(ab, bands, scale=dt, shift=1.0) for dt in np.diff(times)]
 
-    def run(self, u_init: np.ndarray, rhs: Optional[list]) -> list:
-        us = [u_init]
+    def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
+        us = np.tile(u_init, (len(self.times), 1))
         dts = np.diff(self.times)
         for k, lu in enumerate(self.factors):
-            b = us[-1] if rhs is None else us[-1] + dts[k] * rhs[k + 1]
-            us.append(lu.solve(b))
+            b = us[k] if rhs is None else us[k] + dts[k] * rhs[k + 1]
+            us[k + 1] = lu.solve(b)
         return us
 
 
@@ -174,15 +181,15 @@ class _SpectralStepper:
     def _modal(self, vec: np.ndarray) -> np.ndarray:
         return self.wmodes.T @ vec
 
-    def run(self, u_init: np.ndarray, rhs: Optional[list]) -> list:
+    def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
         c = self._modal(u_init)
-        us = [u_init]
+        us = np.tile(u_init, (len(self.times), 1))
         for k, dt in enumerate(np.diff(self.times)):
             decay = np.exp(-self.lam * dt)
             c = decay * c
             if rhs is not None:
                 c = c + dt * _phi1(-self.lam * dt) * self._modal(rhs[k + 1])
-            us.append(self.proxy.modes @ c)
+            us[k + 1] = self.proxy.modes @ c
         return us
 
 
@@ -205,18 +212,21 @@ def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
     return _Machinery(A0=A0, times=times, stepper=stepper)
 
 
-def _assemble_trajectory(mach: _Machinery, vecs: list, rhs: Optional[list],
+def _assemble_trajectory(mach: _Machinery, vecs: np.ndarray, rhs: Optional[np.ndarray],
                          cfg: FixedPointConfig) -> WeightedTrajectory:
+    """Scatter the (K+1, n_active) stepper output onto the grid; the time
+    derivative is -A0 u + rhs at t = 0 and the backward difference after."""
     A0 = mach.A0
-    times = mach.times
-    states = [A0.extend(v) for v in vecs]
-    dts = np.diff(times)
-    derivs = []
+    full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
+    states = np.zeros(full)
+    states[:, A0.active] = vecs
+    derivs = np.zeros(full)
     r0 = rhs[0] if rhs is not None else 0.0
-    derivs.append(A0.extend(r0 - A0.matrix @ vecs[0]))
-    for k in range(1, len(vecs)):
-        derivs.append(A0.extend((vecs[k] - vecs[k - 1]) / dts[k - 1]))
-    return WeightedTrajectory(times, tuple(states), tuple(derivs), cfg.mu, cfg.p)
+    derivs[0, A0.active] = r0 - A0.matrix @ vecs[0]
+    derivs[1:, A0.active] = np.diff(vecs, axis=0) / np.diff(mach.times)[:, None]
+    shape = (len(vecs),) + A0.grid.shape + (A0.ncomp,)
+    return WeightedTrajectory(mach.times, states.reshape(shape), derivs.reshape(shape),
+                              cfg.mu, cfg.p)
 
 
 def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointConfig,
@@ -233,16 +243,17 @@ def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointC
 
 
 def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
-                A0: LinearOperator) -> list:
-    rhs = []
-    for state in v.states:
+                A0: LinearOperator) -> np.ndarray:
+    """The (K+1, n_active) rhs samples; the problem hooks take one state each."""
+    rhs = np.empty((len(v.times), A0.n_active))
+    for k, state in enumerate(v.states):
         if not prob.state_constraint(state):
             raise StateConstraintError("iterate left the admissible region")
         try:
             f = prob.F1(state) + prob.F2(state) + A0.apply(state) - prob.apply(state, state)
         except NonFiniteError as exc:
             raise StateConstraintError("non-finite right-hand side") from exc
-        rhs.append(A0.restrict(f))
+        rhs[k] = A0.restrict(f)
     return rhs
 
 
@@ -297,16 +308,21 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
         try:
             mach = _build_machinery(prob, u1, times, cfg)
             v = reference_solution(u1, prob, cfg, _mach=mach)
-        except (SolverError, StateConstraintError) as exc:
+        except (SolverError, StateConstraintError, NonFiniteError) as exc:
             reason = f"reference solve failed: {exc}"
         else:
             for iterations in range(1, cfg.max_iter + 1):
                 try:
                     u = picard_map(v, u1, u1, prob, cfg, _mach=mach)
-                except (SolverError, StateConstraintError) as exc:
+                    d = difference(u, v)
+                except (SolverError, StateConstraintError, NonFiniteError) as exc:
                     reason = f"iteration failed: {exc}"
                     break
-                r = E1mu_norm(difference(u, v), q=cfg.q, order=prob.order_int, bc=prob.bc)
+                # drop the old iterate before the norm, and the difference after
+                # it, so that neither lives through the next Picard map
+                v = u
+                r = E1mu_norm(d, q=cfg.q, order=prob.order_int, bc=prob.bc)
+                del d
                 if not math.isfinite(r):
                     reason = "non-finite residual"
                     break
@@ -317,7 +333,6 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                     if fac >= 1.0:
                         reason = f"contraction factor {fac:.3g} >= 1"
                         break
-                v = u
                 if r <= cfg.tol:
                     return SolverWindowState(
                         converged=True, window=T, halvings=halvings,
@@ -366,7 +381,10 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
     set and ``t_plus_estimate`` is the reached time, a certified lower bound
     for the existence time; otherwise it is +inf as far as this run can see.
     ``on_window(index, t_start, window_state)`` fires after each accepted
-    window, e.g. for checkpointing.
+    window, e.g. for checkpointing.  After it has run, the window's
+    trajectory is released: ``windows[i].trajectory`` is None in the
+    returned state, whose glued ``trajectory`` holds the only copy of the
+    samples.
     """
     if horizon <= t0:
         raise ValueError(f"horizon {horizon} must exceed the start time {t0}")
@@ -375,9 +393,7 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
     windows: list = []
     blow_up = False
     reason = None
-    times_all = [t0]
-    states_all = [u0]
-    derivs_all: Optional[list] = None
+    pieces: list = []
     while t < horizon - 1e-12 * max(1.0, horizon):
         wcfg = dataclasses.replace(cfg, window=min(cfg.window, horizon - t))
         try:
@@ -392,28 +408,22 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
             break
         windows.append(st)
         traj = st.trajectory
-        joint_gap = (traj.states[0] - u).sup_norm()
+        joint_gap = float(np.max(np.abs(traj.state_values[0] - u.values)))
         if joint_gap > 1e-8 * max(1.0, u.sup_norm()):
             raise SolverError(f"window joint mismatch {joint_gap:.3e}")
-        if derivs_all is None:
-            derivs_all = [traj.derivs[0]]
+        pieces.append((t, traj))
         t_start = t
-        times_all.extend((t + traj.times[1:]).tolist())
-        states_all.extend(traj.states[1:])
-        derivs_all.extend(traj.derivs[1:])
-        u = traj.states[-1]
-        t = times_all[-1]
+        t = float(t + traj.times[-1])
+        u = GridFunction(traj.grid, traj.state_values[-1])
         if on_window is not None:
             on_window(len(windows) - 1, t_start, st)
+        st.trajectory = None
         if u.sup_norm() >= cfg.blowup_threshold:
             blow_up = True
             reason = f"sup norm reached blow-up threshold {cfg.blowup_threshold:g}"
             break
-    trajectory = None
-    if len(times_all) > 1:
-        # trajectory time is local to the start of this continuation run
-        trajectory = WeightedTrajectory(np.array(times_all) - t0, tuple(states_all),
-                                        tuple(derivs_all), cfg.mu, cfg.p)
+    # trajectory time is local to the start of this continuation run
+    trajectory = glue(pieces, cfg.mu, cfg.p, t0) if pieces else None
     return ContinuationState(
         windows=windows,
         t_plus_estimate=t if blow_up else math.inf,
@@ -596,12 +606,8 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
     diameter = float(np.max(dist[np.ix_(final_cluster, final_cluster)])) if len(final_cluster) > 1 else 0.0
     converged = len(clusters) == 1 and (spread_late <= spread_early + 1e-15
                                         or diameter <= threshold)
-    points = []
-    for c in clusters:
-        acc = states[c[0]].copy()
-        for i in c[1:]:
-            acc = acc + states[i]
-        points.append((1.0 / len(c)) * acc)
+    points = [(1.0 / len(c)) * GridFunction(traj.grid, np.sum([states[i].values for i in c], axis=0))
+              for c in clusters]
     return OmegaLimitReport(
         cluster_points=points, diameter=diameter, converged=converged,
         n_clusters=len(clusters),

@@ -118,12 +118,6 @@ class GridFunction:
             raise ValueError(f"field has {self.ncomp} components, not scalar")
         return self.values[..., 0]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[..., i]
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def _binop(self, other, op):
         if isinstance(other, GridFunction):
             if other.grid != self.grid:

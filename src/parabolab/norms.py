@@ -10,6 +10,12 @@ with |u|_X1 the sum of L_q norms of u and its derivatives up to the problem
 order.  Quadrature is the trapezoid rule on the trajectory's own (graded)
 time grid; the t = 0 sample carries zero weight whenever 1 - mu > 0.
 
+A trajectory stores its K+1 states, and their time derivatives, as one array
+each of shape (K+1, *grid.shape, ncomp).  ``lq_norms`` and ``x1_norms`` act
+on such stacks along their leading axes, so every weighted norm gets its
+per-sample spatial norms from a few array operations; ``lq_norm`` and
+``x1_norm`` are the single-field case.
+
 Fractional interpolation spaces are represented by their q = 2 spectral
 surrogate (I + L)^theta in the eigenbasis of a reference operator L
 (SpectralProxy); ``verify_interpolation_inequality`` measures the constant in
@@ -25,13 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .grids import BoundaryCondition, Grid, GridFunction
-from .operators import SpectralProxy, derivative
+from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
+from .operators import SpectralProxy, derivative_values
 
 
 def weighted_time_factor(T: float, p: float, mu: float) -> float:
@@ -44,13 +51,19 @@ def weighted_time_factor(T: float, p: float, mu: float) -> float:
     return T ** (1.0 / p + 1.0 - mu) / (1.0 + (1.0 - mu) * p) ** (1.0 / p)
 
 
-def lq_norm(u: GridFunction, q: float = 2.0) -> float:
-    """L_q norm over the domain, Euclidean in the components."""
+def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
+    """L_q norm of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    w = u.grid.trapezoid_weights()
-    mag = np.sqrt(np.sum(u.values ** 2, axis=-1))
-    return float(np.sum(w * mag ** q) ** (1.0 / q))
+    mag = np.sqrt(np.sum(values ** 2, axis=-1))
+    mag **= q
+    mag *= grid.trapezoid_weights()
+    return np.sum(mag, axis=tuple(range(-grid.dim, 0))) ** (1.0 / q)
+
+
+def lq_norm(u: GridFunction, q: float = 2.0) -> float:
+    """L_q norm over the domain, Euclidean in the components."""
+    return float(lq_norms(u.values, u.grid, q))
 
 
 def _multi_indices(dim: int, order: int):
@@ -62,51 +75,58 @@ def _multi_indices(dim: int, order: int):
     return out
 
 
+def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
+             bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> np.ndarray:
+    """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, got {order}")
+    total = lq_norms(values, grid, q)
+    for sigma in _multi_indices(grid.dim, order):
+        total += lq_norms(derivative_values(values, grid, sigma, bc), grid, q)
+    return total
+
+
 def x1_norm(u: GridFunction, q: float = 2.0, order: int = 2,
             bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> float:
     """Top-regularity norm: L_q of u plus L_q of every D^sigma u, |sigma| <= order."""
-    if order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
-    total = lq_norm(u, q)
-    for sigma in _multi_indices(u.grid.dim, order):
-        total += lq_norm(derivative(u, sigma, bc), q)
-    return total
+    return float(x1_norms(u.values, u.grid, q, order, bc))
 
 
 @dataclass(frozen=True)
 class WeightedTrajectory:
     """Sampled trajectory with its weight exponents.
 
-    times[0] must be 0 (the trace sample); the rest are strictly increasing.
-    ``derivs`` may be None when only state norms are needed.
+    ``state_values`` stacks the K+1 states in one array of shape
+    ``(K+1, *grid.shape, ncomp)``; ``deriv_values`` stacks the time
+    derivatives the same way, or is None when only state norms are needed.
+    The grid is read off the shape.  times[0] must be 0 (the trace sample);
+    the rest are strictly increasing.
     """
 
     times: np.ndarray
-    states: tuple
-    derivs: Optional[tuple]
+    state_values: np.ndarray
+    deriv_values: Optional[np.ndarray]
     mu: float
     p: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-        if self.derivs is not None:
-            object.__setattr__(self, "derivs", tuple(self.derivs))
+        states = np.asarray(self.state_values, dtype=float)
+        derivs = None if self.deriv_values is None else np.asarray(self.deriv_values, dtype=float)
+        for name, value in (("times", times), ("state_values", states), ("deriv_values", derivs)):
+            object.__setattr__(self, name, value)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time samples")
         if times[0] != 0.0:
             raise ValueError(f"times[0] must be 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if len(self.states) != len(times):
-            raise ValueError("states length does not match times")
-        if self.derivs is not None and len(self.derivs) != len(times):
-            raise ValueError("derivs length does not match times")
-        grid = self.states[0].grid
-        for s in self.states[1:]:
-            if s.grid != grid:
-                raise ValueError("states live on different grids")
+        if states.ndim not in (3, 4) or states.shape[:-1] != times.shape + self.grid.shape:
+            raise ValueError(f"states shape {states.shape} is not (len(times), *grid.shape, ncomp)")
+        if derivs is not None and derivs.shape != states.shape:
+            raise ValueError(f"derivs shape {derivs.shape} differs from states {states.shape}")
+        if not (np.all(np.isfinite(states)) and (derivs is None or np.all(np.isfinite(derivs)))):
+            raise NonFiniteError("non-finite trajectory")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
         if self.p <= 1.0:
@@ -114,7 +134,18 @@ class WeightedTrajectory:
 
     @property
     def grid(self) -> Grid:
-        return self.states[0].grid
+        return Grid(self.state_values.ndim - 2, self.state_values.shape[1])
+
+    @cached_property
+    def states(self) -> tuple:
+        """The states as GridFunction views into ``state_values``."""
+        return tuple(GridFunction(self.grid, v) for v in self.state_values)
+
+    @cached_property
+    def derivs(self) -> Optional[tuple]:
+        """The time derivatives as GridFunction views, or None."""
+        return None if self.deriv_values is None else tuple(
+            GridFunction(self.grid, v) for v in self.deriv_values)
 
     @property
     def horizon(self) -> float:
@@ -141,11 +172,27 @@ def difference(a: WeightedTrajectory, b: WeightedTrajectory) -> WeightedTrajecto
     """Samplewise a - b; requires identical time grids."""
     if len(a.times) != len(b.times) or np.any(a.times != b.times):
         raise ValueError("trajectories sampled on different time grids")
-    states = tuple(sa - sb for sa, sb in zip(a.states, b.states))
     derivs = None
-    if a.derivs is not None and b.derivs is not None:
-        derivs = tuple(da - db for da, db in zip(a.derivs, b.derivs))
-    return WeightedTrajectory(a.times, states, derivs, a.mu, a.p)
+    if a.deriv_values is not None and b.deriv_values is not None:
+        derivs = a.deriv_values - b.deriv_values
+    return WeightedTrajectory(a.times, a.state_values - b.state_values, derivs, a.mu, a.p)
+
+
+def glue(windows: list, mu: float, p: float, t0: float = 0.0) -> WeightedTrajectory:
+    """Join ``(t_start, trajectory)`` windows that abut in absolute time.
+
+    Every window after the first drops its sample at the joint; the glued
+    time axis starts at ``t0``.  Raises ValueError on a gap between windows.
+    """
+    for (s0, a), (s1, _) in zip(windows, windows[1:]):
+        end = s0 + a.times[-1]
+        if abs(end - s1) > 1e-12 * max(1.0, abs(end)):
+            raise ValueError(f"windows do not abut: {end} vs {s1}")
+    cuts = [slice(min(k, 1), None) for k in range(len(windows))]
+    times = np.concatenate([s + w.times[c] for c, (s, w) in zip(cuts, windows)]) - t0
+    states = np.concatenate([w.state_values[c] for c, (_, w) in zip(cuts, windows)])
+    derivs = np.concatenate([w.deriv_values[c] for c, (_, w) in zip(cuts, windows)])
+    return WeightedTrajectory(times, states, derivs, mu, p)
 
 
 def _weighted_integral(times: np.ndarray, y: np.ndarray, mu: float, p: float,
@@ -167,35 +214,30 @@ def _weighted_integral(times: np.ndarray, y: np.ndarray, mu: float, p: float,
     return float(np.trapezoid(f, ts))
 
 
-def weighted_Lp_norm(traj: WeightedTrajectory, spatial_norm: Callable[[GridFunction], float],
-                     interval=None, use_derivs: bool = False) -> float:
-    """|| t^(1-mu) N(u(t)) ||_{L_p(interval)} by trapezoid on the sample grid.
+def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
+    """|| t^(1-mu) y(t) ||_{L_p(interval)} by trapezoid on the sample grid.
 
-    ``spatial_norm`` maps a GridFunction to a scalar (e.g. a partial of
-    lq_norm / x1_norm / proxy_norm).  Interval endpoints need not be sample
-    points; the nodal norm values are interpolated linearly.
+    ``y`` holds one spatial norm per sample.  Interval endpoints need not be
+    sample points; the nodal norm values are interpolated linearly.
     """
-    fields = traj.derivs if use_derivs else traj.states
-    if fields is None:
-        raise ValueError("trajectory has no stored derivatives")
-    y = np.array([spatial_norm(f) for f in fields])
     if interval is None:
         interval = (traj.times[0], traj.times[-1])
     return _weighted_integral(traj.times, y, traj.mu, traj.p, interval) ** (1.0 / traj.p)
 
 
 def E0mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0) -> float:
-    return weighted_Lp_norm(traj, lambda u: lq_norm(u, q), interval)
+    return _time_norm(traj, lq_norms(traj.state_values, traj.grid, q), interval)
 
 
 def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
               order: int = 2, bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> float:
     """Solution-space norm: states + time derivative + top spatial regularity."""
-    if traj.derivs is None:
+    if traj.deriv_values is None:
         raise ValueError("E1mu norm needs stored time derivatives")
-    part_state = weighted_Lp_norm(traj, lambda u: lq_norm(u, q), interval)
-    part_deriv = weighted_Lp_norm(traj, lambda u: lq_norm(u, q), interval, use_derivs=True)
-    part_top = weighted_Lp_norm(traj, lambda u: x1_norm(u, q, order, bc), interval)
+    grid = traj.grid
+    part_state = _time_norm(traj, lq_norms(traj.state_values, grid, q), interval)
+    part_deriv = _time_norm(traj, lq_norms(traj.deriv_values, grid, q), interval)
+    part_top = _time_norm(traj, x1_norms(traj.state_values, grid, q, order, bc), interval)
     return part_state + part_deriv + part_top
 
 

@@ -49,30 +49,32 @@ class SolverError(RuntimeError):
 
 def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     offsets, coeffs = STENCILS[order]
-    half = -offsets[0]
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (half, half)
-    padded = np.pad(values, pad, mode="reflect")
-    out = np.zeros_like(values)
     n = values.shape[axis]
+    out = np.zeros_like(values)
+    shifted = np.empty_like(values)
     for off, c in zip(offsets, coeffs):
         if c == 0.0:
             continue
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(half + off, half + off + n)
-        out += c * padded[tuple(sl)]
-    return out / h ** order
+        idx = np.abs(np.arange(off, n + off))  # ghost nodes mirror about the boundary
+        idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+        np.take(values, idx, axis=axis, out=shifted, mode="clip")
+        shifted *= c
+        out += shifted
+    out /= h ** order
+    return out
 
 
-def derivative(u: GridFunction, sigma, bc: BoundaryCondition) -> GridFunction:
-    """D^sigma u with reflection ghosts, applied one axis at a time.
+def derivative_values(values: np.ndarray, grid: Grid, sigma,
+                      bc: BoundaryCondition) -> np.ndarray:
+    """D^sigma of nodal values of shape ``(..., *grid.shape, ncomp)``, with
+    reflection ghosts, applied one spatial axis at a time.
 
+    Leading axes, such as the samples of a trajectory, are carried along.
     ``sigma`` is a multi-index (an int is accepted in 1D).  Each component
     must be <= 4 and the total order |sigma| <= 4.  Both boundary conditions
     use the symmetric reflection ghost rule; they differ only in which nodes
     an assembled operator treats as unknowns.
     """
-    grid = u.grid
     if isinstance(sigma, int):
         sigma = (sigma,)
     sigma = tuple(int(s) for s in sigma)
@@ -82,12 +84,17 @@ def derivative(u: GridFunction, sigma, bc: BoundaryCondition) -> GridFunction:
         raise ValueError(f"unsupported multi-index {sigma}: components <= 4, |sigma| <= 4")
     if not isinstance(bc, BoundaryCondition):
         raise TypeError(f"bc must be a BoundaryCondition, got {bc!r}")
-    vals = u.values
+    vals = values
     for axis, s in enumerate(sigma):
         if s == 0:
             continue
-        vals = _axis_stencil_apply(vals, axis, s, grid.h)
-    return GridFunction(grid, np.array(vals, copy=True)) if vals is u.values else GridFunction(grid, vals)
+        vals = _axis_stencil_apply(vals, axis - grid.dim - 1, s, grid.h)
+    return vals.copy() if vals is values else vals
+
+
+def derivative(u: GridFunction, sigma, bc: BoundaryCondition) -> GridFunction:
+    """D^sigma u; see ``derivative_values``."""
+    return GridFunction(u.grid, derivative_values(u.values, u.grid, sigma, bc))
 
 
 def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> scipy.sparse.csr_matrix:

@@ -121,14 +121,12 @@ def test_criterion_02_weighted_norm_oracle():
     errs_const, errs_power = [], []
     for K in (600, 6000):
         times = graded_times(T, K, gamma)
-        const_states = [GridFunction.from_scalar(grid, np.full(grid.shape, 2.5))
-                        for _ in times]
+        const_states = np.full((len(times),) + grid.shape + (1,), 2.5)
         traj = WeightedTrajectory(times, const_states, None, MU, P)
         target = 2.5 * weighted_time_factor(T, P, MU)
         errs_const.append(abs(E0mu_norm(traj) - target) / target)
 
-        power_states = [GridFunction.from_scalar(grid, np.full(grid.shape, t ** s))
-                        for t in times]
+        power_states = np.stack([np.full(grid.shape + (1,), t ** s) for t in times])
         ptraj = WeightedTrajectory(times, power_states, None, MU, P)
         expo = (1.0 - MU + s) * P + 1.0
         ptarget = T ** (expo / P) / expo ** (1.0 / P)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parabolab.checkpoint import (FORMAT_VERSION, CheckpointError,
                                   load_trajectory, save_trajectory)
-from parabolab.grids import Grid, GridFunction
+from parabolab.grids import Grid
 from parabolab.norms import WeightedTrajectory
 
 
@@ -17,10 +21,8 @@ def sample_traj(dim=1, nodes=12, ncomp=1, mu=0.9, p=2.0):
     grid = Grid(dim, nodes)
     rng = np.random.default_rng(42)
     times = np.array([0.0, 0.01, 0.03, 0.06])
-    states = tuple(GridFunction(grid, rng.normal(size=grid.shape + (ncomp,)))
-                   for _ in times)
-    derivs = tuple(GridFunction(grid, rng.normal(size=grid.shape + (ncomp,)))
-                   for _ in times)
+    states = rng.normal(size=(len(times),) + grid.shape + (ncomp,))
+    derivs = rng.normal(size=(len(times),) + grid.shape + (ncomp,))
     return WeightedTrajectory(times, states, derivs, mu, p)
 
 
@@ -38,6 +40,30 @@ def test_round_trip(tmp_path):
         assert np.array_equal(a.values, b.values)
     for a, b in zip(back.derivs, traj.derivs):
         assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_round_trip_returns_identical_arrays(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 12), label="nodes"))
+    ncomp = data.draw(st.integers(1, 2), label="ncomp")
+    steps = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5), label="steps")
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    shape = (len(times),) + grid.shape + (ncomp,)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    traj = WeightedTrajectory(times, data.draw(arrays(np.float64, shape, elements=finite)),
+                              data.draw(arrays(np.float64, shape, elements=finite)),
+                              data.draw(st.floats(0.6, 1.0), label="mu"), 2.0)
+    buf = io.BytesIO()
+    save_trajectory(buf, traj, {"k": 1})
+    buf.seek(0)
+    back, meta = load_trajectory(buf)
+    assert meta == {"k": 1}
+    assert back.grid == traj.grid and back.mu == traj.mu and back.p == traj.p
+    for name in ("times", "state_values", "deriv_values"):
+        a, b = getattr(back, name), getattr(traj, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_round_trip_2d_multicomponent(tmp_path):

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parabolab
 from parabolab.checkpoint import load_trajectory
 from parabolab.cli import main
 from parabolab.norms import E0mu_norm
@@ -147,6 +151,42 @@ def test_run_resume_reproduces_uninterrupted_bytes(tmp_path):
     assert (a / "trajectory.npz").read_bytes() == (b / "trajectory.npz").read_bytes()
     assert (a / "timeseries.csv").read_bytes() == (b / "timeseries.csv").read_bytes()
     assert (a / "window_0001.npz").read_bytes() == (b / "window_0001.npz").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    {"grid": {"dim": 1, "nodes": 32}},
+    {"exponents": {"p": 2, "q": 2, "mu": "4/5"}},
+], ids=["nodes", "mu"])
+def test_run_resume_refuses_edited_config(tmp_path, capsys, edit):
+    half_cfg = heat_cfg()
+    half_cfg["solver"]["horizon"] = 0.02
+    half = write_cfg(tmp_path / "half.json", half_cfg)
+    edited = write_cfg(tmp_path / "edited.json", heat_cfg(**edit))
+    out = tmp_path / "out"
+    assert main(["run", "--config", half, "--out", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert main(["run", "--config", edited, "--out", str(out), "--resume"]) == 4
+    assert "another config" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    # the fingerprint lives in the window meta only
+    _, window_meta = load_trajectory(out / "window_0000.npz")
+    _, traj_meta = load_trajectory(out / "trajectory.npz")
+    assert len(window_meta["config_sha256"]) == 64
+    assert "config_sha256" not in traj_meta
+
+
+def test_module_entry_point_runs(tmp_path):
+    cfg_path = write_cfg(tmp_path / "cfg.json", heat_cfg())
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    src = str(Path(parabolab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parabolab.cli", "run", "--config", cfg_path, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
 
 def test_run_inadmissible_gate_and_force(tmp_path, capsys):

@@ -318,6 +318,41 @@ def test_continuation_from_interior_start_time():
         continue_solution(u0, prob, cfg, horizon=0.05, t0=0.1)
 
 
+def test_continuation_keeps_one_copy_of_the_samples():
+    grid, prob = heat_problem(24)
+    u0, _ = eigenmode(grid, 1, amp=0.5)
+    cfg = FixedPointConfig(window=0.05, time_steps=8, mu=MU, p=P, tol=1e-9)
+    seen = []
+    st = continue_solution(u0, prob, cfg, horizon=0.15,
+                           on_window=lambda i, t, w: seen.append(w.trajectory.state_values))
+    # each window's trajectory is released once on_window has seen it, and
+    # the glued trajectory keeps one sample per joint
+    assert all(w.trajectory is None for w in st.windows)
+    assert np.array_equal(st.trajectory.state_values,
+                          np.concatenate([seen[0]] + [s[1:] for s in seen[1:]]))
+
+
+def test_overflowing_trajectory_collapses_to_blow_up():
+    # u0 is finite, but -A0 u0 (the time derivative at t = 0) overflows, so
+    # every window attempt fails and the first window collapses
+    grid = Grid(1, 17)
+    op = reference_operator(grid, "second")
+
+    def zero(v):
+        return GridFunction.zeros(v.grid)
+
+    prob = AbstractProblem(assemble_A=lambda v: op, F1=zero, F2=zero,
+                           bc=BoundaryCondition.NEUMANN)
+    u0 = GridFunction.from_scalar(grid, 1e306 * np.cos(np.pi * grid.axis_coords()))
+    cfg = FixedPointConfig(window=0.01, time_steps=4, mu=MU, p=P, max_halvings=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = continue_solution(u0, prob, cfg, horizon=0.02)
+    assert st.blow_up
+    assert "non-finite trajectory" in st.reason
+    assert st.windows == [] and st.trajectory is None
+    assert st.t_plus_estimate == 0.0
+
+
 def test_blow_up_detection_time():
     grid, prob = square_problem()
     u0 = constant_state(grid, 2.0)

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from parabolab.grids import BoundaryCondition, Grid, GridFunction
+from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory,
-                             difference, lq_norm, proxy_norm, smoothing_check,
-                             verify_interpolation_inequality,
-                             weighted_time_factor, x1_norm)
-from parabolab.operators import eigendecompose, reference_operator
+                             difference, lq_norm, lq_norms, proxy_norm,
+                             smoothing_check, verify_interpolation_inequality,
+                             weighted_time_factor, x1_norm, x1_norms)
+from parabolab.operators import STENCILS, eigendecompose, reference_operator
 
 MU, P = 0.9, 2.0
 
@@ -37,9 +40,13 @@ def graded_times(T=1.0, K=2000, gamma=2.5):
     return T * (np.arange(K + 1) / K) ** gamma
 
 
+def stack(fields):
+    return np.stack([f.values for f in fields])
+
+
 def make_traj(times, state_fn, deriv_fn, grid, mu=MU, p=P):
-    states = tuple(state_fn(t) for t in times)
-    derivs = None if deriv_fn is None else tuple(deriv_fn(t) for t in times)
+    states = stack(state_fn(t) for t in times)
+    derivs = None if deriv_fn is None else stack(deriv_fn(t) for t in times)
     return WeightedTrajectory(np.asarray(times), states, derivs, mu, p)
 
 
@@ -80,24 +87,83 @@ def test_x1_norm_cosine_closed_form():
         x1_norm(u, order=3)
 
 
+def reference_lq(values, grid, q):
+    """The per-sample L_q norm, written out."""
+    mag = np.sqrt(np.sum(values ** 2, axis=-1))
+    return float(np.sum(grid.trapezoid_weights() * mag ** q) ** (1.0 / q))
+
+
+def reference_x1(values, grid, q, order):
+    """The per-sample X1 norm with np.pad reflection ghosts."""
+    total = reference_lq(values, grid, q)
+    for sigma in np.ndindex(*(order + 1,) * grid.dim):
+        if not 1 <= sum(sigma) <= order:
+            continue
+        vals = values
+        for axis, s in enumerate(sigma):
+            if s == 0:
+                continue
+            offsets, coeffs = STENCILS[s]
+            half = -offsets[0]
+            pad = [(0, 0)] * vals.ndim
+            pad[axis] = (half, half)
+            padded = np.pad(vals, pad, mode="reflect")
+            out = np.zeros_like(vals)
+            for off, c in zip(offsets, coeffs):
+                sl = [slice(None)] * vals.ndim
+                sl[axis] = slice(half + off, half + off + vals.shape[axis])
+                out += c * padded[tuple(sl)]
+            vals = out / grid.h ** s
+        total += reference_lq(vals, grid, q)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_norms_match_per_sample_norms(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 20 if dim == 1 else 11), label="nodes"))
+    ncomp = data.draw(st.integers(1, 2), label="ncomp")
+    q = data.draw(st.sampled_from([2.0, 4.0]), label="q")
+    order = data.draw(st.sampled_from([2, 4]), label="order")
+    bc = data.draw(st.sampled_from(list(BoundaryCondition)), label="bc")
+    samples = data.draw(st.integers(1, 4), label="samples")
+    values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
+                              elements=st.floats(-1e3, 1e3)), label="values")
+    lq = lq_norms(values, grid, q)
+    x1 = x1_norms(values, grid, q, order, bc)
+    assert lq.shape == x1.shape == (samples,)
+    for k in range(samples):
+        u = GridFunction(grid, values[k])
+        for stacked, single, ref in ((lq[k], lq_norm(u, q), reference_lq(values[k], grid, q)),
+                                     (x1[k], x1_norm(u, q, order, bc),
+                                      reference_x1(values[k], grid, q, order))):
+            assert abs(stacked - single) <= 1e-14 * abs(single)
+            assert abs(stacked - ref) <= 1e-14 * abs(ref)
+
+
 # ---------------------------------------------------------------- trajectory
 
 def test_trajectory_validation():
     grid = Grid(1, 9)
     u = GridFunction.zeros(grid)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.1, 0.2]), (u, u), None, MU, P)
+        WeightedTrajectory(np.array([0.1, 0.2]), stack((u, u)), None, MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2, 0.2]), (u, u, u), None, MU, P)
+        WeightedTrajectory(np.array([0.0, 0.2, 0.2]), stack((u, u, u)), None, MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), (u,), None, MU, P)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u,)), None, MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), (u, u), None, 1.2, P)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), None, 1.2, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), (u, u), None, MU, 1.0)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), None, MU, 1.0)
+    # states and derivatives on different grids
     other = GridFunction.zeros(Grid(1, 11))
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), (u, other), None, MU, P)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), stack((other, other)), MU, P)
+    with pytest.raises(NonFiniteError):
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)) + np.array([[[0.0]], [[np.inf]]]),
+                           None, MU, P)
 
 
 def test_state_at_linear_interpolation():
