@@ -54,7 +54,8 @@ def _emit_json(obj: dict, path=None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with ckpt.atomic_open(path) as fh:
+            fh.write(text.encode())
 
 
 def _cell(x) -> str:
@@ -218,7 +219,8 @@ def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
     out["norm_intervals"] = rows
     out["E1mu_total"] = E1mu_norm(traj, q=q, order=order, bc=bc)
     delta = diag.get("smoothing_delta", T / 2.0)
-    if np.any((traj.times > delta / 2.0) & (traj.times < delta)):
+    # a run that ended before the configured delta has no smoothing window
+    if delta <= T and np.any((traj.times > delta / 2.0) & (traj.times < delta)):
         out["smoothing"] = smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
     if "omega_count" in diag or "omega_fraction" in diag:
         count = diag.get("omega_count", 8)
@@ -380,6 +382,10 @@ def cmd_norms(args) -> int:
     bc = BoundaryCondition(meta.get("bc", "neumann"))
     q = args.q
     T = traj.horizon
+    delta = args.delta if args.delta is not None else T / 2.0
+    if not 0.0 < delta <= T:
+        raise cfgmod.ConfigError(f"--delta must lie in (0, {T!r}], the saved horizon; "
+                                 f"got {delta!r}")
     edges = np.linspace(0.0, T, args.intervals + 1)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -392,7 +398,6 @@ def cmd_norms(args) -> int:
                  E0mu_norm(traj, q=q),
                  E1mu_norm(traj, q=q, order=order, bc=bc)])
     _write_csv(args.csv, ["t_lo", "t_hi", "E0mu", "E1mu"], rows)
-    delta = args.delta if args.delta is not None else T / 2.0
     report = {
         "mu": traj.mu, "p": traj.p, "q": q, "horizon": T,
         "E1mu_total": rows[-1][3],

@@ -72,6 +72,10 @@ def validate_run_config(cfg: dict) -> None:
     except jsonschema.ValidationError as exc:
         path = "/".join(str(k) for k in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    delta = cfg.get("diagnostics", {}).get("smoothing_delta")
+    if delta is not None and delta > horizon_of(cfg):
+        raise ConfigError(f"diagnostics.smoothing_delta {delta!r} exceeds the horizon "
+                          f"{horizon_of(cfg)!r}")
 
 
 def load_run_config(path) -> dict:

@@ -6,7 +6,13 @@ state u1 and iterates the affine map
 
     T(v):  du/dt + A(u1) u = F1(v) + F2(v) + (A(u1) - A(v)) v,  u(0) = u1,
 
-whose fixed point solves the quasilinear problem on (0, T].  Residuals are
+whose fixed point solves the quasilinear problem on (0, T].  Since A(u1) is
+frozen, the map needs the nonlinearity only through
+
+    G(v) = F1(v) + F2(v) - A(v) v,
+
+the quasilinear split of Koehne-Pruess-Wilke, here with singular lower-order
+terms F2: the right-hand side of T is G(v) + A(u1) v.  Residuals are
 measured in the weighted solution norm E1mu with window-local time; an
 empirical contraction factor >= 1 (or any evaluation failure) halves the
 window and restarts.  ``continue_solution`` glues accepted windows until a
@@ -20,10 +26,12 @@ symmetric scalar operators and makes window gluing exact up to roundoff.
 
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
 steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
-scatters onto the grid once; the only loop over samples left is the Picard
-right-hand side, whose problem hooks take one GridFunction each.
-``continue_solution`` glues the windows' arrays and releases each window's
-trajectory once ``on_window`` has seen it.
+scatters onto the grid once, and the Picard right-hand side is one call of
+the problem's G hook on the whole stack of samples, followed by one sparse
+product with A(u1).  Problems without a G hook fall back to their F1, F2
+and apply_A hooks, one sample at a time.  ``continue_solution`` glues the
+windows' arrays and releases each window's trajectory once ``on_window`` has
+seen it.
 
 The stepping machinery is built once per window attempt and shared by the
 reference solve and every Picard iteration.  Implicit Euler factors each
@@ -65,7 +73,7 @@ class NonconvergenceError(RuntimeError):
         self.residuals = tuple(residuals)
 
 
-def _always_admissible(_u: GridFunction) -> bool:
+def _always_admissible(_values: np.ndarray) -> bool:
     return True
 
 
@@ -74,19 +82,34 @@ class AbstractProblem:
     """Quasilinear problem in the split form du/dt + A(u) u = F1(u) + F2(u).
 
     ``assemble_A`` must return the frozen leading operator as a matrix;
-    ``apply_A`` is an optional mat-free version used inside the rhs loop.
-    ``state_constraint`` guards coefficient evaluation (the open set U).
+    ``apply_A`` is an optional mat-free version of A(v) u.
+    ``state_constraint`` guards coefficient evaluation (the open set U): it
+    takes nodal values of shape ``(..., *grid.shape, ncomp)``, a single
+    state or a stack of samples, and says whether all of them lie in U.
+
+    ``G`` is the optional stacked right-hand side the window solver uses,
+
+        G(v) = F1(v) + F2(v) - A(v) v.
+
+    It takes nodal values of shape ``(..., *grid.shape, ncomp)`` and returns
+    an array of the same shape, each sample evaluated on its own; leading
+    axes are samples, so G must not mix them.  It may assume that its input
+    satisfies ``state_constraint`` and may return non-finite values, which
+    the caller rejects.  G does not depend on the frozen operator, so it is
+    invariant under ``kappa_shift``.  Without it, ``G_values`` evaluates
+    F1 + F2 - apply one sample at a time.
     """
 
     assemble_A: Callable[[GridFunction], LinearOperator]
     F1: Callable[[GridFunction], GridFunction]
     F2: Callable[[GridFunction], GridFunction]
     bc: BoundaryCondition
-    state_constraint: Callable[[GridFunction], bool] = _always_admissible
+    state_constraint: Callable[[np.ndarray], bool] = _always_admissible
     apply_A: Optional[Callable[[GridFunction, GridFunction], GridFunction]] = None
     order: str = "second"
     ncomp: int = 1
     name: str = ""
+    G: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def order_int(self) -> int:
@@ -96,6 +119,17 @@ class AbstractProblem:
         if self.apply_A is not None:
             return self.apply_A(v, u)
         return self.assemble_A(v).apply(u)
+
+    def G_values(self, values: np.ndarray, grid: Grid) -> np.ndarray:
+        """G on a stack of nodal values; see the class docstring."""
+        if self.G is not None:
+            return self.G(values)
+        samples = values.reshape((-1,) + grid.shape + (values.shape[-1],))
+        out = np.empty_like(samples)
+        for k, vals in enumerate(samples):
+            v = GridFunction(grid, vals)
+            out[k] = (self.F1(v) + self.F2(v) - self.apply(v, v)).values
+        return out.reshape(values.shape)
 
 
 @dataclass
@@ -202,7 +236,7 @@ class _Machinery:
 
 def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
                      times: np.ndarray, cfg: FixedPointConfig) -> _Machinery:
-    if not prob.state_constraint(u_freeze):
+    if not prob.state_constraint(u_freeze.values):
         raise StateConstraintError("freeze state outside the admissible region")
     A0 = prob.assemble_A(u_freeze)
     if cfg.propagator == "spectral":
@@ -244,16 +278,20 @@ def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointC
 
 def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
                 A0: LinearOperator) -> np.ndarray:
-    """The (K+1, n_active) rhs samples; the problem hooks take one state each."""
-    rhs = np.empty((len(v.times), A0.n_active))
-    for k, state in enumerate(v.states):
-        if not prob.state_constraint(state):
-            raise StateConstraintError("iterate left the admissible region")
-        try:
-            f = prob.F1(state) + prob.F2(state) + A0.apply(state) - prob.apply(state, state)
-        except NonFiniteError as exc:
-            raise StateConstraintError("non-finite right-hand side") from exc
-        rhs[k] = A0.restrict(f)
+    """The (K+1, n_active) rhs samples G(v) + A0 v, from one G evaluation
+    on the whole stack."""
+    values = v.state_values
+    if not prob.state_constraint(values):
+        raise StateConstraintError("iterate left the admissible region")
+    try:
+        g = prob.G_values(values, A0.grid)
+    except NonFiniteError as exc:
+        raise StateConstraintError("non-finite right-hand side") from exc
+    if not np.all(np.isfinite(g)):
+        raise StateConstraintError("non-finite right-hand side")
+    n = len(values)
+    rhs = g.reshape(n, -1)[:, A0.active]
+    rhs += (A0.matrix @ values.reshape(n, -1)[:, A0.active].T).T
     return rhs
 
 
@@ -295,7 +333,7 @@ class SolverWindowState:
 def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                       cfg: FixedPointConfig) -> SolverWindowState:
     """Iterate T to tolerance on one window, halving the window on stall."""
-    if not prob.state_constraint(u1):
+    if not prob.state_constraint(u1.values):
         raise StateConstraintError("initial state outside the admissible region")
     T = cfg.window
     halvings = 0
@@ -436,7 +474,10 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
 def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
     """Equivalent reformulation A + kappa*I, F1 + kappa*id.
 
-    At the discrete fixed point the shift cancels identically, so converged
+    G = F1 + F2 - A(v) v is invariant under the shift and passes through
+    unchanged; F1 and apply_A are shifted for the callers that use them
+    (the Lipschitz probe, and ``G_values`` when there is no G hook).  At the
+    discrete fixed point the shift cancels identically, so converged
     trajectories agree with the unshifted problem to solver tolerance.
     """
 
@@ -453,7 +494,7 @@ def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
         assemble_A=assemble, F1=f1, F2=prob.F2, bc=prob.bc,
         state_constraint=prob.state_constraint, apply_A=apply_shifted,
         order=prob.order, ncomp=prob.ncomp,
-        name=f"{prob.name}+shift" if prob.name else "shifted",
+        name=f"{prob.name}+shift" if prob.name else "shifted", G=prob.G,
     )
 
 
@@ -511,7 +552,7 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
         if scale > 0:
             pert = (radius / scale) * pert
         w = u_center + pert
-        if prob.state_constraint(w):
+        if prob.state_constraint(w.values):
             samples.append(w)
         else:
             skipped += 1

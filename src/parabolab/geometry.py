@@ -28,6 +28,11 @@ Normal-velocity flows in graph form:
 and the frozen leading coefficient of both is the rank-4 tensor
 
     a_ijkl(g) = (delta_kl - beta^2 g_k g_l)(delta_ij - beta^2 g_i g_j).
+
+Each formula is written once, on nodal values with leading axes (a stack of
+samples).  ``surface_diffusion_values``/``willmore_values`` are the stacked
+right-hand sides of the flow problems; the GridFunction functions are
+one-field wrappers.
 """
 
 from __future__ import annotations
@@ -37,47 +42,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import BoundaryCondition, Grid, GridFunction
-from .operators import derivative
+from .operators import derivative_values
 
 _BC = BoundaryCondition.CLAMPED
 
 
-def _unit(i, dim):
-    e = [0] * dim
-    e[i] = 1
-    return tuple(e)
+def _partial(values: np.ndarray, grid: Grid, axes, bc) -> np.ndarray:
+    """d_{axes} of the scalar field in ``values`` (..., *grid.shape, 1)."""
+    sig = [0] * grid.dim
+    for a in axes:
+        sig[a] += 1
+    return derivative_values(values, grid, tuple(sig), bc)[..., 0]
 
 
-def _grad(h: GridFunction, bc) -> np.ndarray:
-    dim = h.grid.dim
-    return np.stack([derivative(h, _unit(i, dim), bc).scalar for i in range(dim)], axis=-1)
+# The derivative tensors take nodal values (..., *grid.shape, 1), leading axes
+# being samples, and append their index axes to grid.shape.
+
+def _grad(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
+    return np.stack([_partial(values, grid, (i,), bc) for i in range(grid.dim)], axis=-1)
 
 
-def _hess(h: GridFunction, bc) -> np.ndarray:
-    dim = h.grid.dim
-    out = np.zeros(h.grid.shape + (dim, dim))
+def _hess(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
+    dim = grid.dim
+    out = np.zeros(values.shape[:-1] + (dim, dim))
     for i in range(dim):
         for j in range(i, dim):
-            sig = [0] * dim
-            sig[i] += 1
-            sig[j] += 1
-            d = derivative(h, tuple(sig), bc).scalar
+            d = _partial(values, grid, (i, j), bc)
             out[..., i, j] = d
             out[..., j, i] = d
     return out
 
 
-def _third(h: GridFunction, bc) -> np.ndarray:
-    dim = h.grid.dim
-    out = np.zeros(h.grid.shape + (dim, dim, dim))
+def _third(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
+    dim = grid.dim
+    out = np.zeros(values.shape[:-1] + (dim, dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             for k in range(dim):
-                sig = [0] * dim
-                sig[i] += 1
-                sig[j] += 1
-                sig[k] += 1
-                d = derivative(h, tuple(sig), bc).scalar
+                d = _partial(values, grid, (i, j, k), bc)
                 out[..., i, j, k] = d
                 out[..., j, i, k] = d
     return out
@@ -94,56 +96,28 @@ def _mask_of(grad: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return eye - beta[..., None, None] ** 2 * grad[..., :, None] * grad[..., None, :]
 
 
-def tilt_factor(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    """beta = 1/sqrt(1 + |grad h|^2); always in (0, 1]."""
-    return GridFunction.from_scalar(h.grid, _beta_of(_grad(h, bc)))
-
-
-def unit_normal(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    """Upward unit normal beta * (-grad h, 1), dim+1 components."""
-    g = _grad(h, bc)
+def _tilt(values: np.ndarray, grid: Grid, bc):
+    """g = grad h, beta and mask of the graph of h."""
+    g = _grad(values, grid, bc)
     beta = _beta_of(g)
-    comps = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-    return GridFunction(h.grid, beta[..., None] * comps)
+    return g, beta, _mask_of(g, beta)
 
 
-def mean_curvature(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    g = _grad(h, bc)
-    beta = _beta_of(g)
-    hess = _hess(h, bc)
-    mask = _mask_of(g, beta)
-    H = np.einsum("...ij,...ij->...", mask, hess) * beta
-    return GridFunction.from_scalar(h.grid, H)
+# Pointwise formulas in the derivative tensors of h (g, hess, third) and of
+# phi (grad_phi, hess_phi); beta and mask are the functions of g above.
+
+def _mean_curvature(beta, mask, hess) -> np.ndarray:
+    return np.einsum("...ij,...ij->...", mask, hess) * beta
 
 
-def laplace_beltrami(h: GridFunction, phi: GridFunction,
-                     bc: BoundaryCondition = _BC) -> GridFunction:
-    """Surface Laplacian of the scalar phi along the graph of h."""
-    if phi.grid != h.grid:
-        raise ValueError("phi must live on the grid of h")
-    g = _grad(h, bc)
-    beta = _beta_of(g)
-    mask = _mask_of(g, beta)
-    hess_h = _hess(h, bc)
-    hess_phi = _hess(phi, bc)
-    grad_phi = _grad(phi, bc)
+def _laplace_beltrami(g, beta, mask, hess, grad_phi, hess_phi) -> np.ndarray:
     advect = np.einsum("...m,...m->...", g, grad_phi)
-    inner = hess_phi - beta[..., None, None] ** 2 * hess_h * advect[..., None, None]
-    out = np.einsum("...kl,...kl->...", mask, inner)
-    return GridFunction.from_scalar(h.grid, out)
+    inner = hess_phi - beta[..., None, None] ** 2 * hess * advect[..., None, None]
+    return np.einsum("...kl,...kl->...", mask, inner)
 
 
-def trace_L_squared(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    """Squared Frobenius norm of the shape operator, via second derivatives
-    of the unit normal."""
-    grid = h.grid
-    dim = grid.dim
-    g = _grad(h, bc)
-    beta = _beta_of(g)
-    hess = _hess(h, bc)   # (..., i, m) = d_i g_m
-    third = _third(h, bc)  # (..., i, j, m) = d_i d_j g_m
-    mask = _mask_of(g, beta)
-
+def _trace_L_squared(g, beta, mask, hess, third) -> np.ndarray:
+    # hess[..., i, m] = d_i g_m, third[..., i, j, m] = d_i d_j g_m
     hg = np.einsum("...im,...m->...i", hess, g)            # (d_i g | g)
     dbeta = -beta[..., None] ** 3 * hg
     tg = np.einsum("...ijm,...m->...ij", third, g)         # (d_i d_j g | g)
@@ -168,27 +142,85 @@ def trace_L_squared(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunctio
         np.einsum("...ijm,...m->...ij", spatial, nu_spatial)
         + vertical * nu_vertical[..., None, None]
     )
-    out = -np.einsum("...ij,...ij->...", mask, dots)
+    return -np.einsum("...ij,...ij->...", mask, dots)
+
+
+def _flow_values(values: np.ndarray, grid: Grid, bc, willmore: bool) -> np.ndarray:
+    """Normal-velocity flow rhs on nodal values (..., *grid.shape, 1), each
+    derivative of h and of H taken once."""
+    g, beta, mask = _tilt(values, grid, bc)
+    hess = _hess(values, grid, bc)
+    H = _mean_curvature(beta, mask, hess)
+    Hv = H[..., None]
+    lb = _laplace_beltrami(g, beta, mask, hess, _grad(Hv, grid, bc), _hess(Hv, grid, bc))
+    if not willmore:
+        return (-lb / beta)[..., None]
+    trl2 = _trace_L_squared(g, beta, mask, hess, _third(values, grid, bc))
+    return ((-lb + H * (0.5 * H ** 2 - trl2)) / beta)[..., None]
+
+
+def surface_diffusion_values(values: np.ndarray, grid: Grid,
+                             bc: BoundaryCondition = _BC) -> np.ndarray:
+    """dh/dt = -(1/beta) Lap_Gamma(H) on nodal values (..., *grid.shape, 1)."""
+    return _flow_values(values, grid, bc, willmore=False)
+
+
+def willmore_values(values: np.ndarray, grid: Grid,
+                    bc: BoundaryCondition = _BC) -> np.ndarray:
+    """dh/dt = (1/beta) (-Lap_Gamma H + H (H^2/2 - tr L^2)) on nodal values
+    (..., *grid.shape, 1)."""
+    return _flow_values(values, grid, bc, willmore=True)
+
+
+def tilt_factor(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+    """beta = 1/sqrt(1 + |grad h|^2); always in (0, 1]."""
+    return GridFunction.from_scalar(h.grid, _beta_of(_grad(h.values, h.grid, bc)))
+
+
+def unit_normal(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+    """Upward unit normal beta * (-grad h, 1), dim+1 components."""
+    g = _grad(h.values, h.grid, bc)
+    beta = _beta_of(g)
+    comps = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+    return GridFunction(h.grid, beta[..., None] * comps)
+
+
+def mean_curvature(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+    _g, beta, mask = _tilt(h.values, h.grid, bc)
+    H = _mean_curvature(beta, mask, _hess(h.values, h.grid, bc))
+    return GridFunction.from_scalar(h.grid, H)
+
+
+def laplace_beltrami(h: GridFunction, phi: GridFunction,
+                     bc: BoundaryCondition = _BC) -> GridFunction:
+    """Surface Laplacian of the scalar phi along the graph of h."""
+    if phi.grid != h.grid:
+        raise ValueError("phi must live on the grid of h")
+    grid = h.grid
+    g, beta, mask = _tilt(h.values, grid, bc)
+    out = _laplace_beltrami(g, beta, mask, _hess(h.values, grid, bc),
+                            _grad(phi.values, grid, bc), _hess(phi.values, grid, bc))
+    return GridFunction.from_scalar(grid, out)
+
+
+def trace_L_squared(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+    """Squared Frobenius norm of the shape operator, via second derivatives
+    of the unit normal."""
+    grid = h.grid
+    g, beta, mask = _tilt(h.values, grid, bc)
+    out = _trace_L_squared(g, beta, mask, _hess(h.values, grid, bc),
+                           _third(h.values, grid, bc))
     return GridFunction.from_scalar(grid, out)
 
 
 def surface_diffusion_rhs(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
     """dh/dt = -(1/beta) Lap_Gamma(H)."""
-    beta = tilt_factor(h, bc).scalar
-    H = mean_curvature(h, bc)
-    lb = laplace_beltrami(h, H, bc).scalar
-    return GridFunction.from_scalar(h.grid, -lb / beta)
+    return GridFunction(h.grid, surface_diffusion_values(h.values, h.grid, bc))
 
 
 def willmore_rhs(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
     """dh/dt = (1/beta) (-Lap_Gamma H + H (H^2/2 - tr L^2))."""
-    beta = tilt_factor(h, bc).scalar
-    H = mean_curvature(h, bc)
-    lb = laplace_beltrami(h, H, bc).scalar
-    trl2 = trace_L_squared(h, bc).scalar
-    Hs = H.scalar
-    out = (-lb + Hs * (0.5 * Hs ** 2 - trl2)) / beta
-    return GridFunction.from_scalar(h.grid, out)
+    return GridFunction(h.grid, willmore_values(h.values, h.grid, bc))
 
 
 def leading_coefficient(grad: np.ndarray) -> np.ndarray:

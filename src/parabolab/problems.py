@@ -17,6 +17,12 @@ Two classes are bundled:
   with the frozen fourth-order coefficient from ``leading_coefficient`` and
   F2 defined as the computable residual F2(h) = A(h) h + G(h), never through
   symbolic expansion of the lower-order coefficients.
+
+Both families hand the solver the stacked right-hand side
+G(v) = F1(v) + F2(v) - A(v) v as the problem's ``G`` hook, evaluated on a
+stack of samples a block of samples at a time: for reaction-diffusion
+a(v) Lap v + f(v) + sum_j b(v)[d_j v, d_j v], for the flows the geometry
+right-hand side itself, so that A(h) h is never formed only to cancel.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from . import geometry
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import (LinearOperator, assemble_coefficient_operator, derivative,
-                        neumann_laplacian, operator_from_full_matrix)
+                        derivative_values, neumann_laplacian, operator_from_full_matrix)
 from .evolution import AbstractProblem, StateConstraintError
 
 import scipy.sparse
@@ -218,6 +224,32 @@ def linear_heat_spec(grid: Grid) -> ReactionDiffusionSpec:
     )
 
 
+def _unit_sigma(axis: int, dim: int, order: int = 1) -> tuple:
+    sig = [0] * dim
+    sig[axis] = order
+    return tuple(sig)
+
+
+# Stacked right-hand sides are evaluated this many grid nodes at a time
+# (samples x nodes per block), which bounds their temporaries to a few MB.
+_BLOCK_NODES = 8192
+
+
+def _in_blocks(fn, grid: Grid):
+    """``fn`` on a stack of nodal values, evaluated a block of samples at a
+    time."""
+    block = max(1, _BLOCK_NODES // grid.n_nodes)
+
+    def blocked(values: np.ndarray) -> np.ndarray:
+        samples = values.reshape((-1,) + values.shape[-grid.dim - 1:])
+        out = np.empty_like(samples)
+        for start in range(0, len(samples), block):
+            out[start:start + block] = fn(samples[start:start + block])
+        return out.reshape(values.shape)
+
+    return blocked
+
+
 def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     grid = spec.grid
     N = spec.ncomp
@@ -226,27 +258,32 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     lo = spec.u_box[:, 0] + spec.margin
     hi = spec.u_box[:, 1] - spec.margin
 
-    def in_box(v: GridFunction) -> bool:
-        vals = v.values
-        return bool(np.all(vals >= lo) and np.all(vals <= hi))
+    def in_box(values: np.ndarray) -> bool:
+        return bool(np.all(values >= lo) and np.all(values <= hi))
 
     def require_in_box(v: GridFunction):
-        if not in_box(v):
+        if not in_box(v.values):
             raise StateConstraintError(f"state left the box of '{spec.name}'")
 
-    def laplacian_fields(u: GridFunction) -> np.ndarray:
-        out = np.zeros_like(u.values)
+    # a(v) Lap u and sum_j b(v)[d_j v, d_j v] on nodal values with leading axes
+
+    def diffusion(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        lap = np.zeros_like(u)
         for axis in range(grid.dim):
-            sig = [0] * grid.dim
-            sig[axis] = 2
-            out += derivative(u, tuple(sig), bc).values
+            lap += derivative_values(u, grid, _unit_sigma(axis, grid.dim, 2), bc)
+        return np.einsum("...ij,...j->...i", spec.a(v), lap)
+
+    def gradient_term(v: np.ndarray) -> np.ndarray:
+        bv = spec.b(v)
+        out = np.zeros_like(v)
+        for axis in range(grid.dim):
+            dv = derivative_values(v, grid, _unit_sigma(axis, grid.dim), bc)
+            out += np.einsum("...iab,...a,...b->...i", bv, dv, dv)
         return out
 
     def apply_A(v: GridFunction, u: GridFunction) -> GridFunction:
         require_in_box(v)
-        av = spec.a(v.values)
-        lap = laplacian_fields(u)
-        return GridFunction(grid, -np.einsum("...ij,...j->...i", av, lap))
+        return GridFunction(grid, -diffusion(v.values, u.values))
 
     def assemble_A(v: GridFunction) -> LinearOperator:
         require_in_box(v)
@@ -265,18 +302,15 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
 
     def F2(v: GridFunction) -> GridFunction:
         require_in_box(v)
-        bv = spec.b(v.values)
-        out = np.zeros_like(v.values)
-        for axis in range(grid.dim):
-            sig = [0] * grid.dim
-            sig[axis] = 1
-            dv = derivative(v, tuple(sig), bc).values
-            out += np.einsum("...iab,...a,...b->...i", bv, dv, dv)
-        return GridFunction(grid, out)
+        return GridFunction(grid, gradient_term(v.values))
+
+    def G(values: np.ndarray) -> np.ndarray:
+        return diffusion(values, values) + spec.f(values) + gradient_term(values)
 
     return AbstractProblem(
         assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, state_constraint=in_box,
         apply_A=apply_A, order="second", ncomp=N, name=spec.name,
+        G=_in_blocks(G, grid),
     )
 
 
@@ -343,17 +377,13 @@ def _fourth_order_coeffs(grid: Grid, h: GridFunction) -> dict:
     return coeffs
 
 
-def _unit_sigma(axis: int, dim: int) -> tuple:
-    sig = [0] * dim
-    sig[axis] = 1
-    return tuple(sig)
-
-
 def flow_problem(spec: FlowSpec) -> AbstractProblem:
+    """Graph flow dh/dt = G(h) with G the geometry rhs, evaluated on the
+    whole stack of samples; F2 = A(h) h + G(h) completes the split form."""
     grid = spec.grid
     bc = BoundaryCondition.CLAMPED
-    rhs_fn = (geometry.surface_diffusion_rhs if spec.kind == "surface_diffusion"
-              else geometry.willmore_rhs)
+    rhs_values = (geometry.surface_diffusion_values if spec.kind == "surface_diffusion"
+                  else geometry.willmore_values)
 
     def apply_A(hfield: GridFunction, u: GridFunction) -> GridFunction:
         coeffs = _fourth_order_coeffs(grid, hfield)
@@ -368,10 +398,13 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
     def F1(_h: GridFunction) -> GridFunction:
         return GridFunction.zeros(grid, 1)
 
+    def G(values: np.ndarray) -> np.ndarray:
+        return rhs_values(values, grid, bc)
+
     def F2(hfield: GridFunction) -> GridFunction:
-        return apply_A(hfield, hfield) + rhs_fn(hfield, bc)
+        return apply_A(hfield, hfield) + GridFunction(grid, G(hfield.values))
 
     return AbstractProblem(
         assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, apply_A=apply_A,
-        order="fourth", ncomp=1, name=spec.name,
+        order="fourth", ncomp=1, name=spec.name, G=_in_blocks(G, grid),
     )

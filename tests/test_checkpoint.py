@@ -123,6 +123,39 @@ def test_unreadable_file_rejected(tmp_path):
         load_trajectory(tmp_path / "does_not_exist.npz")
 
 
+def test_truncated_file_rejected(tmp_path):
+    path = tmp_path / "snap.npz"
+    save_trajectory(path, sample_traj())
+    data = path.read_bytes()
+    for size in (len(data) // 2, len(data) - 30, 10):
+        path.write_bytes(data[:size])
+        with pytest.raises(CheckpointError):
+            load_trajectory(path)
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "snap.npz"
+    save_trajectory(path, sample_traj(), {"k": 1})
+    before = path.read_bytes()
+    savez = np.savez
+
+    def savez_then_fail(file, **arrays):
+        savez(file, **arrays)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError):
+        save_trajectory(path, sample_traj(nodes=16), {"k": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["snap.npz"]
+    # a path without the .npz suffix is written as named, with the same bytes
+    bare = tmp_path / "bare"
+    save_trajectory(bare, sample_traj(), {"k": 1})
+    assert bare.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bare", "snap.npz"]
+
+
 def test_meta_is_json_clean(tmp_path):
     # metadata survives as plain JSON, no pickling anywhere
     traj = sample_traj()

@@ -214,6 +214,8 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
         "solver": {"window": 0.02, "time_steps": 10, "horizon": 1.0,
                    "max_iter": 40, "tol": 1e-8, "blowup_threshold": 100.0},
         "initial": {"kind": "constant", "value": 2.0},
+        # within the horizon, but beyond the time the run reaches
+        "diagnostics": {"smoothing_delta": 0.9},
         "seed": 0,
     }
     cfg_path = write_cfg(tmp_path / "blow.json", cfg)
@@ -227,6 +229,7 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
     assert "threshold" in summary["reason"]
     # (1/c)(1 - c/M) = 0.49 for c = 2, M = 100
     assert summary["t_reached"] == pytest.approx(0.49, abs=0.03)
+    assert "smoothing" not in json.loads((out / "diagnostics.json").read_text())
 
 
 def test_run_non_finite_rhs_exits_3(tmp_path, capsys):
@@ -384,6 +387,43 @@ def test_missing_or_bad_inputs_exit_4(tmp_path, capsys):
     assert main(["norms", "--checkpoint", str(tmp_path / "nope.npz")]) == 4
     schema_bad = write_cfg(tmp_path / "schema.json", heat_cfg(grid={"dim": 5, "nodes": 8}))
     assert main(["run", "--config", schema_bad, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys):
+    snap = str(long_heat_run / "trajectory.npz")
+    csv_path, json_path = tmp_path / "n.csv", tmp_path / "n.json"
+    for delta in ("1.5", "0"):              # the saved horizon is 1.0
+        assert main(["norms", "--checkpoint", snap, "--delta", delta, "--csv",
+                     str(csv_path), "--json", str(json_path)]) == 4
+        assert "error: --delta must lie in (0, 1.0]" in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
+
+
+def test_run_rejects_smoothing_delta_beyond_the_horizon(tmp_path, capsys):
+    cfg = heat_cfg(diagnostics={"norm_intervals": 2, "smoothing_delta": 0.05})
+    cfg_path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 4
+    assert "error: diagnostics.smoothing_delta 0.05 exceeds the horizon 0.04" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_window_file_exits_4(tmp_path, capsys):
+    half_cfg = heat_cfg()
+    half_cfg["solver"]["horizon"] = 0.02
+    half = write_cfg(tmp_path / "half.json", half_cfg)
+    full = write_cfg(tmp_path / "full.json", heat_cfg())
+    out = tmp_path / "out"
+    assert main(["run", "--config", half, "--out", str(out)]) == 0
+    window = out / "window_0000.npz"
+    window.write_bytes(window.read_bytes()[: window.stat().st_size // 2])
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert main(["run", "--config", full, "--out", str(out), "--resume"]) == 4
+    assert "error: cannot read checkpoint" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    assert main(["norms", "--checkpoint", str(window)]) == 4
+    assert main(["omega", "--checkpoint", str(window)]) == 4
 
 
 def test_version_flag(capsys):

@@ -55,6 +55,17 @@ def test_schema_validation():
         validate_run_config(minimal_cfg(grid={"dim": 3, "nodes": 16}))
 
 
+def test_smoothing_delta_must_not_exceed_the_horizon():
+    # the horizon defaults to the window, 0.05
+    validate_run_config(minimal_cfg(diagnostics={"smoothing_delta": 0.05}))
+    with pytest.raises(ConfigError) as exc:
+        validate_run_config(minimal_cfg(diagnostics={"smoothing_delta": 0.06}))
+    assert "smoothing_delta" in str(exc.value)
+    cfg = minimal_cfg(diagnostics={"smoothing_delta": 0.06})
+    cfg["solver"]["horizon"] = 0.1
+    validate_run_config(cfg)
+
+
 def test_load_run_config_round_trip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(minimal_cfg()))

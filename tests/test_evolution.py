@@ -19,11 +19,13 @@ enough conditioned for the two solvers to agree to 1e-12.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -213,16 +215,73 @@ def test_picard_map_fixed_point_residual():
     assert gap < 1e-10
 
 
-def test_kappa_shift_equivalence():
+@settings(max_examples=15, deadline=None)
+@given(kappa=st.floats(0.0, 10.0))
+@example(kappa=3.0)
+def test_kappa_shift_equivalence(kappa):
     grid, prob = heat_problem(24)
     u0, _ = eigenmode(grid, 2, amp=0.4)
     cfg = FixedPointConfig(window=0.02, time_steps=10, mu=MU, p=P, tol=1e-11)
+    shifted_prob = kappa_shift(prob, kappa)
+    assert shifted_prob.G is prob.G          # G = F1 + F2 - A(v)v is shift-invariant
     base = fixed_point_solve(u0, prob, cfg)
-    shifted = fixed_point_solve(u0, kappa_shift(prob, 3.0), cfg)
+    shifted = fixed_point_solve(u0, shifted_prob, cfg)
     assert shifted.converged
     gap = max((a - b).sup_norm() for a, b in
               zip(base.trajectory.states, shifted.trajectory.states))
     assert gap < 1e-6
+
+
+def _counted(prob, calls):
+    """``prob`` with each hook named in ``calls`` counting its calls there."""
+    def count(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    hooks = {name: getattr(prob, name) for name in calls}
+    return dataclasses.replace(prob, **{name: count(name, fn)
+                                        for name, fn in hooks.items() if fn is not None})
+
+
+@pytest.mark.parametrize("kind", ["reaction_diffusion", "willmore", "surface_diffusion"])
+def test_one_G_call_per_picard_map(kind):
+    grid = Grid(1, 20)
+    x = grid.axis_coords()
+    if kind == "reaction_diffusion":
+        _, prob = square_problem(nodes=20)
+        u0 = GridFunction.from_scalar(grid, 0.5 + 0.1 * np.cos(np.pi * x))
+        window = 0.02
+    else:
+        prob = flow_problem(FlowSpec(grid=grid, kind=kind))
+        u0 = GridFunction.from_scalar(grid, 0.01 * np.sin(np.pi * x) ** 2)
+        window = 1e-4
+    calls = dict.fromkeys(("F1", "F2", "apply_A", "G"), 0)
+    prob = _counted(prob, calls)
+    cfg = FixedPointConfig(window=window, time_steps=8, mu=MU, p=P, tol=1e-10)
+    st_ = fixed_point_solve(u0, prob, cfg)
+    assert st_.converged and st_.iterations >= 2
+    assert calls == {"F1": 0, "F2": 0, "apply_A": 0, "G": st_.iterations}
+    v = reference_solution(u0, prob, cfg)
+    picard_map(v, u0, u0, prob, cfg)
+    assert calls["G"] == st_.iterations + 1
+
+
+def test_problem_without_G_uses_its_hooks_per_sample():
+    # the same rd problem with G removed: F1, F2 and apply_A once per sample,
+    # and the same iterate up to rounding
+    grid, prob = square_problem(nodes=20)
+    u0 = GridFunction.from_scalar(grid, 0.5 + 0.1 * np.cos(np.pi * grid.axis_coords()))
+    cfg = FixedPointConfig(window=0.02, time_steps=8, mu=MU, p=P)
+    calls = dict.fromkeys(("F1", "F2", "apply_A", "G"), 0)
+    hooks_only = _counted(dataclasses.replace(prob, G=None), calls)
+    v = reference_solution(u0, prob, cfg)
+    u = picard_map(v, u0, u0, prob, cfg)
+    w = picard_map(v, u0, u0, hooks_only, cfg)
+    n = len(v.times)
+    assert calls == {"F1": n, "F2": n, "apply_A": n, "G": 0}
+    scale = np.max(np.abs(u.state_values))
+    assert np.max(np.abs(u.state_values - w.state_values)) <= 1e-13 * scale
 
 
 def test_initial_state_outside_box_raises():

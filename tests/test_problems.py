@@ -6,6 +6,11 @@ for a = 1 it coincides node for node with the mirrored Laplacian stencil
 (the wall value 2(u_1 - u_0)/h^2 appears in both).  Against the continuum
 expression (1 + u^2) u'' + 2 u (u')^2 the flux form converges at order 2.
 
+Stacked right-hand side: each problem's G hook, evaluated on a stack of
+samples (in blocks of samples when the stack is large), agrees sample by
+sample with F1 + F2 - A(v) v from the one-field hooks, and for the flows with
+the one-field geometry right-hand sides.
+
 Flow residual: F2(h) = A(h) h + G(h) subtracts the full fourth-order part
 from the normal-velocity right-hand side, so it vanishes at h = 0 and decays
 cubically in the graph amplitude (measured slope 3.0 per decade).
@@ -13,9 +18,14 @@ cubically in the graph amplitude (measured slope 3.0 per decade).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parabolab import problems
 from parabolab.evolution import StateConstraintError
 from parabolab.geometry import surface_diffusion_rhs, tilt_factor, willmore_rhs
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
@@ -181,8 +191,10 @@ def test_box_constraint_enforced():
     prob = rd_problem(scalar_spec(grid, a_series=[1.0], box=1.0, margin=0.1))
     inside = GridFunction.from_scalar(grid, np.full(grid.shape, 0.5))
     outside = GridFunction.from_scalar(grid, np.full(grid.shape, 0.95))
-    assert prob.state_constraint(inside)
-    assert not prob.state_constraint(outside)  # margin shrinks the box
+    assert prob.state_constraint(inside.values)
+    assert not prob.state_constraint(outside.values)  # margin shrinks the box
+    # the constraint takes stacks of samples too
+    assert not prob.state_constraint(np.stack([inside.values, outside.values]))
     with pytest.raises(StateConstraintError):
         prob.apply_A(outside, inside)
     with pytest.raises(StateConstraintError):
@@ -297,3 +309,82 @@ def test_flow_residual_cubic_in_amplitude():
             assert np.array_equal(prob.F2(h).values, manual.values)
         slopes = [np.log10(sups[i + 1] / sups[i]) for i in range(2)]
         assert min(slopes) > 2.5
+
+
+# ---------------------------------------------------------------- stacked G
+
+def _drawn_rd_spec(data, grid, ncomp):
+    """a(u) upper triangular with diagonal 1 + c u_0^2 (positive on the box),
+    f and b with drawn constant, linear and quadratic terms."""
+    coef = st.floats(-1.0, 1.0)
+    zero = (0,) * ncomp
+    lin = [tuple(int(i == k) for i in range(ncomp)) for k in range(ncomp)]
+    sq0 = tuple(2 * int(i == 0) for i in range(ncomp))
+    a_terms = []
+    for i in range(ncomp):
+        a_terms.append(((i, i), zero, 1.0))
+        a_terms.append(((i, i), sq0, data.draw(st.floats(0.0, 1.0))))
+        for j in range(i + 1, ncomp):
+            a_terms.append(((i, j), lin[j], data.draw(coef)))
+    f_terms = [((i,), pw, data.draw(coef)) for i in range(ncomp) for pw in [zero] + lin + [sq0]]
+    b_terms = [((i, a, b), pw, data.draw(coef)) for i in range(ncomp)
+               for a in range(ncomp) for b in range(ncomp) for pw in (zero, lin[0])]
+    return ReactionDiffusionSpec(
+        grid=grid, ncomp=ncomp,
+        a=PolynomialMap(shape=(ncomp, ncomp), nvars=ncomp, terms=tuple(a_terms)),
+        f=PolynomialMap(shape=(ncomp,), nvars=ncomp, terms=tuple(f_terms)),
+        b=PolynomialMap(shape=(ncomp, ncomp, ncomp), nvars=ncomp, terms=tuple(b_terms)),
+        u_box=np.array([[-2.0, 2.0]] * ncomp))
+
+
+def _per_sample_G(prob, grid, stack):
+    out = []
+    for vals in stack:
+        v = GridFunction(grid, vals)
+        out.append((prob.F1(v) + prob.F2(v) - prob.apply_A(v, v)).values)
+    return np.stack(out)
+
+
+def _assert_close(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * max(np.max(np.abs(want)), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rd_stacked_G_matches_per_sample_hooks(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 17 if dim == 1 else 10), label="nodes"))
+    ncomp = data.draw(st.integers(1, 2), label="ncomp")
+    n_samples = data.draw(st.integers(1, 7), label="samples")
+    # small node budgets split the stack into blocks of a few samples
+    block_nodes = data.draw(st.sampled_from([1, 2 * grid.n_nodes, problems._BLOCK_NODES]))
+    with mock.patch.object(problems, "_BLOCK_NODES", block_nodes):
+        prob = rd_problem(_drawn_rd_spec(data, grid, ncomp))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    stack = rng.uniform(-1.5, 1.5, size=(n_samples,) + grid.shape + (ncomp,))
+    _assert_close(prob.G(stack), _per_sample_G(prob, grid, stack), 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_flow_stacked_G_matches_geometry_rhs(data):
+    kind = data.draw(st.sampled_from(["surface_diffusion", "willmore"]), label="kind")
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 24 if dim == 1 else 12), label="nodes"))
+    n_samples = data.draw(st.integers(1, 7), label="samples")
+    block_nodes = data.draw(st.sampled_from([1, 2 * grid.n_nodes, problems._BLOCK_NODES]))
+    with mock.patch.object(problems, "_BLOCK_NODES", block_nodes):
+        prob = flow_problem(FlowSpec(grid=grid, kind=kind))
+    rhs_fn = surface_diffusion_rhs if kind == "surface_diffusion" else willmore_rhs
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    amp = data.draw(st.floats(1e-4, 0.3), label="amplitude")
+    prof = np.ones(grid.shape)
+    for x in grid.coords():
+        prof = prof * np.sin(np.pi * x) ** 2
+    stack = amp * rng.uniform(0.5, 1.5, size=(n_samples, 1) + (1,) * dim) * prof[..., None]
+    stack = stack + 1e-3 * amp * rng.normal(size=stack.shape) * grid.interior_mask()[..., None]
+    want = np.stack([rhs_fn(GridFunction(grid, vals), CLA).values for vals in stack])
+    _assert_close(prob.G(stack), want, 1e-12)
+    # G is the split's F1 + F2 - A(h) h up to the cancellation of A(h) h
+    _assert_close(prob.G(stack), _per_sample_G(prob, grid, stack), 1e-9)
