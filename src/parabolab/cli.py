@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -33,8 +34,7 @@ from . import config as cfgmod
 from .evolution import NonconvergenceError, StateConstraintError, continue_solution, omega_limit
 from .exponents import admissibility_report
 from .grids import BoundaryCondition, Grid, GridFunction
-from .norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, glue, lq_norms,
-                    smoothing_check, x1_norms)
+from .norms import E0mu_norm, E1mu_norm, WeightedTrajectory, glue, smoothing_check
 from .operators import (SolverError, derivative, derivative_values, eigendecompose,
                         reference_operator)
 from .problems import ProblemSpecError, spectrum_positivity_check
@@ -76,8 +76,15 @@ def _write_csv(path, header, rows) -> None:
     if path is None:
         dump(sys.stdout)
     else:
-        with open(path, "w", newline="") as fh:
-            dump(fh)
+        with ckpt.atomic_open(path) as fh, \
+                io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            dump(text)
+
+
+def _require(ok: bool, message: str) -> None:
+    """Reject a command-line option before anything is written (exit 4)."""
+    if not ok:
+        raise cfgmod.ConfigError(message)
 
 
 def _print_violations(report: dict) -> None:
@@ -160,6 +167,8 @@ def cmd_symbol(args) -> int:
 # ---------------------------------------------------------------- run
 
 def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int):
+    """One row per sample; the L2 and X1 columns are the trajectory's own
+    sample norms at q = 2, which the diagnostics reuse when they share q."""
     grid = traj.grid
     w = grid.trapezoid_weights()
     vals = traj.state_values
@@ -173,8 +182,8 @@ def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int
     columns = [
         traj.times,
         np.max(np.abs(vals), axis=spatial + (-1,)),
-        lq_norms(vals, grid),
-        x1_norms(vals, grid, 2.0, order, bc),
+        traj.sample_norms("states", 2.0),
+        traj.sample_norms("x1", 2.0, order, bc),
         np.sum(w * vals[..., 0], axis=spatial),
         energy,
     ]
@@ -308,12 +317,10 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
 
     status = "ok"
     reason = None
-    windows_summaries: list = []
     try:
         if t0 < horizon - 1e-12 * max(1.0, horizon):
             state = continue_solution(u_start, problem, fp, horizon, t0=t0,
                                       on_window=save_window)
-            windows_summaries = [w.summary() for w in state.windows]
             if state.blow_up:
                 status = "blow_up"
                 reason = state.reason
@@ -331,7 +338,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         "horizon": horizon,
         "t_reached": t0,
         "n_windows": 0,
-        "windows": windows_summaries,
+        "windows": [],
         "admissible": bool(adm["admissible"]),
     }
     # a run whose first window collapsed has no trajectory to glue or measure
@@ -347,7 +354,8 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         summary.update({
             "t_reached": last["time"],
             "n_windows": len(metas),
-            "windows": windows_summaries or [m.get("window_summary") for m in metas],
+            # from the window files, so a resumed run lists its earlier windows too
+            "windows": [m.get("window_summary") for m in metas],
             "final_sup_norm": last["sup_norm"],
             "final_l2_norm": last["l2_norm"],
             "mass_drift": abs(last["mass"] - first["mass"]) / max(abs(first["mass"]), 1e-300),
@@ -374,18 +382,21 @@ def cmd_run(args) -> int:
 
 def cmd_norms(args) -> int:
     traj, meta = ckpt.load_trajectory(args.checkpoint)
-    if args.mu is not None or args.p is not None:
-        traj = dataclasses.replace(traj,
-                                   mu=args.mu if args.mu is not None else traj.mu,
-                                   p=args.p if args.p is not None else traj.p)
-    order = 2 if meta.get("order", "second") == "second" else 4
-    bc = BoundaryCondition(meta.get("bc", "neumann"))
+    mu = args.mu if args.mu is not None else traj.mu
+    p = args.p if args.p is not None else traj.p
     q = args.q
     T = traj.horizon
     delta = args.delta if args.delta is not None else T / 2.0
-    if not 0.0 < delta <= T:
-        raise cfgmod.ConfigError(f"--delta must lie in (0, {T!r}], the saved horizon; "
-                                 f"got {delta!r}")
+    _require(0.0 < mu <= 1.0, f"--mu must lie in (0, 1], got {mu!r}")
+    _require(p > 1.0, f"--p must exceed 1, got {p!r}")
+    _require(q >= 1.0, f"--q must be >= 1, got {q!r}")
+    _require(args.intervals >= 1, f"--intervals must be >= 1, got {args.intervals}")
+    _require(0.0 < delta <= T, f"--delta must lie in (0, {T!r}], the saved horizon; "
+                               f"got {delta!r}")
+    if (mu, p) != (traj.mu, traj.p):
+        traj = dataclasses.replace(traj, mu=mu, p=p)
+    order = 2 if meta.get("order", "second") == "second" else 4
+    bc = BoundaryCondition(meta.get("bc", "neumann"))
     edges = np.linspace(0.0, T, args.intervals + 1)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -416,8 +427,20 @@ def cmd_omega(args) -> int:
     traj, meta = ckpt.load_trajectory(args.checkpoint)
     order = meta.get("order", "second")
     T = traj.horizon
+    _require(args.count >= 2, f"--count must be >= 2, got {args.count}")
+    _require(0.0 < args.fraction <= 1.0, f"--fraction must lie in (0, 1], got {args.fraction!r}")
+    _require(args.threshold > 0.0, f"--threshold must be > 0, got {args.threshold!r}")
+    _require(args.theta is None or 0.0 <= args.theta <= 1.0,
+             f"--theta must lie in [0, 1], got {args.theta!r}")
     if args.times:
-        sample_times = [float(s) for s in args.times.split(",")]
+        try:
+            sample_times = [float(s) for s in args.times.split(",")]
+        except ValueError:
+            raise cfgmod.ConfigError(f"--times must be comma separated numbers, "
+                                     f"got {args.times!r}") from None
+        _require(len(sample_times) >= 2, "--times needs at least two sample times")
+        for t in sample_times:
+            _require(0.0 <= t <= T, f"--times {t!r} lies outside the saved range [0, {T!r}]")
     else:
         sample_times = np.linspace(T * (1.0 - args.fraction), T, args.count)
     proxy = eigendecompose(reference_operator(traj.grid, order))

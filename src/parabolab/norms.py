@@ -12,9 +12,15 @@ time grid; the t = 0 sample carries zero weight whenever 1 - mu > 0.
 
 A trajectory stores its K+1 states, and their time derivatives, as one array
 each of shape (K+1, *grid.shape, ncomp).  ``lq_norms`` and ``x1_norms`` act
-on such stacks along their leading axes, so every weighted norm gets its
-per-sample spatial norms from a few array operations; ``lq_norm`` and
-``x1_norm`` are the single-field case.
+on such stacks along their leading axes; ``lq_norm`` and ``x1_norm`` are the
+single-field case.  In 2D ``x1_norms`` takes each D_x^i v once and applies
+D_y^j to it, so every mixed derivative costs one axis pass.
+
+The per-sample spatial norms depend on (q, order, bc) only, not on mu, p or
+the time interval, so each trajectory computes them once per (q, order, bc)
+(``WeightedTrajectory.sample_norms``) and every interval norm, the total and
+both halves of ``smoothing_check`` read the stored vectors.  To keep that
+memo honest, a trajectory's arrays are read-only.
 
 Fractional interpolation spaces are represented by their q = 2 spectral
 surrogate (I + L)^theta in the eigenbasis of a reference operator L
@@ -32,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -66,13 +71,22 @@ def lq_norm(u: GridFunction, q: float = 2.0) -> float:
     return float(lq_norms(u.values, u.grid, q))
 
 
-def _multi_indices(dim: int, order: int):
-    out = []
-    rng = range(order + 1)
-    for sigma in product(rng, repeat=dim):
-        if 1 <= sum(sigma) <= order:
-            out.append(sigma)
-    return out
+def _derivative_stacks(values: np.ndarray, grid: Grid, order: int,
+                       bc: BoundaryCondition, axis: int = 0):
+    """D^sigma values for every multi-index |sigma| <= order, sigma = 0 first,
+    in lexicographic order of sigma.
+
+    Each axis's stencil is applied once to the shared result of the axes
+    before it (D_y^j acts on one stored D_x^i v), so every mixed derivative
+    costs one axis pass; the arithmetic is that of ``derivative_values``.
+    """
+    if axis == grid.dim:
+        yield values
+        return
+    for s in range(order + 1):
+        sigma = tuple(s if a == axis else 0 for a in range(grid.dim))
+        head = values if s == 0 else derivative_values(values, grid, sigma, bc)
+        yield from _derivative_stacks(head, grid, order - s, bc, axis + 1)
 
 
 def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
@@ -80,9 +94,10 @@ def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
     """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    total = lq_norms(values, grid, q)
-    for sigma in _multi_indices(grid.dim, order):
-        total += lq_norms(derivative_values(values, grid, sigma, bc), grid, q)
+    stacks = _derivative_stacks(values, grid, order, bc)
+    total = lq_norms(next(stacks), grid, q)
+    for d in stacks:
+        total += lq_norms(d, grid, q)
     return total
 
 
@@ -101,6 +116,10 @@ class WeightedTrajectory:
     derivatives the same way, or is None when only state norms are needed.
     The grid is read off the shape.  times[0] must be 0 (the trace sample);
     the rest are strictly increasing.
+
+    The stored arrays are read-only views of the arrays passed in, and
+    ``sample_norms`` keeps every per-sample spatial norm it computes, so a
+    trajectory is measured once however many intervals its norms cover.
     """
 
     times: np.ndarray
@@ -114,6 +133,10 @@ class WeightedTrajectory:
         states = np.asarray(self.state_values, dtype=float)
         derivs = None if self.deriv_values is None else np.asarray(self.deriv_values, dtype=float)
         for name, value in (("times", times), ("state_values", states), ("deriv_values", derivs)):
+            if value is not None:
+                # a write would leave the memoized sample norms stale
+                value = value.view()
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time samples")
@@ -147,12 +170,45 @@ class WeightedTrajectory:
         return None if self.deriv_values is None else tuple(
             GridFunction(self.grid, v) for v in self.deriv_values)
 
+    @cached_property
+    def _sample_norms(self) -> dict:
+        return {}
+
+    def sample_norms(self, kind: str, q: float = 2.0, order: int = 2,
+                     bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> np.ndarray:
+        """One spatial norm per sample, computed on first request and kept.
+
+        ``kind`` is ``"states"`` or ``"derivs"`` for the L_q norms of the
+        states or of the time derivatives, or ``"x1"`` for the X1 norms of
+        the states at ``(q, order, bc)``.  The returned vector is read-only.
+        """
+        key = (kind, q, order, bc) if kind == "x1" else (kind, q)
+        memo = self._sample_norms
+        if key not in memo:
+            if kind == "states":
+                y = lq_norms(self.state_values, self.grid, q)
+            elif kind == "derivs":
+                if self.deriv_values is None:
+                    raise ValueError("trajectory has no stored time derivatives")
+                y = lq_norms(self.deriv_values, self.grid, q)
+            elif kind == "x1":
+                y = x1_norms(self.state_values, self.grid, q, order, bc)
+            else:
+                raise ValueError(f"unknown sample norm {kind!r}")
+            y.flags.writeable = False
+            memo[key] = y
+        return memo[key]
+
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
 
     def with_mu(self, mu: float) -> "WeightedTrajectory":
-        return dataclasses.replace(self, mu=mu)
+        """The same samples under another weight; the sample norms, which do
+        not depend on mu, are shared with this trajectory."""
+        out = dataclasses.replace(self, mu=mu)
+        out.__dict__["_sample_norms"] = self._sample_norms
+        return out
 
     def state_at(self, t: float) -> GridFunction:
         """Piecewise-linear interpolant of the states at time t."""
@@ -226,7 +282,7 @@ def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
 
 
 def E0mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0) -> float:
-    return _time_norm(traj, lq_norms(traj.state_values, traj.grid, q), interval)
+    return _time_norm(traj, traj.sample_norms("states", q), interval)
 
 
 def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
@@ -234,10 +290,9 @@ def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
     """Solution-space norm: states + time derivative + top spatial regularity."""
     if traj.deriv_values is None:
         raise ValueError("E1mu norm needs stored time derivatives")
-    grid = traj.grid
-    part_state = _time_norm(traj, lq_norms(traj.state_values, grid, q), interval)
-    part_deriv = _time_norm(traj, lq_norms(traj.deriv_values, grid, q), interval)
-    part_top = _time_norm(traj, x1_norms(traj.state_values, grid, q, order, bc), interval)
+    part_state = _time_norm(traj, traj.sample_norms("states", q), interval)
+    part_deriv = _time_norm(traj, traj.sample_norms("derivs", q), interval)
+    part_top = _time_norm(traj, traj.sample_norms("x1", q, order, bc), interval)
     return part_state + part_deriv + part_top
 
 

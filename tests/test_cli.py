@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 import parabolab
+from parabolab import cli, norms
 from parabolab.checkpoint import load_trajectory
 from parabolab.cli import main
-from parabolab.norms import E0mu_norm
+from parabolab.grids import BoundaryCondition, Grid
+from parabolab.norms import E0mu_norm, WeightedTrajectory
 
 
 def write_cfg(path: Path, cfg: dict) -> str:
@@ -148,9 +150,11 @@ def test_run_resume_reproduces_uninterrupted_bytes(tmp_path):
     assert main(["run", "--config", half, "--out", str(b)]) == 0
     assert len(list(b.glob("window_*.npz"))) == 1
     assert main(["run", "--config", full, "--out", str(b), "--resume"]) == 0
-    assert (a / "trajectory.npz").read_bytes() == (b / "trajectory.npz").read_bytes()
-    assert (a / "timeseries.csv").read_bytes() == (b / "timeseries.csv").read_bytes()
-    assert (a / "window_0001.npz").read_bytes() == (b / "window_0001.npz").read_bytes()
+    for name in ("trajectory.npz", "timeseries.csv", "window_0001.npz", "summary.json",
+                 "diagnostics.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the resumed summary lists the window run before the interruption too
+    assert len(json.loads((b / "summary.json").read_text())["windows"]) == 2
 
 
 @pytest.mark.parametrize("edit", [
@@ -397,6 +401,74 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
                      str(csv_path), "--json", str(json_path)]) == 4
         assert "error: --delta must lie in (0, 1.0]" in capsys.readouterr().err
     assert not csv_path.exists() and not json_path.exists()
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("norms", "--q", "0.5"),
+    ("norms", "--mu", "1.5"),
+    ("norms", "--p", "1"),
+    ("norms", "--intervals", "-1"),
+    ("norms", "--intervals", "0"),
+    ("omega", "--count", "1"),
+    ("omega", "--fraction", "2"),
+    ("omega", "--theta", "3"),
+    ("omega", "--threshold", "0"),
+    ("omega", "--times", "0.5,2.0"),      # the saved horizon is 1.0
+    ("omega", "--times", "0.5"),
+    ("omega", "--times", "0.5,x"),
+])
+def test_out_of_range_options_exit_4(tmp_path, long_heat_run, capsys, command, option,
+                                     value):
+    csv_path, json_path = tmp_path / "n.csv", tmp_path / "n.json"
+    argv = [command, "--checkpoint", str(long_heat_run / "trajectory.npz"),
+            option, value, "--json", str(json_path)]
+    if command == "norms":
+        argv += ["--csv", str(csv_path)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diagnostics_measure_each_trajectory_once(monkeypatch):
+    grid = Grid(2, 9)
+    times = np.linspace(0.0, 1.0, 9) ** 2
+    x, y = np.meshgrid(*(grid.axis_coords(),) * 2, indexing="ij")
+    shape = np.cos(np.pi * x) * np.cos(np.pi * y)
+    states = np.exp(-times)[:, None, None, None] * shape[None, :, :, None]
+    traj = WeightedTrajectory(times, states, -states, 0.9, 2.0)
+    passes = []
+    x1_norms = norms.x1_norms
+
+    def counted(values, grid, q=2.0, order=2, bc=BoundaryCondition.NEUMANN):
+        passes.append((q, order, bc))
+        return x1_norms(values, grid, q, order, bc)
+
+    monkeypatch.setattr(norms, "x1_norms", counted)
+    diag = {"norm_intervals": 4, "smoothing_delta": 0.8}
+    report = cli._diagnostics_report(traj, diag, 4, BoundaryCondition.CLAMPED, 4.0)
+    assert len(report["norm_intervals"]) == 4 and "smoothing" in report
+    assert passes == [(4.0, 4, BoundaryCondition.CLAMPED)]
+    # the time series at q = 2 makes its own pass, which diagnostics at q = 2 reuse
+    cli._timeseries_rows(traj, BoundaryCondition.CLAMPED, 4)
+    cli._diagnostics_report(traj, diag, 4, BoundaryCondition.CLAMPED, 2.0)
+    assert passes[1:] == [(2.0, 4, BoundaryCondition.CLAMPED)]
+
+
+def test_failed_csv_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["a", "b"], [[1.0, 2.0]])
+    before = path.read_bytes()
+    assert before == b"a,b\n1.0,2.0\n"
+
+    def rows():
+        yield [3.0, 4.0]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_run_rejects_smoothing_delta_beyond_the_horizon(tmp_path, capsys):

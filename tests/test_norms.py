@@ -254,6 +254,87 @@ def test_with_mu_drops_weight():
     assert E0mu_norm(traj) < 1.0  # weight only shrinks mass near t = 0
 
 
+def test_trajectory_arrays_are_read_only():
+    grid = Grid(1, 9)
+    U = cos_field(grid)
+    states = stack((U, U * 0.5))
+    traj = WeightedTrajectory(np.array([0.0, 1.0]), states, -states, MU, P)
+    for arr in (traj.times, traj.state_values, traj.deriv_values,
+                traj.states[0].values, traj.sample_norms("x1")):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    states[0] = 7.0                        # the caller's own array stays writable
+    with pytest.raises(ValueError, match="no stored time derivatives"):
+        WeightedTrajectory(np.array([0.0, 1.0]), states, None, MU, P).sample_norms("derivs")
+
+
+def test_with_mu_shares_the_sample_norms():
+    grid = Grid(1, 9)
+    traj = make_traj([0.0, 0.5, 1.0], lambda t: cos_field(grid) * (1 + t),
+                     lambda t: cos_field(grid), grid)
+    E1mu_norm(traj, order=4)
+    plain = traj.with_mu(1.0)
+    assert plain.sample_norms("x1", 2.0, 4) is traj.sample_norms("x1", 2.0, 4)
+    assert plain.mu == 1.0 and traj.mu == MU
+
+
+@pytest.mark.parametrize("dim,order,passes", [(1, 2, 2), (1, 4, 4), (2, 2, 5), (2, 4, 14)])
+def test_x1_norms_share_axis_passes(monkeypatch, dim, order, passes):
+    from parabolab import norms
+    calls = []
+    derivative_values = norms.derivative_values
+
+    def counted(values, grid, sigma, bc):
+        calls.append(sigma)
+        return derivative_values(values, grid, sigma, bc)
+
+    monkeypatch.setattr(norms, "derivative_values", counted)
+    grid = Grid(dim, 8)
+    x1_norms(np.ones((3,) + grid.shape + (1,)), grid, 2.0, order)
+    assert len(calls) == passes
+    assert all(sum(1 for s in sigma if s) == 1 for sigma in calls)
+
+
+def _draw_interval(data, T):
+    lo = data.draw(st.floats(0.0, T), label="lo")
+    hi = data.draw(st.floats(0.0, T), label="hi")
+    if lo == hi:
+        lo, hi = 0.0, T
+    return (min(lo, hi), max(lo, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_memoized_norms_equal_those_of_a_fresh_trajectory(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 16 if dim == 1 else 10), label="nodes"))
+    order = data.draw(st.sampled_from([2, 4]), label="order")
+    bc = data.draw(st.sampled_from(list(BoundaryCondition)), label="bc")
+    q = data.draw(st.sampled_from([2.0, 4.0]), label="q")
+    K = data.draw(st.integers(2, 8), label="K")
+    steps = data.draw(arrays(np.float64, K, elements=st.floats(0.01, 1.0)), label="steps")
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    shape = (K + 1,) + grid.shape + (1,)
+    states = data.draw(arrays(np.float64, shape, elements=st.floats(-10, 10)), label="states")
+    derivs = data.draw(arrays(np.float64, shape, elements=st.floats(-10, 10)), label="derivs")
+    traj = WeightedTrajectory(times, states, derivs, MU, P)
+    T = traj.horizon
+    for _ in range(3):
+        interval = _draw_interval(data, T)
+        fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
+        assert E0mu_norm(traj, interval, q) == E0mu_norm(fresh, interval, q)
+        fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
+        assert (E1mu_norm(traj, interval, q, order, bc)
+                == E1mu_norm(fresh, interval, q, order, bc))
+    # a sample times[k] lies inside the smoothing window (delta/2, delta)
+    k = data.draw(st.integers(1, K - 1), label="k")
+    delta = min(T, 1.5 * times[k])
+    fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
+    assert (smoothing_check(traj, delta, q, order, bc)
+            == smoothing_check(fresh, delta, q, order, bc))
+    assert E1mu_norm(traj, None, q, order, bc) == E1mu_norm(fresh, None, q, order, bc)
+
+
 # ---------------------------------------------------------------- smoothing
 
 def test_smoothing_inequality_holds_on_decaying_trajectory():

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parabolab import problems
 from parabolab.evolution import StateConstraintError
@@ -89,6 +90,31 @@ def test_polynomial_map_validation():
         PolynomialMap(shape=(1,), nvars=1, terms=(((0, 0), (1,), 1.0),))
     with pytest.raises(ProblemSpecError):
         PolynomialMap(shape=(1,), nvars=2, terms=(((0,), (1,), 1.0),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_polynomial_map_agrees_with_direct_evaluation(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="shape"))
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    out_index = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    term = st.tuples(out_index, st.tuples(*[st.integers(0, 3)] * nvars),
+                     st.floats(-10.0, 10.0))
+    terms = tuple(data.draw(st.lists(term, max_size=6), label="terms"))
+    pm = PolynomialMap(shape=shape, nvars=nvars, terms=terms)
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2), label="lead"))
+    u = data.draw(arrays(np.float64, lead + (nvars,), elements=st.floats(-3.0, 3.0)),
+                  label="u")
+    out = pm(u)
+    assert out.shape == lead + shape
+    for point in np.ndindex(lead):
+        expect = np.zeros(shape)
+        scale = np.zeros(shape)
+        for idx, powers, coeff in terms:
+            mono = coeff * float(np.prod([u[point][a] ** k for a, k in enumerate(powers)]))
+            expect[idx] += mono
+            scale[idx] += abs(mono)
+        assert np.all(np.abs(out[point] - expect) <= 1e-13 * scale)
 
 
 # ---------------------------------------------------------------- positivity
