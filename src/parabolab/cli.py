@@ -150,6 +150,12 @@ def _symbol_report(cfg: dict, field: GridFunction | None, b_range, n_lambda) -> 
 
 
 def cmd_symbol(args) -> int:
+    lo, hi, count = args.b_range
+    _require(0.0 < lo < hi < math.inf and count >= 1,
+             f"--b-range LO:HI:COUNT needs 0 < LO < HI < inf and COUNT >= 1, "
+             f"got {lo!r}:{hi!r}:{count}")
+    _require(args.lambda_points >= 1,
+             f"--lambda-points must be >= 1, got {args.lambda_points}")
     cfg = cfgmod.load_run_config(args.config)
     field = None
     if args.field:
@@ -197,17 +203,28 @@ def _window_files(out_dir: Path) -> list:
     return sorted(out_dir.glob("window_*.npz"))
 
 
-def _glue_windows(out_dir: Path, mu: float, p: float):
-    """Rebuild the absolute-time trajectory from per-window checkpoints."""
-    files = _window_files(out_dir)
-    if not files:
-        raise ckpt.CheckpointError(f"no window checkpoints under {out_dir}")
-    loaded = [ckpt.load_trajectory(f) for f in files]
+def _glue_windows(loaded: list, out_dir: Path, mu: float, p: float) -> WeightedTrajectory:
+    """Join the ``(trajectory, meta)`` windows read from the checkpoints under
+    ``out_dir`` into one absolute-time trajectory."""
     try:
-        glued = glue([(float(meta.get("t_start", 0.0)), traj) for traj, meta in loaded], mu, p)
+        return glue([(float(meta.get("t_start", 0.0)), traj) for traj, meta in loaded], mu, p)
     except ValueError as exc:
         raise ckpt.CheckpointError(f"window files under {out_dir}: {exc}") from exc
-    return glued, [meta for _, meta in loaded]
+
+
+def _append_run(prev: WeightedTrajectory, new_windows: list,
+                run: WeightedTrajectory) -> WeightedTrajectory:
+    """``prev`` followed by the samples that this invocation glued in memory.
+
+    ``new_windows`` holds the meta and local sample times of each new window.
+    The new samples' absolute times are rebuilt from them as ``glue`` computes
+    them, so a resumed run reproduces the bytes of an uninterrupted one.
+    """
+    times = [meta["t_start"] + local[1:] for meta, local in new_windows]
+    return WeightedTrajectory(np.concatenate([prev.times, *times]),
+                              np.concatenate([prev.state_values, run.state_values[1:]]),
+                              np.concatenate([prev.deriv_values, run.deriv_values[1:]]),
+                              prev.mu, prev.p)
 
 
 def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
@@ -306,6 +323,9 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         for f in _window_files(out_dir):
             f.unlink()
 
+    # meta and local sample times of each window this invocation runs
+    new_windows: list = []
+
     def save_window(idx: int, t_start: float, wstate) -> None:
         meta = dict(base_meta)
         meta["index"] = start_index + idx
@@ -314,13 +334,16 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         meta["config_sha256"] = fingerprint
         ckpt.save_trajectory(out_dir / f"window_{start_index + idx:04d}.npz",
                              wstate.trajectory, meta)
+        new_windows.append((meta, wstate.trajectory.times))
 
     status = "ok"
     reason = None
+    run = None
     try:
         if t0 < horizon - 1e-12 * max(1.0, horizon):
             state = continue_solution(u_start, problem, fp, horizon, t0=t0,
                                       on_window=save_window)
+            run = state.trajectory
             if state.blow_up:
                 status = "blow_up"
                 reason = state.reason
@@ -341,9 +364,19 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         "windows": [],
         "admissible": bool(adm["admissible"]),
     }
-    # a run whose first window collapsed has no trajectory to glue or measure
-    if _window_files(out_dir):
-        traj, metas = _glue_windows(out_dir, fp.mu, fp.p)
+    # the windows this invocation ran are glued in memory (``run``), and only
+    # those of earlier invocations are read back; without ``run`` (nothing
+    # left to run, a collapsed first window, a run that broke off) every
+    # window is read back
+    if run is None:
+        done, new_windows = _window_files(out_dir), []
+    loaded = [ckpt.load_trajectory(f) for f in done]
+    metas = [meta for _, meta in loaded] + [meta for meta, _ in new_windows]
+    traj = _glue_windows(loaded, out_dir, fp.mu, fp.p) if loaded else None
+    if run is not None:
+        traj = run if traj is None else _append_run(traj, new_windows, run)
+    # a run whose first window collapsed has no trajectory to measure
+    if traj is not None:
         ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
         rows = _timeseries_rows(traj, bc, order)
         _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER, rows)
@@ -354,7 +387,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         summary.update({
             "t_reached": last["time"],
             "n_windows": len(metas),
-            # from the window files, so a resumed run lists its earlier windows too
+            # from the window meta, so a resumed run lists its earlier windows too
             "windows": [m.get("window_summary") for m in metas],
             "final_sup_norm": last["sup_norm"],
             "final_l2_norm": last["l2_norm"],

@@ -15,6 +15,7 @@ Exponent values may be numbers or exact fraction strings such as ``"9/10"``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -56,6 +57,15 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    """The run-config validator, checked and compiled once per process."""
+    schema = _schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -67,9 +77,9 @@ def load_json(path) -> dict:
 
 
 def validate_run_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
+    # the error that jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if exc is not None:
         path = "/".join(str(k) for k in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     delta = cfg.get("diagnostics", {}).get("smoothing_delta")

@@ -35,15 +35,35 @@ seen it.
 
 The stepping machinery is built once per window attempt and shared by the
 reference solve and every Picard iteration.  Implicit Euler factors each
-I + dt_k*A(u1) once, as one LAPACK banded LU (``operators.BandedLU``), in 1D
-and 2D alike.  The limit is 2D memory: the band of an m^2-node operator is
-about m wide, so one factor takes O(m^3) bytes and a window holds K of them.
-For the second-order operator, one factor takes 6.3 MB at 64^2 nodes, 21 MB at
-96^2 and 50 MB at 128^2, against 2.6, 7.2 and 15 MB for a sparse LU
-(SuperLU).  Time is not the limit there: a banded factorization took
-4.9e-3, 2.2e-2 and 7.2e-2 s, against 1.1e-2, 3.5e-2 and 8.7e-2 s for the
-sparse LU, on a 2-core Intel Xeon VM with one BLAS thread.  The bundled
-configs are 1D; the largest 2D case in ``perfbench/configs`` has 48^2 nodes.
+I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK banded factor chosen
+from what A(u1) shows:
+
+* banded Cholesky of W(I + dt_k*A(u1)), W the diagonal of the operator's
+  pairing weights (``operators.BandedCholesky``), when every weight is
+  positive and W A(u1) is symmetric to rounding.  That holds for the heat
+  problem and for reaction-diffusion with a diagonal, positive a(u1) (always
+  so for one component), whose operator -a(u1) Lap pairs with w/a(u1), and
+  for the reference operators, the clamped plate among them;
+* banded LU (``operators.BandedLU``) otherwise: the geometric flows and
+  coupled reaction-diffusion, and any step whose W(I + dt_k*A(u1)) is not
+  positive definite.
+
+The limit is 2D memory: the band of an m^2-node operator is about m wide, so
+one factor takes O(m^3) bytes and a window holds K of them.  For the
+second-order operator -a(u) Lap, a Cholesky factor stores m + 1 band rows
+and an LU factor 3m + 1.  Per factor, two passes on a 2-core Intel Xeon VM
+with one BLAS thread:
+
+    nodes                     48^2       64^2       96^2       128^2
+    Cholesky  size (MB)       0.90       2.1        7.2        17
+              factor (ms)     2.7        5.2-6.5    19-23      43-47
+              solve (ms)      0.12-0.13  0.27-0.29  0.77-0.84  2.0-2.5
+    LU        size (MB)       2.7        6.3        21         50
+              factor (ms)     3.9-4.2    12         39-42      102-110
+              solve (ms)      0.25-0.38  0.67-0.71  1.9-2.2    8.1-8.3
+
+The bundled configs are 1D; the largest 2D case in ``perfbench/configs`` has
+48^2 nodes.
 """
 
 from __future__ import annotations
@@ -58,8 +78,8 @@ import numpy as np
 from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
                     x1_norm)
-from .operators import (BandedLU, LinearOperator, SolverError, SpectralProxy,
-                        eigendecompose, reference_operator)
+from .operators import (BandedCholesky, BandedLU, LinearOperator, NotPositiveDefiniteError,
+                        SolverError, SpectralProxy, eigendecompose, reference_operator)
 
 
 class StateConstraintError(ValueError):
@@ -174,14 +194,38 @@ def graded_times(T: float, steps: int, gamma: float) -> np.ndarray:
     return T * (k / steps) ** gamma
 
 
+# A0 takes Cholesky steps when diag(weights) @ A0 is symmetric to this
+# relative defect, a rounding-level bound.
+SYMMETRIC_DEFECT = 1e-14
+
+
 class _EulerStepper:
-    """Implicit Euler with one banded LU of I + dt_k*A0 per step."""
+    """Implicit Euler with one banded factor of I + dt_k*A0 per step.
+
+    The factor is a Cholesky factor of W(I + dt_k*A0), W = diag(weights),
+    when every weight is positive and W A0 is symmetric to SYMMETRIC_DEFECT,
+    and an LU factor otherwise, or for a step whose W(I + dt_k*A0) is not
+    positive definite.
+    """
 
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        ab, bands = A0.to_banded()
-        self.factors = [BandedLU(ab, bands, scale=dt, shift=1.0) for dt in np.diff(times)]
+        sym = None
+        if np.all(A0.weights > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT:
+            sym = A0.to_symmetric_banded()
+        band = None
+        self.factors = []
+        for dt in np.diff(times):
+            if sym is not None:
+                try:
+                    self.factors.append(BandedCholesky(sym, A0.weights, scale=dt, shift=1.0))
+                    continue
+                except NotPositiveDefiniteError:
+                    pass
+            if band is None:
+                band = A0.to_banded()
+            self.factors.append(BandedLU(*band, scale=dt, shift=1.0))
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
         us = np.tile(u_init, (len(self.times), 1))

@@ -47,6 +47,10 @@ class SolverError(RuntimeError):
     """Raised when a direct linear solve fails (singular pivot etc.)."""
 
 
+class NotPositiveDefiniteError(SolverError):
+    """A Cholesky factorization met a non-positive pivot."""
+
+
 def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     offsets, coeffs = STENCILS[order]
     n = values.shape[axis]
@@ -201,6 +205,21 @@ class LinearOperator:
         ab[kl + ku + offsets, coo.col] = coo.data
         return ab, (kl, ku)
 
+    def to_symmetric_banded(self) -> np.ndarray:
+        """diag(weights) @ matrix in LAPACK ``pbtrf`` upper storage.
+
+        Entry (i, j), i <= j, sits at ``ab[kd + i - j, j]``; the lower
+        triangle is not stored, so this is only meaningful for an operator
+        that is symmetric in its pairing.
+        """
+        coo = (scipy.sparse.diags(self.weights) @ self.matrix).tocoo()
+        offsets = coo.col - coo.row
+        upper = offsets >= 0
+        kd = int(offsets.max(initial=0))
+        ab = np.zeros((kd + 1, self.n_active), order="F")
+        ab[kd - offsets[upper], coo.col[upper]] = coo.data[upper]
+        return ab
+
 
 def operator_from_full_matrix(grid: Grid, ncomp: int, bc: BoundaryCondition,
                               full_matrix) -> LinearOperator:
@@ -298,6 +317,36 @@ class BandedLU:
         x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
         if info != 0 or not np.all(np.isfinite(x)):
             raise SolverError(f"banded solve failed: dgbtrs info {info} or non-finite values")
+        return x
+
+
+class BandedCholesky:
+    """Cholesky factor of ``diag(w) @ (shift*I + scale*M)`` for M symmetric in
+    the pairing w, with ``diag(w) @ M`` in ``to_symmetric_banded`` storage
+    (LAPACK pbtrf/pbtrs).
+
+    ``solve(b)`` solves ``(shift*I + scale*M) x = b`` through the right-hand
+    side ``w*b``.  A matrix that is not positive definite raises
+    NotPositiveDefiniteError; a solve that returns non-finite values raises
+    SolverError.
+    """
+
+    __slots__ = ("c", "w")
+
+    def __init__(self, ab: np.ndarray, w: np.ndarray, scale: float = 1.0,
+                 shift: float = 0.0):
+        a = scale * ab
+        a[-1] += shift * w
+        c, info = scipy.linalg.lapack.dpbtrf(a, overwrite_ab=1)
+        if info != 0:
+            raise NotPositiveDefiniteError(
+                f"banded Cholesky failed: dpbtrf info {info} (not positive definite)")
+        self.c, self.w = c, w
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = scipy.linalg.lapack.dpbtrs(self.c, self.w * b)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise SolverError(f"banded solve failed: dpbtrs info {info} or non-finite values")
         return x
 
 

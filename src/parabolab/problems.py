@@ -294,7 +294,12 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
             shape=(n_nodes * N, n_nodes * N),
         )
         big_lap = scipy.sparse.kron(lap_scalar, scipy.sparse.identity(N), format="csr")
-        return operator_from_full_matrix(grid, N, bc, -(blocks @ big_lap))
+        op = operator_from_full_matrix(grid, N, bc, -(blocks @ big_lap))
+        # -a Lap with a diagonal and positive is symmetric in the pairing w/a
+        diag = np.diagonal(av, axis1=1, axis2=2)
+        if np.all(diag > 0.0) and np.array_equal(av, diag[..., None] * np.eye(N)):
+            op = dataclasses.replace(op, weights=op.weights / diag.ravel())
+        return op
 
     def F1(v: GridFunction) -> GridFunction:
         require_in_box(v)

@@ -157,6 +157,46 @@ def test_run_resume_reproduces_uninterrupted_bytes(tmp_path):
     assert len(json.loads((b / "summary.json").read_text())["windows"]) == 2
 
 
+def test_run_resumed_over_several_windows_reproduces_uninterrupted_bytes(tmp_path):
+    # the resumed windows reach five times the resume time, so their absolute
+    # times are not exact differences from it
+    long_cfg = heat_cfg()
+    long_cfg["solver"]["horizon"] = 0.1
+    full = write_cfg(tmp_path / "full.json", long_cfg)
+    half_cfg = heat_cfg()
+    half_cfg["solver"]["horizon"] = 0.02
+    half = write_cfg(tmp_path / "half.json", half_cfg)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", full, "--out", str(a)]) == 0
+    assert main(["run", "--config", half, "--out", str(b)]) == 0
+    assert main(["run", "--config", full, "--out", str(b), "--resume"]) == 0
+    assert sorted(f.name for f in a.iterdir()) == sorted(f.name for f in b.iterdir())
+    for f in a.iterdir():
+        assert f.read_bytes() == (b / f.name).read_bytes(), f.name
+
+
+def test_run_reads_back_only_the_windows_of_earlier_invocations(tmp_path, monkeypatch):
+    loads = []
+    load = cli.ckpt.load_trajectory
+
+    def counted(path):
+        loads.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(cli.ckpt, "load_trajectory", counted)
+    half_cfg = heat_cfg()
+    half_cfg["solver"]["horizon"] = 0.02
+    half = write_cfg(tmp_path / "half.json", half_cfg)
+    full = write_cfg(tmp_path / "full.json", heat_cfg())
+    out = tmp_path / "out"
+    assert main(["run", "--config", full, "--out", str(out)]) == 0
+    assert len(list(out.glob("window_*.npz"))) == 2
+    assert loads == []                      # a fresh run glues its windows in memory
+    assert main(["run", "--config", half, "--out", str(out)]) == 0
+    assert main(["run", "--config", full, "--out", str(out), "--resume"]) == 0
+    assert loads and set(loads) == {"window_0000.npz"}
+
+
 @pytest.mark.parametrize("edit", [
     {"grid": {"dim": 1, "nodes": 32}},
     {"exponents": {"p": 2, "q": 2, "mu": "4/5"}},
@@ -416,12 +456,21 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     ("omega", "--times", "0.5,2.0"),      # the saved horizon is 1.0
     ("omega", "--times", "0.5"),
     ("omega", "--times", "0.5,x"),
+    ("symbol", "--b-range", "0:1:5"),
+    ("symbol", "--b-range", "1:10:0"),
+    ("symbol", "--b-range", "10:1:5"),
+    ("symbol", "--lambda-points", "0"),
 ])
 def test_out_of_range_options_exit_4(tmp_path, long_heat_run, capsys, command, option,
                                      value):
     csv_path, json_path = tmp_path / "n.csv", tmp_path / "n.json"
-    argv = [command, "--checkpoint", str(long_heat_run / "trajectory.npz"),
-            option, value, "--json", str(json_path)]
+    if command == "symbol":
+        # a fourth-order config, whose scan uses both options
+        source = ["--config", str(Path(__file__).resolve().parent.parent / "configs"
+                                  / "willmore.json")]
+    else:
+        source = ["--checkpoint", str(long_heat_run / "trajectory.npz")]
+    argv = [command, *source, option, value, "--json", str(json_path)]
     if command == "norms":
         argv += ["--csv", str(csv_path)]
     assert main(argv) == 4

@@ -37,7 +37,7 @@ from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  lipschitz_probe, omega_limit, picard_map,
                                  reference_solution)
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import (SolverError, eigendecompose,
+from parabolab.operators import (BandedCholesky, BandedLU, SolverError, eigendecompose,
                                  operator_from_full_matrix, reference_operator)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                                 flow_problem, linear_heat_spec, rd_problem)
@@ -133,11 +133,26 @@ def _scalar_diffusion(grid):
         u_box=np.array([[-2.0, 2.0]]), name="scalar"))
 
 
+def _plate(grid):
+    # the clamped bilaplacian of the refinement ladder, whatever the state
+    return lambda _state: reference_operator(grid, "fourth")
+
+
+def _flow(kind):
+    return lambda grid: flow_problem(FlowSpec(grid, kind)).assemble_A
+
+
+# frozen operators A(state), and the factor their implicit Euler steps take
 ORACLE_CASES = {
-    "neumann-1d": (Grid(1, 17), 1, _scalar_diffusion),
-    "clamped-1d": (Grid(1, 17), 1, lambda g: flow_problem(FlowSpec(g, "willmore"))),
-    "neumann-2d-ncomp2": (Grid(2, 12), 2, _coupled_diffusion),
-    "clamped-2d": (Grid(2, 12), 1, lambda g: flow_problem(FlowSpec(g, "surface_diffusion"))),
+    "heat-1d": (Grid(1, 17), 1, lambda g: rd_problem(linear_heat_spec(g)).assemble_A,
+                BandedCholesky),
+    "neumann-1d": (Grid(1, 17), 1, lambda g: _scalar_diffusion(g).assemble_A, BandedCholesky),
+    "neumann-2d": (Grid(2, 12), 1, lambda g: _scalar_diffusion(g).assemble_A, BandedCholesky),
+    "plate-1d": (Grid(1, 17), 1, _plate, BandedCholesky),
+    "plate-2d": (Grid(2, 12), 1, _plate, BandedCholesky),
+    "clamped-1d": (Grid(1, 17), 1, _flow("willmore"), BandedLU),
+    "neumann-2d-ncomp2": (Grid(2, 12), 2, lambda g: _coupled_diffusion(g).assemble_A, BandedLU),
+    "clamped-2d": (Grid(2, 12), 1, _flow("surface_diffusion"), BandedLU),
 }
 
 
@@ -145,11 +160,11 @@ ORACLE_CASES = {
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_euler_stepper_matches_sparse_solve(case, data):
-    grid, ncomp, build = ORACLE_CASES[case]
+    grid, ncomp, build, _factor = ORACLE_CASES[case]
     # the state sets the coefficient fields of the frozen operator A(state)
     state = data.draw(arrays(np.float64, grid.shape + (ncomp,),
                              elements=st.floats(-1.0, 1.0)), label="state")
-    A = build(grid).assemble_A(GridFunction(grid, state))
+    A = build(grid)(GridFunction(grid, state))
     dts = data.draw(st.lists(st.floats(1e-8, 1e-2), min_size=1, max_size=3), label="dts")
     times = np.concatenate([[0.0], np.cumsum(dts)])
     n = A.n_active
@@ -173,6 +188,44 @@ def test_euler_stepper_singular_step_raises():
                                   -scipy.sparse.identity(grid.n_nodes))
     with pytest.raises(SolverError):
         evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_euler_stepper_factorization_path(case):
+    grid, ncomp, build, factor = ORACLE_CASES[case]
+    # a state at which every coefficient field varies over the grid
+    bump = np.ones(grid.shape)
+    for x in grid.coords():
+        bump = bump * np.sin(np.pi * x) ** 2
+    state = 0.3 * bump[..., None] * np.array([1.0, -1.0][:ncomp])
+    A = build(grid)(GridFunction(grid, state))
+    stepper = evolution._EulerStepper(A, graded_times(0.01, 4, 2.0))
+    assert [type(f) for f in stepper.factors] == [factor] * 4
+
+
+def test_euler_stepper_indefinite_step_falls_back_to_lu():
+    # A = -I is symmetric, and I + dt*A = -I at dt = 2 is indefinite
+    grid = Grid(1, 9)
+    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
+                                  -scipy.sparse.identity(grid.n_nodes))
+    stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
+    assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
+    u0 = np.linspace(-1.0, 1.0, grid.n_nodes)
+    us = stepper.run(u0, None)
+    assert np.allclose(us[1], 2.0 * u0, rtol=1e-14, atol=0.0)
+    assert np.allclose(us[2], -us[1], rtol=1e-14, atol=0.0)
+
+
+def test_spectral_stepper_accepts_variable_diffusion():
+    # -a(u) Lap is symmetric in the pairing w/a, so its eigenbasis exists
+    grid = Grid(1, 17)
+    prob = _scalar_diffusion(grid)
+    u0 = GridFunction.from_scalar(grid, 1.0 + 0.3 * np.cos(np.pi * grid.axis_coords()))
+    A = prob.assemble_A(u0)
+    assert np.array_equal(A.weights, grid.trapezoid_weights() / (1.0 + u0.scalar ** 2))
+    cfg = FixedPointConfig(window=0.005, time_steps=20, mu=MU, p=P, propagator="spectral")
+    st = fixed_point_solve(u0, prob, cfg)
+    assert st.converged and st.halvings == 0
 
 
 def test_spectral_stepper_exact_exponential():

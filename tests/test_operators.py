@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse
 
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import (LinearOperator, SolverError,derivative,
+from parabolab.operators import (BandedCholesky, LinearOperator, NotPositiveDefiniteError,
+                                 SolverError, derivative,
                                  diff_matrix_1d, eigendecompose,
                                  assemble_coefficient_operator, neumann_laplacian,
                                  operator_from_full_matrix, reference_operator,
@@ -207,6 +208,16 @@ def test_singular_solve_raises():
     rhs = GridFunction.from_scalar(grid, np.ones(grid.shape))
     with pytest.raises(SolverError):
         solve_banded(op, rhs)
+
+
+def test_banded_cholesky_errors():
+    op = reference_operator(Grid(1, 9), "second")
+    ab = op.to_symmetric_banded()
+    with pytest.raises(NotPositiveDefiniteError):
+        BandedCholesky(ab, op.weights, scale=-1.0)      # -A is negative semidefinite
+    factor = BandedCholesky(ab, op.weights, scale=1e-2, shift=1.0)
+    with pytest.raises(SolverError):
+        factor.solve(np.full(op.n_active, np.inf))
 
 
 # ---------------------------------------------------------------- spectra
