@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,10 @@ def load_trajectory(path):
     malformed arrays or meta) raises ``CheckpointError``.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaves a file it opened itself open when the zip is bad,
+        # so a path is opened here; an open file object is read as it is
+        source = nullcontext(path) if hasattr(path, "read") else open(path, "rb")
+        with source as fh, np.load(fh, allow_pickle=False) as data:
             missing = {"format_version", "times", "states", "derivs", "dim",
                        "nodes", "mu", "p"} - set(data.files)
             if missing:

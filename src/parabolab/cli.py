@@ -597,14 +597,25 @@ def _refinement_orders(axes: dict, keys: list, cell_reports: list) -> dict:
 # ---------------------------------------------------------------- entry
 
 def _b_range(value: str):
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected LO:HI:COUNT")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = value.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI:COUNT, got {value!r}") from None
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Rejects a malformed command line as a configuration error (exit 4);
+    argparse's own code 2 is the admissibility code here.  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="parabolab",
         description="Numerical laboratory for quasilinear parabolic evolution problems.",
     )

@@ -26,17 +26,24 @@ symmetric scalar operators and makes window gluing exact up to roundoff.
 
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
 steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
-scatters onto the grid once, and the Picard right-hand side is one call of
+scatters onto the grid once, or takes as the states when every node is
+active (Neumann), and the Picard right-hand side is one call of
 the problem's G hook on the whole stack of samples, followed by one sparse
 product with A(u1).  Problems without a G hook fall back to their F1, F2
-and apply_A hooks, one sample at a time.  ``continue_solution`` glues the
-windows' arrays and releases each window's trajectory once ``on_window`` has
-seen it.
+and apply_A hooks, one sample at a time, accumulating each sample's terms in
+place in the output row; that fallback is slated for deletion once every
+caller supplies G.  Either way the stack is checked for finiteness once,
+not per sample.  ``continue_solution`` glues the windows' arrays and
+releases each window's trajectory once ``on_window`` has seen it.
 
 The stepping machinery is built once per window attempt and shared by the
 reference solve and every Picard iteration.  Implicit Euler factors each
 I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK banded factor chosen
-from what A(u1) shows:
+from what A(u1) shows.  Its march forms every increment dt_k*rhs_{k+1} in one
+product, solves each step with the factor's unchecked LAPACK solve, and
+checks the whole (K+1, n_active) output for finiteness once per run; a
+non-finite run raises the SolverError of the first step that went
+non-finite, as a checked solve would have.  The factors are
 
 * banded Cholesky of W(I + dt_k*A(u1)), W the diagonal of the operator's
   pairing weights (``operators.BandedCholesky``), when every weight is
@@ -117,7 +124,8 @@ class AbstractProblem:
     satisfies ``state_constraint`` and may return non-finite values, which
     the caller rejects.  G does not depend on the frozen operator, so it is
     invariant under ``kappa_shift``.  Without it, ``G_values`` evaluates
-    F1 + F2 - apply one sample at a time.
+    F1 + F2 - apply one sample at a time, in place in the output row, and
+    leaves the finiteness check to the caller.
     """
 
     assemble_A: Callable[[GridFunction], LinearOperator]
@@ -148,7 +156,9 @@ class AbstractProblem:
         out = np.empty_like(samples)
         for k, vals in enumerate(samples):
             v = GridFunction(grid, vals)
-            out[k] = (self.F1(v) + self.F2(v) - self.apply(v, v)).values
+            row = out[k]
+            np.add(self.F1(v).values, self.F2(v).values, out=row)
+            row -= self.apply(v, v).values
         return out.reshape(values.shape)
 
 
@@ -228,11 +238,24 @@ class _EulerStepper:
             self.factors.append(BandedLU(*band, scale=dt, shift=1.0))
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
-        us = np.tile(u_init, (len(self.times), 1))
-        dts = np.diff(self.times)
-        for k, lu in enumerate(self.factors):
-            b = us[k] if rhs is None else us[k] + dts[k] * rhs[k + 1]
-            us[k + 1] = lu.solve(b)
+        """The (K+1, n) states from u_init, with one finiteness check over
+        all of them rather than one per solve."""
+        us = np.empty((len(self.times), len(u_init)))
+        us[0] = u_init
+        # step k solves with b_k = us[k] + dt_k*rhs[k+1], added in place to
+        # the increment (addition commutes, so the bits are the same)
+        bs = us[:-1] if rhs is None else np.diff(self.times)[:, None] * rhs[1:]
+        for k, factor in enumerate(self.factors):
+            b = bs[k]
+            if rhs is not None:
+                b += us[k]
+            us[k + 1] = factor._solve(b)
+        if not np.all(np.isfinite(us)):
+            # a non-finite value stays non-finite in later steps, so the
+            # first non-finite state names the failing step, whose checked
+            # solve raises that step's SolverError
+            k = max(int(np.argmin(np.isfinite(us).all(axis=1))) - 1, 0)
+            self.factors[k].solve(bs[k])
         return us
 
 
@@ -295,13 +318,19 @@ def _assemble_trajectory(mach: _Machinery, vecs: np.ndarray, rhs: Optional[np.nd
     """Scatter the (K+1, n_active) stepper output onto the grid; the time
     derivative is -A0 u + rhs at t = 0 and the backward difference after."""
     A0 = mach.A0
-    full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
-    states = np.zeros(full)
-    states[:, A0.active] = vecs
-    derivs = np.zeros(full)
     r0 = rhs[0] if rhs is not None else 0.0
-    derivs[0, A0.active] = r0 - A0.matrix @ vecs[0]
-    derivs[1:, A0.active] = np.diff(vecs, axis=0) / np.diff(mach.times)[:, None]
+    dvecs = np.empty_like(vecs)
+    dvecs[0] = r0 - A0.matrix @ vecs[0]
+    dvecs[1:] = np.diff(vecs, axis=0) / np.diff(mach.times)[:, None]
+    full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
+    if A0.n_active == full[1]:
+        # every unknown is active (Neumann): the arrays are the states
+        states, derivs = vecs, dvecs
+    else:
+        states = np.zeros(full)
+        states[:, A0.active] = vecs
+        derivs = np.zeros(full)
+        derivs[:, A0.active] = dvecs
     shape = (len(vecs),) + A0.grid.shape + (A0.ncomp,)
     return WeightedTrajectory(mach.times, states.reshape(shape), derivs.reshape(shape),
                               cfg.mu, cfg.p)

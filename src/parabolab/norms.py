@@ -60,7 +60,12 @@ def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
     """L_q norm of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    mag = np.sqrt(np.sum(values ** 2, axis=-1))
+    if values.shape[-1] == 1:
+        # |v| is what sqrt(v**2) rounds to, and stays exact where v**2
+        # would underflow or overflow
+        mag = np.abs(values[..., 0])
+    else:
+        mag = np.sqrt(np.sum(values ** 2, axis=-1))
     mag **= q
     mag *= grid.trapezoid_weights()
     return np.sum(mag, axis=tuple(range(-grid.dim, 0))) ** (1.0 / q)

@@ -293,12 +293,18 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
     raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
 
 
+def _solve_error(routine: str, info: int) -> SolverError:
+    return SolverError(f"banded solve failed: {routine} info {info} or non-finite values")
+
+
 class BandedLU:
     """LU factors of ``shift*I + scale*M`` for M in ``to_banded`` storage
     (LAPACK gbtrf/gbtrs).
 
-    A zero pivot, or a solve that returns non-finite values, raises
-    SolverError.
+    A zero pivot raises SolverError, and so does a ``solve`` that returns
+    non-finite values.  ``_solve`` is the same LAPACK solve without the
+    finiteness check, for the implicit Euler march, which checks its whole
+    output once.
     """
 
     __slots__ = ("lu", "piv", "kl", "ku")
@@ -313,10 +319,16 @@ class BandedLU:
             raise SolverError(f"banded LU failed: dgbtrf info {info} (zero pivot?)")
         self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
-        if info != 0 or not np.all(np.isfinite(x)):
-            raise SolverError(f"banded solve failed: dgbtrs info {info} or non-finite values")
+        if info != 0:
+            raise _solve_error("dgbtrs", info)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._solve(b)
+        if not np.all(np.isfinite(x)):
+            raise _solve_error("dgbtrs", 0)
         return x
 
 
@@ -327,8 +339,10 @@ class BandedCholesky:
 
     ``solve(b)`` solves ``(shift*I + scale*M) x = b`` through the right-hand
     side ``w*b``.  A matrix that is not positive definite raises
-    NotPositiveDefiniteError; a solve that returns non-finite values raises
-    SolverError.
+    NotPositiveDefiniteError; a ``solve`` that returns non-finite values
+    raises SolverError.  ``_solve`` is the same LAPACK solve without the
+    finiteness check, for the implicit Euler march, which checks its whole
+    output once.
     """
 
     __slots__ = ("c", "w")
@@ -343,10 +357,16 @@ class BandedCholesky:
                 f"banded Cholesky failed: dpbtrf info {info} (not positive definite)")
         self.c, self.w = c, w
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         x, info = scipy.linalg.lapack.dpbtrs(self.c, self.w * b)
-        if info != 0 or not np.all(np.isfinite(x)):
-            raise SolverError(f"banded solve failed: dpbtrs info {info} or non-finite values")
+        if info != 0:
+            raise _solve_error("dpbtrs", info)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._solve(b)
+        if not np.all(np.isfinite(x)):
+            raise _solve_error("dpbtrs", 0)
         return x
 
 

@@ -479,6 +479,35 @@ def test_out_of_range_options_exit_4(tmp_path, long_heat_run, capsys, command, o
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    "norms --checkpoint CKPT --q abc --json OUT/n.json --csv OUT/n.csv",
+    "norms --checkpoint CKPT --intervals 2.5 --json OUT/n.json --csv OUT/n.csv",
+    "symbol --config CONFIGS/willmore.json --b-range 1:10:x --json OUT/s.json",
+    "run --config CONFIGS/heat.json --seed x --out OUT/run",
+    "omega --checkpoint CKPT --count x --json OUT/o.json",
+    "run --out OUT/run",
+])
+def test_malformed_command_line_exits_4(tmp_path, long_heat_run, capsys, argv):
+    # argparse's own exit code 2 is the admissibility code here
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    argv = (argv.replace("CKPT", str(long_heat_run / "trajectory.npz"))
+            .replace("CONFIGS", str(configs)).replace("OUT", str(tmp_path)).split())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: parabolab {argv[0]}")
+    assert f"parabolab {argv[0]}: error: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "usage: parabolab run" in capsys.readouterr().out
+
+
 def test_diagnostics_measure_each_trajectory_once(monkeypatch):
     grid = Grid(2, 9)
     times = np.linspace(0.0, 1.0, 9) ** 2

@@ -216,6 +216,41 @@ def test_euler_stepper_indefinite_step_falls_back_to_lu():
     assert np.allclose(us[2], -us[1], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("case,factor,routine", [("heat-1d", BandedCholesky, "dpbtrs"),
+                                                 ("clamped-1d", BandedLU, "dgbtrs")])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_march_raises_the_failing_steps_error(case, factor, routine, bad):
+    # the march checks its output once; a non-finite rhs row mid-window
+    # raises the error of the checked solve of the step that met it
+    grid, ncomp, build, _factor = ORACLE_CASES[case]
+    bump = 0.3 * np.sin(np.pi * grid.axis_coords()) ** 2
+    A = build(grid)(GridFunction.from_scalar(grid, bump))
+    stepper = evolution._EulerStepper(A, graded_times(0.01, 6, 2.0))
+    assert [type(f) for f in stepper.factors] == [factor] * 6
+    u0 = np.linspace(-1.0, 1.0, A.n_active)
+    rhs = np.ones((7, A.n_active))
+    assert np.all(np.isfinite(stepper.run(u0, rhs)))
+    rhs[3, A.n_active // 2] = bad
+    with pytest.raises(SolverError,
+                       match=f"^banded solve failed: {routine} info 0 or non-finite values$"):
+        stepper.run(u0, rhs)
+    with pytest.raises(SolverError, match=routine):
+        stepper.run(np.full(A.n_active, bad), None)
+
+
+def test_window_meeting_a_non_finite_march_halves():
+    # a constant G = 1e308 adds dt*1e308 to the state in each step, so the
+    # first Picard march of a window of length 8, 4 or 2 overflows
+    grid, prob = heat_problem(9)
+    prob = dataclasses.replace(prob, G=lambda values: np.full_like(values, 1e308))
+    cfg = FixedPointConfig(window=8.0, time_steps=4, mu=MU, p=P, max_halvings=2)
+    with np.errstate(over="ignore"), pytest.raises(NonconvergenceError) as exc:
+        fixed_point_solve(GridFunction.zeros(grid), prob, cfg)
+    assert exc.value.halvings == 2 and exc.value.residuals == ()
+    assert str(exc.value) == ("window collapsed after 2 halvings: iteration failed: "
+                              "banded solve failed: dpbtrs info 0 or non-finite values")
+
+
 def test_spectral_stepper_accepts_variable_diffusion():
     # -a(u) Lap is symmetric in the pairing w/a, so its eigenbasis exists
     grid = Grid(1, 17)
@@ -335,6 +370,27 @@ def test_problem_without_G_uses_its_hooks_per_sample():
     assert calls == {"F1": n, "F2": n, "apply_A": n, "G": 0}
     scale = np.max(np.abs(u.state_values))
     assert np.max(np.abs(u.state_values - w.state_values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("value", [np.inf, np.finfo(float).max])
+def test_problem_without_G_rejects_a_non_finite_rhs(value):
+    # F1 = F2 is `value` at one sample: an infinite field cannot be built,
+    # and two of the largest finite ones overflow in F1 + F2
+    grid = Grid(1, 17)
+    op = reference_operator(grid, "second")
+    u0 = GridFunction.from_scalar(grid, np.cos(np.pi * grid.axis_coords()))
+    cfg = FixedPointConfig(window=0.01, time_steps=4, mu=MU, p=P)
+
+    def hook(w):
+        hit = np.array_equal(w.values, v.state_values[2])
+        return GridFunction(grid, np.full_like(w.values, value if hit else 0.0))
+
+    prob = AbstractProblem(assemble_A=lambda w: op, F1=hook, F2=hook,
+                           bc=BoundaryCondition.NEUMANN)
+    v = reference_solution(u0, prob, cfg)
+    with np.errstate(over="ignore"), \
+            pytest.raises(StateConstraintError, match="non-finite right-hand side"):
+        picard_map(v, u0, u0, prob, cfg)
 
 
 def test_initial_state_outside_box_raises():

@@ -142,6 +142,27 @@ def test_stacked_norms_match_per_sample_norms(data):
             assert abs(stacked - ref) <= 1e-14 * abs(ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lq_norms_equal_the_euclidean_reference_bitwise(data):
+    # one component takes |v| for sqrt(v**2): the same bits wherever v**2
+    # neither underflows nor overflows, which holds for these magnitudes
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 12), label="nodes"))
+    ncomp = data.draw(st.sampled_from([1, 2]), label="ncomp")
+    q = data.draw(st.sampled_from([1.0, 2.0, 3.5, 4.0]), label="q")
+    samples = data.draw(st.integers(1, 3), label="samples")
+    magnitude = st.just(0.0) | st.floats(1e-150, 1e150)
+    element = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
+                              elements=element), label="values")
+    with np.errstate(over="ignore", under="ignore"):
+        got = lq_norms(values, grid, q)
+        mag = np.sqrt(np.sum(values ** 2, axis=-1)) ** q * grid.trapezoid_weights()
+        want = np.sum(mag, axis=tuple(range(-dim, 0))) ** (1.0 / q)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- trajectory
 
 def test_trajectory_validation():

@@ -14,8 +14,8 @@ import pytest
 import scipy.sparse
 
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import (BandedCholesky, LinearOperator, NotPositiveDefiniteError,
-                                 SolverError, derivative,
+from parabolab.operators import (BandedCholesky, BandedLU, LinearOperator,
+                                 NotPositiveDefiniteError, SolverError, derivative,
                                  diff_matrix_1d, eigendecompose,
                                  assemble_coefficient_operator, neumann_laplacian,
                                  operator_from_full_matrix, reference_operator,
@@ -218,6 +218,25 @@ def test_banded_cholesky_errors():
     factor = BandedCholesky(ab, op.weights, scale=1e-2, shift=1.0)
     with pytest.raises(SolverError):
         factor.solve(np.full(op.n_active, np.inf))
+
+
+@pytest.mark.parametrize("factor,routine", [("lu", "dgbtrs"), ("cholesky", "dpbtrs")])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_banded_solves_check_finiteness(factor, routine, bad):
+    # solve is checked; _solve, the march's per-step solve, is the same
+    # LAPACK solve unchecked
+    op = reference_operator(Grid(1, 9), "second")
+    if factor == "lu":
+        f = BandedLU(*op.to_banded(), scale=1e-2, shift=1.0)
+    else:
+        f = BandedCholesky(op.to_symmetric_banded(), op.weights, scale=1e-2, shift=1.0)
+    b = np.linspace(-1.0, 1.0, op.n_active)
+    assert f.solve(b).tobytes() == f._solve(b).tobytes()
+    b[3] = bad
+    with pytest.raises(SolverError,
+                       match=f"^banded solve failed: {routine} info 0 or non-finite values$"):
+        f.solve(b)
+    assert not np.all(np.isfinite(f._solve(b)))
 
 
 # ---------------------------------------------------------------- spectra
