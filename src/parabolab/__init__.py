@@ -13,7 +13,7 @@ from .exponents import (ExponentConfig, StructureExponents, admissibility_report
                         beta_window, check_dimensional, check_F2_exponents)
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import (LinearOperator, SolverError, SpectralProxy, derivative,
-                        eigendecompose, reference_operator, solve_banded)
+                        eigendecompose, reference_operator)
 from .norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, lq_norm,
                     proxy_norm, smoothing_check, verify_interpolation_inequality,
                     weighted_time_factor, x1_norm)
@@ -47,7 +47,7 @@ __all__ = [
     "mean_curvature", "omega_limit", "picard_map", "principal_symbol",
     "proxy_norm", "rd_divergence_oracle", "rd_problem", "reference_operator",
     "reference_solution", "save_trajectory", "sharp_ellipticity_bound",
-    "smoothing_check", "solve_banded", "spectrum_positivity_check",
+    "smoothing_check", "spectrum_positivity_check",
     "surface_diffusion_rhs", "tilt_factor", "trace_L_squared", "unit_normal",
     "verify_interpolation_inequality", "weighted_time_factor", "willmore_rhs",
     "x1_norm",

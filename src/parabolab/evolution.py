@@ -29,9 +29,8 @@ steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
 scatters onto the grid once, or takes as the states when every node is
 active (Neumann), and the Picard right-hand side is one call of
 the problem's G hook on the whole stack of samples, followed by one sparse
-product with A(u1).  Problems without a G hook fall back to their F1, F2
-and apply_A hooks, one sample at a time, accumulating each sample's terms in
-place in the output row; that fallback is slated for deletion once every
+product with A(u1).  Problems without a G hook fall back to their hooks
+(see ``AbstractProblem``); that fallback is slated for deletion once every
 caller supplies G.  Either way the stack is checked for finiteness once,
 not per sample.  ``continue_solution`` glues the windows' arrays and
 releases each window's trajectory once ``on_window`` has seen it.
@@ -39,11 +38,13 @@ releases each window's trajectory once ``on_window`` has seen it.
 The stepping machinery is built once per window attempt and shared by the
 reference solve and every Picard iteration.  Implicit Euler factors each
 I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK banded factor chosen
-from what A(u1) shows.  Its march forms every increment dt_k*rhs_{k+1} in one
-product, solves each step with the factor's unchecked LAPACK solve, and
-checks the whole (K+1, n_active) output for finiteness once per run; a
-non-finite run raises the SolverError of the first step that went
-non-finite, as a checked solve would have.  The factors are
+from what A(u1) shows; the K band matrices of a window are built in one
+array operation and each is factored in place.  Its march forms every
+increment dt_k*rhs_{k+1} in one product, solves each step with the factor's
+unchecked LAPACK solve, and checks the whole (K+1, n_active) output for
+finiteness once per run; a non-finite run raises the SolverError of the
+first step that went non-finite, as a checked solve would have.  The
+factors are
 
 * banded Cholesky of W(I + dt_k*A(u1)), W the diagonal of the operator's
   pairing weights (``operators.BandedCholesky``), when every weight is
@@ -86,7 +87,8 @@ from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
                     x1_norm)
 from .operators import (BandedCholesky, BandedLU, LinearOperator, NotPositiveDefiniteError,
-                        SolverError, SpectralProxy, eigendecompose, reference_operator)
+                        SolverError, SpectralProxy, eigendecompose, reference_operator,
+                        scaled_bands)
 
 
 class StateConstraintError(ValueError):
@@ -123,9 +125,17 @@ class AbstractProblem:
     axes are samples, so G must not mix them.  It may assume that its input
     satisfies ``state_constraint`` and may return non-finite values, which
     the caller rejects.  G does not depend on the frozen operator, so it is
-    invariant under ``kappa_shift``.  Without it, ``G_values`` evaluates
-    F1 + F2 - apply one sample at a time, in place in the output row, and
-    leaves the finiteness check to the caller.
+    invariant under ``kappa_shift``.
+
+    Without G, ``G_values`` falls back to the hooks.  It checks the input
+    stack for finiteness once (NonFiniteError), then hands each sample to
+    F1 and F2, and to ``apply_A`` or ``assemble_A``, as an unchecked
+    GridFunction view, accumulating F1 + F2 (- apply_A) in place in the
+    output row.  Without ``apply_A``, ``assemble_A`` is still called once
+    per sample, and A(v) v is subtracted as one sparse product for each run
+    of consecutive samples whose operator is the same object, so a
+    constant operator costs one product per stack.  The finiteness check
+    of the result is left to the caller.
     """
 
     assemble_A: Callable[[GridFunction], LinearOperator]
@@ -152,14 +162,38 @@ class AbstractProblem:
         """G on a stack of nodal values; see the class docstring."""
         if self.G is not None:
             return self.G(values)
+        if not np.isfinite(values).all():
+            raise NonFiniteError("GridFunction values must be finite")
         samples = values.reshape((-1,) + grid.shape + (values.shape[-1],))
         out = np.empty_like(samples)
+        flat_in = samples.reshape(len(samples), -1)
+        flat_out = out.reshape(len(samples), -1)
+        run_op, run_start = None, 0
         for k, vals in enumerate(samples):
-            v = GridFunction(grid, vals)
+            v = GridFunction._unchecked(grid, vals)
             row = out[k]
             np.add(self.F1(v).values, self.F2(v).values, out=row)
-            row -= self.apply(v, v).values
+            if self.apply_A is not None:
+                row -= self.apply_A(v, v).values
+                continue
+            op = self.assemble_A(v)
+            if op is not run_op:
+                _subtract_applied(run_op, grid, flat_in[run_start:k], flat_out[run_start:k])
+                run_op, run_start = op, k
+        _subtract_applied(run_op, grid, flat_in[run_start:], flat_out[run_start:])
         return out.reshape(values.shape)
+
+
+def _subtract_applied(op: Optional[LinearOperator], grid: Grid, vin: np.ndarray,
+                      vout: np.ndarray):
+    """``vout -= A vin`` row by row, for flat nodal samples ``vin`` on
+    ``grid`` that share the operator ``op`` (if any), as one sparse
+    product."""
+    if op is None:
+        return
+    if op.grid != grid or op.ncomp * grid.n_nodes != vin.shape[1]:
+        raise ValueError("field does not match operator layout")
+    vout.T[op.active] -= op.matrix @ vin.T[op.active]
 
 
 @dataclass
@@ -221,21 +255,21 @@ class _EulerStepper:
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        sym = None
-        if np.all(A0.weights > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT:
-            sym = A0.to_symmetric_banded()
-        band = None
-        self.factors = []
-        for dt in np.diff(times):
-            if sym is not None:
+        dts = np.diff(times)
+        w = A0.weights
+        if np.all(w > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT:
+            # every step's W(I + dt_k*A0) in one stack, each factored in place
+            stack = scaled_bands(A0.to_symmetric_banded(), dts, -1, w)
+            self.factors = []
+            for k, dt in enumerate(dts):
                 try:
-                    self.factors.append(BandedCholesky(sym, A0.weights, scale=dt, shift=1.0))
-                    continue
+                    self.factors.append(BandedCholesky(stack[k].T, w, scale=None))
                 except NotPositiveDefiniteError:
-                    pass
-            if band is None:
-                band = A0.to_banded()
-            self.factors.append(BandedLU(*band, scale=dt, shift=1.0))
+                    self.factors.append(BandedLU(*A0.to_banded(), scale=dt, shift=1.0))
+        else:
+            ab, (kl, ku) = A0.to_banded()
+            stack = scaled_bands(ab, dts, kl + ku, 1.0)
+            self.factors = [BandedLU(a.T, (kl, ku), scale=None) for a in stack]
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
         """The (K+1, n) states from u_init, with one finiteness check over
@@ -403,6 +437,9 @@ class SolverWindowState:
         }
 
 
+# every non-finite value of a window attempt becomes its halving reason, so
+# numpy's overflow and invalid-value warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                       cfg: FixedPointConfig) -> SolverWindowState:
     """Iterate T to tolerance on one window, halving the window on stall."""

@@ -94,10 +94,20 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape} + (ncomp,)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFiniteError("GridFunction values must be finite")
         self.grid = grid
         self.values = values
+
+    @classmethod
+    def _unchecked(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """A field on ``values`` as given, a float array of shape
+        ``grid.shape + (ncomp,)``, without ``__init__``'s checks: for callers
+        that have checked a whole stack of samples at once."""
+        field = cls.__new__(cls)
+        field.grid = grid
+        field.values = values
+        return field
 
     @classmethod
     def from_scalar(cls, grid: Grid, values) -> "GridFunction":

@@ -23,6 +23,7 @@ interior pairing, and ``eigendecompose`` symmetrizes accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -297,24 +298,40 @@ def _solve_error(routine: str, info: int) -> SolverError:
     return SolverError(f"banded solve failed: {routine} info {info} or non-finite values")
 
 
+def scaled_bands(ab: np.ndarray, scales, row: int, shift) -> np.ndarray:
+    """``scales[k]*ab`` with ``shift`` added to band row ``row``, for every
+    k, built in one array operation.
+
+    ``ab`` is LAPACK band storage, (rows, n); the result is a C-ordered
+    (K, n, rows) stack, so that each ``stack[k].T`` is F-contiguous band
+    storage that a factor can overwrite in place.  ``shift`` is a scalar or
+    an (n,) array.
+    """
+    stack = np.asarray(scales, dtype=float)[:, None, None] * ab.T
+    stack[:, :, row] += shift
+    return stack
+
+
 class BandedLU:
     """LU factors of ``shift*I + scale*M`` for M in ``to_banded`` storage
     (LAPACK gbtrf/gbtrs).
 
-    A zero pivot raises SolverError, and so does a ``solve`` that returns
-    non-finite values.  ``_solve`` is the same LAPACK solve without the
-    finiteness check, for the implicit Euler march, which checks its whole
-    output once.
+    With ``scale=None``, ``ab`` already holds ``shift*I + scale*M``, as a
+    slice of ``scaled_bands``, and is factored in place; otherwise it is
+    scaled and shifted into a new array first.  A zero pivot raises
+    SolverError, and so does a ``solve`` that returns non-finite values.
+    ``_solve`` is the same LAPACK solve without the finiteness check, for
+    the implicit Euler march, which checks its whole output once.
     """
 
     __slots__ = ("lu", "piv", "kl", "ku")
 
-    def __init__(self, ab: np.ndarray, bands: tuple, scale: float = 1.0,
+    def __init__(self, ab: np.ndarray, bands: tuple, scale: Optional[float] = 1.0,
                  shift: float = 0.0):
         kl, ku = bands
-        a = scale * ab
-        a[kl + ku] += shift
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(a, kl, ku, overwrite_ab=1)
+        if scale is not None:
+            ab = scaled_bands(ab, [scale], kl + ku, shift)[0].T
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded LU failed: dgbtrf info {info} (zero pivot?)")
         self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
@@ -337,6 +354,9 @@ class BandedCholesky:
     the pairing w, with ``diag(w) @ M`` in ``to_symmetric_banded`` storage
     (LAPACK pbtrf/pbtrs).
 
+    With ``scale=None``, ``ab`` already holds ``diag(w) @ (shift*I +
+    scale*M)``, as a slice of ``scaled_bands``, and is factored in place;
+    otherwise it is scaled and shifted into a new array first.
     ``solve(b)`` solves ``(shift*I + scale*M) x = b`` through the right-hand
     side ``w*b``.  A matrix that is not positive definite raises
     NotPositiveDefiniteError; a ``solve`` that returns non-finite values
@@ -347,11 +367,11 @@ class BandedCholesky:
 
     __slots__ = ("c", "w")
 
-    def __init__(self, ab: np.ndarray, w: np.ndarray, scale: float = 1.0,
+    def __init__(self, ab: np.ndarray, w: np.ndarray, scale: Optional[float] = 1.0,
                  shift: float = 0.0):
-        a = scale * ab
-        a[-1] += shift * w
-        c, info = scipy.linalg.lapack.dpbtrf(a, overwrite_ab=1)
+        if scale is not None:
+            ab = scaled_bands(ab, [scale], -1, shift * w)[0].T
+        c, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefiniteError(
                 f"banded Cholesky failed: dpbtrf info {info} (not positive definite)")
@@ -368,12 +388,6 @@ class BandedCholesky:
         if not np.all(np.isfinite(x)):
             raise _solve_error("dpbtrs", 0)
         return x
-
-
-def solve_banded(op: LinearOperator, rhs: GridFunction) -> GridFunction:
-    """Direct banded solve op @ x = rhs."""
-    ab, bands = op.to_banded()
-    return op.extend(BandedLU(ab, bands).solve(op.restrict(rhs)))
 
 
 class SpectralProxy:

@@ -20,6 +20,8 @@ enough conditioned for the two solvers to agree to 1e-12.
 from __future__ import annotations
 
 import dataclasses
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  fixed_point_solve, graded_times, kappa_shift,
                                  lipschitz_probe, omega_limit, picard_map,
                                  reference_solution)
-from parabolab.grids import BoundaryCondition, Grid, GridFunction
+from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from parabolab.operators import (BandedCholesky, BandedLU, SolverError, eigendecompose,
                                  operator_from_full_matrix, reference_operator)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
@@ -199,8 +201,26 @@ def test_euler_stepper_factorization_path(case):
         bump = bump * np.sin(np.pi * x) ** 2
     state = 0.3 * bump[..., None] * np.array([1.0, -1.0][:ncomp])
     A = build(grid)(GridFunction(grid, state))
-    stepper = evolution._EulerStepper(A, graded_times(0.01, 4, 2.0))
+    times = graded_times(0.01, 4, 2.0)
+    stepper = evolution._EulerStepper(A, times)
     assert [type(f) for f in stepper.factors] == [factor] * 4
+    # each factor has the bits of a standalone factor of its step, and
+    # overwrites its slice of one (K, n, rows) stack of the window's bands
+    for f, dt in zip(stepper.factors, np.diff(times)):
+        if factor is BandedCholesky:
+            alone = BandedCholesky(A.to_symmetric_banded(), A.weights, scale=dt, shift=1.0)
+            assert _same_bits(f.c, alone.c)
+        else:
+            alone = BandedLU(*A.to_banded(), scale=dt, shift=1.0)
+            assert _same_bits(f.lu, alone.lu) and np.array_equal(f.piv, alone.piv)
+    factored = [f.c if factor is BandedCholesky else f.lu for f in stepper.factors]
+    stack = factored[0].base
+    assert stack is not None and stack.shape == (4, A.n_active, factored[0].shape[0])
+    assert all(a.base is stack for a in factored)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_euler_stepper_indefinite_step_falls_back_to_lu():
@@ -210,6 +230,8 @@ def test_euler_stepper_indefinite_step_falls_back_to_lu():
                                   -scipy.sparse.identity(grid.n_nodes))
     stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
     assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
+    alone = BandedLU(*A.to_banded(), scale=2.0, shift=1.0)
+    assert _same_bits(stepper.factors[1].lu, alone.lu)
     u0 = np.linspace(-1.0, 1.0, grid.n_nodes)
     us = stepper.run(u0, None)
     assert np.allclose(us[1], 2.0 * u0, rtol=1e-14, atol=0.0)
@@ -244,7 +266,10 @@ def test_window_meeting_a_non_finite_march_halves():
     grid, prob = heat_problem(9)
     prob = dataclasses.replace(prob, G=lambda values: np.full_like(values, 1e308))
     cfg = FixedPointConfig(window=8.0, time_steps=4, mu=MU, p=P, max_halvings=2)
-    with np.errstate(over="ignore"), pytest.raises(NonconvergenceError) as exc:
+    # fixed_point_solve reports the overflow as a halving reason, with no
+    # numpy warning beside it
+    with warnings.catch_warnings(), pytest.raises(NonconvergenceError) as exc:
+        warnings.simplefilter("error", RuntimeWarning)
         fixed_point_solve(GridFunction.zeros(grid), prob, cfg)
     assert exc.value.halvings == 2 and exc.value.residuals == ()
     assert str(exc.value) == ("window collapsed after 2 halvings: iteration failed: "
@@ -391,6 +416,84 @@ def test_problem_without_G_rejects_a_non_finite_rhs(value):
     with np.errstate(over="ignore"), \
             pytest.raises(StateConstraintError, match="non-finite right-hand side"):
         picard_map(v, u0, u0, prob, cfg)
+
+
+def _fallback_cases():
+    """(problem without G, stack of samples) for each shape of the fallback."""
+    rng = np.random.default_rng(3)
+    plate = Grid(1, 17)
+    op = reference_operator(plate, "fourth")
+
+    def square(w):
+        return GridFunction(w.grid, w.values ** 2)
+
+    def cosine(w):
+        return GridFunction(w.grid, np.cos(w.values))
+
+    constant = AbstractProblem(assemble_A=lambda w: op, F1=square, F2=cosine,
+                               bc=BoundaryCondition.CLAMPED, order="fourth", name="plate")
+    plate2 = Grid(2, 10)
+    op2 = reference_operator(plate2, "fourth")
+    constant2 = dataclasses.replace(constant, assemble_A=lambda w: op2)
+    # two operator objects in runs: the sign of the first value picks one
+    ops = {True: op, False: reference_operator(plate, "fourth").shifted(1.0)}
+    runs = dataclasses.replace(constant, assemble_A=lambda w: ops[bool(w.values[0, 0] > 0.0)])
+    signs = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0])
+    runs_stack = rng.uniform(0.1, 1.0, (7, 17, 1))
+    runs_stack[:, 0, 0] *= signs
+    grid = Grid(1, 20)
+    _, rd = square_problem(nodes=20)
+    scalar = _scalar_diffusion(grid)
+    coupled = _coupled_diffusion(Grid(2, 9))
+    return {
+        "constant-1d": (constant, plate, rng.uniform(-1.0, 1.0, (9, 17, 1))),
+        "constant-2d": (constant2, plate2, rng.uniform(-1.0, 1.0, (5, 10, 10, 1))),
+        "constant-runs": (runs, plate, runs_stack),
+        "state-dependent": (dataclasses.replace(scalar, G=None, apply_A=None), grid,
+                            rng.uniform(-1.0, 1.0, (9, 20, 1))),
+        "state-dependent-ncomp2": (dataclasses.replace(coupled, G=None, apply_A=None),
+                                   Grid(2, 9), rng.uniform(-1.0, 1.0, (4, 9, 9, 2))),
+        "apply_A": (dataclasses.replace(rd, G=None), grid,
+                    rng.uniform(0.0, 1.0, (9, 20, 1))),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant-1d", "constant-2d", "constant-runs",
+                                  "state-dependent", "state-dependent-ncomp2", "apply_A"])
+def test_fallback_equals_per_sample_hooks_bitwise(case, monkeypatch):
+    # F1 + F2 - A(v) v of each sample, with A(v) v as one sparse product per
+    # run of samples sharing an operator, has the bits of the per-sample sum
+    prob, grid, stack = _fallback_cases()[case]
+    want = np.stack([(prob.F1(v) + prob.F2(v) - prob.apply(v, v)).values
+                     for v in (GridFunction(grid, vals) for vals in stack)])
+    calls = dict.fromkeys(("F1", "F2", "assemble_A", "apply_A"), 0)
+    counted = _counted(prob, calls)
+    if prob.apply_A is None:
+        # no single-sample products: only the stacked ones
+        monkeypatch.setattr(evolution.LinearOperator, "apply",
+                            lambda *_: pytest.fail("per-sample operator apply"))
+    got = counted.G_values(stack, grid)
+    assert _same_bits(got, want)
+    n = len(stack)
+    per_sample = ({"assemble_A": n, "apply_A": 0} if prob.apply_A is None
+                  else {"assemble_A": 0, "apply_A": n})
+    assert calls == {"F1": n, "F2": n, **per_sample}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fallback_checks_the_stack_once(bad):
+    # one non-finite sample fails the whole stack before any hook runs, and
+    # the Picard right-hand side reports it as non-finite
+    prob, grid, stack = _fallback_cases()["constant-1d"]
+    calls = dict.fromkeys(("F1", "F2", "assemble_A"), 0)
+    counted = _counted(prob, calls)
+    stack[4, 8, 0] = bad
+    with pytest.raises(NonFiniteError):
+        counted.G_values(stack, grid)
+    assert calls == {"F1": 0, "F2": 0, "assemble_A": 0}
+    A0 = prob.assemble_A(None)
+    with pytest.raises(StateConstraintError, match="^non-finite right-hand side$"):
+        evolution._picard_rhs(types.SimpleNamespace(state_values=stack), counted, A0)
 
 
 def test_initial_state_outside_box_raises():

@@ -105,16 +105,30 @@ def test_polynomial_map_agrees_with_direct_evaluation(data):
     lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2), label="lead"))
     u = data.draw(arrays(np.float64, lead + (nvars,), elements=st.floats(-3.0, 3.0)),
                   label="u")
+    _assert_agrees_with_direct_evaluation(pm, u, lead)
+
+
+def test_polynomial_map_subnormal_result():
+    # a recorded draw: 2 u0 u2^2 is subnormal, and the two evaluation orders
+    # differ by one subnormal ulp, which 1e-13 * scale alone would reject
+    pm = PolynomialMap(shape=(1, 1), nvars=3, terms=(((0, 0), (1, 0, 2), 2.0),))
+    _assert_agrees_with_direct_evaluation(pm, np.array([[1.5, 1.78e-159, 1.78e-159]]), (1,))
+
+
+def _assert_agrees_with_direct_evaluation(pm, u, lead):
     out = pm(u)
-    assert out.shape == lead + shape
+    assert out.shape == lead + pm.shape
     for point in np.ndindex(lead):
-        expect = np.zeros(shape)
-        scale = np.zeros(shape)
-        for idx, powers, coeff in terms:
+        expect = np.zeros(pm.shape)
+        scale = np.zeros(pm.shape)
+        for idx, powers, coeff in pm.terms:
             mono = coeff * float(np.prod([u[point][a] ** k for a, k in enumerate(powers)]))
             expect[idx] += mono
             scale[idx] += abs(mono)
-        assert np.all(np.abs(out[point] - expect) <= 1e-13 * scale)
+        # relative precision ends at the smallest normal number; below it the
+        # spacing of doubles is absolute
+        bound = 1e-13 * np.maximum(scale, np.finfo(float).tiny)
+        assert np.all(np.abs(out[point] - expect) <= bound)
 
 
 # ---------------------------------------------------------------- positivity
