@@ -11,7 +11,13 @@ OLD_SRC and NEW_SRC are directories holding the ``parabolab`` package (the
 
 once with each tree on ``PYTHONPATH``, each into its own scratch directory,
 and compares the exit codes, stdout and every output file byte for byte.
-It then does the same for
+On each tree's ``trajectory.npz`` of that run it then compares, the same way,
+
+    python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON
+    python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON --mu 0.8 --p 3
+    python -m parabolab.cli omega --checkpoint TRAJ --json JSON
+
+Last it does the same for
 
     python -m parabolab.cli sweep --config configs/heat.json --axes AXES --out DIR --seed 0
 
@@ -35,14 +41,30 @@ SWEEP_CONFIG = REPO / "configs" / "heat.json"
 SWEEP_AXES = {"grid.nodes": [17, 33], "exponents.mu": ["4/5", "9/10"]}
 
 
-def run(src: Path, argv: list, out: Path):
+# the commands that read the trajectory of a run; {run} is that run's output
+# directory under the same tree, and {out} the command's own
+TRAJECTORY_CHECKS = {
+    "norms": ["norms", "--checkpoint", "{run}/trajectory.npz",
+              "--csv", "{out}/norms.csv", "--json", "{out}/norms.json"],
+    "norms-reweighted": ["norms", "--checkpoint", "{run}/trajectory.npz",
+                         "--csv", "{out}/norms.csv", "--json", "{out}/norms.json",
+                         "--mu", "0.8", "--p", "3"],
+    "omega": ["omega", "--checkpoint", "{run}/trajectory.npz", "--json", "{out}/omega.json"],
+}
+
+
+def run(src: Path, argv: list, root: Path, stem: str, run_stem: str = ""):
     """Exit code, stdout and {relative path: bytes} of one command writing
-    into ``out``."""
+    into ``root / stem``, with ``{out}`` and ``{run}`` in ``argv`` standing
+    for ``root / stem`` and ``root / run_stem``."""
     # one BLAS thread on both sides, so that threading cannot move a bit
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parabolab.cli", *argv, "--out", str(out), "--seed", SEED],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+    out = root / stem
+    out.mkdir(parents=True)
+    argv = [a.replace("{out}", str(out)).replace("{run}", str(root / run_stem)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "parabolab.cli", *argv],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          check=False)
     files = {str(f.relative_to(out)): f.read_bytes()
              for f in sorted(out.rglob("*")) if f.is_file()}
     return proc.returncode, proc.stdout, files
@@ -69,13 +91,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         axes = Path(tmp) / "axes.json"
         axes.write_text(json.dumps(SWEEP_AXES, sort_keys=True) + "\n")
-        checks = [(f"{c.relative_to(REPO)}", c.stem, ["run", "--config", str(c)])
-                  for c in configs]
+        seeded = ["--out", "{out}", "--seed", SEED]
+        # (name, output directory, argv, directory of the run it reads)
+        checks = []
+        for c in configs:
+            checks.append((f"{c.relative_to(REPO)}", c.stem,
+                           ["run", "--config", str(c), *seeded], ""))
+            checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}", argv, c.stem)
+                       for check, argv in TRAJECTORY_CHECKS.items()]
         checks.append((f"sweep {SWEEP_CONFIG.relative_to(REPO)}", "sweep",
-                       ["sweep", "--config", str(SWEEP_CONFIG), "--axes", str(axes)]))
-        for name, stem, argv in checks:
-            old = run(old_src, argv, Path(tmp) / "old" / stem)
-            new = run(new_src, argv, Path(tmp) / "new" / stem)
+                       ["sweep", "--config", str(SWEEP_CONFIG), "--axes", str(axes), *seeded],
+                       ""))
+        for name, stem, argv, run_stem in checks:
+            old = run(old_src, argv, Path(tmp) / "old", stem, run_stem)
+            new = run(new_src, argv, Path(tmp) / "new", stem, run_stem)
             diff = first_difference(old, new)
             if diff is not None:
                 print(f"{name}: differs at {diff}")

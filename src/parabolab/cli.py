@@ -21,7 +21,6 @@ import io
 import itertools
 import json
 import math
-import shutil
 import sys
 from copy import deepcopy
 from pathlib import Path
@@ -32,11 +31,11 @@ from . import __version__
 from . import checkpoint as ckpt
 from . import config as cfgmod
 from .evolution import NonconvergenceError, StateConstraintError, continue_solution, omega_limit
-from .exponents import admissibility_report
-from .grids import BoundaryCondition, Grid, GridFunction
+from .exponents import ORDER_INT, ORDER_SECOND, admissibility_report
+from .grids import BoundaryCondition, GridFunction
 from .norms import E0mu_norm, E1mu_norm, WeightedTrajectory, glue, smoothing_check
-from .operators import (SolverError, derivative, derivative_values, eigendecompose,
-                        reference_operator)
+from .operators import (DESK_EIG_CAP, SolverError, derivative, derivative_values,
+                        eigendecompose, reference_operator)
 from .problems import ProblemSpecError, spectrum_positivity_check
 from .symbols import default_lambda_grid, ellipticity_scan, ls_scan
 
@@ -45,8 +44,10 @@ EXIT_ADMISSIBILITY = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
-_FAMILY_ORDER = cfgmod.FAMILY_ORDER
-_FAMILY_BC = cfgmod.FAMILY_BC
+_ORDER_NAME = {n: name for name, n in ORDER_INT.items()}
+
+# defaults of the late-time cluster report, for `omega` and a run's diagnostics
+OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
 
 
 def _emit_json(obj: dict, path=None) -> None:
@@ -92,20 +93,25 @@ def _print_violations(report: dict) -> None:
         print(f"admissibility violated: {v}", file=sys.stderr)
 
 
+def _admissibility(cfg: dict, ec) -> dict:
+    """The admissibility report; a bad structure exponent is one more violation."""
+    try:
+        se = cfgmod.structure_exponents(cfg, ec)
+        return admissibility_report(ec, se)
+    except ValueError as exc:
+        report = admissibility_report(ec)
+        report["violated"] = report["violated"] + [str(exc)]
+        report["admissible"] = False
+        return report
+
+
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
     cfg = cfgmod.load_json(args.config)
     if not cfgmod.is_flat_exponent_config(cfg):
         cfgmod.validate_run_config(cfg)
-    ec = cfgmod.exponent_config(cfg)
-    try:
-        se = cfgmod.structure_exponents(cfg, ec)
-        report = admissibility_report(ec, se)
-    except ValueError as exc:
-        report = admissibility_report(ec)
-        report["violated"] = report["violated"] + [str(exc)]
-        report["admissible"] = False
+    report = _admissibility(cfg, cfgmod.exponent_config(cfg))
     _emit_json(report, args.json)
     if not report["admissible"]:
         _print_violations(report)
@@ -129,7 +135,7 @@ def _symbol_report(cfg: dict, field: GridFunction | None, b_range, n_lambda) -> 
     family = cfg["problem"]["family"]
     grid = cfgmod.build_grid(cfg)
     out: dict = {"family": family}
-    if _FAMILY_ORDER[family] == "second":
+    if cfgmod.FAMILY_ORDER[family] == "second":
         _problem, spec = cfgmod.build_problem(cfg, grid)
         rep = spectrum_positivity_check(spec.a, spec.u_box)
         out["spectrum"] = rep.as_dict()
@@ -151,16 +157,14 @@ def _symbol_report(cfg: dict, field: GridFunction | None, b_range, n_lambda) -> 
 
 def cmd_symbol(args) -> int:
     lo, hi, count = args.b_range
-    _require(0.0 < lo < hi < math.inf and count >= 1,
-             f"--b-range LO:HI:COUNT needs 0 < LO < HI < inf and COUNT >= 1, "
+    # up to HI = 1e150, b^2 and the terms of the boundary quartic stay finite
+    _require(0.0 < lo < hi <= 1e150 and count >= 1,
+             f"--b-range LO:HI:COUNT needs 0 < LO < HI <= 1e150 and COUNT >= 1, "
              f"got {lo!r}:{hi!r}:{count}")
     _require(args.lambda_points >= 1,
              f"--lambda-points must be >= 1, got {args.lambda_points}")
     cfg = cfgmod.load_run_config(args.config)
-    field = None
-    if args.field:
-        traj, _meta = ckpt.load_trajectory(args.field)
-        field = traj.states[-1]
+    field = ckpt.load_trajectory(args.field)[0].states[-1] if args.field else None
     report = _symbol_report(cfg, field, args.b_range, args.lambda_points)
     _emit_json(report, args.json)
     if not report["ok"]:
@@ -227,36 +231,52 @@ def _append_run(prev: WeightedTrajectory, new_windows: list,
                               prev.mu, prev.p)
 
 
+def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int,
+                    bc: BoundaryCondition) -> list:
+    """``[t_lo, t_hi, E0mu, E1mu]`` for each ``(t_lo, t_hi)`` of ``intervals``,
+    or of that many equal parts of the trajectory; the norms are None for an
+    interval that ends after the trajectory."""
+    if isinstance(intervals, int):
+        edges = np.linspace(0.0, traj.horizon, intervals + 1).tolist()
+        intervals = zip(edges[:-1], edges[1:])
+    return [[lo, hi, E0mu_norm(traj, interval=(lo, hi), q=q),
+             E1mu_norm(traj, interval=(lo, hi), q=q, order=order, bc=bc)]
+            if hi <= traj.horizon + 1e-12 else [lo, hi, None, None]
+            for lo, hi in intervals]
+
+
+def _smoothing(traj: WeightedTrajectory, delta: float, q: float, order: int,
+               bc: BoundaryCondition):
+    """The smoothing report at ``delta`` as a dict, or None when no sample
+    lies inside (delta/2, delta), as after a run that ended before delta."""
+    if delta <= traj.horizon and np.any((traj.times > delta / 2.0) & (traj.times < delta)):
+        return smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
+    return None
+
+
+def _omega(traj: WeightedTrajectory, order: int, sample_times, threshold: float, theta=None):
+    """``omega_limit`` in the proxy metric of the reference operator of ``order``."""
+    op = reference_operator(traj.grid, _ORDER_NAME[order])
+    _require(op.n_active <= DESK_EIG_CAP, f"{op.n_active} unknowns exceed the dense "
+                                          f"eigendecomposition cap {DESK_EIG_CAP}")
+    return omega_limit(traj, sample_times, eigendecompose(op), threshold=threshold, theta=theta)
+
+
 def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
                         bc: BoundaryCondition, q: float) -> dict:
     T = traj.horizon
-    out: dict = {}
-    intervals = diag.get("norm_intervals", 4)
-    if isinstance(intervals, int):
-        edges = np.linspace(0.0, T, intervals + 1)
-        intervals = [[float(edges[i]), float(edges[i + 1])] for i in range(len(edges) - 1)]
-    rows = []
-    for lo, hi in intervals:
-        rows.append({
-            "t_lo": lo, "t_hi": hi,
-            "E0mu": E0mu_norm(traj, interval=(lo, hi), q=q),
-            "E1mu": E1mu_norm(traj, interval=(lo, hi), q=q, order=order, bc=bc),
-        })
-    out["norm_intervals"] = rows
+    rows = _interval_norms(traj, diag.get("norm_intervals", 4), q, order, bc)
+    out: dict = {"norm_intervals": [dict(zip(("t_lo", "t_hi", "E0mu", "E1mu"), row))
+                                    for row in rows]}
     out["E1mu_total"] = E1mu_norm(traj, q=q, order=order, bc=bc)
-    delta = diag.get("smoothing_delta", T / 2.0)
-    # a run that ended before the configured delta has no smoothing window
-    if delta <= T and np.any((traj.times > delta / 2.0) & (traj.times < delta)):
-        out["smoothing"] = smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
-    if "omega_count" in diag or "omega_fraction" in diag:
-        count = diag.get("omega_count", 8)
-        frac = diag.get("omega_fraction", 0.5)
-        thresh = diag.get("omega_threshold", 1e-4)
-        sample_times = np.linspace(T * (1.0 - frac), T, count)
-        proxy = eigendecompose(reference_operator(traj.grid,
-                                                  "second" if order == 2 else "fourth"))
-        rep = omega_limit(traj, sample_times, proxy, threshold=thresh)
-        out["omega"] = rep.summary()
+    smoothing = _smoothing(traj, diag.get("smoothing_delta", T / 2.0), q, order, bc)
+    if smoothing is not None:
+        out["smoothing"] = smoothing
+    if cfgmod.omega_requested(diag):
+        frac = diag.get("omega_fraction", OMEGA_FRACTION)
+        sample_times = np.linspace(T * (1.0 - frac), T, diag.get("omega_count", OMEGA_COUNT))
+        out["omega"] = _omega(traj, order, sample_times,
+                              diag.get("omega_threshold", OMEGA_THRESHOLD)).summary()
     return out
 
 
@@ -277,13 +297,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
             f"cannot resume in {out_dir}: its window checkpoints were written under "
             "another config (only solver.horizon and output may change)")
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        se = cfgmod.structure_exponents(cfg, ec)
-        adm = admissibility_report(ec, se)
-    except ValueError as exc:
-        adm = admissibility_report(ec)
-        adm["violated"] = adm["violated"] + [str(exc)]
-        adm["admissible"] = False
+    adm = _admissibility(cfg, ec)
     _emit_json(adm, out_dir / "admissibility.json")
     if not adm["admissible"] and not force:
         _print_violations(adm)
@@ -413,43 +427,44 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------- norms
 
+def _load_saved(path):
+    """A saved trajectory with the differential order and bc it was computed for."""
+    traj, meta = ckpt.load_trajectory(path)
+    try:
+        order = ORDER_INT[meta.get("order", ORDER_SECOND)]
+        return traj, order, BoundaryCondition(meta.get("bc", "neumann"))
+    except (KeyError, ValueError) as exc:
+        raise ckpt.CheckpointError(f"checkpoint {path}: unknown order or bc {exc}") from exc
+
+
 def cmd_norms(args) -> int:
-    traj, meta = ckpt.load_trajectory(args.checkpoint)
+    traj, order, bc = _load_saved(args.checkpoint)
     mu = args.mu if args.mu is not None else traj.mu
     p = args.p if args.p is not None else traj.p
     q = args.q
     T = traj.horizon
     delta = args.delta if args.delta is not None else T / 2.0
     _require(0.0 < mu <= 1.0, f"--mu must lie in (0, 1], got {mu!r}")
-    _require(p > 1.0, f"--p must exceed 1, got {p!r}")
-    _require(q >= 1.0, f"--q must be >= 1, got {q!r}")
+    _require(1.0 < p < math.inf, f"--p must lie in (1, inf), got {p!r}")
+    _require(1.0 <= q < math.inf, f"--q must lie in [1, inf), got {q!r}")
     _require(args.intervals >= 1, f"--intervals must be >= 1, got {args.intervals}")
     _require(0.0 < delta <= T, f"--delta must lie in (0, {T!r}], the saved horizon; "
                                f"got {delta!r}")
     if (mu, p) != (traj.mu, traj.p):
         traj = dataclasses.replace(traj, mu=mu, p=p)
-    order = 2 if meta.get("order", "second") == "second" else 4
-    bc = BoundaryCondition(meta.get("bc", "neumann"))
-    edges = np.linspace(0.0, T, args.intervals + 1)
-    rows = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows.append([
-            float(lo), float(hi),
-            E0mu_norm(traj, interval=(lo, hi), q=q),
-            E1mu_norm(traj, interval=(lo, hi), q=q, order=order, bc=bc),
-        ])
-    rows.append([0.0, float(T),
-                 E0mu_norm(traj, q=q),
-                 E1mu_norm(traj, q=q, order=order, bc=bc)])
+    # an overflow shows up as a non-finite norm, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _interval_norms(traj, args.intervals, q, order, bc)
+        rows += _interval_norms(traj, [(0.0, T)], q, order, bc)
+        smoothing = _smoothing(traj, delta, q, order, bc)
+    numbers = [x for row in rows for x in row[2:]] + list((smoothing or {}).values())
+    _require(np.all(np.isfinite(numbers)), f"--q {q!r} with --p {p!r} and --mu {mu!r} gives "
+                                           "a norm beyond floating point")
     _write_csv(args.csv, ["t_lo", "t_hi", "E0mu", "E1mu"], rows)
     report = {
         "mu": traj.mu, "p": traj.p, "q": q, "horizon": T,
-        "E1mu_total": rows[-1][3],
+        "E1mu_total": rows[-1][3], "smoothing": smoothing,
     }
-    if np.any((traj.times > delta / 2.0) & (traj.times < delta)):
-        report["smoothing"] = smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
-    else:
-        report["smoothing"] = None
     _emit_json(report, args.json)
     return EXIT_OK
 
@@ -457,12 +472,12 @@ def cmd_norms(args) -> int:
 # ---------------------------------------------------------------- omega
 
 def cmd_omega(args) -> int:
-    traj, meta = ckpt.load_trajectory(args.checkpoint)
-    order = meta.get("order", "second")
+    traj, order, _bc = _load_saved(args.checkpoint)
     T = traj.horizon
     _require(args.count >= 2, f"--count must be >= 2, got {args.count}")
     _require(0.0 < args.fraction <= 1.0, f"--fraction must lie in (0, 1], got {args.fraction!r}")
-    _require(args.threshold > 0.0, f"--threshold must be > 0, got {args.threshold!r}")
+    _require(0.0 < args.threshold < math.inf,
+             f"--threshold must lie in (0, inf), got {args.threshold!r}")
     _require(args.theta is None or 0.0 <= args.theta <= 1.0,
              f"--theta must lie in [0, 1], got {args.theta!r}")
     if args.times:
@@ -476,9 +491,7 @@ def cmd_omega(args) -> int:
             _require(0.0 <= t <= T, f"--times {t!r} lies outside the saved range [0, {T!r}]")
     else:
         sample_times = np.linspace(T * (1.0 - args.fraction), T, args.count)
-    proxy = eigendecompose(reference_operator(traj.grid, order))
-    rep = omega_limit(traj, sample_times, proxy, threshold=args.threshold,
-                      theta=args.theta)
+    rep = _omega(traj, order, sample_times, args.threshold, args.theta)
     out = rep.summary()
     out["sample_times"] = [float(t) for t in sample_times]
     _emit_json(out, args.json)
@@ -659,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="late-time cluster report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--count", type=int, default=OMEGA_COUNT)
+    p.add_argument("--fraction", type=float, default=OMEGA_FRACTION)
+    p.add_argument("--threshold", type=float, default=OMEGA_THRESHOLD)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--times", default=None, help="comma separated absolute sample times")
     p.add_argument("--json", default=None)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .evolution import AbstractProblem, FixedPointConfig
 from .exponents import (ExponentConfig, StructureExponents, ORDER_FOURTH,
                         ORDER_SECOND, as_number, beta_window)
 from .grids import BoundaryCondition, Grid, GridFunction
+from .operators import DESK_EIG_CAP, active_flat_indices
 from .problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                        flow_problem, linear_heat_spec, rd_problem)
 
@@ -82,10 +82,29 @@ def validate_run_config(cfg: dict) -> None:
     if exc is not None:
         path = "/".join(str(k) for k in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-    delta = cfg.get("diagnostics", {}).get("smoothing_delta")
-    if delta is not None and delta > horizon_of(cfg):
+    diag = cfg.get("diagnostics", {})
+    horizon = horizon_of(cfg)
+    delta = diag.get("smoothing_delta")
+    if delta is not None and delta > horizon:
         raise ConfigError(f"diagnostics.smoothing_delta {delta!r} exceeds the horizon "
-                          f"{horizon_of(cfg)!r}")
+                          f"{horizon!r}")
+    intervals = diag.get("norm_intervals")
+    if isinstance(intervals, list):
+        for lo, hi in intervals:
+            if not 0.0 <= lo < hi <= horizon:
+                raise ConfigError(f"diagnostics.norm_intervals [{lo!r}, {hi!r}] needs "
+                                  f"0 <= lo < hi <= the horizon {horizon!r}")
+    # the spectral stepper and the omega report diagonalize a dense operator
+    if cfg["solver"].get("propagator") == "spectral" or omega_requested(diag):
+        n = len(active_flat_indices(build_grid(cfg), 1, FAMILY_BC[cfg["problem"]["family"]]))
+        if n > DESK_EIG_CAP:
+            raise ConfigError(f"{n} unknowns exceed the dense eigendecomposition cap "
+                              f"{DESK_EIG_CAP} of propagator 'spectral' and the omega report")
+
+
+def omega_requested(diag: dict) -> bool:
+    """Whether a run's diagnostics include the late-time cluster report."""
+    return "omega_count" in diag or "omega_fraction" in diag
 
 
 def load_run_config(path) -> dict:
@@ -111,9 +130,7 @@ def exponent_config(cfg: dict, grid: Optional[Grid] = None) -> ExponentConfig:
         order = sec.get("order", ORDER_SECOND)
     else:
         sec = cfg["exponents"]
-        n = sec.get("n")
-        if n is None:
-            n = (grid or build_grid(cfg)).dim
+        n = (grid or build_grid(cfg)).dim
         order = FAMILY_ORDER[cfg["problem"]["family"]]
     if n is None:
         raise ConfigError("exponent config needs 'n' (or a grid section)")

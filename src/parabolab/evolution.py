@@ -13,16 +13,18 @@ frozen, the map needs the nonlinearity only through
 
 the quasilinear split of Koehne-Pruess-Wilke, here with singular lower-order
 terms F2: the right-hand side of T is G(v) + A(u1) v.  Residuals are
-measured in the weighted solution norm E1mu with window-local time; an
-empirical contraction factor >= 1 (or any evaluation failure) halves the
-window and restarts.  ``continue_solution`` glues accepted windows until a
-horizon, a norm threshold, or window collapse, reporting a lower bound for
-the existence time in the latter cases.
+measured in E1mu with window-local time.  The ball radius and contraction
+constant of the fixed-point argument are not solver inputs: an empirical
+contraction factor >= 1 (or any evaluation failure) halves the window and
+restarts.  ``continue_solution`` glues accepted windows until a horizon, a
+norm threshold or window collapse, reporting a lower bound for the
+existence time in the latter cases.
 
 Time stepping is implicit Euler on the graded grid t_k = T (k/K)^gamma with
 gamma = max(1, 1/(mu - 1/p)); a spectral stepper (exact exponential plus a
-phi1 Duhamel term in the frozen operator's eigenbasis) is available for
-symmetric scalar operators and makes window gluing exact up to roundoff.
+phi1 Duhamel term in the frozen operator's eigenbasis) makes window gluing
+exact up to roundoff for symmetric scalar operators of at most
+``operators.DESK_EIG_CAP`` unknowns.
 
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
 steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
@@ -35,15 +37,15 @@ caller supplies G.  Either way the stack is checked for finiteness once,
 not per sample.  ``continue_solution`` glues the windows' arrays and
 releases each window's trajectory once ``on_window`` has seen it.
 
-The stepping machinery is built once per window attempt and shared by the
-reference solve and every Picard iteration.  Implicit Euler factors each
-I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK banded factor chosen
-from what A(u1) shows; the K band matrices of a window are built in one
-array operation and each is factored in place.  Its march forms every
-increment dt_k*rhs_{k+1} in one product, solves each step with the factor's
-unchecked LAPACK solve, and checks the whole (K+1, n_active) output for
-finiteness once per run; a non-finite run raises the SolverError of the
-first step that went non-finite, as a checked solve would have.  The
+Each window attempt builds one stepper, which holds A(u1) and the sample
+times and serves the reference solve and every Picard iteration.  Implicit
+Euler factors each I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK
+banded factor chosen from what A(u1) shows; the K band matrices of a window
+are built in one array operation and each is factored in place.  Its march
+forms every increment dt_k*rhs_{k+1} in one product, solves each step with
+the factor's unchecked LAPACK solve, and checks the whole (K+1, n_active)
+output for finiteness once per run; a non-finite run raises the SolverError
+of the first step that went non-finite, as a checked solve would have.  The
 factors are
 
 * banded Cholesky of W(I + dt_k*A(u1)), W the diagonal of the operator's
@@ -83,6 +85,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .exponents import ORDER_INT
 from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
                     x1_norm)
@@ -151,7 +154,7 @@ class AbstractProblem:
 
     @property
     def order_int(self) -> int:
-        return 2 if self.order == "second" else 4
+        return ORDER_INT[self.order]
 
     def apply(self, v: GridFunction, u: GridFunction) -> GridFunction:
         if self.apply_A is not None:
@@ -205,8 +208,6 @@ class FixedPointConfig:
     mu: float
     p: float
     q: float = 2.0
-    radius: float = 1.0
-    contraction_target: float = 0.5
     max_iter: int = 25
     tol: float = 1e-9
     grading: Optional[float] = None
@@ -309,53 +310,42 @@ class _SpectralStepper:
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        self.proxy = eigendecompose(A0, symmetric=True)
+        self.proxy = eigendecompose(A0)
         self.lam = self.proxy.eigenvalues
         self.wmodes = self.proxy.modes * A0.weights[:, None]
 
-    def _modal(self, vec: np.ndarray) -> np.ndarray:
-        return self.wmodes.T @ vec
-
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
-        c = self._modal(u_init)
+        c = self.wmodes.T @ u_init
         us = np.tile(u_init, (len(self.times), 1))
         for k, dt in enumerate(np.diff(self.times)):
             decay = np.exp(-self.lam * dt)
             c = decay * c
             if rhs is not None:
-                c = c + dt * _phi1(-self.lam * dt) * self._modal(rhs[k + 1])
+                c = c + dt * _phi1(-self.lam * dt) * (self.wmodes.T @ rhs[k + 1])
             us[k + 1] = self.proxy.modes @ c
         return us
 
 
-@dataclass
-class _Machinery:
-    A0: LinearOperator
-    times: np.ndarray
-    stepper: object
-
-
 def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
-                     times: np.ndarray, cfg: FixedPointConfig) -> _Machinery:
+                     times: np.ndarray, cfg: FixedPointConfig):
+    """The stepper of one window attempt; it holds A0 and the sample times."""
     if not prob.state_constraint(u_freeze.values):
         raise StateConstraintError("freeze state outside the admissible region")
     A0 = prob.assemble_A(u_freeze)
     if cfg.propagator == "spectral":
-        stepper = _SpectralStepper(A0, times)
-    else:
-        stepper = _EulerStepper(A0, times)
-    return _Machinery(A0=A0, times=times, stepper=stepper)
+        return _SpectralStepper(A0, times)
+    return _EulerStepper(A0, times)
 
 
-def _assemble_trajectory(mach: _Machinery, vecs: np.ndarray, rhs: Optional[np.ndarray],
+def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
                          cfg: FixedPointConfig) -> WeightedTrajectory:
     """Scatter the (K+1, n_active) stepper output onto the grid; the time
     derivative is -A0 u + rhs at t = 0 and the backward difference after."""
-    A0 = mach.A0
+    A0 = stepper.A0
     r0 = rhs[0] if rhs is not None else 0.0
     dvecs = np.empty_like(vecs)
     dvecs[0] = r0 - A0.matrix @ vecs[0]
-    dvecs[1:] = np.diff(vecs, axis=0) / np.diff(mach.times)[:, None]
+    dvecs[1:] = np.diff(vecs, axis=0) / np.diff(stepper.times)[:, None]
     full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
     if A0.n_active == full[1]:
         # every unknown is active (Neumann): the arrays are the states
@@ -366,21 +356,18 @@ def _assemble_trajectory(mach: _Machinery, vecs: np.ndarray, rhs: Optional[np.nd
         derivs = np.zeros(full)
         derivs[:, A0.active] = dvecs
     shape = (len(vecs),) + A0.grid.shape + (A0.ncomp,)
-    return WeightedTrajectory(mach.times, states.reshape(shape), derivs.reshape(shape),
+    return WeightedTrajectory(stepper.times, states.reshape(shape), derivs.reshape(shape),
                               cfg.mu, cfg.p)
 
 
 def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointConfig,
-                       times: Optional[np.ndarray] = None,
-                       _mach: Optional[_Machinery] = None) -> WeightedTrajectory:
-    """Trajectory of the frozen homogeneous problem dw/dt + A(u0) w = 0, w(0) = u0."""
-    mach = _mach
-    if mach is None:
-        if times is None:
-            times = graded_times(cfg.window, cfg.time_steps, cfg.gamma())
-        mach = _build_machinery(prob, u0, times, cfg)
-    vecs = mach.stepper.run(mach.A0.restrict(u0), None)
-    return _assemble_trajectory(mach, vecs, None, cfg)
+                       _stepper=None) -> WeightedTrajectory:
+    """Trajectory of the frozen homogeneous problem dw/dt + A(u0) w = 0, w(0) = u0,
+    on the graded grid of one window of ``cfg``."""
+    stepper = _stepper or _build_machinery(
+        prob, u0, graded_times(cfg.window, cfg.time_steps, cfg.gamma()), cfg)
+    vecs = stepper.run(stepper.A0.restrict(u0), None)
+    return _assemble_trajectory(stepper, vecs, None, cfg)
 
 
 def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
@@ -402,16 +389,13 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
     return rhs
 
 
-def picard_map(v: WeightedTrajectory, u1: GridFunction, u0: GridFunction,
-               prob: AbstractProblem, cfg: FixedPointConfig,
-               _mach: Optional[_Machinery] = None) -> WeightedTrajectory:
-    """One application of the frozen-coefficient solve map T (see module docs)."""
-    mach = _mach
-    if mach is None:
-        mach = _build_machinery(prob, u0, v.times, cfg)
-    rhs = _picard_rhs(v, prob, mach.A0)
-    vecs = mach.stepper.run(mach.A0.restrict(u1), rhs)
-    return _assemble_trajectory(mach, vecs, rhs, cfg)
+def picard_map(v: WeightedTrajectory, u1: GridFunction, prob: AbstractProblem,
+               cfg: FixedPointConfig, _stepper=None) -> WeightedTrajectory:
+    """One application of T (see module docs), frozen at and started from u1."""
+    stepper = _stepper or _build_machinery(prob, u1, v.times, cfg)
+    rhs = _picard_rhs(v, prob, stepper.A0)
+    vecs = stepper.run(stepper.A0.restrict(u1), rhs)
+    return _assemble_trajectory(stepper, vecs, rhs, cfg)
 
 
 @dataclass
@@ -454,14 +438,14 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
         residuals: list = []
         factors: list = []
         try:
-            mach = _build_machinery(prob, u1, times, cfg)
-            v = reference_solution(u1, prob, cfg, _mach=mach)
+            stepper = _build_machinery(prob, u1, times, cfg)
+            v = reference_solution(u1, prob, cfg, _stepper=stepper)
         except (SolverError, StateConstraintError, NonFiniteError) as exc:
             reason = f"reference solve failed: {exc}"
         else:
             for iterations in range(1, cfg.max_iter + 1):
                 try:
-                    u = picard_map(v, u1, u1, prob, cfg, _mach=mach)
+                    u = picard_map(v, u1, prob, cfg, _stepper=stepper)
                     d = difference(u, v)
                 except (SolverError, StateConstraintError, NonFiniteError) as exc:
                     reason = f"iteration failed: {exc}"

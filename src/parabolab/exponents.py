@@ -37,7 +37,7 @@ Number = Union[Fraction, float]
 
 ORDER_SECOND = "second"
 ORDER_FOURTH = "fourth"
-_ORDERS = (ORDER_SECOND, ORDER_FOURTH)
+ORDER_INT = {ORDER_SECOND: 2, ORDER_FOURTH: 4}
 
 
 def as_number(x) -> Number:
@@ -93,8 +93,8 @@ class ExponentConfig:
         object.__setattr__(self, "p", as_number(self.p))
         object.__setattr__(self, "q", as_number(self.q))
         object.__setattr__(self, "mu", as_number(self.mu))
-        if self.order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}, got {self.order!r}")
+        if self.order not in ORDER_INT:
+            raise ValueError(f"order must be one of {tuple(ORDER_INT)}, got {self.order!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.p > 1:
@@ -112,7 +112,7 @@ class ExponentConfig:
 
     @property
     def order_int(self) -> int:
-        return 2 if self.order == ORDER_SECOND else 4
+        return ORDER_INT[self.order]
 
 
 @dataclass(frozen=True)

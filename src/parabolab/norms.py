@@ -256,9 +256,14 @@ def glue(windows: list, mu: float, p: float, t0: float = 0.0) -> WeightedTraject
     return WeightedTrajectory(times, states, derivs, mu, p)
 
 
-def _weighted_integral(times: np.ndarray, y: np.ndarray, mu: float, p: float,
-                       interval) -> float:
-    a, b = interval
+def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
+    """|| t^(1-mu) y(t) ||_{L_p(interval)} by trapezoid on the sample grid.
+
+    ``y`` holds one spatial norm per sample.  Interval endpoints need not be
+    sample points; the nodal norm values are interpolated linearly.
+    """
+    times, mu, p = traj.times, traj.mu, traj.p
+    a, b = (times[0], times[-1]) if interval is None else interval
     if a < times[0] - 1e-12 or b > times[-1] + 1e-12 or a >= b:
         raise ValueError(
             f"interval [{a}, {b}] not covered by trajectory range [{times[0]}, {times[-1]}]"
@@ -272,18 +277,7 @@ def _weighted_integral(times: np.ndarray, y: np.ndarray, mu: float, p: float,
     weight = np.where(ts > 0.0, ts, 1.0) ** s
     weight[ts == 0.0] = 1.0 if s == 0.0 else 0.0
     f = weight * ys ** p
-    return float(np.trapezoid(f, ts))
-
-
-def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
-    """|| t^(1-mu) y(t) ||_{L_p(interval)} by trapezoid on the sample grid.
-
-    ``y`` holds one spatial norm per sample.  Interval endpoints need not be
-    sample points; the nodal norm values are interpolated linearly.
-    """
-    if interval is None:
-        interval = (traj.times[0], traj.times[-1])
-    return _weighted_integral(traj.times, y, traj.mu, traj.p, interval) ** (1.0 / traj.p)
+    return float(np.trapezoid(f, ts)) ** (1.0 / p)
 
 
 def E0mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0) -> float:
@@ -305,8 +299,6 @@ def proxy_norm(u: GridFunction, theta: float, proxy: SpectralProxy) -> float:
     """|| (I + L)^theta u ||_{L2} on the spectral surrogate scale, theta in [0, 1]."""
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if not proxy.orthonormal:
-        raise ValueError("proxy norm needs an orthonormal eigenbasis")
     c = proxy.coefficients(u)
     lam = proxy.eigenvalues
     if np.any(lam < -1e-9):

@@ -17,7 +17,8 @@ and e.g. the clamped fourth-derivative row next to a wall becomes
 
 The discrete L2 pairing is trapezoid-weighted; the mirrored Neumann Laplacian
 is symmetric in that pairing, the reduced clamped bilaplacian in the plain
-interior pairing, and ``eigendecompose`` symmetrizes accordingly.
+interior pairing; ``eigendecompose`` takes only such operators and symmetrizes
+accordingly.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> scipy
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.ndarray:
+def active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.ndarray:
+    """Flat indices of the unknowns an operator under ``bc`` keeps."""
     total = grid.n_nodes * ncomp
     if bc == BoundaryCondition.NEUMANN:
         return np.arange(total)
@@ -225,7 +227,7 @@ class LinearOperator:
 def operator_from_full_matrix(grid: Grid, ncomp: int, bc: BoundaryCondition,
                               full_matrix) -> LinearOperator:
     """Reduce a full-grid matrix to the active unknowns of ``bc``."""
-    active = _active_flat_indices(grid, ncomp, bc)
+    active = active_flat_indices(grid, ncomp, bc)
     mat = scipy.sparse.csr_matrix(full_matrix)
     if len(active) != mat.shape[0]:
         mat = mat[active][:, active]
@@ -393,18 +395,17 @@ class BandedCholesky:
 class SpectralProxy:
     """Eigendecomposition of a reference operator, used for proxy norms.
 
-    ``modes`` are eigenvectors orthonormal in the weighted discrete pairing,
-    eigenvalues are sorted ascending.  A field u decomposes as
-    u = sum_k c_k phi_k with c = modes^T W u.
+    ``modes`` are eigenvectors orthonormal in the weighted discrete pairing
+    (checked up to 512 modes), eigenvalues sorted ascending.  A field u
+    decomposes as u = sum_k c_k phi_k with c = modes^T W u.
     """
 
     def __init__(self, operator: LinearOperator, eigenvalues: np.ndarray,
-                 modes: np.ndarray, orthonormal: bool = True):
+                 modes: np.ndarray):
         self.operator = operator
         self.eigenvalues = eigenvalues
         self.modes = modes
-        self.orthonormal = orthonormal
-        if orthonormal and len(eigenvalues) <= 512:
+        if len(eigenvalues) <= 512:
             gram = modes.T @ (modes * operator.weights[:, None])
             defect = np.max(np.abs(gram - np.eye(len(eigenvalues))))
             if defect > 1e-10:
@@ -432,30 +433,22 @@ class SpectralProxy:
         return GridFunction(self.grid, full.reshape(self.grid.shape + (ncomp,)))
 
 
-def eigendecompose(op: LinearOperator, symmetric: bool = True) -> SpectralProxy:
-    """Dense eigendecomposition of a (weight-)symmetric operator.
+def eigendecompose(op: LinearOperator) -> SpectralProxy:
+    """Dense eigendecomposition of a scalar operator symmetric in its pairing.
 
-    Only intended at desk scale; raises beyond DESK_EIG_CAP unknowns so large
-    runs can skip spectral diagnostics explicitly.
+    Only intended at desk scale: raises ValueError beyond DESK_EIG_CAP
+    unknowns, and SolverError for an operator that is not symmetric.
     """
     n = op.n_active
     if n > DESK_EIG_CAP:
         raise ValueError(f"{n} unknowns exceed the dense eigendecomposition cap {DESK_EIG_CAP}")
     if op.ncomp != 1:
         raise ValueError("eigendecompose expects a scalar operator")
-    if symmetric:
-        defect = op.symmetric_defect()
-        if defect > 1e-8:
-            raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
-        sqw = np.sqrt(op.weights)
-        sym = (op.matrix.toarray() * sqw[:, None]) / sqw[None, :]
-        sym = 0.5 * (sym + sym.T)
-        lam, vecs = scipy.linalg.eigh(sym)
-        modes = vecs / sqw[:, None]
-        return SpectralProxy(op, lam, modes, orthonormal=True)
-    lam, vecs = scipy.linalg.eig(op.matrix.toarray())
-    order = np.argsort(lam.real)
-    lam = lam[order].real
-    vecs = vecs[:, order].real
-    norms = np.sqrt(np.sum(op.weights[:, None] * vecs ** 2, axis=0))
-    return SpectralProxy(op, lam, vecs / norms[None, :], orthonormal=False)
+    defect = op.symmetric_defect()
+    if defect > 1e-8:
+        raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
+    sqw = np.sqrt(op.weights)
+    sym = (op.matrix.toarray() * sqw[:, None]) / sqw[None, :]
+    sym = 0.5 * (sym + sym.T)
+    lam, vecs = scipy.linalg.eigh(sym)
+    return SpectralProxy(op, lam, vecs / sqw[:, None])

@@ -8,19 +8,25 @@ from its window checkpoints reproduces the uninterrupted bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import parabolab
 from parabolab import cli, norms
-from parabolab.checkpoint import load_trajectory
+from parabolab.checkpoint import load_trajectory, save_trajectory
 from parabolab.cli import main
 from parabolab.grids import BoundaryCondition, Grid
 from parabolab.norms import E0mu_norm, WeightedTrajectory
@@ -259,7 +265,7 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
                    "max_iter": 40, "tol": 1e-8, "blowup_threshold": 100.0},
         "initial": {"kind": "constant", "value": 2.0},
         # within the horizon, but beyond the time the run reaches
-        "diagnostics": {"smoothing_delta": 0.9},
+        "diagnostics": {"smoothing_delta": 0.9, "norm_intervals": [[0.0, 0.2], [0.0, 0.9]]},
         "seed": 0,
     }
     cfg_path = write_cfg(tmp_path / "blow.json", cfg)
@@ -273,7 +279,11 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
     assert "threshold" in summary["reason"]
     # (1/c)(1 - c/M) = 0.49 for c = 2, M = 100
     assert summary["t_reached"] == pytest.approx(0.49, abs=0.03)
-    assert "smoothing" not in json.loads((out / "diagnostics.json").read_text())
+    diags = json.loads((out / "diagnostics.json").read_text())
+    assert "smoothing" not in diags
+    reached, beyond = diags["norm_intervals"]
+    assert reached["E0mu"] > 0.0 and reached["E1mu"] > 0.0
+    assert beyond == {"t_lo": 0.0, "t_hi": 0.9, "E0mu": None, "E1mu": None}
 
 
 def test_run_non_finite_rhs_exits_3(tmp_path, capsys):
@@ -449,16 +459,29 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     ("norms", "--p", "1"),
     ("norms", "--intervals", "-1"),
     ("norms", "--intervals", "0"),
+    ("norms", "--q", "inf"),
+    ("norms", "--q", "nan"),
+    ("norms", "--p", "inf"),
+    ("norms", "--mu", "nan"),
+    ("norms", "--delta", "inf"),
+    ("norms", "--q", "1e10"),             # finite, but the norms overflow
     ("omega", "--count", "1"),
     ("omega", "--fraction", "2"),
+    ("omega", "--fraction", "nan"),
     ("omega", "--theta", "3"),
+    ("omega", "--theta", "nan"),
     ("omega", "--threshold", "0"),
+    ("omega", "--threshold", "inf"),
+    ("omega", "--times", "0.5,nan"),
     ("omega", "--times", "0.5,2.0"),      # the saved horizon is 1.0
     ("omega", "--times", "0.5"),
     ("omega", "--times", "0.5,x"),
     ("symbol", "--b-range", "0:1:5"),
     ("symbol", "--b-range", "1:10:0"),
     ("symbol", "--b-range", "10:1:5"),
+    ("symbol", "--b-range", "nan:1:5"),
+    ("symbol", "--b-range", "1:inf:5"),
+    ("symbol", "--b-range", "1e-3:1e300:5"),  # the boundary quartic overflows
     ("symbol", "--lambda-points", "0"),
 ])
 def test_out_of_range_options_exit_4(tmp_path, long_heat_run, capsys, command, option,
@@ -559,6 +582,53 @@ def test_run_rejects_smoothing_delta_beyond_the_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"diagnostics": {"norm_intervals": [[0.03, 0.01]]}}, "diagnostics.norm_intervals [0.03"),
+    ({"diagnostics": {"norm_intervals": [[0.0, 0.05]]}}, "diagnostics.norm_intervals [0.0"),
+    ({"diagnostics": {"norm_intervals": [[-0.01, 0.02]]}}, "diagnostics.norm_intervals [-0.01"),
+    # 65^2 = 4225 unknowns, beyond the dense eigendecomposition cap
+    ({"grid": {"dim": 2, "nodes": 65},
+      "solver": {"window": 0.02, "time_steps": 8, "propagator": "spectral"}}, "4225 unknowns"),
+    ({"grid": {"dim": 2, "nodes": 65}, "diagnostics": {"omega_count": 4}}, "4225 unknowns"),
+    ({"solver": {"window": 0.02, "time_steps": 8, "radius": 1.0}}, "config invalid at solver"),
+    ({"solver": {"window": 0.02, "time_steps": 8, "contraction_target": 0.5}},
+     "config invalid at solver"),
+])
+def test_run_rejects_a_config_it_cannot_run_or_measure(tmp_path, capsys, edit, message):
+    cfg_path = write_cfg(tmp_path / "cfg.json", heat_cfg(**edit))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--force"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_omega_beyond_the_eigendecomposition_cap_exits_4(tmp_path, capsys):
+    grid = Grid(2, 65)
+    states = np.zeros((2,) + grid.shape + (1,))
+    snap = tmp_path / "big.npz"
+    save_trajectory(snap, WeightedTrajectory(np.array([0.0, 1.0]), states, states, 0.9, 2.0),
+                    {"order": "second", "bc": "neumann"})
+    assert main(["omega", "--checkpoint", str(snap), "--json", str(tmp_path / "o.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4225 unknowns exceed") and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["norms", "omega"])
+@pytest.mark.parametrize("meta", [{"order": "sixth"}, {"bc": "periodic"}])
+def test_checkpoint_of_unknown_order_or_bc_exits_4(tmp_path, long_heat_run, capsys, command,
+                                                   meta):
+    traj, saved = load_trajectory(long_heat_run / "trajectory.npz")
+    snap = tmp_path / "odd.npz"
+    save_trajectory(snap, traj, {**saved, **meta})
+    out = tmp_path / "out.json"
+    assert main([command, "--checkpoint", str(snap), "--json", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {snap}: unknown order or bc")
+    assert not out.exists()
+
+
 def test_truncated_window_file_exits_4(tmp_path, capsys):
     half_cfg = heat_cfg()
     half_cfg["solver"]["horizon"] = 0.02
@@ -581,3 +651,80 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "parabolab" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- exit-code contract
+
+# every option draws from values in its range or from the edges: 0, negative,
+# nan, inf, huge, and malformed strings
+_EDGES = ["0", "-1", "nan", "inf", "-inf", "1e10", "1e-300", "2.5", "abc", ""]
+_TIMES_EDGES = ["0.5", "0.5,nan", "0.5,inf", "-1,0.5", "0.5,2", "a,b", "", "nan"]
+_B_RANGE_EDGES = ["1e-3:1e300:9", "0:1:5", "nan:1:5", "1:inf:5", "10:1:5", "1:10:0",
+                  "1:10:x", "1:10", "nan", ""]
+# (values in range, edges) per option.  --intervals scales the work linearly
+# and goes up to 10^3; omega's pairwise distances grow with the square of
+# --count, and the symbol scan with the product of its sizes, so those stop
+# at 64
+_OPTIONS = {
+    "norms": {"--mu": (["0.5", "0.95", "1"], _EDGES), "--p": (["1.5", "2", "4"], _EDGES),
+              "--q": (["1", "2", "3.5"], _EDGES), "--delta": (["0.1", "0.5", "1"], _EDGES),
+              "--intervals": (["1", "3", "1000"], _EDGES)},
+    "omega": {"--count": (["2", "6", "64"], _EDGES), "--fraction": (["0.1", "0.5", "1"], _EDGES),
+              "--threshold": (["1e-6", "1e-4", "10"], _EDGES),
+              "--theta": (["0", "0.5", "1"], _EDGES),
+              "--times": (["0.5,1", "0,0.25,0.5,0.75,1"], _TIMES_EDGES)},
+    "symbol": {"--b-range": (["1e-3:1e3:9", "1e-300:1e150:64", "1:2:1"], _B_RANGE_EDGES),
+               "--lambda-points": (["1", "12", "64"], _EDGES),
+               "--field": (["CKPT"], ["missing.npz", ""])},
+}
+
+
+def _argv(command):
+    options = st.fixed_dictionaries({}, optional={
+        name: st.sampled_from(valid) | st.sampled_from(edges)
+        for name, (valid, edges) in _OPTIONS[command].items()})
+    return options.map(lambda opts: [command] + [a for pair in opts.items() for a in pair])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+@settings(max_examples=300)
+@given(argv=st.sampled_from(sorted(_OPTIONS)).flatmap(_argv))
+@example(argv=["norms", "--q", "1e10"])
+@example(argv=["norms", "--q", "inf"])
+@example(argv=["symbol", "--b-range", "1e-3:1e300:9"])
+def test_option_edges_keep_the_exit_code_contract(long_heat_run, argv):
+    """Any option value exits 0, 2, 3 or 4 without a traceback; exit 4 writes
+    nothing, and every file a command writes is strict JSON or CSV with
+    finite numbers.  (A failed symbol check, exit 2, and a non-converged
+    omega report, exit 3, still write their report.)"""
+    ckpt = str(long_heat_run / "trajectory.npz")
+    source = (["--config", str(Path(__file__).resolve().parent.parent / "configs"
+                               / "willmore.json")]
+              if argv[0] == "symbol" else ["--checkpoint", ckpt])
+    argv = [ckpt if a == "CKPT" else a for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        outputs = ["--json", str(out / "report.json")]
+        if argv[0] == "norms":
+            outputs += ["--csv", str(out / "table.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv[:1] + source + argv[1:] + outputs)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        written = sorted(out.iterdir())
+        if code == 4:
+            assert written == [], argv
+            return
+        for path in written:
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+            else:
+                cells = [c for row in csv.reader(path.read_text().splitlines()[1:]) for c in row]
+                assert all(math.isfinite(float(c)) for c in cells), argv

@@ -323,7 +323,7 @@ def test_picard_map_fixed_point_residual():
     u0, _ = eigenmode(grid, 1, amp=0.3)
     cfg = FixedPointConfig(window=0.02, time_steps=10, mu=MU, p=P)
     v = reference_solution(u0, prob, cfg)
-    u = picard_map(v, u0, u0, prob, cfg)
+    u = picard_map(v, u0, prob, cfg)
     gap = max((a - b).sup_norm() for a, b in zip(u.states, v.states))
     assert gap < 1e-10
 
@@ -376,7 +376,7 @@ def test_one_G_call_per_picard_map(kind):
     assert st_.converged and st_.iterations >= 2
     assert calls == {"F1": 0, "F2": 0, "apply_A": 0, "G": st_.iterations}
     v = reference_solution(u0, prob, cfg)
-    picard_map(v, u0, u0, prob, cfg)
+    picard_map(v, u0, prob, cfg)
     assert calls["G"] == st_.iterations + 1
 
 
@@ -389,8 +389,8 @@ def test_problem_without_G_uses_its_hooks_per_sample():
     calls = dict.fromkeys(("F1", "F2", "apply_A", "G"), 0)
     hooks_only = _counted(dataclasses.replace(prob, G=None), calls)
     v = reference_solution(u0, prob, cfg)
-    u = picard_map(v, u0, u0, prob, cfg)
-    w = picard_map(v, u0, u0, hooks_only, cfg)
+    u = picard_map(v, u0, prob, cfg)
+    w = picard_map(v, u0, hooks_only, cfg)
     n = len(v.times)
     assert calls == {"F1": n, "F2": n, "apply_A": n, "G": 0}
     scale = np.max(np.abs(u.state_values))
@@ -415,7 +415,7 @@ def test_problem_without_G_rejects_a_non_finite_rhs(value):
     v = reference_solution(u0, prob, cfg)
     with np.errstate(over="ignore"), \
             pytest.raises(StateConstraintError, match="non-finite right-hand side"):
-        picard_map(v, u0, u0, prob, cfg)
+        picard_map(v, u0, prob, cfg)
 
 
 def _fallback_cases():

@@ -392,15 +392,6 @@ def test_proxy_norm_theta_zero_is_l2():
         proxy_norm(u, 1.5, proxy)
 
 
-def test_proxy_norm_rejects_non_orthonormal_basis():
-    grid = Grid(1, 16)
-    proxy = eigendecompose(reference_operator(grid, "second"), symmetric=False)
-    assert not proxy.orthonormal
-    u = cos_field(grid)
-    with pytest.raises(ValueError):
-        proxy_norm(u, 0.5, proxy)
-
-
 def test_interpolation_constant_never_exceeds_one():
     grid = Grid(1, 32)
     proxy = eigendecompose(reference_operator(grid, "second"))

@@ -284,7 +284,7 @@ def test_eigendecompose_guards():
     asym = scipy.sparse.csr_matrix(np.triu(np.ones((12, 12))))
     op = LinearOperator(grid, 1, NEU, asym, ref.active, ref.weights)
     with pytest.raises(SolverError):
-        eigendecompose(op, symmetric=True)
+        eigendecompose(op)
     big = Grid(2, 80)  # 6400 unknowns > cap
     with pytest.raises(ValueError):
         eigendecompose(reference_operator(big, "second"))
