@@ -11,7 +11,12 @@ OLD_SRC and NEW_SRC are directories holding the ``parabolab`` package (the
 
 once with each tree on ``PYTHONPATH``, each into its own scratch directory,
 and compares the exit codes, stdout and every output file byte for byte.
-On each tree's ``trajectory.npz`` of that run it then compares, the same way,
+It compares, the same way, the reports on that config
+
+    python -m parabolab.cli check --config CONFIG --json JSON
+    python -m parabolab.cli symbol --config CONFIG --json JSON
+
+and on each tree's ``trajectory.npz`` of the run
 
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON --mu 0.8 --p 3
@@ -40,6 +45,12 @@ SEED = "0"
 SWEEP_CONFIG = REPO / "configs" / "heat.json"
 SWEEP_AXES = {"grid.nodes": [17, 33], "exponents.mu": ["4/5", "9/10"]}
 
+
+# the commands that read only the config
+CONFIG_CHECKS = {
+    "check": ["check", "--config", "{config}", "--json", "{out}/check.json"],
+    "symbol": ["symbol", "--config", "{config}", "--json", "{out}/symbol.json"],
+}
 
 # the commands that read the trajectory of a run; {run} is that run's output
 # directory under the same tree, and {out} the command's own
@@ -97,6 +108,9 @@ def main(argv=None) -> int:
         for c in configs:
             checks.append((f"{c.relative_to(REPO)}", c.stem,
                            ["run", "--config", str(c), *seeded], ""))
+            checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}",
+                        [a.replace("{config}", str(c)) for a in argv], "")
+                       for check, argv in CONFIG_CHECKS.items()]
             checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}", argv, c.stem)
                        for check, argv in TRAJECTORY_CHECKS.items()]
         checks.append((f"sweep {SWEEP_CONFIG.relative_to(REPO)}", "sweep",

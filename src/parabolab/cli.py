@@ -289,6 +289,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     """
     grid = cfgmod.build_grid(cfg)
     ec = cfgmod.exponent_config(cfg, grid)
+    fp = cfgmod.build_solver(cfg, ec)
     fingerprint = cfgmod.config_fingerprint(cfg)
     done = _window_files(out_dir) if resume else []
     last_window = ckpt.load_trajectory(done[-1]) if done else None
@@ -307,7 +308,6 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         return EXIT_ADMISSIBILITY
 
     problem, _spec = cfgmod.build_problem(cfg, grid)
-    fp = cfgmod.build_solver(cfg, ec)
     horizon = cfgmod.horizon_of(cfg)
     diag = cfg.get("diagnostics", {})
     family = cfg["problem"]["family"]

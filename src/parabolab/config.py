@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from importlib import resources
 from typing import Optional
 
@@ -59,17 +60,31 @@ def _schema() -> dict:
 
 @functools.cache
 def _validator():
-    """The run-config validator, checked and compiled once per process."""
+    """The run-config validator, checked and compiled once per process.  Its
+    integers exclude floats such as 4.0 or 1e308, which numpy refuses as counts."""
     schema = _schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    types = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, x: isinstance(x, int) and not isinstance(x, bool))
+    return jsonschema.validators.extend(cls, type_checker=types)(schema)
+
+
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"{literal} is not a finite number")
+    return value
 
 
 def load_json(path) -> dict:
+    """The JSON document at ``path``; NaN, +-Infinity and numbers beyond
+    floating point raise ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_finite, parse_float=_finite)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -94,8 +109,12 @@ def validate_run_config(cfg: dict) -> None:
             if not 0.0 <= lo < hi <= horizon:
                 raise ConfigError(f"diagnostics.norm_intervals [{lo!r}, {hi!r}] needs "
                                   f"0 <= lo < hi <= the horizon {horizon!r}")
+    spectral = cfg["solver"].get("propagator") == "spectral"
+    ncomp = cfg["problem"].get("ncomp", 1)
+    if spectral and ncomp > 1:
+        raise ConfigError(f"propagator 'spectral' needs one component, got problem.ncomp {ncomp}")
     # the spectral stepper and the omega report diagonalize a dense operator
-    if cfg["solver"].get("propagator") == "spectral" or omega_requested(diag):
+    if spectral or omega_requested(diag):
         n = len(active_flat_indices(build_grid(cfg), 1, FAMILY_BC[cfg["problem"]["family"]]))
         if n > DESK_EIG_CAP:
             raise ConfigError(f"{n} unknowns exceed the dense eigendecomposition cap "
@@ -122,8 +141,22 @@ def build_grid(cfg: dict) -> Grid:
     return Grid(dim=g["dim"], nodes_per_axis=g["nodes"])
 
 
+def _check_exponent_values(sec: dict) -> None:
+    """ConfigError for an exponent value that is not a number or a fraction string."""
+    value = sec.get("pairs")
+    try:
+        values = [sec[key] for key in ("p", "q", "mu", "beta", "epsilon") if key in sec]
+        values += [x for rho, beta in sec.get("pairs", []) for x in (rho, beta)]
+        for value in values:
+            as_number(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"exponent value {value!r} is not a number, a fraction string "
+                          "or a list of [rho, beta] pairs of them") from None
+
+
 def exponent_config(cfg: dict, grid: Optional[Grid] = None) -> ExponentConfig:
-    """ExponentConfig from either layout; n and order fall back to grid/problem."""
+    """ExponentConfig from either layout; n and order fall back to grid/problem.
+    Any exponent value of the section that does not parse raises ConfigError."""
     if is_flat_exponent_config(cfg):
         sec = cfg
         n = sec.get("n")
@@ -134,25 +167,21 @@ def exponent_config(cfg: dict, grid: Optional[Grid] = None) -> ExponentConfig:
         order = FAMILY_ORDER[cfg["problem"]["family"]]
     if n is None:
         raise ConfigError("exponent config needs 'n' (or a grid section)")
+    _check_exponent_values(sec)
     try:
         return ExponentConfig(p=as_number(sec["p"]), q=as_number(sec["q"]),
-                              n=int(n), mu=as_number(sec["mu"]), order=order)
-    except (KeyError, ValueError) as exc:
+                              n=n, mu=as_number(sec["mu"]), order=order)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad exponent section: {exc}") from exc
 
 
 def structure_exponents(cfg: dict, ec: ExponentConfig) -> StructureExponents:
     """Structure exponents with the configured beta, or the window midpoint."""
     sec = cfg if is_flat_exponent_config(cfg) else cfg["exponents"]
-    eps = as_number(sec["epsilon"]) if "epsilon" in sec else None
-    if "beta" in sec:
-        beta = as_number(sec["beta"])
-    else:
-        beta = beta_window(ec, epsilon=eps).midpoint()
-    kw = {"epsilon": eps} if eps is not None else {}
+    kw = {"epsilon": sec["epsilon"]} if "epsilon" in sec else {}
+    beta = sec["beta"] if "beta" in sec else beta_window(ec, **kw).midpoint()
     if "pairs" in sec:
-        pairs = tuple((as_number(r), as_number(b)) for r, b in sec["pairs"])
-        return StructureExponents(beta=beta, pairs=pairs, **kw)
+        return StructureExponents(beta=beta, pairs=sec["pairs"], **kw)
     return StructureExponents.for_problem(ec, beta, **kw)
 
 

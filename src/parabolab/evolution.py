@@ -40,23 +40,12 @@ releases each window's trajectory once ``on_window`` has seen it.
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  Implicit
 Euler factors each I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK
-banded factor chosen from what A(u1) shows; the K band matrices of a window
-are built in one array operation and each is factored in place.  Its march
-forms every increment dt_k*rhs_{k+1} in one product, solves each step with
-the factor's unchecked LAPACK solve, and checks the whole (K+1, n_active)
-output for finiteness once per run; a non-finite run raises the SolverError
-of the first step that went non-finite, as a checked solve would have.  The
-factors are
-
-* banded Cholesky of W(I + dt_k*A(u1)), W the diagonal of the operator's
-  pairing weights (``operators.BandedCholesky``), when every weight is
-  positive and W A(u1) is symmetric to rounding.  That holds for the heat
-  problem and for reaction-diffusion with a diagonal, positive a(u1) (always
-  so for one component), whose operator -a(u1) Lap pairs with w/a(u1), and
-  for the reference operators, the clamped plate among them;
-* banded LU (``operators.BandedLU``) otherwise: the geometric flows and
-  coupled reaction-diffusion, and any step whose W(I + dt_k*A(u1)) is not
-  positive definite.
+banded factor from ``operators.step_factors``, Cholesky where A(u1) is
+symmetric in its pairing and LU otherwise.  Its march forms every increment
+dt_k*rhs_{k+1} in one product, solves each step with its factor, and checks
+the whole (K+1, n_active) output for finiteness once per run; a non-finite
+run raises a SolverError that names the solve routine of the first step
+that went non-finite.
 
 The limit is 2D memory: the band of an m^2-node operator is about m wide, so
 one factor takes O(m^3) bytes and a window holds K of them.  For the
@@ -89,9 +78,8 @@ from .exponents import ORDER_INT
 from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
                     x1_norm)
-from .operators import (BandedCholesky, BandedLU, LinearOperator, NotPositiveDefiniteError,
-                        SolverError, SpectralProxy, eigendecompose, reference_operator,
-                        scaled_bands)
+from .operators import (LinearOperator, SolverError, SpectralProxy, eigendecompose,
+                        reference_operator, step_factors)
 
 
 class StateConstraintError(ValueError):
@@ -226,6 +214,9 @@ class FixedPointConfig:
             raise ValueError(f"need 1/p < mu <= 1, got mu={self.mu}, p={self.p}")
         if self.propagator not in ("euler", "spectral"):
             raise ValueError(f"propagator must be 'euler' or 'spectral', got {self.propagator!r}")
+        if not np.all(np.diff(graded_times(self.window, self.time_steps, self.gamma())) > 0.0):
+            raise ValueError(f"grading {self.gamma()!r} underflows the first of "
+                             f"{self.time_steps} steps to zero length")
 
     def gamma(self) -> float:
         if self.grading is not None:
@@ -239,38 +230,14 @@ def graded_times(T: float, steps: int, gamma: float) -> np.ndarray:
     return T * (k / steps) ** gamma
 
 
-# A0 takes Cholesky steps when diag(weights) @ A0 is symmetric to this
-# relative defect, a rounding-level bound.
-SYMMETRIC_DEFECT = 1e-14
-
-
 class _EulerStepper:
-    """Implicit Euler with one banded factor of I + dt_k*A0 per step.
-
-    The factor is a Cholesky factor of W(I + dt_k*A0), W = diag(weights),
-    when every weight is positive and W A0 is symmetric to SYMMETRIC_DEFECT,
-    and an LU factor otherwise, or for a step whose W(I + dt_k*A0) is not
-    positive definite.
-    """
+    """Implicit Euler with one banded factor of I + dt_k*A0 per step, from
+    ``operators.step_factors``."""
 
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        dts = np.diff(times)
-        w = A0.weights
-        if np.all(w > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT:
-            # every step's W(I + dt_k*A0) in one stack, each factored in place
-            stack = scaled_bands(A0.to_symmetric_banded(), dts, -1, w)
-            self.factors = []
-            for k, dt in enumerate(dts):
-                try:
-                    self.factors.append(BandedCholesky(stack[k].T, w, scale=None))
-                except NotPositiveDefiniteError:
-                    self.factors.append(BandedLU(*A0.to_banded(), scale=dt, shift=1.0))
-        else:
-            ab, (kl, ku) = A0.to_banded()
-            stack = scaled_bands(ab, dts, kl + ku, 1.0)
-            self.factors = [BandedLU(a.T, (kl, ku), scale=None) for a in stack]
+        self.factors = step_factors(A0, np.diff(times))
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
         """The (K+1, n) states from u_init, with one finiteness check over
@@ -284,13 +251,13 @@ class _EulerStepper:
             b = bs[k]
             if rhs is not None:
                 b += us[k]
-            us[k + 1] = factor._solve(b)
+            us[k + 1] = factor.solve(b)
         if not np.all(np.isfinite(us)):
             # a non-finite value stays non-finite in later steps, so the
-            # first non-finite state names the failing step, whose checked
-            # solve raises that step's SolverError
+            # first non-finite state names the failing step
             k = max(int(np.argmin(np.isfinite(us).all(axis=1))) - 1, 0)
-            self.factors[k].solve(bs[k])
+            raise SolverError(f"banded solve failed: {self.factors[k].routine} info 0 "
+                              "or non-finite values")
         return us
 
 

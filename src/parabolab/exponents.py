@@ -95,7 +95,7 @@ class ExponentConfig:
         object.__setattr__(self, "mu", as_number(self.mu))
         if self.order not in ORDER_INT:
             raise ValueError(f"order must be one of {tuple(ORDER_INT)}, got {self.order!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.p > 1:
             raise ValueError(f"p must exceed 1, got {self.p}")

@@ -24,7 +24,6 @@ accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -296,10 +295,6 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
     raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
 
 
-def _solve_error(routine: str, info: int) -> SolverError:
-    return SolverError(f"banded solve failed: {routine} info {info} or non-finite values")
-
-
 def scaled_bands(ab: np.ndarray, scales, row: int, shift) -> np.ndarray:
     """``scales[k]*ab`` with ``shift`` added to band row ``row``, for every
     k, built in one array operation.
@@ -315,81 +310,86 @@ def scaled_bands(ab: np.ndarray, scales, row: int, shift) -> np.ndarray:
 
 
 class BandedLU:
-    """LU factors of ``shift*I + scale*M`` for M in ``to_banded`` storage
-    (LAPACK gbtrf/gbtrs).
-
-    With ``scale=None``, ``ab`` already holds ``shift*I + scale*M``, as a
-    slice of ``scaled_bands``, and is factored in place; otherwise it is
-    scaled and shifted into a new array first.  A zero pivot raises
-    SolverError, and so does a ``solve`` that returns non-finite values.
-    ``_solve`` is the same LAPACK solve without the finiteness check, for
-    the implicit Euler march, which checks its whole output once.
-    """
+    """LU factors of ``ab``, a matrix in ``to_banded`` storage, factored in
+    place (LAPACK gbtrf/gbtrs).  A zero pivot raises SolverError."""
 
     __slots__ = ("lu", "piv", "kl", "ku")
+    routine = "dgbtrs"
 
-    def __init__(self, ab: np.ndarray, bands: tuple, scale: Optional[float] = 1.0,
-                 shift: float = 0.0):
+    def __init__(self, ab: np.ndarray, bands: tuple):
         kl, ku = bands
-        if scale is not None:
-            ab = scaled_bands(ab, [scale], kl + ku, shift)[0].T
         lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded LU failed: dgbtrf info {info} (zero pivot?)")
         self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
         if info != 0:
-            raise _solve_error("dgbtrs", info)
-        return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve(b)
-        if not np.all(np.isfinite(x)):
-            raise _solve_error("dgbtrs", 0)
+            raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x
 
 
 class BandedCholesky:
-    """Cholesky factor of ``diag(w) @ (shift*I + scale*M)`` for M symmetric in
-    the pairing w, with ``diag(w) @ M`` in ``to_symmetric_banded`` storage
-    (LAPACK pbtrf/pbtrs).
-
-    With ``scale=None``, ``ab`` already holds ``diag(w) @ (shift*I +
-    scale*M)``, as a slice of ``scaled_bands``, and is factored in place;
-    otherwise it is scaled and shifted into a new array first.
-    ``solve(b)`` solves ``(shift*I + scale*M) x = b`` through the right-hand
-    side ``w*b``.  A matrix that is not positive definite raises
-    NotPositiveDefiniteError; a ``solve`` that returns non-finite values
-    raises SolverError.  ``_solve`` is the same LAPACK solve without the
-    finiteness check, for the implicit Euler march, which checks its whole
-    output once.
-    """
+    """Cholesky factor of ``ab``, ``diag(w) @ M`` in ``to_symmetric_banded``
+    storage for M symmetric in the pairing w, factored in place (LAPACK
+    pbtrf/pbtrs); ``solve(b)`` solves ``M x = b`` through the right-hand side
+    ``w*b``.  A matrix that is not positive definite raises
+    NotPositiveDefiniteError."""
 
     __slots__ = ("c", "w")
+    routine = "dpbtrs"
 
-    def __init__(self, ab: np.ndarray, w: np.ndarray, scale: Optional[float] = 1.0,
-                 shift: float = 0.0):
-        if scale is not None:
-            ab = scaled_bands(ab, [scale], -1, shift * w)[0].T
+    def __init__(self, ab: np.ndarray, w: np.ndarray):
         c, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefiniteError(
                 f"banded Cholesky failed: dpbtrf info {info} (not positive definite)")
         self.c, self.w = c, w
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         x, info = scipy.linalg.lapack.dpbtrs(self.c, self.w * b)
         if info != 0:
-            raise _solve_error("dpbtrs", info)
+            raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve(b)
-        if not np.all(np.isfinite(x)):
-            raise _solve_error("dpbtrs", 0)
-        return x
+
+# A0 takes Cholesky steps when diag(weights) @ A0 is symmetric to this
+# relative defect, a rounding-level bound.
+SYMMETRIC_DEFECT = 1e-14
+
+
+def _lu_factors(A0: LinearOperator, dts) -> list:
+    ab, bands = A0.to_banded()
+    return [BandedLU(a.T, bands) for a in scaled_bands(ab, dts, sum(bands), 1.0)]
+
+
+def step_factors(A0: LinearOperator, dts: np.ndarray) -> list:
+    """One banded factor of I + dt*A0 for each dt of ``dts``, the implicit
+    Euler steps of a window, each factored in place in one ``scaled_bands``
+    stack.  A factor's ``solve`` raises SolverError on a LAPACK error, and
+    leaves the finiteness of its output to the caller.
+
+    The factor is a Cholesky factor of W(I + dt*A0), W = diag(weights),
+    when every weight is positive and W A0 is symmetric to SYMMETRIC_DEFECT.
+    That holds for the heat problem and for reaction-diffusion with a
+    diagonal, positive a(u) (always so for one component), whose operator
+    -a(u) Lap pairs with w/a(u), and for the reference operators, the
+    clamped plate among them.  The geometric flows and coupled
+    reaction-diffusion take an LU factor, as does a step whose
+    W(I + dt*A0) is not positive definite.
+    """
+    w = A0.weights
+    if not (np.all(w > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT):
+        return _lu_factors(A0, dts)
+    stack = scaled_bands(A0.to_symmetric_banded(), dts, -1, w)
+    factors = []
+    for k, dt in enumerate(dts):
+        try:
+            factors.append(BandedCholesky(stack[k].T, w))
+        except NotPositiveDefiniteError:
+            factors += _lu_factors(A0, [dt])
+    return factors
 
 
 class SpectralProxy:

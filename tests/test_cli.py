@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,11 @@ def heat_cfg(**over):
     }
     cfg.update(over)
     return cfg
+
+
+# a two-component reaction-diffusion system with a = I
+_COUPLED_RD = {"family": "reaction_diffusion", "ncomp": 2, "a": [[1.0, 0.0], [0.0, 1.0]],
+               "u_box": [[-2.0, 2.0], [-2.0, 2.0]]}
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +423,24 @@ def test_sweep_over_mu_continues_past_failures(tmp_path, capsys):
     assert (out / "cell_0002" / "trajectory.npz").exists()
 
 
+@pytest.mark.parametrize("template,axes", [
+    (heat_cfg(problem=_COUPLED_RD), {"solver.propagator": ["euler", "spectral"]}),
+    (heat_cfg(), {"exponents.p": [2, "1/0"]}),
+])
+def test_sweep_records_a_cell_it_cannot_run_as_exit_4(tmp_path, capsys, template, axes):
+    cfg_path = write_cfg(tmp_path / "tmpl.json", template)
+    axes_path = write_cfg(tmp_path / "axes.json", axes)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--axes", axes_path, "--out", str(out)]) == 0
+    assert "cell 1: " in capsys.readouterr().err
+    with open(out / "summary.csv") as fh:
+        assert [int(row[2]) for row in list(csv.reader(fh))[1:]] == [0, 4]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [c["exit_code"] for c in summary["cells"]] == [0, 4]
+    assert (out / "cell_0000" / "trajectory.npz").exists()
+    assert not (out / "cell_0001").exists()
+
+
 def test_sweep_grid_refinement_reports_orders(tmp_path):
     cfg = heat_cfg()
     cfg["solver"]["horizon"] = 0.02        # one window per cell
@@ -593,6 +617,9 @@ def test_run_rejects_smoothing_delta_beyond_the_horizon(tmp_path, capsys):
     ({"solver": {"window": 0.02, "time_steps": 8, "radius": 1.0}}, "config invalid at solver"),
     ({"solver": {"window": 0.02, "time_steps": 8, "contraction_target": 0.5}},
      "config invalid at solver"),
+    ({"problem": _COUPLED_RD, "solver": {"window": 0.02, "time_steps": 8,
+                                         "propagator": "spectral"}},
+     "propagator 'spectral' needs one component, got problem.ncomp 2"),
 ])
 def test_run_rejects_a_config_it_cannot_run_or_measure(tmp_path, capsys, edit, message):
     cfg_path = write_cfg(tmp_path / "cfg.json", heat_cfg(**edit))
@@ -728,3 +755,156 @@ def test_option_edges_keep_the_exit_code_contract(long_heat_run, argv):
             else:
                 cells = [c for row in csv.reader(path.read_text().splitlines()[1:]) for c in row]
                 assert all(math.isfinite(float(c)) for c in cells), argv
+
+
+# ---------------------------------------------------------------- config edges
+
+def tiny_cfg():
+    """Heat on 12 nodes, two windows of 4 steps."""
+    return heat_cfg(grid={"dim": 1, "nodes": 12},
+                    solver={"window": 0.01, "time_steps": 4, "horizon": 0.02, "tol": 1e-10})
+
+
+# the edges of a config value: 0, negative, fractional, huge, the
+# non-standard JSON literals NaN and +-Infinity, strings that are no number,
+# and values of the wrong JSON type
+_VALUE_EDGES = [0, -1, 1.5, 1e308, math.nan, math.inf, -math.inf, "1/0", "abc", True, None,
+                [2]]
+# values in range for each field the draws vary ("n" only in the flat layout
+# of `check`).  A horizon of 1e308 would glue 1e310 windows of 0.01, so the
+# horizon leaves that edge out.
+_CONFIG_FIELDS = {
+    "exponents.p": [2, "5/2", 3.0],
+    "exponents.q": [2, 4],
+    "exponents.mu": ["9/10", 0.8, 1],
+    "exponents.beta": ["3/4", 0.7],
+    "exponents.epsilon": ["1/1000", 0.01],
+    "exponents.pairs": [[[1, "3/4"], [2, "2/5"]]],
+    "n": [1, 2],
+    "solver.window": [0.01, 0.005],
+    "solver.horizon": [0.02, 0.01],
+    "solver.time_steps": [2, 4],
+    "solver.max_iter": [1, 25],
+    "solver.tol": [1e-10, 1e-4],
+    "solver.grading": [1, 2.5],
+    "solver.propagator": ["euler", "spectral"],
+    "solver.max_halvings": [0, 2],
+    "solver.blowup_threshold": [1e6, 0.5],
+    "initial.amplitude": [0.5, 0],
+    "diagnostics.norm_intervals": [1, 3, [[0, 0.01]]],
+    "diagnostics.smoothing_delta": [0.01, 0.02],
+    "diagnostics.omega_count": [2, 4],
+    "diagnostics.omega_fraction": [0.5, 1],
+    "diagnostics.omega_threshold": [1e-4, 10],
+    "diagnostics.symbol_scan": [True, False],
+}
+
+
+def _edges(field):
+    if field == "solver.horizon":
+        return [v for v in _VALUE_EDGES if v != 1e308]
+    if field == "exponents.pairs":
+        return _VALUE_EDGES + [[[1, v]] for v in _VALUE_EDGES]
+    return _VALUE_EDGES
+
+
+def _edits():
+    fields = st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), min_size=1, max_size=3,
+                      unique=True)
+    return fields.flatmap(lambda keys: st.tuples(*[
+        st.tuples(st.just(k), st.sampled_from(_CONFIG_FIELDS[k]) | st.sampled_from(_edges(k)))
+        for k in keys]))
+
+
+def _set_path(cfg: dict, dotted: str, value) -> None:
+    *parents, last = dotted.split(".")
+    for key in parents:
+        cfg = cfg.setdefault(key, {})
+    cfg[last] = value
+
+
+def _tree(root: Path) -> list:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def _main_quietly(argv) -> int:
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["check", "check-flat", "run", "sweep"]), edits=_edits())
+@example(command="run", edits=(("solver.grading", 1e308),))
+def test_config_edges_keep_the_exit_code_contract(command, edits):
+    """Any config value makes check, run and sweep exit 0, 2, 3 or 4 without
+    a traceback, and exit 4 writes nothing.  The sweep varies the last drawn
+    field over a value in range and the drawn value; when it runs, it writes
+    both summaries, and each cell records the exit code a run of that cell's
+    config gives."""
+    cfg = tiny_cfg()
+    flat = dict(cfg["exponents"], n=1)
+    *fixed, (axis, value) = edits
+    for path, v in edits if command != "sweep" else fixed:
+        if path == "n":
+            flat["n"] = v
+        elif command == "check-flat" and path.startswith("exponents."):
+            flat[path.split(".")[1]] = v
+        else:
+            _set_path(cfg, path, v)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg_path = write_cfg(root / "cfg.json", flat if command == "check-flat" else cfg)
+        out = root / "out"
+        argv = {"check": ["check", "--config", cfg_path, "--json", str(out)],
+                "check-flat": ["check", "--config", cfg_path, "--json", str(out)],
+                "run": ["run", "--config", cfg_path, "--out", str(out)],
+                "sweep": ["sweep", "--config", cfg_path, "--out", str(out),
+                          "--axes", write_cfg(root / "axes.json", {
+                              axis: [_CONFIG_FIELDS[axis][0], value]})]}[command]
+        before = _tree(root)
+        code = _main_quietly(argv)
+        if code == 4:
+            assert _tree(root) == before, (command, edits)
+            return
+        if command != "sweep":
+            return
+        assert (out / "summary.csv").exists() and (out / "sweep_summary.json").exists()
+        cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+        cell = deepcopy(cfg)
+        _set_path(cell, axis, value)
+        cell_code = _main_quietly(["run", "--config", write_cfg(root / "cell.json", cell),
+                                   "--out", str(root / "cell")])
+        assert cells[1]["exit_code"] == cell_code, (edits, cells[1])
+        if cell_code == 4:
+            assert not (out / "cell_0001").exists()
+
+
+@pytest.mark.parametrize("command,path,value", [
+    *[("run", path, value) for path, value in [
+        ("solver.grading", math.inf), ("initial.amplitude", math.nan),
+        ("solver.horizon", math.nan), ("solver.horizon", math.inf),
+        ("solver.blowup_threshold", math.nan)]],
+    *[(command, f"exponents.{key}", value) for command in ("check", "run")
+      for key, value in [("p", "1/0"), ("q", "1/0"), ("mu", "1/0"), ("beta", "1/0"),
+                         ("epsilon", "1/0"), ("pairs", [[1, "1/0"]])]],
+    *[("check-flat", key, value) for key, value in [
+        ("p", True), ("p", None), ("p", [2]), ("beta", None), ("pairs", 5), ("n", 1.5)]],
+])
+def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path, value):
+    cfg = tiny_cfg()
+    if command == "check-flat":
+        cfg = {**cfg["exponents"], "n": 1, path: value}
+    else:
+        _set_path(cfg, path, value)
+    cfg_path = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    argv = (["run", "--config", cfg_path, "--out", str(out)] if command == "run"
+            else ["check", "--config", cfg_path, "--json", str(out)])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]

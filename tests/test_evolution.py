@@ -40,7 +40,7 @@ from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  reference_solution)
 from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from parabolab.operators import (BandedCholesky, BandedLU, SolverError, eigendecompose,
-                                 operator_from_full_matrix, reference_operator)
+                                 operator_from_full_matrix, reference_operator, scaled_bands)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                                 flow_problem, linear_heat_spec, rd_problem)
 
@@ -208,15 +208,27 @@ def test_euler_stepper_factorization_path(case):
     # overwrites its slice of one (K, n, rows) stack of the window's bands
     for f, dt in zip(stepper.factors, np.diff(times)):
         if factor is BandedCholesky:
-            alone = BandedCholesky(A.to_symmetric_banded(), A.weights, scale=dt, shift=1.0)
+            alone = _cholesky_of_step(A, dt)
             assert _same_bits(f.c, alone.c)
         else:
-            alone = BandedLU(*A.to_banded(), scale=dt, shift=1.0)
+            alone = _lu_of_step(A, dt)
             assert _same_bits(f.lu, alone.lu) and np.array_equal(f.piv, alone.piv)
     factored = [f.c if factor is BandedCholesky else f.lu for f in stepper.factors]
     stack = factored[0].base
     assert stack is not None and stack.shape == (4, A.n_active, factored[0].shape[0])
     assert all(a.base is stack for a in factored)
+
+
+def _cholesky_of_step(A, dt):
+    """A standalone Cholesky factor of W(I + dt*A)."""
+    return BandedCholesky(scaled_bands(A.to_symmetric_banded(), [dt], -1, A.weights)[0].T,
+                          A.weights)
+
+
+def _lu_of_step(A, dt):
+    """A standalone LU factor of I + dt*A."""
+    ab, (kl, ku) = A.to_banded()
+    return BandedLU(scaled_bands(ab, [dt], kl + ku, 1.0)[0].T, (kl, ku))
 
 
 def _same_bits(a, b):
@@ -230,7 +242,7 @@ def test_euler_stepper_indefinite_step_falls_back_to_lu():
                                   -scipy.sparse.identity(grid.n_nodes))
     stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
     assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
-    alone = BandedLU(*A.to_banded(), scale=2.0, shift=1.0)
+    alone = _lu_of_step(A, 2.0)
     assert _same_bits(stepper.factors[1].lu, alone.lu)
     u0 = np.linspace(-1.0, 1.0, grid.n_nodes)
     us = stepper.run(u0, None)
