@@ -27,17 +27,28 @@ Last it does the same for
     python -m parabolab.cli sweep --config configs/heat.json --axes AXES --out DIR --seed 0
 
 with a small axes file written to the scratch directory, comparing every
-cell's files.  It exits 0 when everything matches, and 1 naming the first
-difference.  Nothing is written inside the checkout.
+cell's files.  It exits 0 when everything matches, and 1 when anything
+differs.  Every difference is listed: the exit code, stdout and each file
+that differs.  For a differing ``.json`` or ``.npz`` file it prints the
+largest relative difference among its floats,
+
+    max |old - new| / max(|old|, |new|)
+
+taken over each float (a JSON number or a float in the JSON meta of a
+checkpoint) and over each float array as a whole, with the absolute
+difference there, and it names the entries whose other values (integers,
+strings, shapes, keys) differ.  Nothing is written inside the checkout.
 """
 
+import io
 import json
-
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIRS = (REPO / "configs", REPO / "perfbench" / "configs")
@@ -81,15 +92,96 @@ def run(src: Path, argv: list, root: Path, stem: str, run_stem: str = ""):
     return proc.returncode, proc.stdout, files
 
 
-def first_difference(old, new):
+def _leaves(obj, path=""):
+    """{path: value} of every leaf of a JSON document; a string that holds
+    JSON, such as the meta of a checkpoint, is opened up as well."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except ValueError:
+            return {path: obj}
+        if isinstance(obj, str):
+            return {path: obj}
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {path: obj}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, f"{path}/{key}"))
+    return out
+
+
+def _entries(name: str, data: bytes) -> dict:
+    """{path: value} of a .json file, or {array name: array} of a .npz file
+    with its string arrays opened up as JSON."""
+    if name.endswith(".json"):
+        return _leaves(json.loads(data))
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        out = {}
+        for key in npz.files:
+            arr = npz[key]
+            if arr.dtype.kind == "U":
+                out.update(_leaves(str(arr), key))
+            else:
+                out[key] = arr
+        return out
+
+
+def _is_float(x) -> bool:
+    return (isinstance(x, float)
+            or isinstance(x, np.ndarray) and x.dtype.kind == "f")
+
+
+def float_gaps(name: str, old: bytes, new: bytes) -> str:
+    """The largest relative difference among the floats of two versions of a
+    .json or .npz file, and the entries whose other values differ."""
+    old, new = _entries(name, old), _entries(name, new)
+    worst = (0.0, 0.0, None)
+    other = sorted(set(old) ^ set(new))
+    for key in sorted(set(old) & set(new)):
+        a, b = old[key], new[key]
+        if not (_is_float(a) and _is_float(b) and np.shape(a) == np.shape(b)):
+            if not np.array_equal(a, b):
+                other.append(key)
+            continue
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.size == 0:
+            continue
+        gap = float(np.max(np.abs(a - b)))
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        rel = gap / scale if scale > 0.0 else 0.0
+        if rel > worst[0]:
+            worst = (rel, gap, key)
+    text = []
+    if worst[2] is not None:
+        text.append(f"largest relative difference {worst[0]:.3g} at {worst[2]} "
+                    f"(absolute {worst[1]:.3g})")
+    if other:
+        text.append(f"other values differ at {', '.join(other)}")
+    return "; ".join(text) or "same values, other bytes"
+
+
+def differences(old, new) -> list:
+    """Each difference between the (exit code, stdout, files) of two runs."""
+    out = []
     if old[0] != new[0]:
-        return f"exit code {old[0]} != {new[0]}"
+        out.append(f"exit code {old[0]} != {new[0]}")
     if old[1] != new[1]:
-        return "stdout"
+        out.append("stdout")
     for name in sorted(set(old[2]) | set(new[2])):
-        if old[2].get(name) != new[2].get(name):
-            return name
-    return None
+        a, b = old[2].get(name), new[2].get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            out.append(f"{name} (only in {'new' if a is None else 'old'})")
+        elif name.endswith((".json", ".npz")):
+            out.append(f"{name}: {float_gaps(name, a, b)}")
+        else:
+            out.append(name)
+    return out
 
 
 def main(argv=None) -> int:
@@ -99,6 +191,7 @@ def main(argv=None) -> int:
         return 2
     old_src, new_src = (Path(a).resolve() for a in argv)
     configs = [c for d in CONFIG_DIRS for c in sorted(d.glob("*.json"))]
+    status = False
     with tempfile.TemporaryDirectory() as tmp:
         axes = Path(tmp) / "axes.json"
         axes.write_text(json.dumps(SWEEP_AXES, sort_keys=True) + "\n")
@@ -119,12 +212,13 @@ def main(argv=None) -> int:
         for name, stem, argv, run_stem in checks:
             old = run(old_src, argv, Path(tmp) / "old", stem, run_stem)
             new = run(new_src, argv, Path(tmp) / "new", stem, run_stem)
-            diff = first_difference(old, new)
-            if diff is not None:
+            diffs = differences(old, new)
+            for diff in diffs:
                 print(f"{name}: differs at {diff}")
-                return 1
-            print(f"{name}: {len(new[2])} files identical (exit {new[0]})")
-    return 0
+            if not diffs:
+                print(f"{name}: {len(new[2])} files identical (exit {new[0]})")
+            status = status or bool(diffs)
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ sweeps).  Exit codes: 0 ok, 2 admissibility failure, 3 nonconvergence,
 
 All emitted files are deterministic: JSON with sorted keys, CSV floats via
 ``repr``, binary checkpoints with fixed field order.  Identical config and
-seed give byte-identical outputs.
+seed give byte-identical outputs.  JSON is strict, never ``NaN`` or
+``Infinity``: a ``run`` or ``norms`` whose norms overflow exits 4 instead.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
 
 
 def _emit_json(obj: dict, path=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -82,8 +83,17 @@ def _write_csv(path, header, rows) -> None:
             dump(text)
 
 
+def _is_finite(report) -> bool:
+    """Whether every number in a JSON-like report is finite."""
+    try:
+        json.dumps(report, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
 def _require(ok: bool, message: str) -> None:
-    """Reject a command-line option before anything is written (exit 4)."""
+    """Reject an option or config value as a configuration error (exit 4)."""
     if not ok:
         raise cfgmod.ConfigError(message)
 
@@ -391,10 +401,15 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         traj = run if traj is None else _append_run(traj, new_windows, run)
     # a run whose first window collapsed has no trajectory to measure
     if traj is not None:
+        # an overflow shows up as a non-finite norm, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
+        _require(_is_finite(diagnostics),
+                 f"exponents.q {fp.q!r} with exponents.p {fp.p!r} and exponents.mu "
+                 f"{fp.mu!r} gives a diagnostic norm beyond floating point")
         ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
         rows = _timeseries_rows(traj, bc, order)
         _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER, rows)
-        diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
         _emit_json(diagnostics, out_dir / "diagnostics.json")
 
         first, last = (dict(zip(_TIMESERIES_HEADER, row)) for row in (rows[0], rows[-1]))
@@ -457,9 +472,8 @@ def cmd_norms(args) -> int:
         rows = _interval_norms(traj, args.intervals, q, order, bc)
         rows += _interval_norms(traj, [(0.0, T)], q, order, bc)
         smoothing = _smoothing(traj, delta, q, order, bc)
-    numbers = [x for row in rows for x in row[2:]] + list((smoothing or {}).values())
-    _require(np.all(np.isfinite(numbers)), f"--q {q!r} with --p {p!r} and --mu {mu!r} gives "
-                                           "a norm beyond floating point")
+    _require(_is_finite([rows, smoothing]), f"--q {q!r} with --p {p!r} and --mu {mu!r} gives "
+                                            "a norm beyond floating point")
     _write_csv(args.csv, ["t_lo", "t_hi", "E0mu", "E1mu"], rows)
     report = {
         "mu": traj.mu, "p": traj.p, "q": q, "horizon": T,

@@ -52,6 +52,11 @@ FAMILY_BC = {
     "willmore": BoundaryCondition.CLAMPED,
 }
 
+# a run config may span at most this many windows of solver.window, so that
+# a horizon far beyond the window fails before anything is written instead
+# of gluing windows without end
+MAX_WINDOWS = 10_000
+
 
 def _schema() -> dict:
     text = resources.files("parabolab").joinpath("schema/run_config.schema.json").read_text()
@@ -99,6 +104,10 @@ def validate_run_config(cfg: dict) -> None:
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     diag = cfg.get("diagnostics", {})
     horizon = horizon_of(cfg)
+    window = cfg["solver"]["window"]
+    if horizon / window > MAX_WINDOWS:
+        raise ConfigError(f"solver.horizon {horizon!r} spans more than {MAX_WINDOWS} windows "
+                          f"of solver.window {window!r}")
     delta = diag.get("smoothing_delta")
     if delta is not None and delta > horizon:
         raise ConfigError(f"diagnostics.smoothing_delta {delta!r} exceeds the horizon "

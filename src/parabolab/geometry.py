@@ -1,24 +1,28 @@
 """Differential geometry of graph surfaces x -> (x, h(x)).
 
-All quantities are assembled from nodal derivatives of the height field h
-with clamped-consistent reflection ghosts.  With g = grad h and the tilt
-factor beta = 1/sqrt(1 + |g|^2):
+All quantities are assembled from nodal first and second derivatives of the
+height field h with clamped-consistent reflection ghosts.  With g = grad h,
+the tilt factor beta = 1/sqrt(1 + |g|^2) and mask_ij = delta_ij - beta^2 g_i g_j:
 
     normal        nu = beta * (-g, 1)
-    mean curv.    H = (delta_ij - beta^2 g_i g_j) beta d_i d_j h   (summed)
-    LB operator   Lap_Gamma phi = (delta_kl - beta^2 g_k g_l)
-                      (d_k d_l phi - beta^2 d_k d_l h * g_m d_m phi)
-    tr L^2        -(delta_ij - beta^2 g_i g_j) (d_i d_j nu | nu)
+    shape op.     L = beta * mask * Hess h               (a dim x dim matrix)
+    mean curv.    H = tr L = beta * mask_ij d_i d_j h    (summed)
+    tr L^2        beta^2 tr(mask Hess mask Hess)
+    LB operator   Lap_Gamma phi = mask_kl (d_k d_l phi - beta^2 d_k d_l h * g_m d_m phi)
+                                = mask_kl d_k d_l phi - beta H (g | grad phi)
 
-The second derivatives of nu are expanded through derivatives of beta,
+tr L^2 is -(delta_ij - beta^2 g_i g_j)(d_i d_j nu | nu), and no third
+derivative of h enters it: differentiating (d_j nu | nu) = 0 gives
+(d_i d_j nu | nu) = -(d_i nu | d_j nu), and with
+d_i nu = (d_i beta)(-g, 1) - beta (d_i g, 0) and d_i beta = -beta^3 (d_i g | g),
 
-    d_j beta    = -beta^3 (d_j g | g)
-    d_i d_j beta = -3 beta^2 (d_i beta)(d_j g | g) - beta^3 (d_i d_j g | g)
-                   - beta^3 (d_j g | d_i g)
-    d_i d_j nu  = (d_i d_j beta)(-g, 1) - (d_j beta)(d_i g, 0)
-                  - (d_i beta)(d_j g, 0) - beta (d_i d_j g, 0),
+    (d_i nu | d_j nu) = beta^2 (sum_m hess_im hess_jm - beta^2 hg_i hg_j),
+    hg_i = sum_m hess_im g_m,
 
-which in one dimension collapses to the identity tr L^2 = H^2 (H = beta^3 h'').
+whose contraction with mask is beta^2 tr(mask Hess mask Hess).  Expanding
+d_i d_j nu through d_i d_j beta instead brings in d_i d_j g, whose terms
+cancel exactly, so they added nothing but rounding.  In one dimension,
+mask = beta^2 and tr L^2 = beta^6 (h'')^2 = H^2.
 
 Normal-velocity flows in graph form:
 
@@ -30,7 +34,12 @@ and the frozen leading coefficient of both is the rank-4 tensor
     a_ijkl(g) = (delta_kl - beta^2 g_k g_l)(delta_ij - beta^2 g_i g_j).
 
 Each formula is written once, on nodal values with leading axes (a stack of
-samples).  ``surface_diffusion_values``/``willmore_values`` are the stacked
+samples), as explicit sums over the dim <= 2 components.  Every derivative
+is one stencil pass over the stack: d_i d_j h, i < j, is the d_j pass over
+the stored d_i h, which is the arithmetic of ``derivative_values`` at
+sigma = e_i + e_j.  A flow right-hand side takes the 2 dim + dim (dim - 1)/2
+passes of h and as many of H: 4 in 1D and 10 in 2D, Willmore or surface
+diffusion.  ``surface_diffusion_values``/``willmore_values`` are the stacked
 right-hand sides of the flow problems; the GridFunction functions are
 one-field wrappers.
 """
@@ -38,6 +47,8 @@ one-field wrappers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -47,115 +58,94 @@ from .operators import derivative_values
 _BC = BoundaryCondition.CLAMPED
 
 
-def _partial(values: np.ndarray, grid: Grid, axes, bc) -> np.ndarray:
-    """d_{axes} of the scalar field in ``values`` (..., *grid.shape, 1)."""
+def _sum(terms) -> np.ndarray:
+    return reduce(add, terms)
+
+
+# Fields are (..., *grid.shape) arrays, leading axes being samples; vectors
+# are lists of them and symmetric matrices nested lists sharing the
+# off-diagonal entry.
+
+def _pass(field: np.ndarray, grid: Grid, axis: int, order: int, bc) -> np.ndarray:
+    """One stencil pass, d_axis^order of ``field``."""
     sig = [0] * grid.dim
-    for a in axes:
-        sig[a] += 1
-    return derivative_values(values, grid, tuple(sig), bc)[..., 0]
+    sig[axis] = order
+    return derivative_values(field[..., None], grid, tuple(sig), bc)[..., 0]
 
 
-# The derivative tensors take nodal values (..., *grid.shape, 1), leading axes
-# being samples, and append their index axes to grid.shape.
-
-def _grad(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
-    return np.stack([_partial(values, grid, (i,), bc) for i in range(grid.dim)], axis=-1)
+def _grad(field: np.ndarray, grid: Grid, bc) -> list:
+    return [_pass(field, grid, i, 1, bc) for i in range(grid.dim)]
 
 
-def _hess(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
-    dim = grid.dim
-    out = np.zeros(values.shape[:-1] + (dim, dim))
+def _jet(field: np.ndarray, grid: Grid, bc):
+    """grad and Hess of ``field``, each derivative one pass."""
+    g = _grad(field, grid, bc)
+    hess = [[None] * grid.dim for _ in range(grid.dim)]
+    for i in range(grid.dim):
+        hess[i][i] = _pass(field, grid, i, 2, bc)
+        for j in range(i + 1, grid.dim):
+            hess[i][j] = hess[j][i] = _pass(g[i], grid, j, 1, bc)
+    return g, hess
+
+
+def _tilt(g: list) -> np.ndarray:
+    """beta = 1/sqrt(1 + |g|^2) of the slope components g."""
+    return 1.0 / np.sqrt(1.0 + _sum(gi * gi for gi in g))
+
+
+def _mask(g: list, beta: np.ndarray) -> list:
+    """delta_ij - beta^2 g_i g_j."""
+    dim = len(g)
+    b2 = beta * beta
+    mask = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        for j in range(i, dim):
-            d = _partial(values, grid, (i, j), bc)
-            out[..., i, j] = d
-            out[..., j, i] = d
-    return out
+        bg = b2 * g[i]
+        mask[i][i] = 1.0 - bg * g[i]
+        for j in range(i + 1, dim):
+            mask[i][j] = mask[j][i] = -(bg * g[j])
+    return mask
 
 
-def _third(values: np.ndarray, grid: Grid, bc) -> np.ndarray:
-    dim = grid.dim
-    out = np.zeros(values.shape[:-1] + (dim, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(dim):
-                d = _partial(values, grid, (i, j, k), bc)
-                out[..., i, j, k] = d
-                out[..., j, i, k] = d
-    return out
+def _surface(h: np.ndarray, grid: Grid, bc):
+    """g, Hess h, beta and mask of the graph of ``h``."""
+    g, hess = _jet(h, grid, bc)
+    beta = _tilt(g)
+    return g, hess, beta, _mask(g, beta)
 
 
-def _beta_of(grad: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(1.0 + np.sum(grad ** 2, axis=-1))
+def _contract(a: list, b: list) -> np.ndarray:
+    """sum_ij a_ij b_ij of two symmetric matrices."""
+    dim = len(a)
+    return _sum([a[i][i] * b[i][i] for i in range(dim)]
+                + [2.0 * (a[i][j] * b[i][j]) for i in range(dim) for j in range(i + 1, dim)])
 
-
-def _mask_of(grad: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """delta_ij - beta^2 g_i g_j at every node."""
-    dim = grad.shape[-1]
-    eye = np.eye(dim)
-    return eye - beta[..., None, None] ** 2 * grad[..., :, None] * grad[..., None, :]
-
-
-def _tilt(values: np.ndarray, grid: Grid, bc):
-    """g = grad h, beta and mask of the graph of h."""
-    g = _grad(values, grid, bc)
-    beta = _beta_of(g)
-    return g, beta, _mask_of(g, beta)
-
-
-# Pointwise formulas in the derivative tensors of h (g, hess, third) and of
-# phi (grad_phi, hess_phi); beta and mask are the functions of g above.
 
 def _mean_curvature(beta, mask, hess) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", mask, hess) * beta
+    return beta * _contract(mask, hess)
 
 
-def _laplace_beltrami(g, beta, mask, hess, grad_phi, hess_phi) -> np.ndarray:
-    advect = np.einsum("...m,...m->...", g, grad_phi)
-    inner = hess_phi - beta[..., None, None] ** 2 * hess * advect[..., None, None]
-    return np.einsum("...kl,...kl->...", mask, inner)
+def _trace_L_squared(beta, mask, hess) -> np.ndarray:
+    # beta^2 tr(M M) with M = mask Hess, not symmetric
+    dim = len(mask)
+    m = [[_sum(mask[i][k] * hess[k][j] for k in range(dim)) for j in range(dim)]
+         for i in range(dim)]
+    return beta * beta * _sum(m[i][j] * m[j][i] for i in range(dim) for j in range(dim))
 
 
-def _trace_L_squared(g, beta, mask, hess, third) -> np.ndarray:
-    # hess[..., i, m] = d_i g_m, third[..., i, j, m] = d_i d_j g_m
-    hg = np.einsum("...im,...m->...i", hess, g)            # (d_i g | g)
-    dbeta = -beta[..., None] ** 3 * hg
-    tg = np.einsum("...ijm,...m->...ij", third, g)         # (d_i d_j g | g)
-    hh = np.einsum("...im,...jm->...ij", hess, hess)       # (d_i g | d_j g)
-    d2beta = (
-        -3.0 * beta[..., None, None] ** 2 * dbeta[..., :, None] * hg[..., None, :]
-        - beta[..., None, None] ** 3 * tg
-        - beta[..., None, None] ** 3 * hh
-    )
-
-    # assemble d_i d_j nu as spatial part (components m) and vertical part
-    spatial = (
-        -d2beta[..., :, :, None] * g[..., None, None, :]
-        - dbeta[..., None, :, None] * hess[..., :, None, :]
-        - dbeta[..., :, None, None] * hess[..., None, :, :]
-        - beta[..., None, None, None] * third
-    )
-    vertical = d2beta
-    nu_spatial = -beta[..., None] * g
-    nu_vertical = beta
-    dots = (
-        np.einsum("...ijm,...m->...ij", spatial, nu_spatial)
-        + vertical * nu_vertical[..., None, None]
-    )
-    return -np.einsum("...ij,...ij->...", mask, dots)
+def _laplace_beltrami(g, beta, mask, H, grad_phi, hess_phi) -> np.ndarray:
+    advect = _sum(gi * pi for gi, pi in zip(g, grad_phi))
+    return _contract(mask, hess_phi) - beta * H * advect
 
 
 def _flow_values(values: np.ndarray, grid: Grid, bc, willmore: bool) -> np.ndarray:
     """Normal-velocity flow rhs on nodal values (..., *grid.shape, 1), each
     derivative of h and of H taken once."""
-    g, beta, mask = _tilt(values, grid, bc)
-    hess = _hess(values, grid, bc)
+    g, hess, beta, mask = _surface(values[..., 0], grid, bc)
     H = _mean_curvature(beta, mask, hess)
-    Hv = H[..., None]
-    lb = _laplace_beltrami(g, beta, mask, hess, _grad(Hv, grid, bc), _hess(Hv, grid, bc))
+    lb = _laplace_beltrami(g, beta, mask, H, *_jet(H, grid, bc))
     if not willmore:
         return (-lb / beta)[..., None]
-    trl2 = _trace_L_squared(g, beta, mask, hess, _third(values, grid, bc))
+    trl2 = _trace_L_squared(beta, mask, hess)
     return ((-lb + H * (0.5 * H ** 2 - trl2)) / beta)[..., None]
 
 
@@ -172,23 +162,24 @@ def willmore_values(values: np.ndarray, grid: Grid,
     return _flow_values(values, grid, bc, willmore=True)
 
 
+def _normal(g: list, beta: np.ndarray) -> np.ndarray:
+    return np.stack([-(beta * gi) for gi in g] + [beta], axis=-1)
+
+
 def tilt_factor(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
     """beta = 1/sqrt(1 + |grad h|^2); always in (0, 1]."""
-    return GridFunction.from_scalar(h.grid, _beta_of(_grad(h.values, h.grid, bc)))
+    return GridFunction.from_scalar(h.grid, _tilt(_grad(h.values[..., 0], h.grid, bc)))
 
 
 def unit_normal(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
     """Upward unit normal beta * (-grad h, 1), dim+1 components."""
-    g = _grad(h.values, h.grid, bc)
-    beta = _beta_of(g)
-    comps = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-    return GridFunction(h.grid, beta[..., None] * comps)
+    g = _grad(h.values[..., 0], h.grid, bc)
+    return GridFunction(h.grid, _normal(g, _tilt(g)))
 
 
 def mean_curvature(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    _g, beta, mask = _tilt(h.values, h.grid, bc)
-    H = _mean_curvature(beta, mask, _hess(h.values, h.grid, bc))
-    return GridFunction.from_scalar(h.grid, H)
+    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+    return GridFunction.from_scalar(h.grid, _mean_curvature(beta, mask, hess))
 
 
 def laplace_beltrami(h: GridFunction, phi: GridFunction,
@@ -196,21 +187,16 @@ def laplace_beltrami(h: GridFunction, phi: GridFunction,
     """Surface Laplacian of the scalar phi along the graph of h."""
     if phi.grid != h.grid:
         raise ValueError("phi must live on the grid of h")
-    grid = h.grid
-    g, beta, mask = _tilt(h.values, grid, bc)
-    out = _laplace_beltrami(g, beta, mask, _hess(h.values, grid, bc),
-                            _grad(phi.values, grid, bc), _hess(phi.values, grid, bc))
-    return GridFunction.from_scalar(grid, out)
+    g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+    H = _mean_curvature(beta, mask, hess)
+    out = _laplace_beltrami(g, beta, mask, H, *_jet(phi.values[..., 0], h.grid, bc))
+    return GridFunction.from_scalar(h.grid, out)
 
 
 def trace_L_squared(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    """Squared Frobenius norm of the shape operator, via second derivatives
-    of the unit normal."""
-    grid = h.grid
-    g, beta, mask = _tilt(h.values, grid, bc)
-    out = _trace_L_squared(g, beta, mask, _hess(h.values, grid, bc),
-                           _third(h.values, grid, bc))
-    return GridFunction.from_scalar(grid, out)
+    """Squared Frobenius norm of the shape operator, beta^2 tr(mask Hess mask Hess)."""
+    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+    return GridFunction.from_scalar(h.grid, _trace_L_squared(beta, mask, hess))
 
 
 def surface_diffusion_rhs(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
@@ -230,8 +216,9 @@ def leading_coefficient(grad: np.ndarray) -> np.ndarray:
     a_ijkl = (delta_kl - beta^2 g_k g_l)(delta_ij - beta^2 g_i g_j).
     """
     grad = np.asarray(grad, dtype=float)
-    beta = _beta_of(grad)
-    mask = _mask_of(grad, beta)
+    beta = 1.0 / np.sqrt(1.0 + np.sum(grad ** 2, axis=-1))
+    mask = (np.eye(grad.shape[-1])
+            - beta[..., None, None] ** 2 * grad[..., :, None] * grad[..., None, :])
     return np.einsum("...ij,...kl->...ijkl", mask, mask)
 
 
@@ -244,15 +231,17 @@ class GeometryFields:
 
 
 def geometry_fields(h: GridFunction, bc: BoundaryCondition = _BC) -> GeometryFields:
-    """All pointwise fields at once, with the basic invariants asserted."""
-    beta = tilt_factor(h, bc)
-    nu = unit_normal(h, bc)
-    H = mean_curvature(h, bc)
-    trl2 = trace_L_squared(h, bc)
-    b = beta.scalar
-    if np.any(b <= 0.0) or np.any(b > 1.0 + 1e-12):
+    """All pointwise fields at once, from one derivative jet, with the basic
+    invariants asserted."""
+    grid = h.grid
+    g, hess, beta, mask = _surface(h.values[..., 0], grid, bc)
+    nu = _normal(g, beta)
+    if np.any(beta <= 0.0) or np.any(beta > 1.0 + 1e-12):
         raise ValueError("tilt factor left (0, 1]")
-    norm = np.sqrt(np.sum(nu.values ** 2, axis=-1))
+    norm = np.sqrt(np.sum(nu ** 2, axis=-1))
     if np.max(np.abs(norm - 1.0)) > 1e-10:
         raise ValueError("normal field is not unit length")
-    return GeometryFields(beta=beta, normal=nu, mean_curvature=H, trace_L_sq=trl2)
+    return GeometryFields(
+        beta=GridFunction.from_scalar(grid, beta), normal=GridFunction(grid, nu),
+        mean_curvature=GridFunction.from_scalar(grid, _mean_curvature(beta, mask, hess)),
+        trace_L_sq=GridFunction.from_scalar(grid, _trace_L_squared(beta, mask, hess)))

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from copy import deepcopy
 from pathlib import Path
 
@@ -771,8 +772,7 @@ def tiny_cfg():
 _VALUE_EDGES = [0, -1, 1.5, 1e308, math.nan, math.inf, -math.inf, "1/0", "abc", True, None,
                 [2]]
 # values in range for each field the draws vary ("n" only in the flat layout
-# of `check`).  A horizon of 1e308 would glue 1e310 windows of 0.01, so the
-# horizon leaves that edge out.
+# of `check`)
 _CONFIG_FIELDS = {
     "exponents.p": [2, "5/2", 3.0],
     "exponents.q": [2, 4],
@@ -801,8 +801,6 @@ _CONFIG_FIELDS = {
 
 
 def _edges(field):
-    if field == "solver.horizon":
-        return [v for v in _VALUE_EDGES if v != 1e308]
     if field == "exponents.pairs":
         return _VALUE_EDGES + [[[1, v]] for v in _VALUE_EDGES]
     return _VALUE_EDGES
@@ -827,24 +825,33 @@ def _tree(root: Path) -> list:
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
-def _main_quietly(argv) -> int:
+def _main_quietly(argv):
+    """Exit code and stderr of ``main(argv)``."""
     with contextlib.redirect_stderr(io.StringIO()) as err, \
             contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue()
+
+
+# the error of a run whose diagnostics overflow, after its window checkpoints
+_DIAGNOSTICS_OVERFLOW = "gives a diagnostic norm beyond floating point"
 
 
 @settings(max_examples=150)
 @given(command=st.sampled_from(["check", "check-flat", "run", "sweep"]), edits=_edits())
 @example(command="run", edits=(("solver.grading", 1e308),))
+@example(command="run", edits=(("exponents.q", 1e308),))
+@example(command="run", edits=(("solver.horizon", 1e308),))
 def test_config_edges_keep_the_exit_code_contract(command, edits):
     """Any config value makes check, run and sweep exit 0, 2, 3 or 4 without
-    a traceback, and exit 4 writes nothing.  The sweep varies the last drawn
-    field over a value in range and the drawn value; when it runs, it writes
-    both summaries, and each cell records the exit code a run of that cell's
-    config gives."""
+    a traceback, and every JSON file they write is strict JSON.  Exit 4
+    writes nothing, except that a run whose diagnostics overflow keeps the
+    checkpoints it wrote and writes no diagnostics.  The sweep varies the
+    last drawn field over a value in range and the drawn value; when it
+    runs, it writes both summaries, and each cell records the exit code a
+    run of that cell's config gives."""
     cfg = tiny_cfg()
     flat = dict(cfg["exponents"], n=1)
     *fixed, (axis, value) = edits
@@ -866,9 +873,14 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
                           "--axes", write_cfg(root / "axes.json", {
                               axis: [_CONFIG_FIELDS[axis][0], value]})]}[command]
         before = _tree(root)
-        code = _main_quietly(argv)
+        code, err = _main_quietly(argv)
+        for path in [out] if out.is_file() else out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
         if code == 4:
-            assert _tree(root) == before, (command, edits)
+            if _DIAGNOSTICS_OVERFLOW in err:
+                assert command == "run" and not (out / "diagnostics.json").exists()
+            else:
+                assert _tree(root) == before, (command, edits)
             return
         if command != "sweep":
             return
@@ -876,11 +888,13 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
         cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
         cell = deepcopy(cfg)
         _set_path(cell, axis, value)
-        cell_code = _main_quietly(["run", "--config", write_cfg(root / "cell.json", cell),
-                                   "--out", str(root / "cell")])
+        cell_code, cell_err = _main_quietly(["run", "--config",
+                                             write_cfg(root / "cell.json", cell),
+                                             "--out", str(root / "cell")])
         assert cells[1]["exit_code"] == cell_code, (edits, cells[1])
         if cell_code == 4:
-            assert not (out / "cell_0001").exists()
+            assert (out / "cell_0001").exists() == (_DIAGNOSTICS_OVERFLOW in cell_err)
+            assert not (out / "cell_0001" / "diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("command,path,value", [
@@ -908,3 +922,22 @@ def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("key", ["q", "p"])
+def test_run_whose_diagnostics_overflow_exits_4(tmp_path, capsys, key):
+    # the windows converge, and then the q- or p-norms of the diagnostics overflow
+    cfg = tiny_cfg()
+    cfg["exponents"][key] = 1e308
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponents.q ") and _DIAGNOSTICS_OVERFLOW in err, err
+    assert f"exponents.{key} 1e+308" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "admissibility.json", "window_0000.npz", "window_0001.npz"]
+    json.loads((out / "admissibility.json").read_text(), parse_constant=_reject_constant)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parabolab.config import (ConfigError, build_grid, build_initial,
+from parabolab.config import (MAX_WINDOWS, ConfigError, build_grid, build_initial,
                               build_problem, build_solver, exponent_config,
                               horizon_of, is_flat_exponent_config, load_json,
                               load_run_config, structure_exponents,
@@ -64,6 +64,16 @@ def test_smoothing_delta_must_not_exceed_the_horizon():
     cfg = minimal_cfg(diagnostics={"smoothing_delta": 0.06})
     cfg["solver"]["horizon"] = 0.1
     validate_run_config(cfg)
+
+
+def test_horizon_spans_at_most_max_windows():
+    cfg = minimal_cfg()
+    cfg["solver"]["horizon"] = 0.05 * MAX_WINDOWS
+    validate_run_config(cfg)
+    for horizon in (0.05 * (MAX_WINDOWS + 1), 1e308):
+        cfg["solver"]["horizon"] = horizon
+        with pytest.raises(ConfigError, match="spans more than"):
+            validate_run_config(cfg)
 
 
 def test_load_run_config_round_trip(tmp_path):

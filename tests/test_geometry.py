@@ -9,19 +9,30 @@ sign and factor in the assembly without appealing to continuum convergence.
 Continuum oracles: a circle arc of radius r has curvature 1/r; the paraboloid
 (x^2 + y^2)/2 has H = 2 and tr L^2 = 2 at the vertex, where the discrete
 derivatives of the quadratic are exact.
+
+Reference oracle: the library assembles tr L^2 in Hessian form.  The test-local
+``reference_trace_L_squared`` is the expansion it replaces, through second
+derivatives of the unit normal and hence third derivatives of h, whose terms
+cancel algebraically; both must agree to rounding on any field.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parabolab import operators
 from parabolab.geometry import (geometry_fields, laplace_beltrami,
                                 leading_coefficient, mean_curvature,
-                                surface_diffusion_rhs, tilt_factor, trace_L_squared,
-                                unit_normal, willmore_rhs)
+                                surface_diffusion_rhs, surface_diffusion_values,
+                                tilt_factor, trace_L_squared, unit_normal,
+                                willmore_rhs, willmore_values)
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import derivative
+from parabolab.operators import derivative, derivative_values
 
 CLA = BoundaryCondition.CLAMPED
 
@@ -186,3 +197,95 @@ def test_geometry_fields_consistent():
     assert np.array_equal(fields.mean_curvature.values, mean_curvature(h).values)
     assert np.array_equal(fields.trace_L_sq.values, trace_L_squared(h).values)
     assert np.array_equal(fields.beta.values, tilt_factor(h).values)
+
+
+# ---------------------------------------------------------------- reference
+
+def _reference_tensors(values, grid):
+    """g, Hess h and the third derivatives d_i d_j d_k h of nodal values
+    (..., *grid.shape, 1) as (..., dim[, dim[, dim]]) arrays."""
+    dim = grid.dim
+
+    def d(*axes):
+        sig = [0] * dim
+        for a in axes:
+            sig[a] += 1
+        return derivative_values(values, grid, tuple(sig), CLA)[..., 0]
+
+    g = np.stack([d(i) for i in range(dim)], axis=-1)
+    hess = np.stack([np.stack([d(i, j) for j in range(dim)], axis=-1)
+                     for i in range(dim)], axis=-2)
+    third = np.stack([np.stack([np.stack([d(i, j, k) for k in range(dim)], axis=-1)
+                                for j in range(dim)], axis=-2)
+                      for i in range(dim)], axis=-3)
+    return g, hess, third
+
+
+def reference_flows(values, grid):
+    """tr L^2, the surface-diffusion rhs and the Willmore rhs of nodal values
+    (..., *grid.shape, 1), with tr L^2 = -(delta_ij - beta^2 g_i g_j)(d_i d_j nu | nu)
+    and d_i d_j nu expanded through d_i beta = -beta^3 (d_i g | g) and
+    d_i d_j beta."""
+    g, hess, third = _reference_tensors(values, grid)
+    beta = 1.0 / np.sqrt(1.0 + np.sum(g ** 2, axis=-1))
+    mask = (np.eye(grid.dim)
+            - beta[..., None, None] ** 2 * g[..., :, None] * g[..., None, :])
+    hg = np.einsum("...im,...m->...i", hess, g)            # (d_i g | g)
+    dbeta = -beta[..., None] ** 3 * hg
+    tg = np.einsum("...ijm,...m->...ij", third, g)         # (d_i d_j g | g)
+    hh = np.einsum("...im,...jm->...ij", hess, hess)       # (d_i g | d_j g)
+    d2beta = (-3.0 * beta[..., None, None] ** 2 * dbeta[..., :, None] * hg[..., None, :]
+              - beta[..., None, None] ** 3 * tg
+              - beta[..., None, None] ** 3 * hh)
+    # d_i d_j nu: spatial components m and the vertical component d2beta
+    spatial = (-d2beta[..., :, :, None] * g[..., None, None, :]
+               - dbeta[..., None, :, None] * hess[..., :, None, :]
+               - dbeta[..., :, None, None] * hess[..., None, :, :]
+               - beta[..., None, None, None] * third)
+    dots = (np.einsum("...ijm,...m->...ij", spatial, -beta[..., None] * g)
+            + d2beta * beta[..., None, None])
+    trl2 = -np.einsum("...ij,...ij->...", mask, dots)
+
+    H = np.einsum("...ij,...ij->...", mask, hess) * beta
+    grad_H, hess_H, _ = _reference_tensors(H[..., None], grid)
+    advect = np.einsum("...m,...m->...", g, grad_H)
+    inner = hess_H - beta[..., None, None] ** 2 * hess * advect[..., None, None]
+    lb = np.einsum("...kl,...kl->...", mask, inner)
+    return trl2, -lb / beta, (-lb + H * (0.5 * H ** 2 - trl2)) / beta
+
+
+def _assert_rel(got, want, rtol):
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hessian_form_matches_third_derivative_reference(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 40 if dim == 1 else 16), label="nodes"))
+    n_samples = data.draw(st.integers(1, 4), label="samples")
+    amp = data.draw(st.floats(1e-4, 0.5), label="amplitude")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    prof = np.ones(grid.shape)
+    for x in grid.coords():
+        prof = prof * np.sin(np.pi * x) ** 2
+    stack = amp * rng.uniform(0.5, 1.5, size=(n_samples, 1) + (1,) * dim) * prof[..., None]
+    stack = stack + 1e-2 * amp * rng.normal(size=stack.shape) * grid.interior_mask()[..., None]
+
+    trl2, sd, wm = reference_flows(stack, grid)
+    for vals, want in zip(stack, trl2):
+        _assert_rel(trace_L_squared(GridFunction(grid, vals)).scalar, want, 1e-12)
+    _assert_rel(surface_diffusion_values(stack, grid)[..., 0], sd, 1e-12)
+    _assert_rel(willmore_values(stack, grid)[..., 0], wm, 1e-12)
+
+
+@pytest.mark.parametrize("rhs", [willmore_values, surface_diffusion_values])
+def test_stacked_2d_flow_takes_ten_stencil_passes(rhs):
+    # g, Hess h, grad H and Hess H: five passes each, d_0 d_1 reusing d_0
+    grid = Grid(2, 12)
+    stack = 0.1 * np.random.default_rng(3).normal(size=(4,) + grid.shape + (1,))
+    with mock.patch.object(operators, "_axis_stencil_apply",
+                           wraps=operators._axis_stencil_apply) as spy:
+        rhs(stack, grid)
+    assert spy.call_count == 10
