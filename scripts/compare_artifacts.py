@@ -21,8 +21,10 @@ and on each tree's ``trajectory.npz`` of the run
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON --mu 0.8 --p 3
     python -m parabolab.cli omega --checkpoint TRAJ --json JSON
+    python -m parabolab.cli omega --checkpoint TRAJ --json JSON --count 24 --fraction 1
 
-Last it does the same for
+(the last samples the whole run, so that its distances come from many
+samples in several clusters).  Last it does the same for
 
     python -m parabolab.cli sweep --config configs/heat.json --axes AXES --out DIR --seed 0
 
@@ -72,6 +74,8 @@ TRAJECTORY_CHECKS = {
                          "--csv", "{out}/norms.csv", "--json", "{out}/norms.json",
                          "--mu", "0.8", "--p", "3"],
     "omega": ["omega", "--checkpoint", "{run}/trajectory.npz", "--json", "{out}/omega.json"],
+    "omega-whole-run": ["omega", "--checkpoint", "{run}/trajectory.npz",
+                        "--json", "{out}/omega.json", "--count", "24", "--fraction", "1"],
 }
 
 

@@ -141,19 +141,19 @@ def _gradient_samples(field: GridFunction, bc: BoundaryCondition) -> np.ndarray:
     return np.stack(grads, axis=-1).reshape(-1, grid.dim)
 
 
-def _symbol_report(cfg: dict, field: GridFunction | None, b_range, n_lambda) -> dict:
+def _symbol_report(cfg: dict, spec, field: GridFunction | None, b_range, n_lambda) -> dict:
+    """The symbol report of the configured problem, whose spec is ``spec``;
+    a flow is scanned at the gradients of ``field``, by default the
+    configured initial field."""
     family = cfg["problem"]["family"]
-    grid = cfgmod.build_grid(cfg)
     out: dict = {"family": family}
     if cfgmod.FAMILY_ORDER[family] == "second":
-        _problem, spec = cfgmod.build_problem(cfg, grid)
         rep = spectrum_positivity_check(spec.a, spec.u_box)
         out["spectrum"] = rep.as_dict()
         out["ok"] = rep.ok
         return out
     if field is None:
-        _problem, _spec = cfgmod.build_problem(cfg, grid)
-        field = cfgmod.build_initial(cfg, grid, 1)
+        field = cfgmod.build_initial(cfg, spec.grid, 1)
     samples = _gradient_samples(field, BoundaryCondition.CLAMPED)
     erep = ellipticity_scan(samples)
     lo, hi, count = b_range
@@ -175,7 +175,8 @@ def cmd_symbol(args) -> int:
              f"--lambda-points must be >= 1, got {args.lambda_points}")
     cfg = cfgmod.load_run_config(args.config)
     field = ckpt.load_trajectory(args.field)[0].states[-1] if args.field else None
-    report = _symbol_report(cfg, field, args.b_range, args.lambda_points)
+    _problem, spec = cfgmod.build_problem(cfg, cfgmod.build_grid(cfg))
+    report = _symbol_report(cfg, spec, field, args.b_range, args.lambda_points)
     _emit_json(report, args.json)
     if not report["ok"]:
         print("symbol check failed: degenerate principal symbol or root collision",
@@ -294,12 +295,17 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
                 resume: bool = False) -> int:
     """Full run pipeline; returns the exit code.
 
-    The artifacts are always written, except that a run whose first window
-    collapses has no trajectory, time series or diagnostics to write.
+    A config whose problem or initial field cannot be built raises before
+    anything is written.  Otherwise the artifacts are always written, except
+    that a run whose first window collapses has no trajectory, time series
+    or diagnostics to write.
     """
     grid = cfgmod.build_grid(cfg)
     ec = cfgmod.exponent_config(cfg, grid)
     fp = cfgmod.build_solver(cfg, ec)
+    # a config error surfaces here, before anything is written
+    problem, spec = cfgmod.build_problem(cfg, grid)
+    u_init = cfgmod.build_initial(cfg, grid, problem.ncomp)
     fingerprint = cfgmod.config_fingerprint(cfg)
     done = _window_files(out_dir) if resume else []
     last_window = ckpt.load_trajectory(done[-1]) if done else None
@@ -317,7 +323,6 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
                    out_dir / "summary.json")
         return EXIT_ADMISSIBILITY
 
-    problem, _spec = cfgmod.build_problem(cfg, grid)
     horizon = cfgmod.horizon_of(cfg)
     diag = cfg.get("diagnostics", {})
     family = cfg["problem"]["family"]
@@ -325,9 +330,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     order = problem.order_int
 
     if diag.get("symbol_scan"):
-        field = cfgmod.build_initial(cfg, grid, problem.ncomp)
-        srep = _symbol_report(cfg, field if problem.ncomp == 1 else None,
-                              (1e-6, 1e6, 13), 12)
+        srep = _symbol_report(cfg, spec, u_init, (1e-6, 1e6, 13), 12)
         _emit_json(srep, out_dir / "symbol.json")
 
     base_meta = {
@@ -336,7 +339,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     }
 
     t0 = 0.0
-    u_start = cfgmod.build_initial(cfg, grid, problem.ncomp)
+    u_start = u_init
     start_index = 0
     if last_window:
         traj, meta = last_window

@@ -82,12 +82,24 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _integer(literal: str) -> int:
+    try:
+        value = int(literal)
+        float(value)
+    except (OverflowError, ValueError):
+        # int() refuses literals of more digits than sys.get_int_max_str_digits()
+        raise ConfigError(f"an integer literal of {len(literal.lstrip('-'))} digits is "
+                          "beyond floating point") from None
+    return value
+
+
 def load_json(path) -> dict:
     """The JSON document at ``path``; NaN, +-Infinity and numbers beyond
-    floating point raise ConfigError."""
+    floating point, integers among them, raise ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_finite, parse_float=_finite)
+            return json.load(fh, parse_constant=_finite, parse_float=_finite,
+                             parse_int=_integer)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     except OSError as exc:

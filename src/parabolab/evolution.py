@@ -35,7 +35,8 @@ product with A(u1).  Problems without a G hook fall back to their hooks
 (see ``AbstractProblem``); that fallback is slated for deletion once every
 caller supplies G.  Either way the stack is checked for finiteness once,
 not per sample.  ``continue_solution`` glues the windows' arrays and
-releases each window's trajectory once ``on_window`` has seen it.
+releases each window's trajectory once ``on_window`` has seen it.  The
+diagnostics (``omega_limit``, ``lipschitz_probe``) measure stacked states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  Implicit
@@ -76,7 +77,7 @@ import numpy as np
 
 from .exponents import ORDER_INT
 from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
-from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norm, proxy_norm,
+from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norms, proxy_norms,
                     x1_norm)
 from .operators import (LinearOperator, SolverError, SpectralProxy, eigendecompose,
                         reference_operator, step_factors)
@@ -508,7 +509,7 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
         windows.append(st)
         traj = st.trajectory
         joint_gap = float(np.max(np.abs(traj.state_values[0] - u.values)))
-        if joint_gap > 1e-8 * max(1.0, u.sup_norm()):
+        if joint_gap > 1e-8 * max(1.0, float(np.max(np.abs(u.values)))):
             raise SolverError(f"window joint mismatch {joint_gap:.3e}")
         pieces.append((t, traj))
         t_start = t
@@ -517,7 +518,7 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
         if on_window is not None:
             on_window(len(windows) - 1, t_start, st)
         st.trajectory = None
-        if u.sup_norm() >= cfg.blowup_threshold:
+        if np.max(np.abs(u.values)) >= cfg.blowup_threshold:
             blow_up = True
             reason = f"sup norm reached blow-up threshold {cfg.blowup_threshold:g}"
             break
@@ -546,10 +547,10 @@ def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
         return prob.assemble_A(v).shifted(kappa)
 
     def apply_shifted(v, u):
-        return prob.apply(v, u) + kappa * u
+        return GridFunction(u.grid, prob.apply(v, u).values + kappa * u.values)
 
     def f1(v):
-        return prob.F1(v) + kappa * v
+        return GridFunction(v.grid, prob.F1(v).values + kappa * v.values)
 
     return AbstractProblem(
         assemble_A=assemble, F1=f1, F2=prob.F2, bc=prob.bc,
@@ -571,7 +572,7 @@ class LipschitzReport:
         return dataclasses.asdict(self)
 
 
-def _smooth_modes(grid: Grid, bc: BoundaryCondition, ncomp: int, k: int) -> GridFunction:
+def _smooth_modes(grid: Grid, bc: BoundaryCondition, ncomp: int, k: int) -> np.ndarray:
     xs = grid.coords()
     if bc == BoundaryCondition.NEUMANN:
         prof = np.cos(k * np.pi * xs[0])
@@ -581,8 +582,7 @@ def _smooth_modes(grid: Grid, bc: BoundaryCondition, ncomp: int, k: int) -> Grid
         prof = np.sin(k * np.pi * xs[0]) ** 2
         for x in xs[1:]:
             prof = prof * np.sin(k * np.pi * x) ** 2
-    vals = np.repeat(prof[..., None], ncomp, axis=-1)
-    return GridFunction(grid, vals)
+    return np.repeat(prof[..., None], ncomp, axis=-1)
 
 
 def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
@@ -595,7 +595,8 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
     Ratios are measured between randomly perturbed states near ``u_center``:
     operator differences in L2 against proxy trace-norm distances of the
     states (theta = mu - 1/p), normalized by the top norm of fixed probe
-    fields.  Identical pairs are skipped (0/0 guards).
+    fields.  Identical pairs are skipped (0/0 guards).  Each hook is
+    evaluated once per perturbed state.
     """
     grid = u_center.grid
     rng = np.random.default_rng(seed)
@@ -606,37 +607,41 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
     samples = []
     skipped = 0
     for _ in range(n_samples):
-        pert = GridFunction.zeros(grid, u_center.ncomp)
+        pert = np.zeros_like(u_center.values)
         for m in modes:
             pert = pert + float(rng.uniform(-1.0, 1.0)) * m
-        scale = pert.sup_norm()
+        scale = float(np.max(np.abs(pert)))
         if scale > 0:
             pert = (radius / scale) * pert
-        w = u_center + pert
-        if prob.state_constraint(w.values):
-            samples.append(w)
+        w = u_center.values + pert
+        if prob.state_constraint(w):
+            samples.append(GridFunction(grid, w))
         else:
             skipped += 1
-    probes = modes[:2]
+    probes = [GridFunction(grid, m) for m in modes[:2]]
+    tops = [x1_norm(v, 2.0, prob.order_int, prob.bc) for v in probes]
+    applied = [[prob.apply(w, v).values for w in samples] for v in probes]
+    f1 = [prob.F1(w).values for w in samples]
+    S = np.array([w.values for w in samples])
     L_A = 0.0
     L_F1 = 0.0
     n_pairs = 0
     for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            d = proxy_norm(samples[i] - samples[j], theta_low, proxy)
+        dists = proxy_norms(S[i] - S[i + 1:], theta_low, proxy).tolist()
+        for j, d in enumerate(dists, start=i + 1):
             if d <= 0.0:
                 skipped += 1
                 continue
             n_pairs += 1
-            for v in probes:
-                num = lq_norm(prob.apply(samples[i], v) - prob.apply(samples[j], v))
-                L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int, prob.bc)))
-            L_F1 = max(L_F1, lq_norm(prob.F1(samples[i]) - prob.F1(samples[j])) / d)
+            for Av, top in zip(applied, tops):
+                num = float(lq_norms(Av[i] - Av[j], grid))
+                L_A = max(L_A, num / (d * top))
+            L_F1 = max(L_F1, float(lq_norms(f1[i] - f1[j], grid)) / d)
     c_dep = 0.0
     if with_solutions and len(samples) >= 2:
         base = fixed_point_solve(u_center, prob, cfg)
         for w in samples[:2]:
-            d = proxy_norm(w - u_center, theta_low, proxy)
+            d = float(proxy_norms(w.values - u_center.values, theta_low, proxy))
             if d <= 0.0:
                 continue
             other = fixed_point_solve(w, prob, cfg)
@@ -680,12 +685,13 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
         raise ValueError("need at least two sample times")
     if theta is None:
         theta = 1.0 - 1.0 / traj.p
-    states = [traj.state_at(t) for t in sample_times]
+    states = traj.states_at(sample_times)
     m = len(states)
     dist = np.zeros((m, m))
     for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = proxy_norm(states[i] - states[j], theta, proxy)
+        # differences of states: those of their coefficients move the bits, and
+        # |a|^2 + |b|^2 - 2 a.b cancels on the nearly equal late states
+        dist[i, i + 1:] = dist[i + 1:, i] = proxy_norms(states[i] - states[i + 1:], theta, proxy)
     parent = list(range(m))
 
     def find(i):
@@ -708,7 +714,7 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
     diameter = float(np.max(dist[np.ix_(final_cluster, final_cluster)])) if len(final_cluster) > 1 else 0.0
     converged = len(clusters) == 1 and (spread_late <= spread_early + 1e-15
                                         or diameter <= threshold)
-    points = [(1.0 / len(c)) * GridFunction(traj.grid, np.sum([states[i].values for i in c], axis=0))
+    points = [GridFunction(traj.grid, np.sum(states[c], axis=0) * (1.0 / len(c)))
               for c in clusters]
     return OmegaLimitReport(
         cluster_points=points, diameter=diameter, converged=converged,

@@ -1,4 +1,9 @@
-"""Uniform tensor grids on [0,1]^d and nodal fields living on them."""
+"""Uniform tensor grids on [0,1]^d and nodal fields living on them.
+
+A ``GridFunction`` is one checked field at the edges of the API (initial
+states, problem hooks, report fields); code that computes works on nodal
+arrays of shape ``(..., *grid.shape, ncomp)`` with leading sample axes.
+"""
 
 from __future__ import annotations
 
@@ -84,7 +89,7 @@ class NonFiniteError(ValueError):
 
 
 class GridFunction:
-    """Nodal field on a Grid; values have shape ``grid.shape + (ncomp,)``."""
+    """Finite nodal field on a Grid; values have shape ``grid.shape + (ncomp,)``."""
 
     __slots__ = ("grid", "values")
 
@@ -127,30 +132,6 @@ class GridFunction:
         if self.ncomp != 1:
             raise ValueError(f"field has {self.ncomp} components, not scalar")
         return self.values[..., 0]
-
-    def _binop(self, other, op):
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise ValueError("grids do not match")
-            return GridFunction(self.grid, op(self.values, other.values))
-        return GridFunction(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def __repr__(self):
         return (

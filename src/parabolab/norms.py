@@ -11,9 +11,11 @@ order.  Quadrature is the trapezoid rule on the trajectory's own (graded)
 time grid; the t = 0 sample carries zero weight whenever 1 - mu > 0.
 
 A trajectory stores its K+1 states, and their time derivatives, as one array
-each of shape (K+1, *grid.shape, ncomp).  ``lq_norms`` and ``x1_norms`` act
-on such stacks along their leading axes; ``lq_norm`` and ``x1_norm`` are the
-single-field case.  In 2D ``x1_norms`` takes each D_x^i v once and applies
+each of shape (K+1, *grid.shape, ncomp); ``states_at`` interpolates states
+into a stack of the same layout.  ``lq_norms``, ``x1_norms`` and
+``proxy_norms`` act on such stacks along their leading axes; ``lq_norm``,
+``x1_norm`` and ``proxy_norm`` are the single-field case on a
+``GridFunction``.  In 2D ``x1_norms`` takes each D_x^i v once and applies
 D_y^j to it, so every mixed derivative costs one axis pass.
 
 The per-sample spatial norms depend on (q, order, bc) only, not on mu, p or
@@ -170,12 +172,6 @@ class WeightedTrajectory:
         return tuple(GridFunction(self.grid, v) for v in self.state_values)
 
     @cached_property
-    def derivs(self) -> Optional[tuple]:
-        """The time derivatives as GridFunction views, or None."""
-        return None if self.deriv_values is None else tuple(
-            GridFunction(self.grid, v) for v in self.deriv_values)
-
-    @cached_property
     def _sample_norms(self) -> dict:
         return {}
 
@@ -215,18 +211,22 @@ class WeightedTrajectory:
         out.__dict__["_sample_norms"] = self._sample_norms
         return out
 
-    def state_at(self, t: float) -> GridFunction:
-        """Piecewise-linear interpolant of the states at time t."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise ValueError(f"time {t} outside trajectory range [0, {times[-1]}]")
-        i = int(np.searchsorted(times, t))
-        if i < len(times) and times[i] == t:
-            return self.states[i]
-        i = min(max(i, 1), len(times) - 1)
-        t0, t1 = times[i - 1], times[i]
-        lam = (t - t0) / (t1 - t0)
-        return self.states[i - 1] * (1.0 - lam) + self.states[i] * lam
+    def states_at(self, ts) -> np.ndarray:
+        """The states interpolated piecewise linearly at the times ``ts``, in
+        shape ``(len(ts), *grid.shape, ncomp)``; a sample time gives its sample."""
+        times, S = self.times, self.state_values
+        ts = np.asarray(ts, dtype=float)
+        outside = (ts < times[0] - 1e-12) | (ts > times[-1] + 1e-12)
+        if np.any(outside):
+            raise ValueError(f"time {ts[outside][0]} outside trajectory range [0, {times[-1]}]")
+        j = np.searchsorted(times, ts)
+        i = np.clip(j, 1, len(times) - 1)
+        lam = np.expand_dims((ts - times[i - 1]) / (times[i] - times[i - 1]),
+                             tuple(range(1, S.ndim)))
+        out = S[i - 1] * (1.0 - lam) + S[i] * lam
+        exact = times[np.minimum(j, len(times) - 1)] == ts
+        out[exact] = S[j[exact]]
+        return out
 
 
 def difference(a: WeightedTrajectory, b: WeightedTrajectory) -> WeightedTrajectory:
@@ -295,16 +295,23 @@ def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
     return part_state + part_deriv + part_top
 
 
-def proxy_norm(u: GridFunction, theta: float, proxy: SpectralProxy) -> float:
-    """|| (I + L)^theta u ||_{L2} on the spectral surrogate scale, theta in [0, 1]."""
+def proxy_norms(values: np.ndarray, theta: float, proxy: SpectralProxy) -> np.ndarray:
+    """``proxy_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    c = proxy.coefficients(u)
+    c = proxy.coefficients(values)
     lam = proxy.eigenvalues
     if np.any(lam < -1e-9):
         raise ValueError("proxy operator must be positive semidefinite")
     scale = (1.0 + np.clip(lam, 0.0, None)) ** theta
-    return float(np.sqrt(np.sum((scale[:, None] * c) ** 2)))
+    sq = (scale[:, None] * c) ** 2
+    # one flat sum per field, as np.sum takes it over a single field
+    return np.sqrt(np.sum(sq.reshape(sq.shape[:-2] + (c.shape[-2] * c.shape[-1],)), axis=-1))
+
+
+def proxy_norm(u: GridFunction, theta: float, proxy: SpectralProxy) -> float:
+    """|| (I + L)^theta u ||_{L2} on the spectral surrogate scale, theta in [0, 1]."""
+    return float(proxy_norms(u.values, theta, proxy))
 
 
 @dataclass(frozen=True)

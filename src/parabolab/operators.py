@@ -415,14 +415,16 @@ class SpectralProxy:
     def grid(self) -> Grid:
         return self.operator.grid
 
-    def coefficients(self, u: GridFunction) -> np.ndarray:
-        """Modal coefficients, shape (n_modes, ncomp)."""
-        if u.grid != self.grid:
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """Modal coefficients, shape ``(..., n_modes, ncomp)``, of the fields
+        ``values`` of shape ``(..., *grid.shape, ncomp)``."""
+        grid = self.grid
+        if values.shape[values.ndim - grid.dim - 1:-1] != grid.shape:
             raise ValueError("field grid does not match proxy grid")
         w = self.operator.weights
-        flat = u.values.reshape(-1, u.ncomp)
+        flat = values.reshape(values.shape[:-grid.dim - 1] + (grid.n_nodes, values.shape[-1]))
         node_idx = self.operator.active  # scalar operator: active indexes nodes
-        vec = flat[node_idx, :]
+        vec = flat[..., node_idx, :]
         return self.modes.T @ (vec * w[:, None])
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:

@@ -176,7 +176,7 @@ def spectrum_positivity_check(a: PolynomialMap, u_box, seed: int = 0) -> Positiv
         ev = np.linalg.eigvals(mats[k])
         mn = float(np.min(ev.real))
         if worst is None or mn < worst[0]:
-            worst = (mn, tuple(pts[k]))
+            worst = (mn, tuple(pts[k].tolist()))
     return PositivityReport(min_real_part=worst[0], ok=worst[0] > 0.0,
                             worst_state=worst[1])
 
@@ -407,7 +407,7 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
         return rhs_values(values, grid, bc)
 
     def F2(hfield: GridFunction) -> GridFunction:
-        return apply_A(hfield, hfield) + GridFunction(grid, G(hfield.values))
+        return GridFunction(grid, apply_A(hfield, hfield).values + G(hfield.values))
 
     return AbstractProblem(
         assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, apply_A=apply_A,

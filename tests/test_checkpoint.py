@@ -38,8 +38,8 @@ def test_round_trip(tmp_path):
     assert back.grid == traj.grid
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a.values, b.values)
-    for a, b in zip(back.derivs, traj.derivs):
-        assert np.array_equal(a.values, b.values)
+    for a, b in zip(back.deriv_values, traj.deriv_values):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=30, deadline=None)

@@ -56,6 +56,10 @@ def heat_cfg(**over):
 # a two-component reaction-diffusion system with a = I
 _COUPLED_RD = {"family": "reaction_diffusion", "ncomp": 2, "a": [[1.0, 0.0], [0.0, 1.0]],
                "u_box": [[-2.0, 2.0], [-2.0, 2.0]]}
+# a scalar reaction-diffusion problem whose a(u) = -1 is not positive
+_NEGATIVE_RD = {"family": "reaction_diffusion", "a": [[-1.0]], "u_box": [[-2.0, 2.0]]}
+# an initial field of 3 values, for a grid of more nodes
+_SHORT_VALUES = {"kind": "values", "values": [1, 2, 3]}
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +431,8 @@ def test_sweep_over_mu_continues_past_failures(tmp_path, capsys):
 @pytest.mark.parametrize("template,axes", [
     (heat_cfg(problem=_COUPLED_RD), {"solver.propagator": ["euler", "spectral"]}),
     (heat_cfg(), {"exponents.p": [2, "1/0"]}),
+    (heat_cfg(), {"initial": [heat_cfg()["initial"], _SHORT_VALUES]}),
+    (heat_cfg(problem=dict(_NEGATIVE_RD, a=[[1.0]])), {"problem.a": [[[1.0]], [[-1.0]]]}),
 ])
 def test_sweep_records_a_cell_it_cannot_run_as_exit_4(tmp_path, capsys, template, axes):
     cfg_path = write_cfg(tmp_path / "tmpl.json", template)
@@ -766,11 +772,11 @@ def tiny_cfg():
                     solver={"window": 0.01, "time_steps": 4, "horizon": 0.02, "tol": 1e-10})
 
 
-# the edges of a config value: 0, negative, fractional, huge, the
-# non-standard JSON literals NaN and +-Infinity, strings that are no number,
-# and values of the wrong JSON type
-_VALUE_EDGES = [0, -1, 1.5, 1e308, math.nan, math.inf, -math.inf, "1/0", "abc", True, None,
-                [2]]
+# the edges of a config value: 0, negative, fractional, huge (a float, and an
+# integer literal beyond floating point), the non-standard JSON literals NaN
+# and +-Infinity, strings that are no number, and values of the wrong JSON type
+_VALUE_EDGES = [0, -1, 1.5, 1e308, 10 ** 400, math.nan, math.inf, -math.inf, "1/0", "abc",
+                True, None, [2]]
 # values in range for each field the draws vary ("n" only in the flat layout
 # of `check`)
 _CONFIG_FIELDS = {
@@ -907,6 +913,10 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
                          ("epsilon", "1/0"), ("pairs", [[1, "1/0"]])]],
     *[("check-flat", key, value) for key, value in [
         ("p", True), ("p", None), ("p", [2]), ("beta", None), ("pairs", 5), ("n", 1.5)]],
+    *[("run", path, value) for path, value in [
+        ("initial", _SHORT_VALUES), ("problem", _NEGATIVE_RD)]],
+    *[pytest.param("run", path, 10 ** 400, id=f"run-{path}-10**400")
+      for path in ("solver.horizon", "grid.nodes")],
 ])
 def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path, value):
     cfg = tiny_cfg()
@@ -921,7 +931,23 @@ def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path,
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+    assert "np.float64" not in err, err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_integer_literal_beyond_the_int_digit_limit_exits_4(tmp_path, capsys, command):
+    # json.dumps cannot write an int of 5000 digits, so the literal goes in as text
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_cfg()).replace('"horizon": 0.02',
+                                                       '"horizon": 1' + "0" * 4999))
+    out = tmp_path / "out"
+    argv = (["run", "--config", str(cfg_path), "--out", str(out)] if command == "run"
+            else ["check", "--config", str(cfg_path), "--json", str(out)])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "5000 digits" in err, err
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("key", ["q", "p"])

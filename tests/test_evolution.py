@@ -33,12 +33,14 @@ from hypothesis.extra.numpy import arrays
 
 from parabolab import evolution
 from parabolab.evolution import (AbstractProblem, ContinuationState,
-                                 FixedPointConfig, NonconvergenceError,
+                                 FixedPointConfig, LipschitzReport, NonconvergenceError,
                                  StateConstraintError, continue_solution,
                                  fixed_point_solve, graded_times, kappa_shift,
                                  lipschitz_probe, omega_limit, picard_map,
                                  reference_solution)
 from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
+from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, difference, lq_norm,
+                             x1_norm)
 from parabolab.operators import (BandedCholesky, BandedLU, SolverError, eigendecompose,
                                  operator_from_full_matrix, reference_operator, scaled_bands)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
@@ -114,7 +116,7 @@ def test_euler_eigenmode_product_formula():
         assert np.allclose(traj.states[m].values, factor * u0.values,
                            rtol=1e-12, atol=1e-13)
     # initial slope is -A u0 = -lambda u0
-    assert np.allclose(traj.derivs[0].values, -lam * u0.values, rtol=1e-9)
+    assert np.allclose(traj.deriv_values[0], -lam * u0.values, rtol=1e-9)
 
 
 def _coupled_diffusion(grid):
@@ -313,6 +315,37 @@ def test_spectral_stepper_exact_exponential():
 
 # ---------------------------------------------------------------- picard
 
+def _rough_data_derivative_errors(grading):
+    """E0mu error of the time derivative of the implicit Euler heat solution
+    from rough data, against the exact semi-discrete -A e^{-tA} u0, at
+    K = 256, 512, 1024 steps on (0, 0.1]."""
+    grid = Grid(1, 129)
+    prob = rd_problem(linear_heat_spec(grid))
+    # |x - 1/2|^(1/2) lies in the trace space of mu - 1/p = 0.4, not of mu = 0.9
+    u0 = GridFunction.from_scalar(grid, np.abs(grid.axis_coords() - 0.5) ** 0.5)
+    proxy = eigendecompose(prob.assemble_A(u0))
+    lam = proxy.eigenvalues
+    c = proxy.coefficients(u0.values)[:, 0]
+    errors = []
+    for K in (256, 512, 1024):
+        cfg = FixedPointConfig(window=0.1, time_steps=K, mu=MU, p=P, grading=grading)
+        traj = reference_solution(u0, prob, cfg)
+        exact = (proxy.modes @ (-(lam * c)[:, None] * np.exp(-np.outer(lam, traj.times)))).T
+        err = traj.deriv_values - exact[..., None]
+        errors.append(E0mu_norm(WeightedTrajectory(traj.times, err, None, MU, P)))
+    return np.array(errors)
+
+
+def test_graded_grid_keeps_first_order_on_rough_data():
+    # the grading t_k = T (k/K)^gamma, gamma = 1/(mu - 1/p), resolves the
+    # t^(mu - 1) growth of du/dt; the uniform grid loses the order entirely
+    graded = _rough_data_derivative_errors(None)
+    uniform = _rough_data_derivative_errors(1.0)
+    assert np.all(np.log2(graded[:-1] / graded[1:]) >= 0.9), graded
+    assert np.all(np.log2(uniform[:-1] / uniform[1:]) < 0.5), uniform
+    assert np.all(graded < uniform)
+
+
 def test_linear_problem_converges_immediately():
     # frozen operator equals the true operator, so T(v) is already the fixed
     # point and the first residual vanishes to roundoff
@@ -336,7 +369,7 @@ def test_picard_map_fixed_point_residual():
     cfg = FixedPointConfig(window=0.02, time_steps=10, mu=MU, p=P)
     v = reference_solution(u0, prob, cfg)
     u = picard_map(v, u0, prob, cfg)
-    gap = max((a - b).sup_norm() for a, b in zip(u.states, v.states))
+    gap = np.max(np.abs(u.state_values - v.state_values))
     assert gap < 1e-10
 
 
@@ -352,8 +385,7 @@ def test_kappa_shift_equivalence(kappa):
     base = fixed_point_solve(u0, prob, cfg)
     shifted = fixed_point_solve(u0, shifted_prob, cfg)
     assert shifted.converged
-    gap = max((a - b).sup_norm() for a, b in
-              zip(base.trajectory.states, shifted.trajectory.states))
+    gap = np.max(np.abs(base.trajectory.state_values - shifted.trajectory.state_values))
     assert gap < 1e-6
 
 
@@ -476,7 +508,7 @@ def test_fallback_equals_per_sample_hooks_bitwise(case, monkeypatch):
     # F1 + F2 - A(v) v of each sample, with A(v) v as one sparse product per
     # run of samples sharing an operator, has the bits of the per-sample sum
     prob, grid, stack = _fallback_cases()[case]
-    want = np.stack([(prob.F1(v) + prob.F2(v) - prob.apply(v, v)).values
+    want = np.stack([prob.F1(v).values + prob.F2(v).values - prob.apply(v, v).values
                      for v in (GridFunction(grid, vals) for vals in stack)])
     calls = dict.fromkeys(("F1", "F2", "assemble_A", "apply_A"), 0)
     counted = _counted(prob, calls)
@@ -646,7 +678,7 @@ def test_blow_up_detection_time():
     assert "threshold" in st.reason
     # threshold crossing of c/(1 - c t) at (1/c)(1 - c/M) = 0.49
     assert st.t_plus_estimate == pytest.approx(0.49, abs=0.03)
-    assert st.trajectory.states[-1].sup_norm() >= 100.0
+    assert np.max(np.abs(st.trajectory.state_values[-1])) >= 100.0
     assert len(st.windows) >= 10
 
 
@@ -711,3 +743,203 @@ def test_lipschitz_probe_sees_state_dependence():
     assert rep.L_A > 0.0
     assert rep.L_F1 > 0.0
     assert rep.c_dependence == 0.0
+
+
+# ------------------------------------------- per-pair references of the diagnostics
+#
+# omega_limit and lipschitz_probe measure distances with one stacked
+# proxy_norms call per sample; these references take one state difference and
+# one single-field proxy norm per pair of samples, with the arithmetic the
+# diagnostics had when they did so, and the reports must agree bit for bit.
+
+def _reference_proxy_norm(values, theta, proxy):
+    """|| (I + L)^theta u ||_{L2} of one field u, from its own modal coefficients."""
+    vec = values.reshape(-1, values.shape[-1])[proxy.operator.active, :]
+    c = proxy.modes.T @ (vec * proxy.operator.weights[:, None])
+    scale = (1.0 + np.clip(proxy.eigenvalues, 0.0, None)) ** theta
+    return float(np.sqrt(np.sum((scale[:, None] * c) ** 2)))
+
+
+def _reference_state_at(traj, t):
+    times = traj.times
+    i = int(np.searchsorted(times, t))
+    if i < len(times) and times[i] == t:
+        return traj.state_values[i]
+    i = min(max(i, 1), len(times) - 1)
+    lam = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return traj.state_values[i - 1] * float(1.0 - lam) + traj.state_values[i] * float(lam)
+
+
+def _reference_omega(traj, sample_times, proxy, threshold):
+    """The summary and cluster points of ``omega_limit``, pair by pair."""
+    theta = 1.0 - 1.0 / traj.p
+    states = [_reference_state_at(traj, t) for t in sample_times]
+    m = len(states)
+    dist = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            dist[i, j] = dist[j, i] = _reference_proxy_norm(states[i] - states[j], theta, proxy)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if dist[i, j] <= threshold:
+                parent[find(i)] = find(j)
+    labels = [find(i) for i in range(m)]
+    roots = sorted(set(labels), key=labels.index)
+    clusters = [[i for i in range(m) if find(i) == r] for r in roots]
+    half = m // 2
+    spread_early = float(np.max(dist[:half or 1, :half or 1])) if half >= 1 else 0.0
+    spread_late = float(np.max(dist[half:, half:]))
+    final_cluster = next(c for c in clusters if (m - 1) in c)
+    diameter = (float(np.max(dist[np.ix_(final_cluster, final_cluster)]))
+                if len(final_cluster) > 1 else 0.0)
+    converged = len(clusters) == 1 and (spread_late <= spread_early + 1e-15
+                                        or diameter <= threshold)
+    points = [np.sum([states[i] for i in c], axis=0) * float(1.0 / len(c)) for c in clusters]
+    summary = {"n_clusters": len(clusters), "diameter": diameter, "converged": converged,
+               "distances_to_final": [float(dist[i, m - 1]) for i in range(m)]}
+    return summary, points
+
+
+def _settling_trajectory(grid, ncomp, seed):
+    """Random states that settle on a random limit at rate e^{-8t}."""
+    rng = np.random.default_rng(seed)
+    times = graded_times(1.0, 40, 2.5)
+    decay = np.exp(-8.0 * times).reshape((-1,) + (1,) * (grid.dim + 1))
+    states = (rng.normal(size=grid.shape + (ncomp,))
+              + decay * rng.normal(size=(len(times),) + grid.shape + (ncomp,)))
+    return WeightedTrajectory(times, states, None, MU, P)
+
+
+@pytest.mark.parametrize("dim, ncomp, order", [(1, 1, "second"), (2, 1, "second"),
+                                               (1, 2, "second"), (2, 2, "fourth")])
+def test_omega_limit_equals_the_per_pair_reference_bitwise(dim, ncomp, order):
+    grid = Grid(dim, 13 if dim == 1 else 9)
+    traj = _settling_trajectory(grid, ncomp, seed=dim + 10 * ncomp)
+    proxy = eigendecompose(reference_operator(grid, order))
+    # sample times between samples and on them, t = 0 and a repeat included
+    sample_times = list(np.linspace(0.0, 1.0, 24)) + list(traj.times[-4:])
+    seen = set()
+    for threshold in (1e-3, 0.05, 0.5, 1e4):
+        rep = omega_limit(traj, sample_times, proxy, threshold=threshold)
+        summary, points = _reference_omega(traj, sample_times, proxy, threshold)
+        assert rep.summary() == summary
+        assert len(rep.cluster_points) == len(points)
+        for got, want in zip(rep.cluster_points, points):
+            assert np.array_equal(got.values, want)
+        seen.add(rep.n_clusters)
+    # the thresholds give one cluster and at least two counts of several
+    assert 1 in seen and len(seen) >= 3
+
+
+def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
+                         with_solutions):
+    """``lipschitz_probe`` with A(w) v and F1(w) evaluated afresh for both
+    samples of every pair."""
+    grid = u_center.grid
+    rng = np.random.default_rng(seed)
+    theta_low = cfg.mu - 1.0 / cfg.p
+    modes = []
+    for k in (1, 2, 3):
+        xs = grid.coords()
+        if prob.bc == BoundaryCondition.NEUMANN:
+            prof = np.cos(k * np.pi * xs[0])
+            for x in xs[1:]:
+                prof = prof * np.cos(k * np.pi * x)
+        else:
+            prof = np.sin(k * np.pi * xs[0]) ** 2
+            for x in xs[1:]:
+                prof = prof * np.sin(k * np.pi * x) ** 2
+        modes.append(np.repeat(prof[..., None], u_center.ncomp, axis=-1))
+    samples = []
+    skipped = 0
+    for _ in range(n_samples):
+        pert = np.zeros(grid.shape + (u_center.ncomp,))
+        for m in modes:
+            pert = pert + m * float(rng.uniform(-1.0, 1.0))
+        scale = float(np.max(np.abs(pert)))
+        if scale > 0:
+            pert = pert * float(radius / scale)
+        w = GridFunction(grid, u_center.values + pert)
+        if prob.state_constraint(w.values):
+            samples.append(w)
+        else:
+            skipped += 1
+    probes = [GridFunction(grid, m) for m in modes[:2]]
+    L_A = 0.0
+    L_F1 = 0.0
+    n_pairs = 0
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            d = _reference_proxy_norm(samples[i].values - samples[j].values, theta_low, proxy)
+            if d <= 0.0:
+                skipped += 1
+                continue
+            n_pairs += 1
+            for v in probes:
+                diff = prob.apply(samples[i], v).values - prob.apply(samples[j], v).values
+                num = lq_norm(GridFunction(grid, diff))
+                L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int, prob.bc)))
+            diff = prob.F1(samples[i]).values - prob.F1(samples[j]).values
+            L_F1 = max(L_F1, lq_norm(GridFunction(grid, diff)) / d)
+    c_dep = 0.0
+    if with_solutions and len(samples) >= 2:
+        base = fixed_point_solve(u_center, prob, cfg)
+        for w in samples[:2]:
+            d = _reference_proxy_norm(w.values - u_center.values, theta_low, proxy)
+            if d <= 0.0:
+                continue
+            other = fixed_point_solve(w, prob, cfg)
+            if other.window != base.window:
+                continue
+            dist = E1mu_norm(difference(other.trajectory, base.trajectory),
+                             q=cfg.q, order=prob.order_int, bc=prob.bc)
+            c_dep = max(c_dep, dist / d)
+    return LipschitzReport(L_A=L_A, L_F1=L_F1, c_dependence=c_dep,
+                           n_pairs=n_pairs, skipped=skipped)
+
+
+def _bump(grid, amp, ncomp=1):
+    prof = np.ones(grid.shape)
+    for x in grid.coords():
+        prof = prof * np.sin(np.pi * x) ** 2
+    return GridFunction(grid, np.repeat(amp * prof[..., None], ncomp, axis=-1))
+
+
+def _lipschitz_cases():
+    """(problem, centre state, whether to probe the solution map) by name."""
+    g1, g2 = Grid(1, 16), Grid(2, 9)
+    _, heat = heat_problem(16)
+    scalar = _scalar_diffusion(g1)
+    return {
+        "heat-1d": (heat, _bump(g1, 0.3), True),
+        "rd-1d": (scalar, _bump(g1, 0.5), True),
+        "rd-1d-shifted": (kappa_shift(scalar, 2.0), _bump(g1, 0.5), False),
+        "willmore-1d": (flow_problem(FlowSpec(g1, "willmore")), _bump(g1, 0.05), False),
+        "rd-2d": (_scalar_diffusion(g2), _bump(g2, 0.5), False),
+        "rd-2d-ncomp2": (_coupled_diffusion(g2), _bump(g2, 0.5, ncomp=2), False),
+    }
+
+
+@pytest.mark.parametrize("case", ["heat-1d", "rd-1d", "rd-1d-shifted", "willmore-1d",
+                                  "rd-2d", "rd-2d-ncomp2"])
+def test_lipschitz_probe_equals_the_per_pair_reference_bitwise(case):
+    prob, u_center, with_solutions = _lipschitz_cases()[case]
+    cfg = FixedPointConfig(window=0.005, time_steps=6, mu=MU, p=P, tol=1e-9)
+    proxy = eigendecompose(reference_operator(u_center.grid, prob.order))
+    rep = lipschitz_probe(prob, u_center, cfg, seed=5, proxy=proxy,
+                          with_solutions=with_solutions)
+    want = _reference_lipschitz(prob, u_center, cfg, 6, 0.05, 5, proxy, with_solutions)
+    assert rep == want
+    assert rep.n_pairs == 15
+    if case != "heat-1d":
+        assert rep.L_A > 0.0
+    if with_solutions:
+        assert rep.c_dependence > 0.0

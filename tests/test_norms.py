@@ -45,8 +45,9 @@ def stack(fields):
 
 
 def make_traj(times, state_fn, deriv_fn, grid, mu=MU, p=P):
-    states = stack(state_fn(t) for t in times)
-    derivs = None if deriv_fn is None else stack(deriv_fn(t) for t in times)
+    """A trajectory of the nodal arrays ``state_fn(t)`` and ``deriv_fn(t)``."""
+    states = np.stack([state_fn(t) for t in times])
+    derivs = None if deriv_fn is None else np.stack([deriv_fn(t) for t in times])
     return WeightedTrajectory(np.asarray(times), states, derivs, mu, p)
 
 
@@ -189,24 +190,26 @@ def test_trajectory_validation():
 
 def test_state_at_linear_interpolation():
     grid = Grid(1, 21)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     times = graded_times(K=40)
     traj = make_traj(times, lambda t: U * t, None, grid)
     # stored samples come back verbatim
-    assert traj.state_at(times[7]) is traj.states[7]
-    mid = traj.state_at(0.3)
-    assert np.allclose(mid.values, 0.3 * U.values, atol=1e-12)
+    at = traj.states_at([times[7], 0.3])
+    assert at.shape == (2,) + grid.shape + (1,)
+    assert np.array_equal(at[0], traj.state_values[7])
+    mid = at[1]
+    assert np.allclose(mid, 0.3 * U, atol=1e-12)
     with pytest.raises(ValueError):
-        traj.state_at(1.5)
+        traj.states_at([1.5])
 
 
 def test_difference_requires_matching_grids():
     grid = Grid(1, 9)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     ta = make_traj([0.0, 0.5, 1.0], lambda t: U * t, None, grid)
     tb = make_traj([0.0, 0.5, 1.0], lambda t: U * (2 * t), None, grid)
     d = difference(tb, ta)
-    assert np.allclose(d.states[2].values, U.values)
+    assert np.allclose(d.states[2].values, U)
     tc = make_traj([0.0, 0.4, 1.0], lambda t: U * t, None, grid)
     with pytest.raises(ValueError):
         difference(ta, tc)
@@ -216,14 +219,14 @@ def test_difference_requires_matching_grids():
 
 def test_E0_constant_matches_sigma():
     grid = Grid(1, 11)
-    U = GridFunction.from_scalar(grid, np.ones(grid.shape))
+    U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(graded_times(), lambda t: U, None, grid)
     assert E0mu_norm(traj) == pytest.approx(weighted_time_factor(1.0, P, MU), rel=1e-6)
 
 
 def test_E0_linear_state_closed_form():
     grid = Grid(1, 11)
-    U = GridFunction.from_scalar(grid, np.ones(grid.shape))
+    U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(graded_times(), lambda t: U * t, None, grid)
     # integral of t^0.2 t^2 dt on (0,1) = 1/3.2
     assert E0mu_norm(traj) == pytest.approx(np.sqrt(1.0 / 3.2), rel=1e-6)
@@ -232,7 +235,7 @@ def test_E0_linear_state_closed_form():
 def test_E1_factorizes_into_closed_forms():
     grid = Grid(1, 41)
     h = grid.h
-    U = cos_field(grid)
+    U = cos_field(grid).values
     traj = make_traj(graded_times(), lambda t: U * t, lambda t: U, grid)
     X = np.sqrt(0.5)
     X1 = X * (1.0 + np.sin(np.pi * h) / h + 2.0 / h ** 2 * (1.0 - np.cos(np.pi * h)))
@@ -244,7 +247,7 @@ def test_E1_factorizes_into_closed_forms():
 
 def test_E1_requires_derivatives():
     grid = Grid(1, 9)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     traj = make_traj([0.0, 0.5, 1.0], lambda t: U * t, None, grid)
     with pytest.raises(ValueError):
         E1mu_norm(traj)
@@ -253,7 +256,7 @@ def test_E1_requires_derivatives():
 
 def test_interval_additivity_at_sample_points():
     grid = Grid(1, 9)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     times = graded_times(K=64)
     traj = make_traj(times, lambda t: U * (1.0 + t), None, grid)
     a = float(times[32])
@@ -268,7 +271,7 @@ def test_interval_additivity_at_sample_points():
 
 def test_with_mu_drops_weight():
     grid = Grid(1, 9)
-    U = GridFunction.from_scalar(grid, np.ones(grid.shape))
+    U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(np.linspace(0.0, 1.0, 501), lambda t: U, None, grid)
     plain = traj.with_mu(1.0)
     assert E0mu_norm(plain) == pytest.approx(1.0, rel=1e-12)
@@ -277,8 +280,8 @@ def test_with_mu_drops_weight():
 
 def test_trajectory_arrays_are_read_only():
     grid = Grid(1, 9)
-    U = cos_field(grid)
-    states = stack((U, U * 0.5))
+    U = cos_field(grid).values
+    states = np.stack((U, U * 0.5))
     traj = WeightedTrajectory(np.array([0.0, 1.0]), states, -states, MU, P)
     for arr in (traj.times, traj.state_values, traj.deriv_values,
                 traj.states[0].values, traj.sample_norms("x1")):
@@ -291,8 +294,8 @@ def test_trajectory_arrays_are_read_only():
 
 def test_with_mu_shares_the_sample_norms():
     grid = Grid(1, 9)
-    traj = make_traj([0.0, 0.5, 1.0], lambda t: cos_field(grid) * (1 + t),
-                     lambda t: cos_field(grid), grid)
+    traj = make_traj([0.0, 0.5, 1.0], lambda t: cos_field(grid).values * (1 + t),
+                     lambda t: cos_field(grid).values, grid)
     E1mu_norm(traj, order=4)
     plain = traj.with_mu(1.0)
     assert plain.sample_norms("x1", 2.0, 4) is traj.sample_norms("x1", 2.0, 4)
@@ -360,7 +363,7 @@ def test_memoized_norms_equal_those_of_a_fresh_trajectory(data):
 
 def test_smoothing_inequality_holds_on_decaying_trajectory():
     grid = Grid(1, 21)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     times = graded_times(K=200)
     traj = make_traj(times, lambda t: U * np.exp(-t), lambda t: U * (-np.exp(-t)), grid)
     rep = smoothing_check(traj, 0.5)
@@ -372,7 +375,7 @@ def test_smoothing_inequality_holds_on_decaying_trajectory():
 
 def test_smoothing_validation():
     grid = Grid(1, 9)
-    U = cos_field(grid)
+    U = cos_field(grid).values
     traj = make_traj([0.0, 0.5, 1.0], lambda t: U, lambda t: U * 0.0, grid)
     with pytest.raises(ValueError):
         smoothing_check(traj, 2.0)
