@@ -24,7 +24,14 @@ and on each tree's ``trajectory.npz`` of the run
     python -m parabolab.cli omega --checkpoint TRAJ --json JSON --count 24 --fraction 1
 
 (the last samples the whole run, so that its distances come from many
-samples in several clusters).  Last it does the same for
+samples in several clusters).  For every config in ``configs/`` it also
+compares a run interrupted after its first window and resumed,
+
+    python -m parabolab.cli run --config FIRST --out DIR --seed 0
+    python -m parabolab.cli run --config CONFIG --out DIR --seed 0 --resume
+
+where FIRST is the config with ``solver.horizon`` set to ``solver.window``.
+Last it does the same for
 
     python -m parabolab.cli sweep --config configs/heat.json --axes AXES --out DIR --seed 0
 
@@ -79,21 +86,27 @@ TRAJECTORY_CHECKS = {
 }
 
 
-def run(src: Path, argv: list, root: Path, stem: str, run_stem: str = ""):
-    """Exit code, stdout and {relative path: bytes} of one command writing
-    into ``root / stem``, with ``{out}`` and ``{run}`` in ``argv`` standing
-    for ``root / stem`` and ``root / run_stem``."""
+def run(src: Path, argvs: list, root: Path, stem: str, run_stem: str = ""):
+    """Exit codes (space separated), stdout and {relative path: bytes} of
+    the commands ``argvs``, run one after another and writing into
+    ``root / stem``, with ``{out}`` and ``{run}`` in each argv standing for
+    ``root / stem`` and ``root / run_stem``."""
     # one BLAS thread on both sides, so that threading cannot move a bit
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     out = root / stem
     out.mkdir(parents=True)
-    argv = [a.replace("{out}", str(out)).replace("{run}", str(root / run_stem)) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "parabolab.cli", *argv],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                          check=False)
+    codes, stdout = [], b""
+    for argv in argvs:
+        argv = [a.replace("{out}", str(out)).replace("{run}", str(root / run_stem))
+                for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "parabolab.cli", *argv],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              check=False)
+        codes.append(str(proc.returncode))
+        stdout += proc.stdout
     files = {str(f.relative_to(out)): f.read_bytes()
              for f in sorted(out.rglob("*")) if f.is_file()}
-    return proc.returncode, proc.stdout, files
+    return " ".join(codes), stdout, files
 
 
 def _leaves(obj, path=""):
@@ -200,22 +213,30 @@ def main(argv=None) -> int:
         axes = Path(tmp) / "axes.json"
         axes.write_text(json.dumps(SWEEP_AXES, sort_keys=True) + "\n")
         seeded = ["--out", "{out}", "--seed", SEED]
-        # (name, output directory, argv, directory of the run it reads)
+        # (name, output directory, argvs, directory of the run they read)
         checks = []
         for c in configs:
             checks.append((f"{c.relative_to(REPO)}", c.stem,
-                           ["run", "--config", str(c), *seeded], ""))
+                           [["run", "--config", str(c), *seeded]], ""))
             checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}",
-                        [a.replace("{config}", str(c)) for a in argv], "")
+                        [[a.replace("{config}", str(c)) for a in argv]], "")
                        for check, argv in CONFIG_CHECKS.items()]
-            checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}", argv, c.stem)
+            checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}", [argv], c.stem)
                        for check, argv in TRAJECTORY_CHECKS.items()]
+        for c in sorted(CONFIG_DIRS[0].glob("*.json")):
+            cfg = json.loads(c.read_text())
+            cfg["solver"]["horizon"] = cfg["solver"]["window"]
+            first = Path(tmp) / f"{c.stem}-first-window.json"
+            first.write_text(json.dumps(cfg, sort_keys=True) + "\n")
+            checks.append((f"resumed {c.relative_to(REPO)}", f"{c.stem}-resumed",
+                           [["run", "--config", str(first), *seeded],
+                            ["run", "--config", str(c), *seeded, "--resume"]], ""))
         checks.append((f"sweep {SWEEP_CONFIG.relative_to(REPO)}", "sweep",
-                       ["sweep", "--config", str(SWEEP_CONFIG), "--axes", str(axes), *seeded],
+                       [["sweep", "--config", str(SWEEP_CONFIG), "--axes", str(axes), *seeded]],
                        ""))
-        for name, stem, argv, run_stem in checks:
-            old = run(old_src, argv, Path(tmp) / "old", stem, run_stem)
-            new = run(new_src, argv, Path(tmp) / "new", stem, run_stem)
+        for name, stem, argvs, run_stem in checks:
+            old = run(old_src, argvs, Path(tmp) / "old", stem, run_stem)
+            new = run(new_src, argvs, Path(tmp) / "new", stem, run_stem)
             diffs = differences(old, new)
             for diff in diffs:
                 print(f"{name}: differs at {diff}")

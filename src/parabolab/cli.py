@@ -51,6 +51,17 @@ _ORDER_NAME = {n: name for name, n in ORDER_INT.items()}
 OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
 
 
+_NONCONVERGENCE = (NonconvergenceError, SolverError, StateConstraintError)
+# the errors every command reports as an exit code, never as a traceback
+_FAILURES = (cfgmod.ConfigError, ckpt.CheckpointError, ProblemSpecError, OSError,
+             *_NONCONVERGENCE)
+
+
+def _exit_code(exc: BaseException) -> int:
+    """3 for a solver that failed, 4 for a bad input or an i/o error."""
+    return EXIT_NONCONVERGENCE if isinstance(exc, _NONCONVERGENCE) else EXIT_IO
+
+
 def _emit_json(obj: dict, path=None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
@@ -291,14 +302,21 @@ def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
     return out
 
 
+# the files a run writes besides its window checkpoints
+_RUN_FILES = ("admissibility.json", "symbol.json", "trajectory.npz", "timeseries.csv",
+              "diagnostics.json", "summary.json")
+
+
 def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
-                resume: bool = False) -> int:
-    """Full run pipeline; returns the exit code.
+                resume: bool = False) -> tuple:
+    """Full run pipeline; returns the exit code, and the summary and symbol
+    report (None without ``diagnostics.symbol_scan``) that it wrote.
 
     A config whose problem or initial field cannot be built raises before
-    anything is written.  Otherwise the artifacts are always written, except
-    that a run whose first window collapses has no trajectory, time series
-    or diagnostics to write.
+    anything is written.  A run with no window to resume from first removes
+    what an earlier run left in ``out_dir``.  The artifacts are always written,
+    except that a run whose first window collapses has no trajectory, time
+    series or diagnostics to write.
     """
     grid = cfgmod.build_grid(cfg)
     ec = cfgmod.exponent_config(cfg, grid)
@@ -307,21 +325,26 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     problem, spec = cfgmod.build_problem(cfg, grid)
     u_init = cfgmod.build_initial(cfg, grid, problem.ncomp)
     fingerprint = cfgmod.config_fingerprint(cfg)
-    done = _window_files(out_dir) if resume else []
-    last_window = ckpt.load_trajectory(done[-1]) if done else None
-    if last_window and last_window[1].get("config_sha256") != fingerprint:
+    # the windows of earlier invocations, each read once and glued before
+    # anything is written
+    loaded = [ckpt.load_trajectory(f) for f in _window_files(out_dir)] if resume else []
+    if loaded and loaded[-1][1].get("config_sha256") != fingerprint:
         raise ckpt.CheckpointError(
             f"cannot resume in {out_dir}: its window checkpoints were written under "
             "another config (only solver.horizon and output may change)")
+    traj = _glue_windows(loaded, out_dir, fp.mu, fp.p) if loaded else None
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not loaded:
+        for f in [*_window_files(out_dir), *map(out_dir.joinpath, _RUN_FILES)]:
+            f.unlink(missing_ok=True)
     adm = _admissibility(cfg, ec)
     _emit_json(adm, out_dir / "admissibility.json")
     if not adm["admissible"] and not force:
         _print_violations(adm)
-        _emit_json({"status": "inadmissible", "exit_code": EXIT_ADMISSIBILITY,
-                    "violated": adm["violated"], "seed": seed},
-                   out_dir / "summary.json")
-        return EXIT_ADMISSIBILITY
+        summary = {"status": "inadmissible", "exit_code": EXIT_ADMISSIBILITY,
+                   "violated": adm["violated"], "seed": seed}
+        _emit_json(summary, out_dir / "summary.json")
+        return EXIT_ADMISSIBILITY, summary, None
 
     horizon = cfgmod.horizon_of(cfg)
     diag = cfg.get("diagnostics", {})
@@ -329,6 +352,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     bc = problem.bc
     order = problem.order_int
 
+    srep = None
     if diag.get("symbol_scan"):
         srep = _symbol_report(cfg, spec, u_init, (1e-6, 1e6, 13), 12)
         _emit_json(srep, out_dir / "symbol.json")
@@ -341,14 +365,11 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     t0 = 0.0
     u_start = u_init
     start_index = 0
-    if last_window:
-        traj, meta = last_window
-        t0 = float(meta["t_start"]) + float(traj.times[-1])
-        u_start = traj.states[-1]
+    if loaded:
+        last, meta = loaded[-1]
+        t0 = float(meta["t_start"]) + float(last.times[-1])
+        u_start = last.states[-1]
         start_index = int(meta["index"]) + 1
-    elif not resume:
-        for f in _window_files(out_dir):
-            f.unlink()
 
     # meta and local sample times of each window this invocation runs
     new_windows: list = []
@@ -363,20 +384,12 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
                              wstate.trajectory, meta)
         new_windows.append((meta, wstate.trajectory.times))
 
-    status = "ok"
-    reason = None
-    run = None
-    try:
-        if t0 < horizon - 1e-12 * max(1.0, horizon):
-            state = continue_solution(u_start, problem, fp, horizon, t0=t0,
-                                      on_window=save_window)
-            run = state.trajectory
-            if state.blow_up:
-                status = "blow_up"
-                reason = state.reason
-    except (SolverError, StateConstraintError) as exc:
-        status = "blow_up"
-        reason = str(exc)
+    status, reason, run = "ok", None, None
+    if t0 < horizon - 1e-12 * max(1.0, horizon):
+        state = continue_solution(u_start, problem, fp, horizon, t0=t0, on_window=save_window)
+        run = state.trajectory
+        if state.blow_up:
+            status, reason = "blow_up", state.reason
 
     summary = {
         "status": status,
@@ -391,15 +404,9 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         "windows": [],
         "admissible": bool(adm["admissible"]),
     }
-    # the windows this invocation ran are glued in memory (``run``), and only
-    # those of earlier invocations are read back; without ``run`` (nothing
-    # left to run, a collapsed first window, a run that broke off) every
-    # window is read back
-    if run is None:
-        done, new_windows = _window_files(out_dir), []
-    loaded = [ckpt.load_trajectory(f) for f in done]
+    # the windows this invocation ran are glued in memory, after those of
+    # earlier invocations
     metas = [meta for _, meta in loaded] + [meta for meta, _ in new_windows]
-    traj = _glue_windows(loaded, out_dir, fp.mu, fp.p) if loaded else None
     if run is not None:
         traj = run if traj is None else _append_run(traj, new_windows, run)
     # a run whose first window collapsed has no trajectory to measure
@@ -430,8 +437,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         print(f"run ended early: {reason}", file=sys.stderr)
         for wsum in summary["windows"]:
             print(f"window ledger: {json.dumps(wsum, sort_keys=True)}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    return summary["exit_code"], summary, srep
 
 
 def cmd_run(args) -> int:
@@ -440,7 +446,7 @@ def cmd_run(args) -> int:
     if out is None:
         raise cfgmod.ConfigError("no output directory: pass --out or set output.dir")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return execute_run(cfg, Path(out), seed, force=args.force, resume=args.resume)
+    return execute_run(cfg, Path(out), seed, force=args.force, resume=args.resume)[0]
 
 
 # ---------------------------------------------------------------- norms
@@ -525,27 +531,25 @@ def _set_by_path(cfg: dict, dotted: str, value) -> None:
     cur[keys[-1]] = value
 
 
-def _sweep_metrics(cell_dir: Path) -> dict:
-    out = {"t_reached": None, "n_windows": None, "final_sup_norm": None,
-           "final_l2_norm": None, "mass_drift": None, "max_contraction": None,
-           "min_symbol_ratio": None}
-    summary_file = cell_dir / "summary.json"
-    if not summary_file.exists():
+# the columns a sweep reports for each cell, in the order of its CSV
+_SWEEP_METRICS = ("final_l2_norm", "final_sup_norm", "mass_drift", "max_contraction",
+                  "min_symbol_ratio", "n_windows", "t_reached")
+
+
+def _sweep_metrics(summary: dict | None, srep: dict | None) -> dict:
+    """A cell's metrics from the summary and symbol report its run returned;
+    all None for a cell that raised."""
+    out = dict.fromkeys(_SWEEP_METRICS)
+    if summary is None:
         return out
-    summary = json.loads(summary_file.read_text())
-    for key in ("t_reached", "n_windows", "final_sup_norm", "final_l2_norm", "mass_drift"):
-        out[key] = summary.get(key)
+    out.update((key, summary.get(key)) for key in
+               ("t_reached", "n_windows", "final_sup_norm", "final_l2_norm", "mass_drift"))
     factors = [f for wsum in summary.get("windows") or [] if wsum
-               for f in wsum.get("contraction_factors", [])]
-    if factors:
-        out["max_contraction"] = max(factors)
-    symbol_file = cell_dir / "symbol.json"
-    if symbol_file.exists():
-        srep = json.loads(symbol_file.read_text())
-        if "ellipticity" in srep:
-            out["min_symbol_ratio"] = srep["ellipticity"].get("min_ratio")
-        elif "spectrum" in srep:
-            out["min_symbol_ratio"] = srep["spectrum"].get("min_real_part")
+               for f in wsum["contraction_factors"]]
+    out["max_contraction"] = max(factors, default=None)
+    if srep is not None:
+        out["min_symbol_ratio"] = (srep["ellipticity"]["min_ratio"] if "ellipticity" in srep
+                                   else srep["spectrum"]["min_real_part"])
     return out
 
 
@@ -570,20 +574,18 @@ def cmd_sweep(args) -> int:
             _set_by_path(cfg, k, v)
         cfg.setdefault("output", {})["dir"] = str(cell_dir)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        summary = srep = None
         try:
             cfgmod.validate_run_config(cfg)
-            code = execute_run(cfg, cell_dir, seed, force=args.force)
-        except (cfgmod.ConfigError, ProblemSpecError, ckpt.CheckpointError) as exc:
+            code, summary, srep = execute_run(cfg, cell_dir, seed, force=args.force)
+        except _FAILURES as exc:
             print(f"cell {idx}: {exc}", file=sys.stderr)
-            code = EXIT_IO
-        except (SolverError, NonconvergenceError, StateConstraintError) as exc:
-            print(f"cell {idx}: {exc}", file=sys.stderr)
-            code = EXIT_NONCONVERGENCE
-        metrics = _sweep_metrics(cell_dir)
-        rows.append([idx, *values, code, *[metrics[k] for k in sorted(metrics)]])
+            code = _exit_code(exc)
+        metrics = _sweep_metrics(summary, srep)
+        rows.append([idx, *values, code, *[metrics[k] for k in _SWEEP_METRICS]])
         cell_reports.append({"cell": idx, "overrides": dict(zip(keys, values)),
                              "exit_code": code, **metrics})
-    header = ["cell", *keys, "exit_code", *sorted(_sweep_metrics(Path("/nonexistent")))]
+    header = ["cell", *keys, "exit_code", *_SWEEP_METRICS]
     _write_csv(out_root / "summary.csv", header, rows)
     sweep_summary = {"axes": {k: axes[k] for k in keys}, "cells": cell_reports,
                      "n_cells": len(cells)}
@@ -712,17 +714,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (cfgmod.ConfigError, ckpt.CheckpointError, ProblemSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NonconvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        for r in exc.residuals:
-            print(f"residual: {r!r}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    except _FAILURES as exc:
+        if isinstance(exc, NonconvergenceError):
+            print(f"solver did not converge: {exc}", file=sys.stderr)
+            for r in exc.residuals:
+                print(f"residual: {r!r}", file=sys.stderr)
+        else:
+            print(f"{'i/o error' if isinstance(exc, OSError) else 'error'}: {exc}",
+                  file=sys.stderr)
+        return _exit_code(exc)
 
 
 def entry() -> None:

@@ -268,21 +268,30 @@ def _field_values(entry: dict, grid: Grid) -> np.ndarray:
 
 
 def build_initial(cfg: dict, grid: Grid, ncomp: int) -> GridFunction:
+    """The configured initial field; for a family with clamped boundary
+    conditions it must vanish on the boundary, where they pin the state."""
     entry = cfg.get("initial")
     if entry is None:
         return GridFunction.zeros(grid, ncomp)
     if isinstance(entry, list):
         if len(entry) != ncomp:
             raise ConfigError(f"{len(entry)} initial fields for {ncomp} components")
-        comps = [_field_values(e, grid) for e in entry]
-        return GridFunction(grid, np.stack(comps, axis=-1))
-    if entry["kind"] == "constant" and isinstance(entry.get("value"), list):
+        values = np.stack([_field_values(e, grid) for e in entry], axis=-1)
+    elif entry["kind"] == "constant" and isinstance(entry.get("value"), list):
         vals = [np.full(grid.shape, float(v)) for v in entry["value"]]
         if len(vals) != ncomp:
             raise ConfigError(f"{len(vals)} constant values for {ncomp} components")
-        return GridFunction(grid, np.stack(vals, axis=-1))
-    field = _field_values(entry, grid)
-    return GridFunction(grid, np.repeat(field[..., None], ncomp, axis=-1))
+        values = np.stack(vals, axis=-1)
+    else:
+        values = np.repeat(_field_values(entry, grid)[..., None], ncomp, axis=-1)
+    family = cfg.get("problem", {}).get("family")
+    if FAMILY_BC.get(family) == BoundaryCondition.CLAMPED:
+        # the tolerance of the window joints in ``continue_solution``
+        edge = float(np.max(np.abs(values[~grid.interior_mask()])))
+        if edge > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
+            raise ConfigError(f"initial field reaches {edge:.3e} on the boundary, where the "
+                              f"clamped {family} problem needs it to vanish")
+    return GridFunction(grid, values)
 
 
 def build_solver(cfg: dict, ec: ExponentConfig) -> FixedPointConfig:

@@ -494,8 +494,12 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
     blow_up = False
     reason = None
     pieces: list = []
-    while t < horizon - 1e-12 * max(1.0, horizon):
-        wcfg = dataclasses.replace(cfg, window=min(cfg.window, horizon - t))
+    end_tol = 1e-12 * max(1.0, horizon)
+    while t < horizon - end_tol:
+        # a remainder within end_tol of a window takes the whole window, so that a
+        # run resumed at a window boundary solves the windows of an uninterrupted one
+        wcfg = dataclasses.replace(
+            cfg, window=cfg.window if horizon - t > cfg.window - end_tol else horizon - t)
         try:
             st = fixed_point_solve(u, prob, wcfg)
         except NonconvergenceError as exc:
@@ -692,25 +696,17 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
         # differences of states: those of their coefficients move the bits, and
         # |a|^2 + |b|^2 - 2 a.b cancels on the nearly equal late states
         dist[i, i + 1:] = dist[i + 1:, i] = proxy_norms(states[i] - states[i + 1:], theta, proxy)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] <= threshold:
-                parent[find(i)] = find(j)
-    labels = [find(i) for i in range(m)]
-    roots = sorted(set(labels), key=labels.index)
-    clusters = [[i for i in range(m) if find(i) == r] for r in roots]
+    # single linkage: each sample takes the least label of its links' labels
+    # until none changes, which labels every cluster by its first sample
+    links = dist <= threshold
+    labels = np.arange(m)
+    while not np.array_equal(least := np.min(np.where(links, labels[labels], m), axis=1), labels):
+        labels = least
+    clusters = [np.flatnonzero(labels == first) for first in np.unique(labels)]
     half = m // 2
     spread_early = float(np.max(dist[:half or 1, :half or 1])) if half >= 1 else 0.0
     spread_late = float(np.max(dist[half:, half:]))
-    final_cluster = next(c for c in clusters if (m - 1) in c)
+    final_cluster = np.flatnonzero(labels == labels[m - 1])
     diameter = float(np.max(dist[np.ix_(final_cluster, final_cluster)])) if len(final_cluster) > 1 else 0.0
     converged = len(clusters) == 1 and (spread_late <= spread_early + 1e-15
                                         or diameter <= threshold)

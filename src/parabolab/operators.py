@@ -52,6 +52,13 @@ class NotPositiveDefiniteError(SolverError):
     """A Cholesky factorization met a non-positive pivot."""
 
 
+def _mirrored(n: int, off: int) -> np.ndarray:
+    """The node ``i + off`` for each node i of n, with ghost nodes mirrored
+    about the boundary."""
+    idx = np.abs(np.arange(off, n + off))
+    return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+
+
 def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     offsets, coeffs = STENCILS[order]
     n = values.shape[axis]
@@ -60,9 +67,7 @@ def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> 
     for off, c in zip(offsets, coeffs):
         if c == 0.0:
             continue
-        idx = np.abs(np.arange(off, n + off))  # ghost nodes mirror about the boundary
-        idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
-        np.take(values, idx, axis=axis, out=shifted, mode="clip")
+        np.take(values, _mirrored(n, off), axis=axis, out=shifted, mode="clip")
         shifted *= c
         out += shifted
     out /= h ** order
@@ -112,20 +117,12 @@ def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> scipy
     if order == 0:
         return scipy.sparse.identity(n, format="csr")
     offsets, coeffs = STENCILS[order]
-    rows, cols, data = [], [], []
-    for i in range(n):
-        for off, c in zip(offsets, coeffs):
-            if c == 0.0:
-                continue
-            j = i + off
-            if j < 0:
-                j = -j
-            elif j > n - 1:
-                j = 2 * (n - 1) - j
-            rows.append(i)
-            cols.append(j)
-            data.append(c / h ** order)
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    terms = [(off, c) for off, c in zip(offsets, coeffs) if c != 0.0]
+    # row by row in stencil order, the order in which coinciding ghost entries add up
+    cols = np.stack([_mirrored(n, off) for off, _ in terms], axis=1)
+    rows = np.repeat(np.arange(n), len(terms))
+    data = np.tile([c / h ** order for _, c in terms], n)
+    return scipy.sparse.csr_matrix((data, (rows, cols.ravel())), shape=(n, n))
 
 
 def active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.ndarray:

@@ -170,15 +170,11 @@ def spectrum_positivity_check(a: PolynomialMap, u_box, seed: int = 0) -> Positiv
     """Minimum real part of the eigenvalues of a(u) over a sample of the box."""
     u_box = np.asarray(u_box, dtype=float)
     pts = _box_samples(u_box, seed)
-    mats = a(pts)
-    worst = None
-    for k in range(len(pts)):
-        ev = np.linalg.eigvals(mats[k])
-        mn = float(np.min(ev.real))
-        if worst is None or mn < worst[0]:
-            worst = (mn, tuple(pts[k].tolist()))
-    return PositivityReport(min_real_part=worst[0], ok=worst[0] > 0.0,
-                            worst_state=worst[1])
+    mins = np.min(np.linalg.eigvals(a(pts)).real, axis=-1)
+    k = int(np.argmin(mins))  # the first of equal minima
+    worst = float(mins[k])
+    return PositivityReport(min_real_part=worst, ok=worst > 0.0,
+                            worst_state=tuple(pts[k].tolist()))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ import parabolab
 from parabolab import cli, norms
 from parabolab.checkpoint import load_trajectory, save_trajectory
 from parabolab.cli import main
+from parabolab.evolution import NonconvergenceError, StateConstraintError
 from parabolab.grids import BoundaryCondition, Grid
 from parabolab.norms import E0mu_norm, WeightedTrajectory
+from parabolab.operators import SolverError
 
 
 def write_cfg(path: Path, cfg: dict) -> str:
@@ -60,6 +62,21 @@ _COUPLED_RD = {"family": "reaction_diffusion", "ncomp": 2, "a": [[1.0, 0.0], [0.
 _NEGATIVE_RD = {"family": "reaction_diffusion", "a": [[-1.0]], "u_box": [[-2.0, 2.0]]}
 # an initial field of 3 values, for a grid of more nodes
 _SHORT_VALUES = {"kind": "values", "values": [1, 2, 3]}
+# initial fields that vanish on the boundary, and one that does not
+_SINE_SQUARED = {"kind": "sine_squared", "amplitude": 0.001}
+_COSINE = {"kind": "cosine", "amplitude": 0.001}
+# f(1e40) = 1e360 overflows, so every window attempt fails and the first
+# window collapses before any checkpoint exists
+_NON_FINITE_RHS = {
+    "problem": {"family": "reaction_diffusion", "ncomp": 1,
+                "a": [[[1]]], "f": [[0] * 9 + [1]],
+                "u_box": [[-1e300, 1e300]]},
+    "grid": {"dim": 1, "nodes": 9},
+    "exponents": {"p": 2, "q": 2, "mu": "9/10"},
+    "solver": {"window": 0.01, "time_steps": 4, "horizon": 0.02, "max_iter": 5},
+    "initial": {"kind": "constant", "value": 1e40},
+    "seed": 0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +228,59 @@ def test_run_reads_back_only_the_windows_of_earlier_invocations(tmp_path, monkey
     assert loads == []                      # a fresh run glues its windows in memory
     assert main(["run", "--config", half, "--out", str(out)]) == 0
     assert main(["run", "--config", full, "--out", str(out), "--resume"]) == 0
-    assert loads and set(loads) == {"window_0000.npz"}
+    assert loads == ["window_0000.npz"]
+
+
+def _run_files(out: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary=st.integers(2, 6).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w - 1))),
+       window=st.sampled_from([0.005, 0.01, 0.02]),
+       propagator=st.sampled_from(["euler", "spectral"]))
+# 0.03 - 0.02 falls one ulp short of the window
+@example(boundary=(4, 3), window=0.01, propagator="euler")
+def test_resume_at_any_window_boundary_reproduces_the_uninterrupted_bytes(
+        boundary, window, propagator):
+    n_windows, k = boundary
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+
+        def run(horizon, out, *flags):
+            cfg = heat_cfg()
+            cfg["solver"].update(window=window, horizon=horizon, propagator=propagator)
+            path = write_cfg(root / f"{horizon!r}.json", cfg)
+            assert main(["run", "--config", path, "--out", str(root / out), *flags]) == 0
+
+        # the horizons as a config would spell them
+        full, stop = (float(f"{n * window:.12g}") for n in (n_windows, k))
+        run(full, "full")
+        run(stop, "resumed")
+        run(full, "resumed", "--resume")
+        assert _run_files(root / "full") == _run_files(root / "resumed")
+
+
+# a run that writes every kind of file, into the directory a rerun reuses
+def _earlier_run_cfg():
+    cfg = heat_cfg(diagnostics={"norm_intervals": 2, "symbol_scan": True})
+    cfg["solver"]["horizon"] = 0.06
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    heat_cfg(), heat_cfg(exponents={"p": 2, "q": 2, "mu": "7/10"}), _NON_FINITE_RHS,
+], ids=["ok", "inadmissible", "collapse"])
+def test_a_rerun_leaves_only_the_files_of_its_own_run(tmp_path, capsys, cfg):
+    used, empty = tmp_path / "used", tmp_path / "empty"
+    earlier = write_cfg(tmp_path / "earlier.json", _earlier_run_cfg())
+    assert main(["run", "--config", earlier, "--out", str(used)]) == 0
+    assert {"symbol.json", "window_0002.npz"} <= set(_run_files(used))
+    cfg_path = write_cfg(tmp_path / "cfg.json", cfg)
+    with np.errstate(over="ignore"):
+        code = main(["run", "--config", cfg_path, "--out", str(empty)])
+        assert main(["run", "--config", cfg_path, "--out", str(used)]) == code
+    assert _run_files(used) == _run_files(empty)
 
 
 @pytest.mark.parametrize("edit", [
@@ -298,19 +367,7 @@ def test_run_blow_up_exits_3_with_ledger(tmp_path, capsys):
 
 
 def test_run_non_finite_rhs_exits_3(tmp_path, capsys):
-    # f(1e40) = 1e360 overflows, so every window attempt fails and the first
-    # window collapses before any checkpoint exists
-    cfg = {
-        "problem": {"family": "reaction_diffusion", "ncomp": 1,
-                    "a": [[[1]]], "f": [[0] * 9 + [1]],
-                    "u_box": [[-1e300, 1e300]]},
-        "grid": {"dim": 1, "nodes": 9},
-        "exponents": {"p": 2, "q": 2, "mu": "9/10"},
-        "solver": {"window": 0.01, "time_steps": 4, "horizon": 0.02, "max_iter": 5},
-        "initial": {"kind": "constant", "value": 1e40},
-        "seed": 0,
-    }
-    cfg_path = write_cfg(tmp_path / "nonfinite.json", cfg)
+    cfg_path = write_cfg(tmp_path / "nonfinite.json", _NON_FINITE_RHS)
     out = tmp_path / "out"
     with np.errstate(over="ignore"):
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
@@ -433,6 +490,7 @@ def test_sweep_over_mu_continues_past_failures(tmp_path, capsys):
     (heat_cfg(), {"exponents.p": [2, "1/0"]}),
     (heat_cfg(), {"initial": [heat_cfg()["initial"], _SHORT_VALUES]}),
     (heat_cfg(problem=dict(_NEGATIVE_RD, a=[[1.0]])), {"problem.a": [[[1.0]], [[-1.0]]]}),
+    (heat_cfg(problem={"family": "willmore"}), {"initial": [_SINE_SQUARED, _COSINE]}),
 ])
 def test_sweep_records_a_cell_it_cannot_run_as_exit_4(tmp_path, capsys, template, axes):
     cfg_path = write_cfg(tmp_path / "tmpl.json", template)
@@ -446,6 +504,36 @@ def test_sweep_records_a_cell_it_cannot_run_as_exit_4(tmp_path, capsys, template
     assert [c["exit_code"] for c in summary["cells"]] == [0, 4]
     assert (out / "cell_0000" / "trajectory.npz").exists()
     assert not (out / "cell_0001").exists()
+
+
+def test_sweep_into_a_used_directory_reports_no_metrics_for_a_failing_cell(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path / "tmpl.json", heat_cfg())
+    out = tmp_path / "sweep"
+    for mu, code in (("9/10", 0), ("1/0", 4)):
+        axes_path = write_cfg(tmp_path / "axes.json", {"exponents.mu": [mu]})
+        assert main(["sweep", "--config", cfg_path, "--axes", axes_path,
+                     "--out", str(out)]) == 0
+        cell = json.loads((out / "sweep_summary.json").read_text())["cells"][0]
+        assert cell["exit_code"] == code
+        assert (cell["t_reached"] is None) == (code != 0)
+    assert [cell[key] for key in cli._SWEEP_METRICS] == [None] * len(cli._SWEEP_METRICS)
+    with open(out / "summary.csv") as fh:
+        assert list(csv.reader(fh))[1][3:] == [""] * len(cli._SWEEP_METRICS)
+
+
+def test_sweep_records_an_io_error_of_a_cell_as_exit_4(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path / "tmpl.json", heat_cfg())
+    axes_path = write_cfg(tmp_path / "axes.json", {"exponents.mu": ["9/10", "4/5"]})
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "cell_0000").write_text("a file where the cell's directory would go\n")
+    assert main(["sweep", "--config", cfg_path, "--axes", axes_path, "--out", str(out)]) == 0
+    assert "cell 0: " in capsys.readouterr().err
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [c["exit_code"] for c in summary["cells"]] == [4, 0]
+    with open(out / "summary.csv") as fh:
+        assert [int(row[2]) for row in list(csv.reader(fh))[1:]] == [4, 0]
+    assert (out / "cell_0001" / "trajectory.npz").exists()
 
 
 def test_sweep_grid_refinement_reports_orders(tmp_path):
@@ -553,6 +641,22 @@ def test_malformed_command_line_exits_4(tmp_path, long_heat_run, capsys, argv):
     assert err.startswith(f"usage: parabolab {argv[0]}")
     assert f"parabolab {argv[0]}: error: " in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc,code", [
+    (OSError("no space left on device"), 4),
+    (NonconvergenceError("window collapsed", residuals=[0.5]), 3),
+    (SolverError("zero pivot"), 3),
+    (StateConstraintError("state outside the admissible region"), 3),
+], ids=["OSError", "NonconvergenceError", "SolverError", "StateConstraintError"])
+def test_main_maps_each_failure_to_its_exit_code(monkeypatch, capsys, exc, code):
+    def fail(_args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert main(["check", "--config", "unread.json"]) == code
+    err = capsys.readouterr().err
+    assert str(exc) in err and "Traceback" not in err, err
 
 
 def test_help_exits_0(capsys):
@@ -678,6 +782,22 @@ def test_truncated_window_file_exits_4(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
     assert main(["norms", "--checkpoint", str(window)]) == 4
     assert main(["omega", "--checkpoint", str(window)]) == 4
+
+
+def test_resume_over_a_missing_window_exits_4_before_writing(tmp_path, capsys):
+    short_cfg = heat_cfg()
+    short_cfg["solver"]["horizon"] = 0.06
+    long_cfg = heat_cfg()
+    long_cfg["solver"]["horizon"] = 0.08
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "short.json", short_cfg),
+                 "--out", str(out)]) == 0
+    (out / "window_0001.npz").unlink()
+    before = _run_files(out)
+    assert main(["run", "--config", write_cfg(tmp_path / "long.json", long_cfg),
+                 "--out", str(out), "--resume"]) == 4
+    assert "windows do not abut" in capsys.readouterr().err
+    assert _run_files(out) == before
 
 
 def test_version_flag(capsys):
@@ -914,7 +1034,9 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
     *[("check-flat", key, value) for key, value in [
         ("p", True), ("p", None), ("p", [2]), ("beta", None), ("pairs", 5), ("n", 1.5)]],
     *[("run", path, value) for path, value in [
-        ("initial", _SHORT_VALUES), ("problem", _NEGATIVE_RD)]],
+        ("initial", _SHORT_VALUES), ("problem", _NEGATIVE_RD),
+        # a clamped problem whose initial field does not vanish on the boundary
+        ("problem", {"family": "willmore"})]],
     *[pytest.param("run", path, 10 ** 400, id=f"run-{path}-10**400")
       for path in ("solver.horizon", "grid.nodes")],
 ])
