@@ -15,16 +15,20 @@ It compares, the same way, the reports on that config
 
     python -m parabolab.cli check --config CONFIG --json JSON
     python -m parabolab.cli symbol --config CONFIG --json JSON
+    python -m parabolab.cli symbol --config CONFIG --json JSON --b-range B --lambda-points 30
 
-and on each tree's ``trajectory.npz`` of the run
+with B = 1e-300:1e150:41 (the widest b range the options admit, scanned at
+11,111 points), and
+on each tree's ``trajectory.npz`` of the run
 
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON --mu 0.8 --p 3
     python -m parabolab.cli omega --checkpoint TRAJ --json JSON
     python -m parabolab.cli omega --checkpoint TRAJ --json JSON --count 24 --fraction 1
+    python -m parabolab.cli symbol --config CONFIG --json JSON --field TRAJ
 
-(the last samples the whole run, so that its distances come from many
-samples in several clusters).  For every config in ``configs/`` it also
+(the second omega report samples the whole run, so that its distances come
+from many samples in several clusters).  For every config in ``configs/`` it also
 compares a run interrupted after its first window and resumed,
 
     python -m parabolab.cli run --config FIRST --out DIR --seed 0
@@ -66,14 +70,17 @@ SWEEP_CONFIG = REPO / "configs" / "heat.json"
 SWEEP_AXES = {"grid.nodes": [17, 33], "exponents.mu": ["4/5", "9/10"]}
 
 
-# the commands that read only the config
+# the commands that read only the config {config}
 CONFIG_CHECKS = {
     "check": ["check", "--config", "{config}", "--json", "{out}/check.json"],
     "symbol": ["symbol", "--config", "{config}", "--json", "{out}/symbol.json"],
+    "symbol-widest": ["symbol", "--config", "{config}", "--json", "{out}/symbol.json",
+                      "--b-range", "1e-300:1e150:41", "--lambda-points", "30"],
 }
 
 # the commands that read the trajectory of a run; {run} is that run's output
-# directory under the same tree, and {out} the command's own
+# directory under the same tree, {out} the command's own, and {config} the
+# config of the run
 TRAJECTORY_CHECKS = {
     "norms": ["norms", "--checkpoint", "{run}/trajectory.npz",
               "--csv", "{out}/norms.csv", "--json", "{out}/norms.json"],
@@ -83,6 +90,8 @@ TRAJECTORY_CHECKS = {
     "omega": ["omega", "--checkpoint", "{run}/trajectory.npz", "--json", "{out}/omega.json"],
     "omega-whole-run": ["omega", "--checkpoint", "{run}/trajectory.npz",
                         "--json", "{out}/omega.json", "--count", "24", "--fraction", "1"],
+    "symbol-field": ["symbol", "--config", "{config}", "--json", "{out}/symbol.json",
+                     "--field", "{run}/trajectory.npz"],
 }
 
 
@@ -219,10 +228,10 @@ def main(argv=None) -> int:
             checks.append((f"{c.relative_to(REPO)}", c.stem,
                            [["run", "--config", str(c), *seeded]], ""))
             checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}",
-                        [[a.replace("{config}", str(c)) for a in argv]], "")
-                       for check, argv in CONFIG_CHECKS.items()]
-            checks += [(f"{check} {c.relative_to(REPO)}", f"{c.stem}-{check}", [argv], c.stem)
-                       for check, argv in TRAJECTORY_CHECKS.items()]
+                        [[a.replace("{config}", str(c)) for a in argv]], run_stem)
+                       for commands, run_stem in ((CONFIG_CHECKS, ""),
+                                                  (TRAJECTORY_CHECKS, c.stem))
+                       for check, argv in commands.items()]
         for c in sorted(CONFIG_DIRS[0].glob("*.json")):
             cfg = json.loads(c.read_text())
             cfg["solver"]["horizon"] = cfg["solver"]["window"]

@@ -5,7 +5,7 @@ boundary-condition root scans), ``run`` (continuation solve with per-window
 checkpoints and diagnostics), ``norms`` (weighted norms of a saved
 trajectory), ``omega`` (late-time clustering), ``sweep`` (cartesian parameter
 sweeps).  Exit codes: 0 ok, 2 admissibility failure, 3 nonconvergence,
-4 I/O or configuration error.
+4 I/O, configuration, size-limit or out-of-memory error.
 
 All emitted files are deterministic: JSON with sorted keys, CSV floats via
 ``repr``, binary checkpoints with fixed field order.  Identical config and
@@ -33,11 +33,12 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from .evolution import NonconvergenceError, StateConstraintError, continue_solution, omega_limit
 from .exponents import ORDER_INT, ORDER_SECOND, admissibility_report
+from .geometry import slope_field
 from .grids import BoundaryCondition, GridFunction
 from .norms import E0mu_norm, E1mu_norm, WeightedTrajectory, glue, smoothing_check
-from .operators import (DESK_EIG_CAP, SolverError, derivative, derivative_values,
-                        eigendecompose, reference_operator)
-from .problems import ProblemSpecError, spectrum_positivity_check
+from .operators import (DESK_EIG_CAP, SolverError, derivative_values, eigendecompose,
+                        reference_operator, unit_sigma)
+from .problems import ProblemSpecError
 from .symbols import default_lambda_grid, ellipticity_scan, ls_scan
 
 EXIT_OK = 0
@@ -49,12 +50,16 @@ _ORDER_NAME = {n: name for name, n in ORDER_INT.items()}
 
 # defaults of the late-time cluster report, for `omega` and a run's diagnostics
 OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
+# defaults of the boundary root scan, for `symbol` and a run's symbol report
+SYMBOL_B_RANGE, SYMBOL_LAMBDA_POINTS = (1e-6, 1e6, 13), 12
+# the most (b, lambda) points of a scan, COUNT * (1 + 9 * lambda_points)
+MAX_SCAN_POINTS = 10 ** 6
 
 
 _NONCONVERGENCE = (NonconvergenceError, SolverError, StateConstraintError)
 # the errors every command reports as an exit code, never as a traceback
 _FAILURES = (cfgmod.ConfigError, ckpt.CheckpointError, ProblemSpecError, OSError,
-             *_NONCONVERGENCE)
+             MemoryError, *_NONCONVERGENCE)
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -142,34 +147,23 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- symbol
 
-def _gradient_samples(field: GridFunction, bc: BoundaryCondition) -> np.ndarray:
-    grid = field.grid
-    grads = []
-    for axis in range(grid.dim):
-        sig = [0] * grid.dim
-        sig[axis] = 1
-        grads.append(derivative(field, tuple(sig), bc).scalar)
-    return np.stack(grads, axis=-1).reshape(-1, grid.dim)
-
-
 def _symbol_report(cfg: dict, spec, field: GridFunction | None, b_range, n_lambda) -> dict:
     """The symbol report of the configured problem, whose spec is ``spec``;
-    a flow is scanned at the gradients of ``field``, by default the
-    configured initial field."""
+    a flow is scanned at the gradients of ``field``, a scalar height, by
+    default the configured initial field.  A second-order problem reports the
+    positivity check that its spec passed when it was built."""
     family = cfg["problem"]["family"]
     out: dict = {"family": family}
     if cfgmod.FAMILY_ORDER[family] == "second":
-        rep = spectrum_positivity_check(spec.a, spec.u_box)
-        out["spectrum"] = rep.as_dict()
-        out["ok"] = rep.ok
+        out["spectrum"] = spec.positivity.as_dict()
+        out["ok"] = spec.positivity.ok
         return out
     if field is None:
         field = cfgmod.build_initial(cfg, spec.grid, 1)
-    samples = _gradient_samples(field, BoundaryCondition.CLAMPED)
-    erep = ellipticity_scan(samples)
-    lo, hi, count = b_range
-    bs = np.geomspace(lo, hi, int(count))
-    lrep = ls_scan(bs, default_lambda_grid(modulus_max=1e6, n_moduli=n_lambda))
+    _require(field.ncomp == 1, f"a flow is scanned at a scalar height field, "
+                               f"got one of {field.ncomp} components")
+    erep = ellipticity_scan(slope_field(field.values, field.grid).reshape(-1, field.grid.dim))
+    lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(modulus_max=1e6, n_moduli=n_lambda))
     out["ellipticity"] = erep.as_dict()
     out["lopatinskii_shapiro"] = lrep.as_dict()
     out["ok"] = bool(erep.min_ratio > 0.0 and lrep.min_normalized > 0.0)
@@ -184,6 +178,10 @@ def cmd_symbol(args) -> int:
              f"got {lo!r}:{hi!r}:{count}")
     _require(args.lambda_points >= 1,
              f"--lambda-points must be >= 1, got {args.lambda_points}")
+    points = count * (1 + 9 * args.lambda_points)
+    _require(points <= MAX_SCAN_POINTS,
+             f"--b-range COUNT {count} with --lambda-points {args.lambda_points} makes "
+             f"{points} scan points, more than {MAX_SCAN_POINTS}")
     cfg = cfgmod.load_run_config(args.config)
     field = ckpt.load_trajectory(args.field)[0].states[-1] if args.field else None
     _problem, spec = cfgmod.build_problem(cfg, cfgmod.build_grid(cfg))
@@ -207,9 +205,7 @@ def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int
     spatial = tuple(range(1, grid.dim + 1))
     energy = 0.0
     for axis in range(grid.dim):
-        sig = [0] * grid.dim
-        sig[axis] = 1
-        du = derivative_values(vals, grid, tuple(sig), bc)
+        du = derivative_values(vals, grid, unit_sigma(axis, grid.dim), bc)
         energy = energy + 0.5 * np.sum(w[..., None] * du * du, axis=spatial + (-1,))
     columns = [
         traj.times,
@@ -354,7 +350,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
 
     srep = None
     if diag.get("symbol_scan"):
-        srep = _symbol_report(cfg, spec, u_init, (1e-6, 1e6, 13), 12)
+        srep = _symbol_report(cfg, spec, u_init, SYMBOL_B_RANGE, SYMBOL_LAMBDA_POINTS)
         _emit_json(srep, out_dir / "symbol.json")
 
     base_meta = {
@@ -471,7 +467,8 @@ def cmd_norms(args) -> int:
     _require(0.0 < mu <= 1.0, f"--mu must lie in (0, 1], got {mu!r}")
     _require(1.0 < p < math.inf, f"--p must lie in (1, inf), got {p!r}")
     _require(1.0 <= q < math.inf, f"--q must lie in [1, inf), got {q!r}")
-    _require(args.intervals >= 1, f"--intervals must be >= 1, got {args.intervals}")
+    _require(1 <= args.intervals <= cfgmod.MAX_NORM_INTERVALS,
+             f"--intervals must lie in [1, {cfgmod.MAX_NORM_INTERVALS}], got {args.intervals}")
     _require(0.0 < delta <= T, f"--delta must lie in (0, {T!r}], the saved horizon; "
                                f"got {delta!r}")
     if (mu, p) != (traj.mu, traj.p):
@@ -497,7 +494,9 @@ def cmd_norms(args) -> int:
 def cmd_omega(args) -> int:
     traj, order, _bc = _load_saved(args.checkpoint)
     T = traj.horizon
-    _require(args.count >= 2, f"--count must be >= 2, got {args.count}")
+    # omega's distance matrix is dense
+    _require(2 <= args.count <= DESK_EIG_CAP,
+             f"--count must lie in [2, {DESK_EIG_CAP}], got {args.count}")
     _require(0.0 < args.fraction <= 1.0, f"--fraction must lie in (0, 1], got {args.fraction!r}")
     _require(0.0 < args.threshold < math.inf,
              f"--threshold must lie in (0, inf), got {args.threshold!r}")
@@ -509,7 +508,8 @@ def cmd_omega(args) -> int:
         except ValueError:
             raise cfgmod.ConfigError(f"--times must be comma separated numbers, "
                                      f"got {args.times!r}") from None
-        _require(len(sample_times) >= 2, "--times needs at least two sample times")
+        _require(2 <= len(sample_times) <= DESK_EIG_CAP,
+                 f"--times needs 2 to {DESK_EIG_CAP} sample times, got {len(sample_times)}")
         for t in sample_times:
             _require(0.0 <= t <= T, f"--times {t!r} lies outside the saved range [0, {T!r}]")
     else:
@@ -662,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbol", help="principal symbol and boundary root scan")
     p.add_argument("--config", required=True)
     p.add_argument("--field", default=None, help="trajectory checkpoint; final state is sampled")
-    p.add_argument("--b-range", type=_b_range, default=(1e-6, 1e6, 13),
+    p.add_argument("--b-range", type=_b_range, default=SYMBOL_B_RANGE,
                    help="LO:HI:COUNT geometric grid for the tangential parameter")
-    p.add_argument("--lambda-points", type=int, default=12)
+    p.add_argument("--lambda-points", type=int, default=SYMBOL_LAMBDA_POINTS)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_symbol)
 

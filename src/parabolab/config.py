@@ -56,6 +56,8 @@ FAMILY_BC = {
 # a horizon far beyond the window fails before anything is written instead
 # of gluing windows without end
 MAX_WINDOWS = 10_000
+# a run's diagnostics and `norms` measure at most this many intervals
+MAX_NORM_INTERVALS = 10_000
 
 
 def _schema() -> dict:
@@ -125,6 +127,13 @@ def validate_run_config(cfg: dict) -> None:
         raise ConfigError(f"diagnostics.smoothing_delta {delta!r} exceeds the horizon "
                           f"{horizon!r}")
     intervals = diag.get("norm_intervals")
+    n_intervals = len(intervals) if isinstance(intervals, list) else intervals or 0
+    if n_intervals > MAX_NORM_INTERVALS:
+        raise ConfigError(f"diagnostics.norm_intervals asks for {n_intervals} intervals, "
+                          f"more than {MAX_NORM_INTERVALS}")
+    if diag.get("omega_count", 0) > DESK_EIG_CAP:
+        raise ConfigError(f"diagnostics.omega_count {diag['omega_count']} exceeds the "
+                          f"{DESK_EIG_CAP} samples of the omega report")
     if isinstance(intervals, list):
         for lo, hi in intervals:
             if not 0.0 <= lo < hi <= horizon:

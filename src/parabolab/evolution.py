@@ -69,6 +69,7 @@ The bundled configs are 1D; the largest 2D case in ``perfbench/configs`` has
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -624,23 +625,20 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
             skipped += 1
     probes = [GridFunction(grid, m) for m in modes[:2]]
     tops = [x1_norm(v, 2.0, prob.order_int, prob.bc) for v in probes]
-    applied = [[prob.apply(w, v).values for w in samples] for v in probes]
-    f1 = [prob.F1(w).values for w in samples]
-    S = np.array([w.values for w in samples])
-    L_A = 0.0
-    L_F1 = 0.0
-    n_pairs = 0
-    for i in range(len(samples)):
-        dists = proxy_norms(S[i] - S[i + 1:], theta_low, proxy).tolist()
-        for j, d in enumerate(dists, start=i + 1):
-            if d <= 0.0:
-                skipped += 1
-                continue
-            n_pairs += 1
-            for Av, top in zip(applied, tops):
-                num = float(lq_norms(Av[i] - Av[j], grid))
-                L_A = max(L_A, num / (d * top))
-            L_F1 = max(L_F1, float(lq_norms(f1[i] - f1[j], grid)) / d)
+    lq = functools.partial(lq_norms, grid=grid)
+    # each hook once per perturbed state
+    dists = _pair_distances([w.values for w in samples],
+                            lambda diffs: proxy_norms(diffs, theta_low, proxy))
+    applied = [_pair_distances([prob.apply(w, v).values for w in samples], lq) for v in probes]
+    f1 = _pair_distances([prob.F1(w).values for w in samples], lq)
+    # the pairs i < j of distinct samples
+    apart = np.triu(dists > 0.0, 1)
+    n_pairs = int(np.sum(apart))
+    skipped += len(samples) * (len(samples) - 1) // 2 - n_pairs
+    d = dists[apart]
+    L_A = float(max(np.max(Av[apart] / (d * top), initial=0.0)
+                    for Av, top in zip(applied, tops)))
+    L_F1 = float(np.max(f1[apart] / d, initial=0.0))
     c_dep = 0.0
     if with_solutions and len(samples) >= 2:
         base = fixed_point_solve(u_center, prob, cfg)
@@ -656,6 +654,18 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
             c_dep = max(c_dep, dist / d)
     return LipschitzReport(L_A=L_A, L_F1=L_F1, c_dependence=c_dep,
                            n_pairs=n_pairs, skipped=skipped)
+
+
+def _pair_distances(fields, norms) -> np.ndarray:
+    """The symmetric matrix of ``norms(fields[i] - fields[j])``, one ``norms``
+    call per row on the stacked differences of fields (those of coefficients
+    move the bits; |a|^2 + |b|^2 - 2 a.b cancels on nearly equal fields)."""
+    stack = np.asarray(fields)
+    m = len(stack)
+    dist = np.zeros((m, m))
+    for i in range(m - 1):
+        dist[i, i + 1:] = dist[i + 1:, i] = norms(stack[i] - stack[i + 1:])
+    return dist
 
 
 @dataclass
@@ -691,11 +701,7 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
         theta = 1.0 - 1.0 / traj.p
     states = traj.states_at(sample_times)
     m = len(states)
-    dist = np.zeros((m, m))
-    for i in range(m):
-        # differences of states: those of their coefficients move the bits, and
-        # |a|^2 + |b|^2 - 2 a.b cancels on the nearly equal late states
-        dist[i, i + 1:] = dist[i + 1:, i] = proxy_norms(states[i] - states[i + 1:], theta, proxy)
+    dist = _pair_distances(states, lambda diffs: proxy_norms(diffs, theta, proxy))
     # single linkage: each sample takes the least label of its links' labels
     # until none changes, which labels every cluster by its first sample
     links = dist <= threshold

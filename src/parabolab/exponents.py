@@ -183,6 +183,8 @@ class DimensionalReport:
     compatibility_needed: bool
     dimensional_sum: Number
     dimensional_bound: Number
+    # the conditions that fail, as the admissibility report quotes them
+    violated: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -214,18 +216,21 @@ def check_dimensional(cfg: ExponentConfig) -> DimensionalReport:
         bound = Fraction(2)
         mu0 = 1 / p + n / (2 * q)
         compat = 2 * mu > 1 + 2 / p + 1 / q
+        conditions = ("2/p + n/q < 2", "mu > mu_0 = 1/p + n/2q")
     else:
         dim_sum = 4 / p + n / q
         bound = Fraction(3)
         mu0 = 1 / p + n / (4 * q) + Fraction(1, 4)
         compat = True
-    admissible = (dim_sum < bound) and (mu > mu0)
+        conditions = ("4/p + n/q < 3", "mu > mu_0 = 1/p + n/4q + 1/4")
+    violated = tuple(c for c, ok in zip(conditions, (dim_sum < bound, mu > mu0)) if not ok)
     return DimensionalReport(
-        admissible=admissible,
+        admissible=not violated,
         mu0=mu0,
         compatibility_needed=compat,
         dimensional_sum=dim_sum,
         dimensional_bound=bound,
+        violated=violated,
     )
 
 
@@ -264,16 +269,6 @@ def check_F2_exponents(cfg: ExponentConfig, se: StructureExponents) -> F2Report:
         ratios.append((rho * (beta - m) + beta_j - m) / denom)
     per_pair = tuple(r < 1 for r in ratios)
     return F2Report(ratios=tuple(ratios), per_pair=per_pair, all_pass=all(per_pair))
-
-
-def simple_restriction(rho, beta, cfg: ExponentConfig) -> bool:
-    """Single-pair shortcut: (1+rho)*(beta - (mu-1/p)) < 1 - (mu-1/p)."""
-    rho = as_number(rho)
-    beta = as_number(beta)
-    m = cfg.trace_exponent
-    if not beta > m:
-        raise ValueError(f"beta must exceed mu - 1/p = {m}, got {beta}")
-    return (1 + rho) * (beta - m) < 1 - m
 
 
 @dataclass(frozen=True)
@@ -350,17 +345,7 @@ def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = No
         "dimensional": dim.as_dict(),
         "beta_window": window.as_dict(),
     }
-    violated = []
-    if not dim.dimensional_sum < dim.dimensional_bound:
-        if cfg.order == ORDER_SECOND:
-            violated.append("2/p + n/q < 2")
-        else:
-            violated.append("4/p + n/q < 3")
-    if not cfg.mu > dim.mu0:
-        if cfg.order == ORDER_SECOND:
-            violated.append("mu > mu_0 = 1/p + n/2q")
-        else:
-            violated.append("mu > mu_0 = 1/p + n/4q + 1/4")
+    violated = list(dim.violated)
     if se is not None:
         f2 = check_F2_exponents(cfg, se)
         out["beta"] = float(se.beta)
@@ -369,5 +354,5 @@ def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = No
         if not f2.all_pass:
             violated.append("rho_j*(beta - mu + 1/p) + beta_j - mu + 1/p < 1 - mu + 1/p")
     out["violated"] = violated
-    out["admissible"] = dim.admissible and not violated
+    out["admissible"] = not violated
     return out

@@ -53,7 +53,7 @@ from operator import add
 import numpy as np
 
 from .grids import BoundaryCondition, Grid, GridFunction
-from .operators import derivative_values
+from .operators import derivative_values, unit_sigma
 
 _BC = BoundaryCondition.CLAMPED
 
@@ -68,9 +68,7 @@ def _sum(terms) -> np.ndarray:
 
 def _pass(field: np.ndarray, grid: Grid, axis: int, order: int, bc) -> np.ndarray:
     """One stencil pass, d_axis^order of ``field``."""
-    sig = [0] * grid.dim
-    sig[axis] = order
-    return derivative_values(field[..., None], grid, tuple(sig), bc)[..., 0]
+    return derivative_values(field[..., None], grid, unit_sigma(axis, grid.dim, order), bc)[..., 0]
 
 
 def _grad(field: np.ndarray, grid: Grid, bc) -> list:
@@ -160,6 +158,12 @@ def willmore_values(values: np.ndarray, grid: Grid,
     """dh/dt = (1/beta) (-Lap_Gamma H + H (H^2/2 - tr L^2)) on nodal values
     (..., *grid.shape, 1)."""
     return _flow_values(values, grid, bc, willmore=True)
+
+
+def slope_field(values: np.ndarray, grid: Grid, bc: BoundaryCondition = _BC) -> np.ndarray:
+    """grad h of nodal heights (..., *grid.shape, 1), stacked as
+    (..., *grid.shape, dim), one stencil pass per axis."""
+    return np.stack(_grad(values[..., 0], grid, bc), axis=-1)
 
 
 def _normal(g: list, beta: np.ndarray) -> np.ndarray:

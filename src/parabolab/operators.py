@@ -74,6 +74,11 @@ def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> 
     return out
 
 
+def unit_sigma(axis: int, dim: int, order: int = 1) -> tuple:
+    """The multi-index of d_axis^order in ``dim`` dimensions."""
+    return tuple(order if i == axis else 0 for i in range(dim))
+
+
 def derivative_values(values: np.ndarray, grid: Grid, sigma,
                       bc: BoundaryCondition) -> np.ndarray:
     """D^sigma of nodal values of shape ``(..., *grid.shape, ncomp)``, with

@@ -37,7 +37,8 @@ import numpy as np
 from . import geometry
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import (LinearOperator, assemble_coefficient_operator, derivative,
-                        derivative_values, neumann_laplacian, operator_from_full_matrix)
+                        derivative_values, neumann_laplacian, operator_from_full_matrix,
+                        unit_sigma)
 from .evolution import AbstractProblem, StateConstraintError
 
 import scipy.sparse
@@ -189,6 +190,8 @@ class ReactionDiffusionSpec:
     u_box: np.ndarray
     margin: float = 0.0
     name: str = "reaction-diffusion"
+    # the check of a(u) on u_box that the spec passed when it was built
+    positivity: PositivityReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_box", np.asarray(self.u_box, dtype=float))
@@ -201,6 +204,7 @@ class ReactionDiffusionSpec:
         if self.u_box.shape != (N, 2) or np.any(self.u_box[:, 0] >= self.u_box[:, 1]):
             raise ProblemSpecError("u_box must be (ncomp, 2) with lo < hi")
         rep = spectrum_positivity_check(self.a, self.u_box)
+        object.__setattr__(self, "positivity", rep)
         if not rep.ok:
             raise ProblemSpecError(
                 f"a(u) loses positivity on the state box: min Re eigenvalue "
@@ -218,12 +222,6 @@ def linear_heat_spec(grid: Grid) -> ReactionDiffusionSpec:
         u_box=np.array([[-1e6, 1e6]]),
         name="heat",
     )
-
-
-def _unit_sigma(axis: int, dim: int, order: int = 1) -> tuple:
-    sig = [0] * dim
-    sig[axis] = order
-    return tuple(sig)
 
 
 # Stacked right-hand sides are evaluated this many grid nodes at a time
@@ -266,14 +264,14 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     def diffusion(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         lap = np.zeros_like(u)
         for axis in range(grid.dim):
-            lap += derivative_values(u, grid, _unit_sigma(axis, grid.dim, 2), bc)
+            lap += derivative_values(u, grid, unit_sigma(axis, grid.dim, 2), bc)
         return np.einsum("...ij,...j->...i", spec.a(v), lap)
 
     def gradient_term(v: np.ndarray) -> np.ndarray:
         bv = spec.b(v)
         out = np.zeros_like(v)
         for axis in range(grid.dim):
-            dv = derivative_values(v, grid, _unit_sigma(axis, grid.dim), bc)
+            dv = derivative_values(v, grid, unit_sigma(axis, grid.dim), bc)
             out += np.einsum("...iab,...a,...b->...i", bv, dv, dv)
         return out
 
@@ -361,20 +359,12 @@ class FlowSpec:
 
 def _fourth_order_coeffs(grid: Grid, h: GridFunction) -> dict:
     """Per-multi-index nodal coefficients of A(h) from the rank-4 tensor."""
-    g = np.stack(
-        [derivative(h, _unit_sigma(i, grid.dim), BoundaryCondition.CLAMPED).scalar
-         for i in range(grid.dim)],
-        axis=-1,
-    )
-    a4 = geometry.leading_coefficient(g)
+    a4 = geometry.leading_coefficient(geometry.slope_field(h.values, grid))
     coeffs: dict = {}
     for idx in product(range(grid.dim), repeat=4):
-        sigma = tuple(sum(1 for i in idx if i == ax) for ax in range(grid.dim))
+        sigma = tuple(idx.count(ax) for ax in range(grid.dim))
         c = a4[(Ellipsis,) + idx]
-        if sigma in coeffs:
-            coeffs[sigma] = coeffs[sigma] + c
-        else:
-            coeffs[sigma] = c.copy()
+        coeffs[sigma] = coeffs[sigma] + c if sigma in coeffs else c.copy()
     return coeffs
 
 

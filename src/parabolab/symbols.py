@@ -127,10 +127,54 @@ class LSReport:
         }
 
 
-def _quartic_residual(z: complex, b: float, lam: complex) -> float:
-    num = abs(z ** 4 - 2.0 * b * z ** 2 + (b * b + lam))
-    scale = abs(z) ** 4 + 2.0 * b * abs(z) ** 2 + abs(b * b + lam)
-    return num / max(scale, 1e-300)
+_cmath_sqrt = np.frompyfunc(cmath.sqrt, 1, 1)
+
+
+def _sqrt(z: np.ndarray) -> np.ndarray:
+    """cmath.sqrt elementwise; np.sqrt can differ from it in the last bit."""
+    return _cmath_sqrt(z).astype(complex)
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """abs of Python's complex numbers; np.abs can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _quartic_residuals(z: np.ndarray, b: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """|z^4 - 2 b z^2 + (b^2 + lambda)| / (|z|^4 + 2 b |z|^2 + |b^2 + lambda|),
+    rounded as Python's complex numbers round it: the products, which numpy's
+    complex multiply rounds differently, in real parts, the powers of |z| by pow."""
+    zr, zi = z.real, z.imag
+    z2r, z2i = zr * zr - zi * zi, zr * zi + zi * zr
+    z4r, z4i = z2r * z2r - z2i * z2i, z2r * z2i + z2i * z2r
+    c = b * b + lam
+    num = np.hypot(z4r - 2.0 * b * z2r + c.real, z4i - 2.0 * b * z2i + c.imag)
+    mod = _abs(z)
+    scale = np.float_power(mod, 4) + 2.0 * b * np.float_power(mod, 2) + _abs(c)
+    return num / np.maximum(scale, 1e-300)
+
+
+def _boundary_roots(b: np.ndarray, lam: np.ndarray) -> tuple:
+    """The stable roots z1, z2, the confluent mask, |det| and the quartic
+    residuals of z1 and z2 at each point of the broadcast arrays ``b``
+    (float) and ``lam`` (complex), as the module docstring derives them."""
+    b, lam = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(lam, dtype=complex))
+    if np.any(bad := ~(b > 0.0)):
+        raise ValueError(f"b must be positive, got {b[bad][0]}")
+    if np.any(bad := lam.real < 0.0):
+        raise ValueError(f"Re lambda must be >= 0, got {lam[bad][0]}")
+    # at lambda = 0, of either sign, s is a zero and both roots are -sqrt(b)
+    s = _sqrt(-lam)
+    z1, z2 = -_sqrt(b + s), -_sqrt(b - s)
+    if np.any(bad := (z1.real >= 0.0) | (z2.real >= 0.0)):
+        raise ArithmeticError(f"stable-root selection failed at b={b[bad][0]}, "
+                              f"lambda={lam[bad][0]}: roots {z1[bad][0]}, {z2[bad][0]}")
+    confluent = lam == 0
+    det = np.where(confluent, 1.0, _abs(z2 - z1))
+    # past b ~ 1e154 the quartic overflows: raise, as Python's complex powers do
+    with np.errstate(over="raise", invalid="raise"):
+        residuals = (_quartic_residuals(z1, b, lam), _quartic_residuals(z2, b, lam))
+    return z1, z2, confluent, det, residuals
 
 
 def ls_roots(b: float, lam: complex) -> LSReport:
@@ -140,43 +184,11 @@ def ls_roots(b: float, lam: complex) -> LSReport:
     imaginary axis there, since z purely imaginary forces lambda real
     negative); at lambda = 0 the stable root -sqrt(b) is double.
     """
-    b = float(b)
-    lam = complex(lam)
-    if b <= 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    if lam.real < 0.0:
-        raise ValueError(f"Re lambda must be >= 0, got {lam}")
-    if lam == 0:
-        z = -cmath.sqrt(b)
-        roots = (z, z)
-        confluent = True
-    else:
-        s = cmath.sqrt(-lam)
-        roots = (-cmath.sqrt(b + s), -cmath.sqrt(b - s))
-        confluent = False
-        for z in roots:
-            if z.real >= 0.0:
-                raise ArithmeticError(
-                    f"stable-root selection failed at b={b}, lambda={lam}: root {z}"
-                )
-    residuals = tuple(_quartic_residual(z, b, lam) for z in roots)
-    report = LSReport(b=b, lam=lam, roots_neg=roots, confluent=confluent,
-                      det_abs=0.0, residuals=residuals)
-    return LSReport(b=b, lam=lam, roots_neg=roots, confluent=confluent,
-                    det_abs=ls_determinant(report), residuals=residuals)
-
-
-def ls_determinant(report: LSReport) -> float:
-    """|det| of the boundary-value matrix for the stable solution basis.
-
-    Distinct roots: basis {e^{z1 x}, e^{z2 x}}, matrix [[1, 1], [z1, z2]],
-    |det| = |z2 - z1|.  Confluent: basis {e^{z1 x}, x e^{z1 x}}, matrix
-    [[1, 0], [z1, 1]], det = 1.
-    """
-    if report.confluent:
-        return 1.0
-    z1, z2 = report.roots_neg
-    return abs(z2 - z1)
+    b, lam = float(b), complex(lam)
+    z1, z2, confluent, det, (r1, r2) = _boundary_roots(np.array([b]), np.array([lam]))
+    return LSReport(b=b, lam=lam, roots_neg=(complex(z1[0]), complex(z2[0])),
+                    confluent=bool(confluent[0]), det_abs=float(det[0]),
+                    residuals=(float(r1[0]), float(r2[0])))
 
 
 @dataclass(frozen=True)
@@ -202,35 +214,23 @@ def default_lambda_grid(modulus_min: float = 1e-3, modulus_max: float = 1e6,
     """Log-spaced moduli x phases in [-pi/2, pi/2], plus lambda = 0."""
     moduli = np.geomspace(modulus_min, modulus_max, n_moduli)
     phases = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_phases)
-    grid = [0j]
-    for r in moduli:
-        for ph in phases:
-            grid.append(complex(r * np.cos(ph), r * np.sin(ph)))
-    return grid
+    return [0j] + [complex(r * np.cos(ph), r * np.sin(ph)) for r in moduli for ph in phases]
 
 
 def ls_scan(b_values, lambda_values) -> LSScanReport:
-    """Minimum of |det| / (|z1| + |z2|) over the (b, lambda) grid.
+    """Minimum of |det| / (|z1| + |z2|) over the (b, lambda) grid, b major.
 
     The normalization makes values comparable across b scales; a positive
-    minimum is the numerical Lopatinskii-Shapiro verdict.
+    minimum is the numerical Lopatinskii-Shapiro verdict.  The first of
+    equal minima is reported.
     """
-    b_values = list(b_values)
-    lambda_values = list(lambda_values)
-    if not b_values or not lambda_values:
+    bs = np.asarray(b_values, dtype=float)
+    lams = np.asarray(lambda_values, dtype=complex)
+    if not bs.size or not lams.size:
         raise ValueError("empty scan grid")
-    best = None
-    max_res = 0.0
-    n = 0
-    for b in b_values:
-        for lam in lambda_values:
-            rep = ls_roots(b, lam)
-            n += 1
-            max_res = max(max_res, max(rep.residuals))
-            denom = sum(abs(z) for z in rep.roots_neg)
-            val = rep.det_abs / denom
-            if best is None or val < best[0]:
-                best = (val, b, lam)
-    return LSScanReport(min_normalized=float(best[0]), argmin_b=float(best[1]),
-                        argmin_lambda=complex(best[2]), n_evaluated=n,
-                        max_residual=float(max_res))
+    z1, z2, _confluent, det, residuals = _boundary_roots(bs[:, None], lams[None, :])
+    vals = det / (_abs(z1) + _abs(z2))
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    return LSScanReport(min_normalized=float(vals[i, j]), argmin_b=float(bs[i]),
+                        argmin_lambda=complex(lams[j]), n_evaluated=vals.size,
+                        max_residual=float(np.max(residuals)))

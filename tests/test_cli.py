@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parabolab
-from parabolab import cli, norms
+from parabolab import cli, evolution, norms, problems
 from parabolab.checkpoint import load_trajectory, save_trajectory
 from parabolab.cli import main
 from parabolab.evolution import NonconvergenceError, StateConstraintError
@@ -92,6 +92,17 @@ def long_heat_run(tmp_path_factory):
     out = root / "out"
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def two_component_checkpoint(tmp_path_factory):
+    """A saved two-component reaction-diffusion trajectory, which no flow can
+    be scanned at."""
+    path = tmp_path_factory.mktemp("coupled") / "trajectory.npz"
+    states = np.ones((2,) + Grid(1, 9).shape + (2,))
+    save_trajectory(path, WeightedTrajectory(np.array([0.0, 1.0]), states, states, 0.9, 2.0),
+                    {"order": "second", "bc": "neumann"})
+    return path
 
 
 # ---------------------------------------------------------------- check
@@ -462,6 +473,35 @@ def test_symbol_fourth_order_scan(tmp_path, long_heat_run, capsys):
                  "--b-range", "0.001:1000:5", "--lambda-points", "6"]) == 0
 
 
+def test_symbol_checks_positivity_once(capsys, monkeypatch):
+    # every positivity check samples the state box once, whichever module
+    # binds spectrum_positivity_check
+    calls = []
+    box_samples = problems._box_samples
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return box_samples(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "_box_samples", counted)
+    config = Path(__file__).resolve().parent.parent / "configs" / "reaction_diffusion.json"
+    assert main(["symbol", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["spectrum"]["ok"] is True
+    assert len(calls) == 1
+
+
+def test_symbol_field_of_several_components_exits_4(tmp_path, two_component_checkpoint,
+                                                     capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "willmore.json"
+    json_path = tmp_path / "s.json"
+    assert main(["symbol", "--config", str(config), "--field", str(two_component_checkpoint),
+                 "--json", str(json_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: a flow is scanned at a scalar height field, got one of 2 "
+                          "components") and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_over_mu_continues_past_failures(tmp_path, capsys):
@@ -577,6 +617,8 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     ("norms", "--mu", "1.5"),
     ("norms", "--p", "1"),
     ("norms", "--intervals", "-1"),
+    ("norms", "--intervals", "10001"),
+    ("norms", "--intervals", "1000000000"),
     ("norms", "--intervals", "0"),
     ("norms", "--q", "inf"),
     ("norms", "--q", "nan"),
@@ -595,6 +637,9 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     ("omega", "--times", "0.5,2.0"),      # the saved horizon is 1.0
     ("omega", "--times", "0.5"),
     ("omega", "--times", "0.5,x"),
+    ("omega", "--count", "4097"),
+    ("omega", "--count", "100000"),
+    pytest.param("omega", "--times", ",".join(["0.5"] * 4097), id="omega---times-4097-times"),
     ("symbol", "--b-range", "0:1:5"),
     ("symbol", "--b-range", "1:10:0"),
     ("symbol", "--b-range", "10:1:5"),
@@ -602,6 +647,7 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     ("symbol", "--b-range", "1:inf:5"),
     ("symbol", "--b-range", "1e-3:1e300:5"),  # the boundary quartic overflows
     ("symbol", "--lambda-points", "0"),
+    ("symbol", "--b-range", "1:10:1000000000"),  # beyond 10^6 scan points
 ])
 def test_out_of_range_options_exit_4(tmp_path, long_heat_run, capsys, command, option,
                                      value):
@@ -645,10 +691,12 @@ def test_malformed_command_line_exits_4(tmp_path, long_heat_run, capsys, argv):
 
 @pytest.mark.parametrize("exc,code", [
     (OSError("no space left on device"), 4),
+    (MemoryError("Unable to allocate 59.6 GiB"), 4),
     (NonconvergenceError("window collapsed", residuals=[0.5]), 3),
     (SolverError("zero pivot"), 3),
     (StateConstraintError("state outside the admissible region"), 3),
-], ids=["OSError", "NonconvergenceError", "SolverError", "StateConstraintError"])
+], ids=["OSError", "MemoryError", "NonconvergenceError", "SolverError",
+        "StateConstraintError"])
 def test_main_maps_each_failure_to_its_exit_code(monkeypatch, capsys, exc, code):
     def fail(_args):
         raise exc
@@ -657,6 +705,39 @@ def test_main_maps_each_failure_to_its_exit_code(monkeypatch, capsys, exc, code)
     assert main(["check", "--config", "unread.json"]) == code
     err = capsys.readouterr().err
     assert str(exc) in err and "Traceback" not in err, err
+
+
+def _out_of_memory(*_args):
+    raise MemoryError("Unable to allocate 59.6 GiB for an array with shape (2001, 4000000)")
+
+
+def test_run_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evolution, "step_factors", _out_of_memory)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", tiny_cfg()),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 59.6 GiB"), err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+def test_sweep_records_a_cell_out_of_memory_as_exit_4(tmp_path, capsys, monkeypatch):
+    factors = evolution.step_factors
+
+    def fail_on_33_nodes(A0, dts):
+        if A0.grid.n_nodes == 33:
+            _out_of_memory()
+        return factors(A0, dts)
+
+    monkeypatch.setattr(evolution, "step_factors", fail_on_33_nodes)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path / "cfg.json", tiny_cfg()),
+                 "--axes", write_cfg(tmp_path / "axes.json", {"grid.nodes": [33, 12]}),
+                 "--out", str(out)]) == 0
+    cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert [c["exit_code"] for c in cells] == [4, 0]
+    assert "cell 0: Unable to allocate 59.6 GiB" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -731,6 +812,13 @@ def test_run_rejects_smoothing_delta_beyond_the_horizon(tmp_path, capsys):
     ({"problem": _COUPLED_RD, "solver": {"window": 0.02, "time_steps": 8,
                                          "propagator": "spectral"}},
      "propagator 'spectral' needs one component, got problem.ncomp 2"),
+    # the size limits: the omega report's dense distance matrix, and the norm intervals
+    ({"diagnostics": {"omega_count": 4097}}, "diagnostics.omega_count 4097 exceeds the 4096"),
+    ({"diagnostics": {"omega_count": 100000}}, "diagnostics.omega_count 100000 exceeds"),
+    ({"diagnostics": {"norm_intervals": 10001}},
+     "diagnostics.norm_intervals asks for 10001 intervals, more than 10000"),
+    ({"diagnostics": {"norm_intervals": [[0.0, 0.01]] * 10001}},
+     "diagnostics.norm_intervals asks for 10001 intervals"),
 ])
 def test_run_rejects_a_config_it_cannot_run_or_measure(tmp_path, capsys, edit, message):
     cfg_path = write_cfg(tmp_path / "cfg.json", heat_cfg(**edit))
@@ -739,6 +827,21 @@ def test_run_rejects_a_config_it_cannot_run_or_measure(tmp_path, capsys, edit, m
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("options,points", [
+    # COUNT times 1 + 9 lambda points, 13 * 109 by default
+    (["--lambda-points", "1000000000"], 13 * 9_000_000_001),
+    (["--b-range", "1:10:1000", "--lambda-points", "112"], 1000 * 1009),
+])
+def test_symbol_scan_beyond_a_million_points_exits_4(tmp_path, capsys, options, points):
+    willmore = Path(__file__).resolve().parent.parent / "configs" / "willmore.json"
+    assert main(["symbol", "--config", str(willmore), *options,
+                 "--json", str(tmp_path / "s.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: --b-range COUNT ") and "Traceback" not in err, err
+    assert f"makes {points} scan points, more than 1000000" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_omega_beyond_the_eigendecomposition_cap_exits_4(tmp_path, capsys):
@@ -813,8 +916,11 @@ def test_version_flag(capsys):
 # nan, inf, huge, and malformed strings
 _EDGES = ["0", "-1", "nan", "inf", "-inf", "1e10", "1e-300", "2.5", "abc", ""]
 _TIMES_EDGES = ["0.5", "0.5,nan", "0.5,inf", "-1,0.5", "0.5,2", "a,b", "", "nan"]
+# an integer beyond every size limit: --count's 4096, --intervals' 10^4, and
+# the symbol scan's 10^6 points
+_HUGE = "1000000000"
 _B_RANGE_EDGES = ["1e-3:1e300:9", "0:1:5", "nan:1:5", "1:inf:5", "10:1:5", "1:10:0",
-                  "1:10:x", "1:10", "nan", ""]
+                  "1:10:x", "1:10", "nan", "", f"1:10:{_HUGE}"]
 # (values in range, edges) per option.  --intervals scales the work linearly
 # and goes up to 10^3; omega's pairwise distances grow with the square of
 # --count, and the symbol scan with the product of its sizes, so those stop
@@ -822,14 +928,16 @@ _B_RANGE_EDGES = ["1e-3:1e300:9", "0:1:5", "nan:1:5", "1:inf:5", "10:1:5", "1:10
 _OPTIONS = {
     "norms": {"--mu": (["0.5", "0.95", "1"], _EDGES), "--p": (["1.5", "2", "4"], _EDGES),
               "--q": (["1", "2", "3.5"], _EDGES), "--delta": (["0.1", "0.5", "1"], _EDGES),
-              "--intervals": (["1", "3", "1000"], _EDGES)},
-    "omega": {"--count": (["2", "6", "64"], _EDGES), "--fraction": (["0.1", "0.5", "1"], _EDGES),
+              "--intervals": (["1", "3", "1000"], _EDGES + [_HUGE])},
+    "omega": {"--count": (["2", "6", "64"], _EDGES + [_HUGE]),
+              "--fraction": (["0.1", "0.5", "1"], _EDGES),
               "--threshold": (["1e-6", "1e-4", "10"], _EDGES),
               "--theta": (["0", "0.5", "1"], _EDGES),
               "--times": (["0.5,1", "0,0.25,0.5,0.75,1"], _TIMES_EDGES)},
     "symbol": {"--b-range": (["1e-3:1e3:9", "1e-300:1e150:64", "1:2:1"], _B_RANGE_EDGES),
-               "--lambda-points": (["1", "12", "64"], _EDGES),
-               "--field": (["CKPT"], ["missing.npz", ""])},
+               "--lambda-points": (["1", "12", "64"], _EDGES + [_HUGE]),
+               # a checkpoint of two components, which no flow can be scanned at
+               "--field": (["CKPT"], ["missing.npz", "", "CKPT2"])},
 }
 
 
@@ -849,7 +957,13 @@ def _reject_constant(name):
 @example(argv=["norms", "--q", "1e10"])
 @example(argv=["norms", "--q", "inf"])
 @example(argv=["symbol", "--b-range", "1e-3:1e300:9"])
-def test_option_edges_keep_the_exit_code_contract(long_heat_run, argv):
+@example(argv=["omega", "--count", _HUGE])
+@example(argv=["norms", "--intervals", _HUGE])
+@example(argv=["symbol", "--lambda-points", _HUGE])
+@example(argv=["symbol", "--b-range", f"1:10:{_HUGE}"])
+@example(argv=["symbol", "--field", "CKPT2"])
+def test_option_edges_keep_the_exit_code_contract(long_heat_run, two_component_checkpoint,
+                                                  argv):
     """Any option value exits 0, 2, 3 or 4 without a traceback; exit 4 writes
     nothing, and every file a command writes is strict JSON or CSV with
     finite numbers.  (A failed symbol check, exit 2, and a non-converged
@@ -858,7 +972,7 @@ def test_option_edges_keep_the_exit_code_contract(long_heat_run, argv):
     source = (["--config", str(Path(__file__).resolve().parent.parent / "configs"
                                / "willmore.json")]
               if argv[0] == "symbol" else ["--checkpoint", ckpt])
-    argv = [ckpt if a == "CKPT" else a for a in argv]
+    argv = [{"CKPT": ckpt, "CKPT2": str(two_component_checkpoint)}.get(a, a) for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         outputs = ["--json", str(out / "report.json")]
@@ -926,10 +1040,18 @@ _CONFIG_FIELDS = {
 }
 
 
+# values beyond a size limit: the omega report's 4096 samples, and 10^4 norm
+# intervals, as a count and as a list
+_LIMIT_EDGES = {
+    "diagnostics.omega_count": [100000],
+    "diagnostics.norm_intervals": [10 ** 9, [[0, 0.01]] * 10001],
+}
+
+
 def _edges(field):
     if field == "exponents.pairs":
         return _VALUE_EDGES + [[[1, v]] for v in _VALUE_EDGES]
-    return _VALUE_EDGES
+    return _VALUE_EDGES + _LIMIT_EDGES.get(field, [])
 
 
 def _edits():
@@ -970,6 +1092,8 @@ _DIAGNOSTICS_OVERFLOW = "gives a diagnostic norm beyond floating point"
 @example(command="run", edits=(("solver.grading", 1e308),))
 @example(command="run", edits=(("exponents.q", 1e308),))
 @example(command="run", edits=(("solver.horizon", 1e308),))
+@example(command="run", edits=(("diagnostics.omega_count", 100000),))
+@example(command="sweep", edits=(("diagnostics.norm_intervals", 10 ** 9),))
 def test_config_edges_keep_the_exit_code_contract(command, edits):
     """Any config value makes check, run and sweep exit 0, 2, 3 or 4 without
     a traceback, and every JSON file they write is strict JSON.  Exit 4

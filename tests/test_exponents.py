@@ -15,8 +15,7 @@ import pytest
 
 from parabolab.exponents import (BetaWindow, ExponentConfig, StructureExponents,
                                  admissibility_report, as_number, beta_window,
-                                 check_dimensional, check_F2_exponents,
-                                 kappa_exponent, simple_restriction)
+                                 check_dimensional, check_F2_exponents, kappa_exponent)
 
 
 def cfg2(mu="9/10", p=2, q=2, n=1):
@@ -93,6 +92,15 @@ def test_dimensional_failure():
     # second order with n/q too large: 2/p + n/q = 1 + 2 = 3 >= 2
     bad = ExponentConfig(p=2, q=2, n=4, mu="9/10", order="second")
     assert not check_dimensional(bad).admissible
+
+
+def test_dimensional_report_names_the_conditions_it_fails():
+    assert check_dimensional(cfg2()).violated == ()
+    assert check_dimensional(cfg2(mu="3/4")).violated == ("mu > mu_0 = 1/p + n/2q",)
+    # 4/p + n/q = 2 + 1/2 < 3 holds, mu = 7/8 = mu0 fails
+    assert check_dimensional(cfg4(mu="7/8")).violated == ("mu > mu_0 = 1/p + n/4q + 1/4",)
+    both = ExponentConfig(p=2, q=2, n=4, mu="9/10", order="second")
+    assert check_dimensional(both).violated == ("2/p + n/q < 2", "mu > mu_0 = 1/p + n/2q")
 
 
 def test_compatibility_threshold_second_order():
@@ -237,14 +245,6 @@ def test_pair_outside_beta_range_rejected():
 def test_negative_growth_exponent_rejected():
     with pytest.raises(ValueError):
         StructureExponents(beta="13/20", pairs=((-1, "1/2"),))
-
-
-def test_simple_restriction_matches_pair_formula():
-    cfg = cfg2()
-    m = cfg.trace_exponent
-    for rho, beta in ((1, F(13, 20)), (2, F(1, 2)), (3, F(41, 100))):
-        expected = (1 + rho) * (beta - m) < 1 - m
-        assert simple_restriction(rho, beta, cfg) == expected
 
 
 # ---------------------------------------------------------------- report

@@ -19,10 +19,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parabolab.symbols import (coarse_ellipticity_bound, default_lambda_grid,
-                               ellipticity_scan, ls_determinant, ls_roots,
-                               ls_scan, principal_symbol, sharp_ellipticity_bound)
+                               ellipticity_scan, ls_roots, ls_scan, principal_symbol,
+                               sharp_ellipticity_bound)
 
 
 # ---------------------------------------------------------------- interior
@@ -99,7 +101,6 @@ def test_ls_confluent_lambda_zero():
     assert rep.confluent
     assert rep.roots_neg[0] == rep.roots_neg[1] == -2.0
     assert rep.det_abs == 1.0
-    assert ls_determinant(rep) == 1.0
     # normalized value 1/(2 sqrt(b))
     scan = ls_scan([4.0], [0.0])
     assert scan.min_normalized == pytest.approx(0.25, rel=1e-14)
@@ -112,6 +113,9 @@ def test_ls_roots_validation():
         ls_roots(-1.0, 1.0)
     with pytest.raises(ValueError):
         ls_roots(1.0, complex(-0.1, 0.0))
+    # the quartic overflows
+    with pytest.raises(ArithmeticError):
+        ls_roots(1e200, 1.0)
 
 
 def test_ls_roots_property_two_stable_roots():
@@ -187,3 +191,68 @@ def test_root_pair_matches_numpy_quartic():
         assert len(stable) == 2
         for a, c in zip(got, stable):
             assert abs(a - c) < 1e-6 * max(1.0, abs(c))
+
+
+# ---------------------------------------------------------------- array kernel
+
+def _reference_residual(z: complex, b: float, lam: complex) -> float:
+    num = abs(z ** 4 - 2.0 * b * z ** 2 + (b * b + lam))
+    scale = abs(z) ** 4 + 2.0 * b * abs(z) ** 2 + abs(b * b + lam)
+    return num / max(scale, 1e-300)
+
+
+def _reference_roots(b: float, lam: complex) -> tuple:
+    """(roots, confluent, |det|, residuals) at one point, in Python's complex
+    arithmetic: the per-point reference of the array kernel."""
+    if lam == 0:
+        z = -cmath.sqrt(b)
+        roots, confluent, det = (z, z), True, 1.0
+    else:
+        s = cmath.sqrt(-lam)
+        roots, confluent = (-cmath.sqrt(b + s), -cmath.sqrt(b - s)), False
+        det = abs(roots[1] - roots[0])
+    return roots, confluent, det, tuple(_reference_residual(z, b, lam) for z in roots)
+
+
+def _reference_scan(bs, lams) -> dict:
+    best, max_res = None, 0.0
+    for b in bs:
+        for lam in lams:
+            roots, _confluent, det, residuals = _reference_roots(b, lam)
+            max_res = max(max_res, max(residuals))
+            val = det / sum(abs(z) for z in roots)
+            if best is None or val < best[0]:
+                best = (val, b, lam)
+    return {"min_normalized": best[0], "argmin_b": best[1],
+            "argmin_lambda": [best[2].real, best[2].imag],
+            "n_evaluated": len(bs) * len(lams), "max_residual": max_res}
+
+
+_B = st.floats(1e-300, 1e150)
+# Re lambda >= 0: zero of either sign, purely imaginary, and general
+_LAMBDA = st.one_of(
+    st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0)]),
+    st.floats(-1e300, 1e300).map(lambda r: complex(0.0, r)),
+    st.builds(complex, st.floats(0.0, 1e300), st.floats(-1e300, 1e300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=_B, lam=_LAMBDA)
+@example(b=3.17e91, lam=1.72j)
+@example(b=1e-300, lam=complex(0.0, -0.0))
+def test_ls_roots_equals_the_per_point_reference_bitwise(b, lam):
+    rep = ls_roots(b, lam)
+    roots, confluent, det, residuals = _reference_roots(b, lam)
+    # repr tells every float apart, the signed zeros of the roots included
+    assert repr(rep.roots_neg) == repr(roots)
+    assert rep.confluent is confluent
+    assert repr((rep.det_abs, rep.residuals)) == repr((det, residuals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bs=st.lists(_B, min_size=1, max_size=6),
+       lams=st.lists(_LAMBDA, min_size=1, max_size=6))
+@example(bs=[1.0, 1.0], lams=[1.0, 1.0])
+def test_ls_scan_equals_the_per_point_reference_bitwise(bs, lams):
+    assert repr(ls_scan(bs, lams).as_dict()) == repr(_reference_scan(bs, lams))
