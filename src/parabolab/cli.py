@@ -48,8 +48,6 @@ EXIT_IO = 4
 
 _ORDER_NAME = {n: name for name, n in ORDER_INT.items()}
 
-# defaults of the late-time cluster report, for `omega` and a run's diagnostics
-OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
 # defaults of the boundary root scan, for `symbol` and a run's symbol report
 SYMBOL_B_RANGE, SYMBOL_LAMBDA_POINTS = (1e-6, 1e6, 13), 12
 # the most (b, lambda) points of a scan, COUNT * (1 + 9 * lambda_points)
@@ -119,25 +117,27 @@ def _print_violations(report: dict) -> None:
         print(f"admissibility violated: {v}", file=sys.stderr)
 
 
-def _admissibility(cfg: dict, ec) -> dict:
-    """The admissibility report; a bad structure exponent is one more violation."""
-    try:
-        se = cfgmod.structure_exponents(cfg, ec)
-        return admissibility_report(ec, se)
-    except ValueError as exc:
-        report = admissibility_report(ec)
-        report["violated"] = report["violated"] + [str(exc)]
-        report["admissible"] = False
-        return report
+def _admissibility(exps: cfgmod.Exponents) -> dict:
+    """The admissibility report; structure exponents that cannot be formed
+    or checked are one more violation."""
+    violation = exps.violation
+    if exps.structure is not None:
+        try:
+            return admissibility_report(exps.config, exps.structure)
+        except ValueError as exc:
+            violation = str(exc)
+    report = admissibility_report(exps.config)
+    report["violated"] = report["violated"] + [violation]
+    report["admissible"] = False
+    return report
 
 
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
-    cfg = cfgmod.load_json(args.config)
-    if not cfgmod.is_flat_exponent_config(cfg):
-        cfgmod.validate_run_config(cfg)
-    report = _admissibility(cfg, cfgmod.exponent_config(cfg))
+    doc = cfgmod.load_json(args.config)
+    report = _admissibility(cfgmod.flat_exponents(doc) if cfgmod.is_flat_exponent_config(doc)
+                            else cfgmod.validate_run_config(doc).exponents)
     _emit_json(report, args.json)
     if not report["admissible"]:
         _print_violations(report)
@@ -147,21 +147,19 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- symbol
 
-def _symbol_report(cfg: dict, spec, field: GridFunction | None, b_range, n_lambda) -> dict:
+def _symbol_report(rc: cfgmod.RunConfig, spec, field: GridFunction | None, b_range,
+                   n_lambda) -> dict:
     """The symbol report of the configured problem, whose spec is ``spec``;
     a flow is scanned at the gradients of ``field``, a scalar height, by
     default the configured initial field.  A second-order problem reports the
     positivity check that its spec passed when it was built."""
-    family = cfg["problem"]["family"]
-    out: dict = {"family": family}
-    if cfgmod.FAMILY_ORDER[family] == "second":
+    out: dict = {"family": rc.family}
+    if rc.order == ORDER_SECOND:
         out["spectrum"] = spec.positivity.as_dict()
         out["ok"] = spec.positivity.ok
         return out
     if field is None:
-        field = cfgmod.build_initial(cfg, spec.grid, 1)
-    _require(field.ncomp == 1, f"a flow is scanned at a scalar height field, "
-                               f"got one of {field.ncomp} components")
+        field = cfgmod.build_initial(rc)
     erep = ellipticity_scan(slope_field(field.values, field.grid).reshape(-1, field.grid.dim))
     lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(modulus_max=1e6, n_moduli=n_lambda))
     out["ellipticity"] = erep.as_dict()
@@ -182,10 +180,20 @@ def cmd_symbol(args) -> int:
     _require(points <= MAX_SCAN_POINTS,
              f"--b-range COUNT {count} with --lambda-points {args.lambda_points} makes "
              f"{points} scan points, more than {MAX_SCAN_POINTS}")
-    cfg = cfgmod.load_run_config(args.config)
-    field = ckpt.load_trajectory(args.field)[0].states[-1] if args.field else None
-    _problem, spec = cfgmod.build_problem(cfg, cfgmod.build_grid(cfg))
-    report = _symbol_report(cfg, spec, field, args.b_range, args.lambda_points)
+    rc = cfgmod.load_run_config(args.config)
+    field = None
+    if args.field:
+        traj, order, bc = _load_saved(args.field)
+        field = traj.states[-1]
+        _require(rc.order == ORDER_SECOND or field.ncomp == 1, f"a flow is scanned at a "
+                 f"scalar height field, got one of {field.ncomp} components")
+        # the gradients of a field computed for another problem say nothing of this one
+        _require((order, bc, field.grid.dim) == (ORDER_INT[rc.order], rc.bc, rc.grid.dim),
+                 f"--field {args.field} holds a field of order {order}, {bc.value} boundary "
+                 f"conditions and dimension {field.grid.dim}, not one of the {rc.family} "
+                 f"config: order {ORDER_INT[rc.order]}, {rc.bc.value}, dimension {rc.grid.dim}")
+    _problem, spec = cfgmod.build_problem(rc)
+    report = _symbol_report(rc, spec, field, args.b_range, args.lambda_points)
     _emit_json(report, args.json)
     if not report["ok"]:
         print("symbol check failed: degenerate principal symbol or root collision",
@@ -280,21 +288,20 @@ def _omega(traj: WeightedTrajectory, order: int, sample_times, threshold: float,
     return omega_limit(traj, sample_times, eigendecompose(op), threshold=threshold, theta=theta)
 
 
-def _diagnostics_report(traj: WeightedTrajectory, diag: dict, order: int,
+def _diagnostics_report(traj: WeightedTrajectory, diag: cfgmod.Diagnostics, order: int,
                         bc: BoundaryCondition, q: float) -> dict:
     T = traj.horizon
-    rows = _interval_norms(traj, diag.get("norm_intervals", 4), q, order, bc)
+    rows = _interval_norms(traj, diag.norm_intervals, q, order, bc)
     out: dict = {"norm_intervals": [dict(zip(("t_lo", "t_hi", "E0mu", "E1mu"), row))
                                     for row in rows]}
     out["E1mu_total"] = E1mu_norm(traj, q=q, order=order, bc=bc)
-    smoothing = _smoothing(traj, diag.get("smoothing_delta", T / 2.0), q, order, bc)
+    delta = T / 2.0 if diag.smoothing_delta is None else diag.smoothing_delta
+    smoothing = _smoothing(traj, delta, q, order, bc)
     if smoothing is not None:
         out["smoothing"] = smoothing
-    if cfgmod.omega_requested(diag):
-        frac = diag.get("omega_fraction", OMEGA_FRACTION)
-        sample_times = np.linspace(T * (1.0 - frac), T, diag.get("omega_count", OMEGA_COUNT))
-        out["omega"] = _omega(traj, order, sample_times,
-                              diag.get("omega_threshold", OMEGA_THRESHOLD)).summary()
+    if diag.omega:
+        sample_times = np.linspace(T * (1.0 - diag.omega_fraction), T, diag.omega_count)
+        out["omega"] = _omega(traj, order, sample_times, diag.omega_threshold).summary()
     return out
 
 
@@ -303,24 +310,22 @@ _RUN_FILES = ("admissibility.json", "symbol.json", "trajectory.npz", "timeseries
               "diagnostics.json", "summary.json")
 
 
-def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
+def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = False,
                 resume: bool = False) -> tuple:
     """Full run pipeline; returns the exit code, and the summary and symbol
     report (None without ``diagnostics.symbol_scan``) that it wrote.
 
-    A config whose problem or initial field cannot be built raises before
-    anything is written.  A run with no window to resume from first removes
+    A problem or initial field that cannot be built raises before anything
+    is written.  A run with no window to resume from first removes
     what an earlier run left in ``out_dir``.  The artifacts are always written,
     except that a run whose first window collapses has no trajectory, time
     series or diagnostics to write.
     """
-    grid = cfgmod.build_grid(cfg)
-    ec = cfgmod.exponent_config(cfg, grid)
-    fp = cfgmod.build_solver(cfg, ec)
-    # a config error surfaces here, before anything is written
-    problem, spec = cfgmod.build_problem(cfg, grid)
-    u_init = cfgmod.build_initial(cfg, grid, problem.ncomp)
-    fingerprint = cfgmod.config_fingerprint(cfg)
+    fp = rc.solver
+    # a problem error surfaces here, before anything is written
+    problem, spec = cfgmod.build_problem(rc)
+    u_init = cfgmod.build_initial(rc)
+    fingerprint = cfgmod.config_fingerprint(rc.doc)
     # the windows of earlier invocations, each read once and glued before
     # anything is written
     loaded = [ckpt.load_trajectory(f) for f in _window_files(out_dir)] if resume else []
@@ -333,7 +338,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     if not loaded:
         for f in [*_window_files(out_dir), *map(out_dir.joinpath, _RUN_FILES)]:
             f.unlink(missing_ok=True)
-    adm = _admissibility(cfg, ec)
+    adm = _admissibility(rc.exponents)
     _emit_json(adm, out_dir / "admissibility.json")
     if not adm["admissible"] and not force:
         _print_violations(adm)
@@ -342,19 +347,17 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         _emit_json(summary, out_dir / "summary.json")
         return EXIT_ADMISSIBILITY, summary, None
 
-    horizon = cfgmod.horizon_of(cfg)
-    diag = cfg.get("diagnostics", {})
-    family = cfg["problem"]["family"]
+    horizon = rc.horizon
     bc = problem.bc
     order = problem.order_int
 
     srep = None
-    if diag.get("symbol_scan"):
-        srep = _symbol_report(cfg, spec, u_init, SYMBOL_B_RANGE, SYMBOL_LAMBDA_POINTS)
+    if rc.diagnostics.symbol_scan:
+        srep = _symbol_report(rc, spec, u_init, SYMBOL_B_RANGE, SYMBOL_LAMBDA_POINTS)
         _emit_json(srep, out_dir / "symbol.json")
 
     base_meta = {
-        "bc": bc.value, "family": family, "name": cfg.get("name", family),
+        "bc": bc.value, "family": rc.family, "name": rc.name,
         "order": problem.order, "seed": seed, "version": __version__,
     }
 
@@ -391,8 +394,8 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
         "status": status,
         "exit_code": EXIT_OK if status == "ok" else EXIT_NONCONVERGENCE,
         "reason": reason,
-        "name": cfg.get("name", family),
-        "family": family,
+        "name": rc.name,
+        "family": rc.family,
         "seed": seed,
         "horizon": horizon,
         "t_reached": t0,
@@ -409,7 +412,7 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
     if traj is not None:
         # an overflow shows up as a non-finite norm, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = _diagnostics_report(traj, diag, order, bc, fp.q)
+            diagnostics = _diagnostics_report(traj, rc.diagnostics, order, bc, fp.q)
         _require(_is_finite(diagnostics),
                  f"exponents.q {fp.q!r} with exponents.p {fp.p!r} and exponents.mu "
                  f"{fp.mu!r} gives a diagnostic norm beyond floating point")
@@ -437,12 +440,12 @@ def execute_run(cfg: dict, out_dir: Path, seed: int, force: bool = False,
 
 
 def cmd_run(args) -> int:
-    cfg = cfgmod.load_run_config(args.config)
-    out = args.out or cfg.get("output", {}).get("dir")
+    rc = cfgmod.load_run_config(args.config)
+    out = args.out or rc.output_dir
     if out is None:
         raise cfgmod.ConfigError("no output directory: pass --out or set output.dir")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return execute_run(cfg, Path(out), seed, force=args.force, resume=args.resume)[0]
+    seed = args.seed if args.seed is not None else rc.seed
+    return execute_run(rc, Path(out), seed, force=args.force, resume=args.resume)[0]
 
 
 # ---------------------------------------------------------------- norms
@@ -523,12 +526,13 @@ def cmd_omega(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _set_by_path(cfg: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    cur = cfg
-    for k in keys[:-1]:
-        cur = cur.setdefault(k, {})
-    cur[keys[-1]] = value
+def _set_by_path(doc: dict, dotted: str, value) -> None:
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc.setdefault(key, {})
+        if not isinstance(doc, dict):
+            raise cfgmod.ConfigError(f"{dotted} runs through {key}, which is not an object")
+    doc[last] = value
 
 
 # the columns a sweep reports for each cell, in the order of its CSV
@@ -561,7 +565,8 @@ def cmd_sweep(args) -> int:
     for key, vals in axes.items():
         if not isinstance(vals, list) or not vals:
             raise cfgmod.ConfigError(f"axis {key!r} must map to a nonempty list")
-    out_root = Path(args.out) if args.out else Path(template.get("output", {}).get("dir", "sweep"))
+    out_root = Path(args.out or ("sweep" if template.output_dir is None
+                                 else template.output_dir))
     out_root.mkdir(parents=True, exist_ok=True)
     keys = sorted(axes.keys())
     cells = list(itertools.product(*[axes[k] for k in keys]))
@@ -569,15 +574,14 @@ def cmd_sweep(args) -> int:
     cell_reports = []
     for idx, values in enumerate(cells):
         cell_dir = out_root / f"cell_{idx:04d}"
-        cfg = deepcopy(template)
-        for k, v in zip(keys, values):
-            _set_by_path(cfg, k, v)
-        cfg.setdefault("output", {})["dir"] = str(cell_dir)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         summary = srep = None
         try:
-            cfgmod.validate_run_config(cfg)
-            code, summary, srep = execute_run(cfg, cell_dir, seed, force=args.force)
+            doc = deepcopy(template.doc)
+            for k, v in zip([*keys, "output.dir"], [*values, str(cell_dir)]):
+                _set_by_path(doc, k, v)
+            rc = cfgmod.validate_run_config(doc)
+            seed = args.seed if args.seed is not None else rc.seed
+            code, summary, srep = execute_run(rc, cell_dir, seed, force=args.force)
         except _FAILURES as exc:
             print(f"cell {idx}: {exc}", file=sys.stderr)
             code = _exit_code(exc)
@@ -691,9 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="late-time cluster report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, default=OMEGA_COUNT)
-    p.add_argument("--fraction", type=float, default=OMEGA_FRACTION)
-    p.add_argument("--threshold", type=float, default=OMEGA_THRESHOLD)
+    p.add_argument("--count", type=int, default=cfgmod.OMEGA_COUNT)
+    p.add_argument("--fraction", type=float, default=cfgmod.OMEGA_FRACTION)
+    p.add_argument("--threshold", type=float, default=cfgmod.OMEGA_THRESHOLD)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--times", default=None, help="comma separated absolute sample times")
     p.add_argument("--json", default=None)

@@ -1,37 +1,38 @@
-"""Configuration ingestion: JSON loading, schema validation, object building.
+"""Configuration ingestion: one parse from a JSON run document to a ``RunConfig``.
 
-Two layouts are understood:
+``validate_run_config(doc)`` checks every key, JSON type and range that
+``schema/run_config.schema.json`` documents (an error reads ``config invalid
+at <path>: ...``), then what a schema cannot say: the cross-field and size
+limits, the exponents, the solver section, the coefficient tables against
+``problem.ncomp`` and the initial field against the grid.  The frozen
+``RunConfig`` it returns, defaults filled in, is all that a run, ``check``,
+``symbol`` or sweep cell reads; ``build_problem`` and ``build_initial`` raise
+no configuration error, only the ProblemSpecError of a problem that is not
+well posed.  The schema file is documentation; a test pins it to this parser.
 
-* the full run configuration (sections ``problem``, ``grid``, ``exponents``,
-  ``solver``, optional ``initial`` / ``diagnostics`` / ``output`` / ``seed``),
-  validated against the bundled JSON schema;
-
-* a flat exponent table (keys ``p``, ``q``, ``n``, ``mu``, ``order``, and
-  optionally ``beta``, ``pairs``, ``epsilon``) as accepted by the ``check``
-  subcommand.
-
-Exponent values may be numbers or exact fraction strings such as ``"9/10"``.
+``check`` also takes a flat exponent table (keys ``p``, ``q``, ``n``, ``mu``,
+optional ``order``, ``beta``, ``pairs``, ``epsilon``), which goes through the
+same exponent parser.  Exponent values may be numbers or exact fraction
+strings such as ``"9/10"``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-from importlib import resources
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
-import jsonschema
 
-from .evolution import AbstractProblem, FixedPointConfig
+from .evolution import FixedPointConfig
 from .exponents import (ExponentConfig, StructureExponents, ORDER_FOURTH,
                         ORDER_SECOND, as_number, beta_window)
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import DESK_EIG_CAP, active_flat_indices
-from .problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
-                       flow_problem, linear_heat_spec, rd_problem)
+from .problems import (FlowSpec, PolynomialMap, ProblemSpecError, ReactionDiffusionSpec,
+                       flow_problem, is_real, linear_heat_spec, rd_problem)
 
 
 class ConfigError(ValueError):
@@ -58,23 +59,8 @@ FAMILY_BC = {
 MAX_WINDOWS = 10_000
 # a run's diagnostics and `norms` measure at most this many intervals
 MAX_NORM_INTERVALS = 10_000
-
-
-def _schema() -> dict:
-    text = resources.files("parabolab").joinpath("schema/run_config.schema.json").read_text()
-    return json.loads(text)
-
-
-@functools.cache
-def _validator():
-    """The run-config validator, checked and compiled once per process.  Its
-    integers exclude floats such as 4.0 or 1e308, which numpy refuses as counts."""
-    schema = _schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    types = cls.TYPE_CHECKER.redefine(
-        "integer", lambda _checker, x: isinstance(x, int) and not isinstance(x, bool))
-    return jsonschema.validators.extend(cls, type_checker=types)(schema)
+# defaults of the late-time cluster report, for `omega` and a run's diagnostics
+OMEGA_COUNT, OMEGA_FRACTION, OMEGA_THRESHOLD = 8, 0.5, 1e-4
 
 
 def _finite(literal: str) -> float:
@@ -110,15 +96,273 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def validate_run_config(cfg: dict) -> None:
-    # the error that jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if exc is not None:
-        path = "/".join(str(k) for k in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-    diag = cfg.get("diagnostics", {})
-    horizon = horizon_of(cfg)
-    window = cfg["solver"]["window"]
+# ---------------------------------------------------------------- keys, types, ranges
+
+# the JSON types of the schema: a bool is neither an integer nor a number,
+# and an integer is never a float such as 4.0, which numpy refuses as a count
+_TYPES = {"integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+          "number": is_real, "string": lambda x: isinstance(x, str),
+          "boolean": lambda x: isinstance(x, bool), "array": lambda x: isinstance(x, list),
+          "object": lambda x: isinstance(x, dict)}
+
+
+def _invalid(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config invalid at {path or '<root>'}: {message}")
+
+
+def _json(*types, enum=None, ge=None, gt=None, le=None, items=None, size=None,
+          required=(), **keys):
+    """The check of a JSON value: of one of ``types``, one of ``enum``, inside
+    the bounds; an array of ``size`` values that pass ``items``; an object
+    with no key but ``keys``, whose values pass their checks, and every
+    ``required`` key."""
+    def check(value, path):
+        if types and not any(_TYPES[t](value) for t in types):
+            raise _invalid(path, f"{value!r} is not of type {' or '.join(types)}")
+        if enum is not None and value not in enum:
+            raise _invalid(path, f"{value!r} is not one of {list(enum)}")
+        for bound, fails, relation in ((ge, lambda b: value < b, ">="),
+                                       (gt, lambda b: value <= b, ">"),
+                                       (le, lambda b: value > b, "<=")):
+            if bound is not None and fails(bound):
+                raise _invalid(path, f"{value!r} is not {relation} {bound!r}")
+        if size is not None and len(value) != size:
+            raise _invalid(path, f"{value!r} does not hold {size} items")
+        for i, item in enumerate(value if items else ()):
+            items(item, f"{path}/{i}")
+        if "object" in types:
+            unknown = [k for k in value if k not in keys]
+            missing = [k for k in required if k not in value]
+            if unknown or missing:
+                raise _invalid(path, f"unknown key {unknown[0]!r}" if unknown
+                               else f"missing key {missing[0]!r}")
+            for key, item in value.items():
+                keys[key](item, f"{path}/{key}" if path else key)
+    return check
+
+
+def _one_or_many(one, many):
+    """The check of an array by ``many``, or of any other value by ``one``."""
+    return lambda value, path: (many if isinstance(value, list) else one)(value, path)
+
+
+def _pairs(item):
+    return _json("array", items=_json("array", items=item, size=2))
+
+
+_NUMBER, _EXACT = _json("number"), _json("number", "string")
+_FIELD = _json("object", required=("kind",), value=_json("number", "array"),
+               kind=_json(enum=("constant", "cosine", "sine_squared", "values")),
+               amplitude=_NUMBER, wavenumber=_json("integer", ge=1), offset=_NUMBER,
+               values=_json("array"))
+# every key of a run document, with its JSON type and range; the defaults
+# live in what the parse builds (RunConfig, Diagnostics, FixedPointConfig)
+_RUN_DOCUMENT = _json(
+    "object", required=("problem", "grid", "exponents", "solver"),
+    name=_json("string"), seed=_json("integer", ge=0),
+    problem=_json("object", required=("family",), family=_json(enum=tuple(FAMILY_ORDER)),
+                  ncomp=_json("integer", ge=1, le=8), a=_json(), f=_json(), b=_json(),
+                  u_box=_pairs(_NUMBER), margin=_json("number", ge=0)),
+    grid=_json("object", required=("dim", "nodes"), dim=_json("integer", enum=(1, 2)),
+               nodes=_json("integer", ge=8)),
+    exponents=_json("object", required=("p", "q", "mu"), p=_EXACT, q=_EXACT, mu=_EXACT,
+                    beta=_EXACT, epsilon=_EXACT, pairs=_pairs(_EXACT)),
+    solver=_json("object", required=("window", "time_steps"), window=_json("number", gt=0),
+                 time_steps=_json("integer", ge=2), horizon=_json("number", gt=0),
+                 max_iter=_json("integer", ge=1), tol=_json("number", gt=0),
+                 grading=_json("number", ge=1), propagator=_json(enum=("euler", "spectral")),
+                 max_halvings=_json("integer", ge=0), blowup_threshold=_json("number", gt=0)),
+    initial=_one_or_many(_FIELD, _json("array", items=_FIELD)),
+    diagnostics=_json("object", norm_intervals=_one_or_many(_json("integer", ge=1),
+                                                            _pairs(_NUMBER)),
+                      smoothing_delta=_json("number", gt=0), omega_count=_json("integer", ge=2),
+                      omega_fraction=_json("number", gt=0, le=1),
+                      omega_threshold=_json("number", gt=0), symbol_scan=_json("boolean")),
+    output=_json("object", dir=_json("string")),
+)
+
+
+# ---------------------------------------------------------------- the parsed config
+
+@dataclass(frozen=True)
+class Exponents:
+    """The exponent section.  ``structure`` is None when the structure
+    exponents cannot be formed, for the reason ``violation``."""
+
+    config: ExponentConfig
+    structure: Optional[StructureExponents]
+    violation: str = ""
+
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """What a run measures: ``norm_intervals`` equal parts, or a list of
+    ``[lo, hi]``; ``smoothing_delta`` None is half the horizon reached;
+    ``omega`` is whether the late-time cluster report is asked for."""
+
+    norm_intervals: Union[int, list] = 4
+    smoothing_delta: Optional[float] = None
+    omega: bool = False
+    omega_count: int = OMEGA_COUNT
+    omega_fraction: float = OMEGA_FRACTION
+    omega_threshold: float = OMEGA_THRESHOLD
+    symbol_scan: bool = False
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed run document, defaults filled in.  ``ncomp`` counts the
+    state's components (1 but for reaction_diffusion, whose spec arguments
+    ``a``/``f``/``b``/``u_box``/``margin`` are ``tables``).  ``doc`` is the
+    document, which the resume fingerprint hashes and a sweep edits."""
+
+    doc: dict = field(repr=False, compare=False)
+    name: str
+    seed: int
+    family: str
+    ncomp: int
+    tables: dict
+    grid: Grid
+    exponents: Exponents
+    solver: FixedPointConfig
+    horizon: float
+    initial: GridFunction = field(repr=False, compare=False)
+    diagnostics: Diagnostics
+    output_dir: Optional[str]
+
+    @property
+    def order(self) -> str:
+        return FAMILY_ORDER[self.family]
+
+    @property
+    def bc(self) -> BoundaryCondition:
+        return FAMILY_BC[self.family]
+
+
+def is_flat_exponent_config(doc) -> bool:
+    return isinstance(doc, dict) and "p" in doc and "mu" in doc and "problem" not in doc
+
+
+def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
+    """The exponents of ``sec`` (keys p, q, mu, optional beta, epsilon,
+    pairs) in dimension ``n`` at differential ``order``.  A value that does
+    not parse, or an ExponentConfig out of range, raises ConfigError; beta
+    defaults to the midpoint of the beta window."""
+    value = sec.get("pairs")
+    try:
+        values = [sec[key] for key in ("p", "q", "mu", "beta", "epsilon") if key in sec]
+        values += [x for rho, beta in sec.get("pairs", []) for x in (rho, beta)]
+        for value in values:
+            as_number(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"exponent value {value!r} is not a number, a fraction string "
+                          "or a list of [rho, beta] pairs of them") from None
+    try:
+        ec = ExponentConfig(p=as_number(sec["p"]), q=as_number(sec["q"]), n=n,
+                            mu=as_number(sec["mu"]), order=order)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad exponent section: {exc}") from exc
+    kw = {"epsilon": sec["epsilon"]} if "epsilon" in sec else {}
+    try:
+        beta = sec["beta"] if "beta" in sec else beta_window(ec, **kw).midpoint()
+        if "pairs" in sec:
+            return Exponents(ec, StructureExponents(beta=beta, pairs=sec["pairs"], **kw))
+        return Exponents(ec, StructureExponents.for_problem(ec, beta, **kw))
+    except ValueError as exc:
+        return Exponents(ec, None, str(exc))
+
+
+def flat_exponents(doc: dict) -> Exponents:
+    """The exponents of a flat exponent table, the layout of ``check``."""
+    if doc.get("n") is None:
+        raise ConfigError("exponent config needs 'n' (or a grid section)")
+    return _parse_exponents(doc, doc["n"], doc.get("order", ORDER_SECOND))
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """``value``, a number or a nested list of numbers of equal lengths, as a
+    float array."""
+    try:
+        arr = np.array(value, dtype=object)
+        if all(is_real(x) for x in arr.flat):
+            return arr.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} is not a number or a nested list of numbers of equal lengths")
+
+
+def _field_values(entry: dict, grid: Grid, where: str) -> np.ndarray:
+    kind, amp, k = entry["kind"], entry.get("amplitude", 1.0), entry.get("wavenumber", 1)
+    if kind == "constant":
+        value = entry.get("value", 0.0)
+        if not is_real(value):
+            raise ConfigError(f"{where}.value {value!r} is not a number")
+        return np.full(grid.shape, float(value))
+    if kind in ("cosine", "sine_squared"):
+        prof = np.ones(grid.shape)
+        for x in grid.coords():
+            prof = prof * (np.cos(k * np.pi * x) if kind == "cosine"
+                           else np.sin(k * np.pi * x) ** 2)
+        return entry.get("offset", 0.0) + amp * prof if kind == "cosine" else amp * prof
+    if "values" not in entry:
+        raise ConfigError(f"{where} of kind 'values' has no 'values'")
+    vals = _numbers(entry["values"], f"{where}.values")
+    if vals.shape != grid.shape:
+        raise ConfigError(f"values shape {vals.shape} does not match grid {grid.shape}")
+    return vals
+
+
+# an amplitude near the largest float overflows, and is rejected as not finite
+@np.errstate(over="ignore", invalid="ignore")
+def _initial(entry, grid: Grid, ncomp: int) -> GridFunction:
+    """The initial field of ``ncomp`` components on ``grid``, zero without
+    an ``initial`` section."""
+    if entry is None:
+        values = np.zeros(grid.shape + (ncomp,))
+    elif isinstance(entry, list):
+        if len(entry) != ncomp:
+            raise ConfigError(f"{len(entry)} initial fields for {ncomp} components")
+        values = np.stack([_field_values(e, grid, f"initial[{i}]")
+                           for i, e in enumerate(entry)], axis=-1)
+    elif entry["kind"] == "constant" and isinstance(entry.get("value"), list):
+        vals = _numbers(entry["value"], "initial.value")
+        if vals.shape != (ncomp,):
+            raise ConfigError(f"initial.value {entry['value']!r} does not hold one number "
+                              f"for each of {ncomp} components")
+        values = np.stack([np.full(grid.shape, v) for v in vals], axis=-1)
+    else:
+        values = np.repeat(_field_values(entry, grid, "initial")[..., None], ncomp, axis=-1)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("the initial field is not finite")
+    values.flags.writeable = False
+    return GridFunction(grid, values)
+
+
+def _tables(sec: dict) -> dict:
+    """The spec arguments of a reaction_diffusion problem section, f and b
+    zero when not given."""
+    N = sec.get("ncomp", 1)
+    if "a" not in sec or "u_box" not in sec:
+        raise ConfigError("reaction_diffusion needs 'a' and 'u_box'")
+    tables = {"u_box": tuple(map(tuple, sec["u_box"])), "margin": sec.get("margin", 0.0)}
+    for key, shape in (("a", (N, N)), ("f", (N,)), ("b", (N, N, N))):
+        try:
+            tables[key] = (PolynomialMap.constant(np.zeros(shape)) if sec.get(key) is None
+                           else PolynomialMap.from_table(sec[key], shape, N))
+        except ProblemSpecError as exc:
+            raise ConfigError(f"problem.{key}: {exc}") from None
+    return tables
+
+
+def validate_run_config(doc: dict) -> RunConfig:
+    """The one parse of a run document into a RunConfig; any fault of the
+    document raises ConfigError (see the module docstring)."""
+    _RUN_DOCUMENT(doc, "")
+    solver = doc["solver"]
+    diag = doc.get("diagnostics", {})
+    family = doc["problem"]["family"]
+    window = solver["window"]
+    horizon = float(solver.get("horizon", window))
     if horizon / window > MAX_WINDOWS:
         raise ConfigError(f"solver.horizon {horizon!r} spans more than {MAX_WINDOWS} windows "
                           f"of solver.window {window!r}")
@@ -139,187 +383,69 @@ def validate_run_config(cfg: dict) -> None:
             if not 0.0 <= lo < hi <= horizon:
                 raise ConfigError(f"diagnostics.norm_intervals [{lo!r}, {hi!r}] needs "
                                   f"0 <= lo < hi <= the horizon {horizon!r}")
-    spectral = cfg["solver"].get("propagator") == "spectral"
-    ncomp = cfg["problem"].get("ncomp", 1)
+    spectral = solver.get("propagator") == "spectral"
+    ncomp = doc["problem"].get("ncomp", 1)
     if spectral and ncomp > 1:
         raise ConfigError(f"propagator 'spectral' needs one component, got problem.ncomp {ncomp}")
+    grid = Grid(dim=doc["grid"]["dim"], nodes_per_axis=doc["grid"]["nodes"])
+    omega = "omega_count" in diag or "omega_fraction" in diag
     # the spectral stepper and the omega report diagonalize a dense operator
-    if spectral or omega_requested(diag):
-        n = len(active_flat_indices(build_grid(cfg), 1, FAMILY_BC[cfg["problem"]["family"]]))
+    if spectral or omega:
+        n = len(active_flat_indices(grid, 1, FAMILY_BC[family]))
         if n > DESK_EIG_CAP:
             raise ConfigError(f"{n} unknowns exceed the dense eigendecomposition cap "
                               f"{DESK_EIG_CAP} of propagator 'spectral' and the omega report")
-
-
-def omega_requested(diag: dict) -> bool:
-    """Whether a run's diagnostics include the late-time cluster report."""
-    return "omega_count" in diag or "omega_fraction" in diag
-
-
-def load_run_config(path) -> dict:
-    cfg = load_json(path)
-    validate_run_config(cfg)
-    return cfg
-
-
-def is_flat_exponent_config(cfg: dict) -> bool:
-    return "p" in cfg and "mu" in cfg and "problem" not in cfg
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["grid"]
-    return Grid(dim=g["dim"], nodes_per_axis=g["nodes"])
-
-
-def _check_exponent_values(sec: dict) -> None:
-    """ConfigError for an exponent value that is not a number or a fraction string."""
-    value = sec.get("pairs")
+    exponents = _parse_exponents(doc["exponents"], grid.dim, FAMILY_ORDER[family])
+    ec = exponents.config
     try:
-        values = [sec[key] for key in ("p", "q", "mu", "beta", "epsilon") if key in sec]
-        values += [x for rho, beta in sec.get("pairs", []) for x in (rho, beta)]
-        for value in values:
-            as_number(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ConfigError(f"exponent value {value!r} is not a number, a fraction string "
-                          "or a list of [rho, beta] pairs of them") from None
+        fp = FixedPointConfig(mu=float(ec.mu), p=float(ec.p), q=float(ec.q),
+                              **{k: v for k, v in solver.items() if k != "horizon"})
+    except ValueError as exc:
+        raise ConfigError(f"bad solver section: {exc}") from exc
+    rd = family == "reaction_diffusion"
+    return RunConfig(
+        doc=doc, name=doc.get("name", family), seed=doc.get("seed", 0), family=family,
+        ncomp=ncomp if rd else 1, tables=_tables(doc["problem"]) if rd else {}, grid=grid,
+        exponents=exponents, solver=fp, horizon=horizon,
+        initial=_initial(doc.get("initial"), grid, ncomp if rd else 1),
+        diagnostics=Diagnostics(**diag, omega=omega), output_dir=doc.get("output", {}).get("dir"))
 
 
-def exponent_config(cfg: dict, grid: Optional[Grid] = None) -> ExponentConfig:
-    """ExponentConfig from either layout; n and order fall back to grid/problem.
-    Any exponent value of the section that does not parse raises ConfigError."""
-    if is_flat_exponent_config(cfg):
-        sec = cfg
-        n = sec.get("n")
-        order = sec.get("order", ORDER_SECOND)
-    else:
-        sec = cfg["exponents"]
-        n = (grid or build_grid(cfg)).dim
-        order = FAMILY_ORDER[cfg["problem"]["family"]]
-    if n is None:
-        raise ConfigError("exponent config needs 'n' (or a grid section)")
-    _check_exponent_values(sec)
-    try:
-        return ExponentConfig(p=as_number(sec["p"]), q=as_number(sec["q"]),
-                              n=n, mu=as_number(sec["mu"]), order=order)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad exponent section: {exc}") from exc
+def load_run_config(path) -> RunConfig:
+    return validate_run_config(load_json(path))
 
 
-def structure_exponents(cfg: dict, ec: ExponentConfig) -> StructureExponents:
-    """Structure exponents with the configured beta, or the window midpoint."""
-    sec = cfg if is_flat_exponent_config(cfg) else cfg["exponents"]
-    kw = {"epsilon": sec["epsilon"]} if "epsilon" in sec else {}
-    beta = sec["beta"] if "beta" in sec else beta_window(ec, **kw).midpoint()
-    if "pairs" in sec:
-        return StructureExponents(beta=beta, pairs=sec["pairs"], **kw)
-    return StructureExponents.for_problem(ec, beta, **kw)
+# ---------------------------------------------------------------- building
 
-
-def _polymap(entry, shape, nvars, default=None) -> PolynomialMap:
-    if entry is None:
-        if default is None:
-            raise ConfigError(f"missing coefficient table of shape {shape}")
-        return PolynomialMap.constant(default)
-    return PolynomialMap.from_table(entry, shape, nvars)
-
-
-def build_problem(cfg: dict, grid: Grid):
+def build_problem(rc: RunConfig):
     """Returns (AbstractProblem, spec object) for the configured family."""
-    sec = cfg["problem"]
-    family = sec["family"]
-    if family == "heat":
-        spec = linear_heat_spec(grid)
+    if rc.family == "heat":
+        spec = linear_heat_spec(rc.grid)
         return rd_problem(spec), spec
-    if family == "reaction_diffusion":
-        N = sec.get("ncomp", 1)
-        if "a" not in sec or "u_box" not in sec:
-            raise ConfigError("reaction_diffusion needs 'a' and 'u_box'")
-        spec = ReactionDiffusionSpec(
-            grid=grid, ncomp=N,
-            a=_polymap(sec["a"], (N, N), N),
-            f=_polymap(sec.get("f"), (N,), N, default=np.zeros(N)),
-            b=_polymap(sec.get("b"), (N, N, N), N, default=np.zeros((N, N, N))),
-            u_box=np.asarray(sec["u_box"], dtype=float),
-            margin=sec.get("margin", 0.0),
-            name=cfg.get("name", family),
-        )
+    if rc.family == "reaction_diffusion":
+        spec = ReactionDiffusionSpec(grid=rc.grid, ncomp=rc.ncomp, name=rc.name, **rc.tables)
         return rd_problem(spec), spec
-    spec = FlowSpec(grid=grid, kind=family, name=cfg.get("name", ""))
+    spec = FlowSpec(grid=rc.grid, kind=rc.family, name=rc.name)
     return flow_problem(spec), spec
 
 
-def _field_values(entry: dict, grid: Grid) -> np.ndarray:
-    kind = entry["kind"]
-    xs = grid.coords()
-    if kind == "constant":
-        return np.full(grid.shape, float(entry.get("value", 0.0)))
-    if kind == "cosine":
-        amp = entry.get("amplitude", 1.0)
-        k = entry.get("wavenumber", 1)
-        off = entry.get("offset", 0.0)
-        prof = np.ones(grid.shape)
-        for x in xs:
-            prof = prof * np.cos(k * np.pi * x)
-        return off + amp * prof
-    if kind == "sine_squared":
-        amp = entry.get("amplitude", 1.0)
-        k = entry.get("wavenumber", 1)
-        prof = np.ones(grid.shape)
-        for x in xs:
-            prof = prof * np.sin(k * np.pi * x) ** 2
-        return amp * prof
-    if kind == "values":
-        vals = np.asarray(entry["values"], dtype=float)
-        if vals.shape != grid.shape:
-            raise ConfigError(f"values shape {vals.shape} does not match grid {grid.shape}")
-        return vals
-    raise ConfigError(f"unknown initial field kind {kind!r}")
-
-
-def build_initial(cfg: dict, grid: Grid, ncomp: int) -> GridFunction:
-    """The configured initial field; for a family with clamped boundary
-    conditions it must vanish on the boundary, where they pin the state."""
-    entry = cfg.get("initial")
-    if entry is None:
-        return GridFunction.zeros(grid, ncomp)
-    if isinstance(entry, list):
-        if len(entry) != ncomp:
-            raise ConfigError(f"{len(entry)} initial fields for {ncomp} components")
-        values = np.stack([_field_values(e, grid) for e in entry], axis=-1)
-    elif entry["kind"] == "constant" and isinstance(entry.get("value"), list):
-        vals = [np.full(grid.shape, float(v)) for v in entry["value"]]
-        if len(vals) != ncomp:
-            raise ConfigError(f"{len(vals)} constant values for {ncomp} components")
-        values = np.stack(vals, axis=-1)
-    else:
-        values = np.repeat(_field_values(entry, grid)[..., None], ncomp, axis=-1)
-    family = cfg.get("problem", {}).get("family")
-    if FAMILY_BC.get(family) == BoundaryCondition.CLAMPED:
+def build_initial(rc: RunConfig) -> GridFunction:
+    """The configured initial field.  For a family with clamped boundary
+    conditions it must vanish on the boundary, where they pin the state;
+    one that does not raises ProblemSpecError."""
+    values = rc.initial.values
+    if rc.bc == BoundaryCondition.CLAMPED:
         # the tolerance of the window joints in ``continue_solution``
-        edge = float(np.max(np.abs(values[~grid.interior_mask()])))
+        edge = float(np.max(np.abs(values[~rc.grid.interior_mask()])))
         if edge > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
-            raise ConfigError(f"initial field reaches {edge:.3e} on the boundary, where the "
-                              f"clamped {family} problem needs it to vanish")
-    return GridFunction(grid, values)
+            raise ProblemSpecError(f"initial field reaches {edge:.3e} on the boundary, where "
+                                   f"the clamped {rc.family} problem needs it to vanish")
+    return rc.initial
 
 
-def build_solver(cfg: dict, ec: ExponentConfig) -> FixedPointConfig:
-    sec = dict(cfg["solver"])
-    sec.pop("horizon", None)
-    try:
-        return FixedPointConfig(mu=float(ec.mu), p=float(ec.p), q=float(ec.q), **sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver section: {exc}") from exc
-
-
-def config_fingerprint(cfg: dict) -> str:
+def config_fingerprint(doc: dict) -> str:
     """sha256 of the canonical config JSON without ``solver.horizon`` and
     ``output``, the two sections a resumed run may change."""
-    solver = {k: v for k, v in cfg["solver"].items() if k != "horizon"}
-    body = {k: v for k, v in cfg.items() if k != "output"} | {"solver": solver}
+    solver = {k: v for k, v in doc["solver"].items() if k != "horizon"}
+    body = {k: v for k, v in doc.items() if k != "output"} | {"solver": solver}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
-
-
-def horizon_of(cfg: dict) -> float:
-    sec = cfg["solver"]
-    return float(sec.get("horizon", sec["window"]))

@@ -48,6 +48,15 @@ class ProblemSpecError(ValueError):
     """Raised when a problem specification violates its structural rules."""
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_power(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+
+
 @dataclass(frozen=True)
 class PolynomialMap:
     """Polynomial map R^nvars -> R^shape given by a flat term list.
@@ -103,27 +112,32 @@ class PolynomialMap:
 
         Leaves may be a number (constant), a list of numbers (univariate
         series, only when nvars == 1), or {"terms": [{"powers": [...],
-        "coeff": c}, ...]}.
+        "coeff": c}, ...]} with nonnegative integer powers.  Any other leaf
+        raises ProblemSpecError.
         """
         shape = tuple(shape)
         terms = []
 
         def leaf(entry, idx):
-            if isinstance(entry, (int, float)):
-                if entry != 0:
-                    terms.append((idx, (0,) * nvars, float(entry)))
-            elif isinstance(entry, dict):
+            if isinstance(entry, dict) and set(entry) == {"terms"} \
+                    and isinstance(entry["terms"], list):
                 for t in entry["terms"]:
-                    powers = tuple(int(k) for k in t["powers"])
-                    if len(powers) != nvars:
-                        raise ProblemSpecError(f"powers {powers} do not match nvars {nvars}")
-                    terms.append((idx, powers, float(t["coeff"])))
-            elif isinstance(entry, list):
+                    if not (isinstance(t, dict) and set(t) == {"powers", "coeff"}
+                            and is_real(t["coeff"]) and isinstance(t["powers"], list)
+                            and all(_is_power(k) for k in t["powers"])):
+                        raise ProblemSpecError(f"cannot interpret coefficient term {t!r}")
+                    if len(t["powers"]) != nvars:
+                        raise ProblemSpecError(f"powers {t['powers']} do not match nvars {nvars}")
+                    terms.append((idx, tuple(t["powers"]), float(t["coeff"])))
+            elif isinstance(entry, list) and all(is_real(c) for c in entry):
                 if nvars != 1:
                     raise ProblemSpecError("series leaves need nvars == 1")
                 for k, c in enumerate(entry):
                     if c != 0:
                         terms.append((idx, (k,), float(c)))
+            elif is_real(entry):
+                if entry != 0:
+                    terms.append((idx, (0,) * nvars, float(entry)))
             else:
                 raise ProblemSpecError(f"cannot interpret coefficient leaf {entry!r}")
 

@@ -30,6 +30,7 @@ import parabolab
 from parabolab import cli, evolution, norms, problems
 from parabolab.checkpoint import load_trajectory, save_trajectory
 from parabolab.cli import main
+from parabolab.config import Diagnostics
 from parabolab.evolution import NonconvergenceError, StateConstraintError
 from parabolab.grids import BoundaryCondition, Grid
 from parabolab.norms import E0mu_norm, WeightedTrajectory
@@ -102,6 +103,18 @@ def two_component_checkpoint(tmp_path_factory):
     states = np.ones((2,) + Grid(1, 9).shape + (2,))
     save_trajectory(path, WeightedTrajectory(np.array([0.0, 1.0]), states, states, 0.9, 2.0),
                     {"order": "second", "bc": "neumann"})
+    return path
+
+
+@pytest.fixture(scope="module")
+def willmore_checkpoint(tmp_path_factory):
+    """A saved clamped fourth-order 1D height field, as a willmore config's
+    symbol scan can use, on fewer nodes than the config's grid."""
+    path = tmp_path_factory.mktemp("willmore") / "trajectory.npz"
+    x = Grid(1, 17).axis_coords()
+    states = np.stack([0.001 * np.sin(np.pi * x) ** 2] * 2)[..., None]
+    save_trajectory(path, WeightedTrajectory(np.array([0.0, 1.0]), states, 0.0 * states,
+                                             0.95, 2.0), {"order": "fourth", "bc": "clamped"})
     return path
 
 
@@ -455,7 +468,7 @@ def test_symbol_second_order_spectrum(tmp_path, capsys):
     assert rep["spectrum"]["min_real_part"] == pytest.approx(1.0)
 
 
-def test_symbol_fourth_order_scan(tmp_path, long_heat_run, capsys):
+def test_symbol_fourth_order_scan(tmp_path, long_heat_run, willmore_checkpoint, capsys):
     cfg = heat_cfg(problem={"family": "willmore"},
                    exponents={"p": 2, "q": 2, "mu": "19/20"},
                    initial={"kind": "sine_squared", "amplitude": 0.001})
@@ -467,10 +480,17 @@ def test_symbol_fourth_order_scan(tmp_path, long_heat_run, capsys):
     assert rep["ellipticity"]["min_ratio"] > 0.99   # nearly flat graph
     assert rep["lopatinskii_shapiro"]["min_normalized"] > 0.0
     assert rep["lopatinskii_shapiro"]["max_residual"] < 1e-9
-    # a saved trajectory can supply the gradient samples
+    # a saved trajectory of a clamped fourth-order problem can supply the
+    # gradient samples
+    assert main(["symbol", "--config", cfg_path, "--field", str(willmore_checkpoint),
+                 "--b-range", "0.001:1000:5", "--lambda-points", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # the 1D Neumann heat trajectory was computed for another problem
     assert main(["symbol", "--config", cfg_path, "--field",
                  str(long_heat_run / "trajectory.npz"),
-                 "--b-range", "0.001:1000:5", "--lambda-points", "6"]) == 0
+                 "--b-range", "0.001:1000:5", "--lambda-points", "6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: --field ") and "order 2, neumann" in err, err
 
 
 def test_symbol_checks_positivity_once(capsys, monkeypatch):
@@ -762,7 +782,7 @@ def test_diagnostics_measure_each_trajectory_once(monkeypatch):
         return x1_norms(values, grid, q, order, bc)
 
     monkeypatch.setattr(norms, "x1_norms", counted)
-    diag = {"norm_intervals": 4, "smoothing_delta": 0.8}
+    diag = Diagnostics(norm_intervals=4, smoothing_delta=0.8)
     report = cli._diagnostics_report(traj, diag, 4, BoundaryCondition.CLAMPED, 4.0)
     assert len(report["norm_intervals"]) == 4 and "smoothing" in report
     assert passes == [(4.0, 4, BoundaryCondition.CLAMPED)]
@@ -936,8 +956,9 @@ _OPTIONS = {
               "--times": (["0.5,1", "0,0.25,0.5,0.75,1"], _TIMES_EDGES)},
     "symbol": {"--b-range": (["1e-3:1e3:9", "1e-300:1e150:64", "1:2:1"], _B_RANGE_EDGES),
                "--lambda-points": (["1", "12", "64"], _EDGES + [_HUGE]),
-               # a checkpoint of two components, which no flow can be scanned at
-               "--field": (["CKPT"], ["missing.npz", "", "CKPT2"])},
+               # a checkpoint of two components, which no flow can be scanned at, and
+               # one of the heat problem
+               "--field": (["FIELD"], ["missing.npz", "", "CKPT2", "CKPT"])},
 }
 
 
@@ -962,8 +983,10 @@ def _reject_constant(name):
 @example(argv=["symbol", "--lambda-points", _HUGE])
 @example(argv=["symbol", "--b-range", f"1:10:{_HUGE}"])
 @example(argv=["symbol", "--field", "CKPT2"])
+@example(argv=["symbol", "--field", "CKPT"])
+@example(argv=["symbol", "--field", "FIELD"])
 def test_option_edges_keep_the_exit_code_contract(long_heat_run, two_component_checkpoint,
-                                                  argv):
+                                                  willmore_checkpoint, argv):
     """Any option value exits 0, 2, 3 or 4 without a traceback; exit 4 writes
     nothing, and every file a command writes is strict JSON or CSV with
     finite numbers.  (A failed symbol check, exit 2, and a non-converged
@@ -972,7 +995,8 @@ def test_option_edges_keep_the_exit_code_contract(long_heat_run, two_component_c
     source = (["--config", str(Path(__file__).resolve().parent.parent / "configs"
                                / "willmore.json")]
               if argv[0] == "symbol" else ["--checkpoint", ckpt])
-    argv = [{"CKPT": ckpt, "CKPT2": str(two_component_checkpoint)}.get(a, a) for a in argv]
+    argv = [{"CKPT": ckpt, "CKPT2": str(two_component_checkpoint),
+             "FIELD": str(willmore_checkpoint)}.get(a, a) for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         outputs = ["--json", str(out / "report.json")]
@@ -1147,6 +1171,28 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
             assert not (out / "cell_0001" / "diagnostics.json").exists()
 
 
+# initial fields and coefficient tables that pass the schema but do not parse
+_RD = {"family": "reaction_diffusion", "a": [[1.0]], "u_box": [[-2.0, 2.0]]}
+_MALFORMED = [
+    ("initial", {"kind": "values", "values": [[1.0] * 6, [1.0] * 5]}),    # ragged
+    ("initial", {"kind": "values", "values": ["a"] * 12}),
+    ("initial", {"kind": "values", "values": [[1.0] * 12]}),              # shape (1, 12)
+    ("initial", {"kind": "values"}),
+    ("initial", {"kind": "constant", "value": [[1.0]]}),
+    ("initial", {"kind": "constant", "value": ["a"]}),
+    ("initial", [{"kind": "constant", "value": [1.0]}]),
+    ("initial", {"kind": "cosine", "amplitude": 1e308, "offset": 1e308}),  # overflows
+    ("problem", dict(_RD, a=[[{"x": 1}]])),
+    ("problem", dict(_RD, a=[[{"terms": 5}]])),
+    ("problem", dict(_RD, a=[[{"terms": [{"powers": [0]}]}]])),            # no coeff
+    ("problem", dict(_RD, a=[[{"terms": [{"powers": ["a"], "coeff": 1.0}]}]])),
+    ("problem", dict(_RD, a=[[{"terms": [{"powers": [1.5], "coeff": 1.0}]}]])),
+    ("problem", dict(_RD, f=[[0.0, [1.0]]])),
+    ("problem", dict(_RD, f=[[0.0, None]])),
+    ("problem", dict(_RD, f=[[[[1.0]]]])),
+]
+
+
 @pytest.mark.parametrize("command,path,value", [
     *[("run", path, value) for path, value in [
         ("solver.grading", math.inf), ("initial.amplitude", math.nan),
@@ -1163,8 +1209,11 @@ def test_config_edges_keep_the_exit_code_contract(command, edits):
         ("problem", {"family": "willmore"})]],
     *[pytest.param("run", path, 10 ** 400, id=f"run-{path}-10**400")
       for path in ("solver.horizon", "grid.nodes")],
+    *[(command, path, value) for command in ("run", "symbol", "sweep")
+      for path, value in _MALFORMED],
 ])
-def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path, value):
+def test_config_values_that_do_not_parse_exit_4(tmp_path, tmp_path_factory, capsys, command,
+                                                path, value):
     cfg = tiny_cfg()
     if command == "check-flat":
         cfg = {**cfg["exponents"], "n": 1, path: value}
@@ -1172,13 +1221,29 @@ def test_config_values_that_do_not_parse_exit_4(tmp_path, capsys, command, path,
         _set_path(cfg, path, value)
     cfg_path = write_cfg(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
-    argv = (["run", "--config", cfg_path, "--out", str(out)] if command == "run"
-            else ["check", "--config", cfg_path, "--json", str(out)])
+    axes = write_cfg(tmp_path_factory.mktemp("axes") / "axes.json", {"seed": [0, 1]})
+    argv = {"run": ["run", "--config", cfg_path, "--out", str(out)],
+            "symbol": ["symbol", "--config", cfg_path, "--json", str(out)],
+            "sweep": ["sweep", "--config", cfg_path, "--axes", axes, "--out", str(out)],
+            }.get(command, ["check", "--config", cfg_path, "--json", str(out)])
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert "np.float64" not in err, err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("path,value", _MALFORMED)
+def test_sweep_records_a_cell_that_does_not_parse_as_exit_4(tmp_path, capsys, path, value):
+    cfg_path = write_cfg(tmp_path / "tmpl.json", tiny_cfg())
+    axes_path = write_cfg(tmp_path / "axes.json", {path: [tiny_cfg()[path], value]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--axes", axes_path, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "cell 1: " in err and "Traceback" not in err, err
+    cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert [c["exit_code"] for c in cells] == [0, 4]
+    assert not (out / "cell_0001").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

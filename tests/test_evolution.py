@@ -313,6 +313,37 @@ def test_spectral_stepper_exact_exponential():
                            rtol=1e-11, atol=1e-13)
 
 
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.integers(9, 33), diffusivity=st.floats(0.5, 2.0),
+       window=st.sampled_from([0.005, 0.01, 0.02]), grading=st.sampled_from([1.0, 2.5]),
+       amps=st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=1, max_size=3))
+def test_euler_and_spectral_propagators_agree_to_first_order(nodes, diffusivity, window,
+                                                             grading, amps):
+    """On a symmetric heat problem the implicit Euler and the exact spectral
+    propagator differ by O(dt): at most lambda * dt_max * max|amplitude| for
+    the largest eigenvalue lambda of the data, and half as much when the
+    steps double."""
+    grid = Grid(1, nodes)
+    prob = rd_problem(ReactionDiffusionSpec(
+        grid=grid, ncomp=1, a=PolynomialMap.constant(np.array([[diffusivity]])),
+        f=PolynomialMap.constant(np.zeros(1)), b=PolynomialMap.constant(np.zeros((1, 1, 1))),
+        u_box=np.array([[-1e6, 1e6]])))
+    x = grid.axis_coords()
+    u0 = GridFunction.from_scalar(grid, sum(a * np.cos((k + 1) * np.pi * x)
+                                            for k, a in enumerate(amps)))
+    diffs = []
+    for steps in (32, 64, 128):
+        euler, spectral = (reference_solution(u0, prob, FixedPointConfig(
+            window=window, time_steps=steps, mu=MU, p=P, grading=grading,
+            propagator=propagator)).state_values for propagator in ("euler", "spectral"))
+        diffs.append(float(np.max(np.abs(euler - spectral))))
+    lam = diffusivity * (len(amps) * np.pi) ** 2
+    # the graded grid's longest step is at most grading * window / steps
+    assert diffs[0] <= lam * grading * window / 32 * max(map(abs, amps))
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert 1.8 <= coarse / fine <= 2.2, diffs
+
+
 # ---------------------------------------------------------------- picard
 
 def _rough_data_derivative_errors(grading):

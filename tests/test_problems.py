@@ -85,6 +85,28 @@ def test_polynomial_map_from_table():
         PolynomialMap.from_table([[1.0, 2.0]], shape=(1,), nvars=2)  # series needs nvars 1
 
 
+@pytest.mark.parametrize("table,shape,nvars", [
+    ([{"x": 1}], (1,), 1),
+    ([{"terms": 5}], (1,), 1),
+    ([{"terms": [5]}], (1,), 1),
+    ([{"terms": [{"powers": [1]}]}], (1,), 1),                       # no coeff
+    ([{"terms": [{"powers": ["a"], "coeff": 1.0}]}], (1,), 1),
+    ([{"terms": [{"powers": [1.5], "coeff": 1.0}]}], (1,), 1),
+    ([{"terms": [{"powers": [-1], "coeff": 1.0}]}], (1,), 1),
+    ([{"terms": [{"powers": [1], "coeff": "2"}]}], (1,), 1),
+    ([{"terms": [], "extra": 1}], (1,), 1),
+    ([[1.0, [2.0]]], (1,), 1),                                       # a list in a series
+    ([[1.0, None]], (1,), 1),
+    ([[[[1.0]]]], (1,), 1),
+    ([True], (1,), 1),
+    ([None], (1,), 1),
+    ([[1.0, 2.0]], (1, 1), 1),                                       # a level too shallow
+])
+def test_polynomial_map_from_table_rejects_malformed_leaves(table, shape, nvars):
+    with pytest.raises(ProblemSpecError):
+        PolynomialMap.from_table(table, shape=shape, nvars=nvars)
+
+
 def test_polynomial_map_validation():
     with pytest.raises(ProblemSpecError):
         PolynomialMap(shape=(1,), nvars=1, terms=(((0, 0), (1,), 1.0),))
