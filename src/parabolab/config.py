@@ -53,6 +53,10 @@ FAMILY_BC = {
     "willmore": BoundaryCondition.CLAMPED,
 }
 
+# the problem keys of reaction_diffusion alone; another family has one
+# component and rejects them
+RD_TABLES = ("a", "f", "b", "u_box", "margin")
+
 # a run config may span at most this many windows of solver.window, so that
 # a horizon far beyond the window fails before anything is written instead
 # of gluing windows without end
@@ -360,7 +364,16 @@ def validate_run_config(doc: dict) -> RunConfig:
     _RUN_DOCUMENT(doc, "")
     solver = doc["solver"]
     diag = doc.get("diagnostics", {})
-    family = doc["problem"]["family"]
+    problem = doc["problem"]
+    family = problem["family"]
+    ncomp = problem.get("ncomp", 1)
+    rd = family == "reaction_diffusion"
+    if not rd:
+        given = [f"problem.ncomp {ncomp}"] if ncomp != 1 else []
+        given += [f"problem.{key}" for key in RD_TABLES if key in problem]
+        if given:
+            raise ConfigError(f"{', '.join(given)} given for family {family!r}, which has "
+                              f"one component and no coefficient tables")
     window = solver["window"]
     horizon = float(solver.get("horizon", window))
     if horizon / window > MAX_WINDOWS:
@@ -384,7 +397,6 @@ def validate_run_config(doc: dict) -> RunConfig:
                 raise ConfigError(f"diagnostics.norm_intervals [{lo!r}, {hi!r}] needs "
                                   f"0 <= lo < hi <= the horizon {horizon!r}")
     spectral = solver.get("propagator") == "spectral"
-    ncomp = doc["problem"].get("ncomp", 1)
     if spectral and ncomp > 1:
         raise ConfigError(f"propagator 'spectral' needs one component, got problem.ncomp {ncomp}")
     grid = Grid(dim=doc["grid"]["dim"], nodes_per_axis=doc["grid"]["nodes"])
@@ -402,12 +414,11 @@ def validate_run_config(doc: dict) -> RunConfig:
                               **{k: v for k, v in solver.items() if k != "horizon"})
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
-    rd = family == "reaction_diffusion"
     return RunConfig(
         doc=doc, name=doc.get("name", family), seed=doc.get("seed", 0), family=family,
-        ncomp=ncomp if rd else 1, tables=_tables(doc["problem"]) if rd else {}, grid=grid,
+        ncomp=ncomp, tables=_tables(problem) if rd else {}, grid=grid,
         exponents=exponents, solver=fp, horizon=horizon,
-        initial=_initial(doc.get("initial"), grid, ncomp if rd else 1),
+        initial=_initial(doc.get("initial"), grid, ncomp),
         diagnostics=Diagnostics(**diag, omega=omega), output_dir=doc.get("output", {}).get("dir"))
 
 

@@ -29,14 +29,15 @@ exact up to roundoff for symmetric scalar operators of at most
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
 steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
 scatters onto the grid once, or takes as the states when every node is
-active (Neumann), and the Picard right-hand side is one call of
-the problem's G hook on the whole stack of samples, followed by one sparse
-product with A(u1).  Problems without a G hook fall back to their hooks
-(see ``AbstractProblem``); that fallback is slated for deletion once every
-caller supplies G.  Either way the stack is checked for finiteness once,
-not per sample.  ``continue_solution`` glues the windows' arrays and
-releases each window's trajectory once ``on_window`` has seen it.  The
-diagnostics (``omega_limit``, ``lipschitz_probe``) measure stacked states too.
+active (Neumann), and the Picard right-hand side is one call of the
+problem's G hook on the whole stack of samples, followed by one stacked
+product with A(u1) (``LinearOperator.dot``).  Problems without a G hook
+fall back to their hooks (see ``AbstractProblem``); that fallback is
+slated for deletion once every caller supplies G.  Either way the stack
+is checked for finiteness once, not per sample.  ``continue_solution``
+glues the windows' arrays and releases each window's trajectory once
+``on_window`` has seen it.  The diagnostics (``omega_limit``,
+``lipschitz_probe``) measure stacked states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  Implicit
@@ -125,7 +126,7 @@ class AbstractProblem:
     F1 and F2, and to ``apply_A`` or ``assemble_A``, as an unchecked
     GridFunction view, accumulating F1 + F2 (- apply_A) in place in the
     output row.  Without ``apply_A``, ``assemble_A`` is still called once
-    per sample, and A(v) v is subtracted as one sparse product for each run
+    per sample, and A(v) v is subtracted as one stacked product for each run
     of consecutive samples whose operator is the same object, so a
     constant operator costs one product per stack.  The finiteness check
     of the result is left to the caller.
@@ -180,13 +181,13 @@ class AbstractProblem:
 def _subtract_applied(op: Optional[LinearOperator], grid: Grid, vin: np.ndarray,
                       vout: np.ndarray):
     """``vout -= A vin`` row by row, for flat nodal samples ``vin`` on
-    ``grid`` that share the operator ``op`` (if any), as one sparse
+    ``grid`` that share the operator ``op`` (if any), as one stacked
     product."""
     if op is None:
         return
     if op.grid != grid or op.ncomp * grid.n_nodes != vin.shape[1]:
         raise ValueError("field does not match operator layout")
-    vout.T[op.active] -= op.matrix @ vin.T[op.active]
+    vout[:, op.active] -= op.dot(np.take(vin, op.active, axis=1))
 
 
 @dataclass
@@ -313,7 +314,7 @@ def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
     A0 = stepper.A0
     r0 = rhs[0] if rhs is not None else 0.0
     dvecs = np.empty_like(vecs)
-    dvecs[0] = r0 - A0.matrix @ vecs[0]
+    dvecs[0] = r0 - A0.dot(vecs[0])
     dvecs[1:] = np.diff(vecs, axis=0) / np.diff(stepper.times)[:, None]
     full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
     if A0.n_active == full[1]:
@@ -354,7 +355,7 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
         raise StateConstraintError("non-finite right-hand side")
     n = len(values)
     rhs = g.reshape(n, -1)[:, A0.active]
-    rhs += (A0.matrix @ values.reshape(n, -1)[:, A0.active].T).T
+    rhs += A0.dot(np.take(values.reshape(n, -1), A0.active, axis=1))
     return rhs
 
 
@@ -708,7 +709,8 @@ def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
     labels = np.arange(m)
     while not np.array_equal(least := np.min(np.where(links, labels[labels], m), axis=1), labels):
         labels = least
-    clusters = [np.flatnonzero(labels == first) for first in np.unique(labels)]
+    # the distinct labels ascending (np.unique would import numpy.ma)
+    clusters = [np.flatnonzero(labels == first) for first in np.flatnonzero(np.bincount(labels))]
     half = m // 2
     spread_early = float(np.max(dist[:half or 1, :half or 1])) if half >= 1 else 0.0
     spread_late = float(np.max(dist[half:, half:]))

@@ -19,16 +19,33 @@ The discrete L2 pairing is trapezoid-weighted; the mirrored Neumann Laplacian
 is symmetric in that pairing, the reduced clamped bilaplacian in the plain
 interior pairing; ``eigendecompose`` takes only such operators and symmetrizes
 accordingly.
+
+An assembled matrix is a ``Diagonals``: the offsets of the diagonals that
+store an entry, an (ndiag, n) array of their entries by row, and the place
+of each entry in its row's sum.  Stored entries and sum orders are those of
+SciPy's sparse CSR arithmetic on the same assembly (see ``Diagonals``), so a
+product, the band width handed to LAPACK and hence every factor and
+artifact are bit for bit what that arithmetic gives; no sparse package is
+imported.  ``Diagonals.dot`` multiplies a whole stack of vectors at once.
+
+The banded factors (dgbtrf/dgbtrs, dpbtrf/dpbtrs) and the dense eigensolver
+(dsyevr, called as ``scipy.linalg.eigh`` calls it) come from scipy's compiled
+LAPACK wrappers, ``scipy.linalg._flapack``, loaded from their file: the
+import of the ``scipy.linalg`` package, which brings SciPy's sparse package
+and its array-API layer with it, takes longer than a bundled 1D run.  If
+that load fails, the routines come from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
-import scipy.sparse
 
 from .grids import BoundaryCondition, Grid, GridFunction
 
@@ -52,11 +69,39 @@ class NotPositiveDefiniteError(SolverError):
     """A Cholesky factorization met a non-positive pivot."""
 
 
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file, so that neither the ``scipy.linalg`` package nor what
+    its import pulls in (the sparse package, the array-API layer) is
+    imported.  If that load fails, the package's ``scipy.linalg.lapack``,
+    which exports the same routines."""
+    try:
+        linalg = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "linalg"
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        path = next(path for path in (linalg / f"_flapack{s}" for s in suffixes) if path.is_file())
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # loading registers the module; a later import of scipy.linalg then
+        # makes its own module object, with these functions, as its attribute
+        sys.modules.pop(spec.name, None)
+        return module
+    except (ImportError, OSError, AttributeError, StopIteration):
+        import scipy.linalg.lapack
+        return scipy.linalg.lapack
+
+
+_lapack = _load_lapack()
+
+
+@functools.lru_cache(maxsize=None)
 def _mirrored(n: int, off: int) -> np.ndarray:
     """The node ``i + off`` for each node i of n, with ghost nodes mirrored
-    about the boundary."""
+    about the boundary; one read-only array per (n, off)."""
     idx = np.abs(np.arange(off, n + off))
-    return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+    idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+    idx.flags.writeable = False
+    return idx
 
 
 def _axis_stencil_apply(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
@@ -112,22 +157,276 @@ def derivative(u: GridFunction, sigma, bc: BoundaryCondition) -> GridFunction:
     return GridFunction(u.grid, derivative_values(u.values, u.grid, sigma, bc))
 
 
-def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> scipy.sparse.csr_matrix:
+def _diagonal_index(offsets: np.ndarray):
+    """(diag, k): the distinct values of the integer array ``offsets``,
+    ascending, and the place of each entry's value among them; unlike
+    ``np.unique``, without importing ``numpy.ma`` on the first call."""
+    low = offsets.min(initial=0)
+    present = np.bincount((offsets - low).ravel()) > 0
+    diag = np.flatnonzero(present) + low
+    return diag, (np.cumsum(present) - 1)[offsets - low]
+
+
+def _ranks(key: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """For (ndiag, n) arrays laid out as ``Diagonals.data``: the place of
+    each kept entry among the kept entries of its row of the matrix (a
+    column of the arrays), by ascending ``key``, and -1 where an entry is
+    not kept.  Keys are integers >= 0, distinct among a row's kept
+    entries."""
+    top = int(key[keep].max(initial=-1)) + 1
+    slot = np.where(keep, key, top)
+    taken = np.zeros((top + 1, keep.shape[1]), dtype=np.intp)
+    np.put_along_axis(taken, slot, 1, axis=0)
+    taken[top] = 0
+    before = np.take_along_axis(np.cumsum(taken, axis=0), slot, axis=0) - 1
+    return np.where(keep, before, -1)
+
+
+def _sorted_ranks(keep: np.ndarray) -> np.ndarray:
+    """``_ranks`` by ascending diagonal, that is by ascending column."""
+    return np.where(keep, np.cumsum(keep, axis=0) - 1, -1)
+
+
+def _kept_ranks(rank: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The ranks of the entries ``keep``, a subset of those that ``rank``
+    places, in the order of ``rank``."""
+    stored = rank >= 0
+    if np.array_equal(keep, stored):
+        return rank
+    # rows summed by ascending or by descending column keep that order
+    if np.array_equal(rank, _sorted_ranks(stored)):
+        return _sorted_ranks(keep)
+    if np.array_equal(rank, _sorted_ranks(stored[::-1])[::-1]):
+        return _sorted_ranks(keep[::-1])[::-1]
+    return _ranks(rank, keep)
+
+
+def _reversed(rank: np.ndarray) -> np.ndarray:
+    """Each row's order backwards."""
+    stored = rank >= 0
+    return np.where(stored, stored.sum(axis=0) - 1 - rank, -1)
+
+
+@dataclass(eq=False)
+class Diagonals:
+    """An n x n matrix by diagonals.
+
+    ``data[k, i]`` is the entry (i, i + offsets[k]), offsets ascending, and
+    ``rank[k, i]`` its place in the sum of row i, -1 where row i stores no
+    entry on diagonal k.  Only diagonals that store an entry are kept, and
+    ``data`` is 0 where nothing is stored.
+
+    The stored entries and the order of each row's sum follow the
+    compressed-sparse-row (CSR) arithmetic of SciPy's sparse package: a
+    Kronecker product or a stencil fold stores its exact zeros and sorts
+    each row by column; a row scaling lists the row backwards and drops
+    exact zeros; a sum keeps sorted rows sorted, and otherwise lists the
+    first operand's entries and then the second's new ones, backwards, and
+    drops exact zeros.  So a product, the band of a factor and the factor
+    itself are bit for bit those of that arithmetic;
+    ``tests/test_operators.py`` keeps it as the reference.
+    """
+
+    offsets: np.ndarray
+    data: np.ndarray
+    rank: np.ndarray
+
+    def __post_init__(self):
+        stored = self.rank >= 0
+        used = stored.any(axis=1)
+        if not used.all():
+            self.offsets, self.data, self.rank = (self.offsets[used], self.data[used],
+                                                  self.rank[used])
+            stored = stored[used]
+        self.data = np.where(stored, self.data, 0.0)
+
+    @classmethod
+    def sorted_rows(cls, offsets: np.ndarray, data: np.ndarray,
+                    stored: np.ndarray) -> "Diagonals":
+        """The matrix storing ``data`` where ``stored``, each row summed by
+        ascending column; ``offsets`` ascending."""
+        return cls(np.asarray(offsets), data, _sorted_ranks(stored))
+
+    @classmethod
+    def identity(cls, n: int, value: float = 1.0) -> "Diagonals":
+        """``value`` times the identity; nothing stored for 0."""
+        data = np.full((1, n), float(value))
+        return cls.sorted_rows(np.zeros(1, dtype=np.intp), data, data != 0.0)
+
+    @classmethod
+    def from_entries(cls, n: int, rows: np.ndarray, offsets: np.ndarray,
+                     values: np.ndarray, keys=None) -> "Diagonals":
+        """The matrix storing entry (rows[e], rows[e] + offsets[e]) = values[e],
+        each row summed by ascending ``keys`` (integers >= 0), or by
+        ascending column without; no two entries coincide."""
+        diag, k = _diagonal_index(offsets)
+        data = np.zeros((len(diag), n))
+        data[k, rows] = values
+        keep = np.zeros((len(diag), n), dtype=bool)
+        keep[k, rows] = True
+        if keys is None:
+            return cls(diag, data, _sorted_ranks(keep))
+        key = np.zeros((len(diag), n), dtype=np.intp)
+        key[k, rows] = keys
+        return cls(diag, data, _ranks(key, keep))
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def stored(self) -> np.ndarray:
+        return self.rank >= 0
+
+    def entries(self):
+        """(rows, offsets, values, ranks) of the stored entries."""
+        k, rows = np.nonzero(self.stored)
+        return rows, self.offsets[k], self.data[k, rows], self.rank[k, rows]
+
+    def is_sorted(self) -> bool:
+        """Whether every row is summed by ascending column."""
+        return np.array_equal(self.rank, _sorted_ranks(self.stored))
+
+    def scaled(self, s: float) -> "Diagonals":
+        return Diagonals(self.offsets, s * self.data, self.rank)
+
+    def scaled_rows(self, c: np.ndarray) -> "Diagonals":
+        """diag(c) @ self."""
+        data = c * self.data
+        return Diagonals(self.offsets, data,
+                         _reversed(_kept_ranks(self.rank, self.stored & (data != 0.0))))
+
+    def _on(self, offsets: np.ndarray):
+        """(data, rank) spread over the ascending ``offsets``, a superset."""
+        k = np.searchsorted(offsets, self.offsets)
+        data = np.zeros((len(offsets), self.n))
+        rank = np.full((len(offsets), self.n), -1, dtype=np.intp)
+        data[k], rank[k] = self.data, self.rank
+        return data, rank
+
+    def plus(self, other: "Diagonals") -> "Diagonals":
+        """self + other."""
+        offsets = _diagonal_index(np.concatenate([self.offsets, other.offsets]))[0]
+        a, ra = self._on(offsets)
+        b, rb = other._on(offsets)
+        data = a + b
+        touched = (ra >= 0) | (rb >= 0)
+        keep = touched & (data != 0.0)
+        if self.is_sorted() and other.is_sorted():
+            return Diagonals(offsets, data, _sorted_ranks(keep))
+        new = (rb >= 0) & (ra < 0)
+        first = np.where(ra >= 0, ra, (ra >= 0).sum(axis=0) + _kept_ranks(rb, new))
+        first = np.where(touched, first, -1)
+        return Diagonals(offsets, data, _reversed(_kept_ranks(first, keep)))
+
+    def kron(self, other: "Diagonals") -> "Diagonals":
+        """The Kronecker product self (x) other, its rows sorted."""
+        nb = other.n
+        offsets = (self.offsets[:, None] * nb + other.offsets).ravel()
+        shape = (offsets.size, self.n * nb)
+        data = (self.data[:, None, :, None] * other.data[None, :, None, :]).reshape(shape)
+        keep = (self.stored[:, None, :, None] & other.stored[None, :, None, :]).reshape(shape)
+        k, rows = np.nonzero(keep)
+        return Diagonals.from_entries(self.n * nb, rows, offsets[k], data[k, rows])
+
+    def take(self, index: np.ndarray) -> "Diagonals":
+        """The submatrix on the rows and columns ``index`` (ascending), each
+        row keeping the order of its remaining entries."""
+        position = np.full(self.n, -1)
+        position[index] = np.arange(len(index))
+        rows, offsets, values, ranks = self.entries()
+        row, col = position[rows], position[rows + offsets]
+        kept = (row >= 0) & (col >= 0)
+        row, col = row[kept], col[kept]
+        return Diagonals.from_entries(len(index), row, col - row, values[kept], ranks[kept])
+
+    def toarray(self) -> np.ndarray:
+        rows, offsets, values, _ = self.entries()
+        dense = np.zeros((self.n, self.n))
+        # a densified stored -0.0 reads 0.0
+        dense[rows, rows + offsets] = values + 0.0
+        return dense
+
+    @functools.cached_property
+    def _terms(self):
+        """The rows' sums term by term, as (step, common, odd, odd_cols,
+        odd_data) for blocks of ``step`` vectors.
+
+        ``common`` lists (shift, d), one per term, ``d`` tiled over a block:
+        the k-th term of row i is d[i] * x[i + shift] for every row but the
+        rows ``odd``, whose k-th terms are odd_data[k] * x[odd_cols[k]].  A
+        row with fewer terms adds zeros."""
+        stored = self.stored
+        width = int(stored.sum(axis=0).max(initial=0))
+        order = np.argsort(np.where(stored, self.rank, len(self.rank)), axis=0)[:width]
+        data = np.take_along_axis(self.data, order, axis=0)
+        shifts = np.where(np.take_along_axis(stored, order, axis=0), self.offsets[order], 0)
+        low = shifts.min(axis=1, initial=0)
+        common = [int(np.bincount(s - lo).argmax() + lo) for s, lo in zip(shifts, low)]
+        odd = np.flatnonzero(np.any(shifts != np.array(common, dtype=int)[:, None], axis=0))
+        step = max(1, _DOT_BLOCK // self.n)
+        return (step, [(c, np.tile(d, step)) for c, d in zip(common, data)], odd,
+                odd + shifts[:, odd], data[:, odd])
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """The product with each vector along the last axis of ``x``; every
+        row adds its terms to zero in its order."""
+        n = self.n
+        x = np.asarray(x)
+        out = np.zeros(x.shape)
+        vectors, sums = x.reshape(-1, n), out.reshape(-1, n)
+        step, common, odd, odd_cols, odd_data = self._terms
+        flat_x, flat_sums = vectors.ravel(), sums.ravel()
+        term = np.zeros(step * n)
+        # an overflow or inf - inf among the terms leaves inf or nan in the
+        # sums, without a warning; odd rows also see other rows' terms
+        with np.errstate(all="ignore"):
+            # the vectors a block at a time, each term as one contiguous
+            # product; where x[i + shift] falls outside row i's vector, row
+            # i is odd, and its sums are made apart below
+            for start in range(0, len(flat_x), step * n):
+                size = min(step * n, len(flat_x) - start)
+                block = flat_x[start:start + size]
+                for shift, tiled in common:
+                    lo, hi = max(0, -shift), size - max(0, shift)
+                    np.multiply(block[lo + shift:hi + shift], tiled[lo:hi], out=term[lo:hi])
+                    flat_sums[start:start + size] += term[:size]
+            if len(odd):
+                odd_sums = np.zeros((len(vectors), len(odd)))
+                for cols, d in zip(odd_cols, odd_data):
+                    odd_sums += vectors[:, cols] * d
+                sums[:, odd] = odd_sums
+        return out
+
+
+# vector entries per block of ``Diagonals.dot``: 64 KB of sums, of one
+# term and of each tiled diagonal, which stay in cache while a block's
+# terms are added (16384 was slower on the 1D benchmark stacks)
+_DOT_BLOCK = 8192
+
+
+def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> Diagonals:
     """1D derivative matrix over all n nodes with reflection ghosts folded in.
 
     order 0 returns the identity.  Rows are produced for every node including
     the boundary; clamped reduction (dropping boundary rows/columns) is done
-    by the operator assembly, not here.
+    by the operator assembly, not here.  A row stores every column a ghost
+    folds onto, the exact zeros of the odd orders' boundary rows among them.
     """
     if order == 0:
-        return scipy.sparse.identity(n, format="csr")
+        return Diagonals.identity(n)
     offsets, coeffs = STENCILS[order]
     terms = [(off, c) for off, c in zip(offsets, coeffs) if c != 0.0]
-    # row by row in stencil order, the order in which coinciding ghost entries add up
-    cols = np.stack([_mirrored(n, off) for off, _ in terms], axis=1)
-    rows = np.repeat(np.arange(n), len(terms))
-    data = np.tile([c / h ** order for _, c in terms], n)
-    return scipy.sparse.csr_matrix((data, (rows, cols.ravel())), shape=(n, n))
+    rows = np.arange(n)
+    folded = np.stack([_mirrored(n, off) for off, _ in terms]) - rows
+    diag, k = _diagonal_index(folded)
+    data = np.zeros((len(diag), n))
+    stored = np.zeros((len(diag), n), dtype=bool)
+    # in stencil order, the order in which coinciding ghost entries add up
+    for kk, (_, c) in zip(k, terms):
+        data[kk, rows] += c / h ** order
+        stored[kk, rows] = True
+    return Diagonals.sorted_rows(diag, data, stored)
 
 
 def active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.ndarray:
@@ -141,7 +440,7 @@ def active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.nda
 
 @dataclass
 class LinearOperator:
-    """Sparse operator on the active unknowns of a grid.
+    """Operator on the active unknowns of a grid, its matrix by diagonals.
 
     For Neumann problems every node is active; for clamped problems only the
     interior nodes are (boundary values are pinned to zero, so dropping their
@@ -152,15 +451,15 @@ class LinearOperator:
     grid: Grid
     ncomp: int
     bc: BoundaryCondition
-    matrix: scipy.sparse.csr_matrix
+    matrix: Diagonals
     active: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         n = len(self.active)
-        if self.matrix.shape != (n, n):
+        if self.matrix.n != n:
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match {n} active unknowns"
+                f"matrix of {self.matrix.n} rows does not match {n} active unknowns"
             )
         if len(self.weights) != n:
             raise ValueError("weights length does not match active unknowns")
@@ -179,34 +478,50 @@ class LinearOperator:
         full[self.active] = vec
         return GridFunction(self.grid, full.reshape(self.grid.shape + (self.ncomp,)))
 
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x for each vector of active unknowns along the last axis of ``x``."""
+        return self.matrix.dot(x)
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
+
     def apply(self, u: GridFunction) -> GridFunction:
-        return self.extend(self.matrix @ self.restrict(u))
+        return self.extend(self.dot(self.restrict(u)))
 
     def shifted(self, kappa: float) -> "LinearOperator":
         """A + kappa*I on the active unknowns."""
-        mat = (self.matrix + kappa * scipy.sparse.identity(self.n_active)).tocsr()
+        mat = self.matrix.plus(Diagonals.identity(self.n_active, kappa))
         return LinearOperator(self.grid, self.ncomp, self.bc, mat, self.active, self.weights)
 
     def symmetric_defect(self) -> float:
         """max |WM - (WM)^T| relative to max |WM|, W the pairing weights."""
-        wm = scipy.sparse.diags(self.weights) @ self.matrix
-        diff = (wm - wm.T).tocoo()
-        scale = max(np.max(np.abs(wm.data)) if wm.nnz else 0.0, 1e-300)
-        defect = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+        n = self.n_active
+        wm = self.weights * self.matrix.data
+        scale = max(np.max(np.abs(wm), initial=0.0), 1e-300)
+        diagonals = dict(zip(self.matrix.offsets, wm))
+        diffs = [np.zeros(0)]
+        for off, d in diagonals.items():
+            lo, hi = max(0, -off), min(n, n - off)
+            # (WM)^T on this diagonal is WM's diagonal -off, read from row i + off
+            mirror = diagonals.get(-off)
+            diffs.append(d[lo:hi] - mirror[lo + off:hi + off] if mirror is not None else d[lo:hi])
+        defect = np.max(np.abs(np.concatenate(diffs)), initial=0.0)
         return float(defect / scale)
 
     def to_banded(self):
         """(ab, (kl, ku)) in LAPACK ``gbtrf`` storage.
 
         Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the top ``kl`` rows
-        are the fill space the LU factorization writes into.
+        are the fill space the LU factorization writes into.  The band spans
+        the diagonals that store an entry.
         """
-        coo = self.matrix.tocoo()
-        offsets = coo.row - coo.col
-        kl = int(max(offsets.max(initial=0), 0))
-        ku = int(max(-offsets.min(initial=0), 0))
-        ab = np.zeros((2 * kl + ku + 1, self.n_active), order="F")
-        ab[kl + ku + offsets, coo.col] = coo.data
+        offsets, n = self.matrix.offsets, self.n_active
+        kl = int(max(-offsets.min(initial=0), 0))
+        ku = int(max(offsets.max(initial=0), 0))
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        for off, d in zip(offsets, self.matrix.data):
+            lo, hi = max(0, -off), min(n, n - off)
+            ab[kl + ku - off, lo + off:hi + off] = d[lo:hi]
         return ab, (kl, ku)
 
     def to_symmetric_banded(self) -> np.ndarray:
@@ -214,26 +529,36 @@ class LinearOperator:
 
         Entry (i, j), i <= j, sits at ``ab[kd + i - j, j]``; the lower
         triangle is not stored, so this is only meaningful for an operator
-        that is symmetric in its pairing.
+        that is symmetric in its pairing.  kd is the widest upper diagonal
+        with a nonzero entry.
         """
-        coo = (scipy.sparse.diags(self.weights) @ self.matrix).tocoo()
-        offsets = coo.col - coo.row
-        upper = offsets >= 0
-        kd = int(offsets.max(initial=0))
-        ab = np.zeros((kd + 1, self.n_active), order="F")
-        ab[kd - offsets[upper], coo.col[upper]] = coo.data[upper]
+        n = self.n_active
+        wm = self.weights * self.matrix.data + 0.0
+        upper = [(off, d) for off, d in zip(self.matrix.offsets, wm)
+                 if off >= 0 and np.any(d != 0.0)]
+        kd = max((int(off) for off, _ in upper), default=0)
+        ab = np.zeros((kd + 1, n), order="F")
+        for off, d in upper:
+            ab[kd - off, off:] = d[:n - off]
         return ab
 
 
 def operator_from_full_matrix(grid: Grid, ncomp: int, bc: BoundaryCondition,
-                              full_matrix) -> LinearOperator:
+                              full_matrix: Diagonals) -> LinearOperator:
     """Reduce a full-grid matrix to the active unknowns of ``bc``."""
     active = active_flat_indices(grid, ncomp, bc)
-    mat = scipy.sparse.csr_matrix(full_matrix)
-    if len(active) != mat.shape[0]:
-        mat = mat[active][:, active]
+    mat = full_matrix if len(active) == full_matrix.n else full_matrix.take(active)
     weights = np.repeat(grid.trapezoid_weights().ravel(), ncomp)[active]
-    return LinearOperator(grid, ncomp, bc, mat.tocsr(), active, weights)
+    return LinearOperator(grid, ncomp, bc, mat, active, weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_matrix(n: int, h: float, sigma: tuple, bc: BoundaryCondition) -> Diagonals:
+    """The full-grid matrix of D^sigma on n nodes per axis, the Kronecker
+    product of the axes' ``diff_matrix_1d``; one per argument set, which
+    no caller changes."""
+    mats = [diff_matrix_1d(n, h, s, bc) for s in sigma]
+    return mats[0] if len(mats) == 1 else mats[0].kron(mats[1])
 
 
 def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryCondition,
@@ -248,28 +573,46 @@ def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryConditio
     for sigma, c in coeffs.items():
         if isinstance(sigma, int):
             sigma = (sigma,)
-        mats = [diff_matrix_1d(n, grid.h, s, bc) for s in sigma]
-        if grid.dim == 1:
-            dmat = mats[0]
-        else:
-            dmat = scipy.sparse.kron(mats[0], mats[1], format="csr")
-        term = scipy.sparse.diags(np.asarray(c, dtype=float).ravel()) @ dmat
-        total = term if total is None else total + term
+        term = _derivative_matrix(n, grid.h, tuple(sigma), bc).scaled_rows(
+            np.asarray(c, dtype=float).ravel())
+        total = term if total is None else total.plus(term)
     if total is None:
         raise ValueError("no coefficient terms given")
     if ncomp > 1:
-        total = scipy.sparse.kron(total, scipy.sparse.identity(ncomp), format="csr")
+        total = total.kron(Diagonals.identity(ncomp))
     return operator_from_full_matrix(grid, ncomp, bc, total)
 
 
-def neumann_laplacian(grid: Grid) -> scipy.sparse.csr_matrix:
+def block_rows(blocks: np.ndarray, mat: Diagonals) -> Diagonals:
+    """The product of the block diagonal matrix of the (n, N, N) ``blocks``
+    with mat (x) I_N, for an n x n matrix ``mat`` with sorted rows.
+
+    Row (i, a) stores, for each component b and each entry (i, j) of mat,
+    the entry blocks[i, a, b] * mat[i, j] at column (j, b), exact zeros
+    included, listed by b and then by j; with one component it is the row
+    scaling diag(blocks) @ mat.
+    """
+    N = blocks.shape[1]
+    if N == 1:
+        return mat.scaled_rows(blocks[:, 0, 0])
+    k, i = np.nonzero(mat.stored)
+    a, b = np.divmod(np.arange(N * N), N)
+    rows = i[:, None] * N + a
+    offsets = mat.offsets[k][:, None] * N + (b - a)
+    values = blocks[i][:, a, b] * mat.data[k, i][:, None] + 0.0
+    keys = b * len(mat.offsets) + mat.rank[k, i][:, None]
+    return Diagonals.from_entries(mat.n * N, rows.ravel(), offsets.ravel(), values.ravel(),
+                                  keys.ravel())
+
+
+def neumann_laplacian(grid: Grid) -> Diagonals:
     """Full-grid mirrored-stencil Laplacian (scalar)."""
     n = grid.nodes_per_axis
     d2 = diff_matrix_1d(n, grid.h, 2, BoundaryCondition.NEUMANN)
     if grid.dim == 1:
         return d2
-    eye = scipy.sparse.identity(n, format="csr")
-    return (scipy.sparse.kron(d2, eye) + scipy.sparse.kron(eye, d2)).tocsr()
+    eye = Diagonals.identity(n)
+    return d2.kron(eye).plus(eye.kron(d2))
 
 
 def reference_operator(grid: Grid, order: str) -> LinearOperator:
@@ -277,7 +620,7 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
     second order, the clamped bilaplacian for fourth order."""
     if order == "second":
         return operator_from_full_matrix(
-            grid, 1, BoundaryCondition.NEUMANN, -neumann_laplacian(grid)
+            grid, 1, BoundaryCondition.NEUMANN, neumann_laplacian(grid).scaled(-1.0)
         )
     if order == "fourth":
         n = grid.nodes_per_axis
@@ -287,12 +630,8 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
         if grid.dim == 1:
             full = d4
         else:
-            eye = scipy.sparse.identity(n, format="csr")
-            full = (
-                scipy.sparse.kron(d4, eye)
-                + scipy.sparse.kron(eye, d4)
-                + 2.0 * scipy.sparse.kron(d2, d2)
-            ).tocsr()
+            eye = Diagonals.identity(n)
+            full = d4.kron(eye).plus(eye.kron(d4)).plus(d2.kron(d2).scaled(2.0))
         return operator_from_full_matrix(grid, 1, bc, full)
     raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
 
@@ -320,13 +659,13 @@ class BandedLU:
 
     def __init__(self, ab: np.ndarray, bands: tuple):
         kl, ku = bands
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+        lu, piv, info = _lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded LU failed: dgbtrf info {info} (zero pivot?)")
         self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        x, info = _lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
         if info != 0:
             raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x
@@ -343,14 +682,14 @@ class BandedCholesky:
     routine = "dpbtrs"
 
     def __init__(self, ab: np.ndarray, w: np.ndarray):
-        c, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+        c, info = _lapack.dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefiniteError(
                 f"banded Cholesky failed: dpbtrf info {info} (not positive definite)")
         self.c, self.w = c, w
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = scipy.linalg.lapack.dpbtrs(self.c, self.w * b)
+        x, info = _lapack.dpbtrs(self.c, self.w * b)
         if info != 0:
             raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x
@@ -452,7 +791,23 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
     if defect > 1e-8:
         raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
     sqw = np.sqrt(op.weights)
-    sym = (op.matrix.toarray() * sqw[:, None]) / sqw[None, :]
+    sym = (op.toarray() * sqw[:, None]) / sqw[None, :]
     sym = 0.5 * (sym + sym.T)
-    lam, vecs = scipy.linalg.eigh(sym)
+    lam, vecs = _symmetric_eigh(sym)
     return SpectralProxy(op, lam, vecs / sqw[:, None])
+
+
+def _symmetric_eigh(sym: np.ndarray):
+    """(eigenvalues ascending, orthonormal eigenvectors) of the symmetric
+    ``sym`` by LAPACK dsyevr on its lower triangle, with the workspace query,
+    the call and the checks of ``scipy.linalg.eigh``."""
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork, info = _lapack.dsyevr_lwork(len(sym), lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    lam, vecs, _, _, info = _lapack.dsyevr(sym, compute_v=1, lower=1, lwork=int(lwork),
+                                           liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
+    return lam, vecs

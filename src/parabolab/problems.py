@@ -23,6 +23,11 @@ G(v) = F1(v) + F2(v) - A(v) v as the problem's ``G`` hook, evaluated on a
 stack of samples a block of samples at a time: for reaction-diffusion
 a(v) Lap v + f(v) + sum_j b(v)[d_j v, d_j v], for the flows the geometry
 right-hand side itself, so that A(h) h is never formed only to cancel.
+
+The frozen operators are assembled by diagonals (``operators.Diagonals``):
+-a(v) Lap as the node blocks a(v) times the mirrored Laplacian
+(``operators.block_rows``), the flows' A(h) from the nodal coefficients of
+each multi-index (``operators.assemble_coefficient_operator``).
 """
 
 from __future__ import annotations
@@ -36,12 +41,10 @@ import numpy as np
 
 from . import geometry
 from .grids import BoundaryCondition, Grid, GridFunction
-from .operators import (LinearOperator, assemble_coefficient_operator, derivative,
+from .operators import (LinearOperator, assemble_coefficient_operator, block_rows, derivative,
                         derivative_values, neumann_laplacian, operator_from_full_matrix,
                         unit_sigma)
 from .evolution import AbstractProblem, StateConstraintError
-
-import scipy.sparse
 
 
 class ProblemSpecError(ValueError):
@@ -296,13 +299,7 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     def assemble_A(v: GridFunction) -> LinearOperator:
         require_in_box(v)
         av = spec.a(v.values).reshape(-1, N, N)
-        n_nodes = grid.n_nodes
-        blocks = scipy.sparse.bsr_matrix(
-            (av, np.arange(n_nodes), np.arange(n_nodes + 1)),
-            shape=(n_nodes * N, n_nodes * N),
-        )
-        big_lap = scipy.sparse.kron(lap_scalar, scipy.sparse.identity(N), format="csr")
-        op = operator_from_full_matrix(grid, N, bc, -(blocks @ big_lap))
+        op = operator_from_full_matrix(grid, N, bc, block_rows(av, lap_scalar).scaled(-1.0))
         # -a Lap with a diagonal and positive is symmetric in the pairing w/a
         diag = np.diagonal(av, axis1=1, axis2=2)
         if np.all(diag > 0.0) and np.array_equal(av, diag[..., None] * np.eye(N)):

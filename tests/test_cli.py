@@ -343,6 +343,31 @@ def test_module_entry_point_runs(tmp_path):
     assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
 
+def test_a_run_leaves_scipy_linalg_and_sparse_unimported(tmp_path):
+    # the banded LAPACK routines load without the scipy.linalg package, whose
+    # import (with scipy.sparse and the array-API layer) costs more start-up
+    # time than a bundled 1D run takes
+    env = dict(os.environ)
+    src = str(Path(parabolab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    code = "\n".join([
+        "import sys, parabolab.cli",
+        "unwanted = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api')",
+        "print(sorted(m for m in unwanted if m in sys.modules))",
+        # heat.json takes the spectral propagator, reaction_diffusion.json implicit Euler
+        "for name in ('heat.json', 'reaction_diffusion.json'):",
+        f"    out = {str(tmp_path)!r} + '/' + name",
+        f"    assert parabolab.cli.main(['run', '--config', {str(configs)!r} + '/' + name,"
+        f" '--out', out]) == 0",
+        "print(sorted(m for m in unwanted if m in sys.modules))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 def test_run_inadmissible_gate_and_force(tmp_path, capsys):
     cfg = heat_cfg(exponents={"p": 2, "q": 2, "mu": "7/10"})
     cfg_path = write_cfg(tmp_path / "bad.json", cfg)
@@ -847,6 +872,31 @@ def test_run_rejects_a_config_it_cannot_run_or_measure(tmp_path, capsys, edit, m
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("propagator", ["euler", "spectral"])
+@pytest.mark.parametrize("problem,given", [
+    ({"family": "heat", "ncomp": 2}, "problem.ncomp 2"),
+    ({"family": "heat", "a": [[1.0]]}, "problem.a"),
+    ({"family": "heat", "u_box": [[-2.0, 2.0]], "margin": 0.1}, "problem.u_box, problem.margin"),
+    ({"family": "willmore", "ncomp": 3, "f": [0], "b": [0]},
+     "problem.ncomp 3, problem.f, problem.b"),
+])
+def test_a_family_without_tables_rejects_their_keys(tmp_path, capsys, propagator, problem,
+                                                     given):
+    solver = {"window": 0.02, "time_steps": 8, "propagator": propagator}
+    cfg_path = write_cfg(tmp_path / "cfg.json", heat_cfg(problem=problem, solver=solver))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--force"]) == 4
+    err = capsys.readouterr().err
+    family = problem["family"]
+    assert err.startswith(f"error: {given} given for family {family!r}, which has one "
+                          f"component and no coefficient tables") and "Traceback" not in err
+    assert not out.exists()
+    # one component, said outright, is what the family has
+    one = write_cfg(tmp_path / "one.json",
+                    heat_cfg(problem={"family": "heat", "ncomp": 1}, solver=solver))
+    assert main(["run", "--config", one, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("options,points", [

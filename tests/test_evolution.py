@@ -41,7 +41,7 @@ from parabolab.evolution import (AbstractProblem, ContinuationState,
 from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
 from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, difference, lq_norm,
                              x1_norm)
-from parabolab.operators import (BandedCholesky, BandedLU, SolverError, eigendecompose,
+from parabolab.operators import (BandedCholesky, BandedLU, Diagonals, SolverError, eigendecompose,
                                  operator_from_full_matrix, reference_operator, scaled_bands)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                                 flow_problem, linear_heat_spec, rd_problem)
@@ -179,7 +179,7 @@ def test_euler_stepper_matches_sparse_solve(case, data):
     eye = scipy.sparse.identity(n, format="csc")
     want = [u0]
     for k, dt in enumerate(dts):
-        want.append(scipy.sparse.linalg.spsolve((eye + dt * A.matrix).tocsc(),
+        want.append(scipy.sparse.linalg.spsolve((eye + dt * scipy.sparse.csc_matrix(A.toarray())),
                                                 want[-1] + dt * rhs[k + 1]))
     for x, y in zip(got, want):
         assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
@@ -189,7 +189,7 @@ def test_euler_stepper_singular_step_raises():
     # A = -I makes I + dt*A vanish at dt = 1
     grid = Grid(1, 9)
     A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  -scipy.sparse.identity(grid.n_nodes))
+                                  Diagonals.identity(grid.n_nodes, -1.0))
     with pytest.raises(SolverError):
         evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
 
@@ -241,7 +241,7 @@ def test_euler_stepper_indefinite_step_falls_back_to_lu():
     # A = -I is symmetric, and I + dt*A = -I at dt = 2 is indefinite
     grid = Grid(1, 9)
     A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  -scipy.sparse.identity(grid.n_nodes))
+                                  Diagonals.identity(grid.n_nodes, -1.0))
     stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
     assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
     alone = _lu_of_step(A, 2.0)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import (BandedCholesky, BandedLU, LinearOperator,
-                                 NotPositiveDefiniteError, SolverError, derivative,
-                                 diff_matrix_1d, eigendecompose,
+from parabolab.operators import (STENCILS, BandedCholesky, BandedLU, Diagonals, LinearOperator,
+                                 NotPositiveDefiniteError, SolverError, active_flat_indices,
+                                 block_rows, derivative, diff_matrix_1d, eigendecompose,
                                  assemble_coefficient_operator, neumann_laplacian,
                                  operator_from_full_matrix, reference_operator, scaled_bands)
+from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
+                                _fourth_order_coeffs, flow_problem, rd_problem)
 
 NEU = BoundaryCondition.NEUMANN
 CLA = BoundaryCondition.CLAMPED
@@ -26,6 +29,17 @@ CLA = BoundaryCondition.CLAMPED
 
 def f1(grid, fn):
     return GridFunction.from_scalar(grid, fn(grid.axis_coords()))
+
+
+def _from_dense(a):
+    """The matrix of the dense ``a``, storing its nonzero entries."""
+    n = len(a)
+    offsets = np.arange(1 - n, n)
+    rows = np.arange(n)
+    cols = rows + offsets[:, None]
+    inside = (cols >= 0) & (cols < n)
+    data = np.where(inside, a[rows, np.clip(cols, 0, n - 1)], 0.0)
+    return Diagonals.sorted_rows(offsets, data, data != 0.0)
 
 
 # ---------------------------------------------------------------- stencils
@@ -77,7 +91,7 @@ def test_derivative_matches_matrix_1d():
     for order in (1, 2, 3, 4):
         for bc in (NEU, CLA):
             mat = diff_matrix_1d(grid.nodes_per_axis, grid.h, order, bc)
-            assert np.allclose(derivative(u, order, bc).scalar, mat @ vals)
+            assert np.allclose(derivative(u, order, bc).scalar, mat.dot(vals))
 
 
 def test_derivative_2d_mixed_matches_kron():
@@ -88,13 +102,13 @@ def test_derivative_2d_mixed_matches_kron():
     n, h = grid.nodes_per_axis, grid.h
     d1 = diff_matrix_1d(n, h, 1, NEU)
     d2 = diff_matrix_1d(n, h, 2, NEU)
-    mixed = scipy.sparse.kron(d2, d1) @ vals.ravel()
+    mixed = d2.kron(d1).dot(vals.ravel())
     assert np.allclose(derivative(u, (2, 1), NEU).scalar.ravel(), mixed)
 
 
 def test_diff_matrix_order0_identity():
     mat = diff_matrix_1d(9, 0.125, 0, NEU)
-    assert (mat != scipy.sparse.identity(9)).nnz == 0
+    assert list(mat.offsets) == [0] and np.array_equal(mat.toarray(), np.eye(9))
 
 
 def test_clamped_plate_row_next_to_wall():
@@ -103,7 +117,7 @@ def test_clamped_plate_row_next_to_wall():
     grid = Grid(1, 12)
     op = reference_operator(grid, "fourth")
     h4 = grid.h ** 4
-    row = op.matrix[0].toarray().ravel() * h4
+    row = op.toarray()[0] * h4
     assert np.allclose(row[:3], [7.0, -4.0, 1.0])
     assert np.allclose(row[3:], 0.0)
 
@@ -138,13 +152,13 @@ def test_shifted_adds_identity():
     grid = Grid(1, 12)
     op = reference_operator(grid, "second")
     sh = op.shifted(2.5)
-    diff = (sh.matrix - op.matrix).toarray()
+    diff = sh.toarray() - op.toarray()
     assert np.allclose(diff, 2.5 * np.eye(op.n_active))
 
 
 def test_neumann_laplacian_weighted_symmetry():
     for grid in (Grid(1, 20), Grid(2, 12)):
-        op = operator_from_full_matrix(grid, 1, NEU, -neumann_laplacian(grid))
+        op = operator_from_full_matrix(grid, 1, NEU, neumann_laplacian(grid).scaled(-1.0))
         assert op.symmetric_defect() < 1e-14
 
 
@@ -152,7 +166,7 @@ def test_clamped_bilaplacian_spd():
     grid = Grid(1, 24)
     op = reference_operator(grid, "fourth")
     assert op.symmetric_defect() < 1e-14
-    dense = op.matrix.toarray()
+    dense = op.toarray()
     lam = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     assert lam.min() > 0.0
 
@@ -164,7 +178,7 @@ def test_2d_bilaplacian_matches_coefficient_assembly():
     built = assemble_coefficient_operator(
         grid, {(4, 0): ones, (0, 4): ones, (2, 2): 2.0 * ones}, CLA
     )
-    assert (ref.matrix != built.matrix).nnz == 0
+    assert np.array_equal(ref.toarray(), built.toarray())
 
 
 def test_coefficient_operator_applies_nodal_weights():
@@ -186,7 +200,7 @@ def test_banded_solve_matches_dense():
     op = reference_operator(grid, "second").shifted(1.0)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     x = BandedLU(*op.to_banded()).solve(op.restrict(rhs))
-    dense = np.linalg.solve(op.matrix.toarray(), op.restrict(rhs))
+    dense = np.linalg.solve(op.toarray(), op.restrict(rhs))
     assert np.allclose(x, dense, atol=1e-11)
 
 
@@ -196,13 +210,13 @@ def test_banded_solve_clamped_fourth():
     op = reference_operator(grid, "fourth").shifted(0.5)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     x = BandedLU(*op.to_banded()).solve(op.restrict(rhs))
-    res = op.matrix @ x - op.restrict(rhs)
+    res = op.dot(x) - op.restrict(rhs)
     assert np.max(np.abs(res)) < 1e-8
 
 
 def test_singular_solve_raises():
     grid = Grid(1, 9)
-    diag = scipy.sparse.diags([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    diag = _from_dense(np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
     op = operator_from_full_matrix(grid, 1, NEU, diag)
     rhs = GridFunction.from_scalar(grid, np.ones(grid.shape))
     with pytest.raises(SolverError):
@@ -235,7 +249,7 @@ def test_neumann_laplacian_exact_eigenpairs():
     for k in (1, 3):
         v = np.cos(k * np.pi * x)
         lam = 2.0 / h ** 2 * (1.0 - np.cos(k * np.pi * h))
-        assert np.max(np.abs(op.matrix @ v - lam * v)) < 1e-8 * lam
+        assert np.max(np.abs(op.dot(v) - lam * v)) < 1e-8 * lam
 
 
 def test_proxy_orthonormal_and_roundtrip():
@@ -263,7 +277,7 @@ def test_proxy_roundtrip_clamped():
 def test_eigendecompose_guards():
     grid = Grid(1, 12)
     ref = reference_operator(grid, "second")
-    asym = scipy.sparse.csr_matrix(np.triu(np.ones((12, 12))))
+    asym = _from_dense(np.triu(np.ones((12, 12))))
     op = LinearOperator(grid, 1, NEU, asym, ref.active, ref.weights)
     with pytest.raises(SolverError):
         eigendecompose(op)
@@ -279,3 +293,283 @@ def test_clamped_bilaplacian_smallest_eigenvalue_near_continuum():
     lam1 = proxy.eigenvalues[0]
     exact = 4.730040744862704 ** 4
     assert abs(lam1 - exact) / exact < 5e-3
+
+
+# ---------------------------------------------------------------- the CSR reference
+# The scipy.sparse assembly that the diagonal storage follows: the same stored
+# entries in the same order in every row, so the same products, bands,
+# factors and eigenpairs, bit for bit.
+
+def _csr_mirrored(n, off):
+    idx = np.abs(np.arange(off, n + off))
+    return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+
+
+def _csr_diff_matrix_1d(n, h, order):
+    if order == 0:
+        return scipy.sparse.identity(n, format="csr")
+    offsets, coeffs = STENCILS[order]
+    terms = [(off, c) for off, c in zip(offsets, coeffs) if c != 0.0]
+    cols = np.stack([_csr_mirrored(n, off) for off, _ in terms], axis=1)
+    rows = np.repeat(np.arange(n), len(terms))
+    data = np.tile([c / h ** order for _, c in terms], n)
+    return scipy.sparse.csr_matrix((data, (rows, cols.ravel())), shape=(n, n))
+
+
+def _csr_reduce(grid, ncomp, bc, full):
+    active = active_flat_indices(grid, ncomp, bc)
+    mat = scipy.sparse.csr_matrix(full)
+    if len(active) != mat.shape[0]:
+        mat = mat[active][:, active]
+    return mat.tocsr()
+
+
+def _csr_laplacian(grid):
+    n = grid.nodes_per_axis
+    d2 = _csr_diff_matrix_1d(n, grid.h, 2)
+    if grid.dim == 1:
+        return d2
+    eye = scipy.sparse.identity(n, format="csr")
+    return (scipy.sparse.kron(d2, eye) + scipy.sparse.kron(eye, d2)).tocsr()
+
+
+def _csr_reference(grid, order):
+    if order == "second":
+        return _csr_reduce(grid, 1, NEU, -_csr_laplacian(grid))
+    n = grid.nodes_per_axis
+    d2, d4 = _csr_diff_matrix_1d(n, grid.h, 2), _csr_diff_matrix_1d(n, grid.h, 4)
+    if grid.dim == 1:
+        return _csr_reduce(grid, 1, CLA, d4)
+    eye = scipy.sparse.identity(n, format="csr")
+    full = (scipy.sparse.kron(d4, eye) + scipy.sparse.kron(eye, d4)
+            + 2.0 * scipy.sparse.kron(d2, d2)).tocsr()
+    return _csr_reduce(grid, 1, CLA, full)
+
+
+def _csr_coefficients(grid, coeffs, bc, ncomp=1):
+    n = grid.nodes_per_axis
+    total = None
+    for sigma, c in coeffs.items():
+        mats = [_csr_diff_matrix_1d(n, grid.h, s) for s in sigma]
+        dmat = mats[0] if grid.dim == 1 else scipy.sparse.kron(mats[0], mats[1], format="csr")
+        term = scipy.sparse.diags(np.asarray(c, dtype=float).ravel()) @ dmat
+        total = term if total is None else total + term
+    if ncomp > 1:
+        total = scipy.sparse.kron(total, scipy.sparse.identity(ncomp), format="csr")
+    return _csr_reduce(grid, ncomp, bc, total)
+
+
+def _csr_diffusion(grid, av):
+    """-a(v) Lap for the (n_nodes, N, N) diffusion matrices ``av``."""
+    N, n_nodes = av.shape[1], grid.n_nodes
+    blocks = scipy.sparse.bsr_matrix((av, np.arange(n_nodes), np.arange(n_nodes + 1)),
+                                     shape=(n_nodes * N, n_nodes * N))
+    big_lap = scipy.sparse.kron(_csr_laplacian(grid), scipy.sparse.identity(N), format="csr")
+    return _csr_reduce(grid, N, NEU, -(blocks @ big_lap))
+
+
+def _csr_to_banded(mat):
+    coo = mat.tocoo()
+    offsets = coo.row - coo.col
+    kl = int(max(offsets.max(initial=0), 0))
+    ku = int(max(-offsets.min(initial=0), 0))
+    ab = np.zeros((2 * kl + ku + 1, mat.shape[0]), order="F")
+    ab[kl + ku + offsets, coo.col] = coo.data
+    return ab, (kl, ku)
+
+
+def _csr_to_symmetric_banded(mat, w):
+    coo = (scipy.sparse.diags(w) @ mat).tocoo()
+    offsets = coo.col - coo.row
+    upper = offsets >= 0
+    kd = int(offsets.max(initial=0))
+    ab = np.zeros((kd + 1, mat.shape[0]), order="F")
+    ab[kd - offsets[upper], coo.col[upper]] = coo.data[upper]
+    return ab
+
+
+def _csr_symmetric_defect(mat, w):
+    wm = scipy.sparse.diags(w) @ mat
+    diff = (wm - wm.T).tocoo()
+    scale = max(np.max(np.abs(wm.data)) if wm.nnz else 0.0, 1e-300)
+    defect = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+    return float(defect / scale)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def assert_same_matrix(diag, csr, seed=0):
+    """Same stored entries, row by row in the order of the sums, same dense
+    matrix and bitwise the same products with a stack and with one vector."""
+    rows, offsets, values, ranks = diag.entries()
+    order = np.lexsort((ranks, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=diag.n))])
+    assert np.array_equal(indptr, csr.indptr)
+    assert np.array_equal((rows + offsets)[order], csr.indices)
+    assert _bits(values[order]) == _bits(csr.data)
+    assert _bits(diag.toarray()) == _bits(csr.toarray())
+    # a stack of several blocks of vectors, with leading axes and strided rows
+    wide = np.random.default_rng(seed).normal(size=(2, 150, diag.n + 1))
+    x = wide[..., 1:]
+    want = (csr @ x.reshape(-1, diag.n).T).T.reshape(x.shape)
+    assert _bits(diag.dot(x)) == _bits(want)
+    assert _bits(diag.dot(x[0, 0])) == _bits(csr @ x[0, 0])
+
+
+def assert_same_operator(op, csr):
+    assert_same_matrix(op.matrix, csr)
+    ab, bands = op.to_banded()
+    ref_ab, ref_bands = _csr_to_banded(csr)
+    assert bands == ref_bands and _bits(ab) == _bits(ref_ab)
+    assert _bits(op.to_symmetric_banded()) == _bits(_csr_to_symmetric_banded(csr, op.weights))
+    assert op.symmetric_defect() == _csr_symmetric_defect(csr, op.weights)
+
+
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("bc", [NEU, CLA])
+def test_diff_matrix_1d_matches_csr(n, order, bc):
+    assert_same_matrix(diff_matrix_1d(n, 1.0 / (n - 1), order, bc),
+                       _csr_diff_matrix_1d(n, 1.0 / (n - 1), order))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_laplacian_and_reference_operators_match_csr(dim):
+    grid = Grid(dim, 9)
+    assert_same_matrix(neumann_laplacian(grid), _csr_laplacian(grid))
+    for order in ("second", "fourth"):
+        op = reference_operator(grid, order)
+        assert_same_operator(op, _csr_reference(grid, order))
+        for kappa in (0.0, 2.5, -1.0):
+            ref = (_csr_reference(grid, order) + kappa * scipy.sparse.identity(op.n_active))
+            assert_same_operator(op.shifted(kappa), ref.tocsr())
+
+
+def _random_coefficients(grid, rng, max_order=4):
+    """Random nodal coefficients, some of them zero, on random multi-indices."""
+    sigmas = [s for s in np.ndindex(*(max_order + 1,) * grid.dim) if sum(s) <= max_order]
+    picked = rng.choice(len(sigmas), size=min(6, len(sigmas)), replace=False)
+    coeffs = {}
+    for k in picked:
+        c = rng.normal(size=grid.shape)
+        c[rng.uniform(size=grid.shape) < 0.2] = 0.0
+        coeffs[tuple(int(s) for s in sigmas[k])] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", [NEU, CLA])
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_coefficient_operator_matches_csr(dim, bc, ncomp, seed):
+    grid = Grid(dim, 9)
+    coeffs = _random_coefficients(grid, np.random.default_rng(seed))
+    op = assemble_coefficient_operator(grid, coeffs, bc, ncomp)
+    assert_same_operator(op, _csr_coefficients(grid, coeffs, bc, ncomp))
+    # a single order alone, for every order
+    for order in range(5):
+        sigma = (order,) + (0,) * (dim - 1)
+        one = {sigma: coeffs[next(iter(coeffs))]}
+        assert_same_operator(assemble_coefficient_operator(grid, one, bc),
+                             _csr_coefficients(grid, one, bc))
+
+
+def test_a_cancelled_entry_leaves_the_row_order_of_the_rest():
+    # D2 then D4 list the rows of their sum out of column order; a third
+    # term that cancels the diagonal exactly drops it from that order
+    grid = Grid(1, 9)
+    ones = np.ones(grid.shape)
+    centre = -2.0 / grid.h ** 2 + 6.0 / grid.h ** 4
+    coeffs = {(2,): ones, (4,): ones, (0,): np.full(grid.shape, -centre)}
+    for bc in (NEU, CLA):
+        op = assemble_coefficient_operator(grid, coeffs, bc)
+        assert 0 not in op.matrix.offsets[op.matrix.stored[:, 4]]
+        assert_same_operator(op, _csr_coefficients(grid, coeffs, bc))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_diffusion_operator_matches_csr(dim, ncomp, coupled):
+    grid = Grid(dim, 9)
+    rng = np.random.default_rng(ncomp)
+    # random nodal diffusion matrices, diagonal ones storing exact zeros
+    av = rng.uniform(0.5, 1.5, size=(grid.n_nodes, ncomp, ncomp))
+    if not coupled:
+        av *= np.eye(ncomp)
+    op = operator_from_full_matrix(grid, ncomp, NEU,
+                                   block_rows(av, neumann_laplacian(grid)).scaled(-1.0))
+    ref = _csr_diffusion(grid, av)
+    assert_same_operator(op, ref)
+    assert_same_operator(op.shifted(1.5), (ref + 1.5 * scipy.sparse.identity(op.n_active)).tocsr())
+    # the reaction-diffusion family assembles the same, here for a constant a
+    a = np.eye(ncomp) + (0.2 * np.triu(np.ones((ncomp, ncomp)), 1) if coupled else 0.0)
+    spec = ReactionDiffusionSpec(grid=grid, ncomp=ncomp, a=PolynomialMap.constant(a),
+                                 f=PolynomialMap.constant(np.zeros(ncomp)),
+                                 b=PolynomialMap.constant(np.zeros((ncomp,) * 3)),
+                                 u_box=np.array([[-2.0, 2.0]] * ncomp))
+    v = GridFunction(grid, rng.uniform(-1.0, 1.0, size=grid.shape + (ncomp,)))
+    assert_same_operator(rd_problem(spec).assemble_A(v),
+                         _csr_diffusion(grid, np.broadcast_to(a, av.shape)))
+
+
+@pytest.mark.parametrize("kind", ["willmore", "surface_diffusion"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", range(2))
+def test_flow_operator_matches_csr(kind, dim, seed):
+    grid = Grid(dim, 10)
+    rng = np.random.default_rng(seed)
+    values = 0.05 * rng.normal(size=grid.shape)
+    values[~grid.interior_mask()] = 0.0
+    h = GridFunction.from_scalar(grid, values)
+    op = flow_problem(FlowSpec(grid=grid, kind=kind)).assemble_A(h)
+    assert_same_operator(op, _csr_coefficients(grid, _fourth_order_coeffs(grid, h), CLA))
+
+
+@pytest.mark.parametrize("dim,order", [(1, "second"), (1, "fourth"), (2, "second"),
+                                       (2, "fourth")])
+def test_eigendecompose_matches_eigh(dim, order):
+    grid = Grid(dim, 12)
+    op = reference_operator(grid, order)
+    proxy = eigendecompose(op)
+    sqw = np.sqrt(op.weights)
+    sym = (_csr_reference(grid, order).toarray() * sqw[:, None]) / sqw[None, :]
+    lam, vecs = scipy.linalg.eigh(0.5 * (sym + sym.T))
+    assert _bits(proxy.eigenvalues) == _bits(lam)
+    assert _bits(proxy.modes) == _bits(vecs / sqw[:, None])
+
+
+def test_lapack_fallback_gives_the_same_bits(monkeypatch):
+    """With the load of scipy's LAPACK extension by file path failing, the
+    operators take ``scipy.linalg.lapack``, with bitwise the same factors and
+    eigenpairs."""
+    import importlib.util
+
+    from parabolab import operators
+
+    def fail(*args, **kwargs):
+        raise ImportError("no direct load")
+
+    grid = Grid(1, 16)
+    op = reference_operator(grid, "second").shifted(0.5)
+    plate = reference_operator(grid, "fourth")
+
+    def results():
+        ab, bands = op.to_banded()
+        lu = BandedLU(ab, bands)
+        chol = BandedCholesky(op.to_symmetric_banded(), op.weights)
+        b = np.linspace(-1.0, 1.0, op.n_active)
+        proxy = eigendecompose(plate)
+        return [lu.lu, lu.piv, lu.solve(b), chol.c, chol.solve(b), proxy.eigenvalues,
+                proxy.modes]
+
+    direct = results()
+    with monkeypatch.context() as m:
+        m.setattr(importlib.util, "spec_from_file_location", fail)
+        fallback = operators._load_lapack()
+    assert fallback.__name__ == "scipy.linalg.lapack"
+    monkeypatch.setattr(operators, "_lapack", fallback)
+    for a, b in zip(direct, results()):
+        assert a.dtype == b.dtype and _bits(a) == _bits(b)
