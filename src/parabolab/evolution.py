@@ -21,9 +21,9 @@ norm threshold or window collapse, reporting a lower bound for the
 existence time in the latter cases.
 
 Time stepping is implicit Euler on the graded grid t_k = T (k/K)^gamma with
-gamma = max(1, 1/(mu - 1/p)); a spectral stepper (exact exponential plus a
-phi1 Duhamel term in the frozen operator's eigenbasis) makes window gluing
-exact up to roundoff for symmetric scalar operators of at most
+gamma = max(1, 1/(mu - 1/p)); the spectral propagator (exact exponential
+plus a phi1 Duhamel term in the frozen operator's eigenbasis) makes window
+gluing exact up to roundoff for symmetric scalar operators of at most
 ``operators.DESK_EIG_CAP`` unknowns.
 
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
@@ -40,20 +40,25 @@ glues the windows' arrays and releases each window's trajectory once
 ``lipschitz_probe``) measure stacked states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
-times and serves the reference solve and every Picard iteration.  Implicit
-Euler factors each I + dt_k*A(u1) once, in 1D and 2D alike, as one LAPACK
-banded factor from ``operators.step_factors``, Cholesky where A(u1) is
-symmetric in its pairing and LU otherwise.  Its march forms every increment
-dt_k*rhs_{k+1} in one product, solves each step with its factor, and checks
-the whole (K+1, n_active) output for finiteness once per run; a non-finite
-run raises a SolverError that names the solve routine of the first step
-that went non-finite.
+times and serves the reference solve and every Picard iteration.  The
+spectral propagator, and implicit Euler where A(u1) is scalar and symmetric
+in its pairing and the window has n <= 256 unknowns and K >= n^2/100 steps
+(``_marches_in_eigenbasis``: one eigendecomposition then costs less than
+the banded steps), march in the eigenbasis of A(u1) with no LAPACK call per
+step (``_ModalStepper``).  Every other window (the geometric flows, coupled
+reaction-diffusion, large 2D grids, short windows on fine grids) factors
+each I + dt_k*A(u1) once, as one LAPACK banded factor from
+``operators.step_factors``, Cholesky where A(u1) is symmetric in its pairing
+and LU otherwise (``_EulerStepper``).  Either march checks its whole
+(K+1, n_active) output for finiteness once per run; a non-finite run raises
+a SolverError that names the modal march, or the solve routine of the first
+step that went non-finite.
 
-The limit is 2D memory: the band of an m^2-node operator is about m wide, so
-one factor takes O(m^3) bytes and a window holds K of them.  For the
-second-order operator -a(u) Lap, a Cholesky factor stores m + 1 band rows
-and an LU factor 3m + 1.  Per factor, two passes on a 2-core Intel Xeon VM
-with one BLAS thread:
+The limit of the banded march is 2D memory: the band of an m^2-node
+operator is about m wide, so one factor takes O(m^3) bytes and a window
+holds K of them.  For the second-order operator -a(u) Lap, a Cholesky
+factor stores m + 1 band rows and an LU factor 3m + 1.  Per factor, two
+passes on a 2-core Intel Xeon VM with one BLAS thread:
 
     nodes                     48^2       64^2       96^2       128^2
     Cholesky  size (MB)       0.90       2.1        7.2        17
@@ -235,7 +240,8 @@ def graded_times(T: float, steps: int, gamma: float) -> np.ndarray:
 
 class _EulerStepper:
     """Implicit Euler with one banded factor of I + dt_k*A0 per step, from
-    ``operators.step_factors``."""
+    ``operators.step_factors``: the march of every window that
+    ``_marches_in_eigenbasis`` leaves out."""
 
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
@@ -273,27 +279,64 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SpectralStepper:
-    """Exact exponential for the frozen part, phi1 (exponential-integrator)
-    treatment of the rhs; exact for rhs = 0 and for constant rhs."""
+def _euler_tables(dts: np.ndarray, lam: np.ndarray):
+    """Implicit Euler on mode lambda: a = 1/(1 + dt*lambda), g = a*dt."""
+    den = 1.0 + dts[:, None] * lam
+    if not den.all():
+        raise SolverError("modal march failed: a step is singular, 1 + dt*lambda = 0")
+    a = 1.0 / den
+    return a, a * dts[:, None]
 
-    def __init__(self, A0: LinearOperator, times: np.ndarray):
+
+def _spectral_tables(dts: np.ndarray, lam: np.ndarray):
+    """The exact exponential a = exp(-dt*lambda) and the phi1 Duhamel weight
+    g = dt*phi1(-dt*lambda); exact for rhs = 0 and for constant rhs."""
+    z = -lam * dts[:, None]
+    return np.exp(z), dts[:, None] * _phi1(z)
+
+
+class _ModalStepper:
+    """The march in the eigenbasis of a scalar A0 symmetric in its pairing:
+    ``tables(dts, eigenvalues)`` gives the (K, n) tables a, g of the modal
+    recurrence c_{k+1} = a_k c_k + g_k rhat_{k+1}, rhat the rhs's modal
+    coefficients, which one product forms for all steps; one more product
+    maps the coefficients back."""
+
+    def __init__(self, A0: LinearOperator, times: np.ndarray, tables):
         self.A0 = A0
         self.times = times
-        self.proxy = eigendecompose(A0)
-        self.lam = self.proxy.eigenvalues
-        self.wmodes = self.proxy.modes * A0.weights[:, None]
+        proxy = eigendecompose(A0)
+        self.modes = proxy.modes
+        self.wmodes = proxy.modes * A0.weights[:, None]
+        self.a, self.g = tables(np.diff(times), proxy.eigenvalues)
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
-        c = self.wmodes.T @ u_init
-        us = np.tile(u_init, (len(self.times), 1))
-        for k, dt in enumerate(np.diff(self.times)):
-            decay = np.exp(-self.lam * dt)
-            c = decay * c
-            if rhs is not None:
-                c = c + dt * _phi1(-self.lam * dt) * (self.wmodes.T @ rhs[k + 1])
-            us[k + 1] = self.proxy.modes @ c
+        c = np.empty((len(self.a) + 1, len(u_init)))
+        c[0] = u_init @ self.wmodes
+        if rhs is None:
+            c[1:] = self.a
+            c = np.multiply.accumulate(c, axis=0)
+        else:
+            np.multiply(np.matmul(rhs[1:], self.wmodes, out=c[1:]), self.g, out=c[1:])
+            for k, ak in enumerate(self.a):
+                c[k + 1] += ak * c[k]
+        us = np.empty((len(c), len(u_init)))
+        us[0] = u_init
+        np.matmul(c[1:], self.modes.T, out=us[1:])
+        if not np.isfinite(us).all():
+            raise SolverError("modal march failed: non-finite values")
         return us
+
+
+def _marches_in_eigenbasis(A0: LinearOperator, steps: int) -> bool:
+    """Whether implicit Euler on A0 marches in its eigenbasis, which costs
+    less than banded steps here: for n unknowns and K steps, set-up and
+    marches of a window break even near n^2 = 64 K over two marches and
+    n^2 = 130 K over ten (1D heat and plate operators, 2-core Intel Xeon VM,
+    one BLAS thread), and beyond about 256 unknowns a modal step, two
+    products with the modes, costs more than a banded solve."""
+    n = A0.n_active
+    return A0.ncomp == 1 and n <= 256 and n * n <= 100 * steps and A0.pairs_symmetrically
 
 
 def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
@@ -303,7 +346,9 @@ def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
         raise StateConstraintError("freeze state outside the admissible region")
     A0 = prob.assemble_A(u_freeze)
     if cfg.propagator == "spectral":
-        return _SpectralStepper(A0, times)
+        return _ModalStepper(A0, times, _spectral_tables)
+    if _marches_in_eigenbasis(A0, len(times) - 1):
+        return _ModalStepper(A0, times, _euler_tables)
     return _EulerStepper(A0, times)
 
 

@@ -508,6 +508,14 @@ class LinearOperator:
         defect = np.max(np.abs(np.concatenate(diffs)), initial=0.0)
         return float(defect / scale)
 
+    @functools.cached_property
+    def pairs_symmetrically(self) -> bool:
+        """Whether every pairing weight is positive and W M is symmetric to
+        SYMMETRIC_DEFECT: the test for Cholesky steps and for the modal
+        march, made once per operator."""
+        return bool(np.all(self.weights > 0.0)
+                    and self.symmetric_defect() <= SYMMETRIC_DEFECT)
+
     def to_banded(self):
         """(ab, (kl, ku)) in LAPACK ``gbtrf`` storage.
 
@@ -720,9 +728,9 @@ def step_factors(A0: LinearOperator, dts: np.ndarray) -> list:
     reaction-diffusion take an LU factor, as does a step whose
     W(I + dt*A0) is not positive definite.
     """
-    w = A0.weights
-    if not (np.all(w > 0.0) and A0.symmetric_defect() <= SYMMETRIC_DEFECT):
+    if not A0.pairs_symmetrically:
         return _lu_factors(A0, dts)
+    w = A0.weights
     stack = scaled_bands(A0.to_symmetric_banded(), dts, -1, w)
     factors = []
     for k, dt in enumerate(dts):
@@ -787,7 +795,7 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
         raise ValueError(f"{n} unknowns exceed the dense eigendecomposition cap {DESK_EIG_CAP}")
     if op.ncomp != 1:
         raise ValueError("eigendecompose expects a scalar operator")
-    defect = op.symmetric_defect()
+    defect = 0.0 if op.pairs_symmetrically else op.symmetric_defect()
     if defect > 1e-8:
         raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
     sqw = np.sqrt(op.weights)

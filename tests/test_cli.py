@@ -756,10 +756,12 @@ def _out_of_memory(*_args):
     raise MemoryError("Unable to allocate 59.6 GiB for an array with shape (2001, 4000000)")
 
 
-def test_run_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(evolution, "step_factors", _out_of_memory)
+def _run_out_of_memory(tmp_path, capsys, nodes):
+    """A run of tiny_cfg on ``nodes`` nodes, whose window set-up fails."""
+    cfg = tiny_cfg()
+    cfg["grid"]["nodes"] = nodes
     out = tmp_path / "out"
-    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", tiny_cfg()),
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 59.6 GiB"), err
@@ -767,22 +769,48 @@ def test_run_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def test_sweep_records_a_cell_out_of_memory_as_exit_4(tmp_path, capsys, monkeypatch):
-    factors = evolution.step_factors
+def test_run_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # 33 unknowns and 4 steps per window take banded steps
+    monkeypatch.setattr(evolution, "step_factors", _out_of_memory)
+    _run_out_of_memory(tmp_path, capsys, 33)
 
-    def fail_on_33_nodes(A0, dts):
-        if A0.grid.n_nodes == 33:
+
+def test_run_out_of_memory_in_the_eigenbasis_exits_4(tmp_path, capsys, monkeypatch):
+    # 12 unknowns and 4 steps per window march in the eigenbasis
+    monkeypatch.setattr(evolution, "eigendecompose", _out_of_memory)
+    _run_out_of_memory(tmp_path, capsys, 12)
+
+
+def _sweep_out_of_memory(tmp_path, capsys, monkeypatch, setup, nodes):
+    """A sweep of tiny_cfg over 33 and 12 nodes whose window set-up
+    ``setup`` fails on ``nodes`` nodes."""
+    original = getattr(evolution, setup)
+
+    def fail_on(A0, *args):
+        if A0.grid.n_nodes == nodes:
             _out_of_memory()
-        return factors(A0, dts)
+        return original(A0, *args)
 
-    monkeypatch.setattr(evolution, "step_factors", fail_on_33_nodes)
+    monkeypatch.setattr(evolution, setup, fail_on)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", write_cfg(tmp_path / "cfg.json", tiny_cfg()),
                  "--axes", write_cfg(tmp_path / "axes.json", {"grid.nodes": [33, 12]}),
                  "--out", str(out)]) == 0
     cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
-    assert [c["exit_code"] for c in cells] == [4, 0]
-    assert "cell 0: Unable to allocate 59.6 GiB" in capsys.readouterr().err
+    failing = [33, 12].index(nodes)
+    assert [c["exit_code"] for c in cells] == [4 if i == failing else 0 for i in range(2)]
+    assert f"cell {failing}: Unable to allocate 59.6 GiB" in capsys.readouterr().err
+
+
+def test_sweep_records_a_cell_out_of_memory_as_exit_4(tmp_path, capsys, monkeypatch):
+    # the 33-node cell takes banded steps
+    _sweep_out_of_memory(tmp_path, capsys, monkeypatch, "step_factors", 33)
+
+
+def test_sweep_records_a_cell_out_of_memory_in_the_eigenbasis_as_exit_4(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the 12-node cell marches in the eigenbasis
+    _sweep_out_of_memory(tmp_path, capsys, monkeypatch, "eigendecompose", 12)
 
 
 def test_help_exits_0(capsys):

@@ -11,10 +11,13 @@ t = (1/c)(1 - c/M).  With c = 2, M = 100 the crossing is at 0.49, and the
 Picard iteration on a window of length T converges iff T is below the
 existence time 1/c = 0.5, which forces the window halvings 1.0 -> 0.5 -> 0.25.
 
-The banded implicit Euler stepper is checked against scipy's sparse direct
-solve of I + dt*A, step by step, for frozen operators A(u) assembled at drawn
-states.  Steps stay at dt <= 1e-2 on small grids, where I + dt*A is well
-enough conditioned for the two solvers to agree to 1e-12.
+The banded implicit Euler stepper, and on operators symmetric in their
+pairing the modal one, are checked against scipy's sparse direct solve of
+I + dt*A, step by step, for frozen operators A(u) assembled at drawn states.
+Steps stay at dt <= 1e-2 on small grids, where I + dt*A is well enough
+conditioned for the solvers to agree to 1e-12; a drawn shift A - kappa*I
+makes the long steps negative definite with the same conditioning and keeps
+the short ones positive definite.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab import evolution
+from parabolab.config import build_initial, build_problem, load_run_config
 from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  FixedPointConfig, LipschitzReport, NonconvergenceError,
                                  StateConstraintError, continue_solution,
@@ -164,25 +169,47 @@ ORACLE_CASES = {
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_euler_stepper_matches_sparse_solve(case, data):
-    grid, ncomp, build, _factor = ORACLE_CASES[case]
+    grid, ncomp, build, factor = ORACLE_CASES[case]
     # the state sets the coefficient fields of the frozen operator A(state)
     state = data.draw(arrays(np.float64, grid.shape + (ncomp,),
                              elements=st.floats(-1.0, 1.0)), label="state")
     A = build(grid)(GridFunction(grid, state))
-    dts = data.draw(st.lists(st.floats(1e-8, 1e-2), min_size=1, max_size=3), label="dts")
+    if data.draw(st.booleans(), label="shift"):
+        # long steps of length `long`, short ones of at most `short`: with
+        # rho >= |lambda| for every eigenvalue of A, the shift kappa puts the
+        # spectrum of I + dt*(A + kappa) under -1 on a long step and within
+        # 1/2 of 1 on a short one
+        rho = float(np.max(np.sum(np.abs(A.toarray()), axis=1)))
+        long = data.draw(st.floats(1e-4, 1e-2), label="long")
+        kappa = -(2.0 + long * rho) / long
+        short = long / (4.0 * (1.0 + long * rho))
+        dts = [long if is_long else short * f for is_long, f in data.draw(st.lists(
+            st.tuples(st.booleans(), st.floats(1e-6, 1.0)), min_size=1, max_size=3),
+            label="steps")]
+        A = A.shifted(kappa)
+    else:
+        dts = data.draw(st.lists(st.floats(1e-8, 1e-2), min_size=1, max_size=3), label="dts")
     times = np.concatenate([[0.0], np.cumsum(dts)])
     n = A.n_active
     u0 = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)), label="u0")
-    rhs = list(data.draw(arrays(np.float64, (len(times), n), elements=st.floats(-1.0, 1.0)),
-                         label="rhs"))
-    got = evolution._EulerStepper(A, times).run(u0, rhs)
+    rhs = None
+    if data.draw(st.booleans(), label="with_rhs"):
+        rhs = data.draw(arrays(np.float64, (len(times), n), elements=st.floats(-1.0, 1.0)),
+                        label="rhs")
     eye = scipy.sparse.identity(n, format="csc")
     want = [u0]
     for k, dt in enumerate(dts):
-        want.append(scipy.sparse.linalg.spsolve((eye + dt * scipy.sparse.csc_matrix(A.toarray())),
-                                                want[-1] + dt * rhs[k + 1]))
-    for x, y in zip(got, want):
-        assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
+        b = want[-1] if rhs is None else want[-1] + dt * rhs[k + 1]
+        want.append(scipy.sparse.linalg.spsolve(eye + dt * scipy.sparse.csc_matrix(A.toarray()), b))
+    steppers = [evolution._EulerStepper(A, times)]
+    # the operators that take Cholesky steps march in their eigenbasis too
+    if factor is BandedCholesky and ncomp == 1:
+        assert A.pairs_symmetrically
+        steppers.append(evolution._ModalStepper(A, times, evolution._euler_tables))
+    for stepper in steppers:
+        got = stepper.run(u0, rhs)
+        for x, y in zip(got, want):
+            assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
 
 
 def test_euler_stepper_singular_step_raises():
@@ -192,6 +219,49 @@ def test_euler_stepper_singular_step_raises():
                                   Diagonals.identity(grid.n_nodes, -1.0))
     with pytest.raises(SolverError):
         evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
+
+
+def test_modal_singular_step_raises():
+    # the same A = -I marches in its eigenbasis, where 1 + dt*lambda = 0
+    grid = Grid(1, 9)
+    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
+                                  Diagonals.identity(grid.n_nodes, -1.0))
+    assert evolution._marches_in_eigenbasis(A, 2)
+    with pytest.raises(SolverError, match="^modal march failed: a step is singular"):
+        evolution._ModalStepper(A, np.array([0.0, 0.5, 1.5]), evolution._euler_tables)
+
+
+def _frozen(grid, prob, time_steps, propagator="euler"):
+    """The stepper of a window of ``prob`` frozen at a bump state."""
+    bump = 1.0 + 0.3 * np.sin(np.pi * grid.axis_coords()) ** 2
+    state = np.broadcast_to(bump[:, None], grid.shape + (prob.ncomp,))
+    cfg = FixedPointConfig(window=0.01, time_steps=time_steps, mu=MU, p=P,
+                           propagator=propagator)
+    return evolution._build_machinery(prob, GridFunction(grid, state), graded_times(
+        cfg.window, time_steps, cfg.gamma()), cfg)
+
+
+@pytest.mark.parametrize("make,time_steps,propagator,march", [
+    # the criterion-04 ladder: n^2 <= 100 K at n = 33, 65, 129 and K = (n - 1)^2/4
+    (lambda: heat_problem(33), 256, "euler", "_ModalStepper"),
+    (lambda: heat_problem(129), 4096, "euler", "_ModalStepper"),
+    (lambda: (Grid(1, 129), AbstractProblem(_plate(Grid(1, 129)), None, None,
+                                            BoundaryCondition.CLAMPED, order="fourth")),
+     4096, "euler", "_ModalStepper"),
+    # a window too short to pay for the eigenbasis takes banded steps
+    (lambda: heat_problem(129), 50, "euler", "_EulerStepper"),
+    (lambda: heat_problem(129), 50, "spectral", "_ModalStepper"),
+    # more unknowns than the cap, however many steps
+    (lambda: heat_problem(257), 4096, "euler", "_EulerStepper"),
+    # not symmetric in the pairing, or not scalar
+    (lambda: (Grid(1, 33), flow_problem(FlowSpec(Grid(1, 33), "willmore"))), 4096, "euler",
+     "_EulerStepper"),
+    (lambda: (Grid(1, 33), _coupled_diffusion(Grid(1, 33))), 4096, "euler", "_EulerStepper"),
+], ids=["heat-33", "heat-129", "plate-129", "heat-129-short", "heat-129-short-spectral",
+        "heat-257", "willmore", "coupled"])
+def test_window_march_follows_the_cost_rule(make, time_steps, propagator, march):
+    grid, prob = make()
+    assert type(_frozen(grid, prob, time_steps, propagator)).__name__ == march
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -274,20 +344,51 @@ def test_non_finite_march_raises_the_failing_steps_error(case, factor, routine, 
         stepper.run(np.full(A.n_active, bad), None)
 
 
-def test_window_meeting_a_non_finite_march_halves():
-    # a constant G = 1e308 adds dt*1e308 to the state in each step, so the
-    # first Picard march of a window of length 8, 4 or 2 overflows
-    grid, prob = heat_problem(9)
+@pytest.mark.parametrize("tables", ["_euler_tables", "_spectral_tables"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_modal_march_raises_the_marchs_error(tables, bad):
+    grid, ncomp, build, _factor = ORACLE_CASES["heat-1d"]
+    A = build(grid)(GridFunction.from_scalar(grid, 0.3 * np.sin(np.pi * grid.axis_coords())))
+    stepper = evolution._ModalStepper(A, graded_times(0.01, 6, 2.0), getattr(evolution, tables))
+    u0 = np.linspace(-1.0, 1.0, A.n_active)
+    rhs = np.ones((7, A.n_active))
+    assert np.all(np.isfinite(stepper.run(u0, rhs)))
+    rhs[3, A.n_active // 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for args in ((u0, rhs), (np.full(A.n_active, bad), None)):
+            with pytest.raises(SolverError, match="^modal march failed: non-finite values$"):
+                stepper.run(*args)
+
+
+def _overflowing_window(nodes):
+    """The reason a window of the heat problem on ``nodes`` nodes collapses
+    when its march overflows.
+
+    A constant G = 1e308 adds dt*1e308 to the state in each step, so the
+    first Picard march of a window of length 8, 4 or 2 overflows;
+    fixed_point_solve reports the overflow as a halving reason, with no
+    numpy warning beside it."""
+    grid, prob = heat_problem(nodes)
     prob = dataclasses.replace(prob, G=lambda values: np.full_like(values, 1e308))
     cfg = FixedPointConfig(window=8.0, time_steps=4, mu=MU, p=P, max_halvings=2)
-    # fixed_point_solve reports the overflow as a halving reason, with no
-    # numpy warning beside it
     with warnings.catch_warnings(), pytest.raises(NonconvergenceError) as exc:
         warnings.simplefilter("error", RuntimeWarning)
         fixed_point_solve(GridFunction.zeros(grid), prob, cfg)
     assert exc.value.halvings == 2 and exc.value.residuals == ()
-    assert str(exc.value) == ("window collapsed after 2 halvings: iteration failed: "
-                              "banded solve failed: dpbtrs info 0 or non-finite values")
+    return str(exc.value)
+
+
+def test_window_meeting_a_non_finite_march_halves():
+    # 33 unknowns and 4 steps take banded steps
+    assert _overflowing_window(33) == ("window collapsed after 2 halvings: iteration failed: "
+                                       "banded solve failed: dpbtrs info 0 or non-finite values")
+
+
+def test_window_meeting_a_non_finite_modal_march_halves():
+    # 9 unknowns and 4 steps march in the eigenbasis
+    assert _overflowing_window(9) == ("window collapsed after 2 halvings: iteration failed: "
+                                      "modal march failed: non-finite values")
 
 
 def test_spectral_stepper_accepts_variable_diffusion():
@@ -375,6 +476,31 @@ def test_graded_grid_keeps_first_order_on_rough_data():
     assert np.all(np.log2(graded[:-1] / graded[1:]) >= 0.9), graded
     assert np.all(np.log2(uniform[:-1] / uniform[1:]) < 0.5), uniform
     assert np.all(graded < uniform)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["reaction_diffusion", "willmore"])
+def test_quasilinear_loop_keeps_first_order_in_time(name):
+    # self-convergence of the whole loop (Picard iteration, windows, gluing)
+    # with implicit Euler: the final states at K = 32, 64, 128, 256 steps per
+    # window; the 1D reaction-diffusion windows march in the eigenbasis from
+    # K = 41 on (64 unknowns), the Willmore windows take LU steps
+    rc = load_run_config(CONFIGS / f"{name}.json")
+    prob, _spec = build_problem(rc)
+    u0 = build_initial(rc)
+    finals = []
+    for K in (32, 64, 128, 256):
+        cfg = dataclasses.replace(rc.solver, time_steps=K, propagator="euler")
+        state = continue_solution(u0, prob, cfg, horizon=rc.horizon)
+        assert not state.blow_up and len(state.windows) == 2
+        finals.append(state.trajectory.state_values[-1])
+    gaps = np.array([np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])])
+    # the time error stays far above the Picard tolerance
+    assert np.all(gaps >= 100.0 * rc.solver.tol), gaps
+    orders = np.log2(gaps[:-1] / gaps[1:])
+    assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
 
 
 def test_linear_problem_converges_immediately():
