@@ -15,9 +15,10 @@ The banded implicit Euler stepper, and on operators symmetric in their
 pairing the modal one, are checked against scipy's sparse direct solve of
 I + dt*A, step by step, for frozen operators A(u) assembled at drawn states.
 Steps stay at dt <= 1e-2 on small grids, where I + dt*A is well enough
-conditioned for the solvers to agree to 1e-12; a drawn shift A - kappa*I
-makes the long steps negative definite with the same conditioning and keeps
-the short ones positive definite.
+conditioned for the solvers to agree to 1e-12; a drawn shift A + kappa*I,
+kappa < 0 (the operator of ``kappa_shift``), makes the long steps negative
+definite with the same conditioning and keeps the short ones positive
+definite.
 """
 
 from __future__ import annotations
