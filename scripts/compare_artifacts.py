@@ -18,7 +18,12 @@ It compares, the same way, the reports on that config
     python -m parabolab.cli symbol --config CONFIG --json JSON --b-range B --lambda-points 30
 
 with B = 1e-300:1e150:41 (the widest b range the options admit, scanned at
-11,111 points), and
+11,111 points), the report on the config's flat exponent table
+
+    python -m parabolab.cli check --config TABLE --json JSON
+
+where TABLE, written to the scratch directory, holds the config's
+``exponents`` with ``n`` = ``grid.dim`` and the ``order`` of its family, and
 on each tree's ``trajectory.npz`` of the run
 
     python -m parabolab.cli norms --checkpoint TRAJ --csv CSV --json JSON
@@ -68,6 +73,9 @@ CONFIG_DIRS = (REPO / "configs", REPO / "perfbench" / "configs")
 SEED = "0"
 SWEEP_CONFIG = REPO / "configs" / "heat.json"
 SWEEP_AXES = {"grid.nodes": [17, 33], "exponents.mu": ["4/5", "9/10"]}
+# the differential order of each problem family, as parabolab.config.FAMILY_ORDER
+FAMILY_ORDER = {"heat": "second", "reaction_diffusion": "second",
+                "surface_diffusion": "fourth", "willmore": "fourth"}
 
 
 # the commands that read only the config {config}
@@ -232,6 +240,14 @@ def main(argv=None) -> int:
                        for commands, run_stem in ((CONFIG_CHECKS, ""),
                                                   (TRAJECTORY_CHECKS, c.stem))
                        for check, argv in commands.items()]
+            cfg = json.loads(c.read_text())
+            table = Path(tmp) / f"{c.stem}-flat.json"
+            table.write_text(json.dumps({**cfg["exponents"], "n": cfg["grid"]["dim"],
+                                         "order": FAMILY_ORDER[cfg["problem"]["family"]]},
+                                        sort_keys=True) + "\n")
+            checks.append((f"check-flat {c.relative_to(REPO)}", f"{c.stem}-check-flat",
+                           [[a.replace("{config}", str(table)) for a in CONFIG_CHECKS["check"]]],
+                           ""))
         for c in sorted(CONFIG_DIRS[0].glob("*.json")):
             cfg = json.loads(c.read_text())
             cfg["solver"]["horizon"] = cfg["solver"]["window"]

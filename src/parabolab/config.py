@@ -1,17 +1,18 @@
 """Configuration ingestion: one parse from a JSON run document to a ``RunConfig``.
 
-``validate_run_config(doc)`` checks every key, JSON type and range that
-``schema/run_config.schema.json`` documents (an error reads ``config invalid
-at <path>: ...``), then what a schema cannot say: the cross-field and size
-limits, the exponents, the solver section, the coefficient tables against
-``problem.ncomp`` and the initial field against the grid.  The frozen
-``RunConfig`` it returns, defaults filled in, is all that a run, ``check``,
-``symbol`` or sweep cell reads; ``build_problem`` and ``build_initial`` raise
-no configuration error, only the ProblemSpecError of a problem that is not
-well posed.  The schema file is documentation; a test pins it to this parser.
+``validate_run_config(doc)`` checks the document against the bundled
+``schema/run_config.schema.json``, the one table of its keys, JSON types and
+ranges (an error reads ``config invalid at <path>: ...``), then what a schema
+cannot say: the cross-field and size limits, the exponents, the solver
+section, the coefficient tables against ``problem.ncomp`` and the initial
+field against the grid.  The frozen ``RunConfig`` it returns, defaults filled
+in, is all that a run, ``check``, ``symbol`` or sweep cell reads;
+``build_problem`` and ``build_initial`` raise no configuration error, only
+the ProblemSpecError of a problem that is not well posed.  jsonschema stays
+out of the runtime; the tests check that it agrees with this parse.
 
-``check`` also takes a flat exponent table (keys ``p``, ``q``, ``n``, ``mu``,
-optional ``order``, ``beta``, ``pairs``, ``epsilon``), which goes through the
+``check`` also takes a flat exponent table, checked against the schema's
+``definitions/exponent_table``, which admits no other key, and then by the
 same exponent parser.  Exponent values may be numbers or exact fraction
 strings such as ``"9/10"``.
 """
@@ -21,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -102,6 +105,9 @@ def load_json(path) -> dict:
 
 # ---------------------------------------------------------------- keys, types, ranges
 
+# the keys, JSON types and ranges of a run document and of a flat exponent
+# table; the defaults live in what the parse builds
+_SCHEMA = json.loads((Path(__file__).parent / "schema" / "run_config.schema.json").read_text())
 # the JSON types of the schema: a bool is neither an integer nor a number,
 # and an integer is never a float such as 4.0, which numpy refuses as a count
 _TYPES = {"integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
@@ -114,76 +120,46 @@ def _invalid(path: str, message: str) -> ConfigError:
     return ConfigError(f"config invalid at {path or '<root>'}: {message}")
 
 
-def _json(*types, enum=None, ge=None, gt=None, le=None, items=None, size=None,
-          required=(), **keys):
-    """The check of a JSON value: of one of ``types``, one of ``enum``, inside
-    the bounds; an array of ``size`` values that pass ``items``; an object
-    with no key but ``keys``, whose values pass their checks, and every
-    ``required`` key."""
-    def check(value, path):
-        if types and not any(_TYPES[t](value) for t in types):
-            raise _invalid(path, f"{value!r} is not of type {' or '.join(types)}")
-        if enum is not None and value not in enum:
-            raise _invalid(path, f"{value!r} is not one of {list(enum)}")
-        for bound, fails, relation in ((ge, lambda b: value < b, ">="),
-                                       (gt, lambda b: value <= b, ">"),
-                                       (le, lambda b: value > b, "<=")):
-            if bound is not None and fails(bound):
-                raise _invalid(path, f"{value!r} is not {relation} {bound!r}")
-        if size is not None and len(value) != size:
-            raise _invalid(path, f"{value!r} does not hold {size} items")
-        for i, item in enumerate(value if items else ()):
-            items(item, f"{path}/{i}")
-        if "object" in types:
-            unknown = [k for k in value if k not in keys]
-            missing = [k for k in required if k not in value]
-            if unknown or missing:
-                raise _invalid(path, f"unknown key {unknown[0]!r}" if unknown
-                               else f"missing key {missing[0]!r}")
-            for key, item in value.items():
-                keys[key](item, f"{path}/{key}" if path else key)
-    return check
+def _resolve(sub: dict) -> tuple:
+    """``sub``, or the definition that its ``$ref`` names, and its JSON types."""
+    if "$ref" in sub:  # "#/definitions/<name>"
+        sub = _SCHEMA["definitions"][sub["$ref"].split("/")[-1]]
+    types = sub.get("type", [])
+    return sub, [types] if isinstance(types, str) else types
 
 
-def _one_or_many(one, many):
-    """The check of an array by ``many``, or of any other value by ``one``."""
-    return lambda value, path: (many if isinstance(value, list) else one)(value, path)
-
-
-def _pairs(item):
-    return _json("array", items=_json("array", items=item, size=2))
-
-
-_NUMBER, _EXACT = _json("number"), _json("number", "string")
-_FIELD = _json("object", required=("kind",), value=_json("number", "array"),
-               kind=_json(enum=("constant", "cosine", "sine_squared", "values")),
-               amplitude=_NUMBER, wavenumber=_json("integer", ge=1), offset=_NUMBER,
-               values=_json("array"))
-# every key of a run document, with its JSON type and range; the defaults
-# live in what the parse builds (RunConfig, Diagnostics, FixedPointConfig)
-_RUN_DOCUMENT = _json(
-    "object", required=("problem", "grid", "exponents", "solver"),
-    name=_json("string"), seed=_json("integer", ge=0),
-    problem=_json("object", required=("family",), family=_json(enum=tuple(FAMILY_ORDER)),
-                  ncomp=_json("integer", ge=1, le=8), a=_json(), f=_json(), b=_json(),
-                  u_box=_pairs(_NUMBER), margin=_json("number", ge=0)),
-    grid=_json("object", required=("dim", "nodes"), dim=_json("integer", enum=(1, 2)),
-               nodes=_json("integer", ge=8)),
-    exponents=_json("object", required=("p", "q", "mu"), p=_EXACT, q=_EXACT, mu=_EXACT,
-                    beta=_EXACT, epsilon=_EXACT, pairs=_pairs(_EXACT)),
-    solver=_json("object", required=("window", "time_steps"), window=_json("number", gt=0),
-                 time_steps=_json("integer", ge=2), horizon=_json("number", gt=0),
-                 max_iter=_json("integer", ge=1), tol=_json("number", gt=0),
-                 grading=_json("number", ge=1), propagator=_json(enum=("euler", "spectral")),
-                 max_halvings=_json("integer", ge=0), blowup_threshold=_json("number", gt=0)),
-    initial=_one_or_many(_FIELD, _json("array", items=_FIELD)),
-    diagnostics=_json("object", norm_intervals=_one_or_many(_json("integer", ge=1),
-                                                            _pairs(_NUMBER)),
-                      smoothing_delta=_json("number", gt=0), omega_count=_json("integer", ge=2),
-                      omega_fraction=_json("number", gt=0, le=1),
-                      omega_threshold=_json("number", gt=0), symbol_scan=_json("boolean")),
-    output=_json("object", dir=_json("string")),
-)
+def _check(value, sub: dict, path: str = "") -> None:
+    """Raise ConfigError unless ``value`` meets ``sub``, a subschema of the
+    bundled schema.  ``oneOf`` checks the first alternative whose type admits
+    the value, or the first one when none does; ``minItems`` is an exact
+    count (an equal ``maxItems`` goes with it), and ``properties`` lists
+    every key that an object admits (``additionalProperties`` is false)."""
+    sub, types = _resolve(sub)
+    if "oneOf" in sub:
+        alts = [_resolve(alt) for alt in sub["oneOf"]]
+        sub, types = next((alt for alt in alts if any(_TYPES[t](value) for t in alt[1])),
+                          alts[0])
+    if types and not any(_TYPES[t](value) for t in types):
+        raise _invalid(path, f"{value!r} is not of type {' or '.join(types)}")
+    if "enum" in sub and value not in sub["enum"]:
+        raise _invalid(path, f"{value!r} is not one of {sub['enum']}")
+    for key, fails, relation in (("minimum", operator.lt, ">="),
+                                 ("exclusiveMinimum", operator.le, ">"),
+                                 ("maximum", operator.gt, "<=")):
+        if key in sub and fails(value, sub[key]):
+            raise _invalid(path, f"{value!r} is not {relation} {sub[key]!r}")
+    if "minItems" in sub and len(value) != sub["minItems"]:
+        raise _invalid(path, f"{value!r} does not hold {sub['minItems']} items")
+    for i, item in enumerate(value if "items" in sub else ()):
+        _check(item, sub["items"], f"{path}/{i}")
+    if "properties" in sub:
+        unknown = [k for k in value if k not in sub["properties"]]
+        missing = [k for k in sub.get("required", ()) if k not in value]
+        if unknown or missing:
+            raise _invalid(path, f"unknown key {unknown[0]!r}" if unknown
+                           else f"missing key {missing[0]!r}")
+        for key, item in value.items():
+            _check(item, sub["properties"][key], f"{path}/{key}" if path else key)
 
 
 # ---------------------------------------------------------------- the parsed config
@@ -252,7 +228,6 @@ def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
     pairs) in dimension ``n`` at differential ``order``.  A value that does
     not parse, or an ExponentConfig out of range, raises ConfigError; beta
     defaults to the midpoint of the beta window."""
-    value = sec.get("pairs")
     try:
         values = [sec[key] for key in ("p", "q", "mu", "beta", "epsilon") if key in sec]
         values += [x for rho, beta in sec.get("pairs", []) for x in (rho, beta)]
@@ -278,8 +253,7 @@ def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
 
 def flat_exponents(doc: dict) -> Exponents:
     """The exponents of a flat exponent table, the layout of ``check``."""
-    if doc.get("n") is None:
-        raise ConfigError("exponent config needs 'n' (or a grid section)")
+    _check(doc, _SCHEMA["definitions"]["exponent_table"])
     return _parse_exponents(doc, doc["n"], doc.get("order", ORDER_SECOND))
 
 
@@ -361,7 +335,7 @@ def _tables(sec: dict) -> dict:
 def validate_run_config(doc: dict) -> RunConfig:
     """The one parse of a run document into a RunConfig; any fault of the
     document raises ConfigError (see the module docstring)."""
-    _RUN_DOCUMENT(doc, "")
+    _check(doc, _SCHEMA)
     solver = doc["solver"]
     diag = doc.get("diagnostics", {})
     problem = doc["problem"]

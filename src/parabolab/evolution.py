@@ -195,6 +195,9 @@ def _subtract_applied(op: Optional[LinearOperator], grid: Grid, vin: np.ndarray,
     vout[:, op.active] -= op.dot(np.take(vin, op.active, axis=1))
 
 
+PROPAGATORS = ("euler", "spectral")
+
+
 @dataclass
 class FixedPointConfig:
     """Window solver parameters (see module docstring for semantics)."""
@@ -220,7 +223,7 @@ class FixedPointConfig:
             raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
         if not (0.0 < self.mu <= 1.0) or self.p <= 1.0 or self.mu <= 1.0 / self.p:
             raise ValueError(f"need 1/p < mu <= 1, got mu={self.mu}, p={self.p}")
-        if self.propagator not in ("euler", "spectral"):
+        if self.propagator not in PROPAGATORS:
             raise ValueError(f"propagator must be 'euler' or 'spectral', got {self.propagator!r}")
         if not np.all(np.diff(graded_times(self.window, self.time_steps, self.gamma())) > 0.0):
             raise ValueError(f"grading {self.gamma()!r} underflows the first of "

@@ -1289,6 +1289,9 @@ _MALFORMED = [
       for path in ("solver.horizon", "grid.nodes")],
     *[(command, path, value) for command in ("run", "symbol", "sweep")
       for path, value in _MALFORMED],
+    # last, so that the ids pytest numbers by position above keep their numbers
+    *[pytest.param("check-flat", key, value, id=f"check-flat-{key}-{value!r}")
+      for key, value in [("extra", 1), ("order", ["x"]), ("n", 0)]],
 ])
 def test_config_values_that_do_not_parse_exit_4(tmp_path, tmp_path_factory, capsys, command,
                                                 path, value):

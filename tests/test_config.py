@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from copy import deepcopy
@@ -18,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parabolab
-from parabolab.config import (MAX_WINDOWS, OMEGA_COUNT, ConfigError, RunConfig, build_initial,
-                              build_problem, flat_exponents, is_flat_exponent_config,
-                              load_json, load_run_config, validate_run_config)
+from parabolab import config
+from parabolab.config import (FAMILY_BC, FAMILY_ORDER, MAX_WINDOWS, OMEGA_COUNT, ConfigError,
+                              RunConfig, build_initial, build_problem, flat_exponents,
+                              is_flat_exponent_config, load_json, load_run_config,
+                              validate_run_config)
+from parabolab.evolution import PROPAGATORS
 from parabolab.exponents import ORDER_FOURTH, ORDER_SECOND
 from parabolab.grids import Grid
 from parabolab.problems import ProblemSpecError
@@ -116,6 +120,12 @@ def test_flat_exponent_config():
     assert ec4.order == ORDER_FOURTH
     with pytest.raises(ConfigError):
         flat_exponents({"p": 2, "q": 2, "mu": "9/10"})  # no n, no grid
+    # a misspelt key fails instead of falling back to its default
+    for key, value, message in [("Beta", "2/3", "<root>: unknown key 'Beta'"),
+                                ("order", ["x"], "order: ['x'] is not one of"),
+                                ("n", 0, "n: 0 is not >= 1")]:
+        with pytest.raises(ConfigError, match=f"^config invalid at {re.escape(message)}"):
+            flat_exponents({**flat, key: value})
 
 
 def test_nested_exponent_config_infers_n_and_order():
@@ -234,21 +244,29 @@ def test_build_solver_and_horizon():
 
 # ---------------------------------------------------------------- the schema
 
-def _schema_validator():
-    """The bundled schema's validator; its integers exclude floats such as 4.0
-    and bools, as the parser's do."""
+def _schema_validator(sub=None):
+    """The bundled schema's validator, of its root or of the definition
+    ``sub``; its integers exclude floats such as 4.0 and bools, as the
+    parser's do."""
     schema = json.loads(resources.files("parabolab").joinpath(
         "schema/run_config.schema.json").read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     types = cls.TYPE_CHECKER.redefine(
         "integer", lambda _checker, x: isinstance(x, int) and not isinstance(x, bool))
+    if sub is not None:
+        schema = {"definitions": schema["definitions"], "$ref": f"#/definitions/{sub}"}
     return jsonschema.validators.extend(cls, type_checker=types)(schema)
 
 
 _SCHEMA = _schema_validator()
+_TABLE = _schema_validator("exponent_table")
 _BUNDLED = {path.name: load_json(path) for path in sorted(
     [*CONFIG_DIR.glob("*.json"), *(CONFIG_DIR.parent / "perfbench" / "configs").glob("*.json")])}
+# the flat exponent table of each bundled config, as ``check`` reads it
+_FLAT = {name: {**doc["exponents"], "n": doc["grid"]["dim"],
+                "order": FAMILY_ORDER[doc["problem"]["family"]]}
+         for name, doc in _BUNDLED.items()}
 # values of the wrong JSON type, or at the edges of any field: small
 # integers (a larger grid would only cost memory), floats of integral value,
 # huge floats, strings, bools, null, arrays and objects
@@ -268,10 +286,10 @@ def _resolve(sub: dict) -> dict:
     return _at(_SCHEMA.schema, sub["$ref"].split("/")[1:]) if "$ref" in sub else sub
 
 
-def _objects(sub=None, path=()):
-    """(path, subschema) of the root and of every object the schema
-    documents, an initial field among them."""
-    sub = _resolve(_SCHEMA.schema if sub is None else sub)
+def _objects(sub, path=()):
+    """(path, subschema) of ``sub`` and of every object under it that the
+    schema documents, an initial field among them."""
+    sub = _resolve(sub)
     if "properties" in sub:
         yield path, sub
     for alt in sub.get("oneOf", ()):
@@ -292,12 +310,12 @@ def _bounds(sub: dict) -> list:
     return out
 
 
-def _edits(values) -> list:
-    """Every single edit of a document: ("set", path, value) puts a value at
-    a documented key, with ``values`` besides the key's own bounds, or an
-    unknown key into a documented object; ("drop", path, None) drops a
-    required key."""
-    objects = list(_objects())
+def _edits(values, root=None) -> list:
+    """Every single edit of a document of the schema ``root``, by default a
+    run document: ("set", path, value) puts a value at a documented key,
+    with ``values`` besides the key's own bounds, or an unknown key into a
+    documented object; ("drop", path, None) drops a required key."""
+    objects = list(_objects(_SCHEMA.schema if root is None else root))
     return ([("set", path + (key,), v) for path, obj in objects
              for key, child in obj["properties"].items() for v in _bounds(child) + values]
             + [("set", path + ("radius",), 1.0) for path, _ in objects]
@@ -320,14 +338,14 @@ def _apply(doc: dict, edit) -> dict:
     return doc
 
 
-def _assert_agree(doc) -> None:
-    """The parser rejects ``doc`` as ``config invalid at`` a section that the
-    schema faults when the schema rejects it; when the schema accepts it,
-    any fault the parser finds is one that no schema states."""
+def _assert_agree(doc, schema=_SCHEMA, parse=validate_run_config) -> None:
+    """``parse`` rejects ``doc`` as ``config invalid at`` a section that
+    ``schema`` faults when the schema rejects it; when the schema accepts
+    it, any fault the parser finds is one that no schema states."""
     sections = {str(e.absolute_path[0]) if e.absolute_path else "<root>"
-                for e in _SCHEMA.iter_errors(doc)}
+                for e in schema.iter_errors(doc)}
     try:
-        validate_run_config(doc)
+        parse(doc)
         message = ""
     except ConfigError as exc:
         message = str(exc)
@@ -345,6 +363,12 @@ def test_every_documented_bound_agrees_with_the_parser():
             _assert_agree(_apply(deepcopy(_BUNDLED[base]), edit))
 
 
+def test_every_flat_table_edit_agrees_with_the_parser():
+    for table in _FLAT.values():
+        for edit in _edits(_EDGE_VALUES, _TABLE.schema):
+            _assert_agree(_apply(deepcopy(table), edit), _TABLE, flat_exponents)
+
+
 @settings(max_examples=200, deadline=None)
 @given(base=st.sampled_from(sorted(_BUNDLED)),
        edits=st.lists(st.sampled_from(_edits(_EDGE_VALUES)), min_size=1, max_size=3))
@@ -353,6 +377,56 @@ def test_the_schema_and_the_parser_agree_on_edited_configs(base, edits):
     for edit in edits:
         _apply(doc, edit)
     _assert_agree(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.sampled_from(sorted(_FLAT)),
+       edits=st.lists(st.sampled_from(_edits(_EDGE_VALUES, _TABLE.schema)), min_size=2,
+                      max_size=3))
+def test_the_schema_and_the_parser_agree_on_edited_flat_tables(base, edits):
+    table = deepcopy(_FLAT[base])
+    for edit in edits:
+        _apply(table, edit)
+    _assert_agree(table, _TABLE, flat_exponents)
+
+
+# the keywords that config._check reads, and the annotations it skips
+_CHECKED = {"type", "enum", "minimum", "exclusiveMinimum", "maximum", "minItems", "maxItems",
+            "items", "properties", "required", "additionalProperties", "$ref", "oneOf"}
+_ANNOTATIONS = {"$schema", "title", "description", "definitions"}
+
+
+def _subschemas(sub: dict):
+    """``sub`` and every subschema under it, definitions among them."""
+    yield sub
+    for child in [*sub.get("definitions", {}).values(), *sub.get("properties", {}).values(),
+                  *sub.get("oneOf", []), *([sub["items"]] if "items" in sub else [])]:
+        yield from _subschemas(child)
+
+
+def test_the_parser_reads_every_keyword_of_the_schema():
+    """A keyword that the parse does not implement would leave its
+    constraint unchecked, and an enum out of step with the code would admit
+    a value that the run cannot take."""
+    schema = _SCHEMA.schema
+    for sub in _subschemas(schema):
+        assert set(sub) <= _CHECKED | _ANNOTATIONS, sub
+        types = sub.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(config._TYPES), sub
+        assert isinstance(sub.get("items", {}), dict), sub
+        # the parse reads minItems as an exact count, and properties as
+        # every key that an object admits
+        assert sub.get("minItems") == sub.get("maxItems"), sub
+        assert ("properties" in sub) == (sub.get("additionalProperties") is False), sub
+        if "$ref" in sub:
+            assert sub["$ref"].split("/")[:2] == ["#", "definitions"], sub
+            assert sub["$ref"].split("/")[-1] in schema["definitions"], sub
+    run = schema["properties"]
+    assert run["problem"]["properties"]["family"]["enum"] == list(FAMILY_ORDER)
+    assert list(FAMILY_ORDER) == list(FAMILY_BC)
+    assert set(run["solver"]["properties"]["propagator"]["enum"]) == set(PROPAGATORS)
+    orders = schema["definitions"]["exponent_table"]["properties"]["order"]["enum"]
+    assert orders == [ORDER_SECOND, ORDER_FOURTH] and set(orders) == set(FAMILY_ORDER.values())
 
 
 def test_importing_the_cli_leaves_jsonschema_out():
