@@ -204,7 +204,7 @@ def cmd_symbol(args) -> int:
 
 # ---------------------------------------------------------------- run
 
-def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int):
+def _timeseries_rows(traj: WeightedTrajectory, order: int):
     """One row per sample; the L2 and X1 columns are the trajectory's own
     sample norms at q = 2, which the diagnostics reuse when they share q."""
     grid = traj.grid
@@ -213,13 +213,13 @@ def _timeseries_rows(traj: WeightedTrajectory, bc: BoundaryCondition, order: int
     spatial = tuple(range(1, grid.dim + 1))
     energy = 0.0
     for axis in range(grid.dim):
-        du = derivative_values(vals, grid, unit_sigma(axis, grid.dim), bc)
+        du = derivative_values(vals, grid, unit_sigma(axis, grid.dim))
         energy = energy + 0.5 * np.sum(w[..., None] * du * du, axis=spatial + (-1,))
     columns = [
         traj.times,
         np.max(np.abs(vals), axis=spatial + (-1,)),
         traj.sample_norms("states", 2.0),
-        traj.sample_norms("x1", 2.0, order, bc),
+        traj.sample_norms("x1", 2.0, order),
         np.sum(w * vals[..., 0], axis=spatial),
         energy,
     ]
@@ -257,8 +257,7 @@ def _append_run(prev: WeightedTrajectory, new_windows: list,
                               prev.mu, prev.p)
 
 
-def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int,
-                    bc: BoundaryCondition) -> list:
+def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int) -> list:
     """``[t_lo, t_hi, E0mu, E1mu]`` for each ``(t_lo, t_hi)`` of ``intervals``,
     or of that many equal parts of the trajectory; the norms are None for an
     interval that ends after the trajectory."""
@@ -266,17 +265,16 @@ def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int,
         edges = np.linspace(0.0, traj.horizon, intervals + 1).tolist()
         intervals = zip(edges[:-1], edges[1:])
     return [[lo, hi, E0mu_norm(traj, interval=(lo, hi), q=q),
-             E1mu_norm(traj, interval=(lo, hi), q=q, order=order, bc=bc)]
+             E1mu_norm(traj, interval=(lo, hi), q=q, order=order)]
             if hi <= traj.horizon + 1e-12 else [lo, hi, None, None]
             for lo, hi in intervals]
 
 
-def _smoothing(traj: WeightedTrajectory, delta: float, q: float, order: int,
-               bc: BoundaryCondition):
+def _smoothing(traj: WeightedTrajectory, delta: float, q: float, order: int):
     """The smoothing report at ``delta`` as a dict, or None when no sample
     lies inside (delta/2, delta), as after a run that ended before delta."""
     if delta <= traj.horizon and np.any((traj.times > delta / 2.0) & (traj.times < delta)):
-        return smoothing_check(traj, delta, q=q, order=order, bc=bc).as_dict()
+        return smoothing_check(traj, delta, q=q, order=order).as_dict()
     return None
 
 
@@ -289,14 +287,14 @@ def _omega(traj: WeightedTrajectory, order: int, sample_times, threshold: float,
 
 
 def _diagnostics_report(traj: WeightedTrajectory, diag: cfgmod.Diagnostics, order: int,
-                        bc: BoundaryCondition, q: float) -> dict:
+                        q: float) -> dict:
     T = traj.horizon
-    rows = _interval_norms(traj, diag.norm_intervals, q, order, bc)
+    rows = _interval_norms(traj, diag.norm_intervals, q, order)
     out: dict = {"norm_intervals": [dict(zip(("t_lo", "t_hi", "E0mu", "E1mu"), row))
                                     for row in rows]}
-    out["E1mu_total"] = E1mu_norm(traj, q=q, order=order, bc=bc)
+    out["E1mu_total"] = E1mu_norm(traj, q=q, order=order)
     delta = T / 2.0 if diag.smoothing_delta is None else diag.smoothing_delta
-    smoothing = _smoothing(traj, delta, q, order, bc)
+    smoothing = _smoothing(traj, delta, q, order)
     if smoothing is not None:
         out["smoothing"] = smoothing
     if diag.omega:
@@ -348,7 +346,6 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
         return EXIT_ADMISSIBILITY, summary, None
 
     horizon = rc.horizon
-    bc = problem.bc
     order = problem.order_int
 
     srep = None
@@ -357,7 +354,7 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
         _emit_json(srep, out_dir / "symbol.json")
 
     base_meta = {
-        "bc": bc.value, "family": rc.family, "name": rc.name,
+        "bc": problem.bc.value, "family": rc.family, "name": rc.name,
         "order": problem.order, "seed": seed, "version": __version__,
     }
 
@@ -412,12 +409,12 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
     if traj is not None:
         # an overflow shows up as a non-finite norm, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = _diagnostics_report(traj, rc.diagnostics, order, bc, fp.q)
+            diagnostics = _diagnostics_report(traj, rc.diagnostics, order, fp.q)
         _require(_is_finite(diagnostics),
                  f"exponents.q {fp.q!r} with exponents.p {fp.p!r} and exponents.mu "
                  f"{fp.mu!r} gives a diagnostic norm beyond floating point")
         ckpt.save_trajectory(out_dir / "trajectory.npz", traj, base_meta)
-        rows = _timeseries_rows(traj, bc, order)
+        rows = _timeseries_rows(traj, order)
         _write_csv(out_dir / "timeseries.csv", _TIMESERIES_HEADER, rows)
         _emit_json(diagnostics, out_dir / "diagnostics.json")
 
@@ -461,7 +458,7 @@ def _load_saved(path):
 
 
 def cmd_norms(args) -> int:
-    traj, order, bc = _load_saved(args.checkpoint)
+    traj, order, _bc = _load_saved(args.checkpoint)
     mu = args.mu if args.mu is not None else traj.mu
     p = args.p if args.p is not None else traj.p
     q = args.q
@@ -478,9 +475,9 @@ def cmd_norms(args) -> int:
         traj = dataclasses.replace(traj, mu=mu, p=p)
     # an overflow shows up as a non-finite norm, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _interval_norms(traj, args.intervals, q, order, bc)
-        rows += _interval_norms(traj, [(0.0, T)], q, order, bc)
-        smoothing = _smoothing(traj, delta, q, order, bc)
+        rows = _interval_norms(traj, args.intervals, q, order)
+        rows += _interval_norms(traj, [(0.0, T)], q, order)
+        smoothing = _smoothing(traj, delta, q, order)
     _require(_is_finite([rows, smoothing]), f"--q {q!r} with --p {p!r} and --mu {mu!r} gives "
                                             "a norm beyond floating point")
     _write_csv(args.csv, ["t_lo", "t_hi", "E0mu", "E1mu"], rows)
@@ -601,14 +598,22 @@ def cmd_sweep(args) -> int:
 
 
 def _refinement_orders(axes: dict, keys: list, cell_reports: list) -> dict:
-    """Observed convergence orders along a pure grid.nodes refinement axis."""
+    """Observed convergence orders along a pure grid.nodes refinement axis,
+    over the cells that exited 0, one per node count.  The axis holds the raw
+    values of the axes file, so a cell that did not run may hold any JSON
+    value there."""
     if "grid.nodes" not in axes or len(axes["grid.nodes"]) < 2:
         return {}
     if any(len(axes[k]) > 1 for k in keys if k != "grid.nodes"):
         return {}
-    cells = sorted(cell_reports, key=lambda c: c["overrides"]["grid.nodes"])
+    by_nodes: dict = {}
+    for c in cell_reports:
+        n = c["overrides"]["grid.nodes"]
+        if c["exit_code"] == EXIT_OK and type(n) is int:
+            by_nodes.setdefault(n, c)
+    nodes = sorted(by_nodes)
+    cells = [by_nodes[n] for n in nodes]
     drifts = [c["mass_drift"] for c in cells]
-    nodes = [c["overrides"]["grid.nodes"] for c in cells]
     out: dict = {}
     if all(isinstance(d, float) and d > 0 for d in drifts) and len(drifts) >= 2:
         rates = []

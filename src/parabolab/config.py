@@ -373,6 +373,9 @@ def validate_run_config(doc: dict) -> RunConfig:
     spectral = solver.get("propagator") == "spectral"
     if spectral and ncomp > 1:
         raise ConfigError(f"propagator 'spectral' needs one component, got problem.ncomp {ncomp}")
+    if spectral and FAMILY_ORDER[family] == ORDER_FOURTH:
+        raise ConfigError(f"propagator 'spectral' needs an operator symmetric in its pairing, "
+                          f"and the {family} family's A(h) is one only at zero slope")
     grid = Grid(dim=doc["grid"]["dim"], nodes_per_axis=doc["grid"]["nodes"])
     omega = "omega_count" in diag or "omega_fraction" in diag
     # the spectral stepper and the omega report diagonalize a dense operator

@@ -471,7 +471,7 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                 # drop the old iterate before the norm, and the difference after
                 # it, so that neither lives through the next Picard map
                 v = u
-                r = E1mu_norm(d, q=cfg.q, order=prob.order_int, bc=prob.bc)
+                r = E1mu_norm(d, q=cfg.q, order=prob.order_int)
                 del d
                 if not math.isfinite(r):
                     reason = "non-finite residual"
@@ -673,7 +673,7 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
         else:
             skipped += 1
     probes = [GridFunction(grid, m) for m in modes[:2]]
-    tops = [x1_norm(v, 2.0, prob.order_int, prob.bc) for v in probes]
+    tops = [x1_norm(v, 2.0, prob.order_int) for v in probes]
     lq = functools.partial(lq_norms, grid=grid)
     # each hook once per perturbed state
     dists = _pair_distances([w.values for w in samples],
@@ -699,7 +699,7 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
             if other.window != base.window:
                 continue
             dist = E1mu_norm(difference(other.trajectory, base.trajectory),
-                             q=cfg.q, order=prob.order_int, bc=prob.bc)
+                             q=cfg.q, order=prob.order_int)
             c_dep = max(c_dep, dist / d)
     return LipschitzReport(L_A=L_A, L_F1=L_F1, c_dependence=c_dep,
                            n_pairs=n_pairs, skipped=skipped)

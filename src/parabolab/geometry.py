@@ -52,10 +52,8 @@ from operator import add
 
 import numpy as np
 
-from .grids import BoundaryCondition, Grid, GridFunction
+from .grids import Grid, GridFunction
 from .operators import derivative_values, unit_sigma
-
-_BC = BoundaryCondition.CLAMPED
 
 
 def _sum(terms) -> np.ndarray:
@@ -66,23 +64,23 @@ def _sum(terms) -> np.ndarray:
 # are lists of them and symmetric matrices nested lists sharing the
 # off-diagonal entry.
 
-def _pass(field: np.ndarray, grid: Grid, axis: int, order: int, bc) -> np.ndarray:
+def _pass(field: np.ndarray, grid: Grid, axis: int, order: int) -> np.ndarray:
     """One stencil pass, d_axis^order of ``field``."""
-    return derivative_values(field[..., None], grid, unit_sigma(axis, grid.dim, order), bc)[..., 0]
+    return derivative_values(field[..., None], grid, unit_sigma(axis, grid.dim, order))[..., 0]
 
 
-def _grad(field: np.ndarray, grid: Grid, bc) -> list:
-    return [_pass(field, grid, i, 1, bc) for i in range(grid.dim)]
+def _grad(field: np.ndarray, grid: Grid) -> list:
+    return [_pass(field, grid, i, 1) for i in range(grid.dim)]
 
 
-def _jet(field: np.ndarray, grid: Grid, bc):
+def _jet(field: np.ndarray, grid: Grid):
     """grad and Hess of ``field``, each derivative one pass."""
-    g = _grad(field, grid, bc)
+    g = _grad(field, grid)
     hess = [[None] * grid.dim for _ in range(grid.dim)]
     for i in range(grid.dim):
-        hess[i][i] = _pass(field, grid, i, 2, bc)
+        hess[i][i] = _pass(field, grid, i, 2)
         for j in range(i + 1, grid.dim):
-            hess[i][j] = hess[j][i] = _pass(g[i], grid, j, 1, bc)
+            hess[i][j] = hess[j][i] = _pass(g[i], grid, j, 1)
     return g, hess
 
 
@@ -104,9 +102,9 @@ def _mask(g: list, beta: np.ndarray) -> list:
     return mask
 
 
-def _surface(h: np.ndarray, grid: Grid, bc):
+def _surface(h: np.ndarray, grid: Grid):
     """g, Hess h, beta and mask of the graph of ``h``."""
-    g, hess = _jet(h, grid, bc)
+    g, hess = _jet(h, grid)
     beta = _tilt(g)
     return g, hess, beta, _mask(g, beta)
 
@@ -135,82 +133,79 @@ def _laplace_beltrami(g, beta, mask, H, grad_phi, hess_phi) -> np.ndarray:
     return _contract(mask, hess_phi) - beta * H * advect
 
 
-def _flow_values(values: np.ndarray, grid: Grid, bc, willmore: bool) -> np.ndarray:
+def _flow_values(values: np.ndarray, grid: Grid, willmore: bool) -> np.ndarray:
     """Normal-velocity flow rhs on nodal values (..., *grid.shape, 1), each
     derivative of h and of H taken once."""
-    g, hess, beta, mask = _surface(values[..., 0], grid, bc)
+    g, hess, beta, mask = _surface(values[..., 0], grid)
     H = _mean_curvature(beta, mask, hess)
-    lb = _laplace_beltrami(g, beta, mask, H, *_jet(H, grid, bc))
+    lb = _laplace_beltrami(g, beta, mask, H, *_jet(H, grid))
     if not willmore:
         return (-lb / beta)[..., None]
     trl2 = _trace_L_squared(beta, mask, hess)
     return ((-lb + H * (0.5 * H ** 2 - trl2)) / beta)[..., None]
 
 
-def surface_diffusion_values(values: np.ndarray, grid: Grid,
-                             bc: BoundaryCondition = _BC) -> np.ndarray:
+def surface_diffusion_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """dh/dt = -(1/beta) Lap_Gamma(H) on nodal values (..., *grid.shape, 1)."""
-    return _flow_values(values, grid, bc, willmore=False)
+    return _flow_values(values, grid, willmore=False)
 
 
-def willmore_values(values: np.ndarray, grid: Grid,
-                    bc: BoundaryCondition = _BC) -> np.ndarray:
+def willmore_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """dh/dt = (1/beta) (-Lap_Gamma H + H (H^2/2 - tr L^2)) on nodal values
     (..., *grid.shape, 1)."""
-    return _flow_values(values, grid, bc, willmore=True)
+    return _flow_values(values, grid, willmore=True)
 
 
-def slope_field(values: np.ndarray, grid: Grid, bc: BoundaryCondition = _BC) -> np.ndarray:
+def slope_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     """grad h of nodal heights (..., *grid.shape, 1), stacked as
     (..., *grid.shape, dim), one stencil pass per axis."""
-    return np.stack(_grad(values[..., 0], grid, bc), axis=-1)
+    return np.stack(_grad(values[..., 0], grid), axis=-1)
 
 
 def _normal(g: list, beta: np.ndarray) -> np.ndarray:
     return np.stack([-(beta * gi) for gi in g] + [beta], axis=-1)
 
 
-def tilt_factor(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+def tilt_factor(h: GridFunction) -> GridFunction:
     """beta = 1/sqrt(1 + |grad h|^2); always in (0, 1]."""
-    return GridFunction.from_scalar(h.grid, _tilt(_grad(h.values[..., 0], h.grid, bc)))
+    return GridFunction.from_scalar(h.grid, _tilt(_grad(h.values[..., 0], h.grid)))
 
 
-def unit_normal(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+def unit_normal(h: GridFunction) -> GridFunction:
     """Upward unit normal beta * (-grad h, 1), dim+1 components."""
-    g = _grad(h.values[..., 0], h.grid, bc)
+    g = _grad(h.values[..., 0], h.grid)
     return GridFunction(h.grid, _normal(g, _tilt(g)))
 
 
-def mean_curvature(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
-    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+def mean_curvature(h: GridFunction) -> GridFunction:
+    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
     return GridFunction.from_scalar(h.grid, _mean_curvature(beta, mask, hess))
 
 
-def laplace_beltrami(h: GridFunction, phi: GridFunction,
-                     bc: BoundaryCondition = _BC) -> GridFunction:
+def laplace_beltrami(h: GridFunction, phi: GridFunction) -> GridFunction:
     """Surface Laplacian of the scalar phi along the graph of h."""
     if phi.grid != h.grid:
         raise ValueError("phi must live on the grid of h")
-    g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+    g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
     H = _mean_curvature(beta, mask, hess)
-    out = _laplace_beltrami(g, beta, mask, H, *_jet(phi.values[..., 0], h.grid, bc))
+    out = _laplace_beltrami(g, beta, mask, H, *_jet(phi.values[..., 0], h.grid))
     return GridFunction.from_scalar(h.grid, out)
 
 
-def trace_L_squared(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+def trace_L_squared(h: GridFunction) -> GridFunction:
     """Squared Frobenius norm of the shape operator, beta^2 tr(mask Hess mask Hess)."""
-    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid, bc)
+    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
     return GridFunction.from_scalar(h.grid, _trace_L_squared(beta, mask, hess))
 
 
-def surface_diffusion_rhs(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+def surface_diffusion_rhs(h: GridFunction) -> GridFunction:
     """dh/dt = -(1/beta) Lap_Gamma(H)."""
-    return GridFunction(h.grid, surface_diffusion_values(h.values, h.grid, bc))
+    return GridFunction(h.grid, surface_diffusion_values(h.values, h.grid))
 
 
-def willmore_rhs(h: GridFunction, bc: BoundaryCondition = _BC) -> GridFunction:
+def willmore_rhs(h: GridFunction) -> GridFunction:
     """dh/dt = (1/beta) (-Lap_Gamma H + H (H^2/2 - tr L^2))."""
-    return GridFunction(h.grid, willmore_values(h.values, h.grid, bc))
+    return GridFunction(h.grid, willmore_values(h.values, h.grid))
 
 
 def leading_coefficient(grad: np.ndarray) -> np.ndarray:
@@ -234,11 +229,11 @@ class GeometryFields:
     trace_L_sq: GridFunction
 
 
-def geometry_fields(h: GridFunction, bc: BoundaryCondition = _BC) -> GeometryFields:
+def geometry_fields(h: GridFunction) -> GeometryFields:
     """All pointwise fields at once, from one derivative jet, with the basic
     invariants asserted."""
     grid = h.grid
-    g, hess, beta, mask = _surface(h.values[..., 0], grid, bc)
+    g, hess, beta, mask = _surface(h.values[..., 0], grid)
     nu = _normal(g, beta)
     if np.any(beta <= 0.0) or np.any(beta > 1.0 + 1e-12):
         raise ValueError("tilt factor left (0, 1]")

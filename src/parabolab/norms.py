@@ -18,8 +18,8 @@ into a stack of the same layout.  ``lq_norms``, ``x1_norms`` and
 ``GridFunction``.  In 2D ``x1_norms`` takes each D_x^i v once and applies
 D_y^j to it, so every mixed derivative costs one axis pass.
 
-The per-sample spatial norms depend on (q, order, bc) only, not on mu, p or
-the time interval, so each trajectory computes them once per (q, order, bc)
+The per-sample spatial norms depend on (q, order) only, not on mu, p or
+the time interval, so each trajectory computes them once per (q, order)
 (``WeightedTrajectory.sample_norms``) and every interval norm, the total and
 both halves of ``smoothing_check`` read the stored vectors.  To keep that
 memo honest, a trajectory's arrays are read-only.
@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
+from .grids import Grid, GridFunction, NonFiniteError
 from .operators import SpectralProxy, derivative_values
 
 
@@ -78,8 +78,7 @@ def lq_norm(u: GridFunction, q: float = 2.0) -> float:
     return float(lq_norms(u.values, u.grid, q))
 
 
-def _derivative_stacks(values: np.ndarray, grid: Grid, order: int,
-                       bc: BoundaryCondition, axis: int = 0):
+def _derivative_stacks(values: np.ndarray, grid: Grid, order: int, axis: int = 0):
     """D^sigma values for every multi-index |sigma| <= order, sigma = 0 first,
     in lexicographic order of sigma.
 
@@ -92,26 +91,24 @@ def _derivative_stacks(values: np.ndarray, grid: Grid, order: int,
         return
     for s in range(order + 1):
         sigma = tuple(s if a == axis else 0 for a in range(grid.dim))
-        head = values if s == 0 else derivative_values(values, grid, sigma, bc)
-        yield from _derivative_stacks(head, grid, order - s, bc, axis + 1)
+        head = values if s == 0 else derivative_values(values, grid, sigma)
+        yield from _derivative_stacks(head, grid, order - s, axis + 1)
 
 
-def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
-             bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> np.ndarray:
+def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2) -> np.ndarray:
     """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    stacks = _derivative_stacks(values, grid, order, bc)
+    stacks = _derivative_stacks(values, grid, order)
     total = lq_norms(next(stacks), grid, q)
     for d in stacks:
         total += lq_norms(d, grid, q)
     return total
 
 
-def x1_norm(u: GridFunction, q: float = 2.0, order: int = 2,
-            bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> float:
+def x1_norm(u: GridFunction, q: float = 2.0, order: int = 2) -> float:
     """Top-regularity norm: L_q of u plus L_q of every D^sigma u, |sigma| <= order."""
-    return float(x1_norms(u.values, u.grid, q, order, bc))
+    return float(x1_norms(u.values, u.grid, q, order))
 
 
 @dataclass(frozen=True)
@@ -175,15 +172,14 @@ class WeightedTrajectory:
     def _sample_norms(self) -> dict:
         return {}
 
-    def sample_norms(self, kind: str, q: float = 2.0, order: int = 2,
-                     bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> np.ndarray:
+    def sample_norms(self, kind: str, q: float = 2.0, order: int = 2) -> np.ndarray:
         """One spatial norm per sample, computed on first request and kept.
 
         ``kind`` is ``"states"`` or ``"derivs"`` for the L_q norms of the
         states or of the time derivatives, or ``"x1"`` for the X1 norms of
-        the states at ``(q, order, bc)``.  The returned vector is read-only.
+        the states at ``(q, order)``.  The returned vector is read-only.
         """
-        key = (kind, q, order, bc) if kind == "x1" else (kind, q)
+        key = (kind, q, order) if kind == "x1" else (kind, q)
         memo = self._sample_norms
         if key not in memo:
             if kind == "states":
@@ -193,7 +189,7 @@ class WeightedTrajectory:
                     raise ValueError("trajectory has no stored time derivatives")
                 y = lq_norms(self.deriv_values, self.grid, q)
             elif kind == "x1":
-                y = x1_norms(self.state_values, self.grid, q, order, bc)
+                y = x1_norms(self.state_values, self.grid, q, order)
             else:
                 raise ValueError(f"unknown sample norm {kind!r}")
             y.flags.writeable = False
@@ -285,13 +281,13 @@ def E0mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0) -> float:
 
 
 def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
-              order: int = 2, bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> float:
+              order: int = 2) -> float:
     """Solution-space norm: states + time derivative + top spatial regularity."""
     if traj.deriv_values is None:
         raise ValueError("E1mu norm needs stored time derivatives")
     part_state = _time_norm(traj, traj.sample_norms("states", q), interval)
     part_deriv = _time_norm(traj, traj.sample_norms("derivs", q), interval)
-    part_top = _time_norm(traj, traj.sample_norms("x1", q, order, bc), interval)
+    part_top = _time_norm(traj, traj.sample_norms("x1", q, order), interval)
     return part_state + part_deriv + part_top
 
 
@@ -354,8 +350,7 @@ class SmoothingReport:
 
 
 def smoothing_check(traj: WeightedTrajectory, delta: float, q: float = 2.0,
-                    order: int = 2,
-                    bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> SmoothingReport:
+                    order: int = 2) -> SmoothingReport:
     """Instantaneous-gain inequality on the tail window [delta/2, delta]:
 
     (delta/2)^(1-mu) ||u||_E1(delta/2, delta) <= ||u||_E1mu(delta/2, delta).
@@ -369,8 +364,8 @@ def smoothing_check(traj: WeightedTrajectory, delta: float, q: float = 2.0,
     a, b = delta / 2.0, delta
     if not np.any((traj.times > a) & (traj.times < b)):
         raise ValueError(f"interval [{a}, {b}] is not resolved by the time grid")
-    weighted = E1mu_norm(traj, (a, b), q=q, order=order, bc=bc)
-    unweighted = E1mu_norm(traj.with_mu(1.0), (a, b), q=q, order=order, bc=bc)
+    weighted = E1mu_norm(traj, (a, b), q=q, order=order)
+    unweighted = E1mu_norm(traj.with_mu(1.0), (a, b), q=q, order=order)
     tail = (delta / 2.0) ** (1.0 - traj.mu) * unweighted
     holds = tail <= weighted * (1.0 + 1e-12) + 1e-300
     return SmoothingReport(delta=delta, weighted=weighted, unweighted_tail=tail,

@@ -1,11 +1,15 @@
 """Finite-difference operators on tensor grids.
 
 Second-order central stencils throughout, with ghost nodes supplied by even
-(symmetric) reflection about the boundary node.  For Neumann data the
-reflection enforces the zero normal derivative; for clamped data it is the
-quadratic extrapolation consistent with u = 0 and du/dn = 0, with the
-boundary value itself pinned to zero at the operator level (interior
-reduction).  The resulting 1D building blocks are the classical stencils
+(symmetric) reflection about the boundary node.  This is the one ghost rule
+for both boundary conditions, so a derivative or a full-grid matrix does not
+depend on the condition; the condition only chooses which unknowns an
+assembled operator keeps (``active_flat_indices``).  For Neumann data the
+reflection enforces the zero normal derivative and every node is kept; for
+clamped data it is the quadratic extrapolation consistent with u = 0 and
+du/dn = 0, and the boundary value itself is pinned to zero by keeping only
+the interior nodes (interior reduction).  The resulting 1D building blocks
+are the classical stencils
 
     order 1: (-1/2, 0, 1/2) / h
     order 2: (1, -2, 1) / h^2
@@ -124,16 +128,13 @@ def unit_sigma(axis: int, dim: int, order: int = 1) -> tuple:
     return tuple(order if i == axis else 0 for i in range(dim))
 
 
-def derivative_values(values: np.ndarray, grid: Grid, sigma,
-                      bc: BoundaryCondition) -> np.ndarray:
+def derivative_values(values: np.ndarray, grid: Grid, sigma) -> np.ndarray:
     """D^sigma of nodal values of shape ``(..., *grid.shape, ncomp)``, with
     reflection ghosts, applied one spatial axis at a time.
 
     Leading axes, such as the samples of a trajectory, are carried along.
     ``sigma`` is a multi-index (an int is accepted in 1D).  Each component
-    must be <= 4 and the total order |sigma| <= 4.  Both boundary conditions
-    use the symmetric reflection ghost rule; they differ only in which nodes
-    an assembled operator treats as unknowns.
+    must be <= 4 and the total order |sigma| <= 4.
     """
     if isinstance(sigma, int):
         sigma = (sigma,)
@@ -142,8 +143,6 @@ def derivative_values(values: np.ndarray, grid: Grid, sigma,
         raise ValueError(f"sigma {sigma} does not match grid dimension {grid.dim}")
     if any(s < 0 or s > 4 for s in sigma) or sum(sigma) > 4:
         raise ValueError(f"unsupported multi-index {sigma}: components <= 4, |sigma| <= 4")
-    if not isinstance(bc, BoundaryCondition):
-        raise TypeError(f"bc must be a BoundaryCondition, got {bc!r}")
     vals = values
     for axis, s in enumerate(sigma):
         if s == 0:
@@ -152,9 +151,9 @@ def derivative_values(values: np.ndarray, grid: Grid, sigma,
     return vals.copy() if vals is values else vals
 
 
-def derivative(u: GridFunction, sigma, bc: BoundaryCondition) -> GridFunction:
+def derivative(u: GridFunction, sigma) -> GridFunction:
     """D^sigma u; see ``derivative_values``."""
-    return GridFunction(u.grid, derivative_values(u.values, u.grid, sigma, bc))
+    return GridFunction(u.grid, derivative_values(u.values, u.grid, sigma))
 
 
 def _diagonal_index(offsets: np.ndarray):
@@ -405,7 +404,7 @@ class Diagonals:
 _DOT_BLOCK = 8192
 
 
-def diff_matrix_1d(n: int, h: float, order: int, bc: BoundaryCondition) -> Diagonals:
+def diff_matrix_1d(n: int, h: float, order: int) -> Diagonals:
     """1D derivative matrix over all n nodes with reflection ghosts folded in.
 
     order 0 returns the identity.  Rows are produced for every node including
@@ -450,7 +449,6 @@ class LinearOperator:
 
     grid: Grid
     ncomp: int
-    bc: BoundaryCondition
     matrix: Diagonals
     active: np.ndarray
     weights: np.ndarray
@@ -491,7 +489,7 @@ class LinearOperator:
     def shifted(self, kappa: float) -> "LinearOperator":
         """A + kappa*I on the active unknowns."""
         mat = self.matrix.plus(Diagonals.identity(self.n_active, kappa))
-        return LinearOperator(self.grid, self.ncomp, self.bc, mat, self.active, self.weights)
+        return LinearOperator(self.grid, self.ncomp, mat, self.active, self.weights)
 
     def symmetric_defect(self) -> float:
         """max |WM - (WM)^T| relative to max |WM|, W the pairing weights."""
@@ -557,15 +555,15 @@ def operator_from_full_matrix(grid: Grid, ncomp: int, bc: BoundaryCondition,
     active = active_flat_indices(grid, ncomp, bc)
     mat = full_matrix if len(active) == full_matrix.n else full_matrix.take(active)
     weights = np.repeat(grid.trapezoid_weights().ravel(), ncomp)[active]
-    return LinearOperator(grid, ncomp, bc, mat, active, weights)
+    return LinearOperator(grid, ncomp, mat, active, weights)
 
 
 @functools.lru_cache(maxsize=64)
-def _derivative_matrix(n: int, h: float, sigma: tuple, bc: BoundaryCondition) -> Diagonals:
+def _derivative_matrix(n: int, h: float, sigma: tuple) -> Diagonals:
     """The full-grid matrix of D^sigma on n nodes per axis, the Kronecker
     product of the axes' ``diff_matrix_1d``; one per argument set, which
     no caller changes."""
-    mats = [diff_matrix_1d(n, h, s, bc) for s in sigma]
+    mats = [diff_matrix_1d(n, h, s) for s in sigma]
     return mats[0] if len(mats) == 1 else mats[0].kron(mats[1])
 
 
@@ -581,7 +579,7 @@ def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryConditio
     for sigma, c in coeffs.items():
         if isinstance(sigma, int):
             sigma = (sigma,)
-        term = _derivative_matrix(n, grid.h, tuple(sigma), bc).scaled_rows(
+        term = _derivative_matrix(n, grid.h, tuple(sigma)).scaled_rows(
             np.asarray(c, dtype=float).ravel())
         total = term if total is None else total.plus(term)
     if total is None:
@@ -616,7 +614,7 @@ def block_rows(blocks: np.ndarray, mat: Diagonals) -> Diagonals:
 def neumann_laplacian(grid: Grid) -> Diagonals:
     """Full-grid mirrored-stencil Laplacian (scalar)."""
     n = grid.nodes_per_axis
-    d2 = diff_matrix_1d(n, grid.h, 2, BoundaryCondition.NEUMANN)
+    d2 = diff_matrix_1d(n, grid.h, 2)
     if grid.dim == 1:
         return d2
     eye = Diagonals.identity(n)
@@ -632,15 +630,14 @@ def reference_operator(grid: Grid, order: str) -> LinearOperator:
         )
     if order == "fourth":
         n = grid.nodes_per_axis
-        bc = BoundaryCondition.CLAMPED
-        d2 = diff_matrix_1d(n, grid.h, 2, bc)
-        d4 = diff_matrix_1d(n, grid.h, 4, bc)
+        d2 = diff_matrix_1d(n, grid.h, 2)
+        d4 = diff_matrix_1d(n, grid.h, 4)
         if grid.dim == 1:
             full = d4
         else:
             eye = Diagonals.identity(n)
             full = d4.kron(eye).plus(eye.kron(d4)).plus(d2.kron(d2).scaled(2.0))
-        return operator_from_full_matrix(grid, 1, bc, full)
+        return operator_from_full_matrix(grid, 1, BoundaryCondition.CLAMPED, full)
     raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
 
 

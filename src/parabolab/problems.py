@@ -281,14 +281,14 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     def diffusion(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         lap = np.zeros_like(u)
         for axis in range(grid.dim):
-            lap += derivative_values(u, grid, unit_sigma(axis, grid.dim, 2), bc)
+            lap += derivative_values(u, grid, unit_sigma(axis, grid.dim, 2))
         return np.einsum("...ij,...j->...i", spec.a(v), lap)
 
     def gradient_term(v: np.ndarray) -> np.ndarray:
         bv = spec.b(v)
         out = np.zeros_like(v)
         for axis in range(grid.dim):
-            dv = derivative_values(v, grid, unit_sigma(axis, grid.dim), bc)
+            dv = derivative_values(v, grid, unit_sigma(axis, grid.dim))
             out += np.einsum("...iab,...a,...b->...i", bv, dv, dv)
         return out
 
@@ -391,7 +391,7 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
         coeffs = _fourth_order_coeffs(grid, hfield)
         out = np.zeros(grid.shape)
         for sigma, c in coeffs.items():
-            out += c * derivative(u, sigma, bc).scalar
+            out += c * derivative(u, sigma).scalar
         return GridFunction.from_scalar(grid, out)
 
     def assemble_A(hfield: GridFunction) -> LinearOperator:
@@ -401,7 +401,7 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
         return GridFunction.zeros(grid, 1)
 
     def G(values: np.ndarray) -> np.ndarray:
-        return rhs_values(values, grid, bc)
+        return rhs_values(values, grid)
 
     def F2(hfield: GridFunction) -> GridFunction:
         return GridFunction(grid, apply_A(hfield, hfield).values + G(hfield.values))

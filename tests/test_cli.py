@@ -32,7 +32,7 @@ from parabolab.checkpoint import load_trajectory, save_trajectory
 from parabolab.cli import main
 from parabolab.config import Diagnostics
 from parabolab.evolution import NonconvergenceError, StateConstraintError
-from parabolab.grids import BoundaryCondition, Grid
+from parabolab.grids import Grid
 from parabolab.norms import E0mu_norm, WeightedTrajectory
 from parabolab.operators import SolverError
 
@@ -635,6 +635,22 @@ def test_sweep_grid_refinement_reports_orders(tmp_path):
     assert orders["final_sup_norm"][0] == pytest.approx(2.0, abs=0.5)
 
 
+@pytest.mark.parametrize("nodes", [[17, 17], [17, "x"], [17, None]],
+                         ids=["repeated", "string", "null"])
+def test_sweep_refinement_without_two_node_counts_reports_no_orders(tmp_path, capsys, nodes):
+    cfg = heat_cfg()
+    cfg["solver"]["horizon"] = 0.02
+    cfg_path = write_cfg(tmp_path / "tmpl.json", cfg)
+    axes_path = write_cfg(tmp_path / "axes.json", {"grid.nodes": nodes})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--axes", str(axes_path),
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [c["exit_code"] for c in summary["cells"]] == [0, 0 if nodes[1] == 17 else 4]
+    assert "observed_orders" not in summary
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_or_bad_inputs_exit_4(tmp_path, capsys):
@@ -830,19 +846,19 @@ def test_diagnostics_measure_each_trajectory_once(monkeypatch):
     passes = []
     x1_norms = norms.x1_norms
 
-    def counted(values, grid, q=2.0, order=2, bc=BoundaryCondition.NEUMANN):
-        passes.append((q, order, bc))
-        return x1_norms(values, grid, q, order, bc)
+    def counted(values, grid, q=2.0, order=2):
+        passes.append((q, order))
+        return x1_norms(values, grid, q, order)
 
     monkeypatch.setattr(norms, "x1_norms", counted)
     diag = Diagnostics(norm_intervals=4, smoothing_delta=0.8)
-    report = cli._diagnostics_report(traj, diag, 4, BoundaryCondition.CLAMPED, 4.0)
+    report = cli._diagnostics_report(traj, diag, 4, 4.0)
     assert len(report["norm_intervals"]) == 4 and "smoothing" in report
-    assert passes == [(4.0, 4, BoundaryCondition.CLAMPED)]
+    assert passes == [(4.0, 4)]
     # the time series at q = 2 makes its own pass, which diagnostics at q = 2 reuse
-    cli._timeseries_rows(traj, BoundaryCondition.CLAMPED, 4)
-    cli._diagnostics_report(traj, diag, 4, BoundaryCondition.CLAMPED, 2.0)
-    assert passes[1:] == [(2.0, 4, BoundaryCondition.CLAMPED)]
+    cli._timeseries_rows(traj, 4)
+    cli._diagnostics_report(traj, diag, 4, 2.0)
+    assert passes[1:] == [(2.0, 4)]
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):
@@ -1292,12 +1308,20 @@ _MALFORMED = [
     # last, so that the ids pytest numbers by position above keep their numbers
     *[pytest.param("check-flat", key, value, id=f"check-flat-{key}-{value!r}")
       for key, value in [("extra", 1), ("order", ["x"]), ("n", 0)]],
+    # a flow's A(h) is symmetric in its pairing only at zero slope
+    *[pytest.param(command, ("problem", "initial", "solver.propagator"),
+                   ({"family": family}, _SINE_SQUARED, "spectral"),
+                   id=f"{command}-{family}-spectral")
+      for command in ("check", "run") for family in ("surface_diffusion", "willmore")],
 ])
 def test_config_values_that_do_not_parse_exit_4(tmp_path, tmp_path_factory, capsys, command,
                                                 path, value):
     cfg = tiny_cfg()
     if command == "check-flat":
         cfg = {**cfg["exponents"], "n": 1, path: value}
+    elif isinstance(path, tuple):
+        for one_path, one_value in zip(path, value):
+            _set_path(cfg, one_path, one_value)
     else:
         _set_path(cfg, path, value)
     cfg_path = write_cfg(tmp_path / "cfg.json", cfg)

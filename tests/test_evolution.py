@@ -24,6 +24,7 @@ definite.
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import warnings
 from pathlib import Path
@@ -37,7 +38,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab import evolution
-from parabolab.config import build_initial, build_problem, load_run_config
+from parabolab.config import (build_initial, build_problem, load_run_config,
+                              validate_run_config)
 from parabolab.evolution import (AbstractProblem, ContinuationState,
                                  FixedPointConfig, LipschitzReport, NonconvergenceError,
                                  StateConstraintError, continue_solution,
@@ -502,6 +504,41 @@ def test_quasilinear_loop_keeps_first_order_in_time(name):
     assert np.all(gaps >= 100.0 * rc.solver.tol), gaps
     orders = np.log2(gaps[:-1] / gaps[1:])
     assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+
+
+def _largest_contraction_factors(nodes, profile=None):
+    """The largest contraction factor of one window of length 4e-3 / 2^k,
+    k = 0..5, of K = 50 steps, on the bundled reaction-diffusion problem at
+    ``nodes`` nodes, from 1 + 0.6 profile(x), or from the config's own
+    cosine without a profile."""
+    doc = json.loads((CONFIGS / "reaction_diffusion.json").read_text())
+    doc["grid"]["nodes"] = nodes
+    rc = validate_run_config(doc)
+    prob, _spec = build_problem(rc)
+    u0 = (build_initial(rc) if profile is None
+          else GridFunction.from_scalar(rc.grid, 1.0 + 0.6 * profile(rc.grid.axis_coords())))
+    factors = []
+    for k in range(6):
+        cfg = dataclasses.replace(rc.solver, window=4e-3 / 2 ** k, time_steps=50)
+        state = fixed_point_solve(u0, prob, cfg)
+        assert state.halvings == 0
+        factors.append(max(state.contraction_factors))
+    return np.array(factors)
+
+
+@pytest.mark.parametrize("nodes", [65, 129])
+def test_contraction_factor_falls_with_the_window(nodes):
+    # the local existence proof makes the Picard map a contraction whose
+    # constant tends to 0 with the window length T, as T for smooth data
+    # (the iterates leave u0 in the trace space at rate T) and more slowly
+    # for data of lower regularity; slopes are log2 ratios per halving of T
+    smooth = _largest_contraction_factors(nodes)
+    kink = _largest_contraction_factors(nodes, lambda x: np.abs(x - 0.5) - 0.25)
+    smooth_slopes = np.log2(smooth[:-1] / smooth[1:])
+    kink_slopes = np.log2(kink[:-1] / kink[1:])
+    assert np.all((0.85 <= smooth_slopes[-3:]) & (smooth_slopes[-3:] <= 1.15)), smooth_slopes
+    assert np.all(smooth_slopes > 0.0) and np.all(kink_slopes > 0.0), (smooth, kink)
+    assert np.mean(kink_slopes) < np.mean(smooth_slopes), (kink_slopes, smooth_slopes)
 
 
 def test_linear_problem_converges_immediately():
@@ -1044,7 +1081,7 @@ def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
             for v in probes:
                 diff = prob.apply(samples[i], v).values - prob.apply(samples[j], v).values
                 num = lq_norm(GridFunction(grid, diff))
-                L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int, prob.bc)))
+                L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int)))
             diff = prob.F1(samples[i]).values - prob.F1(samples[j]).values
             L_F1 = max(L_F1, lq_norm(GridFunction(grid, diff)) / d)
     c_dep = 0.0
@@ -1058,7 +1095,7 @@ def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
             if other.window != base.window:
                 continue
             dist = E1mu_norm(difference(other.trajectory, base.trajectory),
-                             q=cfg.q, order=prob.order_int, bc=prob.bc)
+                             q=cfg.q, order=prob.order_int)
             c_dep = max(c_dep, dist / d)
     return LipschitzReport(L_A=L_A, L_F1=L_F1, c_dependence=c_dep,
                            n_pairs=n_pairs, skipped=skipped)

@@ -31,10 +31,8 @@ from parabolab.geometry import (geometry_fields, laplace_beltrami,
                                 surface_diffusion_rhs, surface_diffusion_values,
                                 tilt_factor, trace_L_squared, unit_normal,
                                 willmore_rhs, willmore_values)
-from parabolab.grids import BoundaryCondition, Grid, GridFunction
+from parabolab.grids import Grid, GridFunction
 from parabolab.operators import derivative, derivative_values
-
-CLA = BoundaryCondition.CLAMPED
 
 
 def height(grid, fn):
@@ -95,7 +93,7 @@ def test_mean_curvature_is_beta_cubed_hxx():
     rng = np.random.default_rng(5)
     h = random_profile(grid, rng)
     beta = tilt_factor(h).scalar
-    w = derivative(h, 2, CLA).scalar
+    w = derivative(h, 2).scalar
     assert np.allclose(mean_curvature(h).scalar, beta ** 3 * w, rtol=1e-12, atol=1e-12)
 
 
@@ -150,7 +148,7 @@ def test_laplace_beltrami_flat_reduces_to_laplacian():
     h = GridFunction.zeros(grid)
     phi = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     lb = laplace_beltrami(h, phi).scalar
-    lap = derivative(phi, (2, 0), CLA).scalar + derivative(phi, (0, 2), CLA).scalar
+    lap = derivative(phi, (2, 0)).scalar + derivative(phi, (0, 2)).scalar
     assert np.allclose(lb, lap, rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         laplace_beltrami(h, GridFunction.zeros(Grid(2, 9)))
@@ -210,7 +208,7 @@ def _reference_tensors(values, grid):
         sig = [0] * dim
         for a in axes:
             sig[a] += 1
-        return derivative_values(values, grid, tuple(sig), CLA)[..., 0]
+        return derivative_values(values, grid, tuple(sig))[..., 0]
 
     g = np.stack([d(i) for i in range(dim)], axis=-1)
     hess = np.stack([np.stack([d(i, j) for j in range(dim)], axis=-1)

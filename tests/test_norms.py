@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parabolab.grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
+from parabolab.grids import Grid, GridFunction, NonFiniteError
 from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory,
                              difference, lq_norm, lq_norms, proxy_norm,
                              smoothing_check, verify_interpolation_inequality,
@@ -127,17 +127,16 @@ def test_stacked_norms_match_per_sample_norms(data):
     ncomp = data.draw(st.integers(1, 2), label="ncomp")
     q = data.draw(st.sampled_from([2.0, 4.0]), label="q")
     order = data.draw(st.sampled_from([2, 4]), label="order")
-    bc = data.draw(st.sampled_from(list(BoundaryCondition)), label="bc")
     samples = data.draw(st.integers(1, 4), label="samples")
     values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
                               elements=st.floats(-1e3, 1e3)), label="values")
     lq = lq_norms(values, grid, q)
-    x1 = x1_norms(values, grid, q, order, bc)
+    x1 = x1_norms(values, grid, q, order)
     assert lq.shape == x1.shape == (samples,)
     for k in range(samples):
         u = GridFunction(grid, values[k])
         for stacked, single, ref in ((lq[k], lq_norm(u, q), reference_lq(values[k], grid, q)),
-                                     (x1[k], x1_norm(u, q, order, bc),
+                                     (x1[k], x1_norm(u, q, order),
                                       reference_x1(values[k], grid, q, order))):
             assert abs(stacked - single) <= 1e-14 * abs(single)
             assert abs(stacked - ref) <= 1e-14 * abs(ref)
@@ -308,9 +307,9 @@ def test_x1_norms_share_axis_passes(monkeypatch, dim, order, passes):
     calls = []
     derivative_values = norms.derivative_values
 
-    def counted(values, grid, sigma, bc):
+    def counted(values, grid, sigma):
         calls.append(sigma)
-        return derivative_values(values, grid, sigma, bc)
+        return derivative_values(values, grid, sigma)
 
     monkeypatch.setattr(norms, "derivative_values", counted)
     grid = Grid(dim, 8)
@@ -333,7 +332,6 @@ def test_memoized_norms_equal_those_of_a_fresh_trajectory(data):
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
     grid = Grid(dim, data.draw(st.integers(8, 16 if dim == 1 else 10), label="nodes"))
     order = data.draw(st.sampled_from([2, 4]), label="order")
-    bc = data.draw(st.sampled_from(list(BoundaryCondition)), label="bc")
     q = data.draw(st.sampled_from([2.0, 4.0]), label="q")
     K = data.draw(st.integers(2, 8), label="K")
     steps = data.draw(arrays(np.float64, K, elements=st.floats(0.01, 1.0)), label="steps")
@@ -348,15 +346,15 @@ def test_memoized_norms_equal_those_of_a_fresh_trajectory(data):
         fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
         assert E0mu_norm(traj, interval, q) == E0mu_norm(fresh, interval, q)
         fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
-        assert (E1mu_norm(traj, interval, q, order, bc)
-                == E1mu_norm(fresh, interval, q, order, bc))
+        assert (E1mu_norm(traj, interval, q, order)
+                == E1mu_norm(fresh, interval, q, order))
     # a sample times[k] lies inside the smoothing window (delta/2, delta)
     k = data.draw(st.integers(1, K - 1), label="k")
     delta = min(T, 1.5 * times[k])
     fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
-    assert (smoothing_check(traj, delta, q, order, bc)
-            == smoothing_check(fresh, delta, q, order, bc))
-    assert E1mu_norm(traj, None, q, order, bc) == E1mu_norm(fresh, None, q, order, bc)
+    assert (smoothing_check(traj, delta, q, order)
+            == smoothing_check(fresh, delta, q, order))
+    assert E1mu_norm(traj, None, q, order) == E1mu_norm(fresh, None, q, order)
 
 
 # ---------------------------------------------------------------- smoothing

@@ -53,7 +53,7 @@ def _from_dense(a):
 def test_interior_polynomial_exactness(order, poly, dpoly):
     grid = Grid(1, 33)
     x = grid.axis_coords()
-    du = derivative(f1(grid, poly), order, NEU).scalar
+    du = derivative(f1(grid, poly), order).scalar
     margin = 2  # stay clear of the reflected ghosts
     assert np.allclose(du[margin:-margin], dpoly(x)[margin:-margin],
                        rtol=0, atol=1e-9)
@@ -63,12 +63,12 @@ def test_derivative_bad_sigma():
     grid = Grid(1, 16)
     u = f1(grid, lambda x: x)
     with pytest.raises(ValueError):
-        derivative(u, 5, NEU)
+        derivative(u, 5)
     with pytest.raises(ValueError):
-        derivative(u, (2, 2), NEU)  # dimension mismatch in 1D
+        derivative(u, (2, 2))  # dimension mismatch in 1D
     g2 = Grid(2, 16)
     with pytest.raises(ValueError):
-        derivative(GridFunction.zeros(g2), (3, 3), NEU)  # |sigma| > 4
+        derivative(GridFunction.zeros(g2), (3, 3))  # |sigma| > 4
 
 
 def test_neumann_second_derivative_cosine_exact():
@@ -78,7 +78,7 @@ def test_neumann_second_derivative_cosine_exact():
     for k in (1, 2, 5):
         u = f1(grid, lambda x: np.cos(k * np.pi * x))
         lam = 2.0 / h ** 2 * (1.0 - np.cos(k * np.pi * h))
-        d2 = derivative(u, 2, NEU).scalar
+        d2 = derivative(u, 2).scalar
         # exact at every node including the walls (even reflection)
         assert np.max(np.abs(d2 + lam * u.scalar)) < 1e-9 * lam
 
@@ -89,9 +89,8 @@ def test_derivative_matches_matrix_1d():
     vals = rng.normal(size=grid.shape)
     u = GridFunction.from_scalar(grid, vals)
     for order in (1, 2, 3, 4):
-        for bc in (NEU, CLA):
-            mat = diff_matrix_1d(grid.nodes_per_axis, grid.h, order, bc)
-            assert np.allclose(derivative(u, order, bc).scalar, mat.dot(vals))
+        mat = diff_matrix_1d(grid.nodes_per_axis, grid.h, order)
+        assert np.allclose(derivative(u, order).scalar, mat.dot(vals))
 
 
 def test_derivative_2d_mixed_matches_kron():
@@ -100,14 +99,14 @@ def test_derivative_2d_mixed_matches_kron():
     vals = rng.normal(size=grid.shape)
     u = GridFunction.from_scalar(grid, vals)
     n, h = grid.nodes_per_axis, grid.h
-    d1 = diff_matrix_1d(n, h, 1, NEU)
-    d2 = diff_matrix_1d(n, h, 2, NEU)
+    d1 = diff_matrix_1d(n, h, 1)
+    d2 = diff_matrix_1d(n, h, 2)
     mixed = d2.kron(d1).dot(vals.ravel())
-    assert np.allclose(derivative(u, (2, 1), NEU).scalar.ravel(), mixed)
+    assert np.allclose(derivative(u, (2, 1)).scalar.ravel(), mixed)
 
 
 def test_diff_matrix_order0_identity():
-    mat = diff_matrix_1d(9, 0.125, 0, NEU)
+    mat = diff_matrix_1d(9, 0.125, 0)
     assert list(mat.offsets) == [0] and np.array_equal(mat.toarray(), np.eye(9))
 
 
@@ -188,7 +187,7 @@ def test_coefficient_operator_applies_nodal_weights():
     vals = rng.normal(size=grid.shape)
     u = GridFunction.from_scalar(grid, vals)
     op = assemble_coefficient_operator(grid, {(2,): c}, NEU)
-    manual = c * derivative(u, 2, NEU).scalar
+    manual = c * derivative(u, 2).scalar
     assert np.allclose(op.apply(u).scalar, manual)
 
 
@@ -278,7 +277,7 @@ def test_eigendecompose_guards():
     grid = Grid(1, 12)
     ref = reference_operator(grid, "second")
     asym = _from_dense(np.triu(np.ones((12, 12))))
-    op = LinearOperator(grid, 1, NEU, asym, ref.active, ref.weights)
+    op = LinearOperator(grid, 1, asym, ref.active, ref.weights)
     with pytest.raises(SolverError):
         eigendecompose(op)
     big = Grid(2, 80)  # 6400 unknowns > cap
@@ -431,7 +430,7 @@ def assert_same_operator(op, csr):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("bc", [NEU, CLA])
 def test_diff_matrix_1d_matches_csr(n, order, bc):
-    assert_same_matrix(diff_matrix_1d(n, 1.0 / (n - 1), order, bc),
+    assert_same_matrix(diff_matrix_1d(n, 1.0 / (n - 1), order),
                        _csr_diff_matrix_1d(n, 1.0 / (n - 1), order))
 
 

@@ -36,7 +36,6 @@ from parabolab.problems import (FlowSpec, PolynomialMap, ProblemSpecError,
                                 linear_heat_spec, rd_divergence_oracle,
                                 rd_problem, spectrum_positivity_check)
 
-NEU = BoundaryCondition.NEUMANN
 CLA = BoundaryCondition.CLAMPED
 
 
@@ -198,7 +197,7 @@ def test_heat_apply_is_negative_laplacian():
     prob = rd_problem(linear_heat_spec(grid))
     rng = np.random.default_rng(1)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    lap = derivative(u, 2, NEU).scalar
+    lap = derivative(u, 2).scalar
     assert np.allclose(prob.apply_A(u, u).scalar, -lap, rtol=1e-13, atol=1e-13)
     # matrix path agrees with the mat-free path
     mat = prob.assemble_A(u)
@@ -214,7 +213,7 @@ def test_state_dependent_diffusion_value():
     v = GridFunction.from_scalar(grid, 0.5 * np.cos(np.pi * x))
     rng = np.random.default_rng(3)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    lap = derivative(u, 2, NEU).scalar
+    lap = derivative(u, 2).scalar
     expected = -(1.0 + v.scalar ** 2) * lap
     assert np.allclose(prob.apply_A(v, u).scalar, expected, rtol=1e-12)
     assert np.allclose(prob.assemble_A(v).apply(u).scalar, expected, rtol=1e-10)
@@ -231,7 +230,7 @@ def test_system_coupling_matrix():
     prob = rd_problem(spec)
     rng = np.random.default_rng(5)
     u = GridFunction(grid, rng.uniform(-0.9, 0.9, size=grid.shape + (2,)))
-    lap = np.stack([derivative(u, 2, NEU).values[..., i] for i in range(2)], axis=-1)
+    lap = np.stack([derivative(u, 2).values[..., i] for i in range(2)], axis=-1)
     expected = np.stack([-(lap[..., 0] + 0.5 * lap[..., 1]), -2.0 * lap[..., 1]], axis=-1)
     assert np.allclose(prob.apply_A(u, u).values, expected, rtol=1e-12)
     assert np.allclose(prob.assemble_A(u).apply(u).values, expected, rtol=1e-10)
@@ -242,7 +241,7 @@ def test_quadratic_gradient_term():
     prob = rd_problem(scalar_spec(grid, a_series=[1.0], b_const=2.0))
     x = grid.axis_coords()
     u = GridFunction.from_scalar(grid, 0.3 * np.cos(2 * np.pi * x))
-    du = derivative(u, 1, NEU).scalar
+    du = derivative(u, 1).scalar
     assert np.allclose(prob.F2(u).scalar, 2.0 * du ** 2, rtol=1e-13)
     prob_f = rd_problem(scalar_spec(grid, a_series=[1.0], f_series=[0.5, -1.0]))
     assert np.allclose(prob_f.F1(u).scalar, 0.5 - u.scalar, rtol=1e-13)
@@ -271,7 +270,7 @@ def test_divergence_oracle_matches_laplacian_for_constant_a():
     rng = np.random.default_rng(7)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     fv = rd_divergence_oracle(spec, u).scalar
-    lap = derivative(u, 2, NEU).scalar
+    lap = derivative(u, 2).scalar
     assert np.allclose(fv, lap, rtol=1e-12, atol=1e-12)
 
 
@@ -351,7 +350,7 @@ def test_flow_leading_coefficient_1d():
     prob = flow_problem(FlowSpec(grid=grid, kind="surface_diffusion"))
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     beta4 = tilt_factor(h).scalar ** 4
-    expected = beta4 * derivative(u, 4, CLA).scalar
+    expected = beta4 * derivative(u, 4).scalar
     assert np.allclose(prob.apply_A(h, u).scalar, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -367,7 +366,7 @@ def test_flow_residual_cubic_in_amplitude():
             h = GridFunction.from_scalar(grid, eps * prof)
             sups.append(np.max(np.abs(prob.F2(h).values)))
             # decomposition identity F2 = A h + G
-            manual = prob.apply_A(h, h).values + rhs_fn(h, CLA).values
+            manual = prob.apply_A(h, h).values + rhs_fn(h).values
             assert np.array_equal(prob.F2(h).values, manual)
         slopes = [np.log10(sups[i + 1] / sups[i]) for i in range(2)]
         assert min(slopes) > 2.5
@@ -446,7 +445,7 @@ def test_flow_stacked_G_matches_geometry_rhs(data):
         prof = prof * np.sin(np.pi * x) ** 2
     stack = amp * rng.uniform(0.5, 1.5, size=(n_samples, 1) + (1,) * dim) * prof[..., None]
     stack = stack + 1e-3 * amp * rng.normal(size=stack.shape) * grid.interior_mask()[..., None]
-    want = np.stack([rhs_fn(GridFunction(grid, vals), CLA).values for vals in stack])
+    want = np.stack([rhs_fn(GridFunction(grid, vals)).values for vals in stack])
     _assert_close(prob.G(stack), want, 1e-12)
     # G is the split's F1 + F2 - A(h) h up to the cancellation of A(h) h
     _assert_close(prob.G(stack), _per_sample_G(prob, grid, stack), 1e-9)
