@@ -45,14 +45,17 @@ spectral propagator, and implicit Euler where A(u1) is scalar and symmetric
 in its pairing and the window has n <= 256 unknowns and K >= n^2/100 steps
 (``_marches_in_eigenbasis``: one eigendecomposition then costs less than
 the banded steps), march in the eigenbasis of A(u1) with no LAPACK call per
-step (``_ModalStepper``).  Every other window (the geometric flows, coupled
-reaction-diffusion, large 2D grids, short windows on fine grids) factors
-each I + dt_k*A(u1) once, as one LAPACK banded factor from
-``operators.step_factors``, Cholesky where A(u1) is symmetric in its pairing
-and LU otherwise (``_EulerStepper``).  Either march checks its whole
-(K+1, n_active) output for finiteness once per run; a non-finite run raises
-a SolverError that names the modal march, or the solve routine of the first
-step that went non-finite.
+step (``_ModalStepper``).  ``operators.eigendecompose`` keeps what it
+decomposed, keyed by the operator's content, so a run makes one
+decomposition per distinct operator, not per window: the windows of a
+linear problem and the omega diagnostic share one.  Every other window
+(the geometric flows, coupled reaction-diffusion, large 2D grids, short
+windows on fine grids) factors each I + dt_k*A(u1) once, as one LAPACK
+banded factor from ``operators.step_factors``, Cholesky where A(u1) is
+symmetric in its pairing and LU otherwise (``_EulerStepper``).  Either
+march checks its whole (K+1, n_active) output for finiteness once per run;
+a non-finite run raises a SolverError that names the modal march, or the
+solve routine of the first step that went non-finite.
 
 The limit of the banded march is 2D memory: the band of an m^2-node
 operator is about m wide, so one factor takes O(m^3) bytes and a window
@@ -303,7 +306,9 @@ class _ModalStepper:
     ``tables(dts, eigenvalues)`` gives the (K, n) tables a, g of the modal
     recurrence c_{k+1} = a_k c_k + g_k rhat_{k+1}, rhat the rhs's modal
     coefficients, which one product forms for all steps; one more product
-    maps the coefficients back."""
+    maps the coefficients back.  The eigenbasis comes from
+    ``eigendecompose``: one decomposition per distinct operator, which
+    windows with the same A0 share."""
 
     def __init__(self, A0: LinearOperator, times: np.ndarray, tables):
         self.A0 = A0
@@ -642,7 +647,6 @@ def _smooth_modes(grid: Grid, bc: BoundaryCondition, ncomp: int, k: int) -> np.n
 def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
                     cfg: FixedPointConfig, n_samples: int = 6,
                     radius: float = 0.05, seed: int = 0,
-                    proxy: Optional[SpectralProxy] = None,
                     with_solutions: bool = True) -> LipschitzReport:
     """Empirical Lipschitz moduli of A and F1, and of the data-to-solution map.
 
@@ -654,8 +658,7 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
     """
     grid = u_center.grid
     rng = np.random.default_rng(seed)
-    if proxy is None:
-        proxy = eigendecompose(reference_operator(grid, prob.order))
+    proxy = eigendecompose(reference_operator(grid, prob.order))
     theta_low = cfg.mu - 1.0 / cfg.p
     modes = [_smooth_modes(grid, prob.bc, u_center.ncomp, k) for k in (1, 2, 3)]
     samples = []

@@ -781,25 +781,55 @@ class SpectralProxy:
         return GridFunction(self.grid, full.reshape(self.grid.shape + (ncomp,)))
 
 
+# eigendecompose keeps decompositions (modes, eigenvalues, key and the
+# proxy's operator) of at most this many bytes in all: every 1D proxy of the
+# bundled configs, no 2D omega proxy (48^2 nodes: 42 MB)
+EIG_CACHE_BYTES = 1 << 22
+_EIG_CACHE: dict = {}  # key -> (proxy, bytes), least recently used first
+
+
 def eigendecompose(op: LinearOperator) -> SpectralProxy:
     """Dense eigendecomposition of a scalar operator symmetric in its pairing.
 
     Only intended at desk scale: raises ValueError beyond DESK_EIG_CAP
-    unknowns, and SolverError for an operator that is not symmetric.
+    unknowns, and SolverError for an operator that is not symmetric; a
+    failure is not kept, so it raises on every call.
+
+    One decomposition per distinct operator: an operator whose grid, ncomp
+    and the bytes of ``active``, ``weights``, ``matrix.offsets`` and
+    ``matrix.data`` equal those of one decomposed before gets the same
+    SpectralProxy back, whose ``eigenvalues`` and ``modes`` are read-only.
+    The kept proxies total at most EIG_CACHE_BYTES, the least recently used
+    evicted first; a larger proxy is not kept.
     """
     n = op.n_active
     if n > DESK_EIG_CAP:
         raise ValueError(f"{n} unknowns exceed the dense eigendecomposition cap {DESK_EIG_CAP}")
     if op.ncomp != 1:
         raise ValueError("eigendecompose expects a scalar operator")
-    defect = 0.0 if op.pairs_symmetrically else op.symmetric_defect()
-    if defect > 1e-8:
-        raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
-    sqw = np.sqrt(op.weights)
-    sym = (op.toarray() * sqw[:, None]) / sqw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    lam, vecs = _symmetric_eigh(sym)
-    return SpectralProxy(op, lam, vecs / sqw[:, None])
+    key = (op.grid, op.ncomp) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                                      (op.active, op.weights, op.matrix.offsets, op.matrix.data))
+    proxy, size = _EIG_CACHE.pop(key, (None, 0))
+    if proxy is None:
+        defect = 0.0 if op.pairs_symmetrically else op.symmetric_defect()
+        if defect > 1e-8:
+            raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
+        sqw = np.sqrt(op.weights)
+        sym = (op.toarray() * sqw[:, None]) / sqw[None, :]
+        sym = 0.5 * (sym + sym.T)
+        lam, vecs = _symmetric_eigh(sym)
+        m = op.matrix  # kept on a copy, without the tiles op.dot may have cached
+        proxy = SpectralProxy(LinearOperator(op.grid, 1, Diagonals(m.offsets, m.data, m.rank),
+                                             op.active, op.weights), lam, vecs / sqw[:, None])
+        proxy.eigenvalues.flags.writeable = proxy.modes.flags.writeable = False
+        # modes, eigenvalues, the key's bytes, and the same arrays and ranks in the copy
+        size = lam.nbytes + proxy.modes.nbytes + m.rank.nbytes + 2 * sum(
+            len(part[2]) for part in key[2:])
+    if size <= EIG_CACHE_BYTES:
+        _EIG_CACHE[key] = (proxy, size)
+        while sum(kept for _, kept in _EIG_CACHE.values()) > EIG_CACHE_BYTES:
+            del _EIG_CACHE[next(iter(_EIG_CACHE))]
+    return proxy
 
 
 def _symmetric_eigh(sym: np.ndarray):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import count_eigh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -649,6 +650,25 @@ def test_sweep_refinement_without_two_node_counts_reports_no_orders(tmp_path, ca
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert [c["exit_code"] for c in summary["cells"]] == [0, 0 if nodes[1] == 17 else 4]
     assert "observed_orders" not in summary
+
+
+def test_sweep_decomposes_each_distinct_operator_once(tmp_path, monkeypatch):
+    """Both windows and the omega diagnostic of a heat cell decompose -Lap,
+    and the cells of one node count share it: one call per node count."""
+    calls = count_eigh(monkeypatch)
+    axes_path = write_cfg(tmp_path / "axes.json",
+                          {"grid.nodes": [17, 33], "exponents.mu": ["4/5", "9/10"]})
+    config = Path(__file__).resolve().parent.parent / "configs" / "heat.json"
+    assert main(["sweep", "--config", str(config), "--axes", axes_path,
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert sorted(calls) == [17, 33]
+
+
+def test_run_decomposes_its_operator_once(tmp_path, monkeypatch):
+    calls = count_eigh(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "configs" / "heat.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert calls == [64]
 
 
 # ---------------------------------------------------------------- errors

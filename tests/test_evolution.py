@@ -1129,8 +1129,7 @@ def test_lipschitz_probe_equals_the_per_pair_reference_bitwise(case):
     prob, u_center, with_solutions = _lipschitz_cases()[case]
     cfg = FixedPointConfig(window=0.005, time_steps=6, mu=MU, p=P, tol=1e-9)
     proxy = eigendecompose(reference_operator(u_center.grid, prob.order))
-    rep = lipschitz_probe(prob, u_center, cfg, seed=5, proxy=proxy,
-                          with_solutions=with_solutions)
+    rep = lipschitz_probe(prob, u_center, cfg, seed=5, with_solutions=with_solutions)
     want = _reference_lipschitz(prob, u_center, cfg, 6, 0.05, 5, proxy, with_solutions)
     assert rep == want
     assert rep.n_pairs == 15

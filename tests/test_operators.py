@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from conftest import count_eigh
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parabolab import operators
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
 from parabolab.operators import (STENCILS, BandedCholesky, BandedLU, Diagonals, LinearOperator,
                                  NotPositiveDefiniteError, SolverError, active_flat_indices,
@@ -285,6 +289,104 @@ def test_eigendecompose_guards():
         eigendecompose(reference_operator(big, "second"))
 
 
+@st.composite
+def _paired_operators(draw):
+    """A random scalar operator symmetric in its pairing: M = W^-1 S, S
+    symmetric and banded, W the positive pairing weights."""
+    n, band = draw(st.integers(8, 20)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), band), -band)
+    w = rng.uniform(0.5, 2.0, n)
+    return LinearOperator(Grid(1, n), 1, _from_dense((s + s.T) / w[:, None]), np.arange(n), w)
+
+
+def _like(op, data=None, weights=None):
+    """A new operator with copies of the arrays of ``op``, or the given ones."""
+    m = op.matrix
+    matrix = Diagonals(m.offsets.copy(), m.data.copy() if data is None else data, m.rank.copy())
+    return LinearOperator(op.grid, 1, matrix, op.active.copy(),
+                          op.weights.copy() if weights is None else weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_paired_operators(), st.data())
+def test_eigendecompose_reuses_a_decomposition_of_the_same_bytes(op, data):
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_eigh(m)
+        first = eigendecompose(op)
+        assert eigendecompose(_like(op)) is first and len(calls) == 1
+        for a in (first.eigenvalues, first.modes):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        m.setattr(operators, "_EIG_CACHE", {})
+        fresh = eigendecompose(_like(op))
+        assert fresh is not first and len(calls) == 2
+        assert _bits(fresh.eigenvalues) == _bits(first.eigenvalues)
+        assert _bits(fresh.modes) == _bits(first.modes)
+        # one weight, or one stored entry, 1 ulp up
+        weights = op.weights.copy()
+        i = data.draw(st.integers(0, op.n_active - 1))
+        weights[i] = np.nextafter(weights[i], np.inf)
+        diag, row = np.nonzero(op.matrix.stored)
+        e = data.draw(st.integers(0, len(row) - 1))
+        entries = op.matrix.data.copy()
+        entries[diag[e], row[e]] = np.nextafter(entries[diag[e], row[e]], np.inf)
+        for other in (_like(op, weights=weights), _like(op, data=entries)):
+            assert eigendecompose(other) is not fresh
+        assert len(calls) == 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(_paired_operators())
+def test_eigendecompose_keeps_no_failure(op):
+    dense = op.toarray()
+    dense[0, 1] += 1.0
+    skew = LinearOperator(op.grid, 1, _from_dense(dense), op.active, op.weights)
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_eigh(m)
+        for _ in range(2):
+            with pytest.raises(SolverError):
+                eigendecompose(skew)
+        assert calls == [] and operators._EIG_CACHE == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_paired_operators(), min_size=2, max_size=4), st.integers(500, 12000), st.data())
+def test_eigendecompose_keeps_at_most_its_byte_budget(pool, budget, data):
+    """The cache against a model: entries of modes, eigenvalues, key bytes
+    and the proxy's copy of the operator (about 1 to 6 kB here), least recently used first, none larger
+    than the budget, the oldest evicted while the total exceeds it."""
+    order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=10))
+    model = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(operators, "_EIG_CACHE", {})
+        m.setattr(operators, "EIG_CACHE_BYTES", budget)
+        for op in (pool[i] for i in order):
+            proxy = eigendecompose(op)
+            size = (proxy.modes.nbytes + proxy.eigenvalues.nbytes + op.matrix.rank.nbytes
+                    + 2 * sum(a.nbytes for a in (op.active, op.weights, op.matrix.offsets,
+                                                 op.matrix.data)))
+            model = [(p, s) for p, s in model if p is not proxy]
+            if size <= budget:
+                model.append((proxy, size))
+                while sum(s for _, s in model) > budget:
+                    model.pop(0)
+            kept = list(operators._EIG_CACHE.values())
+            assert [s for _, s in kept] == [s for _, s in model]
+            assert all(p is q for (p, _), (q, _) in zip(kept, model))
+            assert sum(s for _, s in kept) <= budget
+
+
+def test_a_kept_proxy_holds_none_of_the_tiles_of_dot(monkeypatch):
+    count_eigh(monkeypatch)
+    op = reference_operator(Grid(1, 33), "second")
+    op.dot(np.ones(op.n_active))
+    proxy = eigendecompose(op)
+    assert "_terms" in vars(op.matrix)
+    assert "_terms" not in vars(proxy.operator.matrix)
+    assert operators._EIG_CACHE[next(iter(operators._EIG_CACHE))][0] is proxy
+
+
 def test_clamped_bilaplacian_smallest_eigenvalue_near_continuum():
     # first clamped-plate eigenvalue on [0,1] is (4.7300407...)^4 ~ 500.564
     grid = Grid(1, 96)
@@ -430,8 +532,13 @@ def assert_same_operator(op, csr):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("bc", [NEU, CLA])
 def test_diff_matrix_1d_matches_csr(n, order, bc):
-    assert_same_matrix(diff_matrix_1d(n, 1.0 / (n - 1), order),
-                       _csr_diff_matrix_1d(n, 1.0 / (n - 1), order))
+    """The 1D matrix, reduced to the unknowns ``bc`` keeps (every node for
+    Neumann, the interior for clamped), matches the CSR reduction."""
+    grid = Grid(1, n)
+    active = active_flat_indices(grid, 1, bc)
+    full = diff_matrix_1d(n, grid.h, order)
+    assert_same_matrix(full if len(active) == n else full.take(active),
+                       _csr_reduce(grid, 1, bc, _csr_diff_matrix_1d(n, grid.h, order)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -546,8 +653,6 @@ def test_lapack_fallback_gives_the_same_bits(monkeypatch):
     eigenpairs."""
     import importlib.util
 
-    from parabolab import operators
-
     def fail(*args, **kwargs):
         raise ImportError("no direct load")
 
@@ -564,11 +669,18 @@ def test_lapack_fallback_gives_the_same_bits(monkeypatch):
         return [lu.lu, lu.piv, lu.solve(b), chol.c, chol.solve(b), proxy.eigenvalues,
                 proxy.modes]
 
+    monkeypatch.setattr(operators, "_EIG_CACHE", {})
     direct = results()
     with monkeypatch.context() as m:
         m.setattr(importlib.util, "spec_from_file_location", fail)
         fallback = operators._load_lapack()
     assert fallback.__name__ == "scipy.linalg.lapack"
     monkeypatch.setattr(operators, "_lapack", fallback)
+    # the plate must be decomposed again, by the fallback's dsyevr
+    operators._EIG_CACHE.clear()
+    calls = []
+    dsyevr = fallback.dsyevr
+    monkeypatch.setattr(fallback, "dsyevr", lambda *a, **k: calls.append(1) or dsyevr(*a, **k))
     for a, b in zip(direct, results()):
         assert a.dtype == b.dtype and _bits(a) == _bits(b)
+    assert calls == [1]
