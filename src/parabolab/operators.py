@@ -25,12 +25,10 @@ interior pairing; ``eigendecompose`` takes only such operators and symmetrizes
 accordingly.
 
 An assembled matrix is a ``Diagonals``: the offsets of the diagonals that
-store an entry, an (ndiag, n) array of their entries by row, and the place
-of each entry in its row's sum.  Stored entries and sum orders are those of
-SciPy's sparse CSR arithmetic on the same assembly (see ``Diagonals``), so a
-product, the band width handed to LAPACK and hence every factor and
-artifact are bit for bit what that arithmetic gives; no sparse package is
-imported.  ``Diagonals.dot`` multiplies a whole stack of vectors at once.
+hold a nonzero entry and an (ndiag, n) array of their entries by row.  Each
+row of a product sums by ascending diagonal, and ``Diagonals.dot``
+multiplies a whole stack of vectors at once, each vector's rows from that
+vector's entries alone.  No sparse package is imported.
 
 The banded factors (dgbtrf/dgbtrs, dpbtrf/dpbtrs) and the dense eigensolver
 (dsyevr, called as ``scipy.linalg.eigh`` calls it) come from scipy's compiled
@@ -166,235 +164,138 @@ def _diagonal_index(offsets: np.ndarray):
     return diag, (np.cumsum(present) - 1)[offsets - low]
 
 
-def _ranks(key: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """For (ndiag, n) arrays laid out as ``Diagonals.data``: the place of
-    each kept entry among the kept entries of its row of the matrix (a
-    column of the arrays), by ascending ``key``, and -1 where an entry is
-    not kept.  Keys are integers >= 0, distinct among a row's kept
-    entries."""
-    top = int(key[keep].max(initial=-1)) + 1
-    slot = np.where(keep, key, top)
-    taken = np.zeros((top + 1, keep.shape[1]), dtype=np.intp)
-    np.put_along_axis(taken, slot, 1, axis=0)
-    taken[top] = 0
-    before = np.take_along_axis(np.cumsum(taken, axis=0), slot, axis=0) - 1
-    return np.where(keep, before, -1)
-
-
-def _sorted_ranks(keep: np.ndarray) -> np.ndarray:
-    """``_ranks`` by ascending diagonal, that is by ascending column."""
-    return np.where(keep, np.cumsum(keep, axis=0) - 1, -1)
-
-
-def _kept_ranks(rank: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The ranks of the entries ``keep``, a subset of those that ``rank``
-    places, in the order of ``rank``."""
-    stored = rank >= 0
-    if np.array_equal(keep, stored):
-        return rank
-    # rows summed by ascending or by descending column keep that order
-    if np.array_equal(rank, _sorted_ranks(stored)):
-        return _sorted_ranks(keep)
-    if np.array_equal(rank, _sorted_ranks(stored[::-1])[::-1]):
-        return _sorted_ranks(keep[::-1])[::-1]
-    return _ranks(rank, keep)
-
-
-def _reversed(rank: np.ndarray) -> np.ndarray:
-    """Each row's order backwards."""
-    stored = rank >= 0
-    return np.where(stored, stored.sum(axis=0) - 1 - rank, -1)
-
-
 @dataclass(eq=False)
 class Diagonals:
     """An n x n matrix by diagonals.
 
     ``data[k, i]`` is the entry (i, i + offsets[k]), offsets ascending, and
-    ``rank[k, i]`` its place in the sum of row i, -1 where row i stores no
-    entry on diagonal k.  Only diagonals that store an entry are kept, and
-    ``data`` is 0 where nothing is stored.
-
-    The stored entries and the order of each row's sum follow the
-    compressed-sparse-row (CSR) arithmetic of SciPy's sparse package: a
-    Kronecker product or a stencil fold stores its exact zeros and sorts
-    each row by column; a row scaling lists the row backwards and drops
-    exact zeros; a sum keeps sorted rows sorted, and otherwise lists the
-    first operand's entries and then the second's new ones, backwards, and
-    drops exact zeros.  So a product, the band of a factor and the factor
-    itself are bit for bit those of that arithmetic;
-    ``tests/test_operators.py`` keeps it as the reference.
+    0 where that column falls outside the matrix.  A diagonal with no
+    nonzero entry is not kept, so the band of a factor spans only the
+    diagonals that hold a nonzero entry.  A product sums each row by
+    ascending diagonal.
     """
 
     offsets: np.ndarray
     data: np.ndarray
-    rank: np.ndarray
 
     def __post_init__(self):
-        stored = self.rank >= 0
-        used = stored.any(axis=1)
+        used = np.any(self.data != 0.0, axis=1)
         if not used.all():
-            self.offsets, self.data, self.rank = (self.offsets[used], self.data[used],
-                                                  self.rank[used])
-            stored = stored[used]
-        self.data = np.where(stored, self.data, 0.0)
-
-    @classmethod
-    def sorted_rows(cls, offsets: np.ndarray, data: np.ndarray,
-                    stored: np.ndarray) -> "Diagonals":
-        """The matrix storing ``data`` where ``stored``, each row summed by
-        ascending column; ``offsets`` ascending."""
-        return cls(np.asarray(offsets), data, _sorted_ranks(stored))
+            self.offsets, self.data = self.offsets[used], self.data[used]
 
     @classmethod
     def identity(cls, n: int, value: float = 1.0) -> "Diagonals":
-        """``value`` times the identity; nothing stored for 0."""
-        data = np.full((1, n), float(value))
-        return cls.sorted_rows(np.zeros(1, dtype=np.intp), data, data != 0.0)
+        """``value`` times the identity; no diagonal for 0."""
+        return cls(np.zeros(1, dtype=np.intp), np.full((1, n), float(value)))
 
     @classmethod
     def from_entries(cls, n: int, rows: np.ndarray, offsets: np.ndarray,
-                     values: np.ndarray, keys=None) -> "Diagonals":
-        """The matrix storing entry (rows[e], rows[e] + offsets[e]) = values[e],
-        each row summed by ascending ``keys`` (integers >= 0), or by
-        ascending column without; no two entries coincide."""
+                     values: np.ndarray) -> "Diagonals":
+        """The matrix with entry (rows[e], rows[e] + offsets[e]) = values[e],
+        each inside the matrix, no two at the same place, and 0 elsewhere."""
         diag, k = _diagonal_index(offsets)
         data = np.zeros((len(diag), n))
         data[k, rows] = values
-        keep = np.zeros((len(diag), n), dtype=bool)
-        keep[k, rows] = True
-        if keys is None:
-            return cls(diag, data, _sorted_ranks(keep))
-        key = np.zeros((len(diag), n), dtype=np.intp)
-        key[k, rows] = keys
-        return cls(diag, data, _ranks(key, keep))
+        return cls(diag, data)
 
     @property
     def n(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def stored(self) -> np.ndarray:
-        return self.rank >= 0
-
     def entries(self):
-        """(rows, offsets, values, ranks) of the stored entries."""
-        k, rows = np.nonzero(self.stored)
-        return rows, self.offsets[k], self.data[k, rows], self.rank[k, rows]
-
-    def is_sorted(self) -> bool:
-        """Whether every row is summed by ascending column."""
-        return np.array_equal(self.rank, _sorted_ranks(self.stored))
+        """(rows, offsets, values) of the nonzero entries."""
+        k, rows = np.nonzero(self.data)
+        return rows, self.offsets[k], self.data[k, rows]
 
     def scaled(self, s: float) -> "Diagonals":
-        return Diagonals(self.offsets, s * self.data, self.rank)
+        return Diagonals(self.offsets, s * self.data)
 
     def scaled_rows(self, c: np.ndarray) -> "Diagonals":
-        """diag(c) @ self."""
-        data = c * self.data
-        return Diagonals(self.offsets, data,
-                         _reversed(_kept_ranks(self.rank, self.stored & (data != 0.0))))
-
-    def _on(self, offsets: np.ndarray):
-        """(data, rank) spread over the ascending ``offsets``, a superset."""
-        k = np.searchsorted(offsets, self.offsets)
-        data = np.zeros((len(offsets), self.n))
-        rank = np.full((len(offsets), self.n), -1, dtype=np.intp)
-        data[k], rank[k] = self.data, self.rank
-        return data, rank
+        """diag(c) @ self.  An entry 0 stays 0 whatever c, so that an
+        overflowed coefficient reaches no column outside the matrix."""
+        return Diagonals(self.offsets, np.where(self.data != 0.0, c * self.data, 0.0))
 
     def plus(self, other: "Diagonals") -> "Diagonals":
         """self + other."""
         offsets = _diagonal_index(np.concatenate([self.offsets, other.offsets]))[0]
-        a, ra = self._on(offsets)
-        b, rb = other._on(offsets)
-        data = a + b
-        touched = (ra >= 0) | (rb >= 0)
-        keep = touched & (data != 0.0)
-        if self.is_sorted() and other.is_sorted():
-            return Diagonals(offsets, data, _sorted_ranks(keep))
-        new = (rb >= 0) & (ra < 0)
-        first = np.where(ra >= 0, ra, (ra >= 0).sum(axis=0) + _kept_ranks(rb, new))
-        first = np.where(touched, first, -1)
-        return Diagonals(offsets, data, _reversed(_kept_ranks(first, keep)))
+        data = np.zeros((len(offsets), self.n))
+        data[np.searchsorted(offsets, self.offsets)] = self.data
+        data[np.searchsorted(offsets, other.offsets)] += other.data
+        return Diagonals(offsets, data)
 
     def kron(self, other: "Diagonals") -> "Diagonals":
-        """The Kronecker product self (x) other, its rows sorted."""
+        """The Kronecker product self (x) other."""
         nb = other.n
         offsets = (self.offsets[:, None] * nb + other.offsets).ravel()
         shape = (offsets.size, self.n * nb)
         data = (self.data[:, None, :, None] * other.data[None, :, None, :]).reshape(shape)
-        keep = (self.stored[:, None, :, None] & other.stored[None, :, None, :]).reshape(shape)
-        k, rows = np.nonzero(keep)
+        keep = (self.data != 0.0)[:, None, :, None] & (other.data != 0.0)[None, :, None, :]
+        k, rows = np.nonzero(keep.reshape(shape))
         return Diagonals.from_entries(self.n * nb, rows, offsets[k], data[k, rows])
 
     def take(self, index: np.ndarray) -> "Diagonals":
-        """The submatrix on the rows and columns ``index`` (ascending), each
-        row keeping the order of its remaining entries."""
+        """The submatrix on the rows and columns ``index`` (ascending)."""
         position = np.full(self.n, -1)
         position[index] = np.arange(len(index))
-        rows, offsets, values, ranks = self.entries()
+        rows, offsets, values = self.entries()
         row, col = position[rows], position[rows + offsets]
         kept = (row >= 0) & (col >= 0)
         row, col = row[kept], col[kept]
-        return Diagonals.from_entries(len(index), row, col - row, values[kept], ranks[kept])
+        return Diagonals.from_entries(len(index), row, col - row, values[kept])
 
     def toarray(self) -> np.ndarray:
-        rows, offsets, values, _ = self.entries()
+        rows, offsets, values = self.entries()
         dense = np.zeros((self.n, self.n))
-        # a densified stored -0.0 reads 0.0
-        dense[rows, rows + offsets] = values + 0.0
+        dense[rows, rows + offsets] = values
         return dense
 
     @functools.cached_property
     def _terms(self):
-        """The rows' sums term by term, as (step, common, odd, odd_cols,
-        odd_data) for blocks of ``step`` vectors.
+        """(step, tiles, edge, edge_terms) for blocks of ``step`` vectors.
 
-        ``common`` lists (shift, d), one per term, ``d`` tiled over a block:
-        the k-th term of row i is d[i] * x[i + shift] for every row but the
-        rows ``odd``, whose k-th terms are odd_data[k] * x[odd_cols[k]].  A
-        row with fewer terms adds zeros."""
-        stored = self.stored
-        width = int(stored.sum(axis=0).max(initial=0))
-        order = np.argsort(np.where(stored, self.rank, len(self.rank)), axis=0)[:width]
-        data = np.take_along_axis(self.data, order, axis=0)
-        shifts = np.where(np.take_along_axis(stored, order, axis=0), self.offsets[order], 0)
-        low = shifts.min(axis=1, initial=0)
-        common = [int(np.bincount(s - lo).argmax() + lo) for s, lo in zip(shifts, low)]
-        odd = np.flatnonzero(np.any(shifts != np.array(common, dtype=int)[:, None], axis=0))
-        step = max(1, _DOT_BLOCK // self.n)
-        return (step, [(c, np.tile(d, step)) for c, d in zip(common, data)], odd,
-                odd + shifts[:, odd], data[:, odd])
+        ``tiles`` lists (offset, diagonal tiled over a block), ascending.
+        ``edge`` are the rows that some diagonal reaches past, and
+        ``edge_terms`` their terms as (columns, entries), one per diagonal,
+        ascending; a column past the matrix is clipped to it, its entry 0."""
+        n, offsets = self.n, self.offsets
+        step = max(1, _DOT_BLOCK // n)
+        rows = np.arange(n)
+        edge = rows[(rows < -offsets.min(initial=0)) | (rows >= n - offsets.max(initial=0))]
+        tiles, edge_terms = [], []
+        for off, d in zip(offsets, self.data):
+            tiles.append((int(off), np.tile(d, step)))
+            edge_terms.append((np.clip(edge + off, 0, n - 1), d[edge]))
+        return step, tiles, edge, edge_terms
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The product with each vector along the last axis of ``x``; every
-        row adds its terms to zero in its order."""
+        row adds its terms to zero by ascending diagonal."""
         n = self.n
         x = np.asarray(x)
         out = np.zeros(x.shape)
         vectors, sums = x.reshape(-1, n), out.reshape(-1, n)
-        step, common, odd, odd_cols, odd_data = self._terms
+        step, tiles, edge, edge_terms = self._terms
         flat_x, flat_sums = vectors.ravel(), sums.ravel()
         term = np.zeros(step * n)
         # an overflow or inf - inf among the terms leaves inf or nan in the
-        # sums, without a warning; odd rows also see other rows' terms
+        # sums, without a warning; edge rows also see other vectors' entries
         with np.errstate(all="ignore"):
-            # the vectors a block at a time, each term as one contiguous
-            # product; where x[i + shift] falls outside row i's vector, row
-            # i is odd, and its sums are made apart below
+            # the vectors a block at a time, each diagonal as one contiguous
+            # product; where x[i + offset] falls outside row i's vector, row
+            # i is an edge row, and its sums are made again below from its
+            # own vector alone
             for start in range(0, len(flat_x), step * n):
                 size = min(step * n, len(flat_x) - start)
                 block = flat_x[start:start + size]
-                for shift, tiled in common:
-                    lo, hi = max(0, -shift), size - max(0, shift)
-                    np.multiply(block[lo + shift:hi + shift], tiled[lo:hi], out=term[lo:hi])
+                for off, tiled in tiles:
+                    lo, hi = max(0, -off), size - max(0, off)
+                    np.multiply(block[lo + off:hi + off], tiled[lo:hi], out=term[lo:hi])
                     flat_sums[start:start + size] += term[:size]
-            if len(odd):
-                odd_sums = np.zeros((len(vectors), len(odd)))
-                for cols, d in zip(odd_cols, odd_data):
-                    odd_sums += vectors[:, cols] * d
-                sums[:, odd] = odd_sums
+            if len(edge):
+                edge_sums = np.zeros((len(vectors), len(edge)))
+                for cols, d in edge_terms:
+                    edge_sums += vectors[:, cols] * d
+                sums[:, edge] = edge_sums
         return out
 
 
@@ -409,8 +310,7 @@ def diff_matrix_1d(n: int, h: float, order: int) -> Diagonals:
 
     order 0 returns the identity.  Rows are produced for every node including
     the boundary; clamped reduction (dropping boundary rows/columns) is done
-    by the operator assembly, not here.  A row stores every column a ghost
-    folds onto, the exact zeros of the odd orders' boundary rows among them.
+    by the operator assembly, not here.
     """
     if order == 0:
         return Diagonals.identity(n)
@@ -420,12 +320,10 @@ def diff_matrix_1d(n: int, h: float, order: int) -> Diagonals:
     folded = np.stack([_mirrored(n, off) for off, _ in terms]) - rows
     diag, k = _diagonal_index(folded)
     data = np.zeros((len(diag), n))
-    stored = np.zeros((len(diag), n), dtype=bool)
     # in stencil order, the order in which coinciding ghost entries add up
     for kk, (_, c) in zip(k, terms):
         data[kk, rows] += c / h ** order
-        stored[kk, rows] = True
-    return Diagonals.sorted_rows(diag, data, stored)
+    return Diagonals(diag, data)
 
 
 def active_flat_indices(grid: Grid, ncomp: int, bc: BoundaryCondition) -> np.ndarray:
@@ -519,7 +417,7 @@ class LinearOperator:
 
         Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the top ``kl`` rows
         are the fill space the LU factorization writes into.  The band spans
-        the diagonals that store an entry.
+        the kept diagonals.
         """
         offsets, n = self.matrix.offsets, self.n_active
         kl = int(max(-offsets.min(initial=0), 0))
@@ -535,13 +433,12 @@ class LinearOperator:
 
         Entry (i, j), i <= j, sits at ``ab[kd + i - j, j]``; the lower
         triangle is not stored, so this is only meaningful for an operator
-        that is symmetric in its pairing.  kd is the widest upper diagonal
-        with a nonzero entry.
+        that is symmetric in its pairing.  kd is the widest kept upper
+        diagonal.
         """
         n = self.n_active
         wm = self.weights * self.matrix.data + 0.0
-        upper = [(off, d) for off, d in zip(self.matrix.offsets, wm)
-                 if off >= 0 and np.any(d != 0.0)]
+        upper = [(off, d) for off, d in zip(self.matrix.offsets, wm) if off >= 0]
         kd = max((int(off) for off, _ in upper), default=0)
         ab = np.zeros((kd + 1, n), order="F")
         for off, d in upper:
@@ -591,24 +488,19 @@ def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryConditio
 
 def block_rows(blocks: np.ndarray, mat: Diagonals) -> Diagonals:
     """The product of the block diagonal matrix of the (n, N, N) ``blocks``
-    with mat (x) I_N, for an n x n matrix ``mat`` with sorted rows.
-
-    Row (i, a) stores, for each component b and each entry (i, j) of mat,
-    the entry blocks[i, a, b] * mat[i, j] at column (j, b), exact zeros
-    included, listed by b and then by j; with one component it is the row
+    with mat (x) I_N, for an n x n matrix ``mat``: the entry (i, a), (j, b)
+    is blocks[i, a, b] * mat[i, j].  With one component it is the row
     scaling diag(blocks) @ mat.
     """
     N = blocks.shape[1]
     if N == 1:
         return mat.scaled_rows(blocks[:, 0, 0])
-    k, i = np.nonzero(mat.stored)
+    i, offsets, values = mat.entries()
     a, b = np.divmod(np.arange(N * N), N)
     rows = i[:, None] * N + a
-    offsets = mat.offsets[k][:, None] * N + (b - a)
-    values = blocks[i][:, a, b] * mat.data[k, i][:, None] + 0.0
-    keys = b * len(mat.offsets) + mat.rank[k, i][:, None]
-    return Diagonals.from_entries(mat.n * N, rows.ravel(), offsets.ravel(), values.ravel(),
-                                  keys.ravel())
+    return Diagonals.from_entries(mat.n * N, rows.ravel(),
+                                  (offsets[:, None] * N + (b - a)).ravel(),
+                                  (blocks[i][:, a, b] * values[:, None]).ravel())
 
 
 def neumann_laplacian(grid: Grid) -> Diagonals:
@@ -819,12 +711,11 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
         sym = 0.5 * (sym + sym.T)
         lam, vecs = _symmetric_eigh(sym)
         m = op.matrix  # kept on a copy, without the tiles op.dot may have cached
-        proxy = SpectralProxy(LinearOperator(op.grid, 1, Diagonals(m.offsets, m.data, m.rank),
+        proxy = SpectralProxy(LinearOperator(op.grid, 1, Diagonals(m.offsets, m.data),
                                              op.active, op.weights), lam, vecs / sqw[:, None])
         proxy.eigenvalues.flags.writeable = proxy.modes.flags.writeable = False
-        # modes, eigenvalues, the key's bytes, and the same arrays and ranks in the copy
-        size = lam.nbytes + proxy.modes.nbytes + m.rank.nbytes + 2 * sum(
-            len(part[2]) for part in key[2:])
+        # modes, eigenvalues, the key's bytes, and the same arrays in the copy
+        size = lam.nbytes + proxy.modes.nbytes + 2 * sum(len(part[2]) for part in key[2:])
     if size <= EIG_CACHE_BYTES:
         _EIG_CACHE[key] = (proxy, size)
         while sum(kept for _, kept in _EIG_CACHE.values()) > EIG_CACHE_BYTES:

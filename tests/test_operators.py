@@ -9,6 +9,11 @@ valid up to the boundary because cosine is even about both walls.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -42,8 +47,7 @@ def _from_dense(a):
     rows = np.arange(n)
     cols = rows + offsets[:, None]
     inside = (cols >= 0) & (cols < n)
-    data = np.where(inside, a[rows, np.clip(cols, 0, n - 1)], 0.0)
-    return Diagonals.sorted_rows(offsets, data, data != 0.0)
+    return Diagonals(offsets, np.where(inside, a[rows, np.clip(cols, 0, n - 1)], 0.0))
 
 
 # ---------------------------------------------------------------- stencils
@@ -303,7 +307,7 @@ def _paired_operators(draw):
 def _like(op, data=None, weights=None):
     """A new operator with copies of the arrays of ``op``, or the given ones."""
     m = op.matrix
-    matrix = Diagonals(m.offsets.copy(), m.data.copy() if data is None else data, m.rank.copy())
+    matrix = Diagonals(m.offsets.copy(), m.data.copy() if data is None else data)
     return LinearOperator(op.grid, 1, matrix, op.active.copy(),
                           op.weights.copy() if weights is None else weights)
 
@@ -323,11 +327,11 @@ def test_eigendecompose_reuses_a_decomposition_of_the_same_bytes(op, data):
         assert fresh is not first and len(calls) == 2
         assert _bits(fresh.eigenvalues) == _bits(first.eigenvalues)
         assert _bits(fresh.modes) == _bits(first.modes)
-        # one weight, or one stored entry, 1 ulp up
+        # one weight, or one nonzero entry, 1 ulp up
         weights = op.weights.copy()
         i = data.draw(st.integers(0, op.n_active - 1))
         weights[i] = np.nextafter(weights[i], np.inf)
-        diag, row = np.nonzero(op.matrix.stored)
+        diag, row = np.nonzero(op.matrix.data)
         e = data.draw(st.integers(0, len(row) - 1))
         entries = op.matrix.data.copy()
         entries[diag[e], row[e]] = np.nextafter(entries[diag[e], row[e]], np.inf)
@@ -354,8 +358,9 @@ def test_eigendecompose_keeps_no_failure(op):
 @given(st.lists(_paired_operators(), min_size=2, max_size=4), st.integers(500, 12000), st.data())
 def test_eigendecompose_keeps_at_most_its_byte_budget(pool, budget, data):
     """The cache against a model: entries of modes, eigenvalues, key bytes
-    and the proxy's copy of the operator (about 1 to 6 kB here), least recently used first, none larger
-    than the budget, the oldest evicted while the total exceeds it."""
+    and the proxy's copy of the operator (about 1 to 6 kB here), least
+    recently used first, none larger than the budget, the oldest evicted
+    while the total exceeds it."""
     order = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=10))
     model = []
     with pytest.MonkeyPatch.context() as m:
@@ -363,7 +368,7 @@ def test_eigendecompose_keeps_at_most_its_byte_budget(pool, budget, data):
         m.setattr(operators, "EIG_CACHE_BYTES", budget)
         for op in (pool[i] for i in order):
             proxy = eigendecompose(op)
-            size = (proxy.modes.nbytes + proxy.eigenvalues.nbytes + op.matrix.rank.nbytes
+            size = (proxy.modes.nbytes + proxy.eigenvalues.nbytes
                     + 2 * sum(a.nbytes for a in (op.active, op.weights, op.matrix.offsets,
                                                  op.matrix.data)))
             model = [(p, s) for p, s in model if p is not proxy]
@@ -397,9 +402,14 @@ def test_clamped_bilaplacian_smallest_eigenvalue_near_continuum():
 
 
 # ---------------------------------------------------------------- the CSR reference
-# The scipy.sparse assembly that the diagonal storage follows: the same stored
-# entries in the same order in every row, so the same products, bands,
-# factors and eigenpairs, bit for bit.
+# The scipy.sparse assembly of the same operators gives bit for bit the same
+# dense matrix, symmetric band, symmetric defect and eigenpairs.  CSR also
+# stores the exact zeros of a stencil fold and of a zero block, which widen
+# its band; the diagonals keep no zero diagonal, so their band is that of
+# CSR's nonzero entries.  CSR sums each row in the order it lists the row's
+# entries (backwards after a row scaling), the diagonals by ascending
+# diagonal, so their products agree with CSR's within a roundoff bound and
+# are bit for bit the sums of ``_by_diagonal``.
 
 def _csr_mirrored(n, off):
     idx = np.abs(np.arange(off, n + off))
@@ -501,29 +511,48 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _by_diagonal(diag, x):
+    """The product with each vector along the last axis of ``x``: each row
+    adds its terms inside the matrix to zero by ascending diagonal, one
+    diagonal at a time over the whole stack, with no blocks."""
+    n = diag.n
+    out = np.zeros(x.shape)
+    for off, d in zip(diag.offsets, diag.data):
+        lo, hi = max(0, -off), min(n, n - off)
+        out[..., lo:hi] += d[lo:hi] * x[..., lo + off:hi + off]
+    return out
+
+
+def _roundoff(diag, x):
+    """How far two sums of the same row terms, in any order, may differ:
+    twice the bound on the rounding error of one, which is ndiag eps/2 (to
+    first order) times the sum of the terms' moduli."""
+    return 2 * len(diag.offsets) * np.finfo(float).eps * (np.abs(x) @ np.abs(diag.toarray()).T)
+
+
 def assert_same_matrix(diag, csr, seed=0):
-    """Same stored entries, row by row in the order of the sums, same dense
-    matrix and bitwise the same products with a stack and with one vector."""
-    rows, offsets, values, ranks = diag.entries()
-    order = np.lexsort((ranks, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=diag.n))])
-    assert np.array_equal(indptr, csr.indptr)
-    assert np.array_equal((rows + offsets)[order], csr.indices)
-    assert _bits(values[order]) == _bits(csr.data)
+    """Bitwise the same dense matrix, no zero diagonal kept, and products
+    with a stack and with one vector bitwise ``_by_diagonal`` and within
+    ``_roundoff`` of CSR's."""
     assert _bits(diag.toarray()) == _bits(csr.toarray())
+    assert np.all(np.any(diag.data != 0.0, axis=1))
     # a stack of several blocks of vectors, with leading axes and strided rows
     wide = np.random.default_rng(seed).normal(size=(2, 150, diag.n + 1))
-    x = wide[..., 1:]
-    want = (csr @ x.reshape(-1, diag.n).T).T.reshape(x.shape)
-    assert _bits(diag.dot(x)) == _bits(want)
-    assert _bits(diag.dot(x[0, 0])) == _bits(csr @ x[0, 0])
+    for x in (wide[..., 1:], wide[0, 0, 1:]):
+        got = diag.dot(x)
+        assert _bits(got) == _bits(_by_diagonal(diag, x))
+        want = (csr @ x.reshape(-1, diag.n).T).T.reshape(x.shape)
+        assert np.all(np.abs(got - want) <= _roundoff(diag, x))
 
 
 def assert_same_operator(op, csr):
     assert_same_matrix(op.matrix, csr)
     ab, bands = op.to_banded()
-    ref_ab, ref_bands = _csr_to_banded(csr)
-    assert bands == ref_bands and _bits(ab) == _bits(ref_ab)
+    nonzero = csr.copy()
+    nonzero.eliminate_zeros()
+    ref_ab, ref_bands = _csr_to_banded(nonzero)
+    # a zero in the band reads +0.0 or -0.0 on either side
+    assert bands == ref_bands and _bits(ab + 0.0) == _bits(ref_ab + 0.0)
     assert _bits(op.to_symmetric_banded()) == _bits(_csr_to_symmetric_banded(csr, op.weights))
     assert op.symmetric_defect() == _csr_symmetric_defect(csr, op.weights)
 
@@ -582,16 +611,22 @@ def test_coefficient_operator_matches_csr(dim, bc, ncomp, seed):
                              _csr_coefficients(grid, one, bc))
 
 
-def test_a_cancelled_entry_leaves_the_row_order_of_the_rest():
-    # D2 then D4 list the rows of their sum out of column order; a third
-    # term that cancels the diagonal exactly drops it from that order
+def test_a_cancelled_entry_reads_zero_and_adds_nothing():
+    # a third term cancels the diagonal of D2 + D4 exactly at the interior
+    # nodes; the diagonal stays, for the boundary rows
     grid = Grid(1, 9)
     ones = np.ones(grid.shape)
     centre = -2.0 / grid.h ** 2 + 6.0 / grid.h ** 4
     coeffs = {(2,): ones, (4,): ones, (0,): np.full(grid.shape, -centre)}
+    x = np.random.default_rng(2).normal(size=(4, 9))
     for bc in (NEU, CLA):
         op = assemble_coefficient_operator(grid, coeffs, bc)
-        assert 0 not in op.matrix.offsets[op.matrix.stored[:, 4]]
+        i = list(op.active).index(4)
+        assert op.matrix.data[list(op.matrix.offsets).index(0), i] == 0.0
+        # the same product as the matrix of the other entries alone
+        rest = Diagonals.from_entries(op.n_active, *op.matrix.entries())
+        v = x[:, :op.n_active]
+        assert _bits(op.dot(v)) == _bits(rest.dot(v))
         assert_same_operator(op, _csr_coefficients(grid, coeffs, bc))
 
 
@@ -632,6 +667,139 @@ def test_flow_operator_matches_csr(kind, dim, seed):
     h = GridFunction.from_scalar(grid, values)
     op = flow_problem(FlowSpec(grid=grid, kind=kind)).assemble_A(h)
     assert_same_operator(op, _csr_coefficients(grid, _fourth_order_coeffs(grid, h), CLA))
+
+
+# ---------------------------------------------------------------- the diagonal storage
+
+def _rd_operator(grid, a):
+    """The reaction-diffusion operator -a Lap for the constant (N, N) ``a``."""
+    N = len(a)
+    spec = ReactionDiffusionSpec(grid=grid, ncomp=N, a=PolynomialMap.constant(a),
+                                 f=PolynomialMap.constant(np.zeros(N)),
+                                 b=PolynomialMap.constant(np.zeros((N,) * 3)),
+                                 u_box=np.array([[-2.0, 2.0]] * N))
+    return rd_problem(spec).assemble_A(GridFunction.zeros(grid, N))
+
+
+@pytest.mark.parametrize("case", ["1d-second", "1d-fourth", "2d-second", "2d-fourth",
+                                  "1d-coupled-rd", "2d-coupled-rd"])
+def test_a_non_finite_entry_stays_in_its_vector(case):
+    """Rows near a vector's ends have diagonals reaching into the next or the
+    previous vector of a stack; an inf or a nan there reaches no row of
+    another vector, which gets bitwise its product alone."""
+    dim, kind = int(case[0]), case.split("-", 1)[1]
+    grid = Grid(dim, 33 if dim == 1 else 10)
+    if kind == "coupled-rd":
+        op = _rd_operator(grid, np.array([[1.0, 0.3], [-0.2, 0.8]]))
+    else:
+        op = reference_operator(grid, kind)
+    n = op.n_active
+    step = operators._DOT_BLOCK // n
+    x = np.random.default_rng(dim).normal(size=(2 * step + 3, n))
+    # one vector inside the first block, one at the start of the second
+    bad = [step // 2, step]
+    x[bad, 0], x[bad, -1] = np.inf, np.nan
+    got = op.dot(x)
+    assert not np.isfinite(got[bad]).all()
+    for v in sorted(set(range(len(x))) - set(bad)):
+        assert np.isfinite(got[v]).all()
+        assert _bits(got[v]) == _bits(op.dot(x[v]))
+
+
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
+
+
+def _dense_matrices(n, m=None):
+    """(n, m) arrays of a few exact values, zero in most places."""
+    m = n if m is None else m
+    return st.lists(_ENTRIES, min_size=n * m, max_size=n * m).map(
+        lambda v: np.array(v).reshape(n, m))
+
+
+def _assert_is_dense(m, dense):
+    """``m`` holds bitwise the entries of ``dense`` (a zero reads +0.0), no
+    zero diagonal, and nothing outside the matrix; its products are bitwise
+    ``_by_diagonal`` and within ``_roundoff`` of numpy's."""
+    assert _bits(m.toarray()) == _bits(dense + 0.0)
+    assert np.all(np.diff(m.offsets) > 0)
+    assert np.all(np.any(m.data != 0.0, axis=1))
+    cols = np.arange(m.n) + m.offsets[:, None]
+    assert not np.any(m.data[(cols < 0) | (cols >= m.n)])
+    x = np.random.default_rng(m.n).normal(size=(3, m.n))
+    assert _bits(m.dot(x)) == _bits(_by_diagonal(m, x))
+    assert np.all(np.abs(m.dot(x) - x @ dense.T) <= _roundoff(m, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_algebra_matches_dense_numpy(data):
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(_dense_matrices(n))
+    # b is -a wherever ``cancel``, so that a + b cancels exactly there
+    cancel = data.draw(_dense_matrices(n)) != 0.0
+    b = np.where(cancel, -a, data.draw(_dense_matrices(n)))
+    where = data.draw(_dense_matrices(n)) != 0.0  # the entries given, zeros among them
+    rows, cols = np.nonzero(where)
+    A = Diagonals.from_entries(n, rows, cols - rows, a[rows, cols])
+    a = np.where(where, a, 0.0)
+    _assert_is_dense(A, a)
+    B = _from_dense(b)
+    _assert_is_dense(B, b)
+    _assert_is_dense(A.plus(B), a + b)
+    _assert_is_dense(B.plus(B.scaled(-1.0)), np.zeros((n, n)))
+    nb = data.draw(st.integers(1, 3))
+    other = data.draw(_dense_matrices(nb))
+    _assert_is_dense(A.kron(_from_dense(other)), np.kron(a, other))
+    index = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    _assert_is_dense(A.take(index), a[np.ix_(index, index)])
+    c = data.draw(_dense_matrices(1, n))[0]
+    _assert_is_dense(A.scaled_rows(c), c[:, None] * a)
+    blocks = data.draw(_dense_matrices(n, nb * nb)).reshape(n, nb, nb)
+    _assert_is_dense(block_rows(blocks, A),
+                     np.einsum("iab,ij->iajb", blocks, a).reshape(n * nb, n * nb))
+    value = data.draw(_ENTRIES)
+    _assert_is_dense(Diagonals.identity(n, value), value * np.eye(n))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_uncoupled_diffusion_keeps_the_band_of_its_nodes(dim, ncomp):
+    """N uncoupled components take the band (N s, N s), s the node stride;
+    CSR's stored zeros of the zero blocks widened it to N s + N - 1."""
+    grid = Grid(dim, 9)
+    stride = grid.nodes_per_axis ** (dim - 1)
+    av = np.random.default_rng(ncomp).uniform(0.5, 1.5, (grid.n_nodes, ncomp, ncomp))
+    av *= np.eye(ncomp)
+    op = operator_from_full_matrix(grid, ncomp, NEU,
+                                   block_rows(av, neumann_laplacian(grid)).scaled(-1.0))
+    assert op.to_banded()[1] == (ncomp * stride,) * 2
+    assert _csr_to_banded(_csr_diffusion(grid, av))[1] == (ncomp * stride + ncomp - 1,) * 2
+    assert _rd_operator(grid, np.diag(np.arange(1.0, ncomp + 1))).to_banded()[1] == (
+        ncomp * stride,) * 2
+
+
+def test_an_operator_product_leaves_numpy_ma_unimported():
+    # np.unique and np.union1d import numpy.ma on their first call, which
+    # costs more than a small run's assembly
+    env = dict(os.environ)
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from parabolab.grids import Grid",
+        "from parabolab.operators import reference_operator",
+        "for dim in (1, 2):",
+        "    for order in ('second', 'fourth'):",
+        "        op = reference_operator(Grid(dim, 9), order).shifted(1.0)",
+        "        op.dot(np.ones((3, op.n_active)))",
+        "        op.to_banded()",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("dim,order", [(1, "second"), (1, "fourth"), (2, "second"),
