@@ -19,11 +19,18 @@ once in each tree, the parent first in even pairs and the change first in
 odd ones.  Each run reports the medians over its repetitions; the file holds
 those per-run values and, over them, the median and quartiles (linear
 interpolation) of each side, the number of pairs in which the change is
-better, the change of the median in percent, and whether that change
-exceeds the parent's interquartile range.  The end-to-end metrics, their
-direction and the run length S are those of ``BENCHMARK.json`` in the
-current checkout; the machine and the source digest of each side are those
-its first run reports.
+better, the change of the median in percent, whether that change exceeds
+the parent's interquartile range, and whether the gain rule holds: the
+change is strictly better in at least 9 of 10 pairs and its median is
+better than the parent's by more than the parent's interquartile range.
+The end-to-end metrics, their direction and the run length S are those of
+``BENCHMARK.json`` in the current checkout; the machine and the source
+digest of each side are those its first run reports.
+
+A run that exits non-zero ends the benchmark: the file is still written,
+with the statistics of the pairs finished before it and the failed run
+(side, pair, seed and exit code) under ``failed_run``, and the script exits
+1.
 """
 
 from __future__ import annotations
@@ -59,16 +66,20 @@ def describe(runs: list) -> dict:
 
 def pair_stats(parent: list, change: list, better: str, unit: str) -> dict:
     """One metric over paired runs: each side described, the pairs in which
-    the change is strictly better, and the median change against the
-    parent's interquartile range."""
+    the change is strictly better, the median change against the parent's
+    interquartile range, and whether the gain rule holds (see the module
+    docstring)."""
     sign = 1.0 if better == "higher" else -1.0
     p, c = describe(parent), describe(change)
     gap = c["median"] - p["median"]
+    iqr = p["q3"] - p["q1"]
+    better_pairs = sum(sign * (b - a) > 0.0 for a, b in zip(parent, change))
     return {
         "better": better, "unit": unit, "parent": p, "change": c,
-        "change_better_pairs": sum(sign * (b - a) > 0.0 for a, b in zip(parent, change)),
+        "change_better_pairs": better_pairs,
         "median_change_pct": round(100.0 * gap / p["median"], 2) if p["median"] else 0.0,
-        "median_gap_exceeds_parent_iqr": abs(gap) > p["q3"] - p["q1"],
+        "median_gap_exceeds_parent_iqr": abs(gap) > iqr,
+        "gain_rule_met": 10 * better_pairs >= 9 * len(parent) and sign * gap > iqr,
     }
 
 
@@ -89,11 +100,22 @@ def _extract(treeish: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero."""
+
+    def __init__(self, exit_code: int):
+        super().__init__(f"exit code {exit_code}")
+        self.exit_code = exit_code
+
+
 def _run(tree: Path, workload: str, seed: int) -> dict:
-    """The report of one benchmark run in ``tree``."""
+    """The report of one benchmark run in ``tree``; RunFailed if it exits
+    non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
-    subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    code = subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL).returncode
+    if code != 0:
+        raise RunFailed(code)
     out = tree / ".perfbench-out" / f"{workload}-seed{seed}-trace0" / "report.json"
     return json.loads(out.read_text())
 
@@ -101,13 +123,19 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
 def bench_workload(trees: dict, workload: str, pairs: int, metrics: list,
                    machines: dict) -> dict:
     """Alternating pairs of one workload; ``machines`` gets each side's
-    first reported machine."""
+    first reported machine.  A failed run ends the workload: the statistics
+    cover the pairs finished before it, and ``failed_run`` names it."""
     values = {side: {m["name"]: [] for m in metrics} for side in trees}
-    ok, parent_first = True, []
+    ok, failed, done = True, None, 0
     for k in range(pairs):
-        parent_first.append(k % 2 == 0)
-        for side in (("parent", "change") if parent_first[-1] else ("change", "parent")):
-            report = _run(trees[side], workload, FIRST_SEED + k)
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            try:
+                report = _run(trees[side], workload, FIRST_SEED + k)
+            except RunFailed as exc:
+                failed = {"side": side, "pair": k + 1, "seed": FIRST_SEED + k,
+                          "exit_code": exc.exit_code}
+                print(f"{workload} pair {k + 1}/{pairs} {side}: {exc}", file=sys.stderr)
+                break
             machines.setdefault(side, report["machine"])
             result = report["result"]
             ok = ok and result["correct"]
@@ -115,13 +143,40 @@ def bench_workload(trees: dict, workload: str, pairs: int, metrics: list,
                 runs.append(result["metrics"][name]["value"])
             shown = {name: m["value"] for name, m in result["metrics"].items()}
             print(f"{workload} pair {k + 1}/{pairs} {side}: {shown}", file=sys.stderr)
+        if failed:
+            break
+        done += 1
     return {
         "all_operations_ok": ok,
-        "metrics": {m["name"]: pair_stats(values["parent"][m["name"]], values["change"][m["name"]],
-                                          m["better"], m["unit"]) for m in metrics},
-        "pairs": pairs, "parent_first": parent_first,
-        "seeds": list(range(FIRST_SEED, FIRST_SEED + pairs)),
+        "failed_run": failed,
+        "metrics": {m["name"]: pair_stats(values["parent"][m["name"]][:done],
+                                          values["change"][m["name"]][:done],
+                                          m["better"], m["unit"])
+                    for m in metrics} if done else {},
+        "pairs": done, "parent_first": [k % 2 == 0 for k in range(done)],
+        "seeds": list(range(FIRST_SEED, FIRST_SEED + done)),
     }
+
+
+def bench(trees: dict, workloads: list, pairs: int, header: dict, out: Path) -> int:
+    """Run the pairs of each workload and write the report, ``header`` and
+    the results, to ``out``.  Returns 0, or 1 after the first failed run,
+    which ends the benchmark."""
+    machines: dict = {}
+    results: dict = {}
+    failed = None
+    for workload in workloads:
+        results[workload] = bench_workload(trees, workload, pairs, BENCHMARK["end_to_end"],
+                                           machines)
+        failed = results[workload]["failed_run"]
+        if failed:
+            failed = dict(failed, workload=workload)
+            break
+    report = dict(header, failed_run=failed, machine=machines,
+                  source_sha256={side: m["source_sha256"] for side, m in machines.items()},
+                  workloads=results)
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -132,7 +187,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = ap.parse_args(argv)
 
-    machines: dict = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as name:
         tmp = Path(name)
         parent = _git("rev-parse", args.parent + "^{commit}").decode().strip()
@@ -140,20 +194,14 @@ def main(argv=None) -> int:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         for side, rev in (("parent", parent), ("change", change)):
             _extract(rev, trees[side])
-        workloads = {w: bench_workload(trees, w, args.pairs, BENCHMARK["end_to_end"], machines)
-                     for w in args.workload}
-    report = {
-        "change_tree": change,
-        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                   f"--seconds {BENCHMARK['run_seconds']} --trace 0",
-        "machine": machines,
-        "method": METHOD,
-        "parent_commit": parent,
-        "source_sha256": {side: m["source_sha256"] for side, m in machines.items()},
-        "workloads": workloads,
-    }
-    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
+        header = {
+            "change_tree": change,
+            "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
+                       f"--seconds {BENCHMARK['run_seconds']} --trace 0",
+            "method": METHOD,
+            "parent_commit": parent,
+        }
+        return bench(trees, args.workload, args.pairs, header, args.out)
 
 
 if __name__ == "__main__":

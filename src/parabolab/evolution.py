@@ -57,6 +57,15 @@ march checks its whole (K+1, n_active) output for finiteness once per run;
 a non-finite run raises a SolverError that names the modal march, or the
 solve routine of the first step that went non-finite.
 
+The modal march advances in chunks of ``MODAL_CHUNK`` steps and flushes its
+subnormal coefficients to zero after each chunk, so that decaying modes do
+not spend thousands of steps, and the product that maps them back, in
+subnormal arithmetic; steps whose rhs row is exactly zero, which is nearly
+every step of a linear problem's Picard march, advance as one accumulated
+product.  A Picard iterate whose difference to the previous one is exactly
+zero, states and derivatives, is an exact fixed point: its residual is 0.0,
+the value ``E1mu_norm`` would return, without measuring it.
+
 The limit of the banded march is 2D memory: the band of an m^2-node
 operator is about m wide, so one factor takes O(m^3) bytes and a window
 holds K of them.  For the second-order operator -a(u) Lap, a Cholesky
@@ -301,6 +310,11 @@ def _spectral_tables(dts: np.ndarray, lam: np.ndarray):
     return np.exp(z), dts[:, None] * _phi1(z)
 
 
+# steps of the modal march between two flushes of its subnormal coefficients
+MODAL_CHUNK = 256
+_TINY = np.finfo(float).tiny
+
+
 class _ModalStepper:
     """The march in the eigenbasis of a scalar A0 symmetric in its pairing:
     ``tables(dts, eigenvalues)`` gives the (K, n) tables a, g of the modal
@@ -308,7 +322,20 @@ class _ModalStepper:
     coefficients, which one product forms for all steps; one more product
     maps the coefficients back.  The eigenbasis comes from
     ``eigendecompose``: one decomposition per distinct operator, which
-    windows with the same A0 share."""
+    windows with the same A0 share.
+
+    The recurrence runs in chunks of ``MODAL_CHUNK`` steps.  A stretch of
+    steps whose rhs row g_k rhat_{k+1} is exactly zero (every step, without
+    a rhs or with an all-zero one, which skips the projection) advances as
+    one accumulated product, c_{k+1} = c_k a_k, which is the step's value up
+    to the sign of a zero; the other steps add their row one at a time.
+    After each chunk every coefficient below ``np.finfo(float).tiny`` in
+    magnitude is set to 0.0 (flush to zero): a decaying mode would
+    otherwise sink through the subnormal range, where x86 arithmetic is
+    10-70 times slower, over thousands of steps and then slow the product
+    that maps the coefficients back.  Normal values, NaN and inf are
+    untouched, so a march that holds no subnormal coefficient gives the
+    per-step values bit for bit."""
 
     def __init__(self, A0: LinearOperator, times: np.ndarray, tables):
         self.A0 = A0
@@ -319,15 +346,25 @@ class _ModalStepper:
         self.a, self.g = tables(np.diff(times), proxy.eigenvalues)
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
-        c = np.empty((len(self.a) + 1, len(u_init)))
+        a = self.a
+        c = np.empty((len(a) + 1, len(u_init)))
         c[0] = u_init @ self.wmodes
-        if rhs is None:
-            c[1:] = self.a
-            c = np.multiply.accumulate(c, axis=0)
-        else:
+        live = np.zeros(len(a), dtype=bool)  # the steps whose rhs row is not all zero
+        if rhs is not None and rhs[1:].any():
             np.multiply(np.matmul(rhs[1:], self.wmodes, out=c[1:]), self.g, out=c[1:])
-            for k, ak in enumerate(self.a):
-                c[k + 1] += ak * c[k]
+            live = c[1:].any(axis=1)
+        _flush_subnormal(c[:1])
+        for start in range(0, len(a), MODAL_CHUNK):
+            stop = min(start + MODAL_CHUNK, len(a))
+            k = start
+            for j in (start + np.flatnonzero(live[start:stop])).tolist():
+                if j > k:
+                    _accumulate(c, a, k, j)
+                c[j + 1] += a[j] * c[j]
+                k = j + 1
+            if stop > k:
+                _accumulate(c, a, k, stop)
+            _flush_subnormal(c[start + 1:stop + 1])
         us = np.empty((len(c), len(u_init)))
         us[0] = u_init
         np.matmul(c[1:], self.modes.T, out=us[1:])
@@ -336,13 +373,28 @@ class _ModalStepper:
         return us
 
 
+def _accumulate(c: np.ndarray, a: np.ndarray, start: int, stop: int):
+    """c[k+1] = c[k]*a[k] for the rhs-free steps start <= k < stop, in place."""
+    c[start + 1:stop + 1] = a[start:stop]
+    np.multiply.accumulate(c[start:stop + 1], axis=0, out=c[start:stop + 1])
+
+
+def _flush_subnormal(block: np.ndarray):
+    """Set the subnormal entries of ``block`` (and zeros of either sign) to
+    0.0 in place; NaN and inf compare false and stay."""
+    np.copyto(block, 0.0, where=np.abs(block) < _TINY)
+
+
 def _marches_in_eigenbasis(A0: LinearOperator, steps: int) -> bool:
     """Whether implicit Euler on A0 marches in its eigenbasis, which costs
-    less than banded steps here: for n unknowns and K steps, set-up and
-    marches of a window break even near n^2 = 64 K over two marches and
-    n^2 = 130 K over ten (1D heat and plate operators, 2-core Intel Xeon VM,
-    one BLAS thread), and beyond about 256 unknowns a modal step, two
-    products with the modes, costs more than a banded solve."""
+    less than banded steps here: for n = 65 to 257 unknowns and K steps,
+    set-up and marches of a window break even near n^2 = 40-130 K over two
+    marches and n^2 = 80-160 K over ten, with a dense rhs or a zero one
+    (1D heat and plate operators, 2-core Intel Xeon VM, one BLAS thread);
+    at n <= 33 fixed costs decide, and the break-even lies at K = 20-60
+    steps, a tenth of a millisecond either way.  Beyond about 256 unknowns
+    a modal step, two products with the modes, costs more than a banded
+    solve."""
     n = A0.n_active
     return A0.ncomp == 1 and n <= 256 and n * n <= 100 * steps and A0.pairs_symmetrically
 
@@ -476,7 +528,9 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                 # drop the old iterate before the norm, and the difference after
                 # it, so that neither lives through the next Picard map
                 v = u
-                r = E1mu_norm(d, q=cfg.q, order=prob.order_int)
+                # an exact fixed point: E1mu_norm would measure zeros to 0.0
+                exact = not (d.state_values.any() or d.deriv_values.any())
+                r = 0.0 if exact else E1mu_norm(d, q=cfg.q, order=prob.order_int)
                 del d
                 if not math.isfinite(r):
                     reason = "non-finite residual"

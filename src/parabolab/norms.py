@@ -95,12 +95,17 @@ def _derivative_stacks(values: np.ndarray, grid: Grid, order: int, axis: int = 0
         yield from _derivative_stacks(head, grid, order - s, axis + 1)
 
 
-def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2) -> np.ndarray:
-    """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``."""
+def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
+             lq0: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``.
+
+    ``lq0``, if given, is ``lq_norms(values, grid, q)``, the sigma = 0 term,
+    already computed; the sum starts from a copy of it."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     stacks = _derivative_stacks(values, grid, order)
-    total = lq_norms(next(stacks), grid, q)
+    head = next(stacks)
+    total = lq_norms(head, grid, q) if lq0 is None else np.array(lq0, copy=True)
     for d in stacks:
         total += lq_norms(d, grid, q)
     return total
@@ -189,7 +194,9 @@ class WeightedTrajectory:
                     raise ValueError("trajectory has no stored time derivatives")
                 y = lq_norms(self.deriv_values, self.grid, q)
             elif kind == "x1":
-                y = x1_norms(self.state_values, self.grid, q, order)
+                # the sigma = 0 term is the states' own L_q norm
+                y = x1_norms(self.state_values, self.grid, q, order,
+                             lq0=self.sample_norms("states", q))
             else:
                 raise ValueError(f"unknown sample norm {kind!r}")
             y.flags.writeable = False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -42,3 +43,62 @@ def test_pairs_count_only_strict_gains_in_the_metric_direction():
 def test_a_single_run_is_its_own_median_and_quartiles():
     assert bench_pairs.describe([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25,
                                             "runs": [0.25]}
+
+
+def test_the_gain_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr():
+    assert bench_pairs.pair_stats(PARENT, CHANGE, "lower", "s")["gain_rule_met"] is True
+    # the same runs read as a loss when higher is better: the gap exceeds the
+    # parent's IQR, but in the worse direction
+    worse = bench_pairs.pair_stats(PARENT, CHANGE, "higher", "s")
+    assert worse["median_gap_exceeds_parent_iqr"] is True and worse["gain_rule_met"] is False
+    # 8 of 10 pairs better is not enough, whatever the gap
+    mixed = CHANGE[:8] + PARENT[8:]
+    eight = bench_pairs.pair_stats(PARENT, mixed, "lower", "s")
+    assert eight["change_better_pairs"] == 8 and eight["gain_rule_met"] is False
+    # every pair better, but by less than the parent's spread
+    close = bench_pairs.pair_stats(PARENT, [v - 0.001 for v in PARENT], "lower", "s")
+    assert close["change_better_pairs"] == 10
+    assert close["median_gap_exceeds_parent_iqr"] is False and close["gain_rule_met"] is False
+
+
+def test_a_failed_run_keeps_the_finished_pairs(monkeypatch, tmp_path):
+    metrics = [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+    runs = []
+
+    def fake_run(tree, workload, seed):
+        runs.append((tree.name, workload, seed))
+        if (tree.name, workload, seed) == ("change", "w2", bench_pairs.FIRST_SEED + 2):
+            raise bench_pairs.RunFailed(3)
+        value = seed - bench_pairs.FIRST_SEED + (1.0 if tree.name == "parent" else 0.5)
+        return {"machine": {"source_sha256": tree.name},
+                "result": {"correct": True,
+                           "metrics": {name: {"value": value} for name in metrics}}}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "bench.json"
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    code = bench_pairs.bench(trees, ["w1", "w2", "w3"], 4, {"parent_commit": "abc"}, out)
+    assert code == 1
+    report = json.loads(out.read_text())
+    first = bench_pairs.FIRST_SEED
+    assert report["failed_run"] == {"side": "change", "pair": 3, "seed": first + 2,
+                                    "exit_code": 3, "workload": "w2"}
+    assert report["parent_commit"] == "abc"
+    assert report["source_sha256"] == {"parent": "parent", "change": "change"}
+    # w3 never ran; the failure was the last run
+    assert sorted(report["workloads"]) == ["w1", "w2"] and runs[-1][1:] == ("w2", first + 2)
+    w1, w2 = report["workloads"]["w1"], report["workloads"]["w2"]
+    assert w1["failed_run"] is None and w1["pairs"] == 4
+    assert w1["metrics"]["wall_s"]["parent"]["runs"] == [1.0, 2.0, 3.0, 4.0]
+    # the parent's run of the broken pair is left out with it
+    assert w2["pairs"] == 2 and w2["seeds"] == [first, first + 1]
+    assert w2["parent_first"] == [True, False]
+    assert w2["metrics"]["wall_s"]["parent"]["runs"] == [1.0, 2.0]
+    assert w2["metrics"]["wall_s"]["change"]["runs"] == [0.5, 1.5]
+    # a failure in the first pair leaves no statistics, and the file is written
+    monkeypatch.setattr(bench_pairs, "_run", lambda tree, w, s: (_ for _ in ()).throw(
+        bench_pairs.RunFailed(2)))
+    assert bench_pairs.bench(trees, ["w1"], 3, {}, out) == 1
+    report = json.loads(out.read_text())
+    assert report["workloads"]["w1"]["metrics"] == {} and report["workloads"]["w1"]["pairs"] == 0
+    assert report["failed_run"]["pair"] == 1 and report["failed_run"]["side"] == "parent"

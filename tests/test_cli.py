@@ -866,9 +866,9 @@ def test_diagnostics_measure_each_trajectory_once(monkeypatch):
     passes = []
     x1_norms = norms.x1_norms
 
-    def counted(values, grid, q=2.0, order=2):
+    def counted(values, grid, q=2.0, order=2, **kwargs):
         passes.append((q, order))
-        return x1_norms(values, grid, q, order)
+        return x1_norms(values, grid, q, order, **kwargs)
 
     monkeypatch.setattr(norms, "x1_norms", counted)
     diag = Diagnostics(norm_intervals=4, smoothing_delta=0.8)

@@ -364,6 +364,121 @@ def test_non_finite_modal_march_raises_the_marchs_error(tables, bad):
                 stepper.run(*args)
 
 
+TINY = np.finfo(float).tiny
+
+
+def _modal_march_per_step(stepper, u_init, rhs):
+    """The modal march one step at a time, with no flush: the coefficients
+    and the states it maps them to."""
+    c = np.empty((len(stepper.a) + 1, len(u_init)))
+    c[0] = u_init @ stepper.wmodes
+    if rhs is None:
+        c[1:] = stepper.a
+        c = np.multiply.accumulate(c, axis=0)
+    else:
+        np.multiply(np.matmul(rhs[1:], stepper.wmodes, out=c[1:]), stepper.g, out=c[1:])
+        for k, ak in enumerate(stepper.a):
+            c[k + 1] += ak * c[k]
+    us = np.empty((len(c), len(u_init)))
+    us[0] = u_init
+    np.matmul(c[1:], stepper.modes.T, out=us[1:])
+    return c, us
+
+
+def _has_subnormal(x):
+    return bool(np.any((x != 0.0) & (np.abs(x) < TINY)))
+
+
+# entries of the drawn initial states and right-hand sides: zeros of both
+# signs and values that project to subnormal coefficients; a drawn NaN or
+# inf may then replace one of them
+MARCH_ENTRIES = st.one_of(st.floats(-1.0, 1.0),
+                          st.sampled_from([0.0, -0.0, 1e-300, -3e-305, 5e-310, 1e-320]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_modal_march_matches_the_per_step_recurrence(data):
+    # bit for bit up to the sign of a zero where the per-step march holds no
+    # subnormal coefficient; otherwise the flushed coefficients, each below
+    # TINY, move a state by at most n * TINY * max|mode|
+    grid, _ncomp, build, _factor = ORACLE_CASES[data.draw(
+        st.sampled_from(["heat-1d", "plate-1d"]), label="case")]
+    A = build(grid)(GridFunction.from_scalar(grid, np.zeros(grid.shape)))
+    chunk = evolution.MODAL_CHUNK
+    K = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5]), label="K")
+    times = graded_times(data.draw(st.sampled_from([1e-3, 0.1, 10.0]), label="T"), K,
+                         data.draw(st.sampled_from([1.0, 2.5]), label="gamma"))
+    stepper = evolution._ModalStepper(A, times, getattr(evolution, data.draw(
+        st.sampled_from(["_euler_tables", "_spectral_tables"]), label="tables")))
+    n = A.n_active
+    scale = data.draw(st.sampled_from([1.0, 1e-290, 1e-300]), label="scale")
+    u_init = scale * data.draw(arrays(np.float64, n, elements=MARCH_ENTRIES), label="u_init")
+    kind = data.draw(st.sampled_from(["none", "zero", "rows", "dense"]), label="rhs")
+    rhs = None
+    if kind == "zero":
+        rhs = data.draw(arrays(np.float64, (K + 1, n), elements=st.sampled_from([0.0, -0.0])),
+                        label="zeros")
+    elif kind != "none":
+        rhs = data.draw(arrays(np.float64, (K + 1, n), elements=MARCH_ENTRIES), label="entries")
+        if kind == "rows":
+            # a few live rows among zero ones
+            keep = data.draw(st.sets(st.integers(0, K), max_size=3), label="live")
+            rhs[[k for k in range(K + 1) if k not in keep]] = 0.0
+    bad = data.draw(st.sampled_from([None, None, np.nan, np.inf, -np.inf]), label="bad")
+    if bad is not None:
+        target = u_init if rhs is None or data.draw(st.booleans(), label="in_u") else rhs
+        target.flat[data.draw(st.integers(0, target.size - 1), label="at")] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        c, want = _modal_march_per_step(stepper, u_init, rhs)
+        if not np.isfinite(want).all():
+            with pytest.raises(SolverError, match="^modal march failed: non-finite values$"):
+                stepper.run(u_init, rhs)
+            return
+        got = stepper.run(u_init, rhs)
+    if _has_subnormal(c):
+        bound = n * TINY * max(1.0, float(np.max(np.abs(stepper.modes))))
+        assert np.max(np.abs(got - want)) <= bound
+    else:
+        assert np.array_equal(got, want)
+
+
+class _Spy(np.ndarray):
+    """Modes that record the coefficients a product maps back through them."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Spy.seen.append(np.array(inputs[0]))
+        inputs = tuple(np.asarray(x) for x in inputs)
+        kwargs = {k: tuple(np.asarray(x) for x in v) if k == "out" else v
+                  for k, v in kwargs.items()}
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_the_plate_march_maps_back_no_subnormal_coefficient(with_rhs):
+    # the 129-node ladder rung: 4096 graded steps of the clamped plate, whose
+    # high modes decay through the subnormal range long before the last step
+    grid = Grid(1, 129)
+    A = reference_operator(grid, "fourth")
+    stepper = evolution._ModalStepper(A, graded_times(0.01, 4096, 2.5), evolution._euler_tables)
+    stepper.modes = stepper.modes.view(_Spy)
+    u_init = A.restrict(GridFunction.from_scalar(grid, np.sin(np.pi * grid.axis_coords()) ** 2))
+    rhs = np.zeros((4097, A.n_active)) if with_rhs else None
+    _Spy.seen = []
+    us = stepper.run(u_init, rhs)
+    (coefficients,) = _Spy.seen
+    assert coefficients.shape == (4096, A.n_active)
+    assert not _has_subnormal(coefficients)
+    # the high modes are flushed, not only small
+    assert np.count_nonzero(coefficients[-1] == 0.0) > A.n_active // 2
+    # the first mode, exp(-lambda_1 T) ~ 0.007 of its start, is still there
+    assert np.isfinite(us).all() and np.max(np.abs(us[-1])) > 1e-3
+
+
 def _overflowing_window(nodes):
     """The reason a window of the heat problem on ``nodes`` nodes collapses
     when its march overflows.
@@ -556,6 +671,62 @@ def test_linear_problem_converges_immediately():
     assert st.residuals[-1] <= cfg.tol
     d = st.summary()
     assert d["converged"] is True and d["halvings"] == 0
+
+
+def test_exact_fixed_point_is_not_measured(monkeypatch):
+    # the ladder's clamped plate: A(v) is A0 whatever v, so the Picard rhs
+    # -A0 v + A0 v cancels exactly, T(v) reproduces v bit for bit, and the
+    # all-zero difference has residual 0.0 without a norm evaluation
+    grid = Grid(1, 33)
+    op = reference_operator(grid, "fourth")
+
+    def zero(v):
+        return GridFunction.from_scalar(v.grid, np.zeros(v.grid.shape))
+
+    prob = AbstractProblem(assemble_A=lambda v: op, F1=zero, F2=zero,
+                           bc=BoundaryCondition.CLAMPED, order="fourth", name="plate")
+    u0 = GridFunction.from_scalar(grid, np.sin(np.pi * grid.axis_coords()) ** 2)
+    cfg = FixedPointConfig(window=0.01, time_steps=256, mu=MU, p=P, tol=1e-13)
+    calls = []
+    monkeypatch.setattr(evolution, "E1mu_norm", lambda *a, **k: calls.append(a) or 1.0)
+    st = fixed_point_solve(u0, prob, cfg)
+    assert st.converged and st.iterations == 1 and st.halvings == 0
+    assert st.residuals == (0.0,) and st.contraction_factors == ()
+    assert calls == []
+    # E1mu_norm gives the same 0.0 for that difference
+    v = reference_solution(u0, prob, cfg)
+    d = difference(picard_map(v, u0, prob, cfg), v)
+    assert not (d.state_values.any() or d.deriv_values.any())
+    assert E1mu_norm(d, q=cfg.q, order=4) == 0.0
+
+
+def test_equal_states_with_unequal_derivatives_are_measured(monkeypatch):
+    # a rhs that is nonzero only at t = 0 leaves the states of T(v) those of
+    # the reference solve, but not its initial slope -A0 u + rhs(0): the
+    # first difference is measured, and the second, all zero, is not.  At
+    # mu = 1 the t = 0 sample carries weight, so the first residual is not 0
+    grid = Grid(1, 33)
+    op = reference_operator(grid, "fourth")
+    u0 = GridFunction.from_scalar(grid, np.sin(np.pi * grid.axis_coords()) ** 2)
+
+    def G(values):
+        flat = values.reshape(len(values), -1)
+        out = np.zeros_like(flat)
+        out[:, op.active] = -op.dot(np.take(flat, op.active, axis=1))
+        first = np.all(flat[:, op.active] == u0.values.reshape(-1)[op.active], axis=1)
+        out[first] += 1.0
+        return out.reshape(values.shape)
+
+    prob = AbstractProblem(assemble_A=lambda v: op, F1=None, F2=None,
+                           bc=BoundaryCondition.CLAMPED, order="fourth", G=G)
+    cfg = FixedPointConfig(window=0.01, time_steps=256, mu=1.0, p=P, tol=1e-13)
+    calls = []
+    measured = evolution.E1mu_norm
+    monkeypatch.setattr(evolution, "E1mu_norm",
+                        lambda *a, **k: calls.append(a) or measured(*a, **k))
+    st = fixed_point_solve(u0, prob, cfg)
+    assert st.converged and st.iterations == 2
+    assert st.residuals[0] > 0.0 and st.residuals[1] == 0.0 and len(calls) == 1
 
 
 def test_picard_map_fixed_point_residual():

@@ -301,6 +301,47 @@ def test_with_mu_shares_the_sample_norms():
     assert plain.mu == 1.0 and traj.mu == MU
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x1_memo_equals_x1_norms_bitwise(data):
+    # the memo starts from the states' L_q norms, the sigma = 0 term
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 16 if dim == 1 else 10), label="nodes"))
+    ncomp = data.draw(st.integers(1, 2), label="ncomp")
+    q = data.draw(st.sampled_from([1.0, 2.0, 4.0]), label="q")
+    order = data.draw(st.sampled_from([2, 4]), label="order")
+    samples = data.draw(st.integers(2, 4), label="samples")
+    values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
+                              elements=st.floats(-1e3, 1e3)), label="values")
+    traj = WeightedTrajectory(np.linspace(0.0, 1.0, samples), values, None, MU, P)
+    states_first = data.draw(st.booleans(), label="states_first")
+    if states_first:
+        states = traj.sample_norms("states", q)
+    memo = traj.sample_norms("x1", q, order)
+    assert memo.tobytes() == x1_norms(values, grid, q, order).tobytes()
+    # the states' vector is left as it was, and is the memo's own
+    assert traj.sample_norms("states", q).tobytes() == lq_norms(values, grid, q).tobytes()
+    if states_first:
+        assert traj.sample_norms("states", q) is states
+
+
+@pytest.mark.parametrize("dim,order,terms", [(1, 2, 3), (1, 4, 5), (2, 2, 6), (2, 4, 15)])
+def test_E1mu_norm_takes_the_states_norm_once(monkeypatch, dim, order, terms):
+    # one lq_norms call each for the states and the derivatives, and one per
+    # X1 term but the sigma = 0 one, which is the states' norm
+    import parabolab.norms as norms
+
+    grid = Grid(dim, 8)
+    field = np.ones(grid.shape + (1,))
+    traj = WeightedTrajectory(np.array([0.0, 0.5, 1.0]), np.stack([field, 2 * field, field]),
+                              np.stack([field, field, -field]), MU, P)
+    calls = []
+    lq = norms.lq_norms
+    monkeypatch.setattr(norms, "lq_norms", lambda *a, **k: calls.append(1) or lq(*a, **k))
+    E1mu_norm(traj, order=order)
+    assert len(calls) == 1 + 1 + terms - 1
+
+
 @pytest.mark.parametrize("dim,order,passes", [(1, 2, 2), (1, 4, 4), (2, 2, 5), (2, 4, 14)])
 def test_x1_norms_share_axis_passes(monkeypatch, dim, order, passes):
     from parabolab import norms
