@@ -6,17 +6,18 @@ and on the top spatial regularity:
 
     ||u||_E1mu = ||u||_E0mu + ||du/dt||_E0mu + || |u|_X1 ||_{L_{p,mu}}
 
-with |u|_X1 the sum of L_q norms of u and its derivatives up to the problem
-order.  Quadrature is the trapezoid rule on the trajectory's own (graded)
-time grid; the t = 0 sample carries zero weight whenever 1 - mu > 0.
+with |u|_X1 = ||u||_q + ||A_ref u||_q, A_ref the reference operator of the
+problem order: the Neumann -Laplacian at 2, the clamped bilaplacian at 4.
+Quadrature is the trapezoid rule on the trajectory's own (graded) time grid;
+the t = 0 sample carries zero weight whenever 1 - mu > 0.
 
 A trajectory stores its K+1 states, and their time derivatives, as one array
 each of shape (K+1, *grid.shape, ncomp); ``states_at`` interpolates states
 into a stack of the same layout.  ``lq_norms``, ``x1_norms`` and
 ``proxy_norms`` act on such stacks along their leading axes; ``lq_norm``,
 ``x1_norm`` and ``proxy_norm`` are the single-field case on a
-``GridFunction``.  In 2D ``x1_norms`` takes each D_x^i v once and applies
-D_y^j to it, so every mixed derivative costs one axis pass.
+``GridFunction``.  ``x1_norms`` applies A_ref to a whole stack in one
+banded product.
 
 The per-sample spatial norms depend on (q, order) only, not on mu, p or
 the time interval, so each trajectory computes them once per (q, order)
@@ -45,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Grid, GridFunction, NonFiniteError
-from .operators import SpectralProxy, derivative_values
+from .operators import Diagonals, SpectralProxy, reference_operator
 
 
 def weighted_time_factor(T: float, p: float, mu: float) -> float:
@@ -78,41 +79,35 @@ def lq_norm(u: GridFunction, q: float = 2.0) -> float:
     return float(lq_norms(u.values, u.grid, q))
 
 
-def _derivative_stacks(values: np.ndarray, grid: Grid, order: int, axis: int = 0):
-    """D^sigma values for every multi-index |sigma| <= order, sigma = 0 first,
-    in lexicographic order of sigma.
-
-    Each axis's stencil is applied once to the shared result of the axes
-    before it (D_y^j acts on one stored D_x^i v), so every mixed derivative
-    costs one axis pass; the arithmetic is that of ``derivative_values``.
-    """
-    if axis == grid.dim:
-        yield values
-        return
-    for s in range(order + 1):
-        sigma = tuple(s if a == axis else 0 for a in range(grid.dim))
-        head = values if s == 0 else derivative_values(values, grid, sigma)
-        yield from _derivative_stacks(head, grid, order - s, axis + 1)
-
-
 def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
              lq0: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``.
+    """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``,
+    from one product of A_ref with the whole stack; at order 4 (clamped) the
+    boundary values enter only through ||u||_q.
 
-    ``lq0``, if given, is ``lq_norms(values, grid, q)``, the sigma = 0 term,
-    already computed; the sum starts from a copy of it."""
+    ``lq0``, if given, is ``lq_norms(values, grid, q)``, already computed."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    stacks = _derivative_stacks(values, grid, order)
-    head = next(stacks)
-    total = lq_norms(head, grid, q) if lq0 is None else np.array(lq0, copy=True)
-    for d in stacks:
-        total += lq_norms(d, grid, q)
-    return total
+    op = reference_operator(grid, "second" if order == 2 else "fourth")
+    # the product runs on a copy of the cached matrix, so that its tiles
+    # (``Diagonals._terms``) go with the copy: tiles kept on the cached
+    # operator, made mid-run, hold the heap up and raise the peak memory
+    matrix = Diagonals(op.matrix.offsets, op.matrix.data)
+    # one vector per component, of the unknowns op keeps: every node at
+    # order 2, the interior ones at order 4, where the boundary rows read 0
+    comps = np.moveaxis(values, -1, -grid.dim - 1)
+    kept = comps[(...,) + (slice(None) if order == 2 else slice(1, -1),) * grid.dim]
+    applied = matrix.dot(kept.reshape(kept.shape[:-grid.dim] + (-1,))).reshape(kept.shape)
+    if order == 4:
+        applied = np.pad(applied, [(0, 0)] * (comps.ndim - grid.dim) + [(1, 1)] * grid.dim)
+    top = lq_norms(np.moveaxis(applied, -grid.dim - 1, -1), grid, q)
+    return (lq_norms(values, grid, q) if lq0 is None else lq0) + top
 
 
 def x1_norm(u: GridFunction, q: float = 2.0, order: int = 2) -> float:
-    """Top-regularity norm: L_q of u plus L_q of every D^sigma u, |sigma| <= order."""
+    """Top-regularity norm ||u||_q + ||A_ref u||_q, A_ref the reference operator
+    of ``order``, which for clamped problems reads the interior values only:
+    the boundary values enter only through ||u||_q."""
     return float(x1_norms(u.values, u.grid, q, order))
 
 
@@ -194,7 +189,7 @@ class WeightedTrajectory:
                     raise ValueError("trajectory has no stored time derivatives")
                 y = lq_norms(self.deriv_values, self.grid, q)
             elif kind == "x1":
-                # the sigma = 0 term is the states' own L_q norm
+                # the graph norm starts from the states' own L_q norm
                 y = x1_norms(self.state_values, self.grid, q, order,
                              lq0=self.sample_norms("states", q))
             else:

@@ -513,9 +513,11 @@ def neumann_laplacian(grid: Grid) -> Diagonals:
     return d2.kron(eye).plus(eye.kron(d2))
 
 
+@functools.lru_cache(maxsize=64)
 def reference_operator(grid: Grid, order: str) -> LinearOperator:
     """Positive model operator of each class: -Laplacian (Neumann) for
-    second order, the clamped bilaplacian for fourth order."""
+    second order, the clamped bilaplacian for fourth order; one per grid
+    and order, which no caller changes."""
     if order == "second":
         return operator_from_full_matrix(
             grid, 1, BoundaryCondition.NEUMANN, neumann_laplacian(grid).scaled(-1.0)

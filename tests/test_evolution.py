@@ -596,6 +596,45 @@ def test_graded_grid_keeps_first_order_on_rough_data():
     assert np.all(graded < uniform)
 
 
+def _maximal_regularity_ratio(op, order, p, q, mu, K, T=0.1):
+    """||u||_E1mu / ||f||_E0mu for implicit Euler from u0 = 0 on the graded
+    grid, f = t^(-(1 - mu) - 1/p + 0.05) |x - 0.37|^0.3: a forcing just
+    inside E0mu, singular at t = 0 (its t = 0 sample, which no step reads,
+    is set to 0) and rough at the point x = (0.37, ..., 0.37)."""
+    grid = op.grid
+    cfg = FixedPointConfig(window=T, time_steps=K, mu=mu, p=p, q=q)
+    times = graded_times(T, K, cfg.gamma())
+    space = np.sqrt(sum((x - 0.37) ** 2 for x in grid.coords())) ** 0.3
+    amp = np.concatenate([[0.0], times[1:] ** (-(1.0 - mu) - 1.0 / p + 0.05)])
+    f = amp[:, None] * space.ravel()
+    stepper = evolution._EulerStepper(op, times)
+    rhs = f[:, op.active]
+    u = evolution._assemble_trajectory(stepper, stepper.run(np.zeros(op.n_active), rhs),
+                                       rhs, cfg)
+    f_traj = WeightedTrajectory(times, f.reshape((K + 1,) + grid.shape + (1,)), None, mu, p)
+    return E1mu_norm(u, q=q, order=order) / E0mu_norm(f_traj, q=q)
+
+
+@pytest.mark.parametrize("p,q,mu", [(2.0, 2.0, 1.0), (4.0, 4.0, 0.6), (1.5, 4.0, 0.9)])
+@pytest.mark.parametrize("order", [2, 4])
+def test_discrete_maximal_regularity(order, p, q, mu):
+    # implicit Euler keeps maximal L_p-regularity uniformly in the step size
+    # (Kovacs, Li & Lubich, SIAM J. Numer. Anal. 54 (2016)), and the discrete
+    # E1mu norm, whose X1 part is the graph norm of the reference operator,
+    # is uniform in the mesh: ||u||_E1mu / ||f||_E0mu stays within 20 % over
+    # K and n, in 1D and in 2D, for Neumann -Lap + I and the clamped Lap^2
+    def operator(grid):
+        if order == 2:
+            return reference_operator(grid, "second").shifted(1.0)
+        return reference_operator(grid, "fourth")
+
+    for cases in ([(Grid(1, n), K) for n in (33, 129) for K in (32, 512)],
+                  [(Grid(2, n), 32) for n in (17, 33)]):
+        ratios = np.array([_maximal_regularity_ratio(operator(grid), order, p, q, mu, K)
+                           for grid, K in cases])
+        assert ratios.max() / ratios.min() <= 1.2, ratios
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -2,12 +2,15 @@
 
 The time quadrature is checked against closed forms: for states f(t) U the
 weighted integral factorizes into a time factor (an explicit power integral)
-and a spatial factor, and the spatial factors for cos(pi x) are discretely
-exact because the mirror stencils reproduce cosine eigenvectors node for node:
+and a spatial factor.  The spatial factors are discretely exact for the
+eigenmodes phi of the reference operator A_ref, because A_ref phi = lambda phi
+holds node for node, so the X1 graph norm is
 
-    |cos(pi x)|_L2      = sqrt(1/2)                     (trapezoid, exact)
-    |D1 cos(pi x)|_L2   = sin(pi h)/h * sqrt(1/2)
-    |D2 cos(pi x)|_L2   = (2/h^2)(1 - cos(pi h)) * sqrt(1/2)
+    |phi|_X1 = ||phi||_q + ||A_ref phi||_q = (1 + lambda) ||phi||_q
+
+for every q; cos(k pi x) is a mode of the mirrored Neumann -Laplacian with
+lambda = (4/h^2) sin^2(k pi h/2), and |cos(pi x)|_L2 = sqrt(1/2) under the
+trapezoid rule.
 
 Sampling on the graded grid t_k = (k/K)^2.5 makes the trapezoid pullback of
 t^0.2 polynomial, so the quadrature converges at second order and K = 2000
@@ -76,16 +79,40 @@ def test_lq_norm_constants_and_components():
         lq_norm(u, 0.5)
 
 
+def neumann_eigenvalue(grid, k):
+    """The eigenvalue of cos(k pi x) under the mirrored Neumann -Laplacian."""
+    return 4.0 / grid.h ** 2 * np.sin(k * np.pi * grid.h / 2.0) ** 2
+
+
 def test_x1_norm_cosine_closed_form():
-    grid = Grid(1, 41)
-    h = grid.h
-    u = cos_field(grid)
-    root_half = np.sqrt(0.5)
-    expected = root_half * (1.0 + np.sin(np.pi * h) / h
-                            + 2.0 / h ** 2 * (1.0 - np.cos(np.pi * h)))
-    assert x1_norm(u, 2.0, 2) == pytest.approx(expected, rel=1e-13)
+    # 1D cosines, and a 2D product of cosines, whose eigenvalue is the sum
+    line = Grid(1, 41)
+    cases = [(cos_field(line, k), neumann_eigenvalue(line, k)) for k in (1, 3, 7)]
+    grid = Grid(2, 17)
+    x, y = grid.coords()
+    product = GridFunction.from_scalar(grid, np.cos(2 * np.pi * x) * np.cos(5 * np.pi * y))
+    cases.append((product, neumann_eigenvalue(grid, 2) + neumann_eigenvalue(grid, 5)))
+    for u, lam in cases:
+        for q in (1.0, 2.0, 3.5, 4.0):
+            assert x1_norm(u, q, 2) == pytest.approx((1.0 + lam) * lq_norm(u, q), rel=1e-13)
+    u, lam = cases[0]
+    assert x1_norm(u) == pytest.approx(np.sqrt(0.5) * (1.0 + lam), rel=1e-13)
     with pytest.raises(ValueError):
         x1_norm(u, order=3)
+
+
+@pytest.mark.parametrize("dim,nodes", [(1, 33), (2, 12)])
+def test_x1_norm_of_clamped_modes_closed_form(dim, nodes):
+    # the modes of the clamped bilaplacian vanish on the boundary, where
+    # A_ref has no row
+    grid = Grid(dim, nodes)
+    proxy = eigendecompose(reference_operator(grid, "fourth"))
+    unit = np.eye(len(proxy.eigenvalues))
+    for k in (0, 4, len(proxy.eigenvalues) - 1):
+        mode = proxy.synthesize(unit[k])
+        for q in (1.0, 2.0, 4.0):
+            expected = (1.0 + proxy.eigenvalues[k]) * lq_norm(mode, q)
+            assert x1_norm(mode, q, 4) == pytest.approx(expected, rel=1e-11)
 
 
 def reference_lq(values, grid, q):
@@ -94,29 +121,38 @@ def reference_lq(values, grid, q):
     return float(np.sum(grid.trapezoid_weights() * mag ** q) ** (1.0 / q))
 
 
+def reflected_derivative(vals, grid, axis, s):
+    """D_axis^s of nodal values of shape ``(*grid.shape, ncomp)`` with np.pad
+    reflection ghosts."""
+    offsets, coeffs = STENCILS[s]
+    half = -offsets[0]
+    pad = [(0, 0)] * vals.ndim
+    pad[axis] = (half, half)
+    padded = np.pad(vals, pad, mode="reflect")
+    out = np.zeros_like(vals)
+    for off, c in zip(offsets, coeffs):
+        sl = [slice(None)] * vals.ndim
+        sl[axis] = slice(half + off, half + off + vals.shape[axis])
+        out += c * padded[tuple(sl)]
+    return out / grid.h ** s
+
+
 def reference_x1(values, grid, q, order):
-    """The per-sample X1 norm with np.pad reflection ghosts."""
-    total = reference_lq(values, grid, q)
-    for sigma in np.ndindex(*(order + 1,) * grid.dim):
-        if not 1 <= sum(sigma) <= order:
-            continue
-        vals = values
-        for axis, s in enumerate(sigma):
-            if s == 0:
-                continue
-            offsets, coeffs = STENCILS[s]
-            half = -offsets[0]
-            pad = [(0, 0)] * vals.ndim
-            pad[axis] = (half, half)
-            padded = np.pad(vals, pad, mode="reflect")
-            out = np.zeros_like(vals)
-            for off, c in zip(offsets, coeffs):
-                sl = [slice(None)] * vals.ndim
-                sl[axis] = slice(half + off, half + off + vals.shape[axis])
-                out += c * padded[tuple(sl)]
-            vals = out / grid.h ** s
-        total += reference_lq(vals, grid, q)
-    return total
+    """The per-sample X1 graph norm, A_ref written out with np.pad ghosts: the
+    Neumann -Laplacian at order 2; at order 4 the bilaplacian of the field with
+    its boundary values set to 0, read on the interior only."""
+    axes = range(grid.dim)
+    if order == 2:
+        applied = -sum(reflected_derivative(values, grid, a, 2) for a in axes)
+    else:
+        interior = grid.interior_mask()[..., None]
+        vals = np.where(interior, values, 0.0)
+        applied = sum(reflected_derivative(vals, grid, a, 4) for a in axes)
+        if grid.dim == 2:
+            applied = applied + 2.0 * reflected_derivative(
+                reflected_derivative(vals, grid, 0, 2), grid, 1, 2)
+        applied = np.where(interior, applied, 0.0)
+    return reference_lq(values, grid, q) + reference_lq(applied, grid, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,11 +269,10 @@ def test_E0_linear_state_closed_form():
 
 def test_E1_factorizes_into_closed_forms():
     grid = Grid(1, 41)
-    h = grid.h
     U = cos_field(grid).values
     traj = make_traj(graded_times(), lambda t: U * t, lambda t: U, grid)
     X = np.sqrt(0.5)
-    X1 = X * (1.0 + np.sin(np.pi * h) / h + 2.0 / h ** 2 * (1.0 - np.cos(np.pi * h)))
+    X1 = X * (1.0 + neumann_eigenvalue(grid, 1))
     C = np.sqrt(1.0 / 3.2)
     sigma = weighted_time_factor(1.0, P, MU)
     expected = C * X + sigma * X + C * X1
@@ -304,7 +339,7 @@ def test_with_mu_shares_the_sample_norms():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_x1_memo_equals_x1_norms_bitwise(data):
-    # the memo starts from the states' L_q norms, the sigma = 0 term
+    # the memo starts from the states' L_q norms, the first term of the graph norm
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
     grid = Grid(dim, data.draw(st.integers(8, 16 if dim == 1 else 10), label="nodes"))
     ncomp = data.draw(st.integers(1, 2), label="ncomp")
@@ -325,38 +360,41 @@ def test_x1_memo_equals_x1_norms_bitwise(data):
         assert traj.sample_norms("states", q) is states
 
 
-@pytest.mark.parametrize("dim,order,terms", [(1, 2, 3), (1, 4, 5), (2, 2, 6), (2, 4, 15)])
-def test_E1mu_norm_takes_the_states_norm_once(monkeypatch, dim, order, terms):
-    # one lq_norms call each for the states and the derivatives, and one per
-    # X1 term but the sigma = 0 one, which is the states' norm
+@pytest.mark.parametrize("dim,order,samples", [(1, 2, 3), (1, 4, 5), (2, 2, 6), (2, 4, 15)])
+def test_E1mu_norm_takes_the_states_norm_once(monkeypatch, dim, order, samples):
+    # one lq_norms call each for the states, the derivatives and A_ref u,
+    # whatever the number of samples; the graph norm's ||u||_q is the states'
     import parabolab.norms as norms
 
     grid = Grid(dim, 8)
     field = np.ones(grid.shape + (1,))
-    traj = WeightedTrajectory(np.array([0.0, 0.5, 1.0]), np.stack([field, 2 * field, field]),
-                              np.stack([field, field, -field]), MU, P)
+    states = np.stack([(1.0 + k % 2) * field for k in range(samples)])
+    traj = WeightedTrajectory(np.linspace(0.0, 1.0, samples), states, -states, MU, P)
     calls = []
     lq = norms.lq_norms
     monkeypatch.setattr(norms, "lq_norms", lambda *a, **k: calls.append(1) or lq(*a, **k))
     E1mu_norm(traj, order=order)
-    assert len(calls) == 1 + 1 + terms - 1
+    assert len(calls) == 3
 
 
-@pytest.mark.parametrize("dim,order,passes", [(1, 2, 2), (1, 4, 4), (2, 2, 5), (2, 4, 14)])
-def test_x1_norms_share_axis_passes(monkeypatch, dim, order, passes):
-    from parabolab import norms
+def test_x1_norms_take_one_product_per_stack(monkeypatch):
+    from parabolab.operators import Diagonals
     calls = []
-    derivative_values = norms.derivative_values
+    dot = Diagonals.dot
 
-    def counted(values, grid, sigma):
-        calls.append(sigma)
-        return derivative_values(values, grid, sigma)
+    def counted(self, x):
+        calls.append(x.shape)
+        return dot(self, x)
 
-    monkeypatch.setattr(norms, "derivative_values", counted)
-    grid = Grid(dim, 8)
-    x1_norms(np.ones((3,) + grid.shape + (1,)), grid, 2.0, order)
-    assert len(calls) == passes
-    assert all(sum(1 for s in sigma if s) == 1 for sigma in calls)
+    monkeypatch.setattr(Diagonals, "dot", counted)
+    for dim in (1, 2):
+        grid = Grid(dim, 8)
+        for order in (2, 4):
+            for ncomp in (1, 2):
+                calls.clear()
+                x1_norms(np.ones((3,) + grid.shape + (ncomp,)), grid, 2.0, order)
+                n_active = reference_operator(grid, "second" if order == 2 else "fourth").n_active
+                assert calls == [(3, ncomp, n_active)]
 
 
 def _draw_interval(data, T):

@@ -140,6 +140,8 @@ def test_active_sets():
     g2 = Grid(2, 10)
     assert reference_operator(g2, "second").n_active == 100
     assert reference_operator(g2, "fourth").n_active == 64
+    # one assembly per grid and order, shared by every caller
+    assert reference_operator(Grid(1, 10), "fourth") is op4
 
 
 def test_restrict_extend_roundtrip():
