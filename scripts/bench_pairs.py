@@ -9,7 +9,8 @@ working tree as ``git add -A`` would stage it (built in a temporary index,
 so the repository's own index is not touched), which for a clean checkout
 is HEAD.  Each side is written from its own ``git archive`` into a
 temporary directory, so neither run sees the other's files or an old
-``__pycache__``.
+``__pycache__``, and its ``src/`` and ``perfbench/`` are byte-compiled
+there before its first run, so that no run times the compiler.
 
 Pair k of a workload runs
 
@@ -49,7 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METHOD = ("one parent/change pair per seed, parent and change each run from its own copy of "
           "its tree (git archive of the parent commit, and of the working tree as git add -A "
-          "stages it; no __pycache__), the side that runs first alternating from pair to pair "
+          "stages it; no __pycache__), each tree's src/ and perfbench/ byte-compiled by "
+          "python -m compileall -q before its first run, outside any timed interval, so "
+          "setup_s holds no compilation; the side that runs first alternating from pair to pair "
           "(parent_first); each run reports the medians over its repetitions, and the "
           "statistics here are over those per-run values (quartiles by linear interpolation)")
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -98,6 +101,15 @@ def _working_tree(tmp: Path) -> str:
 def _extract(treeish: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", treeish))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def _compile(tree: Path) -> None:
+    """Byte-compile the ``src/`` and ``perfbench/`` of ``tree``.  An archive
+    holds no bytecode, and a worker run with PYTHONDONTWRITEBYTECODE set
+    writes none, so without this every worker would compile parabolab
+    again inside the ``setup_s`` it reports."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree,
+                   check=True, stdout=subprocess.DEVNULL)
 
 
 class RunFailed(Exception):
@@ -194,6 +206,7 @@ def main(argv=None) -> int:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         for side, rev in (("parent", parent), ("change", change)):
             _extract(rev, trees[side])
+            _compile(trees[side])
         header = {
             "change_tree": change,
             "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "

@@ -28,16 +28,16 @@ gluing exact up to roundoff for symmetric scalar operators of at most
 
 A trajectory is two stacked arrays (``norms.WeightedTrajectory``).  The
 steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
-scatters onto the grid once, or takes as the states when every node is
-active (Neumann), and the Picard right-hand side is one call of the
-problem's G hook on the whole stack of samples, followed by one stacked
-product with A(u1) (``LinearOperator.dot``).  Problems without a G hook
-fall back to their hooks (see ``AbstractProblem``); that fallback is
-slated for deletion once every caller supplies G.  Either way the stack
-is checked for finiteness once, not per sample.  ``continue_solution``
-glues the windows' arrays and releases each window's trajectory once
-``on_window`` has seen it.  The diagnostics (``omega_limit``,
-``lipschitz_probe``) measure stacked states too.
+puts onto the grid with ``LinearOperator.scatter``, and the Picard
+right-hand side is one call of the problem's G hook on the whole stack of
+samples plus one stacked product with A(u1), both read through
+``LinearOperator.gather``.  Problems without a G hook fall back to their
+hooks (see ``AbstractProblem``), which subtract A(v) v through the same
+gather and scatter; that fallback is slated for deletion once every caller
+supplies G.  Either way the stack is checked for finiteness once, not per
+sample.  ``continue_solution`` glues the windows' arrays and releases each
+window's trajectory once ``on_window`` has seen it.  The diagnostics
+(``omega_limit``, ``lipschitz_probe``) measure stacked states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  The
@@ -177,8 +177,6 @@ class AbstractProblem:
             raise NonFiniteError("GridFunction values must be finite")
         samples = values.reshape((-1,) + grid.shape + (values.shape[-1],))
         out = np.empty_like(samples)
-        flat_in = samples.reshape(len(samples), -1)
-        flat_out = out.reshape(len(samples), -1)
         run_op, run_start = None, 0
         for k, vals in enumerate(samples):
             v = GridFunction._unchecked(grid, vals)
@@ -189,22 +187,14 @@ class AbstractProblem:
                 continue
             op = self.assemble_A(v)
             if op is not run_op:
-                _subtract_applied(run_op, grid, flat_in[run_start:k], flat_out[run_start:k])
+                if run_op is not None:
+                    run = run_op.gather(samples[run_start:k])
+                    out[run_start:k] -= run_op.scatter(run_op.dot(run))
                 run_op, run_start = op, k
-        _subtract_applied(run_op, grid, flat_in[run_start:], flat_out[run_start:])
+        if run_op is not None:
+            run = run_op.gather(samples[run_start:])
+            out[run_start:] -= run_op.scatter(run_op.dot(run))
         return out.reshape(values.shape)
-
-
-def _subtract_applied(op: Optional[LinearOperator], grid: Grid, vin: np.ndarray,
-                      vout: np.ndarray):
-    """``vout -= A vin`` row by row, for flat nodal samples ``vin`` on
-    ``grid`` that share the operator ``op`` (if any), as one stacked
-    product."""
-    if op is None:
-        return
-    if op.grid != grid or op.ncomp * grid.n_nodes != vin.shape[1]:
-        raise ValueError("field does not match operator layout")
-    vout[:, op.active] -= op.dot(np.take(vin, op.active, axis=1))
 
 
 PROPAGATORS = ("euler", "spectral")
@@ -421,17 +411,7 @@ def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
     dvecs = np.empty_like(vecs)
     dvecs[0] = r0 - A0.dot(vecs[0])
     dvecs[1:] = np.diff(vecs, axis=0) / np.diff(stepper.times)[:, None]
-    full = (len(vecs), A0.grid.n_nodes * A0.ncomp)
-    if A0.n_active == full[1]:
-        # every unknown is active (Neumann): the arrays are the states
-        states, derivs = vecs, dvecs
-    else:
-        states = np.zeros(full)
-        states[:, A0.active] = vecs
-        derivs = np.zeros(full)
-        derivs[:, A0.active] = dvecs
-    shape = (len(vecs),) + A0.grid.shape + (A0.ncomp,)
-    return WeightedTrajectory(stepper.times, states.reshape(shape), derivs.reshape(shape),
+    return WeightedTrajectory(stepper.times, A0.scatter(vecs), A0.scatter(dvecs),
                               cfg.mu, cfg.p)
 
 
@@ -458,9 +438,9 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
         raise StateConstraintError("non-finite right-hand side") from exc
     if not np.all(np.isfinite(g)):
         raise StateConstraintError("non-finite right-hand side")
-    n = len(values)
-    rhs = g.reshape(n, -1)[:, A0.active]
-    rhs += A0.dot(np.take(values.reshape(n, -1), A0.active, axis=1))
+    # G(v) is added into the fresh product (same bits), so G's output is never written
+    rhs = A0.dot(A0.gather(values))
+    rhs += A0.gather(g)
     return rhs
 
 

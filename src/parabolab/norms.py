@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Grid, GridFunction, NonFiniteError
-from .operators import Diagonals, SpectralProxy, reference_operator
+from .operators import SpectralProxy, reference_operator
 
 
 def weighted_time_factor(T: float, p: float, mu: float) -> float:
@@ -82,24 +82,17 @@ def lq_norm(u: GridFunction, q: float = 2.0) -> float:
 def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
              lq0: Optional[np.ndarray] = None) -> np.ndarray:
     """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``,
-    from one product of A_ref with the whole stack; at order 4 (clamped) the
+    from one product of A_ref with the unknowns it keeps, each component its
+    own vector; at order 4 (clamped) those are the interior values, and the
     boundary values enter only through ||u||_q.
 
     ``lq0``, if given, is ``lq_norms(values, grid, q)``, already computed."""
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     op = reference_operator(grid, "second" if order == 2 else "fourth")
-    # the product runs on a copy of the cached matrix, so that its tiles
-    # (``Diagonals._terms``) go with the copy: tiles kept on the cached
-    # operator, made mid-run, hold the heap up and raise the peak memory
-    matrix = Diagonals(op.matrix.offsets, op.matrix.data)
-    # one vector per component, of the unknowns op keeps: every node at
-    # order 2, the interior ones at order 4, where the boundary rows read 0
-    comps = np.moveaxis(values, -1, -grid.dim - 1)
-    kept = comps[(...,) + (slice(None) if order == 2 else slice(1, -1),) * grid.dim]
-    applied = matrix.dot(kept.reshape(kept.shape[:-grid.dim] + (-1,))).reshape(kept.shape)
-    if order == 4:
-        applied = np.pad(applied, [(0, 0)] * (comps.ndim - grid.dim) + [(1, 1)] * grid.dim)
+    # each component a scalar field, (..., ncomp, *grid.shape, 1)
+    comps = np.moveaxis(values, -1, -grid.dim - 1)[..., None]
+    applied = op.scatter(op.dot(op.gather(comps)))[..., 0]
     top = lq_norms(np.moveaxis(applied, -grid.dim - 1, -1), grid, q)
     return (lq_norms(values, grid, q) if lq0 is None else lq0) + top
 

@@ -8,8 +8,9 @@ assembled operator keeps (``active_flat_indices``).  For Neumann data the
 reflection enforces the zero normal derivative and every node is kept; for
 clamped data it is the quadratic extrapolation consistent with u = 0 and
 du/dn = 0, and the boundary value itself is pinned to zero by keeping only
-the interior nodes (interior reduction).  The resulting 1D building blocks
-are the classical stencils
+the interior nodes (interior reduction); ``LinearOperator.gather`` and
+``scatter`` map nodal stacks to an operator's unknowns and back.  The
+resulting 1D building blocks are the classical stencils
 
     order 1: (-1/2, 0, 1/2) / h
     order 2: (1, -2, 1) / h^2
@@ -28,7 +29,8 @@ An assembled matrix is a ``Diagonals``: the offsets of the diagonals that
 hold a nonzero entry and an (ndiag, n) array of their entries by row.  Each
 row of a product sums by ascending diagonal, and ``Diagonals.dot``
 multiplies a whole stack of vectors at once, each vector's rows from that
-vector's entries alone.  No sparse package is imported.
+vector's entries alone, with tiles made per call: a matrix keeps no state
+from its products.  No sparse package is imported.
 
 The banded factors (dgbtrf/dgbtrs, dpbtrf/dpbtrs) and the dense eigensolver
 (dsyevr, called as ``scipy.linalg.eigh`` calls it) come from scipy's compiled
@@ -249,34 +251,20 @@ class Diagonals:
         dense[rows, rows + offsets] = values
         return dense
 
-    @functools.cached_property
-    def _terms(self):
-        """(step, tiles, edge, edge_terms) for blocks of ``step`` vectors.
-
-        ``tiles`` lists (offset, diagonal tiled over a block), ascending.
-        ``edge`` are the rows that some diagonal reaches past, and
-        ``edge_terms`` their terms as (columns, entries), one per diagonal,
-        ascending; a column past the matrix is clipped to it, its entry 0."""
-        n, offsets = self.n, self.offsets
-        step = max(1, _DOT_BLOCK // n)
-        rows = np.arange(n)
-        edge = rows[(rows < -offsets.min(initial=0)) | (rows >= n - offsets.max(initial=0))]
-        tiles, edge_terms = [], []
-        for off, d in zip(offsets, self.data):
-            tiles.append((int(off), np.tile(d, step)))
-            edge_terms.append((np.clip(edge + off, 0, n - 1), d[edge]))
-        return step, tiles, edge, edge_terms
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The product with each vector along the last axis of ``x``; every
-        row adds its terms to zero by ascending diagonal."""
-        n = self.n
+        row adds its terms to zero by ascending diagonal.  The tiles are
+        made per call and sized to the stack, so a matrix keeps no state."""
+        n, offsets = self.n, self.offsets
         x = np.asarray(x)
         out = np.zeros(x.shape)
         vectors, sums = x.reshape(-1, n), out.reshape(-1, n)
-        step, tiles, edge, edge_terms = self._terms
+        step = max(1, min(_DOT_BLOCK // n, len(vectors)))
         flat_x, flat_sums = vectors.ravel(), sums.ravel()
         term = np.zeros(step * n)
+        tiles = np.tile(self.data, step)  # each diagonal tiled over a block
+        rows = np.arange(n)
+        edge = rows[(rows < -offsets.min(initial=0)) | (rows >= n - offsets.max(initial=0))]
         # an overflow or inf - inf among the terms leaves inf or nan in the
         # sums, without a warning; edge rows also see other vectors' entries
         with np.errstate(all="ignore"):
@@ -287,14 +275,16 @@ class Diagonals:
             for start in range(0, len(flat_x), step * n):
                 size = min(step * n, len(flat_x) - start)
                 block = flat_x[start:start + size]
-                for off, tiled in tiles:
+                for off, tiled in zip(offsets.tolist(), tiles):
                     lo, hi = max(0, -off), size - max(0, off)
                     np.multiply(block[lo + off:hi + off], tiled[lo:hi], out=term[lo:hi])
                     flat_sums[start:start + size] += term[:size]
             if len(edge):
                 edge_sums = np.zeros((len(vectors), len(edge)))
-                for cols, d in edge_terms:
-                    edge_sums += vectors[:, cols] * d
+                # a column past the matrix is clipped to it, its entry 0
+                cols = np.clip(edge + offsets[:, None], 0, n - 1)
+                for c, d in zip(cols, self.data[:, edge]):
+                    edge_sums += vectors[:, c] * d
                 sums[:, edge] = edge_sums
         return out
 
@@ -364,15 +354,34 @@ class LinearOperator:
     def n_active(self) -> int:
         return len(self.active)
 
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """The active unknowns ``(..., n_active)`` of a stack of nodal values
+        ``(..., *grid.shape, ncomp)``; a reshaped view when every unknown is
+        active (Neumann)."""
+        layout = self.grid.shape + (self.ncomp,)
+        if values.shape[-len(layout):] != layout:
+            raise ValueError(f"values of shape {values.shape} do not end in {layout}")
+        flat = values.reshape(values.shape[:-len(layout)] + (self.grid.n_nodes * self.ncomp,))
+        return flat if self.n_active == flat.shape[-1] else flat[..., self.active]
+
+    def scatter(self, vecs: np.ndarray) -> np.ndarray:
+        """The nodal values ``(..., *grid.shape, ncomp)`` of the vectors of
+        active unknowns ``vecs``, ``(..., n_active)``, +0.0 at pinned nodes; a
+        reshaped view when every unknown is active (Neumann)."""
+        if vecs.shape[-1:] != (self.n_active,):
+            raise ValueError(f"vectors of shape {vecs.shape} do not hold {self.n_active} unknowns")
+        lead, total = vecs.shape[:-1], self.grid.n_nodes * self.ncomp
+        full = vecs
+        if self.n_active != total:
+            full = np.zeros(lead + (total,))
+            full[..., self.active] = vecs
+        return full.reshape(lead + self.grid.shape + (self.ncomp,))
+
     def restrict(self, u: GridFunction) -> np.ndarray:
-        if u.ncomp != self.ncomp or u.grid != self.grid:
-            raise ValueError("field does not match operator layout")
-        return u.values.ravel()[self.active]
+        return self.gather(u.values)
 
     def extend(self, vec: np.ndarray) -> GridFunction:
-        full = np.zeros(self.grid.n_nodes * self.ncomp)
-        full[self.active] = vec
-        return GridFunction(self.grid, full.reshape(self.grid.shape + (self.ncomp,)))
+        return GridFunction(self.grid, self.scatter(vec))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A x for each vector of active unknowns along the last axis of ``x``."""
@@ -657,22 +666,17 @@ class SpectralProxy:
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Modal coefficients, shape ``(..., n_modes, ncomp)``, of the fields
-        ``values`` of shape ``(..., *grid.shape, ncomp)``."""
-        grid = self.grid
-        if values.shape[values.ndim - grid.dim - 1:-1] != grid.shape:
-            raise ValueError("field grid does not match proxy grid")
-        w = self.operator.weights
-        flat = values.reshape(values.shape[:-grid.dim - 1] + (grid.n_nodes, values.shape[-1]))
-        node_idx = self.operator.active  # scalar operator: active indexes nodes
-        vec = flat[..., node_idx, :]
-        return self.modes.T @ (vec * w[:, None])
+        ``values`` of shape ``(..., *grid.shape, ncomp)``, each component a
+        field of the scalar operator."""
+        op = self.operator
+        comps = op.gather(np.moveaxis(values, -1, -self.grid.dim - 1)[..., None])
+        return self.modes.T @ np.swapaxes(comps * op.weights, -1, -2)
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        vec = self.modes @ coeffs
-        ncomp = coeffs.shape[1] if coeffs.ndim == 2 else 1
-        full = np.zeros((self.grid.n_nodes, ncomp))
-        full[self.operator.active, :] = vec.reshape(len(self.operator.active), ncomp)
-        return GridFunction(self.grid, full.reshape(self.grid.shape + (ncomp,)))
+        """The field sum_k coeffs[k] phi_k, ``coeffs`` of shape ``(n_modes,)``
+        or ``(n_modes, ncomp)``."""
+        comps = np.reshape(self.modes @ coeffs, (self.operator.n_active, -1)).T
+        return GridFunction(self.grid, np.moveaxis(self.operator.scatter(comps)[..., 0], 0, -1))
 
 
 # eigendecompose keeps decompositions (modes, eigenvalues, key and the
@@ -712,11 +716,9 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
         sym = (op.toarray() * sqw[:, None]) / sqw[None, :]
         sym = 0.5 * (sym + sym.T)
         lam, vecs = _symmetric_eigh(sym)
-        m = op.matrix  # kept on a copy, without the tiles op.dot may have cached
-        proxy = SpectralProxy(LinearOperator(op.grid, 1, Diagonals(m.offsets, m.data),
-                                             op.active, op.weights), lam, vecs / sqw[:, None])
+        proxy = SpectralProxy(op, lam, vecs / sqw[:, None])
         proxy.eigenvalues.flags.writeable = proxy.modes.flags.writeable = False
-        # modes, eigenvalues, the key's bytes, and the same arrays in the copy
+        # modes, eigenvalues, the key's bytes, and the same arrays in op
         size = lam.nbytes + proxy.modes.nbytes + 2 * sum(len(part[2]) for part in key[2:])
     if size <= EIG_CACHE_BYTES:
         _EIG_CACHE[key] = (proxy, size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -102,3 +103,19 @@ def test_a_failed_run_keeps_the_finished_pairs(monkeypatch, tmp_path):
     report = json.loads(out.read_text())
     assert report["workloads"]["w1"]["metrics"] == {} and report["workloads"]["w1"]["pairs"] == 0
     assert report["failed_run"]["pair"] == 1 and report["failed_run"]["side"] == "parent"
+
+
+def test_each_tree_is_byte_compiled_before_its_runs(tmp_path, monkeypatch):
+    # compiled also where the interpreter is told not to write bytecode
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    package = tmp_path / "src" / "parabolab"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    for path, text in ((package / "__init__.py", ""), (package / "grids.py", "X = 1\n"),
+                       (tmp_path / "perfbench" / "run.py", "import sys\n")):
+        path.write_text(text)
+    bench_pairs._compile(tmp_path)
+    sources = sorted(package.glob("*.py")) + [tmp_path / "perfbench" / "run.py"]
+    assert len(sources) == 3
+    for source in sources:
+        assert os.path.isfile(importlib.util.cache_from_source(source))

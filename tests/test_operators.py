@@ -145,16 +145,39 @@ def test_active_sets():
 
 
 def test_restrict_extend_roundtrip():
-    grid = Grid(1, 14)
+    """gather and scatter for both boundary conditions, one and two
+    components, in 1D and 2D, on stacks with no, one and two leading axes:
+    scatter(gather(v)) is v on the active unknowns and +0.0 elsewhere,
+    gather(scatter(x)) is x, and under Neumann both are views of their
+    input.  restrict and extend are the single-field case."""
     rng = np.random.default_rng(3)
-    op = reference_operator(grid, "second")
-    u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    assert np.array_equal(op.extend(op.restrict(u)).values, u.values)
-    # clamped: boundary values are zeroed by the roundtrip
-    op4 = reference_operator(grid, "fourth")
-    v = op4.extend(op4.restrict(u))
-    assert v.scalar[0] == 0.0 and v.scalar[-1] == 0.0
-    assert np.array_equal(v.scalar[1:-1], u.scalar[1:-1])
+    for dim, bc, ncomp in [(d, b, c) for d in (1, 2) for b in (NEU, CLA) for c in (1, 2)]:
+        grid = Grid(dim, 14 if dim == 1 else 9)
+        op = operator_from_full_matrix(grid, ncomp, bc, Diagonals.identity(grid.n_nodes * ncomp))
+        kept = np.zeros(grid.n_nodes * ncomp, dtype=bool)
+        kept[active_flat_indices(grid, ncomp, bc)] = True
+        kept = kept.reshape(grid.shape + (ncomp,))
+        for lead in ((), (3,), (2, 3)):
+            v = rng.normal(size=lead + grid.shape + (ncomp,))
+            x = op.gather(v)
+            assert x.shape == lead + (op.n_active,)
+            back = op.scatter(x)
+            assert back.shape == v.shape
+            assert _bits(back[..., kept]) == _bits(v[..., kept])
+            assert np.all(back[..., ~kept] == 0.0) and not np.signbit(back[..., ~kept]).any()
+            assert _bits(op.gather(op.scatter(x))) == _bits(x)
+            # peak memory counts on no copy where every unknown is active
+            assert np.shares_memory(x, v) == np.shares_memory(back, x) == (bc == NEU)
+            for wrong in (v[..., :1] if ncomp == 2 else np.concatenate([v, v], axis=-1),
+                          np.zeros(lead + (grid.nodes_per_axis + 1,) * dim + (ncomp,)),
+                          np.zeros(ncomp)):
+                with pytest.raises(ValueError):
+                    op.gather(wrong)
+            for wrong in (x[..., 1:], x[..., :1], np.zeros(lead + (op.n_active + 1,))):
+                with pytest.raises(ValueError):
+                    op.scatter(wrong)
+        u = GridFunction(grid, v[0, 0])
+        assert _bits(op.extend(op.restrict(u)).values) == _bits(back[0, 0])
 
 
 def test_shifted_adds_identity():
@@ -384,13 +407,14 @@ def test_eigendecompose_keeps_at_most_its_byte_budget(pool, budget, data):
             assert sum(s for _, s in kept) <= budget
 
 
-def test_a_kept_proxy_holds_none_of_the_tiles_of_dot(monkeypatch):
+def test_a_kept_proxy_operator_keeps_no_state_from_dot(monkeypatch):
     count_eigh(monkeypatch)
     op = reference_operator(Grid(1, 33), "second")
-    op.dot(np.ones(op.n_active))
     proxy = eigendecompose(op)
-    assert "_terms" in vars(op.matrix)
-    assert "_terms" not in vars(proxy.operator.matrix)
+    state = _state(proxy.operator.matrix)
+    op.dot(np.ones(op.n_active))
+    proxy.operator.dot(np.ones((3, op.n_active)))
+    assert _state(proxy.operator.matrix) == state
     assert operators._EIG_CACHE[next(iter(operators._EIG_CACHE))][0] is proxy
 
 
@@ -511,6 +535,11 @@ def _csr_symmetric_defect(mat, w):
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
+
+
+def _state(obj):
+    """The attributes of ``obj``, each by the identity of its value."""
+    return {name: id(value) for name, value in vars(obj).items()}
 
 
 def _by_diagonal(diag, x):
@@ -718,24 +747,33 @@ def _dense_matrices(n, m=None):
         lambda v: np.array(v).reshape(n, m))
 
 
-def _assert_is_dense(m, dense):
+def _assert_is_dense(m, dense, vectors):
     """``m`` holds bitwise the entries of ``dense`` (a zero reads +0.0), no
-    zero diagonal, and nothing outside the matrix; its products are bitwise
-    ``_by_diagonal`` and within ``_roundoff`` of numpy's."""
+    zero diagonal, and nothing outside the matrix; its products with a stack
+    of ``vectors`` vectors are bitwise ``_by_diagonal`` and within
+    ``_roundoff`` of numpy's, and leave the attributes of ``m`` as they
+    were."""
     assert _bits(m.toarray()) == _bits(dense + 0.0)
     assert np.all(np.diff(m.offsets) > 0)
     assert np.all(np.any(m.data != 0.0, axis=1))
     cols = np.arange(m.n) + m.offsets[:, None]
     assert not np.any(m.data[(cols < 0) | (cols >= m.n)])
-    x = np.random.default_rng(m.n).normal(size=(3, m.n))
-    assert _bits(m.dot(x)) == _bits(_by_diagonal(m, x))
-    assert np.all(np.abs(m.dot(x) - x @ dense.T) <= _roundoff(m, x))
+    x = np.random.default_rng(m.n).normal(size=(vectors, m.n))
+    state = _state(m)
+    got = m.dot(x)
+    assert _state(m) == state
+    assert _bits(got) == _bits(_by_diagonal(m, x))
+    assert np.all(np.abs(got - x @ dense.T) <= _roundoff(m, x))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_the_algebra_matches_dense_numpy(data):
     n = data.draw(st.integers(1, 6))
+    # a stack shorter than a block of the product, one block, or a partial
+    # last block
+    step = operators._DOT_BLOCK // n
+    vectors = data.draw(st.one_of(st.just(step), st.integers(1, 2 * step + 1)))
     a = data.draw(_dense_matrices(n))
     # b is -a wherever ``cancel``, so that a + b cancels exactly there
     cancel = data.draw(_dense_matrices(n)) != 0.0
@@ -744,23 +782,23 @@ def test_the_algebra_matches_dense_numpy(data):
     rows, cols = np.nonzero(where)
     A = Diagonals.from_entries(n, rows, cols - rows, a[rows, cols])
     a = np.where(where, a, 0.0)
-    _assert_is_dense(A, a)
+    _assert_is_dense(A, a, vectors)
     B = _from_dense(b)
-    _assert_is_dense(B, b)
-    _assert_is_dense(A.plus(B), a + b)
-    _assert_is_dense(B.plus(B.scaled(-1.0)), np.zeros((n, n)))
+    _assert_is_dense(B, b, vectors)
+    _assert_is_dense(A.plus(B), a + b, vectors)
+    _assert_is_dense(B.plus(B.scaled(-1.0)), np.zeros((n, n)), vectors)
     nb = data.draw(st.integers(1, 3))
     other = data.draw(_dense_matrices(nb))
-    _assert_is_dense(A.kron(_from_dense(other)), np.kron(a, other))
+    _assert_is_dense(A.kron(_from_dense(other)), np.kron(a, other), vectors)
     index = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
-    _assert_is_dense(A.take(index), a[np.ix_(index, index)])
+    _assert_is_dense(A.take(index), a[np.ix_(index, index)], vectors)
     c = data.draw(_dense_matrices(1, n))[0]
-    _assert_is_dense(A.scaled_rows(c), c[:, None] * a)
+    _assert_is_dense(A.scaled_rows(c), c[:, None] * a, vectors)
     blocks = data.draw(_dense_matrices(n, nb * nb)).reshape(n, nb, nb)
     _assert_is_dense(block_rows(blocks, A),
-                     np.einsum("iab,ij->iajb", blocks, a).reshape(n * nb, n * nb))
+                     np.einsum("iab,ij->iajb", blocks, a).reshape(n * nb, n * nb), vectors)
     value = data.draw(_ENTRIES)
-    _assert_is_dense(Diagonals.identity(n, value), value * np.eye(n))
+    _assert_is_dense(Diagonals.identity(n, value), value * np.eye(n), vectors)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
