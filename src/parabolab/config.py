@@ -391,6 +391,8 @@ def validate_run_config(doc: dict) -> RunConfig:
                               **{k: v for k, v in solver.items() if k != "horizon"})
     except ValueError as exc:
         raise ConfigError(f"bad solver section: {exc}") from exc
+    if (why := fp.ungradeable(fp.window)) is not None:
+        raise ConfigError(f"bad solver section: {why}")
     return RunConfig(
         doc=doc, name=doc.get("name", family), seed=doc.get("seed", 0), family=family,
         ncomp=ncomp, tables=_tables(problem) if rd else {}, grid=grid,

@@ -31,13 +31,12 @@ steppers fill one (K+1, n_active) array, which ``_assemble_trajectory``
 puts onto the grid with ``LinearOperator.scatter``, and the Picard
 right-hand side is one call of the problem's G hook on the whole stack of
 samples plus one stacked product with A(u1), both read through
-``LinearOperator.gather``.  Problems without a G hook fall back to their
-hooks (see ``AbstractProblem``), which subtract A(v) v through the same
-gather and scatter; that fallback is slated for deletion once every caller
-supplies G.  Either way the stack is checked for finiteness once, not per
-sample.  ``continue_solution`` glues the windows' arrays and releases each
-window's trajectory once ``on_window`` has seen it.  The diagnostics
-(``omega_limit``, ``lipschitz_probe``) measure stacked states too.
+``LinearOperator.gather``; problems without a G hook fall back to their
+hooks (see ``AbstractProblem``).  Either way the stack is checked for
+finiteness once, not per sample.  ``continue_solution`` glues the windows'
+arrays and releases each window's trajectory once ``on_window`` has seen
+it.  The diagnostics (``omega_limit``, ``lipschitz_probe``) measure stacked
+states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  The
@@ -121,11 +120,11 @@ def _always_admissible(_values: np.ndarray) -> bool:
 class AbstractProblem:
     """Quasilinear problem in the split form du/dt + A(u) u = F1(u) + F2(u).
 
-    ``assemble_A`` must return the frozen leading operator as a matrix;
-    ``apply_A`` is an optional mat-free version of A(v) u.
-    ``state_constraint`` guards coefficient evaluation (the open set U): it
-    takes nodal values of shape ``(..., *grid.shape, ncomp)``, a single
-    state or a stack of samples, and says whether all of them lie in U.
+    ``assemble_A`` returns the frozen leading operator A(v) as a matrix, the
+    one implementation of A(v) u.  ``state_constraint`` guards coefficient
+    evaluation (the open set U): it takes nodal values of shape
+    ``(..., *grid.shape, ncomp)``, a single state or a stack of samples, and
+    says whether all of them lie in U.
 
     ``G`` is the optional stacked right-hand side the window solver uses,
 
@@ -140,13 +139,11 @@ class AbstractProblem:
 
     Without G, ``G_values`` falls back to the hooks.  It checks the input
     stack for finiteness once (NonFiniteError), then hands each sample to
-    F1 and F2, and to ``apply_A`` or ``assemble_A``, as an unchecked
-    GridFunction view, accumulating F1 + F2 (- apply_A) in place in the
-    output row.  Without ``apply_A``, ``assemble_A`` is still called once
-    per sample, and A(v) v is subtracted as one stacked product for each run
-    of consecutive samples whose operator is the same object, so a
-    constant operator costs one product per stack.  The finiteness check
-    of the result is left to the caller.
+    F1, F2 and ``assemble_A`` as an unchecked GridFunction view,
+    accumulating F1 + F2 in place in the output row, and subtracts A(v) v
+    as one stacked product for each run of consecutive samples whose
+    operator is the same object, so a constant operator costs one product
+    per stack.  The finiteness check of the result is left to the caller.
     """
 
     assemble_A: Callable[[GridFunction], LinearOperator]
@@ -154,20 +151,16 @@ class AbstractProblem:
     F2: Callable[[GridFunction], GridFunction]
     bc: BoundaryCondition
     state_constraint: Callable[[np.ndarray], bool] = _always_admissible
-    apply_A: Optional[Callable[[GridFunction, GridFunction], GridFunction]] = None
     order: str = "second"
-    ncomp: int = 1
     name: str = ""
     G: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # not a field, and always None: perfbench/tracer.py still reads it; the
+    # tracer's rebuild on timers from inside (ROADMAP item 1) deletes it
+    apply_A = None
 
     @property
     def order_int(self) -> int:
         return ORDER_INT[self.order]
-
-    def apply(self, v: GridFunction, u: GridFunction) -> GridFunction:
-        if self.apply_A is not None:
-            return self.apply_A(v, u)
-        return self.assemble_A(v).apply(u)
 
     def G_values(self, values: np.ndarray, grid: Grid) -> np.ndarray:
         """G on a stack of nodal values; see the class docstring."""
@@ -180,11 +173,7 @@ class AbstractProblem:
         run_op, run_start = None, 0
         for k, vals in enumerate(samples):
             v = GridFunction._unchecked(grid, vals)
-            row = out[k]
-            np.add(self.F1(v).values, self.F2(v).values, out=row)
-            if self.apply_A is not None:
-                row -= self.apply_A(v, v).values
-                continue
+            np.add(self.F1(v).values, self.F2(v).values, out=out[k])
             op = self.assemble_A(v)
             if op is not run_op:
                 if run_op is not None:
@@ -227,14 +216,18 @@ class FixedPointConfig:
             raise ValueError(f"need 1/p < mu <= 1, got mu={self.mu}, p={self.p}")
         if self.propagator not in PROPAGATORS:
             raise ValueError(f"propagator must be 'euler' or 'spectral', got {self.propagator!r}")
-        if not np.all(np.diff(graded_times(self.window, self.time_steps, self.gamma())) > 0.0):
-            raise ValueError(f"grading {self.gamma()!r} underflows the first of "
-                             f"{self.time_steps} steps to zero length")
 
     def gamma(self) -> float:
         if self.grading is not None:
             return self.grading
         return max(1.0, 1.0 / (self.mu - 1.0 / self.p))
+
+    def ungradeable(self, T: float, t0: float = 0.0) -> Optional[str]:
+        """Why the graded grid of a window of length T, placed at the time
+        t0, has a step of zero length; None when it has none."""
+        if not np.all(np.diff(t0 + graded_times(T, self.time_steps, self.gamma())) > 0.0):
+            return (f"grading {self.gamma()!r} leaves a step of zero length among the "
+                    f"{self.time_steps} steps of a window of length {T!r} at t = {t0!r}")
 
 
 def graded_times(T: float, steps: int, gamma: float) -> np.ndarray:
@@ -421,7 +414,7 @@ def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointC
     on the graded grid of one window of ``cfg``."""
     stepper = _stepper or _build_machinery(
         prob, u0, graded_times(cfg.window, cfg.time_steps, cfg.gamma()), cfg)
-    vecs = stepper.run(stepper.A0.restrict(u0), None)
+    vecs = stepper.run(stepper.A0.gather(u0.values), None)
     return _assemble_trajectory(stepper, vecs, None, cfg)
 
 
@@ -449,7 +442,7 @@ def picard_map(v: WeightedTrajectory, u1: GridFunction, prob: AbstractProblem,
     """One application of T (see module docs), frozen at and started from u1."""
     stepper = _stepper or _build_machinery(prob, u1, v.times, cfg)
     rhs = _picard_rhs(v, prob, stepper.A0)
-    vecs = stepper.run(stepper.A0.restrict(u1), rhs)
+    vecs = stepper.run(stepper.A0.gather(u1.values), rhs)
     return _assemble_trajectory(stepper, vecs, rhs, cfg)
 
 
@@ -480,8 +473,10 @@ class SolverWindowState:
 # numpy's overflow and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
-                      cfg: FixedPointConfig) -> SolverWindowState:
-    """Iterate T to tolerance on one window, halving the window on stall."""
+                      cfg: FixedPointConfig, t0: float = 0.0) -> SolverWindowState:
+    """Iterate T to tolerance on one window, halving the window on stall.
+    ``t0`` is the window's start in the run's time: an attempt whose sample
+    times are not distinct there fails, and so does every halving of it."""
     if not prob.state_constraint(u1.values):
         raise StateConstraintError("initial state outside the admissible region")
     T = cfg.window
@@ -493,6 +488,8 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
         residuals: list = []
         factors: list = []
         try:
+            if (reason := cfg.ungradeable(T, t0)) is not None:
+                raise SolverError(reason)
             stepper = _build_machinery(prob, u1, times, cfg)
             v = reference_solution(u1, prob, cfg, _stepper=stepper)
         except (SolverError, StateConstraintError, NonFiniteError) as exc:
@@ -590,7 +587,7 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
         wcfg = dataclasses.replace(
             cfg, window=cfg.window if horizon - t > cfg.window - end_tol else horizon - t)
         try:
-            st = fixed_point_solve(u, prob, wcfg)
+            st = fixed_point_solve(u, prob, wcfg, t)
         except NonconvergenceError as exc:
             blow_up = True
             reason = f"window collapse: {exc}"
@@ -630,25 +627,21 @@ def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
     """Equivalent reformulation A + kappa*I, F1 + kappa*id.
 
     G = F1 + F2 - A(v) v is invariant under the shift and passes through
-    unchanged; F1 and apply_A are shifted for the callers that use them
-    (the Lipschitz probe, and ``G_values`` when there is no G hook).  At the
-    discrete fixed point the shift cancels identically, so converged
-    trajectories agree with the unshifted problem to solver tolerance.
+    unchanged; F1 is shifted for the callers that use it (the Lipschitz
+    probe, and ``G_values`` when there is no G hook).  At the discrete fixed
+    point the shift cancels identically, so converged trajectories agree
+    with the unshifted problem to solver tolerance.
     """
 
     def assemble(v):
         return prob.assemble_A(v).shifted(kappa)
-
-    def apply_shifted(v, u):
-        return GridFunction(u.grid, prob.apply(v, u).values + kappa * u.values)
 
     def f1(v):
         return GridFunction(v.grid, prob.F1(v).values + kappa * v.values)
 
     return AbstractProblem(
         assemble_A=assemble, F1=f1, F2=prob.F2, bc=prob.bc,
-        state_constraint=prob.state_constraint, apply_A=apply_shifted,
-        order=prob.order, ncomp=prob.ncomp,
+        state_constraint=prob.state_constraint, order=prob.order,
         name=f"{prob.name}+shift" if prob.name else "shifted", G=prob.G,
     )
 
@@ -709,13 +702,14 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
             samples.append(GridFunction(grid, w))
         else:
             skipped += 1
-    probes = [GridFunction(grid, m) for m in modes[:2]]
-    tops = [x1_norm(v, 2.0, prob.order_int) for v in probes]
+    probes = np.stack(modes[:2])
+    tops = [x1_norm(GridFunction(grid, v), 2.0, prob.order_int) for v in probes]
     lq = functools.partial(lq_norms, grid=grid)
-    # each hook once per perturbed state
+    # each hook once per perturbed state, A(w) on both probes in one product
     dists = _pair_distances([w.values for w in samples],
                             lambda diffs: proxy_norms(diffs, theta_low, proxy))
-    applied = [_pair_distances([prob.apply(w, v).values for w in samples], lq) for v in probes]
+    products = [op.scatter(op.dot(op.gather(probes))) for op in map(prob.assemble_A, samples)]
+    applied = [_pair_distances([Av[i] for Av in products], lq) for i in range(len(probes))]
     f1 = _pair_distances([prob.F1(w).values for w in samples], lq)
     # the pairs i < j of distinct samples
     apart = np.triu(dists > 0.0, 1)

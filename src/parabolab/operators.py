@@ -377,12 +377,6 @@ class LinearOperator:
             full[..., self.active] = vecs
         return full.reshape(lead + self.grid.shape + (self.ncomp,))
 
-    def restrict(self, u: GridFunction) -> np.ndarray:
-        return self.gather(u.values)
-
-    def extend(self, vec: np.ndarray) -> GridFunction:
-        return GridFunction(self.grid, self.scatter(vec))
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A x for each vector of active unknowns along the last axis of ``x``."""
         return self.matrix.dot(x)
@@ -391,7 +385,7 @@ class LinearOperator:
         return self.matrix.toarray()
 
     def apply(self, u: GridFunction) -> GridFunction:
-        return self.extend(self.dot(self.restrict(u)))
+        return GridFunction(self.grid, self.scatter(self.dot(self.gather(u.values))))
 
     def shifted(self, kappa: float) -> "LinearOperator":
         """A + kappa*I on the active unknowns."""

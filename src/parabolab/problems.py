@@ -15,8 +15,8 @@ Two classes are bundled:
       dh/dt = G(h),   A(h) u = sum_sigma a_sigma(grad h) D^sigma u,
 
   with the frozen fourth-order coefficient from ``leading_coefficient`` and
-  F2 defined as the computable residual F2(h) = A(h) h + G(h), never through
-  symbolic expansion of the lower-order coefficients.
+  F2 the computable residual A(h) h + G(h) on the unknowns, 0 at pinned
+  nodes, never a symbolic expansion of the lower-order coefficients.
 
 Both families hand the solver the stacked right-hand side
 G(v) = F1(v) + F2(v) - A(v) v as the problem's ``G`` hook, evaluated on a
@@ -24,10 +24,11 @@ stack of samples a block of samples at a time: for reaction-diffusion
 a(v) Lap v + f(v) + sum_j b(v)[d_j v, d_j v], for the flows the geometry
 right-hand side itself, so that A(h) h is never formed only to cancel.
 
-The frozen operators are assembled by diagonals (``operators.Diagonals``):
--a(v) Lap as the node blocks a(v) times the mirrored Laplacian
-(``operators.block_rows``), the flows' A(h) from the nodal coefficients of
-each multi-index (``operators.assemble_coefficient_operator``).
+The frozen operators, the one implementation of A(v) u, are assembled by
+diagonals (``operators.Diagonals``): -a(v) Lap as the node blocks a(v)
+times the mirrored Laplacian (``operators.block_rows``), the flows' A(h)
+from the nodal coefficients of each multi-index
+(``operators.assemble_coefficient_operator``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import geometry
 from .grids import BoundaryCondition, Grid, GridFunction
-from .operators import (LinearOperator, assemble_coefficient_operator, block_rows, derivative,
+from .operators import (LinearOperator, assemble_coefficient_operator, block_rows,
                         derivative_values, neumann_laplacian, operator_from_full_matrix,
                         unit_sigma)
 from .evolution import AbstractProblem, StateConstraintError
@@ -276,12 +277,12 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
         if not in_box(v.values):
             raise StateConstraintError(f"state left the box of '{spec.name}'")
 
-    # a(v) Lap u and sum_j b(v)[d_j v, d_j v] on nodal values with leading axes
+    # a(v) Lap v and sum_j b(v)[d_j v, d_j v] on nodal values with leading axes
 
-    def diffusion(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        lap = np.zeros_like(u)
+    def diffusion(v: np.ndarray) -> np.ndarray:
+        lap = np.zeros_like(v)
         for axis in range(grid.dim):
-            lap += derivative_values(u, grid, unit_sigma(axis, grid.dim, 2))
+            lap += derivative_values(v, grid, unit_sigma(axis, grid.dim, 2))
         return np.einsum("...ij,...j->...i", spec.a(v), lap)
 
     def gradient_term(v: np.ndarray) -> np.ndarray:
@@ -291,10 +292,6 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
             dv = derivative_values(v, grid, unit_sigma(axis, grid.dim))
             out += np.einsum("...iab,...a,...b->...i", bv, dv, dv)
         return out
-
-    def apply_A(v: GridFunction, u: GridFunction) -> GridFunction:
-        require_in_box(v)
-        return GridFunction(grid, -diffusion(v.values, u.values))
 
     def assemble_A(v: GridFunction) -> LinearOperator:
         require_in_box(v)
@@ -315,12 +312,11 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
         return GridFunction(grid, gradient_term(v.values))
 
     def G(values: np.ndarray) -> np.ndarray:
-        return diffusion(values, values) + spec.f(values) + gradient_term(values)
+        return diffusion(values) + spec.f(values) + gradient_term(values)
 
     return AbstractProblem(
         assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, state_constraint=in_box,
-        apply_A=apply_A, order="second", ncomp=N, name=spec.name,
-        G=_in_blocks(G, grid),
+        order="second", name=spec.name, G=_in_blocks(G, grid),
     )
 
 
@@ -387,13 +383,6 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
     rhs_values = (geometry.surface_diffusion_values if spec.kind == "surface_diffusion"
                   else geometry.willmore_values)
 
-    def apply_A(hfield: GridFunction, u: GridFunction) -> GridFunction:
-        coeffs = _fourth_order_coeffs(grid, hfield)
-        out = np.zeros(grid.shape)
-        for sigma, c in coeffs.items():
-            out += c * derivative(u, sigma).scalar
-        return GridFunction.from_scalar(grid, out)
-
     def assemble_A(hfield: GridFunction) -> LinearOperator:
         return assemble_coefficient_operator(grid, _fourth_order_coeffs(grid, hfield), bc)
 
@@ -404,9 +393,10 @@ def flow_problem(spec: FlowSpec) -> AbstractProblem:
         return rhs_values(values, grid)
 
     def F2(hfield: GridFunction) -> GridFunction:
-        return GridFunction(grid, apply_A(hfield, hfield).values + G(hfield.values))
+        op, h = assemble_A(hfield), hfield.values
+        return GridFunction(grid, op.scatter(op.dot(op.gather(h)) + op.gather(G(h))))
 
     return AbstractProblem(
-        assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, apply_A=apply_A,
-        order="fourth", ncomp=1, name=spec.name, G=_in_blocks(G, grid),
+        assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, order="fourth", name=spec.name,
+        G=_in_blocks(G, grid),
     )

@@ -1232,6 +1232,11 @@ _DIAGNOSTICS_OVERFLOW = "gives a diagnostic norm beyond floating point"
 @example(command="run", edits=(("solver.horizon", 1e308),))
 @example(command="run", edits=(("diagnostics.omega_count", 100000),))
 @example(command="sweep", edits=(("diagnostics.norm_intervals", 10 ** 9),))
+# a short last window too short for its graded grid, after a window at t =
+# 0.01 whose first step vanishes against t: a window collapse, and then the
+# first window's diagnostics overflow (exit 4)
+@example(command="run", edits=(("solver.grading", 1040), ("solver.time_steps", 2),
+                               ("solver.horizon", 0.020000000002)))
 def test_config_edges_keep_the_exit_code_contract(command, edits):
     """Any config value makes check, run and sweep exit 0, 2, 3 or 4 without
     a traceback, and every JSON file they write is strict JSON.  Exit 4
@@ -1384,6 +1389,22 @@ def test_integer_literal_beyond_the_int_digit_limit_exits_4(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "5000 digits" in err, err
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_a_window_too_short_for_its_grading_collapses_with_exit_3(tmp_path, capsys):
+    # the configured window grades, but the first window, cut to the horizon,
+    # and each of its halvings underflow the first step to zero length
+    cfg = tiny_cfg()
+    cfg["solver"].update(grading=1050, time_steps=2, horizon=1e-11)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "blow_up" and summary["t_reached"] == 0.0
+    assert summary["reason"].startswith("window collapse: window collapsed after 20 halvings: "
+                                        "reference solve failed: grading 1050 leaves a step "
+                                        "of zero length among the 2 steps of a window")
 
 
 @pytest.mark.parametrize("key", ["q", "p"])

@@ -1,4 +1,5 @@
-"""The difference report of ``scripts/compare_artifacts.py`` on made-up outputs."""
+"""The difference report of ``scripts/compare_artifacts.py`` on made-up
+outputs, and its copy of the package's family orders."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from parabolab.config import FAMILY_ORDER
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_artifacts.py"
 _spec = importlib.util.spec_from_file_location("compare_artifacts", SCRIPT)
@@ -47,3 +50,8 @@ def test_every_differing_file_is_listed_with_its_float_gap():
         "other values differ at meta/window_summary/iterations",
     ]
     assert compare.differences(new, new) == []
+
+
+def test_family_orders_are_the_package_s():
+    # the script keeps its own copy, since it imports neither tree it compares
+    assert compare.FAMILY_ORDER == FAMILY_ORDER

@@ -234,10 +234,11 @@ def test_modal_singular_step_raises():
         evolution._ModalStepper(A, np.array([0.0, 0.5, 1.5]), evolution._euler_tables)
 
 
-def _frozen(grid, prob, time_steps, propagator="euler"):
-    """The stepper of a window of ``prob`` frozen at a bump state."""
+def _frozen(grid, prob, time_steps, propagator="euler", ncomp=1):
+    """The stepper of a window of ``prob`` frozen at a bump state of
+    ``ncomp`` components."""
     bump = 1.0 + 0.3 * np.sin(np.pi * grid.axis_coords()) ** 2
-    state = np.broadcast_to(bump[:, None], grid.shape + (prob.ncomp,))
+    state = np.broadcast_to(bump[:, None], grid.shape + (ncomp,))
     cfg = FixedPointConfig(window=0.01, time_steps=time_steps, mu=MU, p=P,
                            propagator=propagator)
     return evolution._build_machinery(prob, GridFunction(grid, state), graded_times(
@@ -259,12 +260,12 @@ def _frozen(grid, prob, time_steps, propagator="euler"):
     # not symmetric in the pairing, or not scalar
     (lambda: (Grid(1, 33), flow_problem(FlowSpec(Grid(1, 33), "willmore"))), 4096, "euler",
      "_EulerStepper"),
-    (lambda: (Grid(1, 33), _coupled_diffusion(Grid(1, 33))), 4096, "euler", "_EulerStepper"),
+    (lambda: (Grid(1, 33), _coupled_diffusion(Grid(1, 33)), 2), 4096, "euler", "_EulerStepper"),
 ], ids=["heat-33", "heat-129", "plate-129", "heat-129-short", "heat-129-short-spectral",
         "heat-257", "willmore", "coupled"])
 def test_window_march_follows_the_cost_rule(make, time_steps, propagator, march):
-    grid, prob = make()
-    assert type(_frozen(grid, prob, time_steps, propagator)).__name__ == march
+    grid, prob, *ncomp = make()
+    assert type(_frozen(grid, prob, time_steps, propagator, *ncomp)).__name__ == march
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -466,7 +467,7 @@ def test_the_plate_march_maps_back_no_subnormal_coefficient(with_rhs):
     A = reference_operator(grid, "fourth")
     stepper = evolution._ModalStepper(A, graded_times(0.01, 4096, 2.5), evolution._euler_tables)
     stepper.modes = stepper.modes.view(_Spy)
-    u_init = A.restrict(GridFunction.from_scalar(grid, np.sin(np.pi * grid.axis_coords()) ** 2))
+    u_init = A.gather(np.sin(np.pi * grid.axis_coords())[:, None] ** 2)
     rhs = np.zeros((4097, A.n_active)) if with_rhs else None
     _Spy.seen = []
     us = stepper.run(u_init, rhs)
@@ -818,30 +819,31 @@ def test_one_G_call_per_picard_map(kind):
         prob = flow_problem(FlowSpec(grid=grid, kind=kind))
         u0 = GridFunction.from_scalar(grid, 0.01 * np.sin(np.pi * x) ** 2)
         window = 1e-4
-    calls = dict.fromkeys(("F1", "F2", "apply_A", "G"), 0)
+    calls = dict.fromkeys(("F1", "F2", "G"), 0)
     prob = _counted(prob, calls)
     cfg = FixedPointConfig(window=window, time_steps=8, mu=MU, p=P, tol=1e-10)
     st_ = fixed_point_solve(u0, prob, cfg)
     assert st_.converged and st_.iterations >= 2
-    assert calls == {"F1": 0, "F2": 0, "apply_A": 0, "G": st_.iterations}
+    assert calls == {"F1": 0, "F2": 0, "G": st_.iterations}
     v = reference_solution(u0, prob, cfg)
     picard_map(v, u0, prob, cfg)
     assert calls["G"] == st_.iterations + 1
 
 
 def test_problem_without_G_uses_its_hooks_per_sample():
-    # the same rd problem with G removed: F1, F2 and apply_A once per sample,
-    # and the same iterate up to rounding
+    # the same rd problem with G removed: F1, F2 and assemble_A once per
+    # sample (and once more to freeze A(u0)), and the same iterate up to
+    # rounding
     grid, prob = square_problem(nodes=20)
     u0 = GridFunction.from_scalar(grid, 0.5 + 0.1 * np.cos(np.pi * grid.axis_coords()))
     cfg = FixedPointConfig(window=0.02, time_steps=8, mu=MU, p=P)
-    calls = dict.fromkeys(("F1", "F2", "apply_A", "G"), 0)
+    calls = dict.fromkeys(("F1", "F2", "assemble_A", "G"), 0)
     hooks_only = _counted(dataclasses.replace(prob, G=None), calls)
     v = reference_solution(u0, prob, cfg)
     u = picard_map(v, u0, prob, cfg)
     w = picard_map(v, u0, hooks_only, cfg)
     n = len(v.times)
-    assert calls == {"F1": n, "F2": n, "apply_A": n, "G": 0}
+    assert calls == {"F1": n, "F2": n, "assemble_A": n + 1, "G": 0}
     scale = np.max(np.abs(u.state_values))
     assert np.max(np.abs(u.state_values - w.state_values)) <= 1e-13 * scale
 
@@ -891,42 +893,36 @@ def _fallback_cases():
     runs_stack = rng.uniform(0.1, 1.0, (7, 17, 1))
     runs_stack[:, 0, 0] *= signs
     grid = Grid(1, 20)
-    _, rd = square_problem(nodes=20)
     scalar = _scalar_diffusion(grid)
     coupled = _coupled_diffusion(Grid(2, 9))
     return {
         "constant-1d": (constant, plate, rng.uniform(-1.0, 1.0, (9, 17, 1))),
         "constant-2d": (constant2, plate2, rng.uniform(-1.0, 1.0, (5, 10, 10, 1))),
         "constant-runs": (runs, plate, runs_stack),
-        "state-dependent": (dataclasses.replace(scalar, G=None, apply_A=None), grid,
+        "state-dependent": (dataclasses.replace(scalar, G=None), grid,
                             rng.uniform(-1.0, 1.0, (9, 20, 1))),
-        "state-dependent-ncomp2": (dataclasses.replace(coupled, G=None, apply_A=None),
+        "state-dependent-ncomp2": (dataclasses.replace(coupled, G=None),
                                    Grid(2, 9), rng.uniform(-1.0, 1.0, (4, 9, 9, 2))),
-        "apply_A": (dataclasses.replace(rd, G=None), grid,
-                    rng.uniform(0.0, 1.0, (9, 20, 1))),
     }
 
 
 @pytest.mark.parametrize("case", ["constant-1d", "constant-2d", "constant-runs",
-                                  "state-dependent", "state-dependent-ncomp2", "apply_A"])
+                                  "state-dependent", "state-dependent-ncomp2"])
 def test_fallback_equals_per_sample_hooks_bitwise(case, monkeypatch):
     # F1 + F2 - A(v) v of each sample, with A(v) v as one sparse product per
     # run of samples sharing an operator, has the bits of the per-sample sum
     prob, grid, stack = _fallback_cases()[case]
-    want = np.stack([prob.F1(v).values + prob.F2(v).values - prob.apply(v, v).values
+    want = np.stack([prob.F1(v).values + prob.F2(v).values - prob.assemble_A(v).apply(v).values
                      for v in (GridFunction(grid, vals) for vals in stack)])
-    calls = dict.fromkeys(("F1", "F2", "assemble_A", "apply_A"), 0)
+    calls = dict.fromkeys(("F1", "F2", "assemble_A"), 0)
     counted = _counted(prob, calls)
-    if prob.apply_A is None:
-        # no single-sample products: only the stacked ones
-        monkeypatch.setattr(evolution.LinearOperator, "apply",
-                            lambda *_: pytest.fail("per-sample operator apply"))
+    # no single-sample products: only the stacked ones
+    monkeypatch.setattr(evolution.LinearOperator, "apply",
+                        lambda *_: pytest.fail("per-sample operator apply"))
     got = counted.G_values(stack, grid)
     assert _same_bits(got, want)
     n = len(stack)
-    per_sample = ({"assemble_A": n, "apply_A": 0} if prob.apply_A is None
-                  else {"assemble_A": 0, "apply_A": n})
-    assert calls == {"F1": n, "F2": n, **per_sample}
+    assert calls == {"F1": n, "F2": n, "assemble_A": n}
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -967,6 +963,25 @@ def test_hostile_window_halves_until_contraction():
     assert len(st.halving_reasons) == 2
     assert st.summary()["halving_reasons"] == list(st.halving_reasons)
     assert all(r.startswith("contraction factor") for r in st.halving_reasons)
+
+
+def test_a_window_too_short_for_its_grading_is_a_failed_attempt():
+    # the first graded step of the window is the least subnormal number,
+    # which every halving rounds to zero
+    grid, prob = square_problem()
+    cfg = FixedPointConfig(window=1.0, time_steps=2, mu=MU, p=P, grading=1074,
+                           max_halvings=3)
+    with pytest.raises(NonconvergenceError, match="after 3 halvings: reference solve failed: "
+                       "grading 1074 leaves a step of zero length among the 2 steps of a "
+                       "window of length 0.125 at t = 0.0$"):
+        fixed_point_solve(constant_state(grid, 2.0), prob, cfg)
+    # the same holds for a step that vanishes against the window's start: the
+    # second window starts at 0.01, where 0.01 (1/2)^60 is below half an ulp
+    cfg = FixedPointConfig(window=0.01, time_steps=2, mu=MU, p=P, grading=60)
+    state = continue_solution(constant_state(grid, 0.1), prob, cfg, 0.02)
+    assert state.blow_up and len(state.windows) == 1 and state.t_plus_estimate == 0.01
+    assert state.reason.endswith("at t = 0.01")
+    assert len(state.trajectory.times) == 3
 
 
 def test_machinery_built_once_per_window_attempt(monkeypatch):
@@ -1246,8 +1261,8 @@ def test_omega_limit_equals_the_per_pair_reference_bitwise(dim, ncomp, order):
 
 def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
                          with_solutions):
-    """``lipschitz_probe`` with A(w) v and F1(w) evaluated afresh for both
-    samples of every pair."""
+    """``lipschitz_probe`` with A(w) assembled and applied to one probe at a
+    time, and F1(w), evaluated afresh for both samples of every pair."""
     grid = u_center.grid
     rng = np.random.default_rng(seed)
     theta_low = cfg.mu - 1.0 / cfg.p
@@ -1289,7 +1304,8 @@ def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
                 continue
             n_pairs += 1
             for v in probes:
-                diff = prob.apply(samples[i], v).values - prob.apply(samples[j], v).values
+                diff = (prob.assemble_A(samples[i]).apply(v).values
+                        - prob.assemble_A(samples[j]).apply(v).values)
                 num = lq_norm(GridFunction(grid, diff))
                 L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int)))
             diff = prob.F1(samples[i]).values - prob.F1(samples[j]).values

@@ -144,12 +144,12 @@ def test_active_sets():
     assert reference_operator(Grid(1, 10), "fourth") is op4
 
 
-def test_restrict_extend_roundtrip():
+def test_gather_scatter_roundtrip():
     """gather and scatter for both boundary conditions, one and two
     components, in 1D and 2D, on stacks with no, one and two leading axes:
     scatter(gather(v)) is v on the active unknowns and +0.0 elsewhere,
     gather(scatter(x)) is x, and under Neumann both are views of their
-    input.  restrict and extend are the single-field case."""
+    input.  ``apply`` of the identity is the single-field case."""
     rng = np.random.default_rng(3)
     for dim, bc, ncomp in [(d, b, c) for d in (1, 2) for b in (NEU, CLA) for c in (1, 2)]:
         grid = Grid(dim, 14 if dim == 1 else 9)
@@ -177,7 +177,7 @@ def test_restrict_extend_roundtrip():
                 with pytest.raises(ValueError):
                     op.scatter(wrong)
         u = GridFunction(grid, v[0, 0])
-        assert _bits(op.extend(op.restrict(u)).values) == _bits(back[0, 0])
+        assert _bits(op.apply(u).values) == _bits(back[0, 0])
 
 
 def test_shifted_adds_identity():
@@ -231,8 +231,8 @@ def test_banded_solve_matches_dense():
     rng = np.random.default_rng(7)
     op = reference_operator(grid, "second").shifted(1.0)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    x = BandedLU(*op.to_banded()).solve(op.restrict(rhs))
-    dense = np.linalg.solve(op.toarray(), op.restrict(rhs))
+    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
+    dense = np.linalg.solve(op.toarray(), op.gather(rhs.values))
     assert np.allclose(x, dense, atol=1e-11)
 
 
@@ -241,8 +241,8 @@ def test_banded_solve_clamped_fourth():
     rng = np.random.default_rng(9)
     op = reference_operator(grid, "fourth").shifted(0.5)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    x = BandedLU(*op.to_banded()).solve(op.restrict(rhs))
-    res = op.dot(x) - op.restrict(rhs)
+    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
+    res = op.dot(x) - op.gather(rhs.values)
     assert np.max(np.abs(res)) < 1e-8
 
 
@@ -252,7 +252,7 @@ def test_singular_solve_raises():
     op = operator_from_full_matrix(grid, 1, NEU, diag)
     rhs = GridFunction.from_scalar(grid, np.ones(grid.shape))
     with pytest.raises(SolverError):
-        BandedLU(*op.to_banded()).solve(op.restrict(rhs))
+        BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
 
 
 def test_banded_cholesky_errors():

@@ -8,12 +8,14 @@ expression (1 + u^2) u'' + 2 u (u')^2 the flux form converges at order 2.
 
 Stacked right-hand side: each problem's G hook, evaluated on a stack of
 samples (in blocks of samples when the stack is large), agrees sample by
-sample with F1 + F2 - A(v) v from the one-field hooks, and for the flows with
-the one-field geometry right-hand sides.
+sample with F1 + F2 - A(v) v from the one-field hooks and the assembled
+operator (for the flows on the interior, the clamped operator's unknowns),
+and for the flows with the one-field geometry right-hand sides.
 
-Flow residual: F2(h) = A(h) h + G(h) subtracts the full fourth-order part
-from the normal-velocity right-hand side, so it vanishes at h = 0 and decays
-cubically in the graph amplitude (measured slope 3.0 per decade).
+Flow residual: F2(h) = A(h) h + G(h) on the unknowns subtracts the full
+fourth-order part from the normal-velocity right-hand side, so it vanishes at
+h = 0 and decays cubically in the graph amplitude (measured slope 3.0 per
+decade); it is 0 where the clamped condition pins h.
 """
 
 from __future__ import annotations
@@ -198,12 +200,9 @@ def test_heat_apply_is_negative_laplacian():
     rng = np.random.default_rng(1)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     lap = derivative(u, 2).scalar
-    assert np.allclose(prob.apply_A(u, u).scalar, -lap, rtol=1e-13, atol=1e-13)
-    # matrix path agrees with the mat-free path
-    mat = prob.assemble_A(u)
-    assert np.allclose(mat.apply(u).scalar, -lap, rtol=1e-11, atol=1e-11)
+    assert np.allclose(prob.assemble_A(u).apply(u).scalar, -lap, rtol=1e-11, atol=1e-11)
     assert prob.order == "second" and prob.order_int == 2
-    assert prob.ncomp == 1 and prob.name == "heat"
+    assert prob.name == "heat"
 
 
 def test_state_dependent_diffusion_value():
@@ -215,7 +214,6 @@ def test_state_dependent_diffusion_value():
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     lap = derivative(u, 2).scalar
     expected = -(1.0 + v.scalar ** 2) * lap
-    assert np.allclose(prob.apply_A(v, u).scalar, expected, rtol=1e-12)
     assert np.allclose(prob.assemble_A(v).apply(u).scalar, expected, rtol=1e-10)
 
 
@@ -232,7 +230,6 @@ def test_system_coupling_matrix():
     u = GridFunction(grid, rng.uniform(-0.9, 0.9, size=grid.shape + (2,)))
     lap = np.stack([derivative(u, 2).values[..., i] for i in range(2)], axis=-1)
     expected = np.stack([-(lap[..., 0] + 0.5 * lap[..., 1]), -2.0 * lap[..., 1]], axis=-1)
-    assert np.allclose(prob.apply_A(u, u).values, expected, rtol=1e-12)
     assert np.allclose(prob.assemble_A(u).apply(u).values, expected, rtol=1e-10)
 
 
@@ -257,7 +254,7 @@ def test_box_constraint_enforced():
     # the constraint takes stacks of samples too
     assert not prob.state_constraint(np.stack([inside.values, outside.values]))
     with pytest.raises(StateConstraintError):
-        prob.apply_A(outside, inside)
+        prob.assemble_A(outside)
     with pytest.raises(StateConstraintError):
         prob.F1(outside)
 
@@ -342,16 +339,20 @@ def test_flat_graph_is_equilibrium():
 
 
 def test_flow_leading_coefficient_1d():
-    # in 1d the frozen operator is beta^4 D4 with beta from the same gradient
+    # in 1d the frozen operator is beta^4 D4 with beta from the same gradient;
+    # for a u that the clamped condition pins to 0 at the walls it agrees
+    # with the stencil on the interior, the operator's unknowns
     grid = Grid(1, 40)
     rng = np.random.default_rng(11)
     x = grid.axis_coords()
     h = GridFunction.from_scalar(grid, 0.3 * np.sin(np.pi * x) ** 2)
     prob = flow_problem(FlowSpec(grid=grid, kind="surface_diffusion"))
-    u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
+    u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape) * grid.interior_mask())
     beta4 = tilt_factor(h).scalar ** 4
     expected = beta4 * derivative(u, 4).scalar
-    assert np.allclose(prob.apply_A(h, u).scalar, expected, rtol=1e-12, atol=1e-12)
+    got = prob.assemble_A(h).apply(u).scalar
+    assert np.allclose(got[1:-1], expected[1:-1], rtol=1e-12, atol=1e-12)
+    assert np.all(got[[0, -1]] == 0.0)
 
 
 def test_flow_residual_cubic_in_amplitude():
@@ -364,10 +365,15 @@ def test_flow_residual_cubic_in_amplitude():
         sups = []
         for eps in (1e-6, 1e-5, 1e-4):
             h = GridFunction.from_scalar(grid, eps * prof)
-            sups.append(np.max(np.abs(prob.F2(h).values)))
-            # decomposition identity F2 = A h + G
-            manual = prob.apply_A(h, h).values + rhs_fn(h).values
-            assert np.array_equal(prob.F2(h).values, manual)
+            f2 = prob.F2(h).values
+            sups.append(np.max(np.abs(f2)))
+            # decomposition identity F2 = A h + G on the unknowns, 0 where
+            # the clamped condition pins h
+            op = prob.assemble_A(h)
+            manual = op.dot(op.gather(h.values)) + op.gather(rhs_fn(h).values)
+            assert np.array_equal(op.gather(f2), manual)
+            assert np.array_equal(f2[[0, -1]], np.zeros((2, 1)))
+            assert not np.signbit(f2[[0, -1]]).any()
         slopes = [np.log10(sups[i + 1] / sups[i]) for i in range(2)]
         assert min(slopes) > 2.5
 
@@ -402,7 +408,7 @@ def _per_sample_G(prob, grid, stack):
     out = []
     for vals in stack:
         v = GridFunction(grid, vals)
-        out.append(prob.F1(v).values + prob.F2(v).values - prob.apply_A(v, v).values)
+        out.append(prob.F1(v).values + prob.F2(v).values - prob.assemble_A(v).apply(v).values)
     return np.stack(out)
 
 
@@ -447,5 +453,7 @@ def test_flow_stacked_G_matches_geometry_rhs(data):
     stack = stack + 1e-3 * amp * rng.normal(size=stack.shape) * grid.interior_mask()[..., None]
     want = np.stack([rhs_fn(GridFunction(grid, vals)).values for vals in stack])
     _assert_close(prob.G(stack), want, 1e-12)
-    # G is the split's F1 + F2 - A(h) h up to the cancellation of A(h) h
-    _assert_close(prob.G(stack), _per_sample_G(prob, grid, stack), 1e-9)
+    # G is the split's F1 + F2 - A(h) h up to the cancellation of A(h) h, on
+    # the unknowns of the clamped operator, the interior
+    inner = (slice(None),) + (slice(1, -1),) * dim
+    _assert_close(prob.G(stack)[inner], _per_sample_G(prob, grid, stack)[inner], 1e-9)
