@@ -33,13 +33,15 @@ on each tree's ``trajectory.npz`` of the run
     python -m parabolab.cli symbol --config CONFIG --json JSON --field TRAJ
 
 (the second omega report samples the whole run, so that its distances come
-from many samples in several clusters).  For every config in ``configs/`` it also
-compares a run interrupted after its first window and resumed,
+from many samples in several clusters).  For every config it also compares a
+run interrupted after its first window and resumed,
 
     python -m parabolab.cli run --config FIRST --out DIR --seed 0
     python -m parabolab.cli run --config CONFIG --out DIR --seed 0 --resume
 
-where FIRST is the config with ``solver.horizon`` set to ``solver.window``.
+where FIRST is the config with ``solver.horizon`` set to ``solver.window``;
+the configs of ``perfbench/configs/`` resume 2D runs on the Cholesky and LU
+marches.
 Last it does the same for
 
     python -m parabolab.cli sweep --config configs/heat.json --axes AXES --out DIR --seed 0
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
             checks.append((f"check-flat {c.relative_to(REPO)}", f"{c.stem}-check-flat",
                            [[a.replace("{config}", str(table)) for a in CONFIG_CHECKS["check"]]],
                            ""))
-        for c in sorted(CONFIG_DIRS[0].glob("*.json")):
+        for c in configs:
             cfg = json.loads(c.read_text())
             cfg["solver"]["horizon"] = cfg["solver"]["window"]
             first = Path(tmp) / f"{c.stem}-first-window.json"

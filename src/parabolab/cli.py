@@ -242,21 +242,6 @@ def _glue_windows(loaded: list, out_dir: Path, mu: float, p: float) -> WeightedT
         raise ckpt.CheckpointError(f"window files under {out_dir}: {exc}") from exc
 
 
-def _append_run(prev: WeightedTrajectory, new_windows: list,
-                run: WeightedTrajectory) -> WeightedTrajectory:
-    """``prev`` followed by the samples that this invocation glued in memory.
-
-    ``new_windows`` holds the meta and local sample times of each new window.
-    The new samples' absolute times are rebuilt from them as ``glue`` computes
-    them, so a resumed run reproduces the bytes of an uninterrupted one.
-    """
-    times = [meta["t_start"] + local[1:] for meta, local in new_windows]
-    return WeightedTrajectory(np.concatenate([prev.times, *times]),
-                              np.concatenate([prev.state_values, run.state_values[1:]]),
-                              np.concatenate([prev.deriv_values, run.deriv_values[1:]]),
-                              prev.mu, prev.p)
-
-
 def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int) -> list:
     """``[t_lo, t_hi, E0mu, E1mu]`` for each ``(t_lo, t_hi)`` of ``intervals``,
     or of that many equal parts of the trajectory; the norms are None for an
@@ -358,17 +343,8 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
         "order": problem.order, "seed": seed, "version": __version__,
     }
 
-    t0 = 0.0
-    u_start = u_init
-    start_index = 0
-    if loaded:
-        last, meta = loaded[-1]
-        t0 = float(meta["t_start"]) + float(last.times[-1])
-        u_start = last.states[-1]
-        start_index = int(meta["index"]) + 1
-
-    # meta and local sample times of each window this invocation runs
-    new_windows: list = []
+    metas = [meta for _, meta in loaded]
+    start_index = int(metas[-1]["index"]) + 1 if metas else 0
 
     def save_window(idx: int, t_start: float, wstate) -> None:
         meta = dict(base_meta)
@@ -378,14 +354,13 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
         meta["config_sha256"] = fingerprint
         ckpt.save_trajectory(out_dir / f"window_{start_index + idx:04d}.npz",
                              wstate.trajectory, meta)
-        new_windows.append((meta, wstate.trajectory.times))
+        metas.append(meta)
 
-    status, reason, run = "ok", None, None
-    if t0 < horizon - 1e-12 * max(1.0, horizon):
-        state = continue_solution(u_start, problem, fp, horizon, t0=t0, on_window=save_window)
-        run = state.trajectory
-        if state.blow_up:
-            status, reason = "blow_up", state.reason
+    # a resumed run continues the glued windows of earlier invocations
+    state = continue_solution(traj if loaded else u_init, problem, fp, horizon,
+                              on_window=save_window)
+    traj = state.trajectory
+    status, reason = ("blow_up", state.reason) if state.blow_up else ("ok", None)
 
     summary = {
         "status": status,
@@ -395,16 +370,11 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = Fa
         "family": rc.family,
         "seed": seed,
         "horizon": horizon,
-        "t_reached": t0,
+        "t_reached": 0.0,
         "n_windows": 0,
         "windows": [],
         "admissible": bool(adm["admissible"]),
     }
-    # the windows this invocation ran are glued in memory, after those of
-    # earlier invocations
-    metas = [meta for _, meta in loaded] + [meta for meta, _ in new_windows]
-    if run is not None:
-        traj = run if traj is None else _append_run(traj, new_windows, run)
     # a run whose first window collapsed has no trajectory to measure
     if traj is not None:
         # an overflow shows up as a non-finite norm, which is rejected below

@@ -33,10 +33,10 @@ right-hand side is one call of the problem's G hook on the whole stack of
 samples plus one stacked product with A(u1), both read through
 ``LinearOperator.gather``; problems without a G hook fall back to their
 hooks (see ``AbstractProblem``).  Either way the stack is checked for
-finiteness once, not per sample.  ``continue_solution`` glues the windows'
-arrays and releases each window's trajectory once ``on_window`` has seen
-it.  The diagnostics (``omega_limit``, ``lipschitz_probe``) measure stacked
-states too.
+finiteness once, not per sample.  ``continue_solution`` continues a state
+or a run so far and glues the windows' arrays once, at the end, so a run
+holds its samples twice while it glues them.  The diagnostics
+(``omega_limit``, ``lipschitz_probe``) measure stacked states too.
 
 Each window attempt builds one stepper, which holds A(u1) and the sample
 times and serves the reference solve and every Picard iteration.  The
@@ -540,6 +540,9 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
 
 @dataclass
 class ContinuationState:
+    """The new windows of a ``continue_solution`` and the run's trajectory
+    from t = 0; None when it started from a state and ran no window."""
+
     windows: list
     t_plus_estimate: float
     blow_up: bool
@@ -556,31 +559,35 @@ class ContinuationState:
         }
 
 
-def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointConfig,
-                      horizon: float, t0: float = 0.0,
+def continue_solution(start: GridFunction | WeightedTrajectory, prob: AbstractProblem,
+                      cfg: FixedPointConfig, horizon: float,
                       on_window: Optional[Callable] = None) -> ContinuationState:
-    """Glue solver windows from t0 until the horizon or until breakdown.
+    """Glue solver windows onto ``start`` until the horizon, within 1e-12
+    horizon, or until breakdown.
 
-    Each new window freezes at (and restarts from) the previous endpoint; the
-    glued trajectory keeps a single sample at each joint.  On breakdown
-    (window collapse, constraint violation, norm threshold), ``blow_up`` is
-    set and ``t_plus_estimate`` is the reached time, a certified lower bound
-    for the existence time; otherwise it is +inf as far as this run can see.
-    ``on_window(index, t_start, window_state)`` fires after each accepted
-    window, e.g. for checkpointing.  After it has run, the window's
-    trajectory is released: ``windows[i].trajectory`` is None in the
-    returned state, whose glued ``trajectory`` holds the only copy of the
-    samples.
+    ``start`` is the initial state at t = 0 or the trajectory of the run so
+    far, continued from its last state and time; the returned trajectory
+    begins with its samples, in run time.  Each new window freezes at (and
+    restarts from) the previous endpoint, and a joint keeps one sample.  On
+    breakdown (window collapse, constraint violation, norm threshold),
+    ``blow_up`` is set and ``t_plus_estimate`` is the reached time, a
+    certified lower bound for the existence time; otherwise it is +inf as
+    far as this run can see.  ``on_window(index, t_start, window_state)``
+    fires after each accepted window (index among the new windows, start in
+    run time), e.g. for checkpointing; then ``windows[i].trajectory`` is
+    released, its arrays held for the final glue only.
     """
-    if horizon <= t0:
-        raise ValueError(f"horizon {horizon} must exceed the start time {t0}")
-    t = t0
-    u = u0
+    if isinstance(start, WeightedTrajectory):
+        pieces: list = [(0.0, start)]
+        t, u = start.horizon, GridFunction(start.grid, start.state_values[-1])
+    elif horizon <= 0.0:
+        raise ValueError(f"horizon {horizon} must be positive")
+    else:
+        pieces, t, u = [], 0.0, start
     windows: list = []
     blow_up = False
     reason = None
-    pieces: list = []
-    end_tol = 1e-12 * max(1.0, horizon)
+    end_tol = 1e-12 * horizon
     while t < horizon - end_tol:
         # a remainder within end_tol of a window takes the whole window, so that a
         # run resumed at a window boundary solves the windows of an uninterrupted one
@@ -612,8 +619,7 @@ def continue_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointCo
             blow_up = True
             reason = f"sup norm reached blow-up threshold {cfg.blowup_threshold:g}"
             break
-    # trajectory time is local to the start of this continuation run
-    trajectory = glue(pieces, cfg.mu, cfg.p, t0) if pieces else None
+    trajectory = glue(pieces, cfg.mu, cfg.p) if pieces else None
     return ContinuationState(
         windows=windows,
         t_plus_estimate=t if blow_up else math.inf,

@@ -230,18 +230,19 @@ def difference(a: WeightedTrajectory, b: WeightedTrajectory) -> WeightedTrajecto
     return WeightedTrajectory(a.times, a.state_values - b.state_values, derivs, a.mu, a.p)
 
 
-def glue(windows: list, mu: float, p: float, t0: float = 0.0) -> WeightedTrajectory:
+def glue(windows: list, mu: float, p: float) -> WeightedTrajectory:
     """Join ``(t_start, trajectory)`` windows that abut in absolute time.
 
     Every window after the first drops its sample at the joint; the glued
-    time axis starts at ``t0``.  Raises ValueError on a gap between windows.
+    time axis is absolute.  Raises ValueError on a gap between windows of
+    more than 1e-12 of the joint's time.
     """
     for (s0, a), (s1, _) in zip(windows, windows[1:]):
         end = s0 + a.times[-1]
-        if abs(end - s1) > 1e-12 * max(1.0, abs(end)):
+        if abs(end - s1) > 1e-12 * abs(end):
             raise ValueError(f"windows do not abut: {end} vs {s1}")
     cuts = [slice(min(k, 1), None) for k in range(len(windows))]
-    times = np.concatenate([s + w.times[c] for c, (s, w) in zip(cuts, windows)]) - t0
+    times = np.concatenate([s + w.times[c] for c, (s, w) in zip(cuts, windows)])
     states = np.concatenate([w.state_values[c] for c, (_, w) in zip(cuts, windows)])
     derivs = np.concatenate([w.deriv_values[c] for c, (_, w) in zip(cuts, windows)])
     return WeightedTrajectory(times, states, derivs, mu, p)

@@ -261,11 +261,13 @@ def _run_files(out: Path) -> dict:
 
 
 @settings(max_examples=40, deadline=None)
-@given(boundary=st.integers(2, 6).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w - 1))),
+@given(boundary=st.integers(2, 6).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
        window=st.sampled_from([0.005, 0.01, 0.02]),
        propagator=st.sampled_from(["euler", "spectral"]))
 # 0.03 - 0.02 falls one ulp short of the window
 @example(boundary=(4, 3), window=0.01, propagator="euler")
+# a resume of a finished run runs no window and rewrites the same bytes
+@example(boundary=(3, 3), window=0.01, propagator="euler")
 def test_resume_at_any_window_boundary_reproduces_the_uninterrupted_bytes(
         boundary, window, propagator):
     n_windows, k = boundary
@@ -284,6 +286,42 @@ def test_resume_at_any_window_boundary_reproduces_the_uninterrupted_bytes(
         run(stop, "resumed")
         run(full, "resumed", "--resume")
         assert _run_files(root / "full") == _run_files(root / "resumed")
+
+
+def test_resume_with_a_shorter_horizon_keeps_the_run_so_far(tmp_path):
+    def cfg(horizon):
+        c = heat_cfg()
+        c["solver"]["horizon"] = horizon
+        return write_cfg(tmp_path / f"{horizon!r}.json", c)
+
+    full, short = cfg(0.06), cfg(0.02)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", full, "--out", str(a)]) == 0
+    assert main(["run", "--config", full, "--out", str(b)]) == 0
+    assert main(["run", "--config", short, "--out", str(b), "--resume"]) == 0
+    summary = json.loads((b / "summary.json").read_text())
+    assert summary["t_reached"] == json.loads((a / "summary.json").read_text())["t_reached"]
+    assert summary["t_reached"] == pytest.approx(0.06)
+    assert summary["n_windows"] == 3
+    for name in ("trajectory.npz", "timeseries.csv", "window_0002.npz"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("solver,n_windows", [
+    ({"horizon": 1e-13}, 1),
+    ({"window": 1e-12, "horizon": 1.5e-12}, 2),
+    ({"window": 4e-13, "horizon": 1e-12}, 3),
+], ids=["one", "two", "three"])
+def test_a_horizon_below_one_is_solved_to_its_end(tmp_path, solver, n_windows):
+    cfg = tiny_cfg()
+    cfg["solver"].update(solver)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    assert summary["n_windows"] == n_windows
+    assert summary["t_reached"] == solver["horizon"]
 
 
 # a run that writes every kind of file, into the directory a rerun reuses

@@ -1042,15 +1042,28 @@ def test_continuation_from_interior_start_time():
     grid, prob = heat_problem(24)
     u0, _ = eigenmode(grid, 1, amp=0.5)
     cfg = FixedPointConfig(window=0.05, time_steps=8, mu=MU, p=P)
+    starts_once = []
+    once = continue_solution(u0, prob, cfg, horizon=0.2,
+                             on_window=lambda i, t, w: starts_once.append(t))
+    first = continue_solution(u0, prob, cfg, horizon=0.1)
     seen = []
-    st = continue_solution(u0, prob, cfg, horizon=0.2, t0=0.1,
-                           on_window=lambda i, t, w: seen.append(t))
-    # trajectory time is local, checkpoint times are absolute
-    assert st.trajectory.times[0] == 0.0
-    assert st.trajectory.times[-1] == pytest.approx(0.1)
-    assert np.allclose(seen, [0.1, 0.15])
+    st = continue_solution(first.trajectory, prob, cfg, horizon=0.2,
+                           on_window=lambda i, t, w: seen.append((i, t)))
+    # the continuation is in run time and begins with the run so far, so it
+    # is the uninterrupted run bit for bit
+    for name in ("times", "state_values", "deriv_values"):
+        assert np.array_equal(getattr(st.trajectory, name), getattr(once.trajectory, name))
+    # the new windows are indexed from 0 and start in run time
+    assert [i for i, _ in seen] == [0, 1]
+    assert [t for _, t in seen] == starts_once[2:]
+    assert np.allclose([t for _, t in seen], [0.1, 0.15])
     with pytest.raises(ValueError):
-        continue_solution(u0, prob, cfg, horizon=0.05, t0=0.1)
+        continue_solution(u0, prob, cfg, horizon=0.0)
+    # a start that reaches the horizon, or passes it, runs no window
+    for horizon in (0.2, 0.15):
+        done = continue_solution(st.trajectory, prob, cfg, horizon=horizon)
+        assert done.windows == [] and not done.blow_up
+        assert np.array_equal(done.trajectory.times, once.trajectory.times)
 
 
 def test_continuation_keeps_one_copy_of_the_samples():

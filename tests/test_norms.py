@@ -27,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 
 from parabolab.grids import Grid, GridFunction, NonFiniteError
 from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory,
-                             difference, lq_norm, lq_norms, proxy_norm,
+                             difference, glue, lq_norm, lq_norms, proxy_norm,
                              smoothing_check, verify_interpolation_inequality,
                              weighted_time_factor, x1_norm, x1_norms)
 from parabolab.operators import STENCILS, eigendecompose, reference_operator
@@ -248,6 +248,17 @@ def test_difference_requires_matching_grids():
     tc = make_traj([0.0, 0.4, 1.0], lambda t: U * t, None, grid)
     with pytest.raises(ValueError):
         difference(ta, tc)
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-13])
+def test_glue_refuses_a_gap_of_one_window_at_any_time_scale(length):
+    grid = Grid(1, 9)
+    U = cos_field(grid).values
+    window = make_traj([0.0, length / 2, length], lambda t: U, lambda t: U, grid)
+    glued = glue([(0.0, window), (length, window)], MU, P)
+    assert np.array_equal(glued.times, [0.0, length / 2, length, 1.5 * length, 2 * length])
+    with pytest.raises(ValueError, match="windows do not abut"):
+        glue([(0.0, window), (2 * length, window)], MU, P)
 
 
 # ---------------------------------------------------------------- quadrature
