@@ -24,6 +24,11 @@ better, the change of the median in percent, whether that change exceeds
 the parent's interquartile range, and whether the gain rule holds: the
 change is strictly better in at least 9 of 10 pairs and its median is
 better than the parent's by more than the parent's interquartile range.
+Each run also records the host's CPU steal share over it, the growth of the
+steal time in the aggregate ``cpu`` line of ``/proc/stat`` divided by the
+growth of the total time there, or null where that file is missing: on a
+virtual machine, time stolen by other guests slows a run without showing in
+its own CPU time.
 The end-to-end metrics, their direction and the run length S are those of
 ``BENCHMARK.json`` in the current checkout; the machine and the source
 digest of each side are those its first run reports.
@@ -57,6 +62,7 @@ METHOD = ("one parent/change pair per seed, parent and change each run from its 
           "statistics here are over those per-run values (quartiles by linear interpolation)")
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 FIRST_SEED = 2101
+PROC_STAT = Path("/proc/stat")
 
 
 def describe(runs: list) -> dict:
@@ -112,6 +118,26 @@ def _compile(tree: Path) -> None:
                    check=True, stdout=subprocess.DEVNULL)
 
 
+def _cpu_times():
+    """(steal, total) of the aggregate ``cpu`` line of ``PROC_STAT``, in
+    clock ticks, or None where the file is missing.  The total is the sum of
+    the first eight fields, user to steal; guest time is part of user time."""
+    try:
+        fields = PROC_STAT.read_text().splitlines()[0].split()
+    except OSError:
+        return None
+    ticks = [int(v) for v in fields[1:9]]
+    return ticks[7], sum(ticks)
+
+
+def _steal_share(before, after):
+    """The share of the host's CPU time stolen between two ``_cpu_times``
+    readings, or None without both or when no time passed."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return round((after[0] - before[0]) / (after[1] - before[1]), 4)
+
+
 class RunFailed(Exception):
     """A benchmark run that exited non-zero."""
 
@@ -138,9 +164,11 @@ def bench_workload(trees: dict, workload: str, pairs: int, metrics: list,
     first reported machine.  A failed run ends the workload: the statistics
     cover the pairs finished before it, and ``failed_run`` names it."""
     values = {side: {m["name"]: [] for m in metrics} for side in trees}
+    steal = {side: [] for side in trees}
     ok, failed, done = True, None, 0
     for k in range(pairs):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            start = _cpu_times()
             try:
                 report = _run(trees[side], workload, FIRST_SEED + k)
             except RunFailed as exc:
@@ -148,6 +176,7 @@ def bench_workload(trees: dict, workload: str, pairs: int, metrics: list,
                           "exit_code": exc.exit_code}
                 print(f"{workload} pair {k + 1}/{pairs} {side}: {exc}", file=sys.stderr)
                 break
+            steal[side].append(_steal_share(start, _cpu_times()))
             machines.setdefault(side, report["machine"])
             result = report["result"]
             ok = ok and result["correct"]
@@ -167,6 +196,7 @@ def bench_workload(trees: dict, workload: str, pairs: int, metrics: list,
                     for m in metrics} if done else {},
         "pairs": done, "parent_first": [k % 2 == 0 for k in range(done)],
         "seeds": list(range(FIRST_SEED, FIRST_SEED + done)),
+        "steal_share": {side: shares[:done] for side, shares in steal.items()},
     }
 
 

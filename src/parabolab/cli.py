@@ -251,7 +251,7 @@ def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int) -
         intervals = zip(edges[:-1], edges[1:])
     return [[lo, hi, E0mu_norm(traj, interval=(lo, hi), q=q),
              E1mu_norm(traj, interval=(lo, hi), q=q, order=order)]
-            if hi <= traj.horizon + 1e-12 else [lo, hi, None, None]
+            if hi <= traj.horizon + 1e-12 * traj.horizon else [lo, hi, None, None]
             for lo, hi in intervals]
 
 

@@ -244,22 +244,27 @@ class _EulerStepper:
     def __init__(self, A0: LinearOperator, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        self.factors = step_factors(A0, np.diff(times))
+        self.dts = np.diff(times)
+        self.factors = step_factors(A0, self.dts)
 
     def run(self, u_init: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
         """The (K+1, n) states from u_init, with one finiteness check over
-        all of them rather than one per solve."""
+        all of them rather than one per solve.  Each step solves in place in
+        its row of the output, so a run allocates no other array that size."""
         us = np.empty((len(self.times), len(u_init)))
         us[0] = u_init
-        # step k solves with b_k = us[k] + dt_k*rhs[k+1], added in place to
-        # the increment (addition commutes, so the bits are the same)
-        bs = us[:-1] if rhs is None else np.diff(self.times)[:, None] * rhs[1:]
+        # step k solves in place with b_k = dt_k*rhs[k+1] + us[k] in row k+1
+        # (addition commutes, so the bits are those of us[k] + dt_k*rhs[k+1])
+        if rhs is not None:
+            np.multiply(self.dts[:, None], rhs[1:], out=us[1:])
         for k, factor in enumerate(self.factors):
-            b = bs[k]
-            if rhs is not None:
-                b += us[k]
-            us[k + 1] = factor.solve(b)
-        if not np.all(np.isfinite(us)):
+            if rhs is None:
+                us[k + 1] = us[k]
+            else:
+                us[k + 1] += us[k]
+            factor.solve(us[k + 1])
+        # the extremes are NaN or infinite where an entry is, with no temporary
+        if not (np.isfinite(us.min()) and np.isfinite(us.max())):
             # a non-finite value stays non-finite in later steps, so the
             # first non-finite state names the failing step
             k = max(int(np.argmin(np.isfinite(us).all(axis=1))) - 1, 0)
@@ -403,7 +408,8 @@ def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
     r0 = rhs[0] if rhs is not None else 0.0
     dvecs = np.empty_like(vecs)
     dvecs[0] = r0 - A0.dot(vecs[0])
-    dvecs[1:] = np.diff(vecs, axis=0) / np.diff(stepper.times)[:, None]
+    np.subtract(vecs[1:], vecs[:-1], out=dvecs[1:])
+    dvecs[1:] /= np.diff(stepper.times)[:, None]
     return WeightedTrajectory(stepper.times, A0.scatter(vecs), A0.scatter(dvecs),
                               cfg.mu, cfg.p)
 

@@ -255,7 +255,7 @@ class Diagonals:
         """The product with each vector along the last axis of ``x``; every
         row adds its terms to zero by ascending diagonal.  The tiles are
         made per call and sized to the stack, so a matrix keeps no state."""
-        n, offsets = self.n, self.offsets
+        n, offsets = self.n, self.offsets.tolist()
         x = np.asarray(x)
         out = np.zeros(x.shape)
         vectors, sums = x.reshape(-1, n), out.reshape(-1, n)
@@ -263,8 +263,9 @@ class Diagonals:
         flat_x, flat_sums = vectors.ravel(), sums.ravel()
         term = np.zeros(step * n)
         tiles = np.tile(self.data, step)  # each diagonal tiled over a block
-        rows = np.arange(n)
-        edge = rows[(rows < -offsets.min(initial=0)) | (rows >= n - offsets.max(initial=0))]
+        # edge rows: rows i < left and i >= n - right reach past their vector
+        left, right = -min([0, *offsets]), max([0, *offsets])
+        edge = np.array([*range(min(left, n)), *range(max(left, n - right), n)], dtype=np.intp)
         # an overflow or inf - inf among the terms leaves inf or nan in the
         # sums, without a warning; edge rows also see other vectors' entries
         with np.errstate(all="ignore"):
@@ -275,16 +276,15 @@ class Diagonals:
             for start in range(0, len(flat_x), step * n):
                 size = min(step * n, len(flat_x) - start)
                 block = flat_x[start:start + size]
-                for off, tiled in zip(offsets.tolist(), tiles):
+                for off, tiled in zip(offsets, tiles):
                     lo, hi = max(0, -off), size - max(0, off)
                     np.multiply(block[lo + off:hi + off], tiled[lo:hi], out=term[lo:hi])
                     flat_sums[start:start + size] += term[:size]
             if len(edge):
                 edge_sums = np.zeros((len(vectors), len(edge)))
                 # a column past the matrix is clipped to it, its entry 0
-                cols = np.clip(edge + offsets[:, None], 0, n - 1)
-                for c, d in zip(cols, self.data[:, edge]):
-                    edge_sums += vectors[:, c] * d
+                for off, d in zip(offsets, self.data[:, edge]):
+                    edge_sums += vectors.take(edge + off, axis=1, mode="clip") * d
                 sums[:, edge] = edge_sums
         return out
 
@@ -554,7 +554,8 @@ def scaled_bands(ab: np.ndarray, scales, row: int, shift) -> np.ndarray:
 
 class BandedLU:
     """LU factors of ``ab``, a matrix in ``to_banded`` storage, factored in
-    place (LAPACK gbtrf/gbtrs).  A zero pivot raises SolverError."""
+    place (LAPACK gbtrf/gbtrs); ``solve(b)`` writes x over ``b``, a contiguous
+    float vector, and returns it.  A zero pivot raises SolverError."""
 
     __slots__ = ("lu", "piv", "kl", "ku")
     routine = "dgbtrs"
@@ -567,7 +568,7 @@ class BandedLU:
         self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = _lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        x, info = _lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)
         if info != 0:
             raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x
@@ -576,9 +577,10 @@ class BandedLU:
 class BandedCholesky:
     """Cholesky factor of ``ab``, ``diag(w) @ M`` in ``to_symmetric_banded``
     storage for M symmetric in the pairing w, factored in place (LAPACK
-    pbtrf/pbtrs); ``solve(b)`` solves ``M x = b`` through the right-hand side
-    ``w*b``.  A matrix that is not positive definite raises
-    NotPositiveDefiniteError."""
+    pbtrf/pbtrs); ``solve(b)`` solves ``M x = b`` in place, through the
+    right-hand side ``w*b`` formed over ``b``, a contiguous float vector, and
+    returns x written over it.  A matrix that is not positive definite
+    raises NotPositiveDefiniteError."""
 
     __slots__ = ("c", "w")
     routine = "dpbtrs"
@@ -591,7 +593,8 @@ class BandedCholesky:
         self.c, self.w = c, w
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = _lapack.dpbtrs(self.c, self.w * b)
+        b *= self.w
+        x, info = _lapack.dpbtrs(self.c, b, overwrite_b=1)
         if info != 0:
             raise SolverError(f"banded solve failed: {self.routine} info {info}")
         return x

@@ -242,9 +242,9 @@ def linear_heat_spec(grid: Grid) -> ReactionDiffusionSpec:
     )
 
 
-# Stacked right-hand sides are evaluated this many grid nodes at a time
-# (samples x nodes per block), which bounds their temporaries to a few MB.
-_BLOCK_NODES = 8192
+# Stacked right-hand sides are evaluated this many grid nodes at a time (7
+# samples of a 48^2 grid), which bounds their temporaries to a few MB.
+_BLOCK_NODES = 16384
 
 
 def _in_blocks(fn, grid: Grid):

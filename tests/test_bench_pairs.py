@@ -119,3 +119,32 @@ def test_each_tree_is_byte_compiled_before_its_runs(tmp_path, monkeypatch):
     assert len(sources) == 3
     for source in sources:
         assert os.path.isfile(importlib.util.cache_from_source(source))
+
+
+def _fake_run(tree, workload, seed):
+    metrics = [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+    return {"machine": {"source_sha256": tree.name},
+            "result": {"correct": True, "metrics": {name: {"value": 1.0} for name in metrics}}}
+
+
+def test_each_run_records_the_hosts_steal_share(monkeypatch):
+    # cumulative (steal, total) ticks read before and after each run, in
+    # run order: parent and change in pair 1, change and parent in pair 2
+    readings = iter([(10, 100), (15, 200), (15, 200), (15, 300),
+                     None, (20, 400), (20, 400), (20, 400)])
+    monkeypatch.setattr(bench_pairs, "_cpu_times", lambda: next(readings))
+    monkeypatch.setattr(bench_pairs, "_run", _fake_run)
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    result = bench_pairs.bench_workload(trees, "w", 2, bench_pairs.BENCHMARK["end_to_end"], {})
+    # a missing reading, or no time between two, records null
+    assert result["steal_share"] == {"parent": [0.05, None], "change": [0.0, None]}
+
+
+def test_the_steal_reader_takes_the_aggregate_cpu_line(monkeypatch, tmp_path):
+    stat = tmp_path / "stat"
+    stat.write_text("cpu  100 5 50 800 10 0 5 30 7 0\ncpu0 1 2 3 4 5 6 7 8 9 10\n")
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
+    # steal is the eighth field; guest time (ninth) is already in user time
+    assert bench_pairs._cpu_times() == (30, 1000)
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "missing")
+    assert bench_pairs._cpu_times() is None

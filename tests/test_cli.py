@@ -731,6 +731,17 @@ def test_norms_delta_outside_the_horizon_exits_4(tmp_path, long_heat_run, capsys
     assert not csv_path.exists() and not json_path.exists()
 
 
+def test_an_interval_past_a_short_horizon_has_no_norms():
+    # the end of the run is taken within 1e-12 of its horizon, not within
+    # an absolute 1e-12, which would cover four more horizons of this run
+    grid = Grid(1, 9)
+    ones = np.ones((5,) + grid.shape + (1,))
+    traj = WeightedTrajectory(np.linspace(0.0, 1e-13, 5), ones, 0.0 * ones, 0.9, 2.0)
+    past, whole = cli._interval_norms(traj, [(0.0, 5e-13), (0.0, 1e-13)], 2.0, 2)
+    assert past == [0.0, 5e-13, None, None]
+    assert whole[2] == E0mu_norm(traj) and whole[3] is not None
+
+
 @pytest.mark.parametrize("command,option,value", [
     ("norms", "--q", "0.5"),
     ("norms", "--mu", "1.5"),

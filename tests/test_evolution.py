@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -346,6 +347,32 @@ def test_non_finite_march_raises_the_failing_steps_error(case, factor, routine, 
         stepper.run(u0, rhs)
     with pytest.raises(SolverError, match=routine):
         stepper.run(np.full(A.n_active, bad), None)
+
+
+@pytest.mark.parametrize("case", ["neumann-2d", "clamped-2d"])
+def test_a_banded_march_allocates_only_its_states(case):
+    # every step solves in place in its row of the (K+1, n) output, so the
+    # march's peak is that array and a constant, with a rhs or without: at
+    # most numpy's ufunc buffer (getbufsize() entries) and small objects;
+    # K is large enough that a (K+1, n) array of bools exceeds that
+    grid, ncomp, build, factor = ORACLE_CASES[case]
+    bump = 0.3 * np.ones(grid.shape)
+    for x in grid.coords():
+        bump = bump * np.sin(np.pi * x) ** 2
+    A = build(grid)(GridFunction.from_scalar(grid, bump))
+    steps, n = 800, A.n_active
+    stepper = evolution._EulerStepper(A, graded_times(0.01, steps, 2.0))
+    assert [type(f) for f in stepper.factors] == [factor] * steps
+    u0 = np.linspace(-1.0, 1.0, n)
+    for rhs in (None, np.ones((steps + 1, n))):
+        tracemalloc.start()
+        try:
+            us = stepper.run(u0, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(us))
+        assert peak <= (steps + 1) * n * 8 + np.getbufsize() * 8 + 4096
 
 
 @pytest.mark.parametrize("tables", ["_euler_tables", "_spectral_tables"])

@@ -186,7 +186,7 @@ def test_lq_norms_equal_the_euclidean_reference_bitwise(data):
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
     grid = Grid(dim, data.draw(st.integers(8, 12), label="nodes"))
     ncomp = data.draw(st.sampled_from([1, 2]), label="ncomp")
-    q = data.draw(st.sampled_from([1.0, 2.0, 3.5, 4.0]), label="q")
+    q = data.draw(st.sampled_from([1.0, 2.0, 3.0, 3.5]), label="q")
     samples = data.draw(st.integers(1, 3), label="samples")
     magnitude = st.just(0.0) | st.floats(1e-150, 1e150)
     element = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
@@ -197,6 +197,25 @@ def test_lq_norms_equal_the_euclidean_reference_bitwise(data):
         mag = np.sqrt(np.sum(values ** 2, axis=-1)) ** q * grid.trapezoid_weights()
         want = np.sum(mag, axis=tuple(range(-dim, 0))) ** (1.0 / q)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lq_norms_at_q4_are_within_roundoff_of_the_float_power(data):
+    # q = 4 squares twice, an ulp or two from the float power per entry;
+    # the magnitudes keep v**4 clear of underflow and overflow
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 12), label="nodes"))
+    ncomp = data.draw(st.sampled_from([1, 2]), label="ncomp")
+    samples = data.draw(st.integers(1, 3), label="samples")
+    magnitude = st.just(0.0) | st.floats(1e-60, 1e60)
+    element = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
+                              elements=element), label="values")
+    got = lq_norms(values, grid, 4.0)
+    mag = np.sqrt(np.sum(values ** 2, axis=-1)) ** 4.0 * grid.trapezoid_weights()
+    want = np.sum(mag, axis=tuple(range(-dim, 0))) ** 0.25
+    assert np.all(np.abs(got - want) <= 4e-16 * want)
 
 
 # ---------------------------------------------------------------- trajectory
@@ -236,6 +255,21 @@ def test_state_at_linear_interpolation():
     assert np.allclose(mid, 0.3 * U, atol=1e-12)
     with pytest.raises(ValueError):
         traj.states_at([1.5])
+
+
+def test_time_ranges_scale_with_a_short_horizon():
+    # past the end of a run of 1e-13 by four horizons: outside, not within
+    # an absolute slack of 1e-12
+    grid = Grid(1, 9)
+    U = cos_field(grid).values
+    traj = make_traj(np.linspace(0.0, 1e-13, 5), lambda t: U * (1.0 + t), None, grid)
+    with pytest.raises(ValueError, match="not covered"):
+        E0mu_norm(traj, interval=(0.0, 5e-13))
+    with pytest.raises(ValueError, match="outside trajectory range"):
+        traj.states_at([5e-13])
+    # the horizon itself, and a rounding past it, stay inside
+    assert E0mu_norm(traj, interval=(0.0, 1e-13 * (1.0 + 1e-15))) == E0mu_norm(traj)
+    assert np.array_equal(traj.states_at([1e-13])[0], traj.state_values[-1])
 
 
 def test_difference_requires_matching_grids():

@@ -231,7 +231,8 @@ def test_banded_solve_matches_dense():
     rng = np.random.default_rng(7)
     op = reference_operator(grid, "second").shifted(1.0)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
+    # solve writes x over its argument, so it gets a copy
+    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values).copy())
     dense = np.linalg.solve(op.toarray(), op.gather(rhs.values))
     assert np.allclose(x, dense, atol=1e-11)
 
@@ -241,7 +242,7 @@ def test_banded_solve_clamped_fourth():
     rng = np.random.default_rng(9)
     op = reference_operator(grid, "fourth").shifted(0.5)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
+    x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values).copy())
     res = op.dot(x) - op.gather(rhs.values)
     assert np.max(np.abs(res)) < 1e-8
 
@@ -252,7 +253,7 @@ def test_singular_solve_raises():
     op = operator_from_full_matrix(grid, 1, NEU, diag)
     rhs = GridFunction.from_scalar(grid, np.ones(grid.shape))
     with pytest.raises(SolverError):
-        BandedLU(*op.to_banded()).solve(op.gather(rhs.values))
+        BandedLU(*op.to_banded()).solve(op.gather(rhs.values).copy())
 
 
 def test_banded_cholesky_errors():
@@ -264,6 +265,47 @@ def test_banded_cholesky_errors():
     factor = BandedCholesky(scaled_bands(ab, [1e-2], -1, op.weights)[0].T, op.weights)
     # solve leaves the finiteness check to its caller, the implicit Euler march
     assert not np.all(np.isfinite(factor.solve(np.full(op.n_active, np.inf))))
+
+
+def _gb_storage(dense: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """``dense`` in LAPACK gbtrf storage, with the kl fill rows."""
+    n = len(dense)
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            ab[kl + ku + i - j, j] = dense[i, j]
+    return ab
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), kl=st.integers(0, 3), ku=st.integers(0, 3), spd=st.booleans(),
+       row=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_in_place_solves_have_the_bits_of_a_solve_into_a_new_array(n, kl, ku, spd, row, seed):
+    # a diagonally dominant band, general or symmetric positive definite
+    # (upper band ku), solved in place in one row of a stack of three
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-1.0, 1.0, (n, n))
+    if spd:
+        dense = np.triu(dense) + np.triu(dense, 1).T
+        kl = ku
+    dense = np.tril(np.triu(dense, -kl), ku)
+    dense += np.diag(np.sum(np.abs(dense), axis=1) + 1.0)
+    stack = rng.uniform(-1.0, 1.0, (3, n))
+    before = stack.copy()
+    if spd:
+        w = rng.uniform(0.5, 2.0, n)
+        # with no subdiagonal, gbtrf storage is pbtrf's upper band storage
+        factor = BandedCholesky(_gb_storage(dense, 0, ku), w)
+        fresh, info = operators._lapack.dpbtrs(factor.c, w * stack[row])
+    else:
+        factor = BandedLU(_gb_storage(dense, kl, ku), (kl, ku))
+        fresh, info = operators._lapack.dgbtrs(factor.lu, kl, ku, stack[row], factor.piv)
+    assert info == 0
+    x = factor.solve(stack[row])
+    assert np.shares_memory(x, stack[row])
+    assert stack[row].tobytes() == fresh.tobytes()
+    others = [k for k in range(3) if k != row]
+    assert stack[others].tobytes() == before[others].tobytes()
 
 
 # ---------------------------------------------------------------- spectra
@@ -874,8 +916,8 @@ def test_lapack_fallback_gives_the_same_bits(monkeypatch):
         chol = BandedCholesky(op.to_symmetric_banded(), op.weights)
         b = np.linspace(-1.0, 1.0, op.n_active)
         proxy = eigendecompose(plate)
-        return [lu.lu, lu.piv, lu.solve(b), chol.c, chol.solve(b), proxy.eigenvalues,
-                proxy.modes]
+        return [lu.lu, lu.piv, lu.solve(b.copy()), chol.c, chol.solve(b.copy()),
+                proxy.eigenvalues, proxy.modes]
 
     monkeypatch.setattr(operators, "_EIG_CACHE", {})
     direct = results()
