@@ -14,22 +14,18 @@ from .exponents import (ExponentConfig, StructureExponents, admissibility_report
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import (LinearOperator, SolverError, SpectralProxy, derivative,
                         eigendecompose, reference_operator)
-from .norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, lq_norm,
-                    proxy_norm, smoothing_check, verify_interpolation_inequality,
-                    weighted_time_factor, x1_norm)
-from .geometry import (geometry_fields, laplace_beltrami, mean_curvature,
-                       surface_diffusion_rhs, tilt_factor, trace_L_squared,
-                       unit_normal, willmore_rhs)
-from .symbols import (coarse_ellipticity_bound, ellipticity_scan, ls_roots,
-                      ls_scan, principal_symbol, sharp_ellipticity_bound)
+from .norms import (E0mu_norm, E1mu_norm, WeightedTrajectory, proxy_norm,
+                    smoothing_check, verify_interpolation_inequality, x1_norm)
+from .geometry import surface_diffusion_rhs, willmore_rhs
+from .symbols import (coarse_ellipticity_bound, ellipticity_scan, ls_scan,
+                      sharp_ellipticity_bound)
 from .evolution import (AbstractProblem, ContinuationState, FixedPointConfig,
                         NonconvergenceError, StateConstraintError,
-                        continue_solution, fixed_point_solve, kappa_shift,
-                        lipschitz_probe, omega_limit, picard_map,
-                        reference_solution)
+                        continue_solution, fixed_point_solve, lipschitz_probe,
+                        omega_limit, picard_map, reference_solution)
 from .problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
-                       flow_problem, linear_heat_spec, rd_divergence_oracle,
-                       rd_problem, spectrum_positivity_check)
+                       flow_problem, linear_heat_spec, rd_problem,
+                       spectrum_positivity_check)
 from .checkpoint import CheckpointError, load_trajectory, save_trajectory
 
 __all__ = [
@@ -42,13 +38,10 @@ __all__ = [
     "beta_window", "check_F2_exponents", "check_dimensional",
     "coarse_ellipticity_bound", "continue_solution", "derivative",
     "eigendecompose", "ellipticity_scan", "fixed_point_solve", "flow_problem",
-    "geometry_fields", "kappa_shift", "laplace_beltrami", "linear_heat_spec",
-    "lipschitz_probe", "load_trajectory", "lq_norm", "ls_roots", "ls_scan",
-    "mean_curvature", "omega_limit", "picard_map", "principal_symbol",
-    "proxy_norm", "rd_divergence_oracle", "rd_problem", "reference_operator",
-    "reference_solution", "save_trajectory", "sharp_ellipticity_bound",
-    "smoothing_check", "spectrum_positivity_check",
-    "surface_diffusion_rhs", "tilt_factor", "trace_L_squared", "unit_normal",
-    "verify_interpolation_inequality", "weighted_time_factor", "willmore_rhs",
+    "linear_heat_spec", "lipschitz_probe", "load_trajectory", "ls_scan",
+    "omega_limit", "picard_map", "proxy_norm", "rd_problem",
+    "reference_operator", "reference_solution", "save_trajectory",
+    "sharp_ellipticity_bound", "smoothing_check", "spectrum_positivity_check",
+    "surface_diffusion_rhs", "verify_interpolation_inequality", "willmore_rhs",
     "x1_norm",
 ]

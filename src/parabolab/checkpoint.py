@@ -69,7 +69,8 @@ def load_trajectory(path):
     """Read a checkpoint back; returns (trajectory, meta).
 
     A file that cannot be read as a checkpoint (truncated, not a zip file,
-    malformed arrays or meta) raises ``CheckpointError``.
+    malformed arrays, or a meta that is not a JSON object) raises
+    ``CheckpointError``.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is bad,
@@ -90,6 +91,8 @@ def load_trajectory(path):
             traj = WeightedTrajectory(data["times"], data["states"], data["derivs"],
                                       float(data["mu"]), float(data["p"]))
             meta = json.loads(str(data["meta"])) if "meta" in data.files else {}
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"checkpoint {path}: meta is not a JSON object")
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     return traj, meta

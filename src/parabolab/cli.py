@@ -238,7 +238,7 @@ def _glue_windows(loaded: list, out_dir: Path, mu: float, p: float) -> WeightedT
     ``out_dir`` into one absolute-time trajectory."""
     try:
         return glue([(float(meta.get("t_start", 0.0)), traj) for traj, meta in loaded], mu, p)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ckpt.CheckpointError(f"window files under {out_dir}: {exc}") from exc
 
 
@@ -420,11 +420,12 @@ def cmd_run(args) -> int:
 def _load_saved(path):
     """A saved trajectory with the differential order and bc it was computed for."""
     traj, meta = ckpt.load_trajectory(path)
-    try:
-        order = ORDER_INT[meta.get("order", ORDER_SECOND)]
-        return traj, order, BoundaryCondition(meta.get("bc", "neumann"))
-    except (KeyError, ValueError) as exc:
-        raise ckpt.CheckpointError(f"checkpoint {path}: unknown order or bc {exc}") from exc
+    order, bc = meta.get("order", ORDER_SECOND), meta.get("bc", "neumann")
+    # only a string names one; a JSON list or object is not even hashable
+    if not (isinstance(order, str) and order in ORDER_INT
+            and isinstance(bc, str) and bc in {b.value for b in BoundaryCondition}):
+        raise ckpt.CheckpointError(f"checkpoint {path}: unknown order or bc {order!r}, {bc!r}")
+    return traj, ORDER_INT[order], BoundaryCondition(bc)
 
 
 def cmd_norms(args) -> int:

@@ -88,7 +88,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,7 +135,7 @@ class AbstractProblem:
     axes are samples, so G must not mix them.  It may assume that its input
     satisfies ``state_constraint`` and may return non-finite values, which
     the caller rejects.  G does not depend on the frozen operator, so it is
-    invariant under ``kappa_shift``.
+    invariant under a shift A + kappa*I, F1 + kappa*id.
 
     Without G, ``G_values`` falls back to the hooks.  It checks the input
     stack for finiteness once (NonFiniteError), then hands each sample to
@@ -356,7 +356,7 @@ class _ModalStepper:
         us = np.empty((len(c), len(u_init)))
         us[0] = u_init
         np.matmul(c[1:], self.modes.T, out=us[1:])
-        if not np.isfinite(us).all():
+        if not (np.isfinite(us.min()) and np.isfinite(us.max())):
             raise SolverError("modal march failed: non-finite values")
         return us
 
@@ -435,7 +435,7 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
         g = prob.G_values(values, A0.grid)
     except NonFiniteError as exc:
         raise StateConstraintError("non-finite right-hand side") from exc
-    if not np.all(np.isfinite(g)):
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise StateConstraintError("non-finite right-hand side")
     # G(v) is added into the fresh product (same bits), so G's output is never written
     rhs = A0.dot(A0.gather(values))
@@ -632,29 +632,6 @@ def continue_solution(start: GridFunction | WeightedTrajectory, prob: AbstractPr
         blow_up=blow_up,
         reason=reason,
         trajectory=trajectory,
-    )
-
-
-def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
-    """Equivalent reformulation A + kappa*I, F1 + kappa*id.
-
-    G = F1 + F2 - A(v) v is invariant under the shift and passes through
-    unchanged; F1 is shifted for the callers that use it (the Lipschitz
-    probe, and ``G_values`` when there is no G hook).  At the discrete fixed
-    point the shift cancels identically, so converged trajectories agree
-    with the unshifted problem to solver tolerance.
-    """
-
-    def assemble(v):
-        return prob.assemble_A(v).shifted(kappa)
-
-    def f1(v):
-        return GridFunction(v.grid, prob.F1(v).values + kappa * v.values)
-
-    return AbstractProblem(
-        assemble_A=assemble, F1=f1, F2=prob.F2, bc=prob.bc,
-        state_constraint=prob.state_constraint, order=prob.order,
-        name=f"{prob.name}+shift" if prob.name else "shifted", G=prob.G,
     )
 
 

@@ -27,9 +27,9 @@ empty/degenerate window) rather than rounded into a pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 

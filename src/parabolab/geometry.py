@@ -40,13 +40,12 @@ the stored d_i h, which is the arithmetic of ``derivative_values`` at
 sigma = e_i + e_j.  A flow right-hand side takes the 2 dim + dim (dim - 1)/2
 passes of h and as many of H: 4 in 1D and 10 in 2D, Willmore or surface
 diffusion.  ``surface_diffusion_values``/``willmore_values`` are the stacked
-right-hand sides of the flow problems; the GridFunction functions are
-one-field wrappers.
+right-hand sides of the flow problems; ``surface_diffusion_rhs`` and
+``willmore_rhs`` are their one-field wrappers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -162,42 +161,8 @@ def slope_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack(_grad(values[..., 0], grid), axis=-1)
 
 
-def _normal(g: list, beta: np.ndarray) -> np.ndarray:
-    return np.stack([-(beta * gi) for gi in g] + [beta], axis=-1)
-
-
-def tilt_factor(h: GridFunction) -> GridFunction:
-    """beta = 1/sqrt(1 + |grad h|^2); always in (0, 1]."""
-    return GridFunction.from_scalar(h.grid, _tilt(_grad(h.values[..., 0], h.grid)))
-
-
-def unit_normal(h: GridFunction) -> GridFunction:
-    """Upward unit normal beta * (-grad h, 1), dim+1 components."""
-    g = _grad(h.values[..., 0], h.grid)
-    return GridFunction(h.grid, _normal(g, _tilt(g)))
-
-
-def mean_curvature(h: GridFunction) -> GridFunction:
-    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
-    return GridFunction.from_scalar(h.grid, _mean_curvature(beta, mask, hess))
-
-
-def laplace_beltrami(h: GridFunction, phi: GridFunction) -> GridFunction:
-    """Surface Laplacian of the scalar phi along the graph of h."""
-    if phi.grid != h.grid:
-        raise ValueError("phi must live on the grid of h")
-    g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
-    H = _mean_curvature(beta, mask, hess)
-    out = _laplace_beltrami(g, beta, mask, H, *_jet(phi.values[..., 0], h.grid))
-    return GridFunction.from_scalar(h.grid, out)
-
-
-def trace_L_squared(h: GridFunction) -> GridFunction:
-    """Squared Frobenius norm of the shape operator, beta^2 tr(mask Hess mask Hess)."""
-    _g, hess, beta, mask = _surface(h.values[..., 0], h.grid)
-    return GridFunction.from_scalar(h.grid, _trace_L_squared(beta, mask, hess))
-
-
+# the one-field wrappers are what perfbench/tracer.py times as geometry.rhs,
+# until its rebuild on timers from inside (ROADMAP item 1)
 def surface_diffusion_rhs(h: GridFunction) -> GridFunction:
     """dh/dt = -(1/beta) Lap_Gamma(H)."""
     return GridFunction(h.grid, surface_diffusion_values(h.values, h.grid))
@@ -219,28 +184,3 @@ def leading_coefficient(grad: np.ndarray) -> np.ndarray:
     mask = (np.eye(grad.shape[-1])
             - beta[..., None, None] ** 2 * grad[..., :, None] * grad[..., None, :])
     return np.einsum("...ij,...kl->...ijkl", mask, mask)
-
-
-@dataclass(frozen=True)
-class GeometryFields:
-    beta: GridFunction
-    normal: GridFunction
-    mean_curvature: GridFunction
-    trace_L_sq: GridFunction
-
-
-def geometry_fields(h: GridFunction) -> GeometryFields:
-    """All pointwise fields at once, from one derivative jet, with the basic
-    invariants asserted."""
-    grid = h.grid
-    g, hess, beta, mask = _surface(h.values[..., 0], grid)
-    nu = _normal(g, beta)
-    if np.any(beta <= 0.0) or np.any(beta > 1.0 + 1e-12):
-        raise ValueError("tilt factor left (0, 1]")
-    norm = np.sqrt(np.sum(nu ** 2, axis=-1))
-    if np.max(np.abs(norm - 1.0)) > 1e-10:
-        raise ValueError("normal field is not unit length")
-    return GeometryFields(
-        beta=GridFunction.from_scalar(grid, beta), normal=GridFunction(grid, nu),
-        mean_curvature=GridFunction.from_scalar(grid, _mean_curvature(beta, mask, hess)),
-        trace_L_sq=GridFunction.from_scalar(grid, _trace_L_squared(beta, mask, hess)))

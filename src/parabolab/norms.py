@@ -14,10 +14,10 @@ the t = 0 sample carries zero weight whenever 1 - mu > 0.
 A trajectory stores its K+1 states, and their time derivatives, as one array
 each of shape (K+1, *grid.shape, ncomp); ``states_at`` interpolates states
 into a stack of the same layout.  ``lq_norms``, ``x1_norms`` and
-``proxy_norms`` act on such stacks along their leading axes; ``lq_norm``,
-``x1_norm`` and ``proxy_norm`` are the single-field case on a
-``GridFunction``.  ``x1_norms`` applies A_ref to a whole stack in one
-banded product.
+``proxy_norms`` act on such stacks along their leading axes; ``x1_norm``
+and ``proxy_norm`` are the single-field case on a ``GridFunction``, for
+``lipschitz_probe`` and ``verify_interpolation_inequality``.  ``x1_norms``
+applies A_ref to a whole stack in one banded product.
 
 The per-sample spatial norms depend on (q, order) only, not on mu, p or
 the time interval, so each trajectory computes them once per (q, order)
@@ -49,16 +49,6 @@ from .grids import Grid, GridFunction, NonFiniteError
 from .operators import SpectralProxy, reference_operator
 
 
-def weighted_time_factor(T: float, p: float, mu: float) -> float:
-    """Weighted norm of a constant unit trajectory on (0, T]:
-
-    sigma(T) = T^(1/p + 1 - mu) / (1 + (1 - mu) p)^(1/p),
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    return T ** (1.0 / p + 1.0 - mu) / (1.0 + (1.0 - mu) * p) ** (1.0 / p)
-
-
 def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
     """L_q norm of each field in a stack of shape ``(..., *grid.shape, ncomp)``;
     q = 4 squares twice, within an ulp or two of the float power per entry
@@ -78,11 +68,6 @@ def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
         mag **= q
     mag *= grid.trapezoid_weights()
     return np.sum(mag, axis=tuple(range(-grid.dim, 0))) ** (1.0 / q)
-
-
-def lq_norm(u: GridFunction, q: float = 2.0) -> float:
-    """L_q norm over the domain, Euclidean in the components."""
-    return float(lq_norms(u.values, u.grid, q))
 
 
 def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
@@ -151,7 +136,9 @@ class WeightedTrajectory:
             raise ValueError(f"states shape {states.shape} is not (len(times), *grid.shape, ncomp)")
         if derivs is not None and derivs.shape != states.shape:
             raise ValueError(f"derivs shape {derivs.shape} differs from states {states.shape}")
-        if not (np.all(np.isfinite(states)) and (derivs is None or np.all(np.isfinite(derivs)))):
+        # the extremes are NaN or infinite where an entry is, with no temporary
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
+                   for a in (states, derivs) if a is not None):
             raise NonFiniteError("non-finite trajectory")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -318,35 +317,6 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
         assemble_A=assemble_A, F1=F1, F2=F2, bc=bc, state_constraint=in_box,
         order="second", name=spec.name, G=_in_blocks(G, grid),
     )
-
-
-def rd_divergence_oracle(spec: ReactionDiffusionSpec, u: GridFunction) -> GridFunction:
-    """Conservative-form discretization div(a(u) grad u) for scalar problems.
-
-    Finite-volume fluxes with arithmetic-mean face coefficients and zero
-    boundary flux; the trapezoid-weighted total is exactly zero (telescoping),
-    which is the mass-conservation yardstick for the nondivergence solver.
-    """
-    if spec.ncomp != 1:
-        raise ProblemSpecError("divergence oracle is scalar-only")
-    grid = u.grid
-    h = grid.h
-    vals = u.scalar
-    a_vals = spec.a(u.values)[..., 0, 0]
-    out = np.zeros_like(vals)
-    w1 = np.full(grid.nodes_per_axis, h)
-    w1[0] = w1[-1] = h / 2.0
-    for axis in range(grid.dim):
-        v = np.moveaxis(vals, axis, 0)
-        a = np.moveaxis(a_vals, axis, 0)
-        o = np.moveaxis(out, axis, 0)
-        a_face = 0.5 * (a[1:] + a[:-1])
-        flux = a_face * (v[1:] - v[:-1]) / h
-        shape_pad = (1,) + flux.shape[1:]
-        flux_ext = np.concatenate([np.zeros(shape_pad), flux, np.zeros(shape_pad)], axis=0)
-        vol = w1.reshape((-1,) + (1,) * (flux.ndim - 1))
-        o += (flux_ext[1:] - flux_ext[:-1]) / vol
-    return GridFunction.from_scalar(grid, out)
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def principal_symbol(grad_v, xi) -> float:
-    """(|xi|^2 - beta^2 (g.xi)^2)^2 with beta^2 = 1/(1+|g|^2)."""
-    g = np.asarray(grad_v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if g.shape != xi.shape:
-        raise ValueError(f"gradient shape {g.shape} != direction shape {xi.shape}")
-    beta2 = 1.0 / (1.0 + float(np.dot(g, g)))
-    val = float(np.dot(xi, xi)) - beta2 * float(np.dot(g, xi)) ** 2
-    return val * val
-
-
 def coarse_ellipticity_bound(grad_norm: float) -> float:
     """(1 - g/sqrt(1+g^2))^2, the coarser pointwise lower bound at |grad| = g."""
     g = float(grad_norm)
@@ -107,26 +96,6 @@ def ellipticity_scan(grad_samples, n_directions: int = 64) -> EllipticityReport:
     )
 
 
-@dataclass(frozen=True)
-class LSReport:
-    b: float
-    lam: complex
-    roots_neg: tuple
-    confluent: bool
-    det_abs: float
-    residuals: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "lambda": [self.lam.real, self.lam.imag],
-            "roots_neg": [[z.real, z.imag] for z in self.roots_neg],
-            "confluent": self.confluent,
-            "det_abs": self.det_abs,
-            "residuals": list(self.residuals),
-        }
-
-
 _cmath_sqrt = np.frompyfunc(cmath.sqrt, 1, 1)
 
 
@@ -157,7 +126,9 @@ def _quartic_residuals(z: np.ndarray, b: np.ndarray, lam: np.ndarray) -> np.ndar
 def _boundary_roots(b: np.ndarray, lam: np.ndarray) -> tuple:
     """The stable roots z1, z2, the confluent mask, |det| and the quartic
     residuals of z1 and z2 at each point of the broadcast arrays ``b``
-    (float) and ``lam`` (complex), as the module docstring derives them."""
+    (float) and ``lam`` (complex), as the module docstring derives them.
+    No root touches the imaginary axis when lambda != 0, since a purely
+    imaginary z forces lambda real and negative."""
     b, lam = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(lam, dtype=complex))
     if np.any(bad := ~(b > 0.0)):
         raise ValueError(f"b must be positive, got {b[bad][0]}")
@@ -175,20 +146,6 @@ def _boundary_roots(b: np.ndarray, lam: np.ndarray) -> tuple:
     with np.errstate(over="raise", invalid="raise"):
         residuals = (_quartic_residuals(z1, b, lam), _quartic_residuals(z2, b, lam))
     return z1, z2, confluent, det, residuals
-
-
-def ls_roots(b: float, lam: complex) -> LSReport:
-    """Stable roots of (z^2 - b)^2 = -lambda for b > 0, Re lambda >= 0.
-
-    Exactly two roots have Re z < 0 when lambda != 0 (no root can touch the
-    imaginary axis there, since z purely imaginary forces lambda real
-    negative); at lambda = 0 the stable root -sqrt(b) is double.
-    """
-    b, lam = float(b), complex(lam)
-    z1, z2, confluent, det, (r1, r2) = _boundary_roots(np.array([b]), np.array([lam]))
-    return LSReport(b=b, lam=lam, roots_neg=(complex(z1[0]), complex(z2[0])),
-                    confluent=bool(confluent[0]), det_abs=float(det[0]),
-                    residuals=(float(r1[0]), float(r2[0])))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import surface_fields, weighted_time_factor
 from parabolab.checkpoint import load_trajectory
 from parabolab.cli import main as cli_main
 from parabolab.evolution import (AbstractProblem, FixedPointConfig,
@@ -24,13 +25,9 @@ from parabolab.evolution import (AbstractProblem, FixedPointConfig,
 from parabolab.exponents import (ExponentConfig, StructureExponents,
                                  beta_window, check_dimensional,
                                  check_F2_exponents)
-from parabolab.geometry import (mean_curvature, surface_diffusion_rhs,
-                                tilt_factor, trace_L_squared, unit_normal,
-                                willmore_rhs)
+from parabolab.geometry import surface_diffusion_rhs, willmore_rhs
 from parabolab.grids import Grid, GridFunction
-from parabolab.norms import (E0mu_norm, WeightedTrajectory, lq_norm,
-                             verify_interpolation_inequality,
-                             weighted_time_factor)
+from parabolab.norms import E0mu_norm, WeightedTrajectory, verify_interpolation_inequality
 from parabolab.operators import (BoundaryCondition, derivative,
                                  eigendecompose, reference_operator)
 from parabolab.problems import (FlowSpec, PolynomialMap,
@@ -261,20 +258,16 @@ def test_criterion_07_geometry_identities():
             amp = rng.uniform(0.1, 0.6)
             prof = amp * env * (1.0 + 0.3 * np.sin(2 * np.pi * rng.integers(1, 4) * x
                                                    + rng.uniform(0, 2 * np.pi)))
-            h = GridFunction.from_scalar(grid, prof)
-            H = mean_curvature(h).scalar
-            trL2 = trace_L_squared(h).scalar
+            beta, nu, H, trL2 = surface_fields(GridFunction.from_scalar(grid, prof))
             assert np.max(np.abs(trL2 - H ** 2)) <= 1e-10
-            nu = unit_normal(h).values
             assert np.max(np.abs(np.linalg.norm(nu, axis=-1) - 1.0)) <= 1e-10
-            beta = tilt_factor(h).scalar
             assert np.all(beta > 0.0) and np.all(beta <= 1.0 + 1e-10)
 
     grid2 = Grid(2, 129)
     xs = grid2.axis_coords()
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     h2 = GridFunction.from_scalar(grid2, ((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 2.0)
-    vertex = trace_L_squared(h2).scalar[64, 64]
+    vertex = surface_fields(h2).trace_L_sq[64, 64]
     assert abs(vertex - 2.0) <= 1e-3
     report(7, "geometry-identities", f"paraboloid vertex {vertex:.6f}")
 
@@ -343,8 +336,7 @@ def test_criterion_10_flow_linearization():
         xx = g.axis_coords()
         prof = np.sin(np.pi * xx) ** 2 * (0.3 + 0.1 * np.sin(2 * np.pi * xx))
         hh = GridFunction.from_scalar(g, prof)
-        H = mean_curvature(hh).scalar
-        beta = tilt_factor(hh).scalar
+        beta, _nu, H, _trL2 = surface_fields(hh)
         diff = willmore_rhs(hh).scalar - surface_diffusion_rhs(hh).scalar
         assert np.max(np.abs(diff - (-H ** 3 / (2.0 * beta)))) <= 1e-9
     report(10, "flow-linearization",

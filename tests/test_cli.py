@@ -1053,6 +1053,59 @@ def test_checkpoint_of_unknown_order_or_bc_exits_4(tmp_path, long_heat_run, caps
     assert not out.exists()
 
 
+def _rewrite_meta(path: Path, meta) -> None:
+    """Replace the JSON meta of the checkpoint at ``path`` with ``meta``,
+    which ``save_trajectory`` would refuse unless it is a dict."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["meta"] = np.array(json.dumps(meta))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("command", ["norms", "omega", "symbol", "run"])
+@pytest.mark.parametrize("meta", [[1], 3, "x", {"order": []}, {"order": {}}, {"bc": [1]}],
+                         ids=["list", "number", "string", "order-list", "order-object",
+                              "bc-list"])
+def test_checkpoint_meta_of_the_wrong_type_exits_4(tmp_path, long_heat_run, capsys, command,
+                                                   meta):
+    cfg = write_cfg(tmp_path / "cfg.json", heat_cfg())
+    if command == "run":
+        out = tmp_path / "out"
+        half_cfg = heat_cfg()
+        half_cfg["solver"]["horizon"] = 0.02
+        assert main(["run", "--config", write_cfg(tmp_path / "half.json", half_cfg),
+                     "--out", str(out)]) == 0
+        _rewrite_meta(out / "window_0000.npz", meta)
+        argv = ["run", "--config", cfg, "--out", str(out), "--resume"]
+    else:
+        snap = tmp_path / "odd.npz"
+        snap.write_bytes((long_heat_run / "trajectory.npz").read_bytes())
+        _rewrite_meta(snap, meta)
+        argv = {"norms": ["norms", "--checkpoint", str(snap)],
+                "omega": ["omega", "--checkpoint", str(snap)],
+                "symbol": ["symbol", "--config", cfg, "--field", str(snap)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_resume_over_a_window_start_of_the_wrong_type_exits_4(tmp_path, capsys):
+    half_cfg = heat_cfg()
+    half_cfg["solver"]["horizon"] = 0.02
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "half.json", half_cfg),
+                 "--out", str(out)]) == 0
+    _, meta = load_trajectory(out / "window_0000.npz")
+    _rewrite_meta(out / "window_0000.npz", {**meta, "t_start": [0.0]})
+    capsys.readouterr()
+    assert main(["run", "--config", write_cfg(tmp_path / "full.json", heat_cfg()),
+                 "--out", str(out), "--resume"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: window files under {out}: ") and "Traceback" not in err, err
+
+
 def test_truncated_window_file_exits_4(tmp_path, capsys):
     half_cfg = heat_cfg()
     half_cfg["solver"]["horizon"] = 0.02

@@ -25,12 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolab import operators
-from parabolab.geometry import (geometry_fields, laplace_beltrami,
-                                leading_coefficient, mean_curvature,
-                                surface_diffusion_rhs, surface_diffusion_values,
-                                tilt_factor, trace_L_squared, unit_normal,
-                                willmore_rhs, willmore_values)
+from conftest import surface_fields
+from parabolab import geometry, operators
+from parabolab.geometry import (leading_coefficient, surface_diffusion_rhs,
+                                surface_diffusion_values, willmore_rhs,
+                                willmore_values)
 from parabolab.grids import Grid, GridFunction
 from parabolab.operators import derivative, derivative_values
 
@@ -52,13 +51,13 @@ def random_profile(grid, rng, amp=0.5):
 def test_flat_graph_is_trivial():
     grid = Grid(1, 33)
     h = GridFunction.zeros(grid)
-    assert np.allclose(tilt_factor(h).scalar, 1.0)
-    nu = unit_normal(h)
-    assert nu.values.shape == grid.shape + (2,)
-    assert np.allclose(nu.values[..., 0], 0.0)
-    assert np.allclose(nu.values[..., 1], 1.0)
-    assert np.allclose(mean_curvature(h).scalar, 0.0)
-    assert np.allclose(trace_L_squared(h).scalar, 0.0)
+    beta, nu, H, trl2 = surface_fields(h)
+    assert np.allclose(beta, 1.0)
+    assert nu.shape == grid.shape + (2,)
+    assert np.allclose(nu[..., 0], 0.0)
+    assert np.allclose(nu[..., 1], 1.0)
+    assert np.allclose(H, 0.0)
+    assert np.allclose(trl2, 0.0)
     assert np.allclose(surface_diffusion_rhs(h).scalar, 0.0)
     assert np.allclose(willmore_rhs(h).scalar, 0.0)
 
@@ -68,10 +67,10 @@ def test_unit_normal_and_tilt_bounds():
     rng = np.random.default_rng(2)
     for _ in range(5):
         h = random_profile(grid, rng)
-        fields = geometry_fields(h)
-        norm = np.sqrt(np.sum(fields.normal.values ** 2, axis=-1))
+        fields = surface_fields(h)
+        norm = np.sqrt(np.sum(fields.normal ** 2, axis=-1))
         assert np.max(np.abs(norm - 1.0)) < 1e-10
-        b = fields.beta.scalar
+        b = fields.beta
         assert np.all(b > 0.0) and np.all(b <= 1.0 + 1e-12)
 
 
@@ -81,9 +80,10 @@ def test_tilted_plane_interior():
     a = 0.75
     h = height(grid, lambda x: a * x)
     sl = slice(2, -2)
-    assert np.allclose(tilt_factor(h).scalar[sl], 1.0 / np.sqrt(1.0 + a * a))
-    assert np.allclose(mean_curvature(h).scalar[sl], 0.0, atol=1e-10)
-    assert np.allclose(trace_L_squared(h).scalar[sl], 0.0, atol=1e-10)
+    beta, _nu, H, trl2 = surface_fields(h)
+    assert np.allclose(beta[sl], 1.0 / np.sqrt(1.0 + a * a))
+    assert np.allclose(H[sl], 0.0, atol=1e-10)
+    assert np.allclose(trl2[sl], 0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------- 1d identities
@@ -92,9 +92,9 @@ def test_mean_curvature_is_beta_cubed_hxx():
     grid = Grid(1, 33)
     rng = np.random.default_rng(5)
     h = random_profile(grid, rng)
-    beta = tilt_factor(h).scalar
+    beta, _nu, H, _trl2 = surface_fields(h)
     w = derivative(h, 2).scalar
-    assert np.allclose(mean_curvature(h).scalar, beta ** 3 * w, rtol=1e-12, atol=1e-12)
+    assert np.allclose(H, beta ** 3 * w, rtol=1e-12, atol=1e-12)
 
 
 def test_trace_L_squared_equals_H_squared_1d():
@@ -102,8 +102,7 @@ def test_trace_L_squared_equals_H_squared_1d():
     rng = np.random.default_rng(7)
     for _ in range(20):
         h = random_profile(grid, rng)
-        H = mean_curvature(h).scalar
-        trl2 = trace_L_squared(h).scalar
+        _beta, _nu, H, trl2 = surface_fields(h)
         assert np.allclose(trl2, H ** 2, rtol=1e-10, atol=1e-10)
 
 
@@ -112,8 +111,7 @@ def test_willmore_minus_surface_diffusion_1d():
     grid = Grid(1, 33)
     rng = np.random.default_rng(9)
     h = random_profile(grid, rng)
-    H = mean_curvature(h).scalar
-    beta = tilt_factor(h).scalar
+    beta, _nu, H, _trl2 = surface_fields(h)
     gap = willmore_rhs(h).scalar - surface_diffusion_rhs(h).scalar
     assert np.allclose(gap, -H ** 3 / (2.0 * beta), rtol=1e-9, atol=1e-11)
 
@@ -123,8 +121,9 @@ def test_circle_arc_curvature():
     r = 2.0
     h = height(grid, lambda x: np.sqrt(r * r - (x - 0.5) ** 2))
     sl = slice(2, -2)
-    assert np.allclose(mean_curvature(h).scalar[sl], -1.0 / r, atol=1e-3)
-    assert np.allclose(trace_L_squared(h).scalar[sl], 1.0 / r ** 2, atol=1e-3)
+    _beta, _nu, H, trl2 = surface_fields(h)
+    assert np.allclose(H[sl], -1.0 / r, atol=1e-3)
+    assert np.allclose(trl2[sl], 1.0 / r ** 2, atol=1e-3)
 
 
 # ---------------------------------------------------------------- 2d oracles
@@ -136,22 +135,22 @@ def test_paraboloid_vertex_exact():
     xx, yy = np.meshgrid(x, x, indexing="ij")
     h = GridFunction.from_scalar(grid, ((xx - 0.5) ** 2 + (yy - 0.5) ** 2) / 2.0)
     c = 32  # center node
-    assert mean_curvature(h).scalar[c, c] == pytest.approx(2.0, abs=1e-9)
-    assert trace_L_squared(h).scalar[c, c] == pytest.approx(2.0, abs=1e-9)
-    nu = unit_normal(h).values[c, c]
-    assert np.allclose(nu, [0.0, 0.0, 1.0], atol=1e-12)
+    _beta, nu, H, trl2 = surface_fields(h)
+    assert H[c, c] == pytest.approx(2.0, abs=1e-9)
+    assert trl2[c, c] == pytest.approx(2.0, abs=1e-9)
+    assert np.allclose(nu[c, c], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_laplace_beltrami_flat_reduces_to_laplacian():
     grid = Grid(2, 17)
     rng = np.random.default_rng(11)
-    h = GridFunction.zeros(grid)
     phi = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    lb = laplace_beltrami(h, phi).scalar
+    # the surface Laplacian of phi along the flat graph, as _flow_values takes it of H
+    g, hess, beta, mask = geometry._surface(np.zeros(grid.shape), grid)
+    H = geometry._mean_curvature(beta, mask, hess)
+    lb = geometry._laplace_beltrami(g, beta, mask, H, *geometry._jet(phi.scalar, grid))
     lap = derivative(phi, (2, 0)).scalar + derivative(phi, (0, 2)).scalar
     assert np.allclose(lb, lap, rtol=1e-13, atol=1e-13)
-    with pytest.raises(ValueError):
-        laplace_beltrami(h, GridFunction.zeros(Grid(2, 9)))
 
 
 # ---------------------------------------------------------------- coefficient
@@ -185,16 +184,6 @@ def test_leading_coefficient_symmetry_and_ellipticity():
         assert quart == pytest.approx((xi @ mask @ xi) ** 2, rel=1e-12)
         # uniform lower bound beta^4 |xi|^4
         assert quart >= beta2 ** 2 * (xi @ xi) ** 2 - 1e-12
-
-
-def test_geometry_fields_consistent():
-    grid = Grid(1, 25)
-    rng = np.random.default_rng(15)
-    h = random_profile(grid, rng)
-    fields = geometry_fields(h)
-    assert np.array_equal(fields.mean_curvature.values, mean_curvature(h).values)
-    assert np.array_equal(fields.trace_L_sq.values, trace_L_squared(h).values)
-    assert np.array_equal(fields.beta.values, tilt_factor(h).values)
 
 
 # ---------------------------------------------------------------- reference
@@ -273,7 +262,7 @@ def test_hessian_form_matches_third_derivative_reference(data):
 
     trl2, sd, wm = reference_flows(stack, grid)
     for vals, want in zip(stack, trl2):
-        _assert_rel(trace_L_squared(GridFunction(grid, vals)).scalar, want, 1e-12)
+        _assert_rel(surface_fields(GridFunction(grid, vals)).trace_L_sq, want, 1e-12)
     _assert_rel(surface_diffusion_values(stack, grid)[..., 0], sd, 1e-12)
     _assert_rel(willmore_values(stack, grid)[..., 0], wm, 1e-12)
 

@@ -19,17 +19,21 @@ reaches relative 1e-6 against the closed form.
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import weighted_time_factor
 from parabolab.grids import Grid, GridFunction, NonFiniteError
 from parabolab.norms import (E0mu_norm, E1mu_norm, WeightedTrajectory,
-                             difference, glue, lq_norm, lq_norms, proxy_norm,
+                             difference, glue, lq_norms, proxy_norm,
                              smoothing_check, verify_interpolation_inequality,
-                             weighted_time_factor, x1_norm, x1_norms)
+                             x1_norm, x1_norms)
 from parabolab.operators import STENCILS, eigendecompose, reference_operator
 
 MU, P = 0.9, 2.0
@@ -69,14 +73,14 @@ def test_weighted_time_factor_closed_forms():
 def test_lq_norm_constants_and_components():
     grid = Grid(1, 17)
     u = GridFunction.from_scalar(grid, np.full(grid.shape, 3.0))
-    assert lq_norm(u) == pytest.approx(3.0, abs=1e-14)
+    assert lq_norms(u.values, grid) == pytest.approx(3.0, abs=1e-14)
     vals = np.zeros(grid.shape + (2,))
     vals[..., 0], vals[..., 1] = 3.0, 4.0
     uv = GridFunction(grid, vals)
-    assert lq_norm(uv, 2.0) == pytest.approx(5.0, abs=1e-13)
-    assert lq_norm(uv, 4.0) == pytest.approx(5.0, abs=1e-13)
+    assert lq_norms(uv.values, grid, 2.0) == pytest.approx(5.0, abs=1e-13)
+    assert lq_norms(uv.values, grid, 4.0) == pytest.approx(5.0, abs=1e-13)
     with pytest.raises(ValueError):
-        lq_norm(u, 0.5)
+        lq_norms(u.values, grid, 0.5)
 
 
 def neumann_eigenvalue(grid, k):
@@ -94,7 +98,8 @@ def test_x1_norm_cosine_closed_form():
     cases.append((product, neumann_eigenvalue(grid, 2) + neumann_eigenvalue(grid, 5)))
     for u, lam in cases:
         for q in (1.0, 2.0, 3.5, 4.0):
-            assert x1_norm(u, q, 2) == pytest.approx((1.0 + lam) * lq_norm(u, q), rel=1e-13)
+            expected = (1.0 + lam) * lq_norms(u.values, u.grid, q)
+            assert x1_norm(u, q, 2) == pytest.approx(expected, rel=1e-13)
     u, lam = cases[0]
     assert x1_norm(u) == pytest.approx(np.sqrt(0.5) * (1.0 + lam), rel=1e-13)
     with pytest.raises(ValueError):
@@ -111,7 +116,7 @@ def test_x1_norm_of_clamped_modes_closed_form(dim, nodes):
     for k in (0, 4, len(proxy.eigenvalues) - 1):
         mode = proxy.synthesize(unit[k])
         for q in (1.0, 2.0, 4.0):
-            expected = (1.0 + proxy.eigenvalues[k]) * lq_norm(mode, q)
+            expected = (1.0 + proxy.eigenvalues[k]) * lq_norms(mode.values, grid, q)
             assert x1_norm(mode, q, 4) == pytest.approx(expected, rel=1e-11)
 
 
@@ -171,7 +176,7 @@ def test_stacked_norms_match_per_sample_norms(data):
     assert lq.shape == x1.shape == (samples,)
     for k in range(samples):
         u = GridFunction(grid, values[k])
-        for stacked, single, ref in ((lq[k], lq_norm(u, q), reference_lq(values[k], grid, q)),
+        for stacked, single, ref in ((lq[k], lq_norms(values[k], grid, q), reference_lq(values[k], grid, q)),
                                      (x1[k], x1_norm(u, q, order),
                                       reference_x1(values[k], grid, q, order))):
             assert abs(stacked - single) <= 1e-14 * abs(single)
@@ -240,6 +245,44 @@ def test_trajectory_validation():
     with pytest.raises(NonFiniteError):
         WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)) + np.array([[[0.0]], [[np.inf]]]),
                            None, MU, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_non_finite_entry_anywhere_is_rejected_without_a_warning(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = Grid(dim, data.draw(st.integers(8, 12), label="nodes"))
+    shape = (data.draw(st.integers(2, 5), label="samples"),) + grid.shape + (
+        data.draw(st.integers(1, 2), label="ncomp"),)
+    times = np.linspace(0.0, 1.0, shape[0])
+    states = data.draw(arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)),
+                       label="states")
+    derivs = data.draw(arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)),
+                       label="derivs")
+    bad = derivs if data.draw(st.booleans(), label="in derivs") else states
+    bad[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^non-finite trajectory$"):
+            WeightedTrajectory(times, states, derivs, MU, P)
+        WeightedTrajectory(times, np.zeros(shape), np.zeros(shape), MU, P)
+
+
+def test_building_a_trajectory_allocates_no_temporary_of_its_size():
+    # an rd-2d sized window, 51 samples on 48^2 nodes: the finiteness check
+    # reads the extremes rather than building a (51, 48, 48, 1) bool array
+    grid = Grid(2, 48)
+    times = np.linspace(0.0, 1.0, 51)
+    states = np.random.default_rng(3).normal(size=(51,) + grid.shape + (1,))
+    derivs = states[::-1].copy()
+    tracemalloc.start()
+    try:
+        WeightedTrajectory(times, states, derivs, MU, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.size // 8
 
 
 def test_state_at_linear_interpolation():
@@ -512,7 +555,7 @@ def test_proxy_norm_theta_zero_is_l2():
     proxy = eigendecompose(reference_operator(grid, "second"))
     rng = np.random.default_rng(17)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    assert proxy_norm(u, 0.0, proxy) == pytest.approx(lq_norm(u, 2.0), abs=1e-10)
+    assert proxy_norm(u, 0.0, proxy) == pytest.approx(lq_norms(u.values, grid), abs=1e-10)
     with pytest.raises(ValueError):
         proxy_norm(u, 1.5, proxy)
 

@@ -1,11 +1,5 @@
 """Problem-family oracles.
 
-Conservation yardstick: the finite-volume form of div(a(u) grad u) with zero
-boundary flux telescopes, so its trapezoid-weighted sum is exactly zero, and
-for a = 1 it coincides node for node with the mirrored Laplacian stencil
-(the wall value 2(u_1 - u_0)/h^2 appears in both).  Against the continuum
-expression (1 + u^2) u'' + 2 u (u')^2 the flux form converges at order 2.
-
 Stacked right-hand side: each problem's G hook, evaluated on a stack of
 samples (in blocks of samples when the stack is large), agrees sample by
 sample with F1 + F2 - A(v) v from the one-field hooks and the assembled
@@ -28,15 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import surface_fields
 from parabolab import problems
 from parabolab.evolution import StateConstraintError
-from parabolab.geometry import surface_diffusion_rhs, tilt_factor, willmore_rhs
+from parabolab.geometry import surface_diffusion_rhs, willmore_rhs
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
 from parabolab.operators import derivative, neumann_laplacian, reference_operator
 from parabolab.problems import (FlowSpec, PolynomialMap, ProblemSpecError,
                                 ReactionDiffusionSpec, flow_problem,
-                                linear_heat_spec, rd_divergence_oracle,
-                                rd_problem, spectrum_positivity_check)
+                                linear_heat_spec, rd_problem,
+                                spectrum_positivity_check)
 
 CLA = BoundaryCondition.CLAMPED
 
@@ -259,62 +254,6 @@ def test_box_constraint_enforced():
         prob.F1(outside)
 
 
-# ---------------------------------------------------------------- conservation
-
-def test_divergence_oracle_matches_laplacian_for_constant_a():
-    grid = Grid(1, 21)
-    spec = linear_heat_spec(grid)
-    rng = np.random.default_rng(7)
-    u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    fv = rd_divergence_oracle(spec, u).scalar
-    lap = derivative(u, 2).scalar
-    assert np.allclose(fv, lap, rtol=1e-12, atol=1e-12)
-
-
-def test_divergence_oracle_total_is_exactly_zero():
-    for dim in (1, 2):
-        grid = Grid(dim, 17)
-        spec = ReactionDiffusionSpec(
-            grid=grid, ncomp=1,
-            a=PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0)),
-            f=PolynomialMap.constant(np.zeros(1)),
-            b=PolynomialMap.constant(np.zeros((1, 1, 1))),
-            u_box=np.array([[-2.0, 2.0]]))
-        rng = np.random.default_rng(dim)
-        u = GridFunction.from_scalar(grid, np.clip(rng.normal(size=grid.shape), -1.9, 1.9))
-        div = rd_divergence_oracle(spec, u)
-        w = grid.trapezoid_weights()
-        total = float(np.sum(w * div.scalar))
-        assert abs(total) < 1e-10 * max(1.0, np.max(np.abs(div.scalar)))
-
-
-def test_divergence_oracle_second_order_against_continuum():
-    errs = []
-    for n in (33, 65, 129):
-        grid = Grid(1, n)
-        spec = scalar_spec(grid, a_series=[1.0, 0.0, 1.0])
-        x = grid.axis_coords()
-        u = GridFunction.from_scalar(grid, 0.5 * np.cos(np.pi * x))
-        got = rd_divergence_oracle(spec, u).scalar
-        uu, up = 0.5 * np.cos(np.pi * x), -0.5 * np.pi * np.sin(np.pi * x)
-        upp = -0.5 * np.pi ** 2 * np.cos(np.pi * x)
-        errs.append(np.max(np.abs(got - ((1 + uu ** 2) * upp + 2 * uu * up ** 2))))
-    rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(rates) > 1.9
-
-
-def test_divergence_oracle_scalar_only():
-    grid = Grid(1, 9)
-    spec = ReactionDiffusionSpec(
-        grid=grid, ncomp=2,
-        a=PolynomialMap.constant(np.eye(2)),
-        f=PolynomialMap.constant(np.zeros(2)),
-        b=PolynomialMap.constant(np.zeros((2, 2, 2))),
-        u_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    with pytest.raises(ProblemSpecError):
-        rd_divergence_oracle(spec, GridFunction.zeros(grid, 2))
-
-
 # ---------------------------------------------------------------- flows
 
 def test_flow_spec_validation():
@@ -348,7 +287,7 @@ def test_flow_leading_coefficient_1d():
     h = GridFunction.from_scalar(grid, 0.3 * np.sin(np.pi * x) ** 2)
     prob = flow_problem(FlowSpec(grid=grid, kind="surface_diffusion"))
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape) * grid.interior_mask())
-    beta4 = tilt_factor(h).scalar ** 4
+    beta4 = surface_fields(h).beta ** 4
     expected = beta4 * derivative(u, 4).scalar
     got = prob.assemble_A(h).apply(u).scalar
     assert np.allclose(got[1:-1], expected[1:-1], rtol=1e-12, atol=1e-12)

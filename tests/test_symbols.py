@@ -9,7 +9,7 @@ Frozen values derived by hand from (z^2 - b)^2 = -lambda:
     lambda = 0: double root -sqrt(b), determinant 1 in the confluent basis,
         normalized value 1 / (2 sqrt(b)).
 
-Interior symbol at |g| = 5 along g: (1 - 25/26)^2 = 1/676, the sharp bound.
+Interior symbol at |g| = 3 along g: (1 - 9/10)^2 = 1/100, the sharp bound.
 """
 
 from __future__ import annotations
@@ -22,24 +22,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolab.symbols import (coarse_ellipticity_bound, default_lambda_grid,
-                               ellipticity_scan, ls_roots, ls_scan, principal_symbol,
+from parabolab.symbols import (_boundary_roots, coarse_ellipticity_bound,
+                               default_lambda_grid, ellipticity_scan, ls_scan,
                                sharp_ellipticity_bound)
 
 
+def ls_point(b: float, lam: complex) -> tuple:
+    """(stable roots, confluent, |det|, residuals) at one point, from the
+    array kernel that ``ls_scan`` runs, as Python numbers."""
+    z1, z2, confluent, det, (r1, r2) = _boundary_roots(np.array([b]), np.array([lam]))
+    return ((complex(z1[0]), complex(z2[0])), bool(confluent[0]), float(det[0]),
+            (float(r1[0]), float(r2[0])))
+
+
 # ---------------------------------------------------------------- interior
-
-def test_principal_symbol_hand_values():
-    assert principal_symbol([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert principal_symbol([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.25)
-    g = [3.0, 4.0]
-    xi = [0.6, 0.8]
-    assert principal_symbol(g, xi) == pytest.approx(1.0 / 676.0, rel=1e-12)
-    # degree-4 homogeneity in xi
-    assert principal_symbol(g, [1.2, 1.6]) == pytest.approx(16.0 / 676.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        principal_symbol([1.0], [1.0, 0.0])
-
 
 def test_bound_ordering():
     assert coarse_ellipticity_bound(0.0) == pytest.approx(1.0)
@@ -82,25 +78,25 @@ def test_scan_min_respects_bounds():
 # ---------------------------------------------------------------- boundary
 
 def test_ls_roots_frozen_b1_lambda1():
-    rep = ls_roots(1.0, 1.0)
+    roots, confluent, det, residuals = ls_point(1.0, 1.0)
     r = 2.0 ** 0.25
     expected = [-r * complex(np.cos(np.pi / 8), np.sin(np.pi / 8)),
                 -r * complex(np.cos(np.pi / 8), -np.sin(np.pi / 8))]
-    got = sorted(rep.roots_neg, key=lambda z: z.imag)
+    got = sorted(roots, key=lambda z: z.imag)
     want = sorted(expected, key=lambda z: z.imag)
     for a, c in zip(got, want):
         assert abs(a - c) < 1e-12
-    assert rep.det_abs == pytest.approx(2.0 ** 1.25 * np.sin(np.pi / 8), rel=1e-12)
-    assert rep.det_abs == pytest.approx(0.9101797211244548, rel=1e-12)
-    assert not rep.confluent
-    assert max(rep.residuals) < 1e-12
+    assert det == pytest.approx(2.0 ** 1.25 * np.sin(np.pi / 8), rel=1e-12)
+    assert det == pytest.approx(0.9101797211244548, rel=1e-12)
+    assert not confluent
+    assert max(residuals) < 1e-12
 
 
 def test_ls_confluent_lambda_zero():
-    rep = ls_roots(4.0, 0.0)
-    assert rep.confluent
-    assert rep.roots_neg[0] == rep.roots_neg[1] == -2.0
-    assert rep.det_abs == 1.0
+    roots, confluent, det, _residuals = ls_point(4.0, 0.0)
+    assert confluent
+    assert roots[0] == roots[1] == -2.0
+    assert det == 1.0
     # normalized value 1/(2 sqrt(b))
     scan = ls_scan([4.0], [0.0])
     assert scan.min_normalized == pytest.approx(0.25, rel=1e-14)
@@ -108,14 +104,14 @@ def test_ls_confluent_lambda_zero():
 
 def test_ls_roots_validation():
     with pytest.raises(ValueError):
-        ls_roots(0.0, 1.0)
+        ls_point(0.0, 1.0)
     with pytest.raises(ValueError):
-        ls_roots(-1.0, 1.0)
+        ls_point(-1.0, 1.0)
     with pytest.raises(ValueError):
-        ls_roots(1.0, complex(-0.1, 0.0))
+        ls_point(1.0, complex(-0.1, 0.0))
     # the quartic overflows
     with pytest.raises(ArithmeticError):
-        ls_roots(1e200, 1.0)
+        ls_point(1e200, 1.0)
 
 
 def test_ls_roots_property_two_stable_roots():
@@ -125,20 +121,20 @@ def test_ls_roots_property_two_stable_roots():
         r = float(10.0 ** rng.uniform(-6, 6))
         phase = float(rng.uniform(-np.pi / 2, np.pi / 2))
         lam = complex(r * np.cos(phase), r * np.sin(phase))
-        rep = ls_roots(b, lam)
-        assert len(rep.roots_neg) == 2
-        for z in rep.roots_neg:
+        roots, _confluent, det, residuals = ls_point(b, lam)
+        assert len(roots) == 2
+        for z in roots:
             assert z.real < 0.0
-        assert max(rep.residuals) < 1e-9
-        assert rep.det_abs > 0.0
+        assert max(residuals) < 1e-9
+        assert det > 0.0
 
 
 def test_ls_purely_imaginary_lambda():
     # Re lambda = 0, lambda != 0 stays uniformly solvable
     for r in (1e-3, 1.0, 1e6):
-        rep = ls_roots(2.0, complex(0.0, r))
-        assert all(z.real < 0 for z in rep.roots_neg)
-        assert rep.det_abs > 0.0
+        roots, _confluent, det, _residuals = ls_point(2.0, complex(0.0, r))
+        assert all(z.real < 0 for z in roots)
+        assert det > 0.0
 
 
 def test_ls_scan_default_grid_positive():
@@ -155,10 +151,10 @@ def test_ls_scan_default_grid_positive():
 
 
 def test_ls_det_shrinks_with_lambda_but_never_vanishes():
-    dets = [ls_roots(1.0, complex(m, 0.0)).det_abs for m in (1e-2, 1e-4, 1e-6)]
+    dets = [ls_point(1.0, complex(m, 0.0))[2] for m in (1e-2, 1e-4, 1e-6)]
     assert dets[0] > dets[1] > dets[2] > 0.0
     # confluent limit switches basis and jumps back to 1
-    assert ls_roots(1.0, 0.0).det_abs == 1.0
+    assert ls_point(1.0, 0.0)[2] == 1.0
 
 
 def test_default_lambda_grid_contents():
@@ -170,9 +166,8 @@ def test_default_lambda_grid_contents():
 
 def test_reports_serialize():
     e = ellipticity_scan([[0.3, 0.4]])
-    l = ls_roots(1.5, complex(2.0, 1.0))
     s = ls_scan([1.0, 2.0], [0.0, 1.0])
-    for d in (e.as_dict(), l.as_dict(), s.as_dict()):
+    for d in (e.as_dict(), s.as_dict()):
         json.dumps(d)
 
 
@@ -184,10 +179,10 @@ def test_root_pair_matches_numpy_quartic():
         lam = complex(rng.uniform(0, 10), rng.uniform(-10, 10))
         if lam == 0:
             continue
-        rep = ls_roots(b, lam)
+        roots = ls_point(b, lam)[0]
         all_roots = np.roots([1.0, 0.0, -2.0 * b, 0.0, b * b + lam])
         stable = sorted([z for z in all_roots if z.real < 0], key=lambda z: z.imag)
-        got = sorted(rep.roots_neg, key=lambda z: z.imag)
+        got = sorted(roots, key=lambda z: z.imag)
         assert len(stable) == 2
         for a, c in zip(got, stable):
             assert abs(a - c) < 1e-6 * max(1.0, abs(c))
@@ -242,12 +237,9 @@ _LAMBDA = st.one_of(
 @example(b=3.17e91, lam=1.72j)
 @example(b=1e-300, lam=complex(0.0, -0.0))
 def test_ls_roots_equals_the_per_point_reference_bitwise(b, lam):
-    rep = ls_roots(b, lam)
-    roots, confluent, det, residuals = _reference_roots(b, lam)
-    # repr tells every float apart, the signed zeros of the roots included
-    assert repr(rep.roots_neg) == repr(roots)
-    assert rep.confluent is confluent
-    assert repr((rep.det_abs, rep.residuals)) == repr((det, residuals))
+    # repr tells every float apart, the signed zeros of the roots included,
+    # and True from 1
+    assert repr(ls_point(b, lam)) == repr(_reference_roots(b, lam))
 
 
 @settings(max_examples=100, deadline=None)
