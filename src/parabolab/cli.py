@@ -123,10 +123,10 @@ def _admissibility(exps: cfgmod.Exponents) -> dict:
     violation = exps.violation
     if exps.structure is not None:
         try:
-            return admissibility_report(exps.config, exps.structure)
+            return admissibility_report(exps.config, exps.structure, exps.epsilon)
         except ValueError as exc:
             violation = str(exc)
-    report = admissibility_report(exps.config)
+    report = admissibility_report(exps.config, epsilon=exps.epsilon)
     report["violated"] = report["violated"] + [violation]
     report["admissible"] = False
     return report
@@ -161,7 +161,7 @@ def _symbol_report(rc: cfgmod.RunConfig, spec, field: GridFunction | None, b_ran
     if field is None:
         field = cfgmod.build_initial(rc)
     erep = ellipticity_scan(slope_field(field.values, field.grid).reshape(-1, field.grid.dim))
-    lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(modulus_max=1e6, n_moduli=n_lambda))
+    lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(n_moduli=n_lambda))
     out["ellipticity"] = erep.as_dict()
     out["lopatinskii_shapiro"] = lrep.as_dict()
     out["ok"] = bool(erep.min_ratio > 0.0 and lrep.min_normalized > 0.0)
@@ -705,9 +705,5 @@ def main(argv=None) -> int:
         return _exit_code(exc)
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .evolution import FixedPointConfig
-from .exponents import (ExponentConfig, StructureExponents, ORDER_FOURTH,
+from .exponents import (ExponentConfig, Number, StructureExponents, ORDER_FOURTH,
                         ORDER_SECOND, as_number, beta_window)
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import DESK_EIG_CAP, active_flat_indices
@@ -166,10 +166,12 @@ def _check(value, sub: dict, path: str = "") -> None:
 
 @dataclass(frozen=True)
 class Exponents:
-    """The exponent section.  ``structure`` is None when the structure
-    exponents cannot be formed, for the reason ``violation``."""
+    """The exponent section.  ``epsilon`` is the section's, None when it
+    gives none; ``structure`` is None when the structure exponents cannot be
+    formed, for the reason ``violation``."""
 
     config: ExponentConfig
+    epsilon: Optional[Number]
     structure: Optional[StructureExponents]
     violation: str = ""
 
@@ -241,14 +243,15 @@ def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
                             mu=as_number(sec["mu"]), order=order)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad exponent section: {exc}") from exc
-    kw = {"epsilon": sec["epsilon"]} if "epsilon" in sec else {}
+    eps = as_number(sec["epsilon"]) if "epsilon" in sec else None
+    kw = {} if eps is None else {"epsilon": eps}
     try:
-        beta = sec["beta"] if "beta" in sec else beta_window(ec, **kw).midpoint()
+        beta = sec["beta"] if "beta" in sec else beta_window(ec, eps).midpoint()
         if "pairs" in sec:
-            return Exponents(ec, StructureExponents(beta=beta, pairs=sec["pairs"], **kw))
-        return Exponents(ec, StructureExponents.for_problem(ec, beta, **kw))
+            return Exponents(ec, eps, StructureExponents(beta=beta, pairs=sec["pairs"], **kw))
+        return Exponents(ec, eps, StructureExponents.for_problem(ec, beta, **kw))
     except ValueError as exc:
-        return Exponents(ec, None, str(exc))
+        return Exponents(ec, eps, None, str(exc))
 
 
 def flat_exponents(doc: dict) -> Exponents:

@@ -224,9 +224,13 @@ class FixedPointConfig:
 
     def ungradeable(self, T: float, t0: float = 0.0) -> Optional[str]:
         """Why the graded grid of a window of length T, placed at the time
-        t0, has a step of zero length; None when it has none."""
-        if not np.all(np.diff(t0 + graded_times(T, self.time_steps, self.gamma())) > 0.0):
-            return (f"grading {self.gamma()!r} leaves a step of zero length among the "
+        t0, has a step of zero length, or one below the least normal float,
+        on which the weighted norms overflow; None when it has none."""
+        steps = np.diff(t0 + graded_times(T, self.time_steps, self.gamma()))
+        if not np.all(steps >= np.finfo(float).tiny):
+            short = float(np.min(steps))
+            length = f"subnormal length {short!r}" if short > 0.0 else "zero length"
+            return (f"grading {self.gamma()!r} leaves a step of {length} among the "
                     f"{self.time_steps} steps of a window of length {T!r} at t = {t0!r}")
 
 
@@ -642,9 +646,6 @@ class LipschitzReport:
     c_dependence: float
     n_pairs: int
     skipped: int
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _smooth_modes(grid: Grid, bc: BoundaryCondition, ncomp: int, k: int) -> np.ndarray:

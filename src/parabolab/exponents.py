@@ -110,10 +110,6 @@ class ExponentConfig:
         """mu - 1/p, the proxy scale position of the initial-data space."""
         return self.mu - 1 / self.p
 
-    @property
-    def order_int(self) -> int:
-        return ORDER_INT[self.order]
-
 
 @dataclass(frozen=True)
 class StructureExponents:
@@ -281,10 +277,6 @@ class BetaWindow:
     @property
     def empty(self) -> bool:
         return not self.lo < self.hi
-
-    def contains(self, beta) -> bool:
-        beta = as_number(beta)
-        return self.lo < beta < self.hi
 
     def midpoint(self) -> Number:
         if self.empty:

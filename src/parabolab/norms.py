@@ -308,9 +308,6 @@ class InterpolationReport:
     alpha: float
     holds_with_c: float
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def verify_interpolation_inequality(u: GridFunction, beta: float, mu: float, p: float,
                                     proxy: SpectralProxy) -> InterpolationReport:

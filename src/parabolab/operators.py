@@ -186,9 +186,8 @@ class Diagonals:
             self.offsets, self.data = self.offsets[used], self.data[used]
 
     @classmethod
-    def identity(cls, n: int, value: float = 1.0) -> "Diagonals":
-        """``value`` times the identity; no diagonal for 0."""
-        return cls(np.zeros(1, dtype=np.intp), np.full((1, n), float(value)))
+    def identity(cls, n: int) -> "Diagonals":
+        return cls(np.zeros(1, dtype=np.intp), np.ones((1, n)))
 
     @classmethod
     def from_entries(cls, n: int, rows: np.ndarray, offsets: np.ndarray,
@@ -384,14 +383,6 @@ class LinearOperator:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self.scatter(self.dot(self.gather(u.values))))
-
-    def shifted(self, kappa: float) -> "LinearOperator":
-        """A + kappa*I on the active unknowns."""
-        mat = self.matrix.plus(Diagonals.identity(self.n_active, kappa))
-        return LinearOperator(self.grid, self.ncomp, mat, self.active, self.weights)
-
     def symmetric_defect(self) -> float:
         """max |WM - (WM)^T| relative to max |WM|, W the pairing weights."""
         n = self.n_active
@@ -467,12 +458,12 @@ def _derivative_matrix(n: int, h: float, sigma: tuple) -> Diagonals:
     return mats[0] if len(mats) == 1 else mats[0].kron(mats[1])
 
 
-def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryCondition,
-                                  ncomp: int = 1) -> LinearOperator:
-    """sum_sigma diag(c_sigma) D^sigma as a LinearOperator (scalar blocks).
+def assemble_coefficient_operator(grid: Grid, coeffs: dict,
+                                  bc: BoundaryCondition) -> LinearOperator:
+    """sum_sigma diag(c_sigma) D^sigma as a LinearOperator on one component.
 
     ``coeffs`` maps multi-indices to nodal coefficient arrays of shape
-    ``grid.shape``.  With ncomp > 1 the scalar operator acts componentwise.
+    ``grid.shape``.
     """
     n = grid.nodes_per_axis
     total = None
@@ -484,9 +475,7 @@ def assemble_coefficient_operator(grid: Grid, coeffs: dict, bc: BoundaryConditio
         total = term if total is None else total.plus(term)
     if total is None:
         raise ValueError("no coefficient terms given")
-    if ncomp > 1:
-        total = total.kron(Diagonals.identity(ncomp))
-    return operator_from_full_matrix(grid, ncomp, bc, total)
+    return operator_from_full_matrix(grid, 1, bc, total)
 
 
 def block_rows(blocks: np.ndarray, mat: Diagonals) -> Diagonals:

@@ -102,14 +102,6 @@ class PolynomialMap:
         return cls(shape=arr.shape, nvars=nvars, terms=tuple(terms))
 
     @classmethod
-    def scalar_series(cls, coeffs, shape=(), out_index=()) -> "PolynomialMap":
-        """Univariate series c0 + c1 u + c2 u^2 + ... at one output slot."""
-        terms = tuple(
-            (tuple(out_index), (k,), float(c)) for k, c in enumerate(coeffs) if c != 0.0
-        )
-        return cls(shape=tuple(shape), nvars=1, terms=terms)
-
-    @classmethod
     def from_table(cls, table, shape, nvars) -> "PolynomialMap":
         """Build from a JSON-style nested table.
 
@@ -157,13 +149,15 @@ class PolynomialMap:
         return cls(shape=shape, nvars=nvars, terms=tuple(terms))
 
 
-def _box_samples(u_box: np.ndarray, rng_seed: int = 0, per_axis: int = 5) -> np.ndarray:
+def _box_samples(u_box: np.ndarray) -> np.ndarray:
+    """The 5^ncomp lattice points of the box, or, beyond 4096 of them, 512
+    seeded uniform draws and the corners."""
     ncomp = u_box.shape[0]
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in u_box]
-    if per_axis ** ncomp <= 4096:
+    axes = [np.linspace(lo, hi, 5) for lo, hi in u_box]
+    if 5 ** ncomp <= 4096:
         pts = np.array(list(product(*axes)))
     else:
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         pts = rng.uniform(u_box[:, 0], u_box[:, 1], size=(512, ncomp))
         corners = np.array(list(product(*[(lo, hi) for lo, hi in u_box])))
         pts = np.vstack([pts, corners])
@@ -184,10 +178,10 @@ class PositivityReport:
         }
 
 
-def spectrum_positivity_check(a: PolynomialMap, u_box, seed: int = 0) -> PositivityReport:
+def spectrum_positivity_check(a: PolynomialMap, u_box) -> PositivityReport:
     """Minimum real part of the eigenvalues of a(u) over a sample of the box."""
     u_box = np.asarray(u_box, dtype=float)
-    pts = _box_samples(u_box, seed)
+    pts = _box_samples(u_box)
     mins = np.min(np.linalg.eigvals(a(pts)).real, axis=-1)
     k = int(np.argmin(mins))  # the first of equal minima
     worst = float(mins[k])

@@ -41,12 +41,11 @@ def sharp_ellipticity_bound(grad_norm: float) -> float:
     return 1.0 / (1.0 + g * g) ** 2
 
 
-def _directions(dim: int, count: int) -> np.ndarray:
+def _directions(dim: int) -> np.ndarray:
+    """The unit directions of the scan: both of 1D, 64 equally spaced in 2D."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if count < 16:
-        raise ValueError(f"need at least 16 directions, got {count}")
-    ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
@@ -70,7 +69,7 @@ class EllipticityReport:
         }
 
 
-def ellipticity_scan(grad_samples, n_directions: int = 64) -> EllipticityReport:
+def ellipticity_scan(grad_samples) -> EllipticityReport:
     """Minimum of the symbol over gradient samples x unit directions.
 
     ``grad_samples`` is (m, dim).  Ratios are a(g, xi)/|xi|^4 = a(g, xi) on
@@ -79,7 +78,7 @@ def ellipticity_scan(grad_samples, n_directions: int = 64) -> EllipticityReport:
     """
     g = np.atleast_2d(np.asarray(grad_samples, dtype=float))
     m, dim = g.shape
-    dirs = _directions(dim, n_directions)
+    dirs = _directions(dim)
     gnorm2 = np.sum(g ** 2, axis=1)
     beta2 = 1.0 / (1.0 + gnorm2)
     dots = g @ dirs.T                                 # (m, ndir)
@@ -166,11 +165,11 @@ class LSScanReport:
         }
 
 
-def default_lambda_grid(modulus_min: float = 1e-3, modulus_max: float = 1e6,
-                        n_moduli: int = 12, n_phases: int = 9) -> list:
-    """Log-spaced moduli x phases in [-pi/2, pi/2], plus lambda = 0."""
-    moduli = np.geomspace(modulus_min, modulus_max, n_moduli)
-    phases = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_phases)
+def default_lambda_grid(n_moduli: int = 12) -> list:
+    """``n_moduli`` moduli log-spaced in [1e-3, 1e6] x 9 phases in
+    [-pi/2, pi/2], plus lambda = 0."""
+    moduli = np.geomspace(1e-3, 1e6, n_moduli)
+    phases = np.linspace(-np.pi / 2.0, np.pi / 2.0, 9)
     return [0j] + [complex(r * np.cos(ph), r * np.sin(ph)) for r in moduli for ph in phases]
 
 

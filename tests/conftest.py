@@ -6,10 +6,12 @@ example database, so a run neither depends on an earlier one nor flips on a
 new random draw.  Each test keeps its own ``max_examples``.
 
 The oracles that more than one test module reads live here too: the
-weighted norm of a constant trajectory, and the pointwise fields of a graph
-surface, read from the geometry kernels that the flow right-hand sides run.
+weighted norm of a constant trajectory, the pointwise fields of a graph
+surface, read from the geometry kernels that the flow right-hand sides run,
+and an operator plus a multiple of the identity.
 """
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +32,13 @@ def count_eigh(monkeypatch) -> list:
     monkeypatch.setattr(operators, "_symmetric_eigh",
                         lambda sym: calls.append(len(sym)) or eigh(sym))
     return calls
+
+
+def plus_identity(op: operators.LinearOperator, kappa: float) -> operators.LinearOperator:
+    """A + kappa I on the active unknowns of ``op``, its matrix the sum that
+    ``Diagonals.plus`` makes."""
+    eye = operators.Diagonals.identity(op.n_active).scaled(kappa)
+    return dataclasses.replace(op, matrix=op.matrix.plus(eye))
 
 
 def weighted_time_factor(T: float, p: float, mu: float) -> float:

@@ -50,9 +50,9 @@ def nonlinear_diffusion_spec(grid):
     # du/dt = a(u) Lap u + a'(u)|grad u|^2 with a(u) = 1 + u^2
     return ReactionDiffusionSpec(
         grid=grid, ncomp=1,
-        a=PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0)),
+        a=PolynomialMap.from_table([[[1.0, 0.0, 1.0]]], shape=(1, 1), nvars=1),
         f=PolynomialMap.constant(np.zeros(1)),
-        b=PolynomialMap.scalar_series([0.0, 2.0], shape=(1, 1, 1), out_index=(0, 0, 0)),
+        b=PolynomialMap.from_table([[[[0.0, 2.0]]]], shape=(1, 1, 1), nvars=1),
         u_box=np.array([[-3.0, 3.0]]), name="nonlinear-diffusion")
 
 
@@ -62,7 +62,7 @@ def square_problem(nodes=17):
     spec = ReactionDiffusionSpec(
         grid=grid, ncomp=1,
         a=PolynomialMap.constant(np.array([[1.0]])),
-        f=PolynomialMap.scalar_series([0.0, 0.0, 1.0], shape=(1,), out_index=(0,)),
+        f=PolynomialMap.from_table([[0.0, 0.0, 1.0]], shape=(1,), nvars=1),
         b=PolynomialMap.constant(np.zeros((1, 1, 1))),
         u_box=np.array([[-1e12, 1e12]]), name="square")
     return grid, rd_problem(spec)

@@ -156,6 +156,23 @@ def test_check_fourth_order_window(tmp_path, capsys):
     assert report["beta_window"]["hi_exact"] == "2597/3000"
 
 
+@pytest.mark.parametrize("layout", ["flat", "run"])
+@pytest.mark.parametrize("epsilon,hi,empty", [("1/20", "49/60", False), ("1/5", "2/3", True)])
+def test_check_reports_the_window_at_the_configured_epsilon(tmp_path, capsys, layout, epsilon,
+                                                            hi, empty):
+    # the upper end is 13/15 - epsilon; at 1/5 it falls below the lower end
+    # 19/24, and the structure exponents cannot be formed
+    exponents = {"p": 2, "q": 2, "mu": "19/20", "epsilon": epsilon}
+    doc = dict(exponents, n=1, order="fourth")
+    if layout == "run":
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "willmore.json").read_text())
+        doc["exponents"] = exponents
+    assert main(["check", "--config", write_cfg(tmp_path / "cfg.json", doc)]) == 2
+    window = json.loads(capsys.readouterr().out)["beta_window"]
+    assert (window["lo_exact"], window["hi_exact"], window["empty"]) == ("19/24", hi, empty)
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_writes_artifacts(tmp_path, long_heat_run):
@@ -1334,9 +1351,7 @@ _DIAGNOSTICS_OVERFLOW = "gives a diagnostic norm beyond floating point"
 @example(command="run", edits=(("solver.horizon", 1e308),))
 @example(command="run", edits=(("diagnostics.omega_count", 100000),))
 @example(command="sweep", edits=(("diagnostics.norm_intervals", 10 ** 9),))
-# a short last window too short for its graded grid, after a window at t =
-# 0.01 whose first step vanishes against t: a window collapse, and then the
-# first window's diagnostics overflow (exit 4)
+# a first step of 0.01 2^-1040, a subnormal float: exit 4 at the parse
 @example(command="run", edits=(("solver.grading", 1040), ("solver.time_steps", 2),
                                ("solver.horizon", 0.020000000002)))
 def test_config_edges_keep_the_exit_code_contract(command, edits):
@@ -1494,10 +1509,11 @@ def test_integer_literal_beyond_the_int_digit_limit_exits_4(tmp_path, capsys, co
 
 
 def test_a_window_too_short_for_its_grading_collapses_with_exit_3(tmp_path, capsys):
-    # the configured window grades, but the first window, cut to the horizon,
-    # and each of its halvings underflow the first step to zero length
+    # the configured window grades (its first step is 0.01 2^-1000, a normal
+    # float), but the first window, cut to the horizon, and each of its
+    # halvings underflow the first step to zero length
     cfg = tiny_cfg()
-    cfg["solver"].update(grading=1050, time_steps=2, horizon=1e-11)
+    cfg["solver"].update(grading=1000, time_steps=2, horizon=1e-24)
     out = tmp_path / "out"
     assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
                  "--out", str(out)]) == 3
@@ -1505,8 +1521,24 @@ def test_a_window_too_short_for_its_grading_collapses_with_exit_3(tmp_path, caps
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "blow_up" and summary["t_reached"] == 0.0
     assert summary["reason"].startswith("window collapse: window collapsed after 20 halvings: "
-                                        "reference solve failed: grading 1050 leaves a step "
+                                        "reference solve failed: grading 1000 leaves a step "
                                         "of zero length among the 2 steps of a window")
+
+
+def test_a_subnormal_first_step_exits_4_before_writing(tmp_path, capsys):
+    # a first step of 0.01 2^-1040, about 8.5e-316, on which the weighted
+    # norms overflow: the parse rejects it, as it rejects a zero step
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "heat.json").read_text())
+    doc["solver"].update(grading=1040, time_steps=2, window=0.01)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: bad solver section: grading 1040 leaves a step of subnormal "
+                   "length 8.48798317e-316 among the 2 steps of a window of length 0.01 "
+                   "at t = 0.0\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["q", "p"])

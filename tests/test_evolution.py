@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from conftest import plus_identity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -68,7 +69,7 @@ def square_problem(nodes=17, box=1e6):
     spec = ReactionDiffusionSpec(
         grid=grid, ncomp=1,
         a=PolynomialMap.constant(np.array([[1.0]])),
-        f=PolynomialMap.scalar_series([0.0, 0.0, 1.0], shape=(1,), out_index=(0,)),
+        f=PolynomialMap.from_table([[0.0, 0.0, 1.0]], shape=(1,), nvars=1),
         b=PolynomialMap.constant(np.zeros((1, 1, 1))),
         u_box=np.array([[-box, box]]), name="square")
     return grid, rd_problem(spec)
@@ -140,7 +141,7 @@ def _coupled_diffusion(grid):
 def _scalar_diffusion(grid):
     return rd_problem(ReactionDiffusionSpec(
         grid=grid, ncomp=1,
-        a=PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0)),
+        a=PolynomialMap.from_table([[[1.0, 0.0, 1.0]]], shape=(1, 1), nvars=1),
         f=PolynomialMap.constant(np.zeros(1)), b=PolynomialMap.constant(np.zeros((1, 1, 1))),
         u_box=np.array([[-2.0, 2.0]]), name="scalar"))
 
@@ -189,7 +190,7 @@ def test_euler_stepper_matches_sparse_solve(case, data):
         dts = [long if is_long else short * f for is_long, f in data.draw(st.lists(
             st.tuples(st.booleans(), st.floats(1e-6, 1.0)), min_size=1, max_size=3),
             label="steps")]
-        A = A.shifted(kappa)
+        A = plus_identity(A, kappa)
     else:
         dts = data.draw(st.lists(st.floats(1e-8, 1e-2), min_size=1, max_size=3), label="dts")
     times = np.concatenate([[0.0], np.cumsum(dts)])
@@ -219,7 +220,7 @@ def test_euler_stepper_singular_step_raises():
     # A = -I makes I + dt*A vanish at dt = 1
     grid = Grid(1, 9)
     A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes, -1.0))
+                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
     with pytest.raises(SolverError):
         evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
 
@@ -228,7 +229,7 @@ def test_modal_singular_step_raises():
     # the same A = -I marches in its eigenbasis, where 1 + dt*lambda = 0
     grid = Grid(1, 9)
     A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes, -1.0))
+                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
     assert evolution._marches_in_eigenbasis(A, 2)
     with pytest.raises(SolverError, match="^modal march failed: a step is singular"):
         evolution._ModalStepper(A, np.array([0.0, 0.5, 1.5]), evolution._euler_tables)
@@ -315,7 +316,7 @@ def test_euler_stepper_indefinite_step_falls_back_to_lu():
     # A = -I is symmetric, and I + dt*A = -I at dt = 2 is indefinite
     grid = Grid(1, 9)
     A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes, -1.0))
+                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
     stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
     assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
     alone = _lu_of_step(A, 2.0)
@@ -652,7 +653,7 @@ def test_discrete_maximal_regularity(order, p, q, mu):
     # K and n, in 1D and in 2D, for Neumann -Lap + I and the clamped Lap^2
     def operator(grid):
         if order == 2:
-            return reference_operator(grid, "second").shifted(1.0)
+            return plus_identity(reference_operator(grid, "second"), 1.0)
         return reference_operator(grid, "fourth")
 
     for cases in ([(Grid(1, n), K) for n in (33, 129) for K in (32, 512)],
@@ -816,7 +817,7 @@ def kappa_shift(prob: AbstractProblem, kappa: float) -> AbstractProblem:
     """
 
     def assemble(v):
-        return prob.assemble_A(v).shifted(kappa)
+        return plus_identity(prob.assemble_A(v), kappa)
 
     def f1(v):
         return GridFunction(v.grid, prob.F1(v).values + kappa * v.values)
@@ -936,7 +937,7 @@ def _fallback_cases():
     op2 = reference_operator(plate2, "fourth")
     constant2 = dataclasses.replace(constant, assemble_A=lambda w: op2)
     # two operator objects in runs: the sign of the first value picks one
-    ops = {True: op, False: reference_operator(plate, "fourth").shifted(1.0)}
+    ops = {True: op, False: plus_identity(reference_operator(plate, "fourth"), 1.0)}
     runs = dataclasses.replace(constant, assemble_A=lambda w: ops[bool(w.values[0, 0] > 0.0)])
     signs = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0])
     runs_stack = rng.uniform(0.1, 1.0, (7, 17, 1))
@@ -957,17 +958,17 @@ def _fallback_cases():
 
 @pytest.mark.parametrize("case", ["constant-1d", "constant-2d", "constant-runs",
                                   "state-dependent", "state-dependent-ncomp2"])
-def test_fallback_equals_per_sample_hooks_bitwise(case, monkeypatch):
+def test_fallback_equals_per_sample_hooks_bitwise(case):
     # F1 + F2 - A(v) v of each sample, with A(v) v as one sparse product per
     # run of samples sharing an operator, has the bits of the per-sample sum
     prob, grid, stack = _fallback_cases()[case]
-    want = np.stack([prob.F1(v).values + prob.F2(v).values - prob.assemble_A(v).apply(v).values
-                     for v in (GridFunction(grid, vals) for vals in stack)])
+    want = []
+    for v in (GridFunction(grid, vals) for vals in stack):
+        op = prob.assemble_A(v)
+        want.append(prob.F1(v).values + prob.F2(v).values - op.scatter(op.dot(op.gather(v.values))))
+    want = np.stack(want)
     calls = dict.fromkeys(("F1", "F2", "assemble_A"), 0)
     counted = _counted(prob, calls)
-    # no single-sample products: only the stacked ones
-    monkeypatch.setattr(evolution.LinearOperator, "apply",
-                        lambda *_: pytest.fail("per-sample operator apply"))
     got = counted.G_values(stack, grid)
     assert _same_bits(got, want)
     n = len(stack)
@@ -1214,8 +1215,8 @@ def test_lipschitz_probe_sees_state_dependence():
     grid = Grid(1, 24)
     spec = ReactionDiffusionSpec(
         grid=grid, ncomp=1,
-        a=PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0)),
-        f=PolynomialMap.scalar_series([0.0, 1.0], shape=(1,), out_index=(0,)),
+        a=PolynomialMap.from_table([[[1.0, 0.0, 1.0]]], shape=(1, 1), nvars=1),
+        f=PolynomialMap.from_table([[0.0, 1.0]], shape=(1,), nvars=1),
         b=PolynomialMap.constant(np.zeros((1, 1, 1))),
         u_box=np.array([[-2.0, 2.0]]), name="rd")
     prob = rd_problem(spec)
@@ -1365,9 +1366,10 @@ def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
                 skipped += 1
                 continue
             n_pairs += 1
+            A_i, A_j = prob.assemble_A(samples[i]), prob.assemble_A(samples[j])
             for v in probes:
-                diff = (prob.assemble_A(samples[i]).apply(v).values
-                        - prob.assemble_A(samples[j]).apply(v).values)
+                diff = (A_i.scatter(A_i.dot(A_i.gather(v.values)))
+                        - A_j.scatter(A_j.dot(A_j.gather(v.values))))
                 num = lq_norms(diff, grid)
                 L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int)))
             diff = prob.F1(samples[i]).values - prob.F1(samples[j]).values

@@ -61,7 +61,6 @@ def test_config_validation():
 def test_trace_exponent_exact():
     assert cfg2().trace_exponent == F(2, 5)
     assert cfg4().trace_exponent == F(9, 20)
-    assert cfg2().order_int == 2 and cfg4().order_int == 4
 
 
 # ---------------------------------------------------------------- mu0
@@ -119,8 +118,6 @@ def test_beta_window_second_frozen():
     w = beta_window(cfg2())
     assert (w.lo, w.hi) == (F(5, 8), F(7, 10))
     assert not w.empty
-    assert w.contains("13/20")
-    assert not w.contains("5/8")  # open interval
     assert w.midpoint() == F(53, 80)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from conftest import count_eigh
+from conftest import count_eigh, plus_identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,7 +149,7 @@ def test_gather_scatter_roundtrip():
     components, in 1D and 2D, on stacks with no, one and two leading axes:
     scatter(gather(v)) is v on the active unknowns and +0.0 elsewhere,
     gather(scatter(x)) is x, and under Neumann both are views of their
-    input.  ``apply`` of the identity is the single-field case."""
+    input."""
     rng = np.random.default_rng(3)
     for dim, bc, ncomp in [(d, b, c) for d in (1, 2) for b in (NEU, CLA) for c in (1, 2)]:
         grid = Grid(dim, 14 if dim == 1 else 9)
@@ -176,16 +176,6 @@ def test_gather_scatter_roundtrip():
             for wrong in (x[..., 1:], x[..., :1], np.zeros(lead + (op.n_active + 1,))):
                 with pytest.raises(ValueError):
                     op.scatter(wrong)
-        u = GridFunction(grid, v[0, 0])
-        assert _bits(op.apply(u).values) == _bits(back[0, 0])
-
-
-def test_shifted_adds_identity():
-    grid = Grid(1, 12)
-    op = reference_operator(grid, "second")
-    sh = op.shifted(2.5)
-    diff = sh.toarray() - op.toarray()
-    assert np.allclose(diff, 2.5 * np.eye(op.n_active))
 
 
 def test_neumann_laplacian_weighted_symmetry():
@@ -221,7 +211,7 @@ def test_coefficient_operator_applies_nodal_weights():
     u = GridFunction.from_scalar(grid, vals)
     op = assemble_coefficient_operator(grid, {(2,): c}, NEU)
     manual = c * derivative(u, 2).scalar
-    assert np.allclose(op.apply(u).scalar, manual)
+    assert np.allclose(op.scatter(op.dot(op.gather(u.values)))[..., 0], manual)
 
 
 # ---------------------------------------------------------------- solves
@@ -229,7 +219,7 @@ def test_coefficient_operator_applies_nodal_weights():
 def test_banded_solve_matches_dense():
     grid = Grid(1, 30)
     rng = np.random.default_rng(7)
-    op = reference_operator(grid, "second").shifted(1.0)
+    op = plus_identity(reference_operator(grid, "second"), 1.0)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     # solve writes x over its argument, so it gets a copy
     x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values).copy())
@@ -240,7 +230,7 @@ def test_banded_solve_matches_dense():
 def test_banded_solve_clamped_fourth():
     grid = Grid(1, 26)
     rng = np.random.default_rng(9)
-    op = reference_operator(grid, "fourth").shifted(0.5)
+    op = plus_identity(reference_operator(grid, "fourth"), 0.5)
     rhs = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     x = BandedLU(*op.to_banded()).solve(op.gather(rhs.values).copy())
     res = op.dot(x) - op.gather(rhs.values)
@@ -652,7 +642,7 @@ def test_laplacian_and_reference_operators_match_csr(dim):
         assert_same_operator(op, _csr_reference(grid, order))
         for kappa in (0.0, 2.5, -1.0):
             ref = (_csr_reference(grid, order) + kappa * scipy.sparse.identity(op.n_active))
-            assert_same_operator(op.shifted(kappa), ref.tocsr())
+            assert_same_operator(plus_identity(op, kappa), ref.tocsr())
 
 
 def _random_coefficients(grid, rng, max_order=4):
@@ -672,9 +662,16 @@ def _random_coefficients(grid, rng, max_order=4):
 @pytest.mark.parametrize("ncomp", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
 def test_coefficient_operator_matches_csr(dim, bc, ncomp, seed):
+    """The scalar operator, and with two components the operator that acts
+    as it on each, which ``block_rows`` of identity blocks makes of its
+    full-grid matrix, as the reaction-diffusion assembly does with a = I."""
     grid = Grid(dim, 9)
     coeffs = _random_coefficients(grid, np.random.default_rng(seed))
-    op = assemble_coefficient_operator(grid, coeffs, bc, ncomp)
+    op = assemble_coefficient_operator(grid, coeffs, bc)
+    if ncomp > 1:
+        full = assemble_coefficient_operator(grid, coeffs, NEU).matrix
+        eye = np.broadcast_to(np.eye(ncomp), (grid.n_nodes, ncomp, ncomp))
+        op = operator_from_full_matrix(grid, ncomp, bc, block_rows(eye, full))
     assert_same_operator(op, _csr_coefficients(grid, coeffs, bc, ncomp))
     # a single order alone, for every order
     for order in range(5):
@@ -717,7 +714,8 @@ def test_diffusion_operator_matches_csr(dim, ncomp, coupled):
                                    block_rows(av, neumann_laplacian(grid)).scaled(-1.0))
     ref = _csr_diffusion(grid, av)
     assert_same_operator(op, ref)
-    assert_same_operator(op.shifted(1.5), (ref + 1.5 * scipy.sparse.identity(op.n_active)).tocsr())
+    assert_same_operator(plus_identity(op, 1.5),
+                         (ref + 1.5 * scipy.sparse.identity(op.n_active)).tocsr())
     # the reaction-diffusion family assembles the same, here for a constant a
     a = np.eye(ncomp) + (0.2 * np.triu(np.ones((ncomp, ncomp)), 1) if coupled else 0.0)
     spec = ReactionDiffusionSpec(grid=grid, ncomp=ncomp, a=PolynomialMap.constant(a),
@@ -840,7 +838,7 @@ def test_the_algebra_matches_dense_numpy(data):
     _assert_is_dense(block_rows(blocks, A),
                      np.einsum("iab,ij->iajb", blocks, a).reshape(n * nb, n * nb), vectors)
     value = data.draw(_ENTRIES)
-    _assert_is_dense(Diagonals.identity(n, value), value * np.eye(n), vectors)
+    _assert_is_dense(Diagonals.identity(n).scaled(value), value * np.eye(n), vectors)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -870,11 +868,12 @@ def test_an_operator_product_leaves_numpy_ma_unimported():
         "import sys",
         "import numpy as np",
         "from parabolab.grids import Grid",
-        "from parabolab.operators import reference_operator",
+        "from parabolab.operators import Diagonals, reference_operator",
         "for dim in (1, 2):",
         "    for order in ('second', 'fourth'):",
-        "        op = reference_operator(Grid(dim, 9), order).shifted(1.0)",
-        "        op.dot(np.ones((3, op.n_active)))",
+        "        op = reference_operator(Grid(dim, 9), order)",
+        "        mat = op.matrix.plus(Diagonals.identity(op.n_active))",
+        "        mat.dot(np.ones((3, op.n_active)))",
         "        op.to_banded()",
         "print('numpy.ma' in sys.modules)",
     ])
@@ -907,7 +906,7 @@ def test_lapack_fallback_gives_the_same_bits(monkeypatch):
         raise ImportError("no direct load")
 
     grid = Grid(1, 16)
-    op = reference_operator(grid, "second").shifted(0.5)
+    op = plus_identity(reference_operator(grid, "second"), 0.5)
     plate = reference_operator(grid, "fourth")
 
     def results():

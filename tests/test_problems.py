@@ -39,8 +39,8 @@ CLA = BoundaryCondition.CLAMPED
 def scalar_spec(grid, a_series, f_series=(0.0,), b_const=0.0, box=2.0, margin=0.0):
     return ReactionDiffusionSpec(
         grid=grid, ncomp=1,
-        a=PolynomialMap.scalar_series(a_series, shape=(1, 1), out_index=(0, 0)),
-        f=PolynomialMap.scalar_series(f_series, shape=(1,), out_index=(0,)),
+        a=PolynomialMap.from_table([[list(a_series)]], shape=(1, 1), nvars=1),
+        f=PolynomialMap.from_table([list(f_series)], shape=(1,), nvars=1),
         b=PolynomialMap.constant(np.full((1, 1, 1), float(b_const))),
         u_box=np.array([[-box, box]]), margin=margin)
 
@@ -49,7 +49,7 @@ def scalar_spec(grid, a_series, f_series=(0.0,), b_const=0.0, box=2.0, margin=0.
 
 def test_polynomial_map_evaluation():
     # 1 + 2u + 3u^2 at u = 2 is 17
-    p = PolynomialMap.scalar_series([1.0, 2.0, 3.0], shape=(1,), out_index=(0,))
+    p = PolynomialMap.from_table([[1.0, 2.0, 3.0]], shape=(1,), nvars=1)
     out = p(np.array([[2.0]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(17.0)
@@ -159,7 +159,7 @@ def test_positivity_identity_matrix():
 
 
 def test_positivity_one_plus_u_squared():
-    a = PolynomialMap.scalar_series([1.0, 0.0, 1.0], shape=(1, 1), out_index=(0, 0))
+    a = PolynomialMap.from_table([[[1.0, 0.0, 1.0]]], shape=(1, 1), nvars=1)
     rep = spectrum_positivity_check(a, [[-2.0, 2.0]])
     assert rep.ok
     assert rep.min_real_part == pytest.approx(1.0)  # minimum at u = 0
@@ -195,7 +195,9 @@ def test_heat_apply_is_negative_laplacian():
     rng = np.random.default_rng(1)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     lap = derivative(u, 2).scalar
-    assert np.allclose(prob.assemble_A(u).apply(u).scalar, -lap, rtol=1e-11, atol=1e-11)
+    op = prob.assemble_A(u)
+    assert np.allclose(op.scatter(op.dot(op.gather(u.values)))[..., 0], -lap,
+                       rtol=1e-11, atol=1e-11)
     assert prob.order == "second" and prob.order_int == 2
     assert prob.name == "heat"
 
@@ -209,7 +211,8 @@ def test_state_dependent_diffusion_value():
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
     lap = derivative(u, 2).scalar
     expected = -(1.0 + v.scalar ** 2) * lap
-    assert np.allclose(prob.assemble_A(v).apply(u).scalar, expected, rtol=1e-10)
+    op = prob.assemble_A(v)
+    assert np.allclose(op.scatter(op.dot(op.gather(u.values)))[..., 0], expected, rtol=1e-10)
 
 
 def test_system_coupling_matrix():
@@ -225,7 +228,8 @@ def test_system_coupling_matrix():
     u = GridFunction(grid, rng.uniform(-0.9, 0.9, size=grid.shape + (2,)))
     lap = np.stack([derivative(u, 2).values[..., i] for i in range(2)], axis=-1)
     expected = np.stack([-(lap[..., 0] + 0.5 * lap[..., 1]), -2.0 * lap[..., 1]], axis=-1)
-    assert np.allclose(prob.assemble_A(u).apply(u).values, expected, rtol=1e-10)
+    op = prob.assemble_A(u)
+    assert np.allclose(op.scatter(op.dot(op.gather(u.values))), expected, rtol=1e-10)
 
 
 def test_quadratic_gradient_term():
@@ -289,7 +293,8 @@ def test_flow_leading_coefficient_1d():
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape) * grid.interior_mask())
     beta4 = surface_fields(h).beta ** 4
     expected = beta4 * derivative(u, 4).scalar
-    got = prob.assemble_A(h).apply(u).scalar
+    op = prob.assemble_A(h)
+    got = op.scatter(op.dot(op.gather(u.values)))[..., 0]
     assert np.allclose(got[1:-1], expected[1:-1], rtol=1e-12, atol=1e-12)
     assert np.all(got[[0, -1]] == 0.0)
 
@@ -347,7 +352,8 @@ def _per_sample_G(prob, grid, stack):
     out = []
     for vals in stack:
         v = GridFunction(grid, vals)
-        out.append(prob.F1(v).values + prob.F2(v).values - prob.assemble_A(v).apply(v).values)
+        op = prob.assemble_A(v)
+        out.append(prob.F1(v).values + prob.F2(v).values - op.scatter(op.dot(op.gather(vals))))
     return np.stack(out)
 
 
