@@ -46,8 +46,7 @@ def atomic_open(path):
     os.replace(tmp, path)
 
 
-def save_trajectory(path, traj: WeightedTrajectory, meta: dict | None = None) -> None:
-    meta = dict(meta or {})
+def save_trajectory(path, traj: WeightedTrajectory, meta: dict) -> None:
     grid = traj.grid
     # an open file, because np.savez appends ".npz" to a path without it
     with atomic_open(path) as fh:

@@ -35,7 +35,7 @@ from .evolution import NonconvergenceError, StateConstraintError, continue_solut
 from .exponents import ORDER_INT, ORDER_SECOND, admissibility_report
 from .geometry import slope_field
 from .grids import BoundaryCondition, GridFunction
-from .norms import E0mu_norm, E1mu_norm, WeightedTrajectory, glue, smoothing_check
+from .norms import TIME_SLACK, E0mu_norm, E1mu_norm, WeightedTrajectory, glue, smoothing_check
 from .operators import (DESK_EIG_CAP, SolverError, derivative_values, eigendecompose,
                         reference_operator, unit_sigma)
 from .problems import ProblemSpecError
@@ -65,7 +65,7 @@ def _exit_code(exc: BaseException) -> int:
     return EXIT_NONCONVERGENCE if isinstance(exc, _NONCONVERGENCE) else EXIT_IO
 
 
-def _emit_json(obj: dict, path=None) -> None:
+def _emit_json(obj: dict, path) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -123,7 +123,7 @@ def _admissibility(exps: cfgmod.Exponents) -> dict:
     violation = exps.violation
     if exps.structure is not None:
         try:
-            return admissibility_report(exps.config, exps.structure, exps.epsilon)
+            return admissibility_report(exps.config, exps.structure, epsilon=exps.epsilon)
         except ValueError as exc:
             violation = str(exc)
     report = admissibility_report(exps.config, epsilon=exps.epsilon)
@@ -251,7 +251,7 @@ def _interval_norms(traj: WeightedTrajectory, intervals, q: float, order: int) -
         intervals = zip(edges[:-1], edges[1:])
     return [[lo, hi, E0mu_norm(traj, interval=(lo, hi), q=q),
              E1mu_norm(traj, interval=(lo, hi), q=q, order=order)]
-            if hi <= traj.horizon + 1e-12 * traj.horizon else [lo, hi, None, None]
+            if hi <= traj.horizon + TIME_SLACK * traj.horizon else [lo, hi, None, None]
             for lo, hi in intervals]
 
 
@@ -293,7 +293,7 @@ _RUN_FILES = ("admissibility.json", "symbol.json", "trajectory.npz", "timeseries
               "diagnostics.json", "summary.json")
 
 
-def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool = False,
+def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool,
                 resume: bool = False) -> tuple:
     """Full run pipeline; returns the exit code, and the summary and symbol
     report (None without ``diagnostics.symbol_scan``) that it wrote.

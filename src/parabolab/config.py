@@ -29,9 +29,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .evolution import FixedPointConfig
-from .exponents import (ExponentConfig, Number, StructureExponents, ORDER_FOURTH,
-                        ORDER_SECOND, as_number, beta_window)
+from .evolution import JOINT_TOL, FixedPointConfig
+from .exponents import (DEFAULT_EPSILON, ExponentConfig, Number, StructureExponents,
+                        ORDER_FOURTH, ORDER_SECOND, as_number, beta_window)
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import DESK_EIG_CAP, active_flat_indices
 from .problems import (FlowSpec, PolynomialMap, ProblemSpecError, ReactionDiffusionSpec,
@@ -166,12 +166,12 @@ def _check(value, sub: dict, path: str = "") -> None:
 
 @dataclass(frozen=True)
 class Exponents:
-    """The exponent section.  ``epsilon`` is the section's, None when it
-    gives none; ``structure`` is None when the structure exponents cannot be
-    formed, for the reason ``violation``."""
+    """The exponent section.  ``epsilon`` is the section's, or
+    ``DEFAULT_EPSILON`` when it gives none; ``structure`` is None when the
+    structure exponents cannot be formed, for the reason ``violation``."""
 
     config: ExponentConfig
-    epsilon: Optional[Number]
+    epsilon: Number
     structure: Optional[StructureExponents]
     violation: str = ""
 
@@ -228,8 +228,9 @@ def is_flat_exponent_config(doc) -> bool:
 def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
     """The exponents of ``sec`` (keys p, q, mu, optional beta, epsilon,
     pairs) in dimension ``n`` at differential ``order``.  A value that does
-    not parse, or an ExponentConfig out of range, raises ConfigError; beta
-    defaults to the midpoint of the beta window."""
+    not parse, an ExponentConfig out of range or a negative epsilon raises
+    ConfigError; epsilon defaults to ``DEFAULT_EPSILON``, and beta to the
+    midpoint of the beta window."""
     try:
         values = [sec[key] for key in ("p", "q", "mu", "beta", "epsilon") if key in sec]
         values += [x for rho, beta in sec.get("pairs", []) for x in (rho, beta)]
@@ -243,13 +244,15 @@ def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
                             mu=as_number(sec["mu"]), order=order)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad exponent section: {exc}") from exc
-    eps = as_number(sec["epsilon"]) if "epsilon" in sec else None
-    kw = {} if eps is None else {"epsilon": eps}
+    eps = as_number(sec["epsilon"]) if "epsilon" in sec else DEFAULT_EPSILON
+    if eps < 0:
+        raise ConfigError(f"exponents.epsilon must be >= 0, got {sec['epsilon']!r}")
     try:
         beta = sec["beta"] if "beta" in sec else beta_window(ec, eps).midpoint()
         if "pairs" in sec:
-            return Exponents(ec, eps, StructureExponents(beta=beta, pairs=sec["pairs"], **kw))
-        return Exponents(ec, eps, StructureExponents.for_problem(ec, beta, **kw))
+            return Exponents(ec, eps, StructureExponents(beta=beta, pairs=sec["pairs"],
+                                                         epsilon=eps))
+        return Exponents(ec, eps, StructureExponents.for_problem(ec, beta, eps))
     except ValueError as exc:
         return Exponents(ec, eps, None, str(exc))
 
@@ -430,7 +433,7 @@ def build_initial(rc: RunConfig) -> GridFunction:
     if rc.bc == BoundaryCondition.CLAMPED:
         # the tolerance of the window joints in ``continue_solution``
         edge = float(np.max(np.abs(values[~rc.grid.interior_mask()])))
-        if edge > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
+        if edge > JOINT_TOL * max(1.0, float(np.max(np.abs(values)))):
             raise ProblemSpecError(f"initial field reaches {edge:.3e} on the boundary, where "
                                    f"the clamped {rc.family} problem needs it to vanish")
     return rc.initial

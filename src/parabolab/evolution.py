@@ -94,11 +94,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import ORDER_INT
-from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError
-from .norms import (E1mu_norm, WeightedTrajectory, difference, glue, lq_norms, proxy_norms,
-                    x1_norm)
+from .grids import BoundaryCondition, Grid, GridFunction, NonFiniteError, all_finite
+from .norms import (TIME_SLACK, E1mu_norm, WeightedTrajectory, difference, glue, lq_norms,
+                    proxy_norms, x1_norm)
 from .operators import (LinearOperator, SolverError, SpectralProxy, eigendecompose,
                         reference_operator, step_factors)
+
+
+# the largest gap between a window's first state and the state it starts
+# from, relative to the state's sup norm or 1, whichever is larger
+JOINT_TOL = 1e-8
 
 
 class StateConstraintError(ValueError):
@@ -106,7 +111,7 @@ class StateConstraintError(ValueError):
 
 
 class NonconvergenceError(RuntimeError):
-    def __init__(self, message: str, halvings: int = 0, residuals=()):
+    def __init__(self, message: str, halvings: int, residuals):
         super().__init__(message)
         self.halvings = halvings
         self.residuals = tuple(residuals)
@@ -166,7 +171,7 @@ class AbstractProblem:
         """G on a stack of nodal values; see the class docstring."""
         if self.G is not None:
             return self.G(values)
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise NonFiniteError("GridFunction values must be finite")
         samples = values.reshape((-1,) + grid.shape + (values.shape[-1],))
         out = np.empty_like(samples)
@@ -267,8 +272,7 @@ class _EulerStepper:
             else:
                 us[k + 1] += us[k]
             factor.solve(us[k + 1])
-        # the extremes are NaN or infinite where an entry is, with no temporary
-        if not (np.isfinite(us.min()) and np.isfinite(us.max())):
+        if not all_finite(us):
             # a non-finite value stays non-finite in later steps, so the
             # first non-finite state names the failing step
             k = max(int(np.argmin(np.isfinite(us).all(axis=1))) - 1, 0)
@@ -360,7 +364,7 @@ class _ModalStepper:
         us = np.empty((len(c), len(u_init)))
         us[0] = u_init
         np.matmul(c[1:], self.modes.T, out=us[1:])
-        if not (np.isfinite(us.min()) and np.isfinite(us.max())):
+        if not all_finite(us):
             raise SolverError("modal march failed: non-finite values")
         return us
 
@@ -418,12 +422,9 @@ def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
                               cfg.mu, cfg.p)
 
 
-def reference_solution(u0: GridFunction, prob: AbstractProblem, cfg: FixedPointConfig,
-                       _stepper=None) -> WeightedTrajectory:
+def reference_solution(u0: GridFunction, cfg: FixedPointConfig, stepper) -> WeightedTrajectory:
     """Trajectory of the frozen homogeneous problem dw/dt + A(u0) w = 0, w(0) = u0,
-    on the graded grid of one window of ``cfg``."""
-    stepper = _stepper or _build_machinery(
-        prob, u0, graded_times(cfg.window, cfg.time_steps, cfg.gamma()), cfg)
+    on the sample times of ``stepper``, the window's, which holds A(u0)."""
     vecs = stepper.run(stepper.A0.gather(u0.values), None)
     return _assemble_trajectory(stepper, vecs, None, cfg)
 
@@ -439,7 +440,7 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
         g = prob.G_values(values, A0.grid)
     except NonFiniteError as exc:
         raise StateConstraintError("non-finite right-hand side") from exc
-    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+    if not all_finite(g):
         raise StateConstraintError("non-finite right-hand side")
     # G(v) is added into the fresh product (same bits), so G's output is never written
     rhs = A0.dot(A0.gather(values))
@@ -448,9 +449,9 @@ def _picard_rhs(v: WeightedTrajectory, prob: AbstractProblem,
 
 
 def picard_map(v: WeightedTrajectory, u1: GridFunction, prob: AbstractProblem,
-               cfg: FixedPointConfig, _stepper=None) -> WeightedTrajectory:
-    """One application of T (see module docs), frozen at and started from u1."""
-    stepper = _stepper or _build_machinery(prob, u1, v.times, cfg)
+               cfg: FixedPointConfig, stepper) -> WeightedTrajectory:
+    """One application of T (see module docs), started from u1; ``stepper``,
+    the window's, holds A(u1) and the sample times of ``v``."""
     rhs = _picard_rhs(v, prob, stepper.A0)
     vecs = stepper.run(stepper.A0.gather(u1.values), rhs)
     return _assemble_trajectory(stepper, vecs, rhs, cfg)
@@ -501,13 +502,13 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
             if (reason := cfg.ungradeable(T, t0)) is not None:
                 raise SolverError(reason)
             stepper = _build_machinery(prob, u1, times, cfg)
-            v = reference_solution(u1, prob, cfg, _stepper=stepper)
+            v = reference_solution(u1, cfg, stepper)
         except (SolverError, StateConstraintError, NonFiniteError) as exc:
             reason = f"reference solve failed: {exc}"
         else:
             for iterations in range(1, cfg.max_iter + 1):
                 try:
-                    u = picard_map(v, u1, prob, cfg, _stepper=stepper)
+                    u = picard_map(v, u1, prob, cfg, stepper)
                     d = difference(u, v)
                 except (SolverError, StateConstraintError, NonFiniteError) as exc:
                     reason = f"iteration failed: {exc}"
@@ -572,8 +573,8 @@ class ContinuationState:
 def continue_solution(start: GridFunction | WeightedTrajectory, prob: AbstractProblem,
                       cfg: FixedPointConfig, horizon: float,
                       on_window: Optional[Callable] = None) -> ContinuationState:
-    """Glue solver windows onto ``start`` until the horizon, within 1e-12
-    horizon, or until breakdown.
+    """Glue solver windows onto ``start`` until the horizon, within
+    ``TIME_SLACK`` of it, or until breakdown.
 
     ``start`` is the initial state at t = 0 or the trajectory of the run so
     far, continued from its last state and time; the returned trajectory
@@ -597,7 +598,7 @@ def continue_solution(start: GridFunction | WeightedTrajectory, prob: AbstractPr
     windows: list = []
     blow_up = False
     reason = None
-    end_tol = 1e-12 * horizon
+    end_tol = TIME_SLACK * horizon
     while t < horizon - end_tol:
         # a remainder within end_tol of a window takes the whole window, so that a
         # run resumed at a window boundary solves the windows of an uninterrupted one
@@ -616,7 +617,7 @@ def continue_solution(start: GridFunction | WeightedTrajectory, prob: AbstractPr
         windows.append(st)
         traj = st.trajectory
         joint_gap = float(np.max(np.abs(traj.state_values[0] - u.values)))
-        if joint_gap > 1e-8 * max(1.0, float(np.max(np.abs(u.values)))):
+        if joint_gap > JOINT_TOL * max(1.0, float(np.max(np.abs(u.values)))):
             raise SolverError(f"window joint mismatch {joint_gap:.3e}")
         pieces.append((t, traj))
         t_start = t
@@ -694,7 +695,7 @@ def lipschitz_probe(prob: AbstractProblem, u_center: GridFunction,
             skipped += 1
     probes = np.stack(modes[:2])
     tops = [x1_norm(GridFunction(grid, v), 2.0, prob.order_int) for v in probes]
-    lq = functools.partial(lq_norms, grid=grid)
+    lq = functools.partial(lq_norms, grid=grid, q=2.0)
     # each hook once per perturbed state, A(w) on both probes in one product
     dists = _pair_distances([w.values for w in samples],
                             lambda diffs: proxy_norms(diffs, theta_low, proxy))
@@ -756,10 +757,10 @@ class OmegaLimitReport:
 
 
 def omega_limit(traj: WeightedTrajectory, sample_times, proxy: SpectralProxy,
-                threshold: float = 1e-4, theta: Optional[float] = None) -> OmegaLimitReport:
+                threshold: float, theta: Optional[float]) -> OmegaLimitReport:
     """Cluster late-time states in the trace-proxy metric.
 
-    ``theta`` defaults to 1 - 1/p (the natural unweighted trace scale).
+    ``theta`` None is 1 - 1/p (the natural unweighted trace scale).
     Clusters come from single-linkage with the given threshold; the run is
     ``converged`` when a single cluster remains and the pairwise spread over
     the later half of the samples does not exceed that of the earlier half.

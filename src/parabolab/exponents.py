@@ -38,6 +38,9 @@ Number = Union[Fraction, float]
 ORDER_SECOND = "second"
 ORDER_FOURTH = "fourth"
 ORDER_INT = {ORDER_SECOND: 2, ORDER_FOURTH: 4}
+# the slack of the fourth-order structure pairs and window cap, where an
+# exponent section gives none
+DEFAULT_EPSILON = Fraction(1, 1000)
 
 
 def as_number(x) -> Number:
@@ -121,8 +124,8 @@ class StructureExponents:
     """
 
     beta: Number
-    pairs: tuple = ()
-    epsilon: Number = Fraction(1, 1000)
+    pairs: tuple
+    epsilon: Number
 
     def __post_init__(self):
         object.__setattr__(self, "beta", as_number(self.beta))
@@ -136,7 +139,7 @@ class StructureExponents:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @classmethod
-    def for_problem(cls, cfg: ExponentConfig, beta, epsilon=Fraction(1, 1000)):
+    def for_problem(cls, cfg: ExponentConfig, beta, epsilon):
         """Canonical pair set for the two supported problem classes.
 
         Second order (quadratic gradient nonlinearity): (1, beta) and
@@ -297,7 +300,7 @@ class BetaWindow:
         }
 
 
-def beta_window(cfg: ExponentConfig, epsilon=None) -> BetaWindow:
+def beta_window(cfg: ExponentConfig, epsilon) -> BetaWindow:
     """Admissible interval for the working exponent beta.
 
     Second order: (max(1/2 + n/(4q), mu - 1/p), min(1, (1 + mu - 1/p)/2)).
@@ -312,7 +315,7 @@ def beta_window(cfg: ExponentConfig, epsilon=None) -> BetaWindow:
         cand_lo = [(Fraction(1, 2) + n / (4 * q), "beta > 1/2 + n/(4q)"), (m, "beta > mu - 1/p")]
         cand_hi = [(_one(), "beta < 1"), ((1 + m) / 2, "beta < (1 + mu - 1/p)/2")]
     else:
-        eps = Fraction(1, 1000) if epsilon is None else as_number(epsilon)
+        eps = as_number(epsilon)
         cand_lo = [(Fraction(3, 4) + n / (12 * q), "beta > 3/4 + n/(12q)"), (m, "beta > mu - 1/p")]
         cand_hi = [
             (_one(), "beta < 1"),
@@ -323,11 +326,11 @@ def beta_window(cfg: ExponentConfig, epsilon=None) -> BetaWindow:
     return BetaWindow(lo=lo, hi=hi, binding_lower=lo_name, binding_upper=hi_name)
 
 
-def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = None,
-                         epsilon=None) -> dict:
+def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = None, *,
+                         epsilon) -> dict:
     """Full JSON-ready admissibility report (dimensional check, window, ratios)."""
     dim = check_dimensional(cfg)
-    window = beta_window(cfg, epsilon=epsilon)
+    window = beta_window(cfg, epsilon)
     out = {
         "order": cfg.order,
         "p": float(cfg.p),

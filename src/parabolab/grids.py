@@ -7,6 +7,7 @@ arrays of shape ``(..., *grid.shape, ncomp)`` with leading sample axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,6 +89,27 @@ class NonFiniteError(ValueError):
     """A field would hold inf or nan values."""
 
 
+# up to this many entries, a field's, the bool array of np.isfinite is at
+# most 4 KB and costs less than the errstate that the sum needs (about 1 us
+# a call), which a march that builds one field per sample would pay per sample
+_SMALL = 4096
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values``, a field or a stack of them, is
+    finite, with no warning.  Beyond ``_SMALL`` entries it reads the array
+    in one pass with no temporary of its size: a finite sum settles it; a
+    sum that is not finite comes from a NaN or inf entry, or from finite
+    entries whose sum overflows, which the extremes tell apart (NaN or
+    infinite where an entry is)."""
+    if values.size <= _SMALL:
+        return bool(np.isfinite(values).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(values.sum()):
+            return True
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 class GridFunction:
     """Finite nodal field on a Grid; values have shape ``grid.shape + (ncomp,)``."""
 
@@ -99,7 +121,7 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape} + (ncomp,)"
             )
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise NonFiniteError("GridFunction values must be finite")
         self.grid = grid
         self.values = values

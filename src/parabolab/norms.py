@@ -45,11 +45,15 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Grid, GridFunction, NonFiniteError
+from .grids import Grid, GridFunction, NonFiniteError, all_finite
 from .operators import SpectralProxy, reference_operator
 
+# the relative slack of time comparisons: two times that differ by at most
+# this fraction of the larger scale in play (a horizon, a joint) are one
+TIME_SLACK = 1e-12
 
-def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
+
+def lq_norms(values: np.ndarray, grid: Grid, q: float) -> np.ndarray:
     """L_q norm of each field in a stack of shape ``(..., *grid.shape, ncomp)``;
     q = 4 squares twice, within an ulp or two of the float power per entry
     and about a ninth of its cost."""
@@ -70,7 +74,7 @@ def lq_norms(values: np.ndarray, grid: Grid, q: float = 2.0) -> np.ndarray:
     return np.sum(mag, axis=tuple(range(-grid.dim, 0))) ** (1.0 / q)
 
 
-def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
+def x1_norms(values: np.ndarray, grid: Grid, q: float, order: int,
              lq0: Optional[np.ndarray] = None) -> np.ndarray:
     """``x1_norm`` of each field in a stack of shape ``(..., *grid.shape, ncomp)``,
     from one product of A_ref with the unknowns it keeps, each component its
@@ -88,7 +92,7 @@ def x1_norms(values: np.ndarray, grid: Grid, q: float = 2.0, order: int = 2,
     return (lq_norms(values, grid, q) if lq0 is None else lq0) + top
 
 
-def x1_norm(u: GridFunction, q: float = 2.0, order: int = 2) -> float:
+def x1_norm(u: GridFunction, q: float, order: int) -> float:
     """Top-regularity norm ||u||_q + ||A_ref u||_q, A_ref the reference operator
     of ``order``, which for clamped problems reads the interior values only:
     the boundary values enter only through ||u||_q."""
@@ -136,9 +140,7 @@ class WeightedTrajectory:
             raise ValueError(f"states shape {states.shape} is not (len(times), *grid.shape, ncomp)")
         if derivs is not None and derivs.shape != states.shape:
             raise ValueError(f"derivs shape {derivs.shape} differs from states {states.shape}")
-        # the extremes are NaN or infinite where an entry is, with no temporary
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
-                   for a in (states, derivs) if a is not None):
+        if not all(all_finite(a) for a in (states, derivs) if a is not None):
             raise NonFiniteError("non-finite trajectory")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
@@ -158,7 +160,7 @@ class WeightedTrajectory:
     def _sample_norms(self) -> dict:
         return {}
 
-    def sample_norms(self, kind: str, q: float = 2.0, order: int = 2) -> np.ndarray:
+    def sample_norms(self, kind: str, q: float, order: int = 2) -> np.ndarray:
         """One spatial norm per sample, computed on first request and kept.
 
         ``kind`` is ``"states"`` or ``"derivs"`` for the L_q norms of the
@@ -200,7 +202,7 @@ class WeightedTrajectory:
         shape ``(len(ts), *grid.shape, ncomp)``; a sample time gives its sample."""
         times, S = self.times, self.state_values
         ts = np.asarray(ts, dtype=float)
-        slack = 1e-12 * times[-1]
+        slack = TIME_SLACK * times[-1]
         outside = (ts < times[0] - slack) | (ts > times[-1] + slack)
         if np.any(outside):
             raise ValueError(f"time {ts[outside][0]} outside trajectory range [0, {times[-1]}]")
@@ -229,11 +231,11 @@ def glue(windows: list, mu: float, p: float) -> WeightedTrajectory:
 
     Every window after the first drops its sample at the joint; the glued
     time axis is absolute.  Raises ValueError on a gap between windows of
-    more than 1e-12 of the joint's time.
+    more than ``TIME_SLACK`` of the joint's time.
     """
     for (s0, a), (s1, _) in zip(windows, windows[1:]):
         end = s0 + a.times[-1]
-        if abs(end - s1) > 1e-12 * abs(end):
+        if abs(end - s1) > TIME_SLACK * abs(end):
             raise ValueError(f"windows do not abut: {end} vs {s1}")
     cuts = [slice(min(k, 1), None) for k in range(len(windows))]
     times = np.concatenate([s + w.times[c] for c, (s, w) in zip(cuts, windows)])
@@ -250,7 +252,7 @@ def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
     """
     times, mu, p = traj.times, traj.mu, traj.p
     a, b = (times[0], times[-1]) if interval is None else interval
-    slack = 1e-12 * times[-1]
+    slack = TIME_SLACK * times[-1]
     if a < times[0] - slack or b > times[-1] + slack or a >= b:
         raise ValueError(
             f"interval [{a}, {b}] not covered by trajectory range [{times[0]}, {times[-1]}]"
@@ -267,12 +269,11 @@ def _time_norm(traj: WeightedTrajectory, y: np.ndarray, interval) -> float:
     return float(np.trapezoid(f, ts)) ** (1.0 / p)
 
 
-def E0mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0) -> float:
+def E0mu_norm(traj: WeightedTrajectory, interval, q: float) -> float:
     return _time_norm(traj, traj.sample_norms("states", q), interval)
 
 
-def E1mu_norm(traj: WeightedTrajectory, interval=None, q: float = 2.0,
-              order: int = 2) -> float:
+def E1mu_norm(traj: WeightedTrajectory, interval=None, *, q: float, order: int) -> float:
     """Solution-space norm: states + time derivative + top spatial regularity."""
     if traj.deriv_values is None:
         raise ValueError("E1mu norm needs stored time derivatives")
@@ -337,8 +338,8 @@ class SmoothingReport:
         return dataclasses.asdict(self)
 
 
-def smoothing_check(traj: WeightedTrajectory, delta: float, q: float = 2.0,
-                    order: int = 2) -> SmoothingReport:
+def smoothing_check(traj: WeightedTrajectory, delta: float, q: float,
+                    order: int) -> SmoothingReport:
     """Instantaneous-gain inequality on the tail window [delta/2, delta]:
 
     (delta/2)^(1-mu) ||u||_E1(delta/2, delta) <= ||u||_E1mu(delta/2, delta).

@@ -165,7 +165,7 @@ class LSScanReport:
         }
 
 
-def default_lambda_grid(n_moduli: int = 12) -> list:
+def default_lambda_grid(n_moduli: int) -> list:
     """``n_moduli`` moduli log-spaced in [1e-3, 1e6] x 9 phases in
     [-pi/2, pi/2], plus lambda = 0."""
     moduli = np.geomspace(1e-3, 1e6, n_moduli)

@@ -22,7 +22,7 @@ from parabolab.cli import main as cli_main
 from parabolab.evolution import (AbstractProblem, FixedPointConfig,
                                  continue_solution, fixed_point_solve,
                                  graded_times, omega_limit)
-from parabolab.exponents import (ExponentConfig, StructureExponents,
+from parabolab.exponents import (DEFAULT_EPSILON, ExponentConfig, StructureExponents,
                                  beta_window, check_dimensional,
                                  check_F2_exponents)
 from parabolab.geometry import surface_diffusion_rhs, willmore_rhs
@@ -96,14 +96,14 @@ def test_criterion_01_exponent_suite():
                         beta = Fraction(k, 40)
                         if not m < beta < 1:
                             continue
-                        se = StructureExponents.for_problem(cfg, beta)
+                        se = StructureExponents.for_problem(cfg, beta, DEFAULT_EPSILON)
                         rep = check_F2_exponents(cfg, se)
                         assert rep.ratios[0] == rep.ratios[1]
                         assert rep.all_pass == (beta < (1 + m) / 2)
                         checked += 1
     assert checked > 200
 
-    win = beta_window(second)
+    win = beta_window(second, DEFAULT_EPSILON)
     assert (win.lo, win.hi) == (Fraction(5, 8), Fraction(7, 10))
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -121,13 +121,13 @@ def test_criterion_02_weighted_norm_oracle():
         const_states = np.full((len(times),) + grid.shape + (1,), 2.5)
         traj = WeightedTrajectory(times, const_states, None, MU, P)
         target = 2.5 * weighted_time_factor(T, P, MU)
-        errs_const.append(abs(E0mu_norm(traj) - target) / target)
+        errs_const.append(abs(E0mu_norm(traj, None, 2.0) - target) / target)
 
         power_states = np.stack([np.full(grid.shape + (1,), t ** s) for t in times])
         ptraj = WeightedTrajectory(times, power_states, None, MU, P)
         expo = (1.0 - MU + s) * P + 1.0
         ptarget = T ** (expo / P) / expo ** (1.0 / P)
-        errs_power.append(abs(E0mu_norm(ptraj) - ptarget) / ptarget)
+        errs_power.append(abs(E0mu_norm(ptraj, None, 2.0) - ptarget) / ptarget)
     assert errs_const[1] <= 1e-6 and errs_const[1] < errs_const[0] / 10
     assert errs_power[1] <= 1e-6 and errs_power[1] < errs_power[0] / 10
     elapsed = time.monotonic() - start
@@ -366,7 +366,8 @@ def test_criterion_11_gluing_and_omega_limits():
                                               tol=1e-12, propagator="spectral"),
                              horizon=1.5)
     proxy = eigendecompose(reference_operator(grid, "second"))
-    rep = omega_limit(long.trajectory, np.linspace(1.35, 1.5, 6), proxy)
+    rep = omega_limit(long.trajectory, np.linspace(1.35, 1.5, 6), proxy, threshold=1e-4,
+                      theta=None)
     assert rep.converged and rep.n_clusters == 1
     assert rep.diameter <= 1e-4
     mean_gap = np.max(np.abs(rep.cluster_points[0].scalar - 1.0))
@@ -381,7 +382,8 @@ def test_criterion_11_gluing_and_omega_limits():
                                                 p=P, tol=1e-12),
                                horizon=0.1)
     frep = omega_limit(fstate.trajectory, np.linspace(0.08, 0.1, 5),
-                       eigendecompose(reference_operator(g4, "fourth")))
+                       eigendecompose(reference_operator(g4, "fourth")), threshold=1e-4,
+                       theta=None)
     assert frep.converged and frep.n_clusters == 1
     flat_gap = np.max(np.abs(frep.cluster_points[0].scalar))
     assert flat_gap <= 1e-8

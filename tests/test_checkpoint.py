@@ -69,7 +69,7 @@ def test_round_trip_returns_identical_arrays(data):
 def test_round_trip_2d_multicomponent(tmp_path):
     traj = sample_traj(dim=2, nodes=9, ncomp=3)
     path = tmp_path / "snap2d.npz"
-    save_trajectory(path, traj)
+    save_trajectory(path, traj, {})
     back, meta = load_trajectory(path)
     assert meta == {}
     assert back.grid.dim == 2
@@ -105,7 +105,7 @@ def test_missing_field_rejected(tmp_path):
 def test_wrong_version_rejected(tmp_path):
     traj = sample_traj()
     path = tmp_path / "old.npz"
-    save_trajectory(path, traj)
+    save_trajectory(path, traj, {})
     data = dict(np.load(path))
     data["format_version"] = np.array("0")
     np.savez(path, **data)
@@ -125,7 +125,7 @@ def test_unreadable_file_rejected(tmp_path):
 
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "snap.npz"
-    save_trajectory(path, sample_traj())
+    save_trajectory(path, sample_traj(), {})
     data = path.read_bytes()
     for size in (len(data) // 2, len(data) - 30, 10):
         path.write_bytes(data[:size])

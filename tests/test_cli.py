@@ -173,6 +173,32 @@ def test_check_reports_the_window_at_the_configured_epsilon(tmp_path, capsys, la
     assert (window["lo_exact"], window["hi_exact"], window["empty"]) == ("19/24", hi, empty)
 
 
+@pytest.mark.parametrize("command,layout", [("check", "flat"), ("check", "run"), ("run", "run")])
+@pytest.mark.parametrize("epsilon", ["-1/10", -0.5])
+def test_a_negative_epsilon_exits_4_before_writing(tmp_path, capsys, command, layout, epsilon):
+    # the parse rejects it where it resolves epsilon, as it rejects p = 1:
+    # no report or window is computed at a slack no structure pair admits
+    exponents = {"p": 2, "q": 2, "mu": "19/20", "epsilon": epsilon}
+    doc = dict(exponents, n=1, order="fourth")
+    out = tmp_path / "out"
+    if layout == "run":
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "willmore.json").read_text())
+        doc["exponents"] = exponents
+        doc["output"] = {"dir": str(out)}
+    assert main([command, "--config", write_cfg(tmp_path / "cfg.json", doc)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exponents.epsilon must be >= 0, got {epsilon!r}" in captured.err
+    assert not out.exists()
+
+
+def test_a_zero_epsilon_is_admissible(tmp_path, capsys):
+    doc = {"p": 2, "q": 2, "n": 1, "mu": "19/20", "order": "fourth", "epsilon": 0}
+    assert main(["check", "--config", write_cfg(tmp_path / "cfg.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["beta_window"]["hi_exact"] == "13/15"
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_writes_artifacts(tmp_path, long_heat_run):
@@ -504,7 +530,7 @@ def test_norms_command(tmp_path, long_heat_run):
     assert len(rows) == 1 + 4 + 1          # intervals plus the total row
     assert float(rows[-1][0]) == 0.0 and float(rows[-1][1]) == pytest.approx(1.0)
     traj, _ = load_trajectory(snap)
-    assert float(rows[-1][2]) == pytest.approx(E0mu_norm(traj), rel=1e-12)
+    assert float(rows[-1][2]) == pytest.approx(E0mu_norm(traj, None, 2.0), rel=1e-12)
     report = json.loads(json_path.read_text())
     assert report["E1mu_total"] == pytest.approx(float(rows[-1][3]), rel=1e-12)
     assert report["smoothing"]["inequality_holds"] is True
@@ -520,7 +546,7 @@ def test_norms_reweighting_flag(tmp_path, long_heat_run, capsys):
     assert report["mu"] == 1.0
     # dropping the weight can only increase the norm
     traj, _ = load_trajectory(snap)
-    assert float(rows[-1][2]) >= E0mu_norm(traj) - 1e-12
+    assert float(rows[-1][2]) >= E0mu_norm(traj, None, 2.0) - 1e-12
 
 
 def test_omega_converged_and_early(tmp_path, long_heat_run, capsys):
@@ -756,7 +782,7 @@ def test_an_interval_past_a_short_horizon_has_no_norms():
     traj = WeightedTrajectory(np.linspace(0.0, 1e-13, 5), ones, 0.0 * ones, 0.9, 2.0)
     past, whole = cli._interval_norms(traj, [(0.0, 5e-13), (0.0, 1e-13)], 2.0, 2)
     assert past == [0.0, 5e-13, None, None]
-    assert whole[2] == E0mu_norm(traj) and whole[3] is not None
+    assert whole[2] == E0mu_norm(traj, None, 2.0) and whole[3] is not None
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -839,7 +865,7 @@ def test_malformed_command_line_exits_4(tmp_path, long_heat_run, capsys, argv):
 @pytest.mark.parametrize("exc,code", [
     (OSError("no space left on device"), 4),
     (MemoryError("Unable to allocate 59.6 GiB"), 4),
-    (NonconvergenceError("window collapsed", residuals=[0.5]), 3),
+    (NonconvergenceError("window collapsed", halvings=0, residuals=[0.5]), 3),
     (SolverError("zero pivot"), 3),
     (StateConstraintError("state outside the admissible region"), 3),
 ], ids=["OSError", "MemoryError", "NonconvergenceError", "SolverError",

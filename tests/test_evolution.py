@@ -85,6 +85,13 @@ def eigenmode(grid, k, amp=1.0):
     return u, lam
 
 
+def window_stepper(prob, u0, cfg):
+    """The stepper of one window of ``cfg`` frozen at ``u0``, as the first
+    attempt of ``fixed_point_solve`` builds it."""
+    times = graded_times(cfg.window, cfg.time_steps, cfg.gamma())
+    return evolution._build_machinery(prob, u0, times, cfg)
+
+
 # ---------------------------------------------------------------- scaffolding
 
 def test_graded_times_values():
@@ -117,7 +124,7 @@ def test_euler_eigenmode_product_formula():
     grid, prob = heat_problem(32)
     u0, lam = eigenmode(grid, 3)
     cfg = FixedPointConfig(window=0.01, time_steps=16, mu=MU, p=P)
-    traj = reference_solution(u0, prob, cfg)
+    traj = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
     dts = np.diff(traj.times)
     factor = 1.0
     for m, dt in enumerate(dts, start=1):
@@ -242,8 +249,7 @@ def _frozen(grid, prob, time_steps, propagator="euler", ncomp=1):
     state = np.broadcast_to(bump[:, None], grid.shape + (ncomp,))
     cfg = FixedPointConfig(window=0.01, time_steps=time_steps, mu=MU, p=P,
                            propagator=propagator)
-    return evolution._build_machinery(prob, GridFunction(grid, state), graded_times(
-        cfg.window, time_steps, cfg.gamma()), cfg)
+    return window_stepper(prob, GridFunction(grid, state), cfg)
 
 
 @pytest.mark.parametrize("make,time_steps,propagator,march", [
@@ -554,7 +560,7 @@ def test_spectral_stepper_exact_exponential():
     u0, lam = eigenmode(grid, 2, amp=0.5)
     cfg = FixedPointConfig(window=0.05, time_steps=10, mu=MU, p=P,
                            propagator="spectral")
-    traj = reference_solution(u0, prob, cfg)
+    traj = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
     for m, t in enumerate(traj.times):
         assert np.allclose(traj.states[m].values, np.exp(-lam * t) * u0.values,
                            rtol=1e-11, atol=1e-13)
@@ -580,9 +586,10 @@ def test_euler_and_spectral_propagators_agree_to_first_order(nodes, diffusivity,
                                             for k, a in enumerate(amps)))
     diffs = []
     for steps in (32, 64, 128):
-        euler, spectral = (reference_solution(u0, prob, FixedPointConfig(
-            window=window, time_steps=steps, mu=MU, p=P, grading=grading,
-            propagator=propagator)).state_values for propagator in ("euler", "spectral"))
+        cfgs = [FixedPointConfig(window=window, time_steps=steps, mu=MU, p=P, grading=grading,
+                                 propagator=propagator) for propagator in ("euler", "spectral")]
+        euler, spectral = (reference_solution(u0, cfg, window_stepper(prob, u0, cfg)).state_values
+                           for cfg in cfgs)
         diffs.append(float(np.max(np.abs(euler - spectral))))
     lam = diffusivity * (len(amps) * np.pi) ** 2
     # the graded grid's longest step is at most grading * window / steps
@@ -607,10 +614,10 @@ def _rough_data_derivative_errors(grading):
     errors = []
     for K in (256, 512, 1024):
         cfg = FixedPointConfig(window=0.1, time_steps=K, mu=MU, p=P, grading=grading)
-        traj = reference_solution(u0, prob, cfg)
+        traj = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
         exact = (proxy.modes @ (-(lam * c)[:, None] * np.exp(-np.outer(lam, traj.times)))).T
         err = traj.deriv_values - exact[..., None]
-        errors.append(E0mu_norm(WeightedTrajectory(traj.times, err, None, MU, P)))
+        errors.append(E0mu_norm(WeightedTrajectory(traj.times, err, None, MU, P), None, 2.0))
     return np.array(errors)
 
 
@@ -640,7 +647,7 @@ def _maximal_regularity_ratio(op, order, p, q, mu, K, T=0.1):
     u = evolution._assemble_trajectory(stepper, stepper.run(np.zeros(op.n_active), rhs),
                                        rhs, cfg)
     f_traj = WeightedTrajectory(times, f.reshape((K + 1,) + grid.shape + (1,)), None, mu, p)
-    return E1mu_norm(u, q=q, order=order) / E0mu_norm(f_traj, q=q)
+    return E1mu_norm(u, q=q, order=order) / E0mu_norm(f_traj, None, q)
 
 
 @pytest.mark.parametrize("p,q,mu", [(2.0, 2.0, 1.0), (4.0, 4.0, 0.6), (1.5, 4.0, 0.9)])
@@ -761,8 +768,8 @@ def test_exact_fixed_point_is_not_measured(monkeypatch):
     assert st.residuals == (0.0,) and st.contraction_factors == ()
     assert calls == []
     # E1mu_norm gives the same 0.0 for that difference
-    v = reference_solution(u0, prob, cfg)
-    d = difference(picard_map(v, u0, prob, cfg), v)
+    v = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
+    d = difference(picard_map(v, u0, prob, cfg, window_stepper(prob, u0, cfg)), v)
     assert not (d.state_values.any() or d.deriv_values.any())
     assert E1mu_norm(d, q=cfg.q, order=4) == 0.0
 
@@ -800,8 +807,8 @@ def test_picard_map_fixed_point_residual():
     grid, prob = heat_problem(24)
     u0, _ = eigenmode(grid, 1, amp=0.3)
     cfg = FixedPointConfig(window=0.02, time_steps=10, mu=MU, p=P)
-    v = reference_solution(u0, prob, cfg)
-    u = picard_map(v, u0, prob, cfg)
+    v = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
+    u = picard_map(v, u0, prob, cfg, window_stepper(prob, u0, cfg))
     gap = np.max(np.abs(u.state_values - v.state_values))
     assert gap < 1e-10
 
@@ -875,8 +882,8 @@ def test_one_G_call_per_picard_map(kind):
     st_ = fixed_point_solve(u0, prob, cfg)
     assert st_.converged and st_.iterations >= 2
     assert calls == {"F1": 0, "F2": 0, "G": st_.iterations}
-    v = reference_solution(u0, prob, cfg)
-    picard_map(v, u0, prob, cfg)
+    v = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
+    picard_map(v, u0, prob, cfg, window_stepper(prob, u0, cfg))
     assert calls["G"] == st_.iterations + 1
 
 
@@ -889,9 +896,9 @@ def test_problem_without_G_uses_its_hooks_per_sample():
     cfg = FixedPointConfig(window=0.02, time_steps=8, mu=MU, p=P)
     calls = dict.fromkeys(("F1", "F2", "assemble_A", "G"), 0)
     hooks_only = _counted(dataclasses.replace(prob, G=None), calls)
-    v = reference_solution(u0, prob, cfg)
-    u = picard_map(v, u0, prob, cfg)
-    w = picard_map(v, u0, hooks_only, cfg)
+    v = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
+    u = picard_map(v, u0, prob, cfg, window_stepper(prob, u0, cfg))
+    w = picard_map(v, u0, hooks_only, cfg, window_stepper(hooks_only, u0, cfg))
     n = len(v.times)
     assert calls == {"F1": n, "F2": n, "assemble_A": n + 1, "G": 0}
     scale = np.max(np.abs(u.state_values))
@@ -913,10 +920,10 @@ def test_problem_without_G_rejects_a_non_finite_rhs(value):
 
     prob = AbstractProblem(assemble_A=lambda w: op, F1=hook, F2=hook,
                            bc=BoundaryCondition.NEUMANN)
-    v = reference_solution(u0, prob, cfg)
+    v = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
     with np.errstate(over="ignore"), \
             pytest.raises(StateConstraintError, match="non-finite right-hand side"):
-        picard_map(v, u0, prob, cfg)
+        picard_map(v, u0, prob, cfg, window_stepper(prob, u0, cfg))
 
 
 def _fallback_cases():
@@ -1186,18 +1193,20 @@ def test_omega_limit_heat_reaches_mean():
                            propagator="spectral", tol=1e-10)
     st = continue_solution(u0, prob, cfg, horizon=1.0)
     proxy = eigendecompose(reference_operator(grid, "second"))
-    rep = omega_limit(st.trajectory, np.linspace(0.9, 1.0, 6), proxy, threshold=1e-4)
+    rep = omega_limit(st.trajectory, np.linspace(0.9, 1.0, 6), proxy, threshold=1e-4,
+                      theta=None)
     assert rep.converged
     assert rep.n_clusters == 1
     assert rep.diameter < 2e-4
     point = rep.cluster_points[0]
     assert np.max(np.abs(point.scalar - 1.0)) < 1e-4
     # early samples are still moving: every sample is its own cluster
-    early = omega_limit(st.trajectory, np.linspace(0.05, 0.2, 5), proxy, threshold=1e-4)
+    early = omega_limit(st.trajectory, np.linspace(0.05, 0.2, 5), proxy, threshold=1e-4,
+                        theta=None)
     assert not early.converged
     assert early.n_clusters == 5
     with pytest.raises(ValueError):
-        omega_limit(st.trajectory, [0.5], proxy)
+        omega_limit(st.trajectory, [0.5], proxy, threshold=1e-4, theta=None)
 
 
 def test_lipschitz_probe_linear_problem():
@@ -1311,7 +1320,7 @@ def test_omega_limit_equals_the_per_pair_reference_bitwise(dim, ncomp, order):
     sample_times = list(np.linspace(0.0, 1.0, 24)) + list(traj.times[-4:])
     seen = set()
     for threshold in (1e-3, 0.05, 0.5, 1e4):
-        rep = omega_limit(traj, sample_times, proxy, threshold=threshold)
+        rep = omega_limit(traj, sample_times, proxy, threshold=threshold, theta=None)
         summary, points = _reference_omega(traj, sample_times, proxy, threshold)
         assert rep.summary() == summary
         assert len(rep.cluster_points) == len(points)
@@ -1370,10 +1379,10 @@ def _reference_lipschitz(prob, u_center, cfg, n_samples, radius, seed, proxy,
             for v in probes:
                 diff = (A_i.scatter(A_i.dot(A_i.gather(v.values)))
                         - A_j.scatter(A_j.dot(A_j.gather(v.values))))
-                num = lq_norms(diff, grid)
+                num = lq_norms(diff, grid, 2.0)
                 L_A = max(L_A, num / (d * x1_norm(v, 2.0, prob.order_int)))
             diff = prob.F1(samples[i]).values - prob.F1(samples[j]).values
-            L_F1 = max(L_F1, lq_norms(diff, grid) / d)
+            L_F1 = max(L_F1, lq_norms(diff, grid, 2.0) / d)
     c_dep = 0.0
     if with_solutions and len(samples) >= 2:
         base = fixed_point_solve(u_center, prob, cfg)

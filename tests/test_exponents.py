@@ -13,8 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from parabolab.exponents import (BetaWindow, ExponentConfig, StructureExponents,
-                                 admissibility_report, as_number, beta_window,
+from parabolab.exponents import (DEFAULT_EPSILON, BetaWindow, ExponentConfig,
+                                 StructureExponents, admissibility_report, as_number, beta_window,
                                  check_dimensional, check_F2_exponents, kappa_exponent)
 
 
@@ -115,7 +115,7 @@ def test_compatibility_threshold_second_order():
 # ---------------------------------------------------------------- windows
 
 def test_beta_window_second_frozen():
-    w = beta_window(cfg2())
+    w = beta_window(cfg2(), DEFAULT_EPSILON)
     assert (w.lo, w.hi) == (F(5, 8), F(7, 10))
     assert not w.empty
     assert w.midpoint() == F(53, 80)
@@ -128,13 +128,13 @@ def test_beta_window_fourth_frozen_eps0():
 
 
 def test_beta_window_fourth_default_eps():
-    w = beta_window(cfg4())
+    w = beta_window(cfg4(), DEFAULT_EPSILON)
     assert w.lo == F(19, 24)
     assert w.hi == F(13, 15) - F(1, 1000)
 
 
 def test_window_empty_at_mu0_and_midpoint_raises():
-    w = beta_window(cfg2(mu="3/4"))
+    w = beta_window(cfg2(mu="3/4"), DEFAULT_EPSILON)
     assert w.empty
     with pytest.raises(ValueError):
         w.midpoint()
@@ -169,7 +169,7 @@ def test_window_nonempty_iff_mu_above_mu0():
 
 def test_second_order_ratios_frozen():
     cfg = cfg2()
-    se = StructureExponents.for_problem(cfg, "13/20")
+    se = StructureExponents.for_problem(cfg, "13/20", DEFAULT_EPSILON)
     assert se.pairs == ((F(1), F(13, 20)), (F(2), F(2, 5)))
     rep = check_F2_exponents(cfg, se)
     assert rep.ratios == (F(5, 6), F(5, 6))
@@ -192,7 +192,7 @@ def test_second_order_pair_check_identity():
         m = cfg.trace_exponent
         if not (m < beta < 1):
             continue
-        se = StructureExponents.for_problem(cfg, beta)
+        se = StructureExponents.for_problem(cfg, beta, DEFAULT_EPSILON)
         rep = check_F2_exponents(cfg, se)
         assert rep.ratios[0] == rep.ratios[1] == 2 * (beta - m) / (1 - m)
         assert rep.all_pass == (beta < (1 + m) / 2)
@@ -234,22 +234,22 @@ def test_fourth_order_any_window_beta_passes():
 
 def test_pair_outside_beta_range_rejected():
     cfg = cfg2()
-    se = StructureExponents(beta="13/20", pairs=((1, "7/10"),))
+    se = StructureExponents(beta="13/20", pairs=((1, "7/10"),), epsilon=DEFAULT_EPSILON)
     with pytest.raises(ValueError):
         check_F2_exponents(cfg, se)
 
 
 def test_negative_growth_exponent_rejected():
     with pytest.raises(ValueError):
-        StructureExponents(beta="13/20", pairs=((-1, "1/2"),))
+        StructureExponents(beta="13/20", pairs=((-1, "1/2"),), epsilon=DEFAULT_EPSILON)
 
 
 # ---------------------------------------------------------------- report
 
 def test_admissibility_report_ok():
     cfg = cfg2()
-    se = StructureExponents.for_problem(cfg, "13/20")
-    rep = admissibility_report(cfg, se)
+    se = StructureExponents.for_problem(cfg, "13/20", DEFAULT_EPSILON)
+    rep = admissibility_report(cfg, se, epsilon=DEFAULT_EPSILON)
     assert rep["admissible"] is True
     assert rep["violated"] == []
     assert rep["dimensional"]["mu0_exact"] == "3/4"
@@ -258,23 +258,23 @@ def test_admissibility_report_ok():
 
 
 def test_admissibility_report_quotes_mu0_inequality():
-    rep = admissibility_report(cfg2(mu="7/10"))
+    rep = admissibility_report(cfg2(mu="7/10"), epsilon=DEFAULT_EPSILON)
     assert rep["admissible"] is False
     assert "mu > mu_0 = 1/p + n/2q" in rep["violated"]
-    rep4 = admissibility_report(cfg4(mu="4/5"))
+    rep4 = admissibility_report(cfg4(mu="4/5"), epsilon=DEFAULT_EPSILON)
     assert "mu > mu_0 = 1/p + n/4q + 1/4" in rep4["violated"]
 
 
 def test_admissibility_report_flags_failing_pairs():
     cfg = cfg2()
-    se = StructureExponents(beta="69/100", pairs=((2, "69/100"),))
-    rep = admissibility_report(cfg, se)
+    se = StructureExponents(beta="69/100", pairs=((2, "69/100"),), epsilon=DEFAULT_EPSILON)
+    rep = admissibility_report(cfg, se, epsilon=DEFAULT_EPSILON)
     assert rep["admissible"] is False
     assert any("rho_j" in v for v in rep["violated"])
 
 
 def test_window_is_serializable():
-    d = beta_window(cfg2()).as_dict()
+    d = beta_window(cfg2(), DEFAULT_EPSILON).as_dict()
     assert d["empty"] is False
     assert isinstance(d["lo"], float) and isinstance(d["hi"], float)
     assert "binding_lower" in d and "binding_upper" in d

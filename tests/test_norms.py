@@ -73,7 +73,7 @@ def test_weighted_time_factor_closed_forms():
 def test_lq_norm_constants_and_components():
     grid = Grid(1, 17)
     u = GridFunction.from_scalar(grid, np.full(grid.shape, 3.0))
-    assert lq_norms(u.values, grid) == pytest.approx(3.0, abs=1e-14)
+    assert lq_norms(u.values, grid, 2.0) == pytest.approx(3.0, abs=1e-14)
     vals = np.zeros(grid.shape + (2,))
     vals[..., 0], vals[..., 1] = 3.0, 4.0
     uv = GridFunction(grid, vals)
@@ -101,9 +101,9 @@ def test_x1_norm_cosine_closed_form():
             expected = (1.0 + lam) * lq_norms(u.values, u.grid, q)
             assert x1_norm(u, q, 2) == pytest.approx(expected, rel=1e-13)
     u, lam = cases[0]
-    assert x1_norm(u) == pytest.approx(np.sqrt(0.5) * (1.0 + lam), rel=1e-13)
+    assert x1_norm(u, 2.0, 2) == pytest.approx(np.sqrt(0.5) * (1.0 + lam), rel=1e-13)
     with pytest.raises(ValueError):
-        x1_norm(u, order=3)
+        x1_norm(u, 2.0, 3)
 
 
 @pytest.mark.parametrize("dim,nodes", [(1, 33), (2, 12)])
@@ -307,11 +307,11 @@ def test_time_ranges_scale_with_a_short_horizon():
     U = cos_field(grid).values
     traj = make_traj(np.linspace(0.0, 1e-13, 5), lambda t: U * (1.0 + t), None, grid)
     with pytest.raises(ValueError, match="not covered"):
-        E0mu_norm(traj, interval=(0.0, 5e-13))
+        E0mu_norm(traj, (0.0, 5e-13), 2.0)
     with pytest.raises(ValueError, match="outside trajectory range"):
         traj.states_at([5e-13])
     # the horizon itself, and a rounding past it, stay inside
-    assert E0mu_norm(traj, interval=(0.0, 1e-13 * (1.0 + 1e-15))) == E0mu_norm(traj)
+    assert E0mu_norm(traj, (0.0, 1e-13 * (1.0 + 1e-15)), 2.0) == E0mu_norm(traj, None, 2.0)
     assert np.array_equal(traj.states_at([1e-13])[0], traj.state_values[-1])
 
 
@@ -344,7 +344,7 @@ def test_E0_constant_matches_sigma():
     grid = Grid(1, 11)
     U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(graded_times(), lambda t: U, None, grid)
-    assert E0mu_norm(traj) == pytest.approx(weighted_time_factor(1.0, P, MU), rel=1e-6)
+    assert E0mu_norm(traj, None, 2.0) == pytest.approx(weighted_time_factor(1.0, P, MU), rel=1e-6)
 
 
 def test_E0_linear_state_closed_form():
@@ -352,7 +352,7 @@ def test_E0_linear_state_closed_form():
     U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(graded_times(), lambda t: U * t, None, grid)
     # integral of t^0.2 t^2 dt on (0,1) = 1/3.2
-    assert E0mu_norm(traj) == pytest.approx(np.sqrt(1.0 / 3.2), rel=1e-6)
+    assert E0mu_norm(traj, None, 2.0) == pytest.approx(np.sqrt(1.0 / 3.2), rel=1e-6)
 
 
 def test_E1_factorizes_into_closed_forms():
@@ -364,7 +364,7 @@ def test_E1_factorizes_into_closed_forms():
     C = np.sqrt(1.0 / 3.2)
     sigma = weighted_time_factor(1.0, P, MU)
     expected = C * X + sigma * X + C * X1
-    assert E1mu_norm(traj) == pytest.approx(expected, rel=1e-5)
+    assert E1mu_norm(traj, q=2.0, order=2) == pytest.approx(expected, rel=1e-5)
 
 
 def test_E1_requires_derivatives():
@@ -372,8 +372,8 @@ def test_E1_requires_derivatives():
     U = cos_field(grid).values
     traj = make_traj([0.0, 0.5, 1.0], lambda t: U * t, None, grid)
     with pytest.raises(ValueError):
-        E1mu_norm(traj)
-    E0mu_norm(traj)  # state norms fine without derivs
+        E1mu_norm(traj, q=2.0, order=2)
+    E0mu_norm(traj, None, 2.0)  # state norms fine without derivs
 
 
 def test_interval_additivity_at_sample_points():
@@ -382,13 +382,13 @@ def test_interval_additivity_at_sample_points():
     times = graded_times(K=64)
     traj = make_traj(times, lambda t: U * (1.0 + t), None, grid)
     a = float(times[32])
-    total = E0mu_norm(traj) ** P
-    split = E0mu_norm(traj, (0.0, a)) ** P + E0mu_norm(traj, (a, 1.0)) ** P
+    total = E0mu_norm(traj, None, 2.0) ** P
+    split = E0mu_norm(traj, (0.0, a), 2.0) ** P + E0mu_norm(traj, (a, 1.0), 2.0) ** P
     assert split == pytest.approx(total, rel=1e-12)
     with pytest.raises(ValueError):
-        E0mu_norm(traj, (0.0, 2.0))
+        E0mu_norm(traj, (0.0, 2.0), 2.0)
     with pytest.raises(ValueError):
-        E0mu_norm(traj, (0.5, 0.5))
+        E0mu_norm(traj, (0.5, 0.5), 2.0)
 
 
 def test_with_mu_drops_weight():
@@ -396,8 +396,8 @@ def test_with_mu_drops_weight():
     U = GridFunction.from_scalar(grid, np.ones(grid.shape)).values
     traj = make_traj(np.linspace(0.0, 1.0, 501), lambda t: U, None, grid)
     plain = traj.with_mu(1.0)
-    assert E0mu_norm(plain) == pytest.approx(1.0, rel=1e-12)
-    assert E0mu_norm(traj) < 1.0  # weight only shrinks mass near t = 0
+    assert E0mu_norm(plain, None, 2.0) == pytest.approx(1.0, rel=1e-12)
+    assert E0mu_norm(traj, None, 2.0) < 1.0  # weight only shrinks mass near t = 0
 
 
 def test_trajectory_arrays_are_read_only():
@@ -406,19 +406,19 @@ def test_trajectory_arrays_are_read_only():
     states = np.stack((U, U * 0.5))
     traj = WeightedTrajectory(np.array([0.0, 1.0]), states, -states, MU, P)
     for arr in (traj.times, traj.state_values, traj.deriv_values,
-                traj.states[0].values, traj.sample_norms("x1")):
+                traj.states[0].values, traj.sample_norms("x1", 2.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     states[0] = 7.0                        # the caller's own array stays writable
     with pytest.raises(ValueError, match="no stored time derivatives"):
-        WeightedTrajectory(np.array([0.0, 1.0]), states, None, MU, P).sample_norms("derivs")
+        WeightedTrajectory(np.array([0.0, 1.0]), states, None, MU, P).sample_norms("derivs", 2.0)
 
 
 def test_with_mu_shares_the_sample_norms():
     grid = Grid(1, 9)
     traj = make_traj([0.0, 0.5, 1.0], lambda t: cos_field(grid).values * (1 + t),
                      lambda t: cos_field(grid).values, grid)
-    E1mu_norm(traj, order=4)
+    E1mu_norm(traj, q=2.0, order=4)
     plain = traj.with_mu(1.0)
     assert plain.sample_norms("x1", 2.0, 4) is traj.sample_norms("x1", 2.0, 4)
     assert plain.mu == 1.0 and traj.mu == MU
@@ -461,7 +461,7 @@ def test_E1mu_norm_takes_the_states_norm_once(monkeypatch, dim, order, samples):
     calls = []
     lq = norms.lq_norms
     monkeypatch.setattr(norms, "lq_norms", lambda *a, **k: calls.append(1) or lq(*a, **k))
-    E1mu_norm(traj, order=order)
+    E1mu_norm(traj, q=2.0, order=order)
     assert len(calls) == 3
 
 
@@ -513,15 +513,15 @@ def test_memoized_norms_equal_those_of_a_fresh_trajectory(data):
         fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
         assert E0mu_norm(traj, interval, q) == E0mu_norm(fresh, interval, q)
         fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
-        assert (E1mu_norm(traj, interval, q, order)
-                == E1mu_norm(fresh, interval, q, order))
+        assert (E1mu_norm(traj, interval, q=q, order=order)
+                == E1mu_norm(fresh, interval, q=q, order=order))
     # a sample times[k] lies inside the smoothing window (delta/2, delta)
     k = data.draw(st.integers(1, K - 1), label="k")
     delta = min(T, 1.5 * times[k])
     fresh = WeightedTrajectory(times.copy(), states.copy(), derivs.copy(), MU, P)
     assert (smoothing_check(traj, delta, q, order)
             == smoothing_check(fresh, delta, q, order))
-    assert E1mu_norm(traj, None, q, order) == E1mu_norm(fresh, None, q, order)
+    assert E1mu_norm(traj, None, q=q, order=order) == E1mu_norm(fresh, None, q=q, order=order)
 
 
 # ---------------------------------------------------------------- smoothing
@@ -531,7 +531,7 @@ def test_smoothing_inequality_holds_on_decaying_trajectory():
     U = cos_field(grid).values
     times = graded_times(K=200)
     traj = make_traj(times, lambda t: U * np.exp(-t), lambda t: U * (-np.exp(-t)), grid)
-    rep = smoothing_check(traj, 0.5)
+    rep = smoothing_check(traj, 0.5, 2.0, 2)
     assert rep.inequality_holds
     assert rep.weighted > 0.0 and rep.unweighted_tail > 0.0
     d = rep.as_dict()
@@ -543,9 +543,9 @@ def test_smoothing_validation():
     U = cos_field(grid).values
     traj = make_traj([0.0, 0.5, 1.0], lambda t: U, lambda t: U * 0.0, grid)
     with pytest.raises(ValueError):
-        smoothing_check(traj, 2.0)
+        smoothing_check(traj, 2.0, 2.0, 2)
     with pytest.raises(ValueError):
-        smoothing_check(traj, 0.1)  # (0.05, 0.1) holds no sample
+        smoothing_check(traj, 0.1, 2.0, 2)  # (0.05, 0.1) holds no sample
 
 
 # ---------------------------------------------------------------- proxy scale
@@ -555,7 +555,7 @@ def test_proxy_norm_theta_zero_is_l2():
     proxy = eigendecompose(reference_operator(grid, "second"))
     rng = np.random.default_rng(17)
     u = GridFunction.from_scalar(grid, rng.normal(size=grid.shape))
-    assert proxy_norm(u, 0.0, proxy) == pytest.approx(lq_norms(u.values, grid), abs=1e-10)
+    assert proxy_norm(u, 0.0, proxy) == pytest.approx(lq_norms(u.values, grid, 2.0), abs=1e-10)
     with pytest.raises(ValueError):
         proxy_norm(u, 1.5, proxy)
 

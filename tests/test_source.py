@@ -31,6 +31,19 @@ overrides is a constant that looks like a knob.  The options of a function
 in ``NO_CALLER_IN_SRC`` or ``MEMBERS_WITHOUT_CALLER``, whose callers live
 outside the package, and those in ``OPTIONS_WITHOUT_CALLER``, are exempt.
 
+Every optional parameter is also omitted by some call in the package of
+that name, so that the program takes its default; a call with ``*args`` or
+``**kwargs`` omits none.  A default that every caller overrides is a value
+that a later caller who leaves the parameter out gets silently, such as a
+norm measured at q = 2 in a run at q = 4; the value belongs at the calls.
+With the check before it, a parameter has a default only where the program
+uses both the default and another value.  The same functions are exempt,
+and those in ``DEFAULTS_NOT_TAKEN``.
+
+An exemption whose reason is perfbench or its tracer names a function,
+method or option that ``perfbench/*.py`` mentions, so that it goes when
+its reason does.
+
 Each ``scripts/*.py`` has a ``tests/test_<stem>.py`` that imports or runs
 it, so that no script goes untested.
 """
@@ -39,6 +52,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import parabolab
@@ -71,6 +85,13 @@ MEMBERS_WITHOUT_CALLER = {
 OPTIONS_WITHOUT_CALLER = {
     # the console script calls main() with none; perfbench and the tests pass argv
     "cli.main(argv)": "the command line of a call from Python",
+}
+
+# optional parameters that every call in the package passes, and why each stays
+DEFAULTS_NOT_TAKEN = {
+    # the run passes its checkpoint hook; perfbench/workloads.py's ladder
+    # continues without one, until the plate rung is rebuilt (ROADMAP item 12)
+    "evolution.continue_solution(on_window)": "perfbench-bound",
 }
 
 
@@ -243,16 +264,17 @@ def _passes(call: ast.Call, position, name: str) -> bool:
     return position is not None and len(call.args) > position
 
 
-def _unpassed_options(modules: dict) -> list:
-    """``module.function(parameter)`` of each optional parameter that no call
-    of the function's name passes; for a method, ``module.Class.method``."""
+def _option_calls(modules: dict) -> list:
+    """(``module.function(parameter)``, [whether each call of the function's
+    name passes it]) for each optional parameter; for a method,
+    ``module.Class.method``."""
     calls: dict = {}
     for tree in modules.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
-    unpassed = []
+    found = []
     for mod, tree in modules.items():
         functions = [(f"{mod}.{fn.name}", fn.name, fn, False) for fn in tree.body
                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -263,9 +285,21 @@ def _unpassed_options(modules: dict) -> list:
                 called = cls.name if fn.name == "__init__" else fn.name
                 functions.append((f"{mod}.{cls.name}.{fn.name}", called, fn, not static))
         for qualified, called, fn, method in functions:
-            unpassed += [f"{qualified}({name})" for position, name in _options(fn, method)
-                         if not any(_passes(c, position, name) for c in calls.get(called, []))]
-    return unpassed
+            found += [(f"{qualified}({name})",
+                       [_passes(c, position, name) for c in calls.get(called, [])])
+                      for position, name in _options(fn, method)]
+    return found
+
+
+def _unpassed_options(modules: dict) -> list:
+    """Each optional parameter that no call of the function's name passes."""
+    return [option for option, passed in _option_calls(modules) if not any(passed)]
+
+
+def _untaken_defaults(modules: dict) -> list:
+    """Each optional parameter that every call of the function's name
+    passes, so that none takes its default."""
+    return [option for option, passed in _option_calls(modules) if all(passed)]
 
 
 def test_every_option_is_passed():
@@ -293,6 +327,75 @@ def test_the_check_finds_an_option_no_call_passes():
                        "C.s(1)\n"),
     }
     assert _unpassed_options(modules) == ["a.f(never)", "a.f(kw_only)"]
+
+
+def test_every_default_is_taken():
+    exempt = set(NO_CALLER_IN_SRC) | set(MEMBERS_WITHOUT_CALLER)
+    untaken = set(_untaken_defaults(_modules()))
+    without_reason = sorted(u for u in untaken - set(DEFAULTS_NOT_TAKEN)
+                            if u.split("(")[0] not in exempt)
+    assert not without_reason, ("every call in the package passes, so no call takes the "
+                                "default of: " + ", ".join(without_reason))
+    stale = sorted(set(DEFAULTS_NOT_TAKEN) - untaken)
+    assert not stale, "stale exemptions: " + ", ".join(stale)
+
+
+def test_the_check_finds_a_default_no_call_takes():
+    modules = {
+        "a": ast.parse("def f(x, by_position=1, by_keyword=2, omitted=3, *, kw_only=4,\n"
+                       "      kw_omitted=5):\n"
+                       "    return x\n"
+                       "def g(through_args=0):\n    pass\n"
+                       "class C:\n"
+                       "    def __init__(self, size=0):\n        pass\n"
+                       "    def m(self, through_kwargs=None):\n        pass\n"
+                       "    @staticmethod\n    def s(first=0):\n        pass\n"),
+        "b": ast.parse("from .a import C, f, g\n"
+                       "f(0, 1, by_keyword=2, kw_only=4)\n"
+                       "f(0, 1, 2, 3, kw_only=4, kw_omitted=5)\n"
+                       "g(*[1])\n"
+                       "C(5).m(**{})\n"
+                       "C.s()\n"),
+    }
+    # a call with *args or **kwargs passes every parameter, so it takes no default
+    assert _untaken_defaults(modules) == [
+        "a.f(by_position)", "a.f(by_keyword)", "a.f(kw_only)", "a.g(through_args)",
+        "a.C.__init__(size)", "a.C.m(through_kwargs)"]
+
+
+def _bare_name(entry: str) -> str:
+    """The function or method an exemption names: ``module.Class.method`` or
+    ``module.function(parameter)`` gives ``method`` or ``function``."""
+    return entry.split("(")[0].rsplit(".", 1)[-1]
+
+
+def _unbound_exemptions(exemptions: dict, source: str) -> list:
+    """The exemptions whose reason names perfbench or its tracer and whose
+    function or method is not a word of ``source``."""
+    return sorted(entry for entry, reason in exemptions.items()
+                  if ("perfbench" in reason or "tracer" in reason)
+                  and not re.search(rf"\b{re.escape(_bare_name(entry))}\b", source))
+
+
+def test_perfbench_exemptions_name_what_perfbench_uses():
+    source = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    exemptions = {**NO_CALLER_IN_SRC, **MEMBERS_WITHOUT_CALLER, **OPTIONS_WITHOUT_CALLER,
+                  **DEFAULTS_NOT_TAKEN}
+    assert any("perfbench" in reason or "tracer" in reason for reason in exemptions.values())
+    assert _unbound_exemptions(exemptions, source) == []
+
+
+def test_the_check_finds_an_exemption_perfbench_does_not_use():
+    exemptions = {"a.used": "tracer-bound", "a.C.method": "perfbench-bound",
+                  "a.f(x)": "perfbench-bound", "a.gone": "perfbench-bound",
+                  "a.C.gone_too": "tracer-bound", "a.g(y)": "perfbench-bound",
+                  "a.elsewhere": "paper check"}
+    source = ("from parabolab import a\n"
+              "patch(a, 'used')\n"
+              "a.C().method(a.f(1))\n"
+              "gone_soon = a.g_two\n")
+    # a word inside a longer name does not count, and another reason is not checked
+    assert _unbound_exemptions(exemptions, source) == ["a.C.gone_too", "a.g(y)", "a.gone"]
 
 
 def _runs_script(test: ast.AST, script: Path) -> bool:

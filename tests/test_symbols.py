@@ -137,7 +137,7 @@ def test_ls_purely_imaginary_lambda():
 
 def test_ls_scan_default_grid_positive():
     bs = np.geomspace(1e-3, 1e3, 7)
-    lams = default_lambda_grid()
+    lams = default_lambda_grid(12)
     rep = ls_scan(bs, lams)
     assert rep.n_evaluated == len(bs) * len(lams)
     assert rep.min_normalized > 0.0
@@ -156,7 +156,7 @@ def test_ls_det_shrinks_with_lambda_but_never_vanishes():
 
 
 def test_default_lambda_grid_contents():
-    grid = default_lambda_grid()
+    grid = default_lambda_grid(12)
     assert grid[0] == 0j
     assert len(grid) == 1 + 12 * 9
     assert all(z.real >= -1e-12 for z in grid)
