@@ -117,27 +117,13 @@ def _print_violations(report: dict) -> None:
         print(f"admissibility violated: {v}", file=sys.stderr)
 
 
-def _admissibility(exps: cfgmod.Exponents) -> dict:
-    """The admissibility report; structure exponents that cannot be formed
-    or checked are one more violation."""
-    violation = exps.violation
-    if exps.structure is not None:
-        try:
-            return admissibility_report(exps.config, exps.structure, epsilon=exps.epsilon)
-        except ValueError as exc:
-            violation = str(exc)
-    report = admissibility_report(exps.config, epsilon=exps.epsilon)
-    report["violated"] = report["violated"] + [violation]
-    report["admissible"] = False
-    return report
-
-
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
     doc = cfgmod.load_json(args.config)
-    report = _admissibility(cfgmod.flat_exponents(doc) if cfgmod.is_flat_exponent_config(doc)
-                            else cfgmod.validate_run_config(doc).exponents)
+    report = admissibility_report(cfgmod.flat_exponents(doc)
+                                  if cfgmod.is_flat_exponent_config(doc)
+                                  else cfgmod.validate_run_config(doc).exponents)
     _emit_json(report, args.json)
     if not report["admissible"]:
         _print_violations(report)
@@ -152,19 +138,25 @@ def _symbol_report(rc: cfgmod.RunConfig, spec, field: GridFunction | None, b_ran
     """The symbol report of the configured problem, whose spec is ``spec``;
     a flow is scanned at the gradients of ``field``, a scalar height, by
     default the configured initial field.  A second-order problem reports the
-    positivity check that its spec passed when it was built."""
+    positivity check that its spec passed when it was built.  A report with
+    a number beyond floating point is a configuration error (exit 4)."""
     out: dict = {"family": rc.family}
     if rc.order == ORDER_SECOND:
         out["spectrum"] = spec.positivity.as_dict()
         out["ok"] = spec.positivity.ok
-        return out
-    if field is None:
-        field = cfgmod.build_initial(rc)
-    erep = ellipticity_scan(slope_field(field.values, field.grid).reshape(-1, field.grid.dim))
-    lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(n_moduli=n_lambda))
-    out["ellipticity"] = erep.as_dict()
-    out["lopatinskii_shapiro"] = lrep.as_dict()
-    out["ok"] = bool(erep.min_ratio > 0.0 and lrep.min_normalized > 0.0)
+    else:
+        if field is None:
+            field = cfgmod.build_initial(rc)
+        slopes = slope_field(field.values, field.grid).reshape(-1, field.grid.dim)
+        # an overflow shows up as a non-finite number, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            erep = ellipticity_scan(slopes)
+        lrep = ls_scan(np.geomspace(*b_range), default_lambda_grid(n_moduli=n_lambda))
+        out["ellipticity"] = erep.as_dict()
+        out["lopatinskii_shapiro"] = lrep.as_dict()
+        out["ok"] = bool(erep.min_ratio > 0.0 and lrep.min_normalized > 0.0)
+    _require(_is_finite(out), f"the symbol scan of the {rc.family} config gives a number "
+                              "beyond floating point")
     return out
 
 
@@ -321,7 +313,7 @@ def execute_run(rc: cfgmod.RunConfig, out_dir: Path, seed: int, force: bool,
     if not loaded:
         for f in [*_window_files(out_dir), *map(out_dir.joinpath, _RUN_FILES)]:
             f.unlink(missing_ok=True)
-    adm = _admissibility(rc.exponents)
+    adm = admissibility_report(rc.exponents)
     _emit_json(adm, out_dir / "admissibility.json")
     if not adm["admissible"] and not force:
         _print_violations(adm)

@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .evolution import JOINT_TOL, FixedPointConfig
-from .exponents import (DEFAULT_EPSILON, ExponentConfig, Number, StructureExponents,
+from .exponents import (DEFAULT_EPSILON, ExponentConfig, Exponents, StructureExponents,
                         ORDER_FOURTH, ORDER_SECOND, as_number, beta_window)
 from .grids import BoundaryCondition, Grid, GridFunction
 from .operators import DESK_EIG_CAP, active_flat_indices
@@ -165,18 +165,6 @@ def _check(value, sub: dict, path: str = "") -> None:
 # ---------------------------------------------------------------- the parsed config
 
 @dataclass(frozen=True)
-class Exponents:
-    """The exponent section.  ``epsilon`` is the section's, or
-    ``DEFAULT_EPSILON`` when it gives none; ``structure`` is None when the
-    structure exponents cannot be formed, for the reason ``violation``."""
-
-    config: ExponentConfig
-    epsilon: Number
-    structure: Optional[StructureExponents]
-    violation: str = ""
-
-
-@dataclass(frozen=True)
 class Diagnostics:
     """What a run measures: ``norm_intervals`` equal parts, or a list of
     ``[lo, hi]``; ``smoothing_delta`` None is half the horizon reached;
@@ -250,8 +238,7 @@ def _parse_exponents(sec: dict, n: int, order: str) -> Exponents:
     try:
         beta = sec["beta"] if "beta" in sec else beta_window(ec, eps).midpoint()
         if "pairs" in sec:
-            return Exponents(ec, eps, StructureExponents(beta=beta, pairs=sec["pairs"],
-                                                         epsilon=eps))
+            return Exponents(ec, eps, StructureExponents(beta=beta, pairs=sec["pairs"]))
         return Exponents(ec, eps, StructureExponents.for_problem(ec, beta, eps))
     except ValueError as exc:
         return Exponents(ec, eps, None, str(exc))

@@ -38,13 +38,17 @@ or a run so far and glues the windows' arrays once, at the end, so a run
 holds its samples twice while it glues them.  The diagnostics
 (``omega_limit``, ``lipschitz_probe``) measure stacked states too.
 
-Each window attempt builds one stepper, which holds A(u1) and the sample
-times and serves the reference solve and every Picard iteration.  The
-spectral propagator, and implicit Euler where A(u1) is scalar and symmetric
-in its pairing and the window has n <= 256 unknowns and K >= n^2/100 steps
-(``_marches_in_eigenbasis``: one eigendecomposition then costs less than
-the banded steps), march in the eigenbasis of A(u1) with no LAPACK call per
-step (``_ModalStepper``).  ``operators.eigendecompose`` keeps what it
+A window freezes A(u1) once (``_freeze``): it assembles the operator and
+chooses its march before the first attempt, since a halving changes the
+sample times but neither A(u1) nor the step count K.  Each attempt then
+builds the steps for its times, one stepper that serves the reference solve
+and every Picard iteration; a freeze that fails ends the window at once,
+with no halving.  The spectral propagator, and implicit Euler where A(u1)
+is scalar and symmetric in its pairing and the window has n <= 256
+unknowns and K >= n^2/100 steps (``_marches_in_eigenbasis``: one
+eigendecomposition then costs less than the banded steps), march in the
+eigenbasis of A(u1) with no LAPACK call per step (``_ModalStepper``), which
+the freeze decomposes once.  ``operators.eigendecompose`` keeps what it
 decomposed, keyed by the operator's content, so a run makes one
 decomposition per distinct operator, not per window: the windows of a
 linear problem and the omega diagnostic share one.  Every other window
@@ -312,13 +316,12 @@ _TINY = np.finfo(float).tiny
 
 
 class _ModalStepper:
-    """The march in the eigenbasis of a scalar A0 symmetric in its pairing:
+    """The march in the eigenbasis of a scalar A0 symmetric in its pairing,
+    ``proxy``, the window's ``eigendecompose(A0)``:
     ``tables(dts, eigenvalues)`` gives the (K, n) tables a, g of the modal
     recurrence c_{k+1} = a_k c_k + g_k rhat_{k+1}, rhat the rhs's modal
     coefficients, which one product forms for all steps; one more product
-    maps the coefficients back.  The eigenbasis comes from
-    ``eigendecompose``: one decomposition per distinct operator, which
-    windows with the same A0 share.
+    maps the coefficients back.
 
     The recurrence runs in chunks of ``MODAL_CHUNK`` steps.  A stretch of
     steps whose rhs row g_k rhat_{k+1} is exactly zero (every step, without
@@ -333,10 +336,9 @@ class _ModalStepper:
     untouched, so a march that holds no subnormal coefficient gives the
     per-step values bit for bit."""
 
-    def __init__(self, A0: LinearOperator, times: np.ndarray, tables):
+    def __init__(self, A0: LinearOperator, proxy: SpectralProxy, tables, times: np.ndarray):
         self.A0 = A0
         self.times = times
-        proxy = eigendecompose(A0)
         self.modes = proxy.modes
         self.wmodes = proxy.modes * A0.weights[:, None]
         self.a, self.g = tables(np.diff(times), proxy.eigenvalues)
@@ -395,17 +397,16 @@ def _marches_in_eigenbasis(A0: LinearOperator, steps: int) -> bool:
     return A0.ncomp == 1 and n <= 256 and n * n <= 100 * steps and A0.pairs_symmetrically
 
 
-def _build_machinery(prob: AbstractProblem, u_freeze: GridFunction,
-                     times: np.ndarray, cfg: FixedPointConfig):
-    """The stepper of one window attempt; it holds A0 and the sample times."""
-    if not prob.state_constraint(u_freeze.values):
-        raise StateConstraintError("freeze state outside the admissible region")
-    A0 = prob.assemble_A(u_freeze)
+def _freeze(A0: LinearOperator, cfg: FixedPointConfig) -> Callable:
+    """The march of a window frozen at A0, chosen once for the window, as a
+    function of its sample times that builds the steps for them (the
+    window's halvings change the times, never A0 or the step count): modal
+    on ``eigendecompose(A0)``, decomposed here, or banded."""
     if cfg.propagator == "spectral":
-        return _ModalStepper(A0, times, _spectral_tables)
-    if _marches_in_eigenbasis(A0, len(times) - 1):
-        return _ModalStepper(A0, times, _euler_tables)
-    return _EulerStepper(A0, times)
+        return functools.partial(_ModalStepper, A0, eigendecompose(A0), _spectral_tables)
+    if _marches_in_eigenbasis(A0, cfg.time_steps):
+        return functools.partial(_ModalStepper, A0, eigendecompose(A0), _euler_tables)
+    return functools.partial(_EulerStepper, A0)
 
 
 def _assemble_trajectory(stepper, vecs: np.ndarray, rhs: Optional[np.ndarray],
@@ -486,10 +487,18 @@ class SolverWindowState:
 def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
                       cfg: FixedPointConfig, t0: float = 0.0) -> SolverWindowState:
     """Iterate T to tolerance on one window, halving the window on stall.
-    ``t0`` is the window's start in the run's time: an attempt whose sample
-    times are not distinct there fails, and so does every halving of it."""
+    A(u1) is frozen once, before the first attempt, and a freeze that fails
+    raises NonconvergenceError at once, with no halving.  ``t0`` is the
+    window's start in the run's time: an attempt whose sample times are not
+    distinct there fails, and so does every halving of it."""
     if not prob.state_constraint(u1.values):
         raise StateConstraintError("initial state outside the admissible region")
+    try:
+        march = _freeze(prob.assemble_A(u1), cfg)
+    except (SolverError, StateConstraintError, NonFiniteError) as exc:
+        # a halving changes the times, not A(u1): every attempt would fail the same way
+        raise NonconvergenceError(f"window collapsed without halving: freezing A(u1) "
+                                  f"failed: {exc}", halvings=0, residuals=()) from exc
     T = cfg.window
     halvings = 0
     last_residuals: tuple = ()
@@ -501,7 +510,7 @@ def fixed_point_solve(u1: GridFunction, prob: AbstractProblem,
         try:
             if (reason := cfg.ungradeable(T, t0)) is not None:
                 raise SolverError(reason)
-            stepper = _build_machinery(prob, u1, times, cfg)
+            stepper = march(times)
             v = reference_solution(u1, cfg, stepper)
         except (SolverError, StateConstraintError, NonFiniteError) as exc:
             reason = f"reference solve failed: {exc}"

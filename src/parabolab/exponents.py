@@ -119,24 +119,19 @@ class StructureExponents:
     """Growth/smoothness pairs of the lower-order nonlinearity.
 
     ``pairs`` is a sequence of (rho_j, beta_j); ``beta`` is the working
-    intermediate exponent used by the quadratic-gradient term.  ``epsilon``
-    only matters for the fourth-order window cap.
+    intermediate exponent used by the quadratic-gradient term.
     """
 
     beta: Number
     pairs: tuple
-    epsilon: Number
 
     def __post_init__(self):
         object.__setattr__(self, "beta", as_number(self.beta))
-        object.__setattr__(self, "epsilon", as_number(self.epsilon))
         coerced = tuple((as_number(r), as_number(b)) for r, b in self.pairs)
         object.__setattr__(self, "pairs", coerced)
         for rho, _ in self.pairs:
             if rho < 0:
                 raise ValueError(f"pair growth exponent must be >= 0, got {rho}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @classmethod
     def for_problem(cls, cfg: ExponentConfig, beta, epsilon):
@@ -154,7 +149,7 @@ class StructureExponents:
         m = cfg.trace_exponent
         if cfg.order == ORDER_SECOND:
             pairs = ((_one(), beta), (Fraction(2), m))
-            return cls(beta=beta, pairs=pairs, epsilon=epsilon)
+            return cls(beta=beta, pairs=pairs)
         kappa = kappa_exponent(cfg)
         denom = beta - m
         if not denom > 0:
@@ -167,7 +162,20 @@ class StructureExponents:
             (2 * theta, kappa + epsilon),
             (3 * theta, m),
         )
-        return cls(beta=beta, pairs=pairs, epsilon=epsilon)
+        return cls(beta=beta, pairs=pairs)
+
+
+@dataclass(frozen=True)
+class Exponents:
+    """An exponent section: the exponents, the slack ``epsilon`` of the
+    fourth-order structure pairs and beta window, and the structure
+    exponents, or None with the reason ``violation`` when they cannot be
+    formed."""
+
+    config: ExponentConfig
+    epsilon: Number
+    structure: StructureExponents | None
+    violation: str = ""
 
 
 def kappa_exponent(cfg: ExponentConfig) -> Number:
@@ -326,11 +334,13 @@ def beta_window(cfg: ExponentConfig, epsilon) -> BetaWindow:
     return BetaWindow(lo=lo, hi=hi, binding_lower=lo_name, binding_upper=hi_name)
 
 
-def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = None, *,
-                         epsilon) -> dict:
-    """Full JSON-ready admissibility report (dimensional check, window, ratios)."""
+def admissibility_report(exps: Exponents) -> dict:
+    """Full JSON-ready admissibility report (dimensional check, window at the
+    section's epsilon, ratios of its structure pairs); structure exponents
+    that cannot be formed or checked are one more violation."""
+    cfg = exps.config
     dim = check_dimensional(cfg)
-    window = beta_window(cfg, epsilon)
+    window = beta_window(cfg, exps.epsilon)
     out = {
         "order": cfg.order,
         "p": float(cfg.p),
@@ -341,13 +351,20 @@ def admissibility_report(cfg: ExponentConfig, se: StructureExponents | None = No
         "beta_window": window.as_dict(),
     }
     violated = list(dim.violated)
+    se, violation = exps.structure, exps.violation
     if se is not None:
-        f2 = check_F2_exponents(cfg, se)
-        out["beta"] = float(se.beta)
-        out["pairs"] = [[float(r), float(b)] for r, b in se.pairs]
-        out["F2"] = f2.as_dict()
-        if not f2.all_pass:
-            violated.append("rho_j*(beta - mu + 1/p) + beta_j - mu + 1/p < 1 - mu + 1/p")
+        try:
+            f2 = check_F2_exponents(cfg, se)
+        except ValueError as exc:
+            violation = str(exc)
+        else:
+            out["beta"] = float(se.beta)
+            out["pairs"] = [[float(r), float(b)] for r, b in se.pairs]
+            out["F2"] = f2.as_dict()
+            if not f2.all_pass:
+                violated.append("rho_j*(beta - mu + 1/p) + beta_j - mu + 1/p < 1 - mu + 1/p")
+    if violation:
+        violated.append(violation)
     out["violated"] = violated
     out["admissible"] = not violated
     return out

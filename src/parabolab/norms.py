@@ -105,7 +105,7 @@ class WeightedTrajectory:
 
     ``state_values`` stacks the K+1 states in one array of shape
     ``(K+1, *grid.shape, ncomp)``; ``deriv_values`` stacks the time
-    derivatives the same way, or is None when only state norms are needed.
+    derivatives the same way.
     The grid is read off the shape.  times[0] must be 0 (the trace sample);
     the rest are strictly increasing.
 
@@ -116,19 +116,18 @@ class WeightedTrajectory:
 
     times: np.ndarray
     state_values: np.ndarray
-    deriv_values: Optional[np.ndarray]
+    deriv_values: np.ndarray
     mu: float
     p: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.state_values, dtype=float)
-        derivs = None if self.deriv_values is None else np.asarray(self.deriv_values, dtype=float)
+        derivs = np.asarray(self.deriv_values, dtype=float)
         for name, value in (("times", times), ("state_values", states), ("deriv_values", derivs)):
-            if value is not None:
-                # a write would leave the memoized sample norms stale
-                value = value.view()
-                value.flags.writeable = False
+            # a write would leave the memoized sample norms stale
+            value = value.view()
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time samples")
@@ -138,9 +137,9 @@ class WeightedTrajectory:
             raise ValueError("times must be strictly increasing")
         if states.ndim not in (3, 4) or states.shape[:-1] != times.shape + self.grid.shape:
             raise ValueError(f"states shape {states.shape} is not (len(times), *grid.shape, ncomp)")
-        if derivs is not None and derivs.shape != states.shape:
+        if derivs.shape != states.shape:
             raise ValueError(f"derivs shape {derivs.shape} differs from states {states.shape}")
-        if not all(all_finite(a) for a in (states, derivs) if a is not None):
+        if not (all_finite(states) and all_finite(derivs)):
             raise NonFiniteError("non-finite trajectory")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
@@ -173,8 +172,6 @@ class WeightedTrajectory:
             if kind == "states":
                 y = lq_norms(self.state_values, self.grid, q)
             elif kind == "derivs":
-                if self.deriv_values is None:
-                    raise ValueError("trajectory has no stored time derivatives")
                 y = lq_norms(self.deriv_values, self.grid, q)
             elif kind == "x1":
                 # the graph norm starts from the states' own L_q norm
@@ -220,10 +217,8 @@ def difference(a: WeightedTrajectory, b: WeightedTrajectory) -> WeightedTrajecto
     """Samplewise a - b; requires identical time grids."""
     if len(a.times) != len(b.times) or np.any(a.times != b.times):
         raise ValueError("trajectories sampled on different time grids")
-    derivs = None
-    if a.deriv_values is not None and b.deriv_values is not None:
-        derivs = a.deriv_values - b.deriv_values
-    return WeightedTrajectory(a.times, a.state_values - b.state_values, derivs, a.mu, a.p)
+    return WeightedTrajectory(a.times, a.state_values - b.state_values,
+                              a.deriv_values - b.deriv_values, a.mu, a.p)
 
 
 def glue(windows: list, mu: float, p: float) -> WeightedTrajectory:
@@ -275,8 +270,6 @@ def E0mu_norm(traj: WeightedTrajectory, interval, q: float) -> float:
 
 def E1mu_norm(traj: WeightedTrajectory, interval=None, *, q: float, order: int) -> float:
     """Solution-space norm: states + time derivative + top spatial regularity."""
-    if traj.deriv_values is None:
-        raise ValueError("E1mu norm needs stored time derivatives")
     part_state = _time_norm(traj, traj.sample_norms("states", q), interval)
     part_deriv = _time_norm(traj, traj.sample_norms("derivs", q), interval)
     part_top = _time_norm(traj, traj.sample_norms("x1", q, order), interval)

@@ -208,9 +208,6 @@ class Diagonals:
         k, rows = np.nonzero(self.data)
         return rows, self.offsets[k], self.data[k, rows]
 
-    def scaled(self, s: float) -> "Diagonals":
-        return Diagonals(self.offsets, s * self.data)
-
     def scaled_rows(self, c: np.ndarray) -> "Diagonals":
         """diag(c) @ self.  An entry 0 stays 0 whatever c, so that an
         overflowed coefficient reaches no column outside the matrix."""
@@ -495,36 +492,23 @@ def block_rows(blocks: np.ndarray, mat: Diagonals) -> Diagonals:
                                   (blocks[i][:, a, b] * values[:, None]).ravel())
 
 
-def neumann_laplacian(grid: Grid) -> Diagonals:
-    """Full-grid mirrored-stencil Laplacian (scalar)."""
-    n = grid.nodes_per_axis
-    d2 = diff_matrix_1d(n, grid.h, 2)
-    if grid.dim == 1:
-        return d2
-    eye = Diagonals.identity(n)
-    return d2.kron(eye).plus(eye.kron(d2))
-
-
 @functools.lru_cache(maxsize=64)
 def reference_operator(grid: Grid, order: str) -> LinearOperator:
-    """Positive model operator of each class: -Laplacian (Neumann) for
-    second order, the clamped bilaplacian for fourth order; one per grid
+    """Positive model operator of each class, assembled from its constant
+    coefficients: -Laplacian (Neumann) for second order, the clamped
+    bilaplacian d_x^4 + d_y^4 + 2 d_x^2 d_y^2 for fourth order; one per grid
     and order, which no caller changes."""
+    dim = grid.dim
     if order == "second":
-        return operator_from_full_matrix(
-            grid, 1, BoundaryCondition.NEUMANN, neumann_laplacian(grid).scaled(-1.0)
-        )
-    if order == "fourth":
-        n = grid.nodes_per_axis
-        d2 = diff_matrix_1d(n, grid.h, 2)
-        d4 = diff_matrix_1d(n, grid.h, 4)
-        if grid.dim == 1:
-            full = d4
-        else:
-            eye = Diagonals.identity(n)
-            full = d4.kron(eye).plus(eye.kron(d4)).plus(d2.kron(d2).scaled(2.0))
-        return operator_from_full_matrix(grid, 1, BoundaryCondition.CLAMPED, full)
-    raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
+        bc, coeffs = BoundaryCondition.NEUMANN, {unit_sigma(ax, dim, 2): -1.0 for ax in range(dim)}
+    elif order == "fourth":
+        bc, coeffs = BoundaryCondition.CLAMPED, {unit_sigma(ax, dim, 4): 1.0 for ax in range(dim)}
+        if dim == 2:
+            coeffs[(2, 2)] = 2.0
+    else:
+        raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
+    return assemble_coefficient_operator(
+        grid, {sigma: np.full(grid.shape, c) for sigma, c in coeffs.items()}, bc)
 
 
 def scaled_bands(ab: np.ndarray, scales, row: int, shift) -> np.ndarray:
@@ -676,7 +660,8 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
     """Dense eigendecomposition of a scalar operator symmetric in its pairing.
 
     Only intended at desk scale: raises ValueError beyond DESK_EIG_CAP
-    unknowns, and SolverError for an operator that is not symmetric; a
+    unknowns, and SolverError for an operator that ``pairs_symmetrically``
+    rejects, the one symmetry test of the steps and the decompositions; a
     failure is not kept, so it raises on every call.
 
     One decomposition per distinct operator: an operator whose grid, ncomp
@@ -695,9 +680,9 @@ def eigendecompose(op: LinearOperator) -> SpectralProxy:
                                       (op.active, op.weights, op.matrix.offsets, op.matrix.data))
     proxy, size = _EIG_CACHE.pop(key, (None, 0))
     if proxy is None:
-        defect = 0.0 if op.pairs_symmetrically else op.symmetric_defect()
-        if defect > 1e-8:
-            raise SolverError(f"operator not symmetric in the discrete pairing: defect {defect:.2e}")
+        if not op.pairs_symmetrically:
+            raise SolverError(f"operator not symmetric in the discrete pairing: defect "
+                              f"{op.symmetric_defect():.2e}, or a pairing weight not positive")
         sqw = np.sqrt(op.weights)
         sym = (op.toarray() * sqw[:, None]) / sqw[None, :]
         sym = 0.5 * (sym + sym.T)

@@ -26,9 +26,10 @@ right-hand side itself, so that A(h) h is never formed only to cancel.
 
 The frozen operators, the one implementation of A(v) u, are assembled by
 diagonals (``operators.Diagonals``): -a(v) Lap as the node blocks a(v)
-times the mirrored Laplacian (``operators.block_rows``), the flows' A(h)
-from the nodal coefficients of each multi-index
-(``operators.assemble_coefficient_operator``).
+times the matrix of -Lap, the second-order reference operator's
+(``operators.block_rows``), the flows' A(h) from the nodal coefficients of
+each multi-index (``operators.assemble_coefficient_operator``), from which
+the reference operators come too.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from itertools import product
 import numpy as np
 
 from . import geometry
-from .grids import BoundaryCondition, Grid, GridFunction
+from .grids import BoundaryCondition, Grid, GridFunction, all_finite
 from .operators import (LinearOperator, assemble_coefficient_operator, block_rows,
-                        derivative_values, neumann_laplacian, operator_from_full_matrix,
+                        derivative_values, operator_from_full_matrix, reference_operator,
                         unit_sigma)
 from .evolution import AbstractProblem, StateConstraintError
 
@@ -179,10 +180,16 @@ class PositivityReport:
 
 
 def spectrum_positivity_check(a: PolynomialMap, u_box) -> PositivityReport:
-    """Minimum real part of the eigenvalues of a(u) over a sample of the box."""
+    """Minimum real part of the eigenvalues of a(u) over a sample of the box;
+    a(u) that is not finite at a sample raises ProblemSpecError."""
     u_box = np.asarray(u_box, dtype=float)
     pts = _box_samples(u_box)
-    mins = np.min(np.linalg.eigvals(a(pts)).real, axis=-1)
+    # an overflow shows up as a non-finite value, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = a(pts)
+    if not all_finite(values):
+        raise ProblemSpecError(f"a(u) is not finite on the state box {u_box.tolist()}")
+    mins = np.min(np.linalg.eigvals(values).real, axis=-1)
     k = int(np.argmin(mins))  # the first of equal minima
     worst = float(mins[k])
     return PositivityReport(min_real_part=worst, ok=worst > 0.0,
@@ -259,7 +266,8 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     grid = spec.grid
     N = spec.ncomp
     bc = BoundaryCondition.NEUMANN
-    lap_scalar = neumann_laplacian(grid)
+    # the full-grid matrix of -Lap, every node of the Neumann grid active
+    neg_lap = reference_operator(grid, "second").matrix
     lo = spec.u_box[:, 0] + spec.margin
     hi = spec.u_box[:, 1] - spec.margin
 
@@ -289,7 +297,7 @@ def rd_problem(spec: ReactionDiffusionSpec) -> AbstractProblem:
     def assemble_A(v: GridFunction) -> LinearOperator:
         require_in_box(v)
         av = spec.a(v.values).reshape(-1, N, N)
-        op = operator_from_full_matrix(grid, N, bc, block_rows(av, lap_scalar).scaled(-1.0))
+        op = operator_from_full_matrix(grid, N, bc, block_rows(av, neg_lap))
         # -a Lap with a diagonal and positive is symmetric in the pairing w/a
         diag = np.diagonal(av, axis1=1, axis2=2)
         if np.all(diag > 0.0) and np.array_equal(av, diag[..., None] * np.eye(N)):

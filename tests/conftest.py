@@ -37,7 +37,7 @@ def count_eigh(monkeypatch) -> list:
 def plus_identity(op: operators.LinearOperator, kappa: float) -> operators.LinearOperator:
     """A + kappa I on the active unknowns of ``op``, its matrix the sum that
     ``Diagonals.plus`` makes."""
-    eye = operators.Diagonals.identity(op.n_active).scaled(kappa)
+    eye = operators.Diagonals(np.zeros(1, dtype=np.intp), np.full((1, op.n_active), kappa))
     return dataclasses.replace(op, matrix=op.matrix.plus(eye))
 
 

@@ -119,12 +119,12 @@ def test_criterion_02_weighted_norm_oracle():
     for K in (600, 6000):
         times = graded_times(T, K, gamma)
         const_states = np.full((len(times),) + grid.shape + (1,), 2.5)
-        traj = WeightedTrajectory(times, const_states, None, MU, P)
+        traj = WeightedTrajectory(times, const_states, np.zeros_like(const_states), MU, P)
         target = 2.5 * weighted_time_factor(T, P, MU)
         errs_const.append(abs(E0mu_norm(traj, None, 2.0) - target) / target)
 
         power_states = np.stack([np.full(grid.shape + (1,), t ** s) for t in times])
-        ptraj = WeightedTrajectory(times, power_states, None, MU, P)
+        ptraj = WeightedTrajectory(times, power_states, np.zeros_like(power_states), MU, P)
         expo = (1.0 - MU + s) * P + 1.0
         ptarget = T ** (expo / P) / expo ** (1.0 / P)
         errs_power.append(abs(E0mu_norm(ptraj, None, 2.0) - ptarget) / ptarget)

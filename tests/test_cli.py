@@ -1370,6 +1370,62 @@ def _main_quietly(argv):
 _DIAGNOSTICS_OVERFLOW = "gives a diagnostic norm beyond floating point"
 
 
+@pytest.mark.parametrize("config,edit,message,written", [
+    ("reaction_diffusion", ("problem.u_box", [[-1e160, 1e160]]),
+     "a(u) is not finite on the state box [[-1e+160, 1e+160]]", []),
+    ("willmore", ("initial.amplitude", 1e200),
+     "the symbol scan of the willmore config gives a number beyond floating point",
+     ["admissibility.json"]),
+], ids=["rd-box", "willmore-amplitude"])
+def test_a_run_beyond_floating_point_in_its_symbol_exits_4(tmp_path, config, edit, message,
+                                                            written):
+    # the problem of the box is not built, so the run writes nothing; the
+    # flow's symbol report is rejected before symbol.json is written
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / f"{config}.json").read_text())
+    _set_path(doc, *edit)
+    out = tmp_path / "out"
+    code, err = _main_quietly(["run", "--config", write_cfg(tmp_path / "cfg.json", doc),
+                               "--out", str(out)])
+    assert code == 4 and err == f"error: {message}\n", err
+    assert (_tree(out) if out.exists() else []) == written
+
+
+# magnitudes up to 1e300 of either sign, with the edges near which a(u) on
+# the state box, or the squared slopes of a flow, leave floating point
+_MAGNITUDES = st.one_of(st.sampled_from([1.0, 1e150, 1e160, 1e200, 1e300]),
+                        st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=30)
+# the reproductions: a(u) = 1 + u^2 overflows on this box, and so does the
+# symbol scan of these slopes
+@example(family="reaction_diffusion", values=(1e160, 1.0, 0.0, 1.0))
+@example(family="willmore", values=(1e200, 1.0, 1.0, 1.0))
+@given(family=st.sampled_from(["reaction_diffusion", "willmore", "surface_diffusion"]),
+       values=st.tuples(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES, _MAGNITUDES))
+def test_symbol_keeps_the_exit_code_contract_at_extreme_magnitudes(family, values):
+    """`symbol` on a reaction-diffusion config whose state box and a(u) =
+    a0 + a1 u + a2 u^2 reach 1e300, or on a flow whose initial amplitude
+    does, exits 0, 2 or 4 without a traceback, and writes its report only
+    when it exits 0 or 2."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    name = "reaction_diffusion" if family == "reaction_diffusion" else "willmore"
+    doc = json.loads((configs / f"{name}.json").read_text())
+    doc["problem"]["family"] = family
+    if family == "reaction_diffusion":
+        bound, *a = values
+        doc["problem"].update(u_box=[[-abs(bound), abs(bound)]], margin=0.0, a=[[a]])
+    else:
+        doc["initial"]["amplitude"] = values[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "symbol.json"
+        code, _err = _main_quietly(["symbol", "--config", write_cfg(Path(tmp) / "cfg.json", doc),
+                                    "--json", str(report)])
+        assert code in (0, 2, 4), (family, values)
+        assert report.exists() == (code != 4), (family, values, code)
+
+
 @settings(max_examples=150)
 @given(command=st.sampled_from(["check", "check-flat", "run", "sweep"]), edits=_edits())
 @example(command="run", edits=(("solver.grading", 1e308),))
@@ -1549,6 +1605,25 @@ def test_a_window_too_short_for_its_grading_collapses_with_exit_3(tmp_path, caps
     assert summary["reason"].startswith("window collapse: window collapsed after 20 halvings: "
                                         "reference solve failed: grading 1000 leaves a step "
                                         "of zero length among the 2 steps of a window")
+
+
+def test_a_failed_freeze_collapses_the_first_window_with_exit_3(tmp_path, capsys):
+    # a(u) = (u^2 - 1/4)(u^2 - 3/10) is positive at the box samples -2..2
+    # and changes sign over the initial state, so the spectral propagator
+    # cannot decompose A(u1): the window ends without a halving
+    cfg = heat_cfg(problem={"family": "reaction_diffusion", "ncomp": 1,
+                            "a": [[[0.075, 0, -0.55, 0, 1]]], "f": [0], "b": [[[0]]],
+                            "u_box": [[-2.0, 2.0]]},
+                   initial={"kind": "cosine", "amplitude": 0.3, "offset": 0.52})
+    cfg["solver"]["propagator"] = "spectral"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "blow_up" and summary["t_reached"] == 0.0
+    assert summary["reason"].startswith("window collapse: window collapsed without halving: "
+                                        "freezing A(u1) failed: operator not symmetric")
 
 
 def test_a_subnormal_first_step_exits_4_before_writing(tmp_path, capsys):

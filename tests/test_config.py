@@ -158,8 +158,7 @@ def test_structure_exponents_explicit_pairs_and_epsilon():
     cfg4 = minimal_cfg(problem={"family": "willmore"},
                        exponents={"p": 2, "q": 2, "mu": "19/20", "beta": "5/6",
                                   "epsilon": "1/2000"})
-    se4 = validate_run_config(cfg4).exponents.structure
-    assert se4.epsilon == Fraction(1, 2000)
+    assert validate_run_config(cfg4).exponents.epsilon == Fraction(1, 2000)
 
 
 # ---------------------------------------------------------------- building

@@ -56,6 +56,7 @@ from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                                 flow_problem, linear_heat_spec, rd_problem)
 
 MU, P = 0.9, 2.0
+TINY = np.finfo(float).tiny
 
 
 def heat_problem(nodes=32):
@@ -89,7 +90,13 @@ def window_stepper(prob, u0, cfg):
     """The stepper of one window of ``cfg`` frozen at ``u0``, as the first
     attempt of ``fixed_point_solve`` builds it."""
     times = graded_times(cfg.window, cfg.time_steps, cfg.gamma())
-    return evolution._build_machinery(prob, u0, times, cfg)
+    return evolution._freeze(prob.assemble_A(u0), cfg)(times)
+
+
+def modal_stepper(A, times, tables):
+    """The march in the eigenbasis of A over ``times``, with the tables
+    named ``tables`` in ``evolution``, as a window frozen at A builds it."""
+    return evolution._ModalStepper(A, eigendecompose(A), getattr(evolution, tables), times)
 
 
 # ---------------------------------------------------------------- scaffolding
@@ -209,25 +216,40 @@ def test_euler_stepper_matches_sparse_solve(case, data):
                         label="rhs")
     eye = scipy.sparse.identity(n, format="csc")
     want = [u0]
-    for k, dt in enumerate(dts):
+    # the steps of `times`, which the steppers take: a short step after a
+    # long one differs from its drawn length by the rounding of the sum
+    for k, dt in enumerate(np.diff(times)):
         b = want[-1] if rhs is None else want[-1] + dt * rhs[k + 1]
         want.append(scipy.sparse.linalg.spsolve(eye + dt * scipy.sparse.csc_matrix(A.toarray()), b))
     steppers = [evolution._EulerStepper(A, times)]
     # the operators that take Cholesky steps march in their eigenbasis too
     if factor is BandedCholesky and ncomp == 1:
         assert A.pairs_symmetrically
-        steppers.append(evolution._ModalStepper(A, times, evolution._euler_tables))
+        steppers.append(modal_stepper(A, times, "_euler_tables"))
     for stepper in steppers:
         got = stepper.run(u0, rhs)
+        # the modal march sets its coefficients below TINY to zero, those of
+        # the initial state and those of the steps (``_flush_subnormal``):
+        # a flushed coefficient, grown by at most the product of the steps'
+        # largest |a|, moves a state by TINY * max|mode| times that
+        flushed = 0.0
+        if isinstance(stepper, evolution._ModalStepper):
+            growth = float(np.prod(np.maximum(1.0, np.max(np.abs(stepper.a), axis=1))))
+            flushed = n * TINY * float(np.max(np.abs(stepper.modes))) * (1.0 + growth)
         for x, y in zip(got, want):
-            assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300)
+            assert np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1e-300) + flushed
+
+
+def _minus_identity(grid):
+    """A = -I on the Neumann unknowns of ``grid``."""
+    return operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN, Diagonals(
+        np.zeros(1, dtype=np.intp), np.full((1, grid.n_nodes), -1.0)))
 
 
 def test_euler_stepper_singular_step_raises():
     # A = -I makes I + dt*A vanish at dt = 1
     grid = Grid(1, 9)
-    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
+    A = _minus_identity(grid)
     with pytest.raises(SolverError):
         evolution._EulerStepper(A, np.array([0.0, 0.5, 1.5]))
 
@@ -235,11 +257,10 @@ def test_euler_stepper_singular_step_raises():
 def test_modal_singular_step_raises():
     # the same A = -I marches in its eigenbasis, where 1 + dt*lambda = 0
     grid = Grid(1, 9)
-    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
+    A = _minus_identity(grid)
     assert evolution._marches_in_eigenbasis(A, 2)
     with pytest.raises(SolverError, match="^modal march failed: a step is singular"):
-        evolution._ModalStepper(A, np.array([0.0, 0.5, 1.5]), evolution._euler_tables)
+        modal_stepper(A, np.array([0.0, 0.5, 1.5]), "_euler_tables")
 
 
 def _frozen(grid, prob, time_steps, propagator="euler", ncomp=1):
@@ -321,8 +342,7 @@ def _same_bits(a, b):
 def test_euler_stepper_indefinite_step_falls_back_to_lu():
     # A = -I is symmetric, and I + dt*A = -I at dt = 2 is indefinite
     grid = Grid(1, 9)
-    A = operator_from_full_matrix(grid, 1, BoundaryCondition.NEUMANN,
-                                  Diagonals.identity(grid.n_nodes).scaled(-1.0))
+    A = _minus_identity(grid)
     stepper = evolution._EulerStepper(A, np.array([0.0, 0.5, 2.5]))
     assert [type(f) for f in stepper.factors] == [BandedCholesky, BandedLU]
     alone = _lu_of_step(A, 2.0)
@@ -386,7 +406,7 @@ def test_a_banded_march_allocates_only_its_states(case):
 def test_non_finite_modal_march_raises_the_marchs_error(tables, bad):
     grid, ncomp, build, _factor = ORACLE_CASES["heat-1d"]
     A = build(grid)(GridFunction.from_scalar(grid, 0.3 * np.sin(np.pi * grid.axis_coords())))
-    stepper = evolution._ModalStepper(A, graded_times(0.01, 6, 2.0), getattr(evolution, tables))
+    stepper = modal_stepper(A, graded_times(0.01, 6, 2.0), tables)
     u0 = np.linspace(-1.0, 1.0, A.n_active)
     rhs = np.ones((7, A.n_active))
     assert np.all(np.isfinite(stepper.run(u0, rhs)))
@@ -396,9 +416,6 @@ def test_non_finite_modal_march_raises_the_marchs_error(tables, bad):
         for args in ((u0, rhs), (np.full(A.n_active, bad), None)):
             with pytest.raises(SolverError, match="^modal march failed: non-finite values$"):
                 stepper.run(*args)
-
-
-TINY = np.finfo(float).tiny
 
 
 def _modal_march_per_step(stepper, u_init, rhs):
@@ -443,8 +460,8 @@ def test_modal_march_matches_the_per_step_recurrence(data):
     K = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5]), label="K")
     times = graded_times(data.draw(st.sampled_from([1e-3, 0.1, 10.0]), label="T"), K,
                          data.draw(st.sampled_from([1.0, 2.5]), label="gamma"))
-    stepper = evolution._ModalStepper(A, times, getattr(evolution, data.draw(
-        st.sampled_from(["_euler_tables", "_spectral_tables"]), label="tables")))
+    stepper = modal_stepper(A, times, data.draw(
+        st.sampled_from(["_euler_tables", "_spectral_tables"]), label="tables"))
     n = A.n_active
     scale = data.draw(st.sampled_from([1.0, 1e-290, 1e-300]), label="scale")
     u_init = scale * data.draw(arrays(np.float64, n, elements=MARCH_ENTRIES), label="u_init")
@@ -498,7 +515,7 @@ def test_the_plate_march_maps_back_no_subnormal_coefficient(with_rhs):
     # high modes decay through the subnormal range long before the last step
     grid = Grid(1, 129)
     A = reference_operator(grid, "fourth")
-    stepper = evolution._ModalStepper(A, graded_times(0.01, 4096, 2.5), evolution._euler_tables)
+    stepper = modal_stepper(A, graded_times(0.01, 4096, 2.5), "_euler_tables")
     stepper.modes = stepper.modes.view(_Spy)
     u_init = A.gather(np.sin(np.pi * grid.axis_coords())[:, None] ** 2)
     rhs = np.zeros((4097, A.n_active)) if with_rhs else None
@@ -617,7 +634,8 @@ def _rough_data_derivative_errors(grading):
         traj = reference_solution(u0, cfg, window_stepper(prob, u0, cfg))
         exact = (proxy.modes @ (-(lam * c)[:, None] * np.exp(-np.outer(lam, traj.times)))).T
         err = traj.deriv_values - exact[..., None]
-        errors.append(E0mu_norm(WeightedTrajectory(traj.times, err, None, MU, P), None, 2.0))
+        errors.append(E0mu_norm(WeightedTrajectory(traj.times, err, np.zeros_like(err), MU, P),
+                                None, 2.0))
     return np.array(errors)
 
 
@@ -646,7 +664,8 @@ def _maximal_regularity_ratio(op, order, p, q, mu, K, T=0.1):
     rhs = f[:, op.active]
     u = evolution._assemble_trajectory(stepper, stepper.run(np.zeros(op.n_active), rhs),
                                        rhs, cfg)
-    f_traj = WeightedTrajectory(times, f.reshape((K + 1,) + grid.shape + (1,)), None, mu, p)
+    f_values = f.reshape((K + 1,) + grid.shape + (1,))
+    f_traj = WeightedTrajectory(times, f_values, np.zeros_like(f_values), mu, p)
     return E1mu_norm(u, q=q, order=order) / E0mu_norm(f_traj, None, q)
 
 
@@ -1041,26 +1060,65 @@ def test_a_window_too_short_for_its_grading_is_a_failed_attempt():
     assert len(state.trajectory.times) == 3
 
 
-def test_machinery_built_once_per_window_attempt(monkeypatch):
-    builds = []
-    original = evolution._build_machinery
+def _counting(calls, fn):
+    """``fn``, which appends its first argument to ``calls`` on each call."""
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    return counted
 
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_build_machinery", counting)
+def test_a_window_freezes_its_operator_once(monkeypatch):
+    # a halving changes the sample times, not A(u1): the window assembles
+    # A(u1) and decomposes it for its modal march once, and each attempt
+    # builds only its steps
+    assembled, decomposed = [], []
+    monkeypatch.setattr(evolution, "eigendecompose",
+                        _counting(decomposed, evolution.eigendecompose))
     grid, prob = square_problem()
+    prob = dataclasses.replace(prob, assemble_A=_counting(assembled, prob.assemble_A))
     cfg = FixedPointConfig(window=1.0, time_steps=20, mu=MU, p=P,
                            max_iter=40, tol=1e-8, blowup_threshold=1e12)
-    st = fixed_point_solve(constant_state(grid, 2.0), prob, cfg)
+    u1 = constant_state(grid, 2.0)
+    assert evolution._marches_in_eigenbasis(prob.assemble_A(u1), cfg.time_steps)
+    assembled.clear()
+    st = fixed_point_solve(u1, prob, cfg)
     assert st.halvings == 2
-    assert len(builds) == 1 + st.halvings
-    builds.clear()
+    assert assembled == [u1] and len(decomposed) == 1
+    assembled.clear()
+    decomposed.clear()
     grid, prob = heat_problem(24)
+    prob = dataclasses.replace(prob, assemble_A=_counting(assembled, prob.assemble_A))
     st = fixed_point_solve(eigenmode(grid, 1, amp=0.5)[0], prob,
                            FixedPointConfig(window=0.02, time_steps=8, mu=MU, p=P))
-    assert st.halvings == 0 and len(builds) == 1
+    assert st.halvings == 0 and len(assembled) == 1 and len(decomposed) == 1
+
+
+def _sign_changing_diffusion(grid):
+    """a(u) = (u^2 - 1/4)(u^2 - 3/10), positive at the 5 box samples -2..2
+    that the spec checks and negative for 1/2 < |u| < 0.548."""
+    return rd_problem(ReactionDiffusionSpec(
+        grid=grid, ncomp=1,
+        a=PolynomialMap.from_table([[[0.075, 0.0, -0.55, 0.0, 1.0]]], shape=(1, 1), nvars=1),
+        f=PolynomialMap.constant(np.zeros(1)), b=PolynomialMap.constant(np.zeros((1, 1, 1))),
+        u_box=np.array([[-2.0, 2.0]]), name="sign-changing"))
+
+
+def test_a_failed_freeze_collapses_the_window_without_halving():
+    # a(u) changes sign over the state, so A(u1) is not symmetric in its
+    # pairing and the spectral propagator cannot decompose it: no halving
+    # changes that, and the window ends at once
+    grid = Grid(1, 17)
+    prob = _sign_changing_diffusion(grid)
+    assembled = []
+    prob = dataclasses.replace(prob, assemble_A=_counting(assembled, prob.assemble_A))
+    u1 = GridFunction.from_scalar(grid, 0.52 + 0.3 * np.cos(np.pi * grid.axis_coords()))
+    cfg = FixedPointConfig(window=0.01, time_steps=8, mu=MU, p=P, propagator="spectral")
+    with pytest.raises(NonconvergenceError, match="^window collapsed without halving: freezing "
+                       "A\\(u1\\) failed: operator not symmetric") as info:
+        fixed_point_solve(u1, prob, cfg)
+    assert info.value.halvings == 0 and info.value.residuals == ()
+    assert len(assembled) == 1
 
 
 def test_window_collapse_raises_nonconvergence():
@@ -1307,7 +1365,7 @@ def _settling_trajectory(grid, ncomp, seed):
     decay = np.exp(-8.0 * times).reshape((-1,) + (1,) * (grid.dim + 1))
     states = (rng.normal(size=grid.shape + (ncomp,))
               + decay * rng.normal(size=(len(times),) + grid.shape + (ncomp,)))
-    return WeightedTrajectory(times, states, None, MU, P)
+    return WeightedTrajectory(times, states, np.zeros_like(states), MU, P)
 
 
 @pytest.mark.parametrize("dim, ncomp, order", [(1, 1, "second"), (2, 1, "second"),

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from parabolab.exponents import (DEFAULT_EPSILON, BetaWindow, ExponentConfig,
+from parabolab.exponents import (DEFAULT_EPSILON, BetaWindow, ExponentConfig, Exponents,
                                  StructureExponents, admissibility_report, as_number, beta_window,
                                  check_dimensional, check_F2_exponents, kappa_exponent)
 
@@ -234,14 +234,14 @@ def test_fourth_order_any_window_beta_passes():
 
 def test_pair_outside_beta_range_rejected():
     cfg = cfg2()
-    se = StructureExponents(beta="13/20", pairs=((1, "7/10"),), epsilon=DEFAULT_EPSILON)
+    se = StructureExponents(beta="13/20", pairs=((1, "7/10"),))
     with pytest.raises(ValueError):
         check_F2_exponents(cfg, se)
 
 
 def test_negative_growth_exponent_rejected():
     with pytest.raises(ValueError):
-        StructureExponents(beta="13/20", pairs=((-1, "1/2"),), epsilon=DEFAULT_EPSILON)
+        StructureExponents(beta="13/20", pairs=((-1, "1/2"),))
 
 
 # ---------------------------------------------------------------- report
@@ -249,7 +249,7 @@ def test_negative_growth_exponent_rejected():
 def test_admissibility_report_ok():
     cfg = cfg2()
     se = StructureExponents.for_problem(cfg, "13/20", DEFAULT_EPSILON)
-    rep = admissibility_report(cfg, se, epsilon=DEFAULT_EPSILON)
+    rep = admissibility_report(Exponents(cfg, DEFAULT_EPSILON, se))
     assert rep["admissible"] is True
     assert rep["violated"] == []
     assert rep["dimensional"]["mu0_exact"] == "3/4"
@@ -258,17 +258,17 @@ def test_admissibility_report_ok():
 
 
 def test_admissibility_report_quotes_mu0_inequality():
-    rep = admissibility_report(cfg2(mu="7/10"), epsilon=DEFAULT_EPSILON)
+    rep = admissibility_report(Exponents(cfg2(mu="7/10"), DEFAULT_EPSILON, None))
     assert rep["admissible"] is False
     assert "mu > mu_0 = 1/p + n/2q" in rep["violated"]
-    rep4 = admissibility_report(cfg4(mu="4/5"), epsilon=DEFAULT_EPSILON)
+    rep4 = admissibility_report(Exponents(cfg4(mu="4/5"), DEFAULT_EPSILON, None))
     assert "mu > mu_0 = 1/p + n/4q + 1/4" in rep4["violated"]
 
 
 def test_admissibility_report_flags_failing_pairs():
     cfg = cfg2()
-    se = StructureExponents(beta="69/100", pairs=((2, "69/100"),), epsilon=DEFAULT_EPSILON)
-    rep = admissibility_report(cfg, se, epsilon=DEFAULT_EPSILON)
+    se = StructureExponents(beta="69/100", pairs=((2, "69/100"),))
+    rep = admissibility_report(Exponents(cfg, DEFAULT_EPSILON, se))
     assert rep["admissible"] is False
     assert any("rho_j" in v for v in rep["violated"])
 

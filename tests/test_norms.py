@@ -52,9 +52,10 @@ def stack(fields):
 
 
 def make_traj(times, state_fn, deriv_fn, grid, mu=MU, p=P):
-    """A trajectory of the nodal arrays ``state_fn(t)`` and ``deriv_fn(t)``."""
+    """A trajectory of the nodal arrays ``state_fn(t)`` and ``deriv_fn(t)``;
+    zero derivatives with ``deriv_fn`` None, for norms of the states only."""
     states = np.stack([state_fn(t) for t in times])
-    derivs = None if deriv_fn is None else np.stack([deriv_fn(t) for t in times])
+    derivs = np.zeros_like(states) if deriv_fn is None else np.stack([deriv_fn(t) for t in times])
     return WeightedTrajectory(np.asarray(times), states, derivs, mu, p)
 
 
@@ -229,22 +230,22 @@ def test_trajectory_validation():
     grid = Grid(1, 9)
     u = GridFunction.zeros(grid)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.1, 0.2]), stack((u, u)), None, MU, P)
+        WeightedTrajectory(np.array([0.1, 0.2]), stack((u, u)), stack((u, u)), MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2, 0.2]), stack((u, u, u)), None, MU, P)
+        WeightedTrajectory(np.array([0.0, 0.2, 0.2]), stack((u, u, u)), stack((u, u, u)), MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), stack((u,)), None, MU, P)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u,)), stack((u,)), MU, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), None, 1.2, P)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), stack((u, u)), 1.2, P)
     with pytest.raises(ValueError):
-        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), None, MU, 1.0)
+        WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), stack((u, u)), MU, 1.0)
     # states and derivatives on different grids
     other = GridFunction.zeros(Grid(1, 11))
     with pytest.raises(ValueError):
         WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)), stack((other, other)), MU, P)
     with pytest.raises(NonFiniteError):
         WeightedTrajectory(np.array([0.0, 0.2]), stack((u, u)) + np.array([[[0.0]], [[np.inf]]]),
-                           None, MU, P)
+                           stack((u, u)), MU, P)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,12 +369,14 @@ def test_E1_factorizes_into_closed_forms():
 
 
 def test_E1_requires_derivatives():
+    # a trajectory carries its time derivatives, so E1mu always finds them:
+    # one without them, or with derivatives of another shape, is refused
     grid = Grid(1, 9)
     U = cos_field(grid).values
-    traj = make_traj([0.0, 0.5, 1.0], lambda t: U * t, None, grid)
-    with pytest.raises(ValueError):
-        E1mu_norm(traj, q=2.0, order=2)
-    E0mu_norm(traj, None, 2.0)  # state norms fine without derivs
+    states = np.stack([U * t for t in (0.0, 0.5, 1.0)])
+    for derivs in (None, states[1:]):
+        with pytest.raises(ValueError, match="derivs shape"):
+            WeightedTrajectory(np.array([0.0, 0.5, 1.0]), states, derivs, MU, P)
 
 
 def test_interval_additivity_at_sample_points():
@@ -410,8 +413,6 @@ def test_trajectory_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     states[0] = 7.0                        # the caller's own array stays writable
-    with pytest.raises(ValueError, match="no stored time derivatives"):
-        WeightedTrajectory(np.array([0.0, 1.0]), states, None, MU, P).sample_norms("derivs", 2.0)
 
 
 def test_with_mu_shares_the_sample_norms():
@@ -436,7 +437,8 @@ def test_x1_memo_equals_x1_norms_bitwise(data):
     samples = data.draw(st.integers(2, 4), label="samples")
     values = data.draw(arrays(np.float64, (samples,) + grid.shape + (ncomp,),
                               elements=st.floats(-1e3, 1e3)), label="values")
-    traj = WeightedTrajectory(np.linspace(0.0, 1.0, samples), values, None, MU, P)
+    traj = WeightedTrajectory(np.linspace(0.0, 1.0, samples), values, np.zeros_like(values),
+                              MU, P)
     states_first = data.draw(st.booleans(), label="states_first")
     if states_first:
         states = traj.sample_norms("states", q)

@@ -26,9 +26,9 @@ from parabolab import operators
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
 from parabolab.operators import (STENCILS, BandedCholesky, BandedLU, Diagonals, LinearOperator,
                                  NotPositiveDefiniteError, SolverError, active_flat_indices,
-                                 block_rows, derivative, diff_matrix_1d, eigendecompose,
-                                 assemble_coefficient_operator, neumann_laplacian,
-                                 operator_from_full_matrix, reference_operator, scaled_bands)
+                                 assemble_coefficient_operator, block_rows, derivative,
+                                 diff_matrix_1d, eigendecompose, operator_from_full_matrix,
+                                 reference_operator, scaled_bands)
 from parabolab.problems import (FlowSpec, PolynomialMap, ReactionDiffusionSpec,
                                 _fourth_order_coeffs, flow_problem, rd_problem)
 
@@ -180,7 +180,7 @@ def test_gather_scatter_roundtrip():
 
 def test_neumann_laplacian_weighted_symmetry():
     for grid in (Grid(1, 20), Grid(2, 12)):
-        op = operator_from_full_matrix(grid, 1, NEU, neumann_laplacian(grid).scaled(-1.0))
+        op = reference_operator(grid, "second")
         assert op.symmetric_defect() < 1e-14
 
 
@@ -636,7 +636,7 @@ def test_diff_matrix_1d_matches_csr(n, order, bc):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_laplacian_and_reference_operators_match_csr(dim):
     grid = Grid(dim, 9)
-    assert_same_matrix(neumann_laplacian(grid), _csr_laplacian(grid))
+    assert_same_matrix(reference_operator(grid, "second").matrix, -_csr_laplacian(grid))
     for order in ("second", "fourth"):
         op = reference_operator(grid, order)
         assert_same_operator(op, _csr_reference(grid, order))
@@ -711,7 +711,7 @@ def test_diffusion_operator_matches_csr(dim, ncomp, coupled):
     if not coupled:
         av *= np.eye(ncomp)
     op = operator_from_full_matrix(grid, ncomp, NEU,
-                                   block_rows(av, neumann_laplacian(grid)).scaled(-1.0))
+                                   block_rows(av, reference_operator(grid, "second").matrix))
     ref = _csr_diffusion(grid, av)
     assert_same_operator(op, ref)
     assert_same_operator(plus_identity(op, 1.5),
@@ -826,7 +826,7 @@ def test_the_algebra_matches_dense_numpy(data):
     B = _from_dense(b)
     _assert_is_dense(B, b, vectors)
     _assert_is_dense(A.plus(B), a + b, vectors)
-    _assert_is_dense(B.plus(B.scaled(-1.0)), np.zeros((n, n)), vectors)
+    _assert_is_dense(B.plus(B.scaled_rows(np.full(n, -1.0))), np.zeros((n, n)), vectors)
     nb = data.draw(st.integers(1, 3))
     other = data.draw(_dense_matrices(nb))
     _assert_is_dense(A.kron(_from_dense(other)), np.kron(a, other), vectors)
@@ -838,7 +838,8 @@ def test_the_algebra_matches_dense_numpy(data):
     _assert_is_dense(block_rows(blocks, A),
                      np.einsum("iab,ij->iajb", blocks, a).reshape(n * nb, n * nb), vectors)
     value = data.draw(_ENTRIES)
-    _assert_is_dense(Diagonals.identity(n).scaled(value), value * np.eye(n), vectors)
+    _assert_is_dense(Diagonals.identity(n).scaled_rows(np.full(n, value)), value * np.eye(n),
+                     vectors)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -851,7 +852,7 @@ def test_uncoupled_diffusion_keeps_the_band_of_its_nodes(dim, ncomp):
     av = np.random.default_rng(ncomp).uniform(0.5, 1.5, (grid.n_nodes, ncomp, ncomp))
     av *= np.eye(ncomp)
     op = operator_from_full_matrix(grid, ncomp, NEU,
-                                   block_rows(av, neumann_laplacian(grid)).scaled(-1.0))
+                                   block_rows(av, reference_operator(grid, "second").matrix))
     assert op.to_banded()[1] == (ncomp * stride,) * 2
     assert _csr_to_banded(_csr_diffusion(grid, av))[1] == (ncomp * stride + ncomp - 1,) * 2
     assert _rd_operator(grid, np.diag(np.arange(1.0, ncomp + 1))).to_banded()[1] == (

@@ -27,7 +27,7 @@ from parabolab import problems
 from parabolab.evolution import StateConstraintError
 from parabolab.geometry import surface_diffusion_rhs, willmore_rhs
 from parabolab.grids import BoundaryCondition, Grid, GridFunction
-from parabolab.operators import derivative, neumann_laplacian, reference_operator
+from parabolab.operators import derivative, reference_operator
 from parabolab.problems import (FlowSpec, PolynomialMap, ProblemSpecError,
                                 ReactionDiffusionSpec, flow_problem,
                                 linear_heat_spec, rd_problem,
